@@ -1,20 +1,19 @@
 // perf_planner — reproducible planner micro-benchmark.
 //
-// Runs the single-data matcher over a fixed-seed scenario matrix
-// (nodes x tasks x replication), once per max-flow solver, and emits a
+// Runs the single-data matcher (Dinic max-flow + random fill) over a
+// fixed-seed scenario matrix (nodes x tasks x replication) and emits a
 // machine-readable JSON report (BENCH_planner.json by default):
 //
 //   perf_planner                      # full matrix -> BENCH_planner.json
 //   perf_planner --smoke              # small scenarios, fewer repeats (CI)
 //   perf_planner --out=path.json
 //
-// Per scenario and solver it records min/mean wall time over `repeats`
-// identical runs (same assign seed, shared FlowWorkspace, so steady-state
-// repeats measure solve time, not allocation), the matched-task count and
-// locality percentage, and a plan_audit verdict. `parity_ok` asserts both
-// solvers matched the same (maximum) number of tasks. Wall times compare
-// across solvers on the same host; the JSON is diffed by
-// tools/bench_compare.py, which is what the CI smoke job gates on.
+// Per scenario it records min/mean wall time over `repeats` identical runs
+// (same assign seed, shared FlowWorkspace, so steady-state repeats measure
+// solve time, not allocation), the matched-task count and locality
+// percentage, and a plan_audit verdict. The report keeps schema 1's
+// per-solver "algorithms" object with its single "dinic" entry; it is
+// diffed by tools/bench_compare.py, which is what the CI smoke job gates on.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -61,11 +60,6 @@ constexpr Scenario kScenarios[] = {
     {"large-256n-10240t-r3-parallel-4t", 256, 10240, 3, 7, 5, false, 4},
 };
 
-constexpr graph::MaxFlowAlgorithm kAlgorithms[] = {
-    graph::MaxFlowAlgorithm::kDinic,
-    graph::MaxFlowAlgorithm::kEdmondsKarp,
-};
-
 struct SolverResult {
   double wall_ms_min = 0;
   double wall_ms_mean = 0;
@@ -87,12 +81,10 @@ long peak_rss_kb() {
 
 SolverResult run_solver(const Scenario& sc, const dfs::NameNode& nn,
                         const std::vector<runtime::Task>& tasks,
-                        const core::ProcessPlacement& placement,
-                        graph::MaxFlowAlgorithm algorithm, ThreadPool* pool) {
+                        const core::ProcessPlacement& placement, ThreadPool* pool) {
   SolverResult out;
   graph::FlowWorkspace workspace;
   core::PlanOptions options;
-  options.algorithm = algorithm;
   options.workspace = &workspace;
   options.pool = pool;
 
@@ -119,20 +111,19 @@ SolverResult run_solver(const Scenario& sc, const dfs::NameNode& nn,
   const auto report = core::audit_plan(nn, tasks, last.assignment, placement, audit_options);
   out.audit_ok = report.ok();
   if (!out.audit_ok)
-    std::fprintf(stderr, "audit FAILED for %s/%s:\n%s", sc.name,
-                 graph::max_flow_algorithm_name(algorithm), report.to_string().c_str());
+    std::fprintf(stderr, "audit FAILED for %s:\n%s", sc.name, report.to_string().c_str());
   return out;
 }
 
-void emit_solver(std::FILE* f, const char* name, const SolverResult& r, bool last) {
+void emit_solver(std::FILE* f, const SolverResult& r) {
   std::fprintf(f,
-               "      \"%s\": {\"wall_ms_min\": %.4f, \"wall_ms_mean\": %.4f, "
+               "      \"dinic\": {\"wall_ms_min\": %.4f, \"wall_ms_mean\": %.4f, "
                "\"locally_matched\": %u, \"locality_pct\": %.2f, \"audit_ok\": %s,\n"
                "        \"metrics\": {\"randomly_filled\": %u, \"plan_wall_ms\": %.4f, "
-               "\"stats_wall_ms\": %.4f}}%s\n",
-               name, r.wall_ms_min, r.wall_ms_mean, r.locally_matched, r.locality_pct,
+               "\"stats_wall_ms\": %.4f}}\n",
+               r.wall_ms_min, r.wall_ms_mean, r.locally_matched, r.locality_pct,
                r.audit_ok ? "true" : "false", r.randomly_filled, r.plan_wall_ms,
-               r.stats_wall_ms, last ? "" : ",");
+               r.stats_wall_ms);
 }
 
 }  // namespace
@@ -171,7 +162,7 @@ int main(int argc, char** argv) {
   for (const Scenario& sc : kScenarios) {
     if (smoke && !sc.smoke) continue;
 
-    // Seeded layout: identical namespace + workload for both solvers.
+    // Seeded layout: identical namespace + workload on every run.
     dfs::NameNode nn(dfs::Topology::single_rack(sc.nodes), sc.replication);
     dfs::RandomPlacement policy;
     Rng layout_rng(sc.seed);
@@ -183,12 +174,8 @@ int main(int argc, char** argv) {
     std::optional<ThreadPool> pool;
     if (threads > 1) pool.emplace(threads);
 
-    SolverResult results[2];
-    for (std::size_t a = 0; a < 2; ++a)
-      results[a] =
-          run_solver(sc, nn, tasks, placement, kAlgorithms[a], pool ? &*pool : nullptr);
-    const bool parity = results[0].locally_matched == results[1].locally_matched;
-    if (!parity || !results[0].audit_ok || !results[1].audit_ok) rc = 1;
+    const SolverResult result = run_solver(sc, nn, tasks, placement, pool ? &*pool : nullptr);
+    if (!result.audit_ok) rc = 1;
 
     std::fprintf(f, "%s", first ? "" : ",\n");
     first = false;
@@ -197,17 +184,12 @@ int main(int argc, char** argv) {
                  "\"seed\": %llu, \"repeats\": %u, \"threads\": %u,\n     \"algorithms\": {\n",
                  sc.name, sc.nodes, sc.tasks, sc.replication,
                  static_cast<unsigned long long>(sc.seed), sc.repeats, threads);
-    for (std::size_t a = 0; a < 2; ++a)
-      emit_solver(f, graph::max_flow_algorithm_name(kAlgorithms[a]), results[a], a == 1);
-    std::fprintf(f, "     },\n     \"peak_rss_kb\": %ld, \"parity_ok\": %s}", peak_rss_kb(),
-                 parity ? "true" : "false");
+    emit_solver(f, result);
+    std::fprintf(f, "     },\n     \"peak_rss_kb\": %ld}", peak_rss_kb());
 
-    std::printf("%-24s dinic %8.3f ms  edmonds-karp %8.3f ms  speedup %5.2fx  "
-                "matched %u/%u  parity=%s\n",
-                sc.name, results[0].wall_ms_min, results[1].wall_ms_min,
-                results[0].wall_ms_min > 0 ? results[1].wall_ms_min / results[0].wall_ms_min
-                                           : 0.0,
-                results[0].locally_matched, sc.tasks, parity ? "ok" : "MISMATCH");
+    std::printf("%-24s dinic %8.3f ms  matched %u/%u  audit=%s\n", sc.name,
+                result.wall_ms_min, result.locally_matched, sc.tasks,
+                result.audit_ok ? "ok" : "FAILED");
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);

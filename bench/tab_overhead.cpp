@@ -44,26 +44,13 @@ void BM_BuildLocalityGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildLocalityGraph)->Arg(16)->Arg(64)->Arg(128);
 
-void BM_SingleDataEdmondsKarp(benchmark::State& state) {
-  Env env(static_cast<std::uint32_t>(state.range(0)),
-          static_cast<std::uint32_t>(state.range(0)) * 10, false);
-  for (auto _ : state) {
-    Rng rng(1);
-    // opass-lint: allow(facade-only) — microbenchmark of the raw matcher
-    benchmark::DoNotOptimize(core::assign_single_data(
-        env.nn, env.tasks, env.placement, rng, {graph::MaxFlowAlgorithm::kEdmondsKarp}));
-  }
-}
-BENCHMARK(BM_SingleDataEdmondsKarp)->Arg(16)->Arg(64)->Arg(128);
-
 void BM_SingleDataDinic(benchmark::State& state) {
   Env env(static_cast<std::uint32_t>(state.range(0)),
           static_cast<std::uint32_t>(state.range(0)) * 10, false);
   for (auto _ : state) {
     Rng rng(1);
     // opass-lint: allow(facade-only) — microbenchmark of the raw matcher
-    benchmark::DoNotOptimize(core::assign_single_data(
-        env.nn, env.tasks, env.placement, rng, {graph::MaxFlowAlgorithm::kDinic}));
+    benchmark::DoNotOptimize(core::assign_single_data(env.nn, env.tasks, env.placement, rng));
   }
 }
 BENCHMARK(BM_SingleDataDinic)->Arg(16)->Arg(64)->Arg(128);

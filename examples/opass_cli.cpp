@@ -11,7 +11,8 @@
 //
 // Fault injection: --fault-plan loads a JSON fault/churn scenario
 // (sim/fault_plan.hpp documents the format) and arms it on each run's
-// cluster — crashes, stragglers, joins, drains and rebalances play out as
+// cluster (single, multi and dynamic; paraview and iterative reject it with
+// exit code 2) — crashes, stragglers, joins, drains and rebalances play out as
 // scripted virtual-time events whose recovery traffic competes with the
 // run's reads. The fault summary prints after the method table; fault
 // markers join --trace-out as instant events and --report-html/--timeline-out
@@ -43,7 +44,6 @@
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "exp/experiment.hpp"
-#include "graph/max_flow.hpp"
 #include "obs/analytics.hpp"
 #include "obs/attribution.hpp"
 #include "obs/chrome_trace.hpp"
@@ -227,7 +227,6 @@ int run_service_trace(const std::string& trace_path, const exp::ExperimentConfig
   scfg.replication = cfg.replication;
   scfg.seed = cfg.seed;
   scfg.placement = cfg.placement;
-  scfg.flow_algorithm = cfg.flow_algorithm;
   scfg.batch_window = opts.real("batch-window");
   scfg.fair_share = opts.boolean("fair-share");
 
@@ -328,8 +327,8 @@ int main(int argc, char** argv) {
       .add("seed", "42", "experiment seed")
       .add("compute", "0.0", "mean compute seconds per task (dynamic scenario)")
       .add("placement", "random", "random | hdfs-default | round-robin | spread")
-      .add("fault-plan", "", "JSON fault/churn scenario armed on each run's cluster")
-      .add("plan-algorithm", "dinic", "max-flow solver for Opass planning: dinic | edmonds-karp")
+      .add("fault-plan", "",
+           "JSON fault/churn scenario armed on each run's cluster (single|multi|dynamic)")
       .add("threads", "1",
            "worker-pool lanes for the simulator/executor/planner hot paths; "
            "output is byte-identical for every value (1 = serial)")
@@ -370,13 +369,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown placement '%s'\n", placement.c_str());
     return 2;
   }
-  try {
-    cfg.flow_algorithm = graph::parse_max_flow_algorithm(opts.str("plan-algorithm"));
-  } catch (const std::invalid_argument&) {
-    std::fprintf(stderr, "unknown plan-algorithm '%s' (dinic | edmonds-karp)\n",
-                 opts.str("plan-algorithm").c_str());
-    return 2;
-  }
   const long long threads = opts.integer("threads");
   if (threads < 1) {
     std::fprintf(stderr, "threads must be >= 1\n");
@@ -407,6 +399,13 @@ int main(int argc, char** argv) {
   }
 
   const std::string scenario = opts.str("scenario");
+  if (fault_plan && (scenario == "paraview" || scenario == "iterative")) {
+    std::fprintf(stderr,
+                 "error: --fault-plan is not supported with --scenario=%s "
+                 "(single|multi|dynamic)\n",
+                 scenario.c_str());
+    return 2;
+  }
   const std::string method = opts.str("method");
   const auto tasks = static_cast<std::uint32_t>(opts.integer("tasks"));
   const double compute = opts.real("compute");

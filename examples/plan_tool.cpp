@@ -8,9 +8,8 @@
 //   plan_tool --verify=plan.txt --nodes=64 --chunks=640   # reload + check
 //
 // Planning goes through the unified core::plan() facade; --matcher selects
-// the PlannerKind and --algorithm the max-flow solver.
+// the PlannerKind.
 #include <cstdio>
-#include <stdexcept>
 
 #include "common/options.hpp"
 #include "opass/opass.hpp"
@@ -25,7 +24,6 @@ int main(int argc, char** argv) {
       .add("replication", "3", "replication factor")
       .add("seed", "42", "layout seed")
       .add("matcher", "flow", "flow | weighted | rack-aware | algorithm1")
-      .add("algorithm", "dinic", "max-flow solver: dinic | edmonds-karp")
       .add("out", "", "write the plan to this file")
       .add("verify", "", "load a plan file and check it against the layout")
       .add("help", "false", "show usage");
@@ -71,19 +69,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown matcher '%s'\n", matcher.c_str());
     return 2;
   }
-  try {
-    popts.algorithm = graph::parse_max_flow_algorithm(opts.str("algorithm"));
-  } catch (const std::invalid_argument&) {
-    std::fprintf(stderr, "unknown algorithm '%s' (dinic | edmonds-karp)\n",
-                 opts.str("algorithm").c_str());
-    return 2;
-  }
 
   Rng arng(7);
   const auto result = core::plan({&nn, &tasks, &placement, &arng}, popts);
-  std::printf("%s planner (%s): %u matched, %u filled, %u rack-local, %u reassignments\n",
-              core::planner_kind_name(result.planner),
-              graph::max_flow_algorithm_name(popts.algorithm), result.locally_matched,
+  std::printf("%s planner: %u matched, %u filled, %u rack-local, %u reassignments\n",
+              core::planner_kind_name(result.planner), result.locally_matched,
               result.randomly_filled, result.rack_local, result.reassignments);
   std::printf("plan quality: %.1f%% of bytes local, %u..%u tasks/process\n",
               100 * result.local_fraction(), result.stats.min_tasks_per_process,

@@ -57,6 +57,12 @@ dfs::NameNode make_namenode(const ExperimentConfig& cfg) {
                        cfg.chunk_size);
 }
 
+/// Every scenario's processes: `processes_per_node` on each node.
+core::ProcessPlacement make_process_placement(const ExperimentConfig& cfg,
+                                              const dfs::NameNode& nn) {
+  return core::one_process_per_node(nn, cfg.nodes * cfg.processes_per_node);
+}
+
 /// The run's worker pool (DESIGN.md §12): the config's borrowed pool, a pool
 /// owned for the duration when the config asks for threads > 1, or nothing
 /// (serial). arm() lends it to the run's simulator and executor.
@@ -88,8 +94,7 @@ struct PoolHarness {
   }
 };
 
-/// Run the chosen Opass planner through the core::plan() facade with the
-/// experiment's solver knob.
+/// Run the chosen Opass planner through the core::plan() facade.
 runtime::Assignment opass_assignment(const ExperimentConfig& cfg, core::PlannerKind kind,
                                      const dfs::NameNode& nn,
                                      const std::vector<runtime::Task>& tasks,
@@ -98,7 +103,6 @@ runtime::Assignment opass_assignment(const ExperimentConfig& cfg, core::PlannerK
                                      ThreadPool* pool = nullptr) {
   core::PlanOptions options;
   options.planner = kind;
-  options.algorithm = cfg.flow_algorithm;
   options.workspace = workspace;
   options.threads = cfg.threads;
   options.pool = pool != nullptr ? pool : cfg.pool;
@@ -186,7 +190,7 @@ PlannedScenario plan_single_data(const ExperimentConfig& cfg, std::uint32_t chun
   auto policy = dfs::make_placement(cfg.placement);
   sc.tasks =
       workload::make_single_data_workload(sc.nn, chunk_count, *policy, streams.placement);
-  sc.placement = core::one_process_per_node(sc.nn, cfg.nodes * cfg.processes_per_node);
+  sc.placement = make_process_placement(cfg, sc.nn);
 
   if (method == Method::kBaseline) {
     sc.assignment =
@@ -206,7 +210,7 @@ PlannedScenario plan_multi_data(const ExperimentConfig& cfg, std::uint32_t task_
   auto policy = dfs::make_placement(cfg.placement);
   sc.tasks = workload::make_multi_input_workload(sc.nn, task_count, *policy, streams.placement,
                                                  spec);
-  sc.placement = core::one_process_per_node(sc.nn, cfg.nodes * cfg.processes_per_node);
+  sc.placement = make_process_placement(cfg, sc.nn);
 
   if (method == Method::kBaseline) {
     sc.assignment = runtime::rank_interval_assignment(
@@ -269,8 +273,7 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
   workload::GenomicsSpec s = spec;
   s.partition_count = task_count;
   auto tasks = workload::make_genomics_workload(nn, *policy, streams.placement, s);
-  const auto placement =
-      core::one_process_per_node(nn, cfg.nodes * cfg.processes_per_node);
+  const auto placement = make_process_placement(cfg, nn);
 
   sim::Cluster cluster(cfg.nodes, cfg.cluster);
   runtime::ExecutorConfig ec;
@@ -328,7 +331,6 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
           }
           core::PlanOptions options;
           options.planner = core::PlannerKind::kSingleData;
-          options.algorithm = cfg.flow_algorithm;
           options.pool = pool.pool;
           auto sub_assignment =
               core::plan({&nn, &sub, &placement, &streams.assign}, options).assignment;
@@ -351,17 +353,21 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
 
 ParaViewOutput run_paraview(const ExperimentConfig& cfg, Method method,
                             const workload::ParaViewSpec& spec) {
+  OPASS_REQUIRE(cfg.faults == nullptr,
+                "ExperimentConfig.faults is not supported by run_paraview "
+                "(fault plans apply to single, multi and dynamic runs)");
   Streams streams(cfg.seed);
   auto nn = make_namenode(cfg);
   auto policy = dfs::make_placement(cfg.placement);
   auto wl = workload::make_paraview_workload(nn, *policy, streams.placement, spec);
-  const auto placement = core::one_process_per_node(nn);
+  const auto placement = make_process_placement(cfg, nn);
   const auto m = static_cast<std::uint32_t>(placement.size());
 
   ParaViewOutput out;
   sim::Cluster cluster(cfg.nodes, cfg.cluster);
   runtime::ExecutorConfig ec;
   ec.replica_choice = cfg.replica_choice;
+  ec.process_count = m;
   ec.record_read_breakdown = cfg.spans != nullptr;
   PoolHarness pool(cfg);
   pool.arm(cluster, ec);
@@ -431,12 +437,15 @@ IterativeOutput run_iterative(const ExperimentConfig& cfg, std::uint32_t chunk_c
                               std::uint32_t epochs, Method method,
                               Seconds compute_per_task) {
   OPASS_REQUIRE(epochs > 0, "need at least one epoch");
+  OPASS_REQUIRE(cfg.faults == nullptr,
+                "ExperimentConfig.faults is not supported by run_iterative "
+                "(fault plans apply to single, multi and dynamic runs)");
   Streams streams(cfg.seed);
   auto nn = make_namenode(cfg);
   auto policy = dfs::make_placement(cfg.placement);
   auto tasks = workload::make_single_data_workload(nn, chunk_count, *policy,
                                                    streams.placement, compute_per_task);
-  const auto placement = core::one_process_per_node(nn);
+  const auto placement = make_process_placement(cfg, nn);
 
   PoolHarness pool(cfg);
   // The assignment is computed once, before the first epoch — for Opass this
@@ -454,11 +463,11 @@ IterativeOutput run_iterative(const ExperimentConfig& cfg, std::uint32_t chunk_c
   sim::Cluster cluster(cfg.nodes, cfg.cluster);
   runtime::ExecutorConfig ec;
   ec.replica_choice = cfg.replica_choice;
+  ec.process_count = static_cast<std::uint32_t>(placement.size());
   ec.record_read_breakdown = cfg.spans != nullptr;
   pool.arm(cluster, ec);
   // One timeline spans every epoch; the same dataset is owed again each pass.
-  obs::RunTimeline timeline(cfg.timeline, cluster,
-                            static_cast<std::uint32_t>(placement.size()));
+  obs::RunTimeline timeline(cfg.timeline, cluster, ec.process_count);
   ec.probe = timeline.executor_probe();
   runtime::ExecutionResult agg;  // run-level aggregate across epochs
 

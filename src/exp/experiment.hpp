@@ -17,7 +17,6 @@
 #include "dfs/namenode.hpp"
 #include "dfs/placement.hpp"
 #include "dfs/replica_choice.hpp"
-#include "graph/max_flow.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "obs/timeline.hpp"
@@ -50,12 +49,8 @@ struct ExperimentConfig {
   dfs::PlacementKind placement = dfs::PlacementKind::kRandom;
   dfs::ReplicaChoice replica_choice = dfs::ReplicaChoice::kRandom;
   /// Parallel processes per node (Marmot has 2 cores per node; the paper
-  /// runs one process per node, our default).
+  /// runs one process per node, our default). Every scenario honours it.
   std::uint32_t processes_per_node = 1;
-  /// Max-flow solver used by the Opass flow planners. Both solvers match the
-  /// same (maximum) number of tasks locally; the matched edge sets may
-  /// differ, so fix this when byte-identical plans matter.
-  graph::MaxFlowAlgorithm flow_algorithm = graph::MaxFlowAlgorithm::kDinic;
   /// Worker-pool opt-in (DESIGN.md §12): with more than one lane, each run
   /// drives the simulator's incremental re-leveling, the executor's wave
   /// issue and the Opass flow solves through a deterministic pool. Every
@@ -95,7 +90,9 @@ struct ExperimentConfig {
   /// stragglers re-level active transfers, and re-replication traffic
   /// competes with the job's reads. The dynamic Opass scheduler reacts to
   /// membership events (dead-node list re-homing + a core::plan() re-plan of
-  /// the remaining tasks). run_paraview / run_iterative ignore the plan.
+  /// the remaining tasks). run_paraview / run_iterative reject a non-null
+  /// plan with std::invalid_argument: their phases each run the cluster
+  /// until idle, so the first phase would consume every scripted event.
   const sim::FaultPlan* faults = nullptr;
   /// Fault-lifecycle observer wired into the injector (borrowed), e.g.
   /// obs::FaultEventLog. Only read when `faults` is set.

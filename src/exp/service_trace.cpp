@@ -101,7 +101,6 @@ ServiceTraceOutput replay_service_trace(const ServiceTraceConfig& cfg,
   const core::ProcessPlacement placement = core::one_process_per_node(nn, cfg.nodes);
 
   core::ServiceOptions options;
-  options.algorithm = cfg.flow_algorithm;
   options.seed = cfg.seed;
   options.batch_window = cfg.batch_window;
   options.max_batch_jobs = cfg.max_batch_jobs;

@@ -20,7 +20,6 @@
 
 #include "common/units.hpp"
 #include "dfs/placement.hpp"
-#include "graph/max_flow.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "obs/timeline.hpp"
@@ -52,7 +51,6 @@ struct ServiceTraceConfig {
   std::uint32_t replication = 3;
   std::uint64_t seed = 42;
   dfs::PlacementKind placement = dfs::PlacementKind::kRandom;
-  graph::MaxFlowAlgorithm flow_algorithm = graph::MaxFlowAlgorithm::kDinic;
   Seconds batch_window = 0;
   std::uint32_t max_batch_jobs = 0;
   std::uint32_t max_batch_tasks = 0;

@@ -16,55 +16,6 @@ void check_terminals(const FlowNetwork& net, NodeIdx s, NodeIdx t) {
   OPASS_REQUIRE(s != t, "source and sink must differ");
 }
 
-Cap run_edmonds_karp(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws) {
-  const NodeIdx n = net.node_count();
-  Cap total = 0;
-  for (;;) {
-    // BFS for the shortest augmenting path in the residual graph. The level
-    // array doubles as the visited marker; the queue vector is consumed by a
-    // moving head index so it never reallocates once warm.
-    ws.level.assign(n, -1);
-    ws.parent.assign(n, 0);
-    ws.queue.clear();
-    ws.queue.push_back(s);
-    ws.level[s] = 0;
-    bool reached = false;
-    for (std::size_t head = 0; head < ws.queue.size() && !reached; ++head) {
-      const NodeIdx u = ws.queue[head];
-      for (EdgeIdx h : net.residual_adjacency(u)) {
-        if (net.residual_capacity(h) <= 0) continue;
-        const NodeIdx v = net.residual_to(h);
-        if (ws.level[v] >= 0) continue;
-        ws.level[v] = ws.level[u] + 1;
-        ws.parent[v] = h;
-        if (v == t) {
-          reached = true;
-          break;
-        }
-        ws.queue.push_back(v);
-      }
-    }
-    if (!reached) break;
-
-    // Bottleneck along the path, then augment. This is the paper's
-    // "cancellation policy": pushing along a path that uses a reverse edge
-    // un-assigns a task from one process and re-assigns it to another.
-    Cap bottleneck = kInf;
-    for (NodeIdx v = t; v != s;) {
-      const EdgeIdx h = ws.parent[v];
-      bottleneck = std::min(bottleneck, net.residual_capacity(h));
-      v = net.residual_to(h ^ 1);
-    }
-    for (NodeIdx v = t; v != s;) {
-      const EdgeIdx h = ws.parent[v];
-      net.push(h, bottleneck);
-      v = net.residual_to(h ^ 1);
-    }
-    total += bottleneck;
-  }
-  return total;
-}
-
 /// Dinic level graph: BFS from s over positive-residual edges. Returns true
 /// iff t is reachable.
 bool build_levels(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws) {
@@ -298,29 +249,7 @@ Cap run_dinic_parallel(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws
   return total;
 }
 
-Cap run_dinic_ws(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws) {
-  if (ws.pool != nullptr && ws.pool->thread_count() > 1)
-    return run_dinic_parallel(net, s, t, ws);
-  return run_dinic(net, s, t, ws);
-}
-
 }  // namespace
-
-const char* max_flow_algorithm_name(MaxFlowAlgorithm algo) {
-  return algo == MaxFlowAlgorithm::kEdmondsKarp ? "edmonds-karp" : "dinic";
-}
-
-MaxFlowAlgorithm parse_max_flow_algorithm(const std::string& name) {
-  if (name == "edmonds-karp") return MaxFlowAlgorithm::kEdmondsKarp;
-  if (name == "dinic") return MaxFlowAlgorithm::kDinic;
-  OPASS_REQUIRE(false, "unknown max-flow algorithm name (dinic | edmonds-karp)");
-}
-
-Cap edmonds_karp(FlowNetwork& net, NodeIdx s, NodeIdx t) {
-  check_terminals(net, s, t);
-  FlowWorkspace ws;
-  return run_edmonds_karp(net, s, t, ws);
-}
 
 Cap dinic(FlowNetwork& net, NodeIdx s, NodeIdx t) {
   check_terminals(net, s, t);
@@ -328,27 +257,11 @@ Cap dinic(FlowNetwork& net, NodeIdx s, NodeIdx t) {
   return run_dinic(net, s, t, ws);
 }
 
-Cap max_flow(FlowNetwork& net, NodeIdx s, NodeIdx t, MaxFlowAlgorithm algo) {
-  check_terminals(net, s, t);
-  FlowWorkspace ws;
-  switch (algo) {
-    case MaxFlowAlgorithm::kEdmondsKarp:
-      return run_edmonds_karp(net, s, t, ws);
-    case MaxFlowAlgorithm::kDinic:
-      return run_dinic(net, s, t, ws);
-  }
-  OPASS_CHECK(false, "unknown max-flow algorithm");
-}
-
-Cap max_flow(FlowWorkspace& workspace, NodeIdx s, NodeIdx t, MaxFlowAlgorithm algo) {
+Cap max_flow(FlowWorkspace& workspace, NodeIdx s, NodeIdx t) {
   check_terminals(workspace.network, s, t);
-  switch (algo) {
-    case MaxFlowAlgorithm::kEdmondsKarp:
-      return run_edmonds_karp(workspace.network, s, t, workspace);
-    case MaxFlowAlgorithm::kDinic:
-      return run_dinic_ws(workspace.network, s, t, workspace);
-  }
-  OPASS_CHECK(false, "unknown max-flow algorithm");
+  if (workspace.pool != nullptr && workspace.pool->thread_count() > 1)
+    return run_dinic_parallel(workspace.network, s, t, workspace);
+  return run_dinic(workspace.network, s, t, workspace);
 }
 
 }  // namespace opass::graph

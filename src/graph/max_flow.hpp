@@ -1,21 +1,22 @@
-// Max-flow algorithms.
+// Max-flow solver: Dinic (level graph + iterative blocking flow with the
+// current-arc optimization).
 //
-// The paper uses Ford–Fulkerson with BFS augmenting paths (i.e. Edmonds–Karp)
-// to solve the Fig. 5 network; we keep it as the reference algorithm for
-// parity testing and run Dinic (level graph + iterative blocking flow with
-// the current-arc optimization) as the default across the planners — on the
-// planner's shallow unit networks Dinic finishes in a handful of phases
-// where Edmonds–Karp pays one BFS per task. Both operate on FlowNetwork in
-// place, leaving the final flow readable via FlowNetwork::flow(edge).
+// The paper solves the Fig. 5 network with Ford–Fulkerson. Opass reads only
+// the max-flow value (the count of locally matched tasks) and the integral
+// edge flows of one maximum flow, so any maximum-flow solver serves; Dinic
+// finishes the planner's shallow unit networks in a handful of phases. It
+// operates on FlowNetwork in place, leaving the final flow readable via
+// FlowNetwork::flow(edge). An independent BFS augmenting-path solver lives
+// with the tests (tests/support/) as the parity oracle.
 //
-// FlowWorkspace bundles a reusable network arena with the solvers' scratch
+// FlowWorkspace bundles a reusable network arena with the solver's scratch
 // arrays. Planners that replan repeatedly (dynamic batches, incremental
 // updates) thread one workspace through every run so steady-state planning
 // performs zero allocation: clear() the network, rebuild the edges into the
 // retained arenas, solve with the retained scratch.
 #pragma once
 
-#include <string>
+#include <vector>
 
 #include "graph/flow_network.hpp"
 
@@ -24,19 +25,6 @@ class ThreadPool;
 }
 
 namespace opass::graph {
-
-/// Which algorithm solves the network. Results (flow values per edge) may
-/// differ between algorithms, but the total max-flow value is identical.
-enum class MaxFlowAlgorithm {
-  kEdmondsKarp,  ///< BFS Ford–Fulkerson, O(V * E^2); the paper's choice
-  kDinic,        ///< level graph + blocking flows, O(V^2 * E), ~O(E*sqrt(V)) on unit nets
-};
-
-/// Stable lower-case name ("dinic" / "edmonds-karp") for CLI flags and
-/// BENCH output; parse_max_flow_algorithm is its inverse (throws
-/// std::invalid_argument on unknown names).
-const char* max_flow_algorithm_name(MaxFlowAlgorithm algo);
-MaxFlowAlgorithm parse_max_flow_algorithm(const std::string& name);
 
 /// Reusable solver state: the network arena plus the per-run scratch arrays.
 /// Everything is sized on demand and keeps its capacity across runs.
@@ -49,15 +37,14 @@ struct FlowWorkspace {
   /// subflows the Fig. 5 network decomposes into — and falls back to the
   /// serial solver when the network doesn't decompose. Edge flows are
   /// byte-identical to the serial run (see run_dinic_parallel in
-  /// max_flow.cpp for the proof sketch); Edmonds–Karp always runs serially.
+  /// max_flow.cpp for the proof sketch).
   ThreadPool* pool = nullptr;
 
   // Solver scratch (contents are meaningless between runs).
   std::vector<std::int32_t> level;  ///< BFS level per node; -1 = unreached
-  std::vector<EdgeIdx> parent;      ///< Edmonds–Karp: parent half-edge per node
-  std::vector<std::uint32_t> arc;   ///< Dinic: current-arc cursor per node
+  std::vector<std::uint32_t> arc;   ///< current-arc cursor per node
   std::vector<NodeIdx> queue;       ///< BFS frontier
-  std::vector<EdgeIdx> path;        ///< Dinic: DFS path of half-edges
+  std::vector<EdgeIdx> path;        ///< DFS path of half-edges
 
   // Parallel-Dinic scratch (sized on demand, capacity retained).
   std::vector<std::uint32_t> comp;         ///< component id per node
@@ -68,17 +55,13 @@ struct FlowWorkspace {
   std::vector<std::vector<EdgeIdx>> comp_paths;  ///< per-chunk DFS stacks
 };
 
-/// Run Edmonds–Karp from s to t; returns the max-flow value.
-Cap edmonds_karp(FlowNetwork& net, NodeIdx s, NodeIdx t);
-
-/// Run Dinic from s to t; returns the max-flow value.
+/// Run Dinic from s to t on a standalone network; returns the max-flow value.
 Cap dinic(FlowNetwork& net, NodeIdx s, NodeIdx t);
 
-/// Dispatch on the algorithm enum.
-Cap max_flow(FlowNetwork& net, NodeIdx s, NodeIdx t, MaxFlowAlgorithm algo);
-
 /// Workspace form: solve `workspace.network` in place, reusing the
-/// workspace's scratch arrays (no allocation once warm).
-Cap max_flow(FlowWorkspace& workspace, NodeIdx s, NodeIdx t, MaxFlowAlgorithm algo);
+/// workspace's scratch arrays (no allocation once warm). Runs the pooled
+/// per-component Dinic when `workspace.pool` has more than one lane, the
+/// serial one otherwise; edge flows are identical either way.
+Cap max_flow(FlowWorkspace& workspace, NodeIdx s, NodeIdx t);
 
 }  // namespace opass::graph

@@ -12,7 +12,7 @@
 // exactly where the next opens, the first opens at the span's start and the
 // last closes at its end — so slice durations sum *bit-exactly* to the span
 // duration (SpanLog::add enforces this; the spans_reconcile tests and the
-// run_span_check ctest gate it end to end). Because the underlying doubles
+// cli_span_byte_identical ctest gate it end to end). Because the underlying doubles
 // are byte-identical across thread counts and replays (DESIGN.md §12), the
 // span log and everything derived from it (obs/attribution.hpp) exports
 // byte-identically too.

@@ -7,19 +7,11 @@
 
 namespace opass::core {
 
-IncrementalPlanner::IncrementalPlanner(const dfs::NameNode& nn, ProcessPlacement placement,
-                                       graph::MaxFlowAlgorithm algorithm)
-    : nn_(nn), placement_(std::move(placement)), algorithm_(algorithm),
-      load_(placement_.size(), 0) {
+IncrementalPlanner::IncrementalPlanner(const dfs::NameNode& nn, ProcessPlacement placement)
+    : nn_(nn), placement_(std::move(placement)), load_(placement_.size(), 0) {
   OPASS_REQUIRE(!placement_.empty(), "need at least one process");
   for (dfs::NodeId node : placement_)
     OPASS_REQUIRE(node < nn.node_count(), "process placed on unknown node");
-}
-
-BatchPlan IncrementalPlanner::match_batch(const std::vector<runtime::Task>& batch, Rng& rng) {
-  PlanOptions options;
-  options.algorithm = algorithm_;
-  return match_batch(batch, rng, options);
 }
 
 BatchPlan IncrementalPlanner::match_batch(const std::vector<runtime::Task>& batch, Rng& rng,
@@ -66,7 +58,7 @@ BatchPlan IncrementalPlanner::match_batch(const std::vector<runtime::Task>& batc
   const auto pt_count = static_cast<std::uint32_t>(net.edge_count()) - m;
   for (std::uint32_t i = 0; i < b; ++i) net.add_edge(task0 + i, t, 1);
 
-  graph::max_flow(workspace, s, t, options.algorithm);
+  graph::max_flow(workspace, s, t);
 
   std::vector<char> assigned(b, 0);
   std::vector<std::uint32_t> used(m, 0);

@@ -37,22 +37,16 @@ struct [[nodiscard]] BatchPlan {
 /// Stateful planner: construct once, then match_batch() per arrival.
 class IncrementalPlanner {
  public:
-  IncrementalPlanner(const dfs::NameNode& nn, ProcessPlacement placement,
-                     graph::MaxFlowAlgorithm algorithm = graph::MaxFlowAlgorithm::kDinic);
+  IncrementalPlanner(const dfs::NameNode& nn, ProcessPlacement placement);
 
   /// Match a batch of single-input tasks (ids are whatever the caller uses;
   /// they are returned verbatim in the assignment). Quotas for the batch
   /// are chosen so cumulative per-process task counts stay within one of
-  /// each other. Of `options`, the flow knobs are honored: `algorithm`
-  /// selects the per-batch solver and a non-null `workspace` replaces the
-  /// planner's internal arena; `planner`/`steal_policy` do not apply here.
+  /// each other. Of `options`, only `workspace` is honored: a non-null one
+  /// replaces the planner's internal arena; `planner`/`steal_policy` do not
+  /// apply here.
   BatchPlan match_batch(const std::vector<runtime::Task>& batch, Rng& rng,
                         const PlanOptions& options);
-
-  /// Pre-facade spelling: the constructor's algorithm, internal workspace.
-  [[deprecated("use match_batch(batch, rng, PlanOptions{...}) — options-last, "
-               "like the core::plan() facade")]]
-  BatchPlan match_batch(const std::vector<runtime::Task>& batch, Rng& rng);
 
   /// Cumulative tasks assigned to each process so far.
   const std::vector<std::uint32_t>& load() const { return load_; }
@@ -62,7 +56,6 @@ class IncrementalPlanner {
  private:
   const dfs::NameNode& nn_;
   ProcessPlacement placement_;
-  graph::MaxFlowAlgorithm algorithm_;
   graph::FlowWorkspace workspace_;  ///< reused across batches: no steady-state allocation
   std::vector<std::uint32_t> load_;
   std::uint32_t batches_ = 0;

@@ -86,8 +86,7 @@ PlanResult plan(const PlanRequest& request, PlanOptions options) {
   const auto plan_begin = std::chrono::steady_clock::now();
   switch (options.planner) {
     case PlannerKind::kSingleData: {
-      auto p = assign_single_data(nn, tasks, placement, *request.rng,
-                                  {options.algorithm, options.workspace});
+      auto p = assign_single_data(nn, tasks, placement, *request.rng, {options.workspace});
       result.assignment = std::move(p.assignment);
       result.locally_matched = p.locally_matched;
       result.randomly_filled = p.randomly_filled;
@@ -95,7 +94,7 @@ PlanResult plan(const PlanRequest& request, PlanOptions options) {
     }
     case PlannerKind::kWeighted: {
       auto p = assign_single_data_weighted(nn, tasks, placement, *request.rng,
-                                           {options.algorithm, options.workspace});
+                                           {options.workspace});
       result.assignment = std::move(p.assignment);
       result.locally_matched = p.flow_assigned;
       result.randomly_filled = p.fill_assigned;
@@ -104,8 +103,7 @@ PlanResult plan(const PlanRequest& request, PlanOptions options) {
     }
     case PlannerKind::kRackAware: {
       auto p = assign_single_data_rack_aware(nn, tasks, placement, *request.rng,
-                                             RackAwareOptions{options.algorithm,
-                                                              options.workspace});
+                                             RackAwareOptions{options.workspace});
       result.assignment = std::move(p.assignment);
       result.locally_matched = p.node_local;
       result.rack_local = p.rack_local;

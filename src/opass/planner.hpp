@@ -8,9 +8,9 @@
 // (options-last, defaulted), one result carrying the assignment, uniform
 // AssignmentStats, and the planner-specific counters that still matter.
 //
-// The per-planner free functions remain the documented low-level entry
-// points; the facade dispatches to them and adds nothing but the uniform
-// packaging, so existing call sites keep working unchanged.
+// The per-planner free functions are src/opass/ internals behind plan():
+// code outside the layer calls the facade (the facade-only lint rule
+// enforces that), which adds nothing to them but the uniform packaging.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +57,6 @@ struct PlanRequest {
 /// Knobs shared by every planner (options-last on every entry point).
 struct PlanOptions {
   PlannerKind planner = PlannerKind::kSingleData;
-  /// Max-flow solver for the flow-based planners; ignored by kMultiData.
-  graph::MaxFlowAlgorithm algorithm = graph::MaxFlowAlgorithm::kDinic;
   /// Optional reusable network + solver arenas for the flow-based planners.
   graph::FlowWorkspace* workspace = nullptr;
   /// Steal rule used by make_dynamic_source().
@@ -169,8 +167,6 @@ struct JobStatus {
 
 /// Service-wide knobs (constructor-only; options-last like PlanOptions).
 struct ServiceOptions {
-  /// Max-flow solver for the per-batch Fig. 5 solves.
-  graph::MaxFlowAlgorithm algorithm = graph::MaxFlowAlgorithm::kDinic;
   /// Seed of the service's private Rng (random-fill phase). Same trace +
   /// same seed => byte-identical assignments (the determinism contract).
   std::uint64_t seed = 0;

@@ -18,7 +18,7 @@ std::uint32_t match_phase(std::uint32_t m, const std::vector<std::uint32_t>& quo
                           std::vector<std::uint32_t>& owner,
                           const std::vector<std::uint32_t>& open,
                           const std::function<bool(std::uint32_t, std::uint32_t)>& has_edge,
-                          graph::MaxFlowAlgorithm algorithm, graph::FlowWorkspace& ws) {
+                          graph::FlowWorkspace& ws) {
   const auto open_count = static_cast<graph::NodeIdx>(open.size());
   graph::FlowNetwork& net = ws.network;
   net.clear(2 + m + open_count);
@@ -37,7 +37,7 @@ std::uint32_t match_phase(std::uint32_t m, const std::vector<std::uint32_t>& quo
   const auto pt_count = static_cast<std::uint32_t>(net.edge_count()) - m;
   for (std::uint32_t oi = 0; oi < open_count; ++oi) net.add_edge(task0 + oi, t, 1);
 
-  graph::max_flow(ws, s, t, algorithm);
+  graph::max_flow(ws, s, t);
 
   std::uint32_t matched = 0;
   for (graph::EdgeIdx e = m; e < m + pt_count; ++e) {
@@ -84,7 +84,7 @@ RackAwarePlan assign_single_data_rack_aware(const dfs::NameNode& nn,
       [&](std::uint32_t p, std::uint32_t t) {
         return nn.chunk(tasks[t].inputs[0]).has_replica_on(placement[p]);
       },
-      options.algorithm, ws);
+      ws);
 
   // Phase 2: rack-local over the remainder.
   open.clear();
@@ -99,7 +99,7 @@ RackAwarePlan assign_single_data_rack_aware(const dfs::NameNode& nn,
             if (topo.rack_of(rep) == rack) return true;
           return false;
         },
-        options.algorithm, ws);
+        ws);
   }
 
   // Phase 3: random fill of the rest.

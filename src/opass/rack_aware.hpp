@@ -26,7 +26,6 @@ namespace opass::core {
 
 /// Knobs for the rack-aware assigner (options-last on every entry point).
 struct RackAwareOptions {
-  graph::MaxFlowAlgorithm algorithm = graph::MaxFlowAlgorithm::kDinic;
   /// Optional reusable network + solver arenas shared by both match phases.
   graph::FlowWorkspace* workspace = nullptr;
 };
@@ -47,15 +46,5 @@ RackAwarePlan assign_single_data_rack_aware(const dfs::NameNode& nn,
                                             const std::vector<runtime::Task>& tasks,
                                             const ProcessPlacement& placement, Rng& rng,
                                             RackAwareOptions options = {});
-
-/// Legacy algorithm-enum form, kept source-compatible; prefer the
-/// options-last overload (or the plan() facade).
-inline RackAwarePlan assign_single_data_rack_aware(const dfs::NameNode& nn,
-                                                   const std::vector<runtime::Task>& tasks,
-                                                   const ProcessPlacement& placement, Rng& rng,
-                                                   graph::MaxFlowAlgorithm algorithm) {
-  return assign_single_data_rack_aware(nn, tasks, placement, rng,
-                                       RackAwareOptions{algorithm, nullptr});
-}
 
 }  // namespace opass::core

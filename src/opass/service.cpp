@@ -193,7 +193,7 @@ void PlannerService::plan_batch(std::vector<PendingJob> batch, Seconds cut) {
   if (b > 0) {
     // Pass 0: unconstrained solve — the batch's locality budget L.
     build(tenant_demand);
-    const graph::Cap budget = graph::max_flow(workspace_, s, t, options_.algorithm);
+    const graph::Cap budget = graph::max_flow(workspace_, s, t);
 
     if (options_.fair_share && tenant_count > 1 && budget > 0) {
       // Split L among the batch's tenants by weight against cumulative
@@ -205,7 +205,7 @@ void PlannerService::plan_batch(std::vector<PendingJob> batch, Seconds cut) {
       fair_slots = tenants_.split_slots(static_cast<std::uint32_t>(budget), tenant_ids,
                                         tenant_demand, bytes_per_slot);
       build(fair_slots);
-      (void)graph::max_flow(workspace_, s, t, options_.algorithm);
+      (void)graph::max_flow(workspace_, s, t);
       bool topped_up = false;
       for (std::uint32_t i = 0; i < tenant_count; ++i) {
         if (tenant_demand[i] > fair_slots[i]) {
@@ -214,7 +214,7 @@ void PlannerService::plan_batch(std::vector<PendingJob> batch, Seconds cut) {
           topped_up = true;
         }
       }
-      if (topped_up) (void)graph::max_flow(workspace_, s, t, options_.algorithm);
+      if (topped_up) (void)graph::max_flow(workspace_, s, t);
     }
   }
 

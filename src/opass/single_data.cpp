@@ -57,7 +57,7 @@ SingleDataPlan assign_single_data(const dfs::NameNode& nn,
   const auto pt_count = static_cast<std::uint32_t>(net.edge_count()) - m;
   for (std::uint32_t ti = 0; ti < n; ++ti) net.add_edge(task0 + ti, t, 1);
 
-  const graph::Cap flow = graph::max_flow(ws, s, t, options.algorithm);
+  const graph::Cap flow = graph::max_flow(ws, s, t);
   OPASS_CHECK(flow >= 0 && flow <= n, "max-flow value out of range");
 
   SingleDataPlan plan;

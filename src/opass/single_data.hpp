@@ -11,15 +11,14 @@
 // and quotas are an equal number of tasks; unit capacities also guarantee
 // that an integral max-flow never splits a task between processes.
 //
-// The max-flow (Dinic by default; Edmonds–Karp — the paper's Ford–Fulkerson
-// with BFS — retained for parity testing) yields the maximum number of
-// locally served tasks. When the layout is too skewed for a full matching,
+// The max-flow (Dinic; the paper uses Ford–Fulkerson, and any maximum-flow
+// solver gives the same value) yields the maximum number of locally served
+// tasks. When the layout is too skewed for a full matching,
 // the unmatched tasks are distributed randomly over processes with remaining
 // quota, exactly as Section IV-B prescribes.
 //
-// Prefer the unified opass::core::plan() facade (planner.hpp) in new code;
-// this free function remains as the documented low-level entry point the
-// facade dispatches to.
+// Callers go through the opass::core::plan() facade (planner.hpp); this
+// free function is the planner behind it.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +34,6 @@ namespace opass::core {
 
 /// Knobs for the single-data assigner (options-last on every entry point).
 struct SingleDataOptions {
-  graph::MaxFlowAlgorithm algorithm = graph::MaxFlowAlgorithm::kDinic;
   /// When set, the network and solver scratch are built into this workspace
   /// and reused across calls — repeated replanning allocates nothing once
   /// the arenas are warm.

@@ -61,7 +61,7 @@ WeightedPlan assign_single_data_weighted(const dfs::NameNode& nn,
   for (std::uint32_t ti = 0; ti < n; ++ti)
     net.add_edge(task0 + ti, t, static_cast<graph::Cap>(size[ti]));
 
-  graph::max_flow(ws, s, t, options.algorithm);
+  graph::max_flow(ws, s, t);
 
   // Task -> co-located process carrying the most of its flow.
   std::vector<std::uint32_t> owner(n, UINT32_MAX);

@@ -44,7 +44,6 @@ struct [[nodiscard]] WeightedPlan {
 
 /// Knobs for the weighted assigner (options-last on every entry point).
 struct WeightedOptions {
-  graph::MaxFlowAlgorithm algorithm = graph::MaxFlowAlgorithm::kDinic;
   /// Optional reusable network + solver arenas (see SingleDataOptions).
   graph::FlowWorkspace* workspace = nullptr;
 };

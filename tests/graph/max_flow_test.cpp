@@ -3,33 +3,32 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "graph/bipartite_graph.hpp"
+#include "support/edmonds_karp.hpp"
 
 namespace opass::graph {
 namespace {
 
-/// Both algorithms must agree on every network; parameterize all structural
-/// tests over the algorithm.
-class MaxFlowTest : public ::testing::TestWithParam<MaxFlowAlgorithm> {
+/// Structural tests of the library solver on hand-built networks.
+class MaxFlowTest : public ::testing::Test {
  protected:
-  Cap solve(FlowNetwork& net, NodeIdx s, NodeIdx t) {
-    return max_flow(net, s, t, GetParam());
-  }
+  Cap solve(FlowNetwork& net, NodeIdx s, NodeIdx t) { return dinic(net, s, t); }
 };
 
-TEST_P(MaxFlowTest, SingleEdge) {
+TEST_F(MaxFlowTest, SingleEdge) {
   FlowNetwork net(2);
   net.add_edge(0, 1, 10);
   EXPECT_EQ(solve(net, 0, 1), 10);
 }
 
-TEST_P(MaxFlowTest, SeriesBottleneck) {
+TEST_F(MaxFlowTest, SeriesBottleneck) {
   FlowNetwork net(3);
   net.add_edge(0, 1, 10);
   net.add_edge(1, 2, 3);
   EXPECT_EQ(solve(net, 0, 2), 3);
 }
 
-TEST_P(MaxFlowTest, ParallelPathsSum) {
+TEST_F(MaxFlowTest, ParallelPathsSum) {
   FlowNetwork net(4);
   net.add_edge(0, 1, 4);
   net.add_edge(1, 3, 4);
@@ -38,7 +37,7 @@ TEST_P(MaxFlowTest, ParallelPathsSum) {
   EXPECT_EQ(solve(net, 0, 3), 10);
 }
 
-TEST_P(MaxFlowTest, ClassicClrsNetwork) {
+TEST_F(MaxFlowTest, ClassicClrsNetwork) {
   // CLRS Fig 26.1: max flow 23.
   FlowNetwork net(6);
   net.add_edge(0, 1, 16);
@@ -54,7 +53,7 @@ TEST_P(MaxFlowTest, ClassicClrsNetwork) {
   EXPECT_EQ(solve(net, 0, 5), 23);
 }
 
-TEST_P(MaxFlowTest, RequiresAugmentingPathCancellation) {
+TEST_F(MaxFlowTest, RequiresAugmentingPathCancellation) {
   // The "diamond with a cross edge" where a greedy path must be partially
   // undone via the residual edge — the paper's reassignment cancellation.
   FlowNetwork net(4);
@@ -66,20 +65,20 @@ TEST_P(MaxFlowTest, RequiresAugmentingPathCancellation) {
   EXPECT_EQ(solve(net, 0, 3), 2);
 }
 
-TEST_P(MaxFlowTest, DisconnectedSinkIsZero) {
+TEST_F(MaxFlowTest, DisconnectedSinkIsZero) {
   FlowNetwork net(4);
   net.add_edge(0, 1, 5);
   net.add_edge(2, 3, 5);
   EXPECT_EQ(solve(net, 0, 3), 0);
 }
 
-TEST_P(MaxFlowTest, ZeroCapacityEdgeCarriesNothing) {
+TEST_F(MaxFlowTest, ZeroCapacityEdgeCarriesNothing) {
   FlowNetwork net(2);
   net.add_edge(0, 1, 0);
   EXPECT_EQ(solve(net, 0, 1), 0);
 }
 
-TEST_P(MaxFlowTest, FlowConservationHolds) {
+TEST_F(MaxFlowTest, FlowConservationHolds) {
   // On a random network: flow out of s == flow into t == returned value,
   // and every intermediate node conserves flow.
   Rng rng(7);
@@ -105,41 +104,32 @@ TEST_P(MaxFlowTest, FlowConservationHolds) {
   for (NodeIdx v = 1; v < 11; ++v) EXPECT_EQ(net_out[v], 0) << "node " << v;
 }
 
-TEST_P(MaxFlowTest, RejectsEqualSourceSink) {
+TEST_F(MaxFlowTest, RejectsEqualSourceSink) {
   FlowNetwork net(2);
   EXPECT_THROW(solve(net, 0, 0), std::invalid_argument);
 }
 
-TEST_P(MaxFlowTest, RejectsOutOfRangeTerminals) {
+TEST_F(MaxFlowTest, RejectsOutOfRangeTerminals) {
   FlowNetwork net(2);
   EXPECT_THROW(solve(net, 0, 9), std::invalid_argument);
 }
 
-INSTANTIATE_TEST_SUITE_P(Algorithms, MaxFlowTest,
-                         ::testing::Values(MaxFlowAlgorithm::kEdmondsKarp,
-                                           MaxFlowAlgorithm::kDinic),
-                         [](const auto& param_info) {
-                           return param_info.param == MaxFlowAlgorithm::kEdmondsKarp
-                                      ? "EdmondsKarp"
-                                      : "Dinic";
-                         });
-
 TEST(MaxFlowAgreement, ResetFlowAllowsResolving) {
-  // After reset_flow, re-running either algorithm reproduces the same value.
+  // After reset_flow, re-running either solver reproduces the same value.
   FlowNetwork net(4);
   net.add_edge(0, 1, 5);
   net.add_edge(1, 3, 4);
   net.add_edge(0, 2, 3);
   net.add_edge(2, 3, 6);
-  EXPECT_EQ(edmonds_karp(net, 0, 3), 7);
+  EXPECT_EQ(oracle::edmonds_karp(net, 0, 3), 7);
   net.reset_flow();
   EXPECT_EQ(dinic(net, 0, 3), 7);
   net.reset_flow();
-  EXPECT_EQ(edmonds_karp(net, 0, 3), 7);
+  EXPECT_EQ(oracle::edmonds_karp(net, 0, 3), 7);
 }
 
 TEST(MaxFlowAgreement, RandomNetworksAgreeAcrossAlgorithms) {
-  // Property: Edmonds-Karp and Dinic compute the same value on arbitrary
+  // Property: Dinic computes the Edmonds–Karp oracle's value on arbitrary
   // random networks.
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     Rng rng(seed);
@@ -154,37 +144,55 @@ TEST(MaxFlowAgreement, RandomNetworksAgreeAcrossAlgorithms) {
       a.add_edge(u, v, c);
       b.add_edge(u, v, c);
     }
-    const Cap fa = edmonds_karp(a, 0, nodes - 1);
+    const Cap fa = oracle::edmonds_karp(a, 0, nodes - 1);
     const Cap fb = dinic(b, 0, nodes - 1);
     EXPECT_EQ(fa, fb) << "seed " << seed;
   }
 }
 
+TEST(MaxFlowAgreement, UnitBipartiteNetworksAgreeWithOracle) {
+  // Property: on unit-capacity bipartite networks (the shape of the Fig. 5
+  // network with unit quotas) Dinic and the oracle find the same
+  // maximum-cardinality matching size.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed);
+    const auto nl = static_cast<std::uint32_t>(2 + rng.uniform(10));
+    const auto nr = static_cast<std::uint32_t>(2 + rng.uniform(10));
+    BipartiteGraph g(nl, nr);
+    const int edges = static_cast<int>(nl * 2);
+    for (int i = 0; i < edges; ++i)
+      g.add_edge(static_cast<std::uint32_t>(rng.uniform(nl)),
+                 static_cast<std::uint32_t>(rng.uniform(nr)), 1);
+
+    FlowNetwork net(nl + nr + 2);
+    const NodeIdx s = nl + nr, t = nl + nr + 1;
+    for (std::uint32_t l = 0; l < nl; ++l) net.add_edge(s, l, 1);
+    for (std::uint32_t r = 0; r < nr; ++r) net.add_edge(nl + r, t, 1);
+    for (const auto& e : g.edges()) net.add_edge(e.left, nl + e.right, 1);
+
+    const Cap flow = dinic(net, s, t);
+    net.reset_flow();
+    EXPECT_EQ(flow, oracle::edmonds_karp(net, s, t)) << "seed " << seed;
+  }
+}
+
 TEST(FlowWorkspace, ReuseAcrossSolvesReproducesValues) {
   // One workspace, many networks: clear() + rebuild between solves must give
-  // the same values as fresh networks, for both solvers.
+  // the same values as fresh networks.
   FlowWorkspace ws;
-  for (const auto algo : {MaxFlowAlgorithm::kDinic, MaxFlowAlgorithm::kEdmondsKarp}) {
+  for (int round = 0; round < 2; ++round) {
     ws.network.clear(4);
     ws.network.add_edge(0, 1, 5);
     ws.network.add_edge(1, 3, 4);
     ws.network.add_edge(0, 2, 3);
     ws.network.add_edge(2, 3, 6);
-    EXPECT_EQ(max_flow(ws, 0, 3, algo), 7);
+    EXPECT_EQ(max_flow(ws, 0, 3), 7);
 
     ws.network.clear(3);
     ws.network.add_edge(0, 1, 10);
     ws.network.add_edge(1, 2, 3);
-    EXPECT_EQ(max_flow(ws, 0, 2, algo), 3);
+    EXPECT_EQ(max_flow(ws, 0, 2), 3);
   }
-}
-
-TEST(MaxFlowNames, NameAndParseRoundTrip) {
-  EXPECT_STREQ(max_flow_algorithm_name(MaxFlowAlgorithm::kDinic), "dinic");
-  EXPECT_STREQ(max_flow_algorithm_name(MaxFlowAlgorithm::kEdmondsKarp), "edmonds-karp");
-  EXPECT_EQ(parse_max_flow_algorithm("dinic"), MaxFlowAlgorithm::kDinic);
-  EXPECT_EQ(parse_max_flow_algorithm("edmonds-karp"), MaxFlowAlgorithm::kEdmondsKarp);
-  EXPECT_THROW(parse_max_flow_algorithm("ford-fulkerson"), std::invalid_argument);
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ std::pair<Cap, std::vector<Cap>> solve(const Fig5Builder& b, ThreadPool* pool) {
   FlowWorkspace ws;
   ws.pool = pool;
   ws.network = b.build();
-  const Cap total = max_flow(ws, 0, 1, MaxFlowAlgorithm::kDinic);
+  const Cap total = max_flow(ws, 0, 1);
   std::vector<Cap> flows(ws.network.edge_count());
   for (EdgeIdx e = 0; e < flows.size(); ++e) flows[e] = ws.network.flow(e);
   return {total, flows};
@@ -108,13 +108,13 @@ TEST(ParallelDinic, DirectSourceSinkArcFallsBackToSerial) {
   };
   FlowWorkspace serial_ws;
   serial_ws.network = build();
-  const Cap serial = max_flow(serial_ws, 0, 1, MaxFlowAlgorithm::kDinic);
+  const Cap serial = max_flow(serial_ws, 0, 1);
 
   ThreadPool pool(4);
   FlowWorkspace ws;
   ws.pool = &pool;
   ws.network = build();
-  const Cap parallel = max_flow(ws, 0, 1, MaxFlowAlgorithm::kDinic);
+  const Cap parallel = max_flow(ws, 0, 1);
   EXPECT_EQ(parallel, serial);
   EXPECT_EQ(parallel, 10);
   for (EdgeIdx e = 0; e < ws.network.edge_count(); ++e)
@@ -134,8 +134,8 @@ TEST(ParallelDinic, WorkspaceReuseAcrossSolvesStaysExact) {
     b.files = files;
     ws.network = b.build();
     serial_ws.network = b.build();
-    const Cap parallel = max_flow(ws, 0, 1, MaxFlowAlgorithm::kDinic);
-    const Cap serial = max_flow(serial_ws, 0, 1, MaxFlowAlgorithm::kDinic);
+    const Cap parallel = max_flow(ws, 0, 1);
+    const Cap serial = max_flow(serial_ws, 0, 1);
     EXPECT_EQ(parallel, serial) << "files=" << files;
     for (EdgeIdx e = 0; e < ws.network.edge_count(); ++e)
       EXPECT_EQ(ws.network.flow(e), serial_ws.network.flow(e))

@@ -148,10 +148,41 @@ TEST(Experiment, AllScenariosDeterministicForSeed) {
 TEST(Experiment, ProcessesPerNodeMultipliesProcesses) {
   auto cfg = small_cfg();
   cfg.processes_per_node = 2;
+  runtime::ExecutionResult raw;
+  cfg.raw = &raw;
   const auto out = run_single_data(cfg, 64, Method::kOpass);
   EXPECT_EQ(out.tasks_executed, 64u);
   // 32 processes on 16 nodes: quotas of 2 tasks each still drain everything.
   EXPECT_GT(out.local_fraction, 0.9);
+  EXPECT_EQ(raw.process_finish_time.size(), 32u);
+
+  // The multi-phase scenarios honour the knob too.
+  workload::ParaViewSpec spec;
+  spec.dataset_count = 64;
+  spec.datasets_per_step = 32;
+  EXPECT_EQ(run_paraview(cfg, Method::kOpass, spec).run.tasks_executed, 64u);
+  EXPECT_EQ(raw.process_finish_time.size(), 32u);
+  EXPECT_EQ(run_iterative(cfg, 64, 2, Method::kOpass).run.tasks_executed, 2u * 64u);
+  EXPECT_EQ(raw.process_finish_time.size(), 32u);
+}
+
+TEST(Experiment, ParaViewAndIterativeRejectFaultPlans) {
+  // Each ParaView step / iterative epoch runs the cluster until idle, so a
+  // fault plan cannot be honoured across phases; it is refused, not ignored.
+  auto cfg = small_cfg();
+  sim::FaultPlan plan;
+  cfg.faults = &plan;
+  const auto expect_rejected = [](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "fault plan accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ExperimentConfig.faults"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected([&] { (void)run_paraview(cfg, Method::kOpass); });
+  expect_rejected([&] { (void)run_iterative(cfg, 16, 1, Method::kOpass); });
 }
 
 TEST(Experiment, MethodNames) {

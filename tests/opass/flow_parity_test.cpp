@@ -1,14 +1,15 @@
-// Randomized solver-parity property: on generated layouts, Dinic and
-// Edmonds–Karp are both maximum-flow solvers, so every planner built on them
-// must report the same number of locally matched tasks — and every plan they
-// emit must pass the static auditor. This is the regression net for swapping
-// the default solver: a broken Dinic phase/blocking-flow would show up as a
-// sub-maximum matching on some layout here.
+// Randomized solver-parity property: on generated layouts, every flow
+// planner's matched count must equal the max-flow value the independent
+// Edmonds–Karp oracle finds on the planner's own network (re-solved after
+// FlowNetwork::reset_flow()) — and every plan must pass the static auditor.
+// This is the regression net for the Dinic solver: a broken phase or
+// blocking flow would show up as a sub-maximum matching on some layout here.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "opass/opass.hpp"
+#include "support/edmonds_karp.hpp"
 #include "workload/dataset.hpp"
 
 namespace opass::core {
@@ -44,27 +45,33 @@ Layout make_layout(std::uint64_t seed) {
   return layout;
 }
 
+/// Max-flow value of the network a planner left in `ws` (terminals s = 0,
+/// t = 1 in every Fig. 5 builder), re-solved from zero flow by the oracle.
+graph::Cap oracle_value(graph::FlowWorkspace& ws) {
+  ws.network.reset_flow();
+  return oracle::edmonds_karp(ws.network, 0, 1);
+}
+
 TEST(FlowParity, SingleDataMatchesAreEqualAndAudited) {
+  graph::FlowWorkspace ws;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     const auto layout = make_layout(seed);
-    Rng rng_dinic(seed + 1), rng_ek(seed + 1);
-    const auto dinic = assign_single_data(layout.nn, layout.tasks, layout.placement, rng_dinic,
-                                          {graph::MaxFlowAlgorithm::kDinic});
-    const auto ek = assign_single_data(layout.nn, layout.tasks, layout.placement, rng_ek,
-                                       {graph::MaxFlowAlgorithm::kEdmondsKarp});
-    EXPECT_EQ(dinic.locally_matched, ek.locally_matched) << "seed " << seed;
+    Rng rng(seed + 1);
+    const auto plan =
+        assign_single_data(layout.nn, layout.tasks, layout.placement, rng, {&ws});
+    EXPECT_EQ(static_cast<graph::Cap>(plan.locally_matched), oracle_value(ws))
+        << "seed " << seed;
 
     AuditOptions audit;
     audit.enforce_capacity = true;
-    for (const auto* plan : {&dinic, &ek}) {
-      const auto report =
-          audit_plan(layout.nn, layout.tasks, plan->assignment, layout.placement, audit);
-      EXPECT_TRUE(report.ok()) << "seed " << seed << "\n" << report.to_string();
-    }
+    const auto report =
+        audit_plan(layout.nn, layout.tasks, plan.assignment, layout.placement, audit);
+    EXPECT_TRUE(report.ok()) << "seed " << seed << "\n" << report.to_string();
   }
 }
 
 TEST(FlowParity, RackAwarePhaseTotalsAreEqual) {
+  graph::FlowWorkspace ws;
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     Rng lrng(seed + 500);
     const auto nodes = static_cast<std::uint32_t>(8 + lrng.uniform(24));
@@ -74,16 +81,20 @@ TEST(FlowParity, RackAwarePhaseTotalsAreEqual) {
                                                            lrng);
     const auto placement = one_process_per_node(nn);
 
-    Rng rng_dinic(seed + 1), rng_ek(seed + 1);
-    const auto dinic = assign_single_data_rack_aware(
-        nn, tasks, placement, rng_dinic, RackAwareOptions{graph::MaxFlowAlgorithm::kDinic});
-    const auto ek = assign_single_data_rack_aware(
-        nn, tasks, placement, rng_ek, RackAwareOptions{graph::MaxFlowAlgorithm::kEdmondsKarp});
-    // Phase 1 is a max-flow, so node-local counts agree exactly. Phase 2
-    // runs on each solver's own phase-1 remainder, so only the invariant
-    // "no solver leaves locality on the table overall" is comparable.
-    EXPECT_EQ(dinic.node_local, ek.node_local) << "seed " << seed;
-    EXPECT_EQ(dinic.task_count(), ek.task_count()) << "seed " << seed;
+    // Phase 1 is the single-data node-local network, so node_local must
+    // equal the oracle's value on that network.
+    Rng rng_single(seed + 1), rng_rack(seed + 1);
+    (void)assign_single_data(nn, tasks, placement, rng_single, {&ws});
+    const graph::Cap node_local_max = oracle_value(ws);
+    const auto rack = assign_single_data_rack_aware(nn, tasks, placement, rng_rack,
+                                                    RackAwareOptions{&ws});
+    EXPECT_EQ(static_cast<graph::Cap>(rack.node_local), node_local_max) << "seed " << seed;
+    // With several racks, phase 2 runs whenever phase 1 leaves tasks open,
+    // and the workspace then holds its rack-local network.
+    if (rack.node_local < tasks.size()) {
+      EXPECT_EQ(static_cast<graph::Cap>(rack.rack_local), oracle_value(ws)) << "seed " << seed;
+    }
+    EXPECT_EQ(rack.task_count(), tasks.size()) << "seed " << seed;
   }
 }
 
@@ -95,10 +106,10 @@ TEST(FlowParity, WorkspaceReuseReproducesTheFreshPlan) {
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
     const auto layout = make_layout(seed);
     Rng rng_fresh(seed), rng_reused(seed);
-    const auto fresh = assign_single_data(layout.nn, layout.tasks, layout.placement, rng_fresh,
-                                          {graph::MaxFlowAlgorithm::kDinic, nullptr});
-    const auto reused = assign_single_data(layout.nn, layout.tasks, layout.placement,
-                                           rng_reused, {graph::MaxFlowAlgorithm::kDinic, &ws});
+    const auto fresh =
+        assign_single_data(layout.nn, layout.tasks, layout.placement, rng_fresh, {nullptr});
+    const auto reused =
+        assign_single_data(layout.nn, layout.tasks, layout.placement, rng_reused, {&ws});
     EXPECT_EQ(fresh.assignment, reused.assignment) << "seed " << seed;
     EXPECT_EQ(fresh.locally_matched, reused.locally_matched) << "seed " << seed;
   }

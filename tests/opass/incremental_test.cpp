@@ -5,6 +5,7 @@
 #include <set>
 
 #include "opass/single_data.hpp"
+#include "support/edmonds_karp.hpp"
 #include "workload/dataset.hpp"
 
 namespace opass::core {
@@ -31,8 +32,7 @@ TEST_F(IncrementalFixture, SingleBatchMatchesFullPlanner) {
   IncrementalPlanner planner(nn, placement);
   Rng r1(3), r2(3);
   const auto inc = planner.match_batch(all_tasks, r1, {});
-  const auto full = assign_single_data(nn, all_tasks, placement, r2,
-                                       {graph::MaxFlowAlgorithm::kDinic});
+  const auto full = assign_single_data(nn, all_tasks, placement, r2);
   EXPECT_EQ(inc.locally_matched, full.locally_matched);
   EXPECT_EQ(inc.locally_matched + inc.randomly_filled, 80u);
 }
@@ -51,19 +51,21 @@ TEST_F(IncrementalFixture, BatchPlanCarriesAssignmentStats) {
   EXPECT_LE(plan.stats.max_tasks_per_process - plan.stats.min_tasks_per_process, 1u);
 }
 
-TEST_F(IncrementalFixture, ExternalWorkspaceAndAlgorithmMatchInternal) {
-  IncrementalPlanner dinic(nn, placement), external(nn, placement);
+TEST_F(IncrementalFixture, ExternalWorkspaceMatchesInternalAndOracle) {
+  IncrementalPlanner internal(nn, placement), external(nn, placement);
   Rng r1(3), r2(3);
   graph::FlowWorkspace workspace;
   core::PlanOptions options;
-  options.algorithm = graph::MaxFlowAlgorithm::kEdmondsKarp;
   options.workspace = &workspace;
-  const auto a = dinic.match_batch(all_tasks, r1, {});
+  const auto a = internal.match_batch(all_tasks, r1, {});
   const auto b = external.match_batch(all_tasks, r2, options);
-  // Both solvers find a maximum matching of the same Fig. 5 network.
-  EXPECT_EQ(a.locally_matched, b.locally_matched);
+  EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.stats.local_bytes, b.stats.local_bytes);
   EXPECT_GT(workspace.network.edge_count(), 0u);  // the external arena was used
+  // The batch's matched count is the max-flow value of its Fig. 5 network.
+  workspace.network.reset_flow();
+  EXPECT_EQ(static_cast<graph::Cap>(b.locally_matched),
+            oracle::edmonds_karp(workspace.network, 0, 1));
 }
 
 TEST_F(IncrementalFixture, BatchesCoverEveryTaskOnce) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "opass/opass.hpp"
+#include "support/edmonds_karp.hpp"
 #include "workload/dataset.hpp"
 
 namespace opass::core {
@@ -31,13 +32,11 @@ Layout make_layout(std::uint64_t seed, std::uint32_t nodes, std::uint32_t tasks)
 
 /// One full planning run, serialized: rebuild the layout from the seed and
 /// plan through the facade into a fresh workspace.
-std::string planned_wire_bytes(std::uint64_t seed, PlannerKind kind,
-                               graph::MaxFlowAlgorithm algorithm) {
+std::string planned_wire_bytes(std::uint64_t seed, PlannerKind kind) {
   const auto layout = make_layout(seed, 24, 120);
   graph::FlowWorkspace workspace;
   PlanOptions options;
   options.planner = kind;
-  options.algorithm = algorithm;
   options.workspace = &workspace;
   Rng assign_rng(seed + 17);
   const auto result = core::plan({&layout.nn, &layout.tasks, &layout.placement, &assign_rng},
@@ -48,30 +47,34 @@ std::string planned_wire_bytes(std::uint64_t seed, PlannerKind kind,
 
 TEST(PlanDeterminism, SingleDataDinicIsByteIdenticalAcrossRuns) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const auto first =
-        planned_wire_bytes(seed, PlannerKind::kSingleData, graph::MaxFlowAlgorithm::kDinic);
-    const auto second =
-        planned_wire_bytes(seed, PlannerKind::kSingleData, graph::MaxFlowAlgorithm::kDinic);
+    const auto first = planned_wire_bytes(seed, PlannerKind::kSingleData);
+    const auto second = planned_wire_bytes(seed, PlannerKind::kSingleData);
     EXPECT_EQ(first, second) << "seed " << seed;
   }
 }
 
-TEST(PlanDeterminism, SingleDataEdmondsKarpIsByteIdenticalAcrossRuns) {
+TEST(PlanDeterminism, SingleDataMatchesTheOracleOnItsNetwork) {
+  // The deterministic plan is also a maximum one: the facade's matched count
+  // equals the Edmonds–Karp oracle's value on the network it solved.
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const auto first = planned_wire_bytes(seed, PlannerKind::kSingleData,
-                                          graph::MaxFlowAlgorithm::kEdmondsKarp);
-    const auto second = planned_wire_bytes(seed, PlannerKind::kSingleData,
-                                           graph::MaxFlowAlgorithm::kEdmondsKarp);
-    EXPECT_EQ(first, second) << "seed " << seed;
+    const auto layout = make_layout(seed, 24, 120);
+    graph::FlowWorkspace workspace;
+    PlanOptions options;
+    options.workspace = &workspace;
+    Rng assign_rng(seed + 17);
+    const auto result = core::plan({&layout.nn, &layout.tasks, &layout.placement, &assign_rng},
+                                   options);
+    workspace.network.reset_flow();
+    EXPECT_EQ(static_cast<graph::Cap>(result.locally_matched),
+              oracle::edmonds_karp(workspace.network, 0, 1))
+        << "seed " << seed;
   }
 }
 
 TEST(PlanDeterminism, MultiDataIsByteIdenticalAcrossRuns) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const auto first =
-        planned_wire_bytes(seed, PlannerKind::kMultiData, graph::MaxFlowAlgorithm::kDinic);
-    const auto second =
-        planned_wire_bytes(seed, PlannerKind::kMultiData, graph::MaxFlowAlgorithm::kDinic);
+    const auto first = planned_wire_bytes(seed, PlannerKind::kMultiData);
+    const auto second = planned_wire_bytes(seed, PlannerKind::kMultiData);
     EXPECT_EQ(first, second) << "seed " << seed;
   }
 }
@@ -83,15 +86,14 @@ TEST(PlanDeterminism, WorkspaceCarriedAcrossDifferentLayoutsStaysClean) {
   graph::FlowWorkspace workspace;
   const auto warm = make_layout(3, 30, 200);
   Rng warm_rng(3);
-  (void)assign_single_data(warm.nn, warm.tasks, warm.placement, warm_rng,
-                           {graph::MaxFlowAlgorithm::kDinic, &workspace});
+  (void)assign_single_data(warm.nn, warm.tasks, warm.placement, warm_rng, {&workspace});
 
   const auto layout = make_layout(4, 24, 120);
   Rng rng_dirty(21), rng_fresh(21);
   const auto dirty = assign_single_data(layout.nn, layout.tasks, layout.placement, rng_dirty,
-                                        {graph::MaxFlowAlgorithm::kDinic, &workspace});
+                                        {&workspace});
   const auto fresh = assign_single_data(layout.nn, layout.tasks, layout.placement, rng_fresh,
-                                        {graph::MaxFlowAlgorithm::kDinic, nullptr});
+                                        {nullptr});
   EXPECT_EQ(serialize_assignment(dirty.assignment, 120),
             serialize_assignment(fresh.assignment, 120));
 }

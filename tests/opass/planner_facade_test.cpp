@@ -7,6 +7,7 @@
 #include <string>
 
 #include "opass/opass.hpp"
+#include "support/edmonds_karp.hpp"
 #include "workload/dataset.hpp"
 #include "workload/multi_input.hpp"
 
@@ -92,16 +93,18 @@ TEST(PlannerFacade, MultiDataMatchesLegacyFunctionAndNeedsNoRng) {
   EXPECT_EQ(facade.matched_bytes, legacy.matched_bytes);
 }
 
-TEST(PlannerFacade, AlgorithmOptionReachesTheSolver) {
-  // Same seed, both solvers, through the facade: maximum matchings agree.
+TEST(PlannerFacade, MatchedCountIsTheOracleMaxFlow) {
+  // Through the facade, the matched count equals the Edmonds–Karp oracle's
+  // value on the network the planner built into the lent workspace.
   const auto layout = make_layout(5);
-  Rng rng_a(9), rng_b(9);
-  PlanOptions dinic, ek;
-  dinic.algorithm = graph::MaxFlowAlgorithm::kDinic;
-  ek.algorithm = graph::MaxFlowAlgorithm::kEdmondsKarp;
-  const auto a = plan({&layout.nn, &layout.tasks, &layout.placement, &rng_a}, dinic);
-  const auto b = plan({&layout.nn, &layout.tasks, &layout.placement, &rng_b}, ek);
-  EXPECT_EQ(a.locally_matched, b.locally_matched);
+  Rng rng(9);
+  graph::FlowWorkspace workspace;
+  PlanOptions options;
+  options.workspace = &workspace;
+  const auto result = plan({&layout.nn, &layout.tasks, &layout.placement, &rng}, options);
+  workspace.network.reset_flow();
+  EXPECT_EQ(static_cast<graph::Cap>(result.locally_matched),
+            oracle::edmonds_karp(workspace.network, 0, 1));
 }
 
 TEST(PlannerFacade, RejectsIncompleteRequests) {

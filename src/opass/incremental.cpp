@@ -8,10 +8,9 @@
 namespace opass::core {
 
 IncrementalPlanner::IncrementalPlanner(const dfs::NameNode& nn, ProcessPlacement placement)
-    : nn_(nn), placement_(std::move(placement)), load_(placement_.size(), 0) {
+    : nn_(nn), placement_(std::move(placement)),
+      procs_on_node_(processes_by_node(nn, placement_)), load_(placement_.size(), 0) {
   OPASS_REQUIRE(!placement_.empty(), "need at least one process");
-  for (dfs::NodeId node : placement_)
-    OPASS_REQUIRE(node < nn.node_count(), "process placed on unknown node");
 }
 
 BatchPlan IncrementalPlanner::match_batch(const std::vector<runtime::Task>& batch, Rng& rng,
@@ -28,13 +27,14 @@ BatchPlan IncrementalPlanner::match_batch(const std::vector<runtime::Task>& batc
 
   // Batch quotas: repeatedly grant one slot to the least cumulatively loaded
   // process, so cumulative loads stay within one across batches.
-  std::vector<std::uint32_t> quota(m, 0);
-  for (std::uint32_t granted = 0; granted < b; ++granted) {
-    std::uint32_t best = 0;
-    for (std::uint32_t p = 1; p < m; ++p)
-      if (load_[p] + quota[p] < load_[best] + quota[best]) best = p;
-    ++quota[best];
-  }
+  const std::vector<std::uint32_t> quota = least_loaded_quotas(load_, b);
+
+  // Locality edges from the replicas, transposed to per-process task lists:
+  // tasks ascending within each process keeps the p-major, ascending-task
+  // edge order the flow and the fill depend on.
+  std::vector<dfs::ChunkId> chunks(b);
+  for (std::uint32_t i = 0; i < b; ++i) chunks[i] = batch[i].inputs[0];
+  const Adjacency tasks_of = transpose(replica_holders(nn_, chunks, procs_on_node_), m);
 
   // Fig. 5 flow over this batch only, with the batch quotas as capacities.
   // The workspace is cleared, not reconstructed, so steady-state batches do
@@ -49,13 +49,9 @@ BatchPlan IncrementalPlanner::match_batch(const std::vector<runtime::Task>& batc
   const graph::NodeIdx task0 = 2 + m;
   for (std::uint32_t p = 0; p < m; ++p)
     net.add_edge(s, proc0 + p, static_cast<graph::Cap>(quota[p]));
-  for (std::uint32_t p = 0; p < m; ++p) {
-    for (std::uint32_t i = 0; i < b; ++i) {
-      if (nn_.chunk(batch[i].inputs[0]).has_replica_on(placement_[p]))
-        net.add_edge(proc0 + p, task0 + i, 1);
-    }
-  }
-  const auto pt_count = static_cast<std::uint32_t>(net.edge_count()) - m;
+  for (std::uint32_t p = 0; p < m; ++p)
+    for (std::uint32_t i : tasks_of.row(p)) net.add_edge(proc0 + p, task0 + i, 1);
+  const auto pt_count = static_cast<std::uint32_t>(tasks_of.items.size());
   for (std::uint32_t i = 0; i < b; ++i) net.add_edge(task0 + i, t, 1);
 
   graph::max_flow(workspace, s, t);

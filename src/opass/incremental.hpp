@@ -17,6 +17,7 @@
 #include "graph/max_flow.hpp"
 #include "opass/locality_graph.hpp"
 #include "opass/planner.hpp"
+#include "opass/process_index.hpp"
 #include "runtime/static_partitioner.hpp"
 #include "runtime/task.hpp"
 
@@ -56,6 +57,7 @@ class IncrementalPlanner {
  private:
   const dfs::NameNode& nn_;
   ProcessPlacement placement_;
+  Adjacency procs_on_node_;  ///< processes_by_node(), built once
   graph::FlowWorkspace workspace_;  ///< reused across batches: no steady-state allocation
   std::vector<std::uint32_t> load_;
   std::uint32_t batches_ = 0;

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/require.hpp"
+#include "opass/process_index.hpp"
 #include "opass/single_data.hpp"  // equal_quotas
 
 namespace opass::core {
@@ -18,19 +19,18 @@ MultiDataPlan assign_multi_data(const dfs::NameNode& nn,
   OPASS_REQUIRE(m > 0, "need at least one process");
 
   // Matching values m_i^j = co-located bytes between process i and task j,
-  // as a dense matrix (the Fig. 6(a) table).
+  // as a dense matrix (the Fig. 6(a) table), filled from each input's
+  // replica holders.
+  const Adjacency procs_on_node = processes_by_node(nn, placement);
   std::vector<Bytes> value(static_cast<std::size_t>(m) * n, 0);
   auto val = [&](std::uint32_t p, std::uint32_t t) -> Bytes& {
     return value[static_cast<std::size_t>(p) * n + t];
   };
-  for (std::uint32_t p = 0; p < m; ++p) {
-    const dfs::NodeId node = placement[p];
-    OPASS_REQUIRE(node < nn.node_count(), "process placed on unknown node");
-    for (std::uint32_t t = 0; t < n; ++t) {
-      Bytes co = 0;
-      for (dfs::ChunkId c : tasks[t].inputs)
-        if (nn.chunk(c).has_replica_on(node)) co += nn.chunk(c).size;
-      val(p, t) = co;
+  for (std::uint32_t t = 0; t < n; ++t) {
+    for (dfs::ChunkId c : tasks[t].inputs) {
+      const auto& chunk = nn.chunk(c);
+      for (dfs::NodeId rep : chunk.replicas)
+        for (std::uint32_t p : procs_on_node.row(rep)) val(p, t) += chunk.size;
     }
   }
 

@@ -20,6 +20,7 @@
 #include "opass/hdfs_integration.hpp"
 #include "opass/incremental.hpp"
 #include "opass/planner.hpp"
+#include "opass/process_index.hpp"
 #include "opass/rack_aware.hpp"
 #include "opass/service.hpp"
 #include "opass/single_data.hpp"

@@ -1,0 +1,53 @@
+// Process-side indexes shared by the planners.
+//
+// Placement is fixed for a planner's lifetime, so the processes hosted on
+// each node are indexed once. A planner then finds a task's Fig. 5 edges from
+// its chunk's r replicas — O(r) index lookups — instead of testing the task
+// against all m processes.
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "dfs/namenode.hpp"
+#include "opass/locality_graph.hpp"
+
+namespace opass::core {
+
+/// Row-compressed lists: row r holds `items[offset[r], offset[r + 1])`.
+struct Adjacency {
+  std::vector<std::uint32_t> offset{0};
+  std::vector<std::uint32_t> items;
+
+  std::uint32_t rows() const { return static_cast<std::uint32_t>(offset.size() - 1); }
+  std::span<const std::uint32_t> row(std::uint32_t r) const {
+    return {items.data() + offset[r], offset[r + 1] - offset[r]};
+  }
+  /// Close the row whose items were appended since the previous call.
+  void end_row() { offset.push_back(static_cast<std::uint32_t>(items.size())); }
+};
+
+/// Transpose `adj` onto `columns` rows: row c lists, ascending, every row of
+/// `adj` that contains c (once per occurrence).
+Adjacency transpose(const Adjacency& adj, std::uint32_t columns);
+
+/// Row n lists, ascending, the processes placed on node n (one row per
+/// cluster node; a node without processes has an empty row).
+Adjacency processes_by_node(const dfs::NameNode& nn, const ProcessPlacement& placement);
+
+/// Row k lists, ascending, the processes placed in rack k.
+Adjacency processes_by_rack(const dfs::NameNode& nn, const ProcessPlacement& placement);
+
+/// Row k lists, ascending, the processes co-located with a replica of
+/// `chunks[k]`: the Fig. 5 locality edges of that task.
+Adjacency replica_holders(const dfs::NameNode& nn, const std::vector<dfs::ChunkId>& chunks,
+                          const Adjacency& by_node);
+
+/// Per-process quotas for `b` new tasks: each slot goes to the process with
+/// the least `load + quota`, the lowest index winning ties, so cumulative
+/// loads stay within one of each other. O(m + b log m).
+std::vector<std::uint32_t> least_loaded_quotas(const std::vector<std::uint32_t>& load,
+                                               std::uint32_t b);
+
+}  // namespace opass::core

@@ -1,23 +1,24 @@
 #include "opass/rack_aware.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/require.hpp"
 #include "graph/flow_network.hpp"
+#include "opass/process_index.hpp"
 #include "opass/single_data.hpp"  // equal_quotas
 
 namespace opass::core {
 
 namespace {
 
-/// One max-flow phase: match `open` tasks to processes with remaining quota
-/// along `has_edge(p, t)`. Updates owner/used; returns the matched count.
+/// One max-flow phase: match `open` tasks to processes with remaining quota.
+/// Row p of `candidates` lists, ascending, the open indexes process p may
+/// take, so edges go in p-major, ascending-open-index order. Updates
+/// owner/used; returns the matched count.
 std::uint32_t match_phase(std::uint32_t m, const std::vector<std::uint32_t>& quotas,
                           std::vector<std::uint32_t>& used,
                           std::vector<std::uint32_t>& owner,
-                          const std::vector<std::uint32_t>& open,
-                          const std::function<bool(std::uint32_t, std::uint32_t)>& has_edge,
+                          const std::vector<std::uint32_t>& open, const Adjacency& candidates,
                           graph::FlowWorkspace& ws) {
   const auto open_count = static_cast<graph::NodeIdx>(open.size());
   graph::FlowNetwork& net = ws.network;
@@ -29,12 +30,9 @@ std::uint32_t match_phase(std::uint32_t m, const std::vector<std::uint32_t>& quo
   for (std::uint32_t p = 0; p < m; ++p)
     net.add_edge(s, proc0 + p, static_cast<graph::Cap>(quotas[p] - used[p]));
 
-  for (std::uint32_t p = 0; p < m; ++p) {
-    for (std::uint32_t oi = 0; oi < open_count; ++oi) {
-      if (has_edge(p, open[oi])) net.add_edge(proc0 + p, task0 + oi, 1);
-    }
-  }
-  const auto pt_count = static_cast<std::uint32_t>(net.edge_count()) - m;
+  for (std::uint32_t p = 0; p < m; ++p)
+    for (std::uint32_t oi : candidates.row(p)) net.add_edge(proc0 + p, task0 + oi, 1);
+  const auto pt_count = static_cast<std::uint32_t>(candidates.items.size());
   for (std::uint32_t oi = 0; oi < open_count; ++oi) net.add_edge(task0 + oi, t, 1);
 
   graph::max_flow(ws, s, t);
@@ -63,8 +61,7 @@ RackAwarePlan assign_single_data_rack_aware(const dfs::NameNode& nn,
   OPASS_REQUIRE(m > 0, "need at least one process");
   for (const auto& t : tasks)
     OPASS_REQUIRE(t.inputs.size() == 1, "single-data tasks must have exactly one input");
-  for (dfs::NodeId node : placement)
-    OPASS_REQUIRE(node < nn.node_count(), "process placed on unknown node");
+  const Adjacency procs_on_node = processes_by_node(nn, placement);
 
   const auto quotas = equal_quotas(n, m);
   const auto& topo = nn.topology();
@@ -76,30 +73,39 @@ RackAwarePlan assign_single_data_rack_aware(const dfs::NameNode& nn,
   std::vector<std::uint32_t> used(m, 0);
   RackAwarePlan plan;
 
-  // Phase 1: node-local.
+  // Phase 1: node-local — the processes on a replica's node.
   std::vector<std::uint32_t> open;
-  for (std::uint32_t t = 0; t < n; ++t) open.push_back(t);
+  std::vector<dfs::ChunkId> chunks;
+  for (std::uint32_t t = 0; t < n; ++t) {
+    open.push_back(t);
+    chunks.push_back(tasks[t].inputs[0]);
+  }
   plan.node_local = match_phase(
       m, quotas, used, owner, open,
-      [&](std::uint32_t p, std::uint32_t t) {
-        return nn.chunk(tasks[t].inputs[0]).has_replica_on(placement[p]);
-      },
-      ws);
+      transpose(replica_holders(nn, chunks, procs_on_node), m), ws);
 
-  // Phase 2: rack-local over the remainder.
+  // Phase 2: rack-local over the remainder — every process in a rack that
+  // holds a replica (each rack once, however many replicas it holds).
   open.clear();
   for (std::uint32_t t = 0; t < n; ++t)
     if (owner[t] == UINT32_MAX) open.push_back(t);
   if (!open.empty() && topo.rack_count() > 1) {
-    plan.rack_local = match_phase(
-        m, quotas, used, owner, open,
-        [&](std::uint32_t p, std::uint32_t t) {
-          const auto rack = topo.rack_of(placement[p]);
-          for (dfs::NodeId rep : nn.chunk(tasks[t].inputs[0]).replicas)
-            if (topo.rack_of(rep) == rack) return true;
-          return false;
-        },
-        ws);
+    const Adjacency procs_in_rack = processes_by_rack(nn, placement);
+    Adjacency rack_holders;
+    std::vector<dfs::RackId> racks;
+    for (std::uint32_t t : open) {
+      racks.clear();
+      for (dfs::NodeId rep : nn.chunk(tasks[t].inputs[0]).replicas) {
+        const dfs::RackId rack = topo.rack_of(rep);
+        if (std::find(racks.begin(), racks.end(), rack) != racks.end()) continue;
+        racks.push_back(rack);
+        const auto procs = procs_in_rack.row(rack);
+        rack_holders.items.insert(rack_holders.items.end(), procs.begin(), procs.end());
+      }
+      rack_holders.end_row();
+    }
+    plan.rack_local =
+        match_phase(m, quotas, used, owner, open, transpose(rack_holders, m), ws);
   }
 
   // Phase 3: random fill of the rest.

@@ -10,13 +10,12 @@ namespace opass::core {
 
 PlannerService::PlannerService(const dfs::NameNode& nn, ProcessPlacement placement,
                                ServiceOptions options)
-    : nn_(nn), placement_(std::move(placement)), options_(options),
+    : nn_(nn), placement_(std::move(placement)),
+      procs_on_node_(processes_by_node(nn, placement_)), options_(options),
       batch_policy_{options.batch_window, options.max_batch_jobs, options.max_batch_tasks},
       rng_(options.seed), load_(placement_.size(), 0) {
   OPASS_REQUIRE(!placement_.empty(), "need at least one process");
   OPASS_REQUIRE(options_.batch_window >= 0, "batch window must be non-negative");
-  for (dfs::NodeId node : placement_)
-    OPASS_REQUIRE(node < nn.node_count(), "process placed on unknown node");
 }
 
 JobId PlannerService::submit(JobRequest request) {
@@ -150,13 +149,14 @@ void PlannerService::plan_batch(std::vector<PendingJob> batch, Seconds cut) {
   // Batch quotas: the incremental planner's batch-adjusted fair share —
   // grant each slot to the least cumulatively loaded process so active
   // loads stay within one across batches.
-  std::vector<std::uint32_t> quota(m, 0);
-  for (std::uint32_t granted = 0; granted < b; ++granted) {
-    std::uint32_t best = 0;
-    for (std::uint32_t p = 1; p < m; ++p)
-      if (load_[p] + quota[p] < load_[best] + quota[best]) best = p;
-    ++quota[best];
-  }
+  const std::vector<std::uint32_t> quota = least_loaded_quotas(load_, b);
+
+  // Each task's locality edges, from its chunk's replicas. Rows are
+  // ascending, so edges go in task-major, ascending-process order — the
+  // order Dinic and the fill below depend on.
+  std::vector<dfs::ChunkId> chunks(b);
+  for (std::uint32_t k = 0; k < b; ++k) chunks[k] = tasks[k].chunk;
+  const Adjacency holders = replica_holders(nn_, chunks, procs_on_node_);
 
   // Tenant-layered Fig. 5 network: s -> tenant -> task -> process -> t.
   // Edge-id layout (dense, insertion order): [0, T) tenant caps, [T, T + b)
@@ -168,23 +168,15 @@ void PlannerService::plan_batch(std::vector<PendingJob> batch, Seconds cut) {
   const graph::NodeIdx tenant0 = 2;
   const graph::NodeIdx task0 = 2 + tenant_count;
   const graph::NodeIdx proc0 = task0 + b;
-  std::uint32_t pt_count = 0;
+  const auto pt_count = static_cast<graph::EdgeIdx>(holders.items.size());
   const auto build = [&](const std::vector<std::uint32_t>& tenant_caps) {
     net.clear(proc0 + m);
     for (std::uint32_t i = 0; i < tenant_count; ++i)
       net.add_edge(s, tenant0 + i, static_cast<graph::Cap>(tenant_caps[i]));
     for (std::uint32_t k = 0; k < b; ++k)
       net.add_edge(tenant0 + tasks[k].tenant_slot, task0 + k, 1);
-    pt_count = 0;
-    for (std::uint32_t k = 0; k < b; ++k) {
-      const auto& chunk = nn_.chunk(tasks[k].chunk);
-      for (std::uint32_t p = 0; p < m; ++p) {
-        if (chunk.has_replica_on(placement_[p])) {
-          net.add_edge(task0 + k, proc0 + p, 1);
-          ++pt_count;
-        }
-      }
-    }
+    for (std::uint32_t k = 0; k < b; ++k)
+      for (std::uint32_t p : holders.row(k)) net.add_edge(task0 + k, proc0 + p, 1);
     for (std::uint32_t p = 0; p < m; ++p)
       net.add_edge(proc0 + p, t, static_cast<graph::Cap>(quota[p]));
   };

@@ -57,6 +57,7 @@
 #include "opass/admission.hpp"
 #include "opass/locality_graph.hpp"
 #include "opass/planner.hpp"
+#include "opass/process_index.hpp"
 #include "runtime/task.hpp"
 
 namespace opass::core {
@@ -170,6 +171,7 @@ class PlannerService {
 
   const dfs::NameNode& nn_;
   ProcessPlacement placement_;
+  Adjacency procs_on_node_;  ///< processes_by_node(), built once
   ServiceOptions options_;
   BatchPolicy batch_policy_;
   Rng rng_;

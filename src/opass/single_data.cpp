@@ -4,6 +4,7 @@
 
 #include "common/require.hpp"
 #include "graph/flow_network.hpp"
+#include "opass/process_index.hpp"
 
 namespace opass::core {
 
@@ -28,12 +29,7 @@ SingleDataPlan assign_single_data(const dfs::NameNode& nn,
 
   // Processes hosted on each node, so locality edges are discovered from the
   // replica lists in O(n * r) instead of scanning all m * n pairs.
-  std::vector<std::vector<std::uint32_t>> procs_on_node(nn.node_count());
-  for (std::uint32_t p = 0; p < m; ++p) {
-    const dfs::NodeId node = placement[p];
-    OPASS_REQUIRE(node < nn.node_count(), "process placed on unknown node");
-    procs_on_node[node].push_back(p);
-  }
+  const Adjacency procs_on_node = processes_by_node(nn, placement);
 
   // Build the Fig. 5 network into the (possibly caller-provided) workspace:
   // node 0 = s, node 1 = t, then processes, then tasks. Edge ids are dense in
@@ -51,7 +47,7 @@ SingleDataPlan assign_single_data(const dfs::NameNode& nn,
   for (std::uint32_t p = 0; p < m; ++p) net.add_edge(s, proc0 + p, quotas[p]);
   for (std::uint32_t ti = 0; ti < n; ++ti) {
     for (dfs::NodeId rep : nn.chunk(tasks[ti].inputs[0]).replicas) {
-      for (std::uint32_t p : procs_on_node[rep]) net.add_edge(proc0 + p, task0 + ti, 1);
+      for (std::uint32_t p : procs_on_node.row(rep)) net.add_edge(proc0 + p, task0 + ti, 1);
     }
   }
   const auto pt_count = static_cast<std::uint32_t>(net.edge_count()) - m;

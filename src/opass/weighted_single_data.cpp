@@ -4,6 +4,7 @@
 
 #include "common/require.hpp"
 #include "graph/flow_network.hpp"
+#include "opass/process_index.hpp"
 
 namespace opass::core {
 
@@ -30,12 +31,7 @@ WeightedPlan assign_single_data_weighted(const dfs::NameNode& nn,
 
   // Processes per node, so locality edges are found from replica lists in
   // O(n * r) instead of all m * n pairs (same scheme as assign_single_data).
-  std::vector<std::vector<std::uint32_t>> procs_on_node(nn.node_count());
-  for (std::uint32_t p = 0; p < m; ++p) {
-    const dfs::NodeId node = placement[p];
-    OPASS_REQUIRE(node < nn.node_count(), "process placed on unknown node");
-    procs_on_node[node].push_back(p);
-  }
+  const Adjacency procs_on_node = processes_by_node(nn, placement);
 
   // Fig. 5 with byte capacities, built into the reusable workspace. Edge ids
   // are dense in insertion order: s->p edges [0, m), p->task edges
@@ -53,7 +49,7 @@ WeightedPlan assign_single_data_weighted(const dfs::NameNode& nn,
 
   for (std::uint32_t ti = 0; ti < n; ++ti) {
     for (dfs::NodeId rep : nn.chunk(tasks[ti].inputs[0]).replicas) {
-      for (std::uint32_t p : procs_on_node[rep])
+      for (std::uint32_t p : procs_on_node.row(rep))
         net.add_edge(proc0 + p, task0 + ti, static_cast<graph::Cap>(size[ti]));
     }
   }

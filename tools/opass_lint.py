@@ -55,6 +55,14 @@ Rules (all scoped to src/ unless noted):
                     (DESIGN.md §12) see every lock and every parallel region.
                     A deliberate exception carries an inline
                     allow(no-raw-thread) marker.
+  replica-scan      src/opass/ only: no `has_replica_on` call inside a loop
+                    over every process (`for (...; p < m; ...)`). Testing each
+                    task against all m processes is the O(tasks x processes)
+                    edge discovery the batch planners dropped; find a task's
+                    co-located processes from its replicas through
+                    processes_by_node() (opass/process_index.hpp) instead.
+                    Evaluating a finished assignment — one call per assigned
+                    task, as plan_audit and assignment_stats do — is fine.
   pq-top-copy       No by-value initialization from `.top()`:
                     `auto fn = q.top();` (or a `std::function<...>` copy of
                     `.top().fn`) deep-copies the element — and since
@@ -132,6 +140,11 @@ DIRECT_PLANNER_CALL = re.compile(
 # priority_queue::top() returns a const reference and the "move" still copies.
 PQ_TOP_COPY = re.compile(
     r"\b(?:auto|std::function\s*<[^;{}=]*>)\s+\w+\s*=\s*[^;{}\n]*\.top\s*\(\s*\)")
+# The condition of a counted `for` over every process: `p < m` (any loop
+# variable name, bound exactly `m`, the planners' process count).
+EVERY_PROCESS_COND = re.compile(r"\s*\w+\s*<\s*m\s*")
+FOR_HEADER = re.compile(r"\bfor\s*\(")
+REPLICA_TEST = re.compile(r"\bhas_replica_on\s*\(")
 # Raw threading vocabulary. std::atomic covers std::atomic<T>, the _flag /
 # _bool /... aliases and the free atomic_* functions via the \w* tail.
 RAW_THREAD = re.compile(
@@ -254,6 +267,71 @@ def check_span_name(path: pathlib.Path, text: str, findings: list):
                     "SpanLog::add rejects it at runtime too)"))
 
 
+def _close_paren(code: str, open_at: int) -> int:
+    """Offset of the ')' matching the '(' at `open_at` (len(code) if none)."""
+    depth = 0
+    for i in range(open_at, len(code)):
+        if code[i] == "(":
+            depth += 1
+        elif code[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(code)
+
+
+def _statement_end(code: str, start: int) -> int:
+    """End offset of the statement beginning at `start`: the brace block
+    matching the first '{' outside parentheses, or the first ';' outside
+    parentheses, whichever comes first. Nested `for`/`if` headers keep their
+    semicolons inside parentheses, so `for (...) for (...) x();` ends at
+    the inner statement's ';'."""
+    paren = 0
+    for i in range(start, len(code)):
+        c = code[i]
+        if c == "(":
+            paren += 1
+        elif c == ")":
+            paren -= 1
+        elif paren == 0 and c == ";":
+            return i + 1
+        elif paren == 0 and c == "{":
+            depth = 0
+            for j in range(i, len(code)):
+                if code[j] == "{":
+                    depth += 1
+                elif code[j] == "}":
+                    depth -= 1
+                    if depth == 0:
+                        return j + 1
+            return len(code)
+    return len(code)
+
+
+def check_replica_scan(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
+    if not path.relative_to(root).as_posix().startswith("src/opass/"):
+        return
+    code = scrub(text)
+    reported = set()
+    for m in FOR_HEADER.finditer(code):
+        open_at = m.end() - 1
+        close_at = _close_paren(code, open_at)
+        clauses = code[open_at + 1:close_at].split(";")
+        if len(clauses) != 3 or not EVERY_PROCESS_COND.fullmatch(clauses[1]):
+            continue
+        body_end = _statement_end(code, close_at + 1)
+        for call in REPLICA_TEST.finditer(code, close_at + 1, body_end):
+            if call.start() in reported:
+                continue  # already inside an outer loop over every process
+            reported.add(call.start())
+            findings.append(
+                Finding(path, _line_of(text, call.start()), "replica-scan",
+                        "has_replica_on() inside a loop over every process is "
+                        "an O(tasks x processes) scan; take the task's "
+                        "co-located processes from its replicas via "
+                        "processes_by_node() (opass/process_index.hpp)"))
+
+
 def check_pq_top_copy(path: pathlib.Path, text: str, findings: list):
     for m in PQ_TOP_COPY.finditer(scrub(text)):
         findings.append(
@@ -324,6 +402,7 @@ def lint_tree(root: pathlib.Path) -> list:
         check_timeline_metric_name(path, text, findings)
         check_span_name(path, text, findings)
         check_pq_top_copy(path, text, findings)
+        check_replica_scan(path, root, text, findings)
         check_no_raw_thread(path, root, text, findings)
         check_facade_only(path, root, text, findings)
     # bench/ and examples/ consume the planner API, so only the API-usage
@@ -388,6 +467,15 @@ _VIOLATIONS = {
         "#include <mutex>\n"
         "std::mutex g_mu;\n"
         "void f() { std::lock_guard<std::mutex> lock(g_mu); }\n",
+    ),
+    "replica-scan": (
+        "opass/bad_replica_scan.cpp",
+        '#include "opass/service.hpp"\n'
+        "void edges(const Chunk& chunk, const Placement& placement, Net& net, unsigned m) {\n"
+        "  for (std::uint32_t p = 0; p < m; ++p) {\n"
+        "    if (chunk.has_replica_on(placement[p])) net.add_edge(p);\n"
+        "  }\n"
+        "}\n",
     ),
     "pq-top-copy": (
         "bad_top_copy.cpp",
@@ -469,6 +557,26 @@ _CLEANS = (
         '#include "common/thread_annotations.hpp"\n'
         "opass::Mutex mu_;\n"
         "void locked() { opass::ScopedLock lock(mu_); }\n",
+    ),
+    (
+        # What replica-scan must NOT flag: evaluating a finished assignment
+        # (one has_replica_on per assigned task, as plan_audit does), a loop
+        # over every process whose single-statement body ends before a later
+        # replica test, and a task loop bounded by something other than m.
+        "opass/clean_replica_eval.cpp",
+        '#include "opass/plan_audit.hpp"\n'
+        "Bytes local(const Assignment& a, const Placement& placement, const Chunk& chunk,\n"
+        "            unsigned m, unsigned b) {\n"
+        "  Bytes bytes = 0;\n"
+        "  for (std::size_t p = 0; p < a.size(); ++p) {\n"
+        "    for (auto t : a[p])\n"
+        "      if (chunk.has_replica_on(placement[p])) bytes += t;\n"
+        "  }\n"
+        "  for (std::uint32_t p = 0; p < m; ++p) bytes += p;\n"
+        "  for (std::uint32_t k = 0; k < b; ++k)\n"
+        "    if (chunk.has_replica_on(placement[k % m])) ++bytes;\n"
+        "  return bytes;\n"
+        "}\n",
     ),
     (
         # Reference bindings from .top() are the compliant spelling pq-top-copy

@@ -15,6 +15,26 @@
 # COMPARE_STDOUT is set. The gated contracts: a replay of one seed writes the
 # same bytes (no map-order, padding or locale drift), and worker-pool lanes
 # change wall clock, never an output byte (DESIGN.md §12, §13).
+#
+# Rejection mode, for usage-error gates (opass_rejects in the same file):
+#
+#   cmake -DCLI=<tool> -DARGS=<arg>,... -DEXPECT_EXIT=<code> -DEXPECT_OUTPUT=<regex>
+#         -P cmake/run_golden_check.cmake
+#
+# runs the tool once and requires exactly that exit code (so a crash or a
+# silent success fails) and stdout+stderr matching the regex.
+if(DEFINED EXPECT_EXIT)
+  string(REPLACE "," ";" args "${ARGS}")
+  execute_process(COMMAND "${CLI}" ${args} RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE output ERROR_VARIABLE output)
+  if(NOT rc STREQUAL "${EXPECT_EXIT}" OR NOT output MATCHES "${EXPECT_OUTPUT}")
+    message(FATAL_ERROR "${CLI} ${args}: exit code '${rc}', want ${EXPECT_EXIT} with "
+                        "output matching '${EXPECT_OUTPUT}'; output:\n${output}")
+  endif()
+  message(STATUS "exit ${rc}: ${output}")
+  return()
+endif()
+
 if(NOT DEFINED CLI OR NOT DEFINED OUT_DIR OR NOT DEFINED RUNS OR NOT DEFINED ARTIFACTS)
   message(FATAL_ERROR "usage: cmake -DCLI=<opass_cli> -DOUT_DIR=<dir> -DARGS=<a,b> "
                       "-DRUNS=<label[:arg],...> -DARTIFACTS=<flag=stem.ext,...> "

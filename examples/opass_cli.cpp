@@ -33,6 +33,11 @@
 // same data as one self-contained HTML page (inline SVG charts, no external
 // assets). Both are byte-identical across runs of one seed. When --trace-out
 // is also given, the cluster-wide series join the trace as counter tracks.
+//
+// Usage errors exit 2 with a message naming the flag: a malformed or
+// out-of-range number (--nodes=-1, --tasks=abc, --replication above
+// --nodes), and any flag the chosen mode never reads set to a non-default
+// value ("--csv has no effect with --service-trace").
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -44,6 +49,7 @@
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "exp/experiment.hpp"
+#include "exp/service_trace.hpp"
 #include "obs/analytics.hpp"
 #include "obs/attribution.hpp"
 #include "obs/chrome_trace.hpp"
@@ -51,143 +57,174 @@
 #include "obs/hotspot.hpp"
 #include "obs/metrics_io.hpp"
 #include "obs/report.hpp"
-#include "exp/service_trace.hpp"
 #include "opass/plan_audit.hpp"
 
 namespace {
 
 using namespace opass;
 
-/// Observability sinks threaded through a run; any member may be null/off.
-struct ObsSinks {
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::ChromeTraceBuilder* trace = nullptr;
-  bool hotspots = false;
-  /// When set, each run records a timeline (one recorder per method, owned
-  /// by `timelines`) and registers a MethodReport with the builder.
-  obs::ReportBuilder* report = nullptr;
-  std::vector<std::unique_ptr<obs::TimelineRecorder>>* timelines = nullptr;
-  double sample_interval = 0.5;
-  /// When set, each run records a causal span log (one per method, owned by
-  /// `span_logs`) and registers it with the doc builder — the --spans-out /
-  /// --critical-path pipeline (DESIGN.md §13).
-  obs::SpanDocBuilder* span_doc = nullptr;
-  std::vector<std::unique_ptr<obs::SpanLog>>* span_logs = nullptr;
-  /// When set, each run arms this fault/churn scenario on its cluster.
-  const sim::FaultPlan* faults = nullptr;
+bool given(const Options& opts, const char* flag) { return !opts.str(flag).empty(); }
+
+/// Everything one invocation renders: the sinks its runs feed, the
+/// per-method recorders and span logs those sinks borrow, and the service
+/// replay's assignment rendering.
+struct Outputs {
+  obs::MetricsRegistry metrics;
+  obs::ChromeTraceBuilder trace;
+  obs::ReportBuilder report;
+  obs::SpanDocBuilder span_doc;
+  std::vector<std::unique_ptr<obs::TimelineRecorder>> timelines;
+  std::vector<std::unique_ptr<obs::SpanLog>> span_logs;
+  std::string service;
+
+  /// The one artifact writer of the scenario and --service-trace paths:
+  /// renders and writes each document whose flag names a path — metrics as
+  /// CSV when the path ends in .csv (else JSON), the critical path as JSON
+  /// when it ends in .json (else text). Returns 1 if any write failed.
+  int write(const Options& opts) const {
+    int rc = 0;
+    const auto put = [&](const char* flag, const auto& render) {
+      const std::string path = opts.str(flag);
+      if (path.empty()) return;
+      const obs::IoStatus st = obs::write_file(path, render(path));
+      if (!st.ok) {
+        std::fprintf(stderr, "error: %s\n", st.message.c_str());
+        rc = 1;
+      }
+    };
+    put("service-out", [&](const std::string&) { return service; });
+    put("metrics-out", [&](const std::string& path) {
+      return path.ends_with(".csv") ? obs::to_csv(metrics) : obs::to_json(metrics);
+    });
+    put("trace-out", [&](const std::string&) { return trace.json(); });
+    put("timeline-out", [&](const std::string&) { return report.timeline_json(); });
+    put("report-html", [&](const std::string&) { return report.html(); });
+    put("spans-out", [&](const std::string&) { return span_doc.spans_json(); });
+    put("critical-path", [&](const std::string& path) {
+      return path.ends_with(".json") ? span_doc.critical_path_json()
+                                     : span_doc.critical_path_text();
+    });
+    return rc;
+  }
+
+  /// A recorder for one run when --timeline-out or --report-html asks for
+  /// one (null otherwise).
+  obs::TimelineRecorder* add_timeline(const Options& opts) {
+    if (!given(opts, "timeline-out") && !given(opts, "report-html")) return nullptr;
+    obs::TimelineRecorder::Options topt;
+    topt.interval = opts.real("sample-interval");
+    return timelines.emplace_back(std::make_unique<obs::TimelineRecorder>(topt)).get();
+  }
+
+  /// A span log for one run when --spans-out or --critical-path asks for
+  /// one (null otherwise).
+  obs::SpanLog* add_span_log(const Options& opts) {
+    if (!given(opts, "spans-out") && !given(opts, "critical-path")) return nullptr;
+    return span_logs.emplace_back(std::make_unique<obs::SpanLog>()).get();
+  }
 };
 
-int run_method(const std::string& scenario, exp::Method method,
-               const exp::ExperimentConfig& cfg, std::uint32_t tasks, double compute,
-               bool csv, Table& table, const ObsSinks& sinks = {}) {
-  exp::ExperimentConfig run_cfg = cfg;
+/// One method of the chosen scenario, run with the sinks the flags arm:
+/// adds the method's table row (or, with --csv, prints its I/O series).
+void run_method(const Options& opts, exp::Method method, exp::ExperimentConfig cfg,
+                const sim::FaultPlan* faults, Outputs& out, Table& table) {
+  const std::string scenario = opts.str("scenario");
+  const auto tasks = opts.unsigned_integer("tasks", 1);
+  const double compute = opts.real("compute");
+  const bool csv = opts.boolean("csv");
+  const bool trace = given(opts, "trace-out");
+  const bool hotspots = opts.boolean("hotspots");
   runtime::ExecutionResult raw;
-  run_cfg.metrics = sinks.metrics;
-  if (sinks.trace != nullptr || sinks.hotspots || sinks.report != nullptr)
-    run_cfg.raw = &raw;
-  obs::TimelineRecorder* recorder = nullptr;
-  if (sinks.report != nullptr) {
-    obs::TimelineRecorder::Options topt;
-    topt.interval = sinks.sample_interval;
-    recorder = sinks.timelines->emplace_back(
-        std::make_unique<obs::TimelineRecorder>(topt)).get();
-    run_cfg.timeline = recorder;
-  }
-  obs::SpanLog* span_log = nullptr;
-  if (sinks.span_doc != nullptr) {
-    span_log = sinks.span_logs->emplace_back(std::make_unique<obs::SpanLog>()).get();
-    run_cfg.spans = span_log;
-  }
-  std::unique_ptr<obs::FaultEventLog> fault_log;
+  if (given(opts, "metrics-out")) cfg.metrics = &out.metrics;
+  obs::TimelineRecorder* recorder = out.add_timeline(opts);
+  cfg.timeline = recorder;
+  if (trace || hotspots || recorder != nullptr) cfg.raw = &raw;
+  obs::SpanLog* span_log = out.add_span_log(opts);
+  cfg.spans = span_log;
+  std::optional<obs::FaultEventLog> fault_log;
   sim::FaultStats fault_stats;
-  if (sinks.faults != nullptr) {
-    fault_log = std::make_unique<obs::FaultEventLog>(recorder);
-    run_cfg.faults = sinks.faults;
-    run_cfg.fault_probe = fault_log.get();
-    run_cfg.fault_stats = &fault_stats;
+  if (faults != nullptr) {
+    fault_log.emplace(recorder);
+    cfg.faults = faults;
+    cfg.fault_probe = &*fault_log;
+    cfg.fault_stats = &fault_stats;
   }
 
-  exp::RunOutput out;
+  exp::RunOutput run;
   if (scenario == "single") {
-    out = exp::run_single_data(run_cfg, tasks, method);
+    run = exp::run_single_data(cfg, tasks, method);
   } else if (scenario == "multi") {
-    out = exp::run_multi_data(run_cfg, tasks, method);
+    run = exp::run_multi_data(cfg, tasks, method);
   } else if (scenario == "dynamic") {
     workload::GenomicsSpec spec;
     spec.mean_compute_time = compute;
-    out = exp::run_dynamic(run_cfg, tasks, method, spec);
+    run = exp::run_dynamic(cfg, tasks, method, spec);
   } else if (scenario == "paraview") {
     workload::ParaViewSpec spec;
     spec.dataset_count = tasks;
     spec.datasets_per_step = std::min(tasks, cfg.nodes);
-    out = exp::run_paraview(run_cfg, method, spec).run;
-  } else if (scenario == "iterative") {
-    out = exp::run_iterative(run_cfg, tasks, /*epochs=*/4, method, compute).run;
+    run = exp::run_paraview(cfg, method, spec).run;
   } else {
-    std::fprintf(stderr, "unknown scenario '%s' (single|multi|dynamic|paraview|iterative)\n",
-                 scenario.c_str());
-    return 1;
+    run = exp::run_iterative(cfg, tasks, /*epochs=*/4, method, compute).run;
   }
 
+  const char* name = exp::method_name(method);
   const std::uint32_t pid = method == exp::Method::kBaseline ? 0 : 1;
-  if (sinks.trace != nullptr) {
+  if (trace) {
     // One trace process group per method, so --method=both renders both
     // timelines side by side.
-    sinks.trace->set_process_name(pid, exp::method_name(method));
-    sinks.trace->add_execution(raw, pid);
+    out.trace.set_process_name(pid, name);
+    out.trace.add_execution(raw, pid);
   }
   if (span_log != nullptr) {
-    sinks.span_doc->add_method(exp::method_name(method), *span_log, cfg.nodes);
+    out.span_doc.add_method(name, *span_log, cfg.nodes);
     // Overlay the critical path's cross-process hops on the Chrome trace as
     // flow arrows — only when both sinks are active, so a plain --trace-out
     // stays byte-identical to earlier releases.
-    if (sinks.trace != nullptr)
-      obs::add_critical_path_flows(*sinks.trace, *span_log,
-                                   sinks.span_doc->path(sinks.span_doc->method_count() - 1),
-                                   pid);
+    if (trace)
+      obs::add_critical_path_flows(out.trace, *span_log,
+                                   out.span_doc.path(out.span_doc.method_count() - 1), pid);
   }
   if (recorder != nullptr) {
     obs::MethodReport mr;
-    mr.name = exp::method_name(method);
+    mr.name = name;
     mr.timeline = recorder;
     mr.analytics = obs::analyze_execution(raw, cfg.nodes);
-    mr.makespan = out.makespan;
-    mr.local_fraction = out.local_fraction;
+    mr.makespan = run.makespan;
+    mr.local_fraction = run.local_fraction;
     mr.spans = span_log;
     mr.node_count = cfg.nodes;
-    sinks.report->add_method(std::move(mr));
-    if (sinks.trace != nullptr) obs::add_timeline_counters(*sinks.trace, *recorder, pid);
+    out.report.add_method(std::move(mr));
+    if (trace) obs::add_timeline_counters(out.trace, *recorder, pid);
   }
-  if (sinks.hotspots) {
-    std::printf("[%s]\n%s\n", exp::method_name(method),
+  if (hotspots) {
+    std::printf("[%s]\n%s\n", name,
                 obs::hotspot_report(raw.trace, cfg.nodes).render().c_str());
   }
   if (fault_log) {
-    if (sinks.trace != nullptr) fault_log->add_instants(*sinks.trace, pid);
+    if (trace) fault_log->add_instants(out.trace, pid);
     if (!csv) {
       std::printf(
           "[%s] faults: crashes=%u slow=%u joins=%u decommissions=%u rebalances=%u "
           "recoveries=%u copies=%u copied_mib=%.1f lost_chunks=%u\n",
-          exp::method_name(method), fault_stats.crashes, fault_stats.slowdowns,
-          fault_stats.joins, fault_stats.decommissions, fault_stats.rebalances,
-          fault_stats.recoveries, fault_stats.replicas_copied,
-          to_mib(fault_stats.rereplicated_bytes), fault_stats.lost_chunks);
+          name, fault_stats.crashes, fault_stats.slowdowns, fault_stats.joins,
+          fault_stats.decommissions, fault_stats.rebalances, fault_stats.recoveries,
+          fault_stats.replicas_copied, to_mib(fault_stats.rereplicated_bytes),
+          fault_stats.lost_chunks);
     }
   }
 
   if (csv) {
     Table series({"op", "method", "io_time_s"});
-    for (std::size_t i = 0; i < out.io_times.size(); ++i)
-      series.add_row({Table::integer(static_cast<long long>(i)),
-                      exp::method_name(method), Table::num(out.io_times[i], 4)});
+    for (std::size_t i = 0; i < run.io_times.size(); ++i)
+      series.add_row({Table::integer(static_cast<long long>(i)), name,
+                      Table::num(run.io_times[i], 4)});
     std::fputs(series.csv().c_str(), stdout);
   } else {
-    table.add_row({exp::method_name(method), Table::num(out.io.mean, 2),
-                   Table::num(out.io.max, 2), Table::num(100 * out.local_fraction, 1),
-                   Table::num(jain_fairness(out.served_mb), 3),
-                   Table::num(out.makespan, 1)});
+    table.add_row({name, Table::num(run.io.mean, 2), Table::num(run.io.max, 2),
+                   Table::num(100 * run.local_fraction, 1),
+                   Table::num(jain_fairness(run.served_mb), 3), Table::num(run.makespan, 1)});
   }
-  return 0;
 }
 
 /// --audit mode: build the scenario's plan exactly as the run would, audit
@@ -220,8 +257,8 @@ int audit_method(const std::string& scenario, exp::Method method,
 /// service (no cluster simulation). Prints the replay summary; --service-out
 /// writes the deterministic per-job assignment rendering, --metrics-out the
 /// service counters, --timeline-out the sampled service series.
-int run_service_trace(const std::string& trace_path, const exp::ExperimentConfig& cfg,
-                      const Options& opts) {
+int run_service_trace(const Options& opts, const exp::ExperimentConfig& cfg, Outputs& out) {
+  const std::string trace_path = opts.str("service-trace");
   exp::ServiceTraceConfig scfg;
   scfg.nodes = cfg.nodes;
   scfg.replication = cfg.replication;
@@ -229,34 +266,10 @@ int run_service_trace(const std::string& trace_path, const exp::ExperimentConfig
   scfg.placement = cfg.placement;
   scfg.batch_window = opts.real("batch-window");
   scfg.fair_share = opts.boolean("fair-share");
-
-  obs::MetricsRegistry registry;
-  std::unique_ptr<obs::TimelineRecorder> recorder;
-  obs::SpanLog span_log;
-  const std::string metrics_out = opts.str("metrics-out");
-  const std::string timeline_out = opts.str("timeline-out");
-  const std::string spans_out = opts.str("spans-out");
-  const std::string critical_path_out = opts.str("critical-path");
-  if (!metrics_out.empty()) scfg.metrics = &registry;
-  if (!spans_out.empty() || !critical_path_out.empty()) scfg.spans = &span_log;
-  if (!timeline_out.empty()) {
-    obs::TimelineRecorder::Options topt;
-    topt.interval = opts.real("sample-interval");
-    if (!(topt.interval > 0)) {
-      std::fprintf(stderr, "sample-interval must be positive\n");
-      return 2;
-    }
-    recorder = std::make_unique<obs::TimelineRecorder>(topt);
-    scfg.timeline = recorder.get();
-  }
-
-  exp::ServiceTraceOutput out;
-  try {
-    out = exp::replay_service_trace(scfg, exp::load_service_trace(trace_path));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  if (given(opts, "metrics-out")) scfg.metrics = &out.metrics;
+  scfg.timeline = out.add_timeline(opts);
+  scfg.spans = out.add_span_log(opts);
+  auto replay = exp::replay_service_trace(scfg, exp::load_service_trace(trace_path));
 
   std::printf("service-trace=%s nodes=%u r=%u seed=%llu window=%g fair-share=%s\n\n",
               trace_path.c_str(), cfg.nodes, cfg.replication,
@@ -264,60 +277,30 @@ int run_service_trace(const std::string& trace_path, const exp::ExperimentConfig
               scfg.fair_share ? "on" : "off");
   Table table({"jobs", "batches", "tasks", "matched", "filled", "local %",
                "max batch", "max queue"});
-  table.add_row({Table::integer(static_cast<long long>(out.counters.jobs_planned)),
-                 Table::integer(out.counters.batches),
-                 Table::integer(static_cast<long long>(out.counters.tasks_planned)),
-                 Table::integer(static_cast<long long>(out.counters.locally_matched)),
-                 Table::integer(static_cast<long long>(out.counters.randomly_filled)),
-                 Table::num(100 * out.local_byte_fraction, 1),
-                 Table::integer(out.counters.max_batch_tasks),
-                 Table::integer(out.counters.max_queue_depth)});
+  table.add_row({Table::integer(static_cast<long long>(replay.counters.jobs_planned)),
+                 Table::integer(replay.counters.batches),
+                 Table::integer(static_cast<long long>(replay.counters.tasks_planned)),
+                 Table::integer(static_cast<long long>(replay.counters.locally_matched)),
+                 Table::integer(static_cast<long long>(replay.counters.randomly_filled)),
+                 Table::num(100 * replay.local_byte_fraction, 1),
+                 Table::integer(replay.counters.max_batch_tasks),
+                 Table::integer(replay.counters.max_queue_depth)});
   std::fputs(table.render().c_str(), stdout);
 
-  int rc = 0;
-  const auto flush = [&rc](const std::string& path, const std::string& body) {
-    const obs::IoStatus st = obs::write_file(path, body);
-    if (!st.ok) {
-      std::fprintf(stderr, "error: %s\n", st.message.c_str());
-      rc |= 1;
-    }
-  };
-  const std::string service_out = opts.str("service-out");
-  if (!service_out.empty()) flush(service_out, out.rendered);
-  if (!metrics_out.empty()) {
-    const obs::IoStatus st = obs::write_metrics(registry, metrics_out);
-    if (!st.ok) {
-      std::fprintf(stderr, "error: %s\n", st.message.c_str());
-      rc |= 1;
-    }
-  }
-  if (!timeline_out.empty()) {
-    obs::ReportBuilder builder;
+  out.service = std::move(replay.rendered);
+  if (scfg.timeline != nullptr) {
     obs::MethodReport mr;
     mr.name = "service";
-    mr.timeline = recorder.get();
-    mr.makespan = recorder->end_time();
-    mr.local_fraction = out.local_byte_fraction;
-    builder.add_method(std::move(mr));
-    flush(timeline_out, builder.timeline_json());
+    mr.timeline = scfg.timeline;
+    mr.makespan = scfg.timeline->end_time();
+    mr.local_fraction = replay.local_byte_fraction;
+    out.report.add_method(std::move(mr));
   }
-  if (scfg.spans != nullptr) {
-    obs::SpanDocBuilder doc;
-    doc.add_method("service", span_log, /*node_count=*/0);
-    if (!spans_out.empty()) flush(spans_out, doc.spans_json());
-    if (!critical_path_out.empty()) {
-      const bool json = critical_path_out.size() >= 5 &&
-                        critical_path_out.rfind(".json") == critical_path_out.size() - 5;
-      flush(critical_path_out,
-            json ? doc.critical_path_json() : doc.critical_path_text());
-    }
-  }
-  return rc;
+  if (scfg.spans != nullptr) out.span_doc.add_method("service", *scfg.spans, /*node_count=*/0);
+  return out.write(opts);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Options opts;
   opts.add("scenario", "single", "single | multi | dynamic | paraview | iterative")
       .add("method", "both", "baseline | opass | both")
@@ -354,10 +337,36 @@ int main(int argc, char** argv) {
     return opts.boolean("help") ? 0 : 2;
   }
 
+  // Every knob either works in the chosen mode or is rejected: a flag the
+  // mode never reads, set to a non-default value, is a usage error.
+  const std::string scenario = opts.str("scenario");
+  std::string mode;
+  std::vector<const char*> unread;
+  if (given(opts, "service-trace")) {
+    mode = "--service-trace";
+    unread = {"scenario", "method", "tasks", "compute", "fault-plan", "threads",
+              "csv", "audit", "trace-out", "report-html", "hotspots"};
+  } else if (opts.boolean("audit")) {
+    mode = "--audit";
+    unread = {"compute", "fault-plan", "csv", "metrics-out", "trace-out", "timeline-out",
+              "report-html", "spans-out", "critical-path", "hotspots", "batch-window",
+              "fair-share", "service-out"};
+  } else {
+    mode = "--scenario=" + scenario;
+    unread = {"batch-window", "fair-share", "service-out"};
+    if (scenario == "paraview" || scenario == "iterative") unread.push_back("fault-plan");
+    if (scenario != "dynamic" && scenario != "iterative") unread.push_back("compute");
+  }
+  for (const char* flag : unread) {
+    if (opts.is_default(flag)) continue;
+    std::fprintf(stderr, "error: --%s has no effect with %s\n", flag, mode.c_str());
+    return 2;
+  }
+
   exp::ExperimentConfig cfg;
-  cfg.nodes = static_cast<std::uint32_t>(opts.integer("nodes"));
-  cfg.replication = static_cast<std::uint32_t>(opts.integer("replication"));
-  cfg.seed = static_cast<std::uint64_t>(opts.integer("seed"));
+  cfg.nodes = opts.unsigned_integer("nodes", 1);
+  cfg.replication = opts.unsigned_integer("replication", 1, cfg.nodes);
+  cfg.seed = opts.unsigned_integer<std::uint64_t>("seed");
   const std::string placement = opts.str("placement");
   if (placement == "hdfs-default") {
     cfg.placement = dfs::PlacementKind::kHdfsDefault;
@@ -369,12 +378,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown placement '%s'\n", placement.c_str());
     return 2;
   }
-  const long long threads = opts.integer("threads");
-  if (threads < 1) {
-    std::fprintf(stderr, "threads must be >= 1\n");
+  if ((given(opts, "timeline-out") || given(opts, "report-html")) &&
+      !(opts.real("sample-interval") > 0)) {
+    std::fprintf(stderr, "sample-interval must be positive\n");
     return 2;
   }
-  cfg.threads = static_cast<std::uint32_t>(threads);
+  Outputs out;
+  if (mode == "--service-trace") return run_service_trace(opts, cfg, out);
+
+  cfg.threads = opts.unsigned_integer("threads", 1);
   // One pool for the whole invocation (instead of one per run_* call): lane
   // stats accumulate across methods for the --hotspots lane report, and the
   // workers spin up once. Output stays byte-identical either way.
@@ -383,142 +395,59 @@ int main(int argc, char** argv) {
     pool = std::make_unique<ThreadPool>(cfg.threads);
     cfg.pool = pool.get();
   }
-
-  const std::string service_trace = opts.str("service-trace");
-  if (!service_trace.empty()) return run_service_trace(service_trace, cfg, opts);
-
-  std::optional<sim::FaultPlan> fault_plan;
-  const std::string fault_plan_path = opts.str("fault-plan");
-  if (!fault_plan_path.empty()) {
-    try {
-      fault_plan = sim::load_fault_plan(fault_plan_path);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
-
-  const std::string scenario = opts.str("scenario");
-  if (fault_plan && (scenario == "paraview" || scenario == "iterative")) {
-    std::fprintf(stderr,
-                 "error: --fault-plan is not supported with --scenario=%s "
-                 "(single|multi|dynamic)\n",
-                 scenario.c_str());
-    return 2;
-  }
   const std::string method = opts.str("method");
-  const auto tasks = static_cast<std::uint32_t>(opts.integer("tasks"));
-  const double compute = opts.real("compute");
-  const bool csv = opts.boolean("csv");
-
-  if (opts.boolean("audit")) {
-    if (method != "baseline" && method != "opass" && method != "both") {
-      std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
-      return 2;
-    }
-    int rc = 0;
-    if (method == "baseline" || method == "both")
-      rc |= audit_method(scenario, exp::Method::kBaseline, cfg, tasks);
-    if (method == "opass" || method == "both")
-      rc |= audit_method(scenario, exp::Method::kOpass, cfg, tasks);
-    return rc;
-  }
-
-  const std::string metrics_out = opts.str("metrics-out");
-  const std::string trace_out = opts.str("trace-out");
-  const std::string timeline_out = opts.str("timeline-out");
-  const std::string report_html = opts.str("report-html");
-  const std::string spans_out = opts.str("spans-out");
-  const std::string critical_path_out = opts.str("critical-path");
-  obs::MetricsRegistry registry;
-  obs::ChromeTraceBuilder trace_builder;
-  obs::ReportBuilder report_builder;
-  obs::SpanDocBuilder span_doc;
-  std::vector<std::unique_ptr<obs::TimelineRecorder>> timelines;
-  std::vector<std::unique_ptr<obs::SpanLog>> span_logs;
-  ObsSinks sinks;
-  if (!metrics_out.empty()) sinks.metrics = &registry;
-  if (!trace_out.empty()) sinks.trace = &trace_builder;
-  if (!spans_out.empty() || !critical_path_out.empty()) {
-    sinks.span_doc = &span_doc;
-    sinks.span_logs = &span_logs;
-  }
-  if (!timeline_out.empty() || !report_html.empty()) {
-    sinks.report = &report_builder;
-    sinks.timelines = &timelines;
-    sinks.sample_interval = opts.real("sample-interval");
-    if (!(sinks.sample_interval > 0)) {
-      std::fprintf(stderr, "sample-interval must be positive\n");
-      return 2;
-    }
-  }
-  sinks.hotspots = opts.boolean("hotspots");
-  if (fault_plan) sinks.faults = &*fault_plan;
-
-  Table table({"method", "avg I/O (s)", "max I/O (s)", "local %", "Jain", "makespan (s)"});
-  int rc = 0;
-  if (method == "baseline" || method == "both")
-    rc |= run_method(scenario, exp::Method::kBaseline, cfg, tasks, compute, csv, table, sinks);
-  if (method == "opass" || method == "both")
-    rc |= run_method(scenario, exp::Method::kOpass, cfg, tasks, compute, csv, table, sinks);
   if (method != "baseline" && method != "opass" && method != "both") {
     std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
     return 2;
   }
-  if (!csv && table.rows() > 0) {
+  std::vector<exp::Method> methods;
+  if (method != "opass") methods.push_back(exp::Method::kBaseline);
+  if (method != "baseline") methods.push_back(exp::Method::kOpass);
+
+  if (opts.boolean("audit")) {
+    const auto tasks = opts.unsigned_integer("tasks", 1);
+    int rc = 0;
+    for (exp::Method m : methods) rc |= audit_method(scenario, m, cfg, tasks);
+    return rc;
+  }
+
+  if (scenario != "single" && scenario != "multi" && scenario != "dynamic" &&
+      scenario != "paraview" && scenario != "iterative") {
+    std::fprintf(stderr, "unknown scenario '%s' (single|multi|dynamic|paraview|iterative)\n",
+                 scenario.c_str());
+    return 2;
+  }
+  if (!(opts.real("compute") >= 0)) {
+    std::fprintf(stderr, "error: --compute must be non-negative\n");
+    return 2;
+  }
+  std::optional<sim::FaultPlan> fault_plan;
+  if (given(opts, "fault-plan")) fault_plan = sim::load_fault_plan(opts.str("fault-plan"));
+
+  Table table({"method", "avg I/O (s)", "max I/O (s)", "local %", "Jain", "makespan (s)"});
+  for (exp::Method m : methods)
+    run_method(opts, m, cfg, fault_plan ? &*fault_plan : nullptr, out, table);
+  if (!opts.boolean("csv")) {
     std::printf("scenario=%s nodes=%u tasks=%u r=%u seed=%llu placement=%s\n\n",
-                scenario.c_str(), cfg.nodes, tasks, cfg.replication,
-                static_cast<unsigned long long>(cfg.seed),
+                scenario.c_str(), cfg.nodes, opts.unsigned_integer("tasks", 1),
+                cfg.replication, static_cast<unsigned long long>(cfg.seed),
                 dfs::placement_kind_name(cfg.placement));
     std::fputs(table.render().c_str(), stdout);
   }
-  if (sinks.hotspots && pool != nullptr)
+  if (opts.boolean("hotspots") && pool != nullptr)
     std::printf("\n%s", obs::pool_lane_report(*pool).c_str());
+  return out.write(opts);
+}
 
-  if (!metrics_out.empty()) {
-    const obs::IoStatus st = obs::write_metrics(registry, metrics_out);
-    if (!st.ok) {
-      std::fprintf(stderr, "error: %s\n", st.message.c_str());
-      rc |= 1;
-    }
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed flag values, fault plans and service traces throw
+  // std::invalid_argument naming what is wrong: a usage error, not a crash.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
-  if (!trace_out.empty()) {
-    const obs::IoStatus st = obs::write_file(trace_out, trace_builder.json());
-    if (!st.ok) {
-      std::fprintf(stderr, "error: %s\n", st.message.c_str());
-      rc |= 1;
-    }
-  }
-  if (!timeline_out.empty()) {
-    const obs::IoStatus st = obs::write_file(timeline_out, report_builder.timeline_json());
-    if (!st.ok) {
-      std::fprintf(stderr, "error: %s\n", st.message.c_str());
-      rc |= 1;
-    }
-  }
-  if (!report_html.empty()) {
-    const obs::IoStatus st = obs::write_file(report_html, report_builder.html());
-    if (!st.ok) {
-      std::fprintf(stderr, "error: %s\n", st.message.c_str());
-      rc |= 1;
-    }
-  }
-  if (!spans_out.empty()) {
-    const obs::IoStatus st = obs::write_file(spans_out, span_doc.spans_json());
-    if (!st.ok) {
-      std::fprintf(stderr, "error: %s\n", st.message.c_str());
-      rc |= 1;
-    }
-  }
-  if (!critical_path_out.empty()) {
-    const bool json = critical_path_out.size() >= 5 &&
-                      critical_path_out.rfind(".json") == critical_path_out.size() - 5;
-    const obs::IoStatus st = obs::write_file(
-        critical_path_out, json ? span_doc.critical_path_json() : span_doc.critical_path_text());
-    if (!st.ok) {
-      std::fprintf(stderr, "error: %s\n", st.message.c_str());
-      rc |= 1;
-    }
-  }
-  return rc;
 }

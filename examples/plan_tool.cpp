@@ -10,14 +10,17 @@
 // Planning goes through the unified core::plan() facade; --matcher selects
 // the PlannerKind.
 #include <cstdio>
+#include <stdexcept>
 
 #include "common/options.hpp"
 #include "opass/opass.hpp"
 #include "workload/dataset.hpp"
 
-int main(int argc, char** argv) {
-  using namespace opass;
+namespace {
 
+using namespace opass;
+
+int run(int argc, char** argv) {
   Options opts;
   opts.add("nodes", "64", "cluster size")
       .add("chunks", "640", "chunk files in the dataset")
@@ -33,14 +36,14 @@ int main(int argc, char** argv) {
     return opts.boolean("help") ? 0 : 2;
   }
 
-  const auto nodes = static_cast<std::uint32_t>(opts.integer("nodes"));
-  const auto chunks = static_cast<std::uint32_t>(opts.integer("chunks"));
+  const auto nodes = opts.unsigned_integer("nodes", 1);
+  const auto chunks = opts.unsigned_integer("chunks", 1);
 
   // Rebuild the (seeded) layout the plan refers to.
   dfs::NameNode nn(dfs::Topology::single_rack(nodes),
-                   static_cast<std::uint32_t>(opts.integer("replication")));
+                   opts.unsigned_integer("replication", 1, nodes));
   dfs::RandomPlacement policy;
-  Rng rng(static_cast<std::uint64_t>(opts.integer("seed")));
+  Rng rng(opts.unsigned_integer<std::uint64_t>("seed"));
   const auto tasks = workload::make_single_data_workload(nn, chunks, policy, rng);
   const auto placement = core::one_process_per_node(nn);
 
@@ -84,4 +87,17 @@ int main(int argc, char** argv) {
     std::printf("plan written to %s\n", opts.str("out").c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed flag values and plan files throw std::invalid_argument naming
+  // what is wrong: a usage error, not a crash.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -1,11 +1,24 @@
 #include "common/options.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/require.hpp"
 
 namespace opass {
+
+namespace {
+
+/// Value errors are user-facing: the message names the flag and the value,
+/// without a source location.
+[[noreturn]] void bad_value(const std::string& name, const std::string& problem) {
+  throw std::invalid_argument("flag --" + name + " " + problem);
+}
+
+}  // namespace
 
 Options& Options::add(const std::string& name, const std::string& default_value,
                       const std::string& help) {
@@ -66,25 +79,41 @@ std::string Options::str(const std::string& name) const {
 std::int64_t Options::integer(const std::string& name) const {
   const std::string v = str(name);
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  OPASS_REQUIRE(end && *end == '\0' && !v.empty(), "flag --" + name + " is not an integer");
+  if (!end || *end != '\0' || v.empty() || errno == ERANGE)
+    bad_value(name, "is not a 64-bit integer: '" + v + "'");
   return parsed;
+}
+
+std::uint64_t Options::checked_unsigned(const std::string& name, std::uint64_t min,
+                                        std::uint64_t max) const {
+  const std::int64_t v = integer(name);
+  max = std::min<std::uint64_t>(max, std::numeric_limits<std::int64_t>::max());
+  if (v < 0 || static_cast<std::uint64_t>(v) < min || static_cast<std::uint64_t>(v) > max)
+    bad_value(name, "must be in [" + std::to_string(min) + ", " + std::to_string(max) +
+                        "], got " + std::to_string(v));
+  return static_cast<std::uint64_t>(v);
 }
 
 double Options::real(const std::string& name) const {
   const std::string v = str(name);
   char* end = nullptr;
   const double parsed = std::strtod(v.c_str(), &end);
-  OPASS_REQUIRE(end && *end == '\0' && !v.empty(), "flag --" + name + " is not a number");
+  if (!end || *end != '\0' || v.empty()) bad_value(name, "is not a number: '" + v + "'");
   return parsed;
+}
+
+bool Options::is_default(const std::string& name) const {
+  const std::string value = str(name);  // requires a declared flag
+  return value == flags_.at(name).default_value;
 }
 
 bool Options::boolean(const std::string& name) const {
   const std::string v = str(name);
   if (v == "true" || v == "1") return true;
   if (v == "false" || v == "0") return false;
-  OPASS_REQUIRE(false, "flag --" + name + " is not a boolean");
-  return false;  // unreachable
+  bad_value(name, "is not a boolean: '" + v + "'");
 }
 
 std::string Options::usage(const std::string& program) const {

@@ -6,9 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace opass {
@@ -24,11 +26,24 @@ class Options {
   /// malformed input. Positional arguments are collected in positional().
   bool parse(int argc, const char* const* argv);
 
-  /// Accessors; flags must have been declared.
+  /// Accessors; flags must have been declared. A malformed value throws
+  /// std::invalid_argument naming the flag.
   std::string str(const std::string& name) const;
   std::int64_t integer(const std::string& name) const;
   double real(const std::string& name) const;
   bool boolean(const std::string& name) const;
+
+  /// integer() checked into [min, max] and returned as T: a negative or
+  /// out-of-range value throws std::invalid_argument naming the flag and the
+  /// range instead of wrapping through an unsigned cast.
+  template <typename T = std::uint32_t>
+  T unsigned_integer(const std::string& name, std::type_identity_t<T> min = 0,
+                     std::type_identity_t<T> max = std::numeric_limits<T>::max()) const {
+    return static_cast<T>(checked_unsigned(name, min, max));
+  }
+
+  /// True while the flag holds its declared default (compared as text).
+  bool is_default(const std::string& name) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& error() const { return error_; }
@@ -37,6 +52,9 @@ class Options {
   std::string usage(const std::string& program) const;
 
  private:
+  std::uint64_t checked_unsigned(const std::string& name, std::uint64_t min,
+                                 std::uint64_t max) const;
+
   struct Flag {
     std::string value;
     std::string default_value;

@@ -5,8 +5,11 @@
 //      workload's dataset(s) (placement seeded => identical layout for both
 //      methods);
 //   2. compute a task assignment — the scenario's baseline or Opass;
-//   3. replay the parallel execution on the flow-level cluster simulator;
+//   3. replay the parallel execution on the flow-level cluster simulator,
+//      one phase per job, ParaView rendering step or iterative epoch;
 //   4. reduce the trace to the series the paper plots.
+// experiment.cpp runs all five scenarios through that one pipeline
+// (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -67,8 +70,8 @@ struct ExperimentConfig {
   /// collectors, prefixed with the method name ("baseline." / "opass.") so
   /// a comparison run fits in one registry. When `raw` is set, the full
   /// execution result (trace + task spans, aggregated across steps/epochs
-  /// for the multi-phase scenarios) is copied out — the input the Chrome
-  /// trace exporter (obs/chrome_trace.hpp) wants.
+  /// for the multi-phase scenarios) is moved into it at the end of the run —
+  /// the input the Chrome trace exporter (obs/chrome_trace.hpp) wants.
   obs::MetricsRegistry* metrics = nullptr;
   runtime::ExecutionResult* raw = nullptr;
   /// When set, the run records every read's causal breakdown (admission

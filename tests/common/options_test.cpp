@@ -81,6 +81,73 @@ TEST(Options, TypeErrorsThrow) {
   EXPECT_THROW(o.boolean("name"), std::invalid_argument);
 }
 
+/// The std::invalid_argument message `read` throws ("" when it does not).
+template <typename Read>
+std::string error_of(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Options, UnsignedIntegerInRange) {
+  auto o = make_opts();
+  ASSERT_TRUE(parse(o, {"--nodes=128"}));
+  const std::uint32_t nodes = o.unsigned_integer("nodes", 1);
+  EXPECT_EQ(nodes, 128u);
+  EXPECT_EQ(o.unsigned_integer("nodes", 128, 128), 128u);
+  EXPECT_EQ(o.unsigned_integer<std::uint64_t>("nodes"), 128u);
+}
+
+TEST(Options, UnsignedIntegerRejectsNegativesInsteadOfWrapping) {
+  for (const char* arg : {"--nodes=-1", "--nodes=-5"}) {
+    auto o = make_opts();
+    ASSERT_TRUE(parse(o, {arg}));
+    const std::string err = error_of([&] { (void)o.unsigned_integer("nodes"); });
+    EXPECT_NE(err.find("--nodes"), std::string::npos) << arg;
+    EXPECT_NE(err.find("must be in [0, 4294967295]"), std::string::npos) << err;
+    EXPECT_NE(error_of([&] { (void)o.unsigned_integer<std::uint64_t>("nodes"); }), "");
+  }
+}
+
+TEST(Options, UnsignedIntegerChecksBounds) {
+  auto o = make_opts();
+  ASSERT_TRUE(parse(o, {"--nodes=0"}));
+  EXPECT_EQ(error_of([&] { (void)o.unsigned_integer("nodes", 1); }),
+            "flag --nodes must be in [1, 4294967295], got 0");
+  auto o2 = make_opts();
+  ASSERT_TRUE(parse(o2, {"--nodes=9"}));
+  EXPECT_EQ(error_of([&] { (void)o2.unsigned_integer("nodes", 1, 4); }),
+            "flag --nodes must be in [1, 4], got 9");
+  auto o3 = make_opts();
+  ASSERT_TRUE(parse(o3, {"--nodes=4294967296"}));
+  EXPECT_NE(error_of([&] { (void)o3.unsigned_integer("nodes"); }).find("--nodes"),
+            std::string::npos);
+  EXPECT_EQ(o3.unsigned_integer<std::uint64_t>("nodes"), 4294967296ULL);
+}
+
+TEST(Options, MalformedNumbersNameTheFlag) {
+  auto o = make_opts();
+  ASSERT_TRUE(parse(o, {"--nodes=abc", "--rate=x", "--name=99999999999999999999"}));
+  EXPECT_EQ(error_of([&] { (void)o.unsigned_integer("nodes"); }),
+            "flag --nodes is not a 64-bit integer: 'abc'");
+  EXPECT_EQ(error_of([&] { (void)o.real("rate"); }), "flag --rate is not a number: 'x'");
+  // Out of int64 range: rejected, not clamped to INT64_MAX.
+  EXPECT_NE(error_of([&] { (void)o.integer("name"); }).find("--name"), std::string::npos);
+}
+
+TEST(Options, IsDefaultComparesTheText) {
+  auto o = make_opts();
+  ASSERT_TRUE(parse(o, {"--nodes=64", "--rate=1.50", "--verbose"}));
+  EXPECT_TRUE(o.is_default("nodes"));   // set, but to the default text
+  EXPECT_TRUE(o.is_default("name"));    // never set
+  EXPECT_FALSE(o.is_default("rate"));   // same number, different text
+  EXPECT_FALSE(o.is_default("verbose"));
+  EXPECT_THROW((void)o.is_default("nope"), std::invalid_argument);
+}
+
 TEST(Options, UndeclaredAccessThrows) {
   auto o = make_opts();
   EXPECT_THROW(o.str("nope"), std::invalid_argument);

@@ -1,11 +1,12 @@
-// Cross-commit golden pin for the five exp scenarios, the service replay and
-// the batch/rack-aware planners. The other determinism suites compare a run
-// with a second run of the same build; this one compares against constants
-// recorded from an earlier commit, so a change that shifts any scenario's
-// bytes (a different plan, a reordered read, a re-leveled rate) fails here
-// even when it is self-consistent. Each digest is FNV-1a over the exact bits
-// of a run's reduced output. When a change alters the model on purpose,
-// re-record the constants and say why in the change log.
+// Cross-commit golden pin for the five exp scenarios, their observability
+// sinks, the service replay and the batch/rack-aware planners. The other
+// determinism suites compare a run with a second run of the same build; this
+// one compares against constants recorded from an earlier commit, so a change
+// that shifts any scenario's bytes (a different plan, a reordered read, a
+// re-leveled rate, a reordered metric registration) fails here even when it
+// is self-consistent. Each digest is FNV-1a over the exact bits of a run's
+// reduced output or of a rendered sink document. When a change alters the
+// model on purpose, re-record the constants and say why in the change log.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -16,6 +17,11 @@
 
 #include "exp/experiment.hpp"
 #include "exp/service_trace.hpp"
+#include "obs/analytics.hpp"
+#include "obs/attribution.hpp"
+#include "obs/chrome_trace.hpp"
+#include "obs/metrics_io.hpp"
+#include "obs/report.hpp"
 #include "opass/incremental.hpp"
 #include "opass/rack_aware.hpp"
 #include "opass/service.hpp"
@@ -152,6 +158,152 @@ TEST(GoldenScenarios, ParaView) {
 TEST(GoldenScenarios, Iterative) {
   EXPECT_EQ(iterative_digest(Method::kBaseline), "8407e08aff13e489");
   EXPECT_EQ(iterative_digest(Method::kOpass), "9cda3d19122139b0");
+}
+
+/// Runs `run` with every exp sink armed (metrics, raw trace, timeline,
+/// spans) and digests the four documents opass_cli renders from them for one
+/// method: the deterministic metrics JSON, the Chrome trace of the raw
+/// execution, the timeline JSON and the span JSON, space-separated.
+template <typename RunFn>
+std::string sink_digests(Method m, RunFn run, ExperimentConfig cfg = golden_cfg()) {
+  obs::MetricsRegistry registry;
+  runtime::ExecutionResult raw;
+  obs::TimelineRecorder recorder;
+  obs::SpanLog spans;
+  cfg.metrics = &registry;
+  cfg.raw = &raw;
+  cfg.timeline = &recorder;
+  cfg.spans = &spans;
+  const RunOutput out = run(cfg);
+
+  obs::ChromeTraceBuilder trace;
+  trace.add_execution(raw, 0);
+  obs::ReportBuilder report;
+  obs::MethodReport mr;
+  mr.name = method_name(m);
+  mr.timeline = &recorder;
+  mr.analytics = obs::analyze_execution(raw, cfg.nodes);
+  mr.makespan = out.makespan;
+  mr.local_fraction = out.local_fraction;
+  mr.spans = &spans;
+  mr.node_count = cfg.nodes;
+  report.add_method(std::move(mr));
+  obs::SpanDocBuilder doc;
+  doc.add_method(method_name(m), spans, cfg.nodes);
+
+  std::string hexes;
+  for (const std::string& body :
+       {obs::to_json(registry), trace.json(), report.timeline_json(), doc.spans_json()}) {
+    Digest d;
+    d.str(body);
+    hexes += (hexes.empty() ? "" : " ") + d.hex();
+  }
+  return hexes;
+}
+
+std::string single_sinks(Method m) {
+  return sink_digests(m,
+                      [m](const ExperimentConfig& c) { return run_single_data(c, 160, m); });
+}
+
+std::string multi_sinks(Method m) {
+  return sink_digests(m, [m](const ExperimentConfig& c) { return run_multi_data(c, 64, m); });
+}
+
+std::string dynamic_sinks(Method m, const sim::FaultPlan* faults = nullptr) {
+  auto cfg = golden_cfg();
+  cfg.faults = faults;
+  return sink_digests(
+      m, [m](const ExperimentConfig& c) { return run_dynamic(c, 96, m); }, cfg);
+}
+
+std::string paraview_sinks(Method m) {
+  return sink_digests(m, [m](const ExperimentConfig& c) { return run_paraview(c, m).run; });
+}
+
+std::string iterative_sinks(Method m) {
+  return sink_digests(
+      m, [m](const ExperimentConfig& c) { return run_iterative(c, 64, 3, m).run; });
+}
+
+TEST(GoldenSinks, SingleData) {
+  EXPECT_EQ(single_sinks(Method::kBaseline),
+            "8b988aeaf2a9445f 8bd9cc29fd75932b 40b9a8cd9795fce7 d4e9b79344028c22");
+  EXPECT_EQ(single_sinks(Method::kOpass),
+            "b77ef9b0930ca1d0 ef15d8ff5571a48b fc0a845afa7319b4 ecbd2337beaabcda");
+}
+
+TEST(GoldenSinks, MultiData) {
+  EXPECT_EQ(multi_sinks(Method::kBaseline),
+            "94903694d3da72db a9805997da0f3e52 d2f2367ad1e15c30 f94cf67ae693998d");
+  EXPECT_EQ(multi_sinks(Method::kOpass),
+            "db0c3591f6e85a81 215f07fd1267e7a5 dde9c04f4e8757e5 45302fdbca0ffdda");
+}
+
+TEST(GoldenSinks, Dynamic) {
+  EXPECT_EQ(dynamic_sinks(Method::kBaseline),
+            "a562bd9fc94ac65c 88506995839e5853 554886d7ef61db5c c776ee8467646741");
+  EXPECT_EQ(dynamic_sinks(Method::kOpass),
+            "470d979e59fcee88 9d3c3ba91f152c8f 3e9db3cad6e64527 c3692f5eb7d838d5");
+  // Node 5 crashes at t = 2 s: the Opass run re-homes its list and re-plans
+  // the remaining tasks, so opass.dynamic.* and the recovery traffic land in
+  // every document.
+  sim::FaultPlan plan;
+  sim::FaultEvent crash;
+  crash.at = 2.0;
+  crash.kind = sim::FaultKind::kCrash;
+  crash.node = 5;
+  plan.events.push_back(crash);
+  EXPECT_EQ(dynamic_sinks(Method::kOpass, &plan),
+            "93d1041d114db8c3 3af8634397247d3c 4b91689c1370694b fb99e988acb79245");
+}
+
+TEST(GoldenSinks, ParaView) {
+  EXPECT_EQ(paraview_sinks(Method::kBaseline),
+            "604e09398393990c ca219e3a9e3ed512 cc20794c51074e1b dacfd2c5668d38e8");
+  EXPECT_EQ(paraview_sinks(Method::kOpass),
+            "242d0b7fcf4d1fe0 4e0840e2da71ac84 566611c03cd56ee5 62423a0bcc9240e7");
+}
+
+TEST(GoldenSinks, Iterative) {
+  EXPECT_EQ(iterative_sinks(Method::kBaseline),
+            "7173d2acf4d19949 eccb049ceec36546 2b707f2d92f7769d 14bdb05f28fdf6b2");
+  EXPECT_EQ(iterative_sinks(Method::kOpass),
+            "2c2eb2411d71560d 0ff0c8271364f2e9 3f841cbaf47d2a32 109b1fc0affac616");
+}
+
+/// The service replay's metrics, timeline and span documents, rendered as
+/// opass_cli --service-trace renders them.
+TEST(GoldenSinks, ServiceTraceReplay) {
+  ServiceTraceConfig cfg;
+  cfg.nodes = 16;
+  cfg.seed = 42;
+  cfg.batch_window = 0.5;
+  obs::MetricsRegistry registry;
+  obs::TimelineRecorder recorder;
+  obs::SpanLog spans;
+  cfg.metrics = &registry;
+  cfg.timeline = &recorder;
+  cfg.spans = &spans;
+  const auto out = replay_service_trace(
+      cfg, load_service_trace(OPASS_SOURCE_DIR "/bench/traces/service_small.trace"));
+
+  obs::ReportBuilder report;
+  obs::MethodReport mr;
+  mr.name = "service";
+  mr.timeline = &recorder;
+  mr.makespan = recorder.end_time();
+  mr.local_fraction = out.local_byte_fraction;
+  report.add_method(std::move(mr));
+  obs::SpanDocBuilder doc;
+  doc.add_method("service", spans, /*node_count=*/0);
+  Digest metrics, timeline, span_doc;
+  metrics.str(obs::to_json(registry));
+  timeline.str(report.timeline_json());
+  span_doc.str(doc.spans_json());
+  EXPECT_EQ(metrics.hex(), "00332fb0904a825e");
+  EXPECT_EQ(timeline.hex(), "8723cab379bd80e5");
+  EXPECT_EQ(span_doc.hex(), "702997af7bb791dc");
 }
 
 TEST(GoldenScenarios, ServiceTraceReplay) {

@@ -70,6 +70,13 @@ Rules (all scoped to src/ unless noted):
                     std::move cannot rescue it either. Bind a const reference,
                     or use a vector heap (std::pop_heap + move from the back)
                     as the event loops in src/sim do.
+  single-pipeline   src/exp/ holds exactly one runtime::execute( call site:
+                    the phase() of its one Run pipeline (DESIGN.md §8). Every
+                    scenario — static plans, dynamic lists, ParaView steps,
+                    iterative epochs — runs its phases through it, so a second
+                    call site (a scenario body wiring its own cluster, pool,
+                    timeline and sinks again) is flagged, one finding per
+                    extra site.
 
 Usage:
   opass_lint.py <repo-root>     lint the tree rooted there (exit 1 on findings)
@@ -145,6 +152,8 @@ PQ_TOP_COPY = re.compile(
 EVERY_PROCESS_COND = re.compile(r"\s*\w+\s*<\s*m\s*")
 FOR_HEADER = re.compile(r"\bfor\s*\(")
 REPLICA_TEST = re.compile(r"\bhas_replica_on\s*\(")
+# A call of the executor's entry point (comments and strings are scrubbed).
+EXECUTE_CALL = re.compile(r"\bruntime\s*::\s*execute\s*\(")
 # Raw threading vocabulary. std::atomic covers std::atomic<T>, the _flag /
 # _bool /... aliases and the free atomic_* functions via the \w* tail.
 RAW_THREAD = re.compile(
@@ -368,6 +377,22 @@ def check_facade_only(path: pathlib.Path, root: pathlib.Path, text: str, finding
                     "with opass-lint: allow(facade-only)"))
 
 
+def check_single_pipeline(root: pathlib.Path, texts: dict, findings: list):
+    sites = []
+    for path, text in texts.items():
+        if path.relative_to(root).as_posix().startswith("src/exp/"):
+            sites += [(path, _line_of(text, m.start()))
+                      for m in EXECUTE_CALL.finditer(scrub(text))]
+    for path, line in sites[1:]:
+        first = sites[0]
+        findings.append(
+            Finding(path, line, "single-pipeline",
+                    f"second runtime::execute() call site under src/exp/ (the "
+                    f"first is {first[0].name}:{first[1]}); run the scenario's "
+                    "phases through the one Run pipeline instead of wiring "
+                    "another cluster, pool, timeline and sink set"))
+
+
 def check_nodiscard_status(path: pathlib.Path, src_root: pathlib.Path, text: str, findings: list):
     if path.suffix != ".hpp" or "obs" not in path.relative_to(src_root).parts[:1]:
         return
@@ -405,6 +430,7 @@ def lint_tree(root: pathlib.Path) -> list:
         check_replica_scan(path, root, text, findings)
         check_no_raw_thread(path, root, text, findings)
         check_facade_only(path, root, text, findings)
+    check_single_pipeline(root, texts, findings)
     # bench/ and examples/ consume the planner API, so only the API-usage
     # rule applies there; tests/ stays exempt (unit tests exercise the
     # per-planner entry points on purpose).
@@ -476,6 +502,12 @@ _VIOLATIONS = {
         "    if (chunk.has_replica_on(placement[p])) net.add_edge(p);\n"
         "  }\n"
         "}\n",
+    ),
+    "single-pipeline": (
+        "exp/bad_second_pipeline.cpp",
+        '#include "runtime/executor.hpp"\n'
+        "void a(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n"
+        "void b(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n",
     ),
     "pq-top-copy": (
         "bad_top_copy.cpp",
@@ -577,6 +609,19 @@ _CLEANS = (
         "    if (chunk.has_replica_on(placement[k % m])) ++bytes;\n"
         "  return bytes;\n"
         "}\n",
+    ),
+    (
+        # What single-pipeline must NOT flag: mentions of runtime::execute( in
+        # comments and strings under src/exp/, and call sites outside it.
+        "exp/clean_pipeline_mentions.cpp",
+        "// Run::phase is the one runtime::execute(...) call site.\n"
+        'const char* kWhere = "runtime::execute(";\n',
+    ),
+    (
+        "runtime/clean_execute_callers.cpp",
+        '#include "runtime/executor.hpp"\n'
+        "void a(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n"
+        "void b(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n",
     ),
     (
         # Reference bindings from .top() are the compliant spelling pq-top-copy

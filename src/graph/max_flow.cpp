@@ -39,34 +39,55 @@ bool build_levels(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws) {
 /// One blocking flow over the current level graph, as an iterative DFS with
 /// the current-arc optimization: arc[u] persists across augmenting paths so
 /// every half-edge is inspected at most once per phase, and the explicit
-/// path stack keeps deep networks off the call stack.
-Cap blocking_flow(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws) {
+/// path stack keeps deep networks off the call stack. The DFS leaves s only
+/// through `s_arcs[s_cursor .. s_end)`, advancing `s_cursor` as s's current
+/// arc: the serial solver passes all of s's adjacency with arc[s], and the
+/// pooled one each component's own slice of it. Every other node the DFS
+/// touches is reached from that slice, so concurrent slices whose nodes are
+/// disjoint never share a level, arc or residual write.
+Cap blocking_flow(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws,
+                  const EdgeIdx* s_arcs, std::uint32_t s_end, std::uint32_t& s_cursor,
+                  std::vector<EdgeIdx>& path) {
   Cap total = 0;
-  ws.arc.assign(net.node_count(), 0);
-  ws.path.clear();
+  path.clear();
   NodeIdx u = s;
   for (;;) {
     if (u == t) {
       Cap bottleneck = kInf;
-      for (EdgeIdx h : ws.path) bottleneck = std::min(bottleneck, net.residual_capacity(h));
-      for (EdgeIdx h : ws.path) net.push(h, bottleneck);
+      for (EdgeIdx h : path) bottleneck = std::min(bottleneck, net.residual_capacity(h));
+      for (EdgeIdx h : path) net.push(h, bottleneck);
       total += bottleneck;
       // Retreat to the tail of the first saturated edge; the saturated arc
       // is skipped by the advance scan below on the next iteration.
       std::size_t i = 0;
-      while (i < ws.path.size() && net.residual_capacity(ws.path[i]) > 0) ++i;
-      OPASS_CHECK(i < ws.path.size(), "augmenting path saturated no edge");
-      u = net.residual_to(ws.path[i] ^ 1);
-      ws.path.resize(i);
+      while (i < path.size() && net.residual_capacity(path[i]) > 0) ++i;
+      OPASS_CHECK(i < path.size(), "augmenting path saturated no edge");
+      u = net.residual_to(path[i] ^ 1);
+      path.resize(i);
+      continue;
+    }
+    bool advanced = false;
+    if (u == s) {
+      while (s_cursor < s_end) {
+        const EdgeIdx h = s_arcs[s_cursor];
+        const NodeIdx v = net.residual_to(h);
+        if (net.residual_capacity(h) > 0 && ws.level[v] == ws.level[s] + 1) {
+          path.push_back(h);
+          u = v;
+          advanced = true;
+          break;
+        }
+        ++s_cursor;
+      }
+      if (!advanced) break;  // blocking flow complete
       continue;
     }
     const auto adj = net.residual_adjacency(u);
-    bool advanced = false;
     while (ws.arc[u] < adj.size()) {
       const EdgeIdx h = adj[ws.arc[u]];
       const NodeIdx v = net.residual_to(h);
       if (net.residual_capacity(h) > 0 && ws.level[v] == ws.level[u] + 1) {
-        ws.path.push_back(h);
+        path.push_back(h);
         u = v;
         advanced = true;
         break;
@@ -74,19 +95,27 @@ Cap blocking_flow(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws) {
       ++ws.arc[u];
     }
     if (advanced) continue;
-    if (u == s) break;  // blocking flow complete
-    ws.level[u] = -1;   // dead end: prune u from this phase
-    const EdgeIdx back = ws.path.back();
-    ws.path.pop_back();
+    ws.level[u] = -1;  // dead end: prune u from this phase
+    const EdgeIdx back = path.back();
+    path.pop_back();
     u = net.residual_to(back ^ 1);
-    ++ws.arc[u];  // the arc into the dead end is spent
+    if (u == s) {
+      ++s_cursor;  // the arc into the dead end is spent
+    } else {
+      ++ws.arc[u];
+    }
   }
   return total;
 }
 
 Cap run_dinic(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws) {
+  const auto s_adj = net.residual_adjacency(s);
+  const auto s_end = static_cast<std::uint32_t>(s_adj.size());
   Cap total = 0;
-  while (build_levels(net, s, t, ws)) total += blocking_flow(net, s, t, ws);
+  while (build_levels(net, s, t, ws)) {
+    ws.arc.assign(net.node_count(), 0);
+    total += blocking_flow(net, s, t, ws, s_adj.begin(), s_end, ws.arc[s], ws.path);
+  }
   return total;
 }
 
@@ -121,75 +150,6 @@ std::uint32_t label_components(const FlowNetwork& net, NodeIdx s, NodeIdx t,
     }
   }
   return comp_count;
-}
-
-/// One blocking flow confined to component `c`: identical to blocking_flow()
-/// except that s's adjacency is replaced by the component's own slice of
-/// s-arcs (ws.comp_s_arcs[comp_s_cursor[c] .. comp_s_offsets[c+1]), in s's
-/// adjacency order) so concurrent components never share the arc[s] cursor.
-/// Every other node the DFS touches belongs to `c` (the DFS stops at t and
-/// never advances out of s except through the component's own arcs), so all
-/// level/arc/capacity writes are component-disjoint.
-Cap blocking_flow_component(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws,
-                            std::uint32_t c, std::vector<EdgeIdx>& path) {
-  Cap total = 0;
-  const std::uint32_t s_end = ws.comp_s_offsets[c + 1];
-  std::uint32_t& s_cursor = ws.comp_s_cursor[c];
-  path.clear();
-  NodeIdx u = s;
-  for (;;) {
-    if (u == t) {
-      Cap bottleneck = kInf;
-      for (EdgeIdx h : path) bottleneck = std::min(bottleneck, net.residual_capacity(h));
-      for (EdgeIdx h : path) net.push(h, bottleneck);
-      total += bottleneck;
-      std::size_t i = 0;
-      while (i < path.size() && net.residual_capacity(path[i]) > 0) ++i;
-      OPASS_CHECK(i < path.size(), "augmenting path saturated no edge");
-      u = net.residual_to(path[i] ^ 1);
-      path.resize(i);
-      continue;
-    }
-    bool advanced = false;
-    if (u == s) {
-      while (s_cursor < s_end) {
-        const EdgeIdx h = ws.comp_s_arcs[s_cursor];
-        const NodeIdx v = net.residual_to(h);
-        if (net.residual_capacity(h) > 0 && ws.level[v] == ws.level[s] + 1) {
-          path.push_back(h);
-          u = v;
-          advanced = true;
-          break;
-        }
-        ++s_cursor;
-      }
-      if (!advanced) break;  // this component's blocking flow is complete
-      continue;
-    }
-    const auto adj = net.residual_adjacency(u);
-    while (ws.arc[u] < adj.size()) {
-      const EdgeIdx h = adj[ws.arc[u]];
-      const NodeIdx v = net.residual_to(h);
-      if (net.residual_capacity(h) > 0 && ws.level[v] == ws.level[u] + 1) {
-        path.push_back(h);
-        u = v;
-        advanced = true;
-        break;
-      }
-      ++ws.arc[u];
-    }
-    if (advanced) continue;
-    ws.level[u] = -1;  // dead end: prune u from this phase
-    const EdgeIdx back = path.back();
-    path.pop_back();
-    u = net.residual_to(back ^ 1);
-    if (u == s) {
-      ++s_cursor;  // the component's arc into the dead end is spent
-    } else {
-      ++ws.arc[u];
-    }
-  }
-  return total;
 }
 
 /// Dinic with per-component parallel blocking flows. Byte-exactness against
@@ -241,8 +201,9 @@ Cap run_dinic_parallel(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws
         [&](std::size_t begin, std::size_t end, std::size_t chunk) {
           std::vector<EdgeIdx>& path = ws.comp_paths[chunk];
           for (std::size_t c = begin; c < end; ++c)
-            ws.comp_total[c] = blocking_flow_component(
-                net, s, t, ws, static_cast<std::uint32_t>(c), path);
+            ws.comp_total[c] =
+                blocking_flow(net, s, t, ws, ws.comp_s_arcs.data(), ws.comp_s_offsets[c + 1],
+                              ws.comp_s_cursor[c], path);
         });
     for (std::uint32_t c = 0; c < comp_count; ++c) total += ws.comp_total[c];
   }

@@ -15,8 +15,8 @@
 #include "common/rng.hpp"
 #include "dfs/namenode.hpp"
 #include "graph/max_flow.hpp"
+#include "opass/assignment_stats.hpp"
 #include "opass/locality_graph.hpp"
-#include "opass/planner.hpp"
 #include "opass/process_index.hpp"
 #include "runtime/static_partitioner.hpp"
 #include "runtime/task.hpp"
@@ -43,11 +43,10 @@ class IncrementalPlanner {
   /// Match a batch of single-input tasks (ids are whatever the caller uses;
   /// they are returned verbatim in the assignment). Quotas for the batch
   /// are chosen so cumulative per-process task counts stay within one of
-  /// each other. Of `options`, only `workspace` is honored: a non-null one
-  /// replaces the planner's internal arena; `planner`/`steal_policy` do not
-  /// apply here.
+  /// each other. A non-null `workspace` replaces the planner's internal
+  /// arena.
   BatchPlan match_batch(const std::vector<runtime::Task>& batch, Rng& rng,
-                        const PlanOptions& options);
+                        graph::FlowWorkspace* workspace = nullptr);
 
   /// Cumulative tasks assigned to each process so far.
   const std::vector<std::uint32_t>& load() const { return load_; }

@@ -5,15 +5,14 @@
 #include <numeric>
 
 #include "common/require.hpp"
+#include "opass/fig5.hpp"
 #include "opass/process_index.hpp"
-#include "opass/single_data.hpp"  // equal_quotas
 
 namespace opass::core {
 
 MultiDataPlan assign_multi_data(const dfs::NameNode& nn,
                                 const std::vector<runtime::Task>& tasks,
-                                const ProcessPlacement& placement,
-                                MultiDataOptions /*options*/) {
+                                const ProcessPlacement& placement) {
   const auto m = static_cast<std::uint32_t>(placement.size());
   const auto n = static_cast<std::uint32_t>(tasks.size());
   OPASS_REQUIRE(m > 0, "need at least one process");

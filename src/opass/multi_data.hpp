@@ -22,11 +22,6 @@
 
 namespace opass::core {
 
-/// Knobs for the multi-data matcher (options-last on every entry point).
-/// Algorithm 1 is a deterministic greedy with no tunables today; the struct
-/// reserves the slot so future knobs don't break call sites.
-struct MultiDataOptions {};
-
 /// Result of the multi-data matching.
 struct [[nodiscard]] MultiDataPlan {
   runtime::Assignment assignment;  ///< per-process task lists, quota each
@@ -45,7 +40,6 @@ struct [[nodiscard]] MultiDataPlan {
 /// n%m processes taking one extra.
 MultiDataPlan assign_multi_data(const dfs::NameNode& nn,
                                 const std::vector<runtime::Task>& tasks,
-                                const ProcessPlacement& placement,
-                                MultiDataOptions options = {});
+                                const ProcessPlacement& placement);
 
 }  // namespace opass::core

@@ -47,6 +47,25 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
+/// Lends `pool` (when set) to `workspace` for one plan() call and hands the
+/// caller's pool back on every exit, a throwing planner included.
+class PoolLoan {
+ public:
+  PoolLoan(graph::FlowWorkspace* workspace, ThreadPool* pool)
+      : workspace_(workspace), saved_(workspace != nullptr ? workspace->pool : nullptr) {
+    if (workspace_ != nullptr && pool != nullptr) workspace_->pool = pool;
+  }
+  ~PoolLoan() {
+    if (workspace_ != nullptr) workspace_->pool = saved_;
+  }
+  PoolLoan(const PoolLoan&) = delete;
+  PoolLoan& operator=(const PoolLoan&) = delete;
+
+ private:
+  graph::FlowWorkspace* workspace_;
+  ThreadPool* saved_;
+};
+
 void validate(const PlanRequest& request, PlannerKind planner) {
   OPASS_REQUIRE(request.nn != nullptr, "PlanRequest.nn must be set");
   OPASS_REQUIRE(request.tasks != nullptr, "PlanRequest.tasks must be set");
@@ -77,8 +96,8 @@ PlanResult plan(const PlanRequest& request, PlanOptions options) {
   graph::FlowWorkspace local_workspace;
   graph::FlowWorkspace* workspace = options.workspace;
   if (workspace == nullptr && pool != nullptr) workspace = &local_workspace;
-  ThreadPool* const saved_pool = workspace != nullptr ? workspace->pool : nullptr;
-  if (workspace != nullptr && pool != nullptr) workspace->pool = pool;
+  // Declared after transient_pool, so the loan ends before that pool dies.
+  const PoolLoan loan(workspace, pool);
   options.workspace = workspace;
 
   PlanResult result;
@@ -119,7 +138,6 @@ PlanResult plan(const PlanRequest& request, PlanOptions options) {
     }
   }
   result.plan_wall_ms = elapsed_ms(plan_begin);
-  if (workspace != nullptr) workspace->pool = saved_pool;
   const auto stats_begin = std::chrono::steady_clock::now();
   result.stats = evaluate_assignment(nn, tasks, result.assignment, placement);
   result.stats_wall_ms = elapsed_ms(stats_begin);

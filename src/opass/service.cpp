@@ -5,6 +5,7 @@
 
 #include "common/require.hpp"
 #include "graph/flow_network.hpp"
+#include "opass/fig5.hpp"
 
 namespace opass::core {
 
@@ -212,41 +213,20 @@ void PlannerService::plan_batch(std::vector<PendingJob> batch, Seconds cut) {
 
   // Read the matching back off the task->process edges, then random-fill
   // the leftovers against remaining process quota (the service Rng).
-  std::vector<std::uint32_t> assigned_to(b, m);  // m = unassigned sentinel
+  std::vector<std::uint32_t> owner(b, kNoOwner);
   std::vector<char> matched(b, 0);
-  std::vector<std::uint32_t> used(m, 0);
   if (b > 0) {
     const graph::EdgeIdx pt0 = tenant_count + b;
     for (graph::EdgeIdx e = pt0; e < pt0 + pt_count; ++e) {
       if (net.flow(e) == 1) {
         const std::uint32_t k = net.edge_from(e) - task0;
-        const std::uint32_t p = net.edge_to(e) - proc0;
-        assigned_to[k] = p;
+        owner[k] = net.edge_to(e) - proc0;
         matched[k] = 1;
-        ++used[p];
       }
     }
   }
-  std::vector<std::uint32_t> open;
-  for (std::uint32_t p = 0; p < m; ++p)
-    if (used[p] < quota[p]) open.push_back(p);
-  std::vector<std::uint32_t> leftovers;
-  for (std::uint32_t k = 0; k < b; ++k)
-    if (!matched[k]) leftovers.push_back(k);
-  rng_.shuffle(leftovers);
-  std::uint32_t randomly_filled = 0;
-  for (std::uint32_t k : leftovers) {
-    OPASS_CHECK(!open.empty(), "no process has remaining batch quota");
-    const auto pick = rng_.uniform(open.size());
-    const std::uint32_t p = open[pick];
-    assigned_to[k] = p;
-    ++used[p];
-    ++randomly_filled;
-    if (used[p] == quota[p]) {
-      open[pick] = open.back();
-      open.pop_back();
-    }
-  }
+  const auto randomly_filled =
+      static_cast<std::uint32_t>(random_fill(owner, quota, rng_).size());
 
   // Write the batch back into job statuses, the load vector, the tenant
   // ledger and the batch report.
@@ -273,7 +253,7 @@ void PlannerService::plan_batch(std::vector<PendingJob> batch, Seconds cut) {
     job.process_tasks.assign(m, 0);
   }
   for (std::uint32_t k = 0; k < b; ++k) {
-    const std::uint32_t p = assigned_to[k];
+    const std::uint32_t p = owner[k];
     OPASS_CHECK(p < m, "batch task left unassigned");
     Job& job = jobs_[static_cast<std::size_t>(batch[tasks[k].job].id - 1)];
     job.status.assignment[p].push_back(tasks[k].id);

@@ -51,14 +51,11 @@ struct [[nodiscard]] SingleDataPlan {
 };
 
 /// Compute the Opass single-data assignment. Every task must have exactly
-/// one input chunk. Quotas are n/m tasks per process, the first n%m
-/// processes taking one extra.
+/// one input chunk. Quotas are equal_quotas() (opass/fig5.hpp): n/m tasks per
+/// process, the first n%m processes taking one extra.
 SingleDataPlan assign_single_data(const dfs::NameNode& nn,
                                   const std::vector<runtime::Task>& tasks,
                                   const ProcessPlacement& placement, Rng& rng,
                                   SingleDataOptions options = {});
-
-/// Per-process quotas used by the assigner (exposed for tests).
-std::vector<std::uint32_t> equal_quotas(std::uint32_t task_count, std::uint32_t process_count);
 
 }  // namespace opass::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/require.hpp"
-#include "graph/flow_network.hpp"
+#include "opass/fig5.hpp"
 #include "opass/process_index.hpp"
 
 namespace opass::core {
@@ -33,50 +33,23 @@ WeightedPlan assign_single_data_weighted(const dfs::NameNode& nn,
   // O(n * r) instead of all m * n pairs (same scheme as assign_single_data).
   const Adjacency procs_on_node = processes_by_node(nn, placement);
 
-  // Fig. 5 with byte capacities, built into the reusable workspace. Edge ids
-  // are dense in insertion order: s->p edges [0, m), p->task edges
-  // [m, m + k), task->t edges afterwards.
+  // Fig. 5 with byte capacities, edges task-major in replica order, built
+  // into the reusable workspace. Each task goes to the co-located process
+  // carrying the most of its flow.
   graph::FlowWorkspace local_ws;
   graph::FlowWorkspace& ws = options.workspace ? *options.workspace : local_ws;
-  graph::FlowNetwork& net = ws.network;
-  net.clear(2 + m + n);
-  const graph::NodeIdx s = 0;
-  const graph::NodeIdx t = 1;
-  const graph::NodeIdx proc0 = 2;
-  const graph::NodeIdx task0 = 2 + m;
-  for (std::uint32_t p = 0; p < m; ++p)
-    net.add_edge(s, proc0 + p, static_cast<graph::Cap>(quota));
-
-  for (std::uint32_t ti = 0; ti < n; ++ti) {
-    for (dfs::NodeId rep : nn.chunk(tasks[ti].inputs[0]).replicas) {
-      for (std::uint32_t p : procs_on_node.row(rep))
-        net.add_edge(proc0 + p, task0 + ti, static_cast<graph::Cap>(size[ti]));
-    }
-  }
-  const auto pt_count = static_cast<std::uint32_t>(net.edge_count()) - m;
-  for (std::uint32_t ti = 0; ti < n; ++ti)
-    net.add_edge(task0 + ti, t, static_cast<graph::Cap>(size[ti]));
-
-  graph::max_flow(ws, s, t);
-
-  // Task -> co-located process carrying the most of its flow.
-  std::vector<std::uint32_t> owner(n, UINT32_MAX);
-  std::vector<graph::Cap> best_flow(n, 0);
-  for (graph::EdgeIdx e = m; e < m + pt_count; ++e) {
-    const graph::Cap f = net.flow(e);
-    if (f <= 0) continue;
-    const std::uint32_t p = net.edge_from(e) - proc0;
-    const std::uint32_t ti = net.edge_to(e) - task0;
-    if (f > best_flow[ti] || (f == best_flow[ti] && owner[ti] != UINT32_MAX && p < owner[ti])) {
-      best_flow[ti] = f;
-      owner[ti] = p;
-    }
-  }
+  std::vector<std::uint32_t> owner = solve_fig5(
+      ws, std::vector<graph::Cap>(m, static_cast<graph::Cap>(quota)), n,
+      [&](const Fig5Edges& edge) {
+        for (std::uint32_t ti = 0; ti < n; ++ti)
+          for (dfs::NodeId rep : nn.chunk(tasks[ti].inputs[0]).replicas)
+            for (std::uint32_t p : procs_on_node.row(rep)) edge(p, ti);
+      },
+      std::vector<graph::Cap>(size.begin(), size.end()));
 
   std::vector<Bytes> load(m, 0);
   for (std::uint32_t ti = 0; ti < n; ++ti) {
-    if (owner[ti] == UINT32_MAX) continue;
-    plan.assignment[owner[ti]].push_back(ti);
+    if (owner[ti] == kNoOwner) continue;
     load[owner[ti]] += size[ti];
     plan.local_bytes += size[ti];
     ++plan.flow_assigned;
@@ -91,18 +64,18 @@ WeightedPlan assign_single_data_weighted(const dfs::NameNode& nn,
   std::stable_sort(order.begin(), order.end(),
                    [&](std::uint32_t a, std::uint32_t b) { return size[a] > size[b]; });
   for (std::uint32_t ti : order) {
-    if (owner[ti] != UINT32_MAX) continue;
+    if (owner[ti] != kNoOwner) continue;
     std::uint32_t lightest = 0;
     for (std::uint32_t p = 1; p < m; ++p)
       if (load[p] < load[lightest]) lightest = p;
-    plan.assignment[lightest].push_back(ti);
+    owner[ti] = lightest;
     load[lightest] += size[ti];
     ++plan.fill_assigned;
   }
 
+  plan.assignment = group_by_owner(owner, m);
   plan.max_process_bytes = *std::max_element(load.begin(), load.end());
   plan.min_process_bytes = *std::min_element(load.begin(), load.end());
-  for (auto& list : plan.assignment) std::sort(list.begin(), list.end());
   return plan;
 }
 

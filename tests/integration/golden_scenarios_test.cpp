@@ -1,5 +1,6 @@
 // Cross-commit golden pin for the five exp scenarios, their observability
-// sinks, the service replay and the batch/rack-aware planners. The other
+// sinks, the service replay and the batch, rack-aware, single-data and
+// weighted planners. The other
 // determinism suites compare a run with a second run of the same build; this
 // one compares against constants recorded from an earlier commit, so a change
 // that shifts any scenario's bytes (a different plan, a reordered read, a
@@ -23,6 +24,7 @@
 #include "obs/metrics_io.hpp"
 #include "obs/report.hpp"
 #include "opass/incremental.hpp"
+#include "opass/planner.hpp"
 #include "opass/rack_aware.hpp"
 #include "opass/service.hpp"
 #include "workload/dataset.hpp"
@@ -420,6 +422,72 @@ std::string rack_aware_digest(std::uint32_t replication) {
 TEST(GoldenScenarios, RackAwareFourRacks) {
   EXPECT_EQ(rack_aware_digest(1), "3abbb2f55c68a1df");
   EXPECT_EQ(rack_aware_digest(2), "4a9170efce463643");
+}
+
+/// Single-data plan through core::plan() with two processes per node, so a
+/// replica's node contributes two locality edges and the order of a task's
+/// edges shapes the flow Dinic finds. With r = 1 some nodes hold more chunks
+/// than their processes' quota, so the random fill runs as well.
+std::string single_two_per_node_digest(std::uint32_t replication) {
+  dfs::NameNode nn(dfs::Topology::single_rack(16), replication, kDefaultChunkSize);
+  dfs::RandomPlacement policy;
+  Rng rng(11);
+  const auto tasks = workload::make_single_data_workload(nn, 200, policy, rng);
+  const auto placement = two_per_node(nn);
+  Rng fill(6);
+  const auto result = core::plan({&nn, &tasks, &placement, &fill});
+  if (replication == 1) {
+    EXPECT_GT(result.randomly_filled, 0u);
+  }
+  Digest d;
+  d.assignment(result.assignment);
+  d.u64(result.locally_matched);
+  d.u64(result.randomly_filled);
+  return d.hex();
+}
+
+TEST(GoldenScenarios, SingleDataTwoPerNode) {
+  EXPECT_EQ(single_two_per_node_digest(1), "638e3288140f9863");
+  EXPECT_EQ(single_two_per_node_digest(2), "f4ddfe4d2546f1ed");
+}
+
+/// Byte-weighted plan of single-chunk files of mixed sizes (8-63 MiB, one
+/// file per task). With r = 1 some files get no flow and go through the
+/// largest-first fill; with r = 2 a file's byte flow splits evenly between
+/// two processes, so the lowest-process tie rule picks its owner.
+std::string weighted_mixed_digest(std::uint32_t replication) {
+  dfs::NameNode nn(dfs::Topology::single_rack(16), replication, 64 * kMiB);
+  dfs::RandomPlacement policy;
+  Rng rng(21);
+  std::vector<runtime::Task> tasks;
+  for (std::uint32_t i = 0; i < 120; ++i) {
+    const Bytes size = (8 + rng.uniform(56)) * kMiB;
+    const auto file = nn.create_file("f" + std::to_string(i), size, policy, rng);
+    runtime::Task task;
+    task.id = i;
+    task.inputs = {nn.file(file).chunks[0]};
+    tasks.push_back(std::move(task));
+  }
+  const auto placement = core::one_process_per_node(nn);
+  Rng fill(8);
+  core::PlanOptions options;
+  options.planner = core::PlannerKind::kWeighted;
+  const auto result = core::plan({&nn, &tasks, &placement, &fill}, options);
+  if (replication == 1) {
+    EXPECT_GT(result.randomly_filled, 0u);
+  }
+  Digest d;
+  d.assignment(result.assignment);
+  d.u64(result.locally_matched);
+  d.u64(result.randomly_filled);
+  d.u64(result.matched_bytes);
+  return d.hex();
+}
+
+TEST(GoldenScenarios, WeightedMixedSizes) {
+  EXPECT_EQ(weighted_mixed_digest(1), "5de492473e2d77a3");
+  EXPECT_EQ(weighted_mixed_digest(2), "9bffbb6a4a1bf30f");
+  EXPECT_EQ(weighted_mixed_digest(3), "6f8aa2421e7ae240");
 }
 
 }  // namespace

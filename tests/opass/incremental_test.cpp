@@ -55,10 +55,8 @@ TEST_F(IncrementalFixture, ExternalWorkspaceMatchesInternalAndOracle) {
   IncrementalPlanner internal(nn, placement), external(nn, placement);
   Rng r1(3), r2(3);
   graph::FlowWorkspace workspace;
-  core::PlanOptions options;
-  options.workspace = &workspace;
   const auto a = internal.match_batch(all_tasks, r1, {});
-  const auto b = external.match_batch(all_tasks, r2, options);
+  const auto b = external.match_batch(all_tasks, r2, &workspace);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.stats.local_bytes, b.stats.local_bytes);
   EXPECT_GT(workspace.network.edge_count(), 0u);  // the external arena was used

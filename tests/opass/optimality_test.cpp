@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "opass/fig5.hpp"
 #include "opass/multi_data.hpp"
 #include "opass/single_data.hpp"
 #include "workload/dataset.hpp"

@@ -4,6 +4,7 @@
 // transient or borrowed, and whether the workspace is fresh or warm.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "common/thread_pool.hpp"
@@ -91,6 +92,22 @@ TEST(PlanParallel, WarmWorkspaceUnderPoolStaysExact) {
         core::plan({&layout.nn, &layout.tasks, &layout.placement, &fresh_rng}, serial_options);
     EXPECT_EQ(warm.assignment, fresh.assignment) << "seed " << seed;
   }
+}
+
+TEST(PlanParallel, ThrowingPlannerRestoresWorkspacePool) {
+  // A planner that throws must still hand the caller's workspace back
+  // without the lent pool, or the workspace keeps pointing at it.
+  auto layout = make_layout(5, 8, 16);
+  layout.tasks[3].inputs.push_back(layout.tasks[4].inputs[0]);  // a two-input task
+  ThreadPool pool(2);
+  graph::FlowWorkspace ws;
+  PlanOptions options;
+  options.workspace = &ws;
+  options.pool = &pool;
+  Rng rng(1);
+  EXPECT_THROW((void)core::plan({&layout.nn, &layout.tasks, &layout.placement, &rng}, options),
+               std::invalid_argument);
+  EXPECT_EQ(ws.pool, nullptr);
 }
 
 }  // namespace

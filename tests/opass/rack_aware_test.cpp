@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "opass/fig5.hpp"
 #include "opass/single_data.hpp"
 #include "workload/dataset.hpp"
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "opass/assignment_stats.hpp"
+#include "opass/fig5.hpp"
 #include "support/edmonds_karp.hpp"
 #include "workload/dataset.hpp"
 

@@ -63,6 +63,14 @@ Rules (all scoped to src/ unless noted):
                     processes_by_node() (opass/process_index.hpp) instead.
                     Evaluating a finished assignment — one call per assigned
                     task, as plan_audit and assignment_stats do — is fine.
+  fig5-solve        src/opass/ only: a max-flow solve (`graph::max_flow(` or
+                    `graph::dinic(`, qualified or not) is called only from
+                    the shared Fig. 5 solve (src/opass/fig5.*) and from the
+                    planning service's tenant-layered network
+                    (src/opass/service.cpp). Every other planner emits its
+                    locality edges into solve_fig5(), which owns the node
+                    numbering and the edge-id read-back, instead of building,
+                    solving and reading back the network by hand again.
   pq-top-copy       No by-value initialization from `.top()`:
                     `auto fn = q.top();` (or a `std::function<...>` copy of
                     `.top().fn`) deep-copies the element — and since
@@ -152,6 +160,16 @@ PQ_TOP_COPY = re.compile(
 EVERY_PROCESS_COND = re.compile(r"\s*\w+\s*<\s*m\s*")
 FOR_HEADER = re.compile(r"\bfor\s*\(")
 REPLICA_TEST = re.compile(r"\bhas_replica_on\s*\(")
+# A max-flow solve: `graph::max_flow(` / `graph::dinic(`, also unqualified
+# (argument-dependent lookup finds graph:: from a FlowWorkspace argument).
+# Member calls and longer identifiers (`run_dinic(`) do not match.
+MAX_FLOW_CALL = re.compile(r"(?<![\w.>])(?:(?:opass\s*::\s*)?graph\s*::\s*)?(?:max_flow|dinic)\s*\(")
+# The files allowed to solve a flow network under src/opass/.
+FIG5_SOLVE_HOMES = (
+    "src/opass/fig5.hpp",
+    "src/opass/fig5.cpp",
+    "src/opass/service.cpp",
+)
 # A call of the executor's entry point (comments and strings are scrubbed).
 EXECUTE_CALL = re.compile(r"\bruntime\s*::\s*execute\s*\(")
 # Raw threading vocabulary. std::atomic covers std::atomic<T>, the _flag /
@@ -341,6 +359,18 @@ def check_replica_scan(path: pathlib.Path, root: pathlib.Path, text: str, findin
                         "processes_by_node() (opass/process_index.hpp)"))
 
 
+def check_fig5_solve(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
+    rel = path.relative_to(root).as_posix()
+    if not rel.startswith("src/opass/") or rel in FIG5_SOLVE_HOMES:
+        return
+    for m in MAX_FLOW_CALL.finditer(scrub(text)):
+        findings.append(
+            Finding(path, _line_of(text, m.start()), "fig5-solve",
+                    "max-flow solve outside the shared Fig. 5 solve; emit the "
+                    "planner's locality edges into solve_fig5() (opass/fig5.hpp), "
+                    "which owns the node numbering and the edge-id read-back"))
+
+
 def check_pq_top_copy(path: pathlib.Path, text: str, findings: list):
     for m in PQ_TOP_COPY.finditer(scrub(text)):
         findings.append(
@@ -428,6 +458,7 @@ def lint_tree(root: pathlib.Path) -> list:
         check_span_name(path, text, findings)
         check_pq_top_copy(path, text, findings)
         check_replica_scan(path, root, text, findings)
+        check_fig5_solve(path, root, text, findings)
         check_no_raw_thread(path, root, text, findings)
         check_facade_only(path, root, text, findings)
     check_single_pipeline(root, texts, findings)
@@ -501,6 +532,14 @@ _VIOLATIONS = {
         "  for (std::uint32_t p = 0; p < m; ++p) {\n"
         "    if (chunk.has_replica_on(placement[p])) net.add_edge(p);\n"
         "  }\n"
+        "}\n",
+    ),
+    "fig5-solve": (
+        "opass/bad_fig5_solve.cpp",
+        '#include "graph/max_flow.hpp"\n'
+        "unsigned match(graph::FlowWorkspace& ws) {\n"
+        "  ws.network.add_edge(0, 2, 1);\n"
+        "  return graph::max_flow(ws, 0, 1);\n"
         "}\n",
     ),
     "single-pipeline": (
@@ -609,6 +648,37 @@ _CLEANS = (
         "    if (chunk.has_replica_on(placement[k % m])) ++bytes;\n"
         "  return bytes;\n"
         "}\n",
+    ),
+    (
+        # The shared solve is the one home fig5-solve allows under src/opass/.
+        "opass/fig5.cpp",
+        '#include "graph/max_flow.hpp"\n'
+        "long solve(graph::FlowWorkspace& ws) { return graph::max_flow(ws, 0, 1); }\n",
+    ),
+    (
+        # The service's tenant-layered network is a different shape and keeps
+        # its own solves.
+        "opass/service.cpp",
+        '#include "graph/max_flow.hpp"\n'
+        "long budget(graph::FlowWorkspace& ws) { return graph::max_flow(ws, 0, 1); }\n",
+    ),
+    (
+        # What fig5-solve must NOT flag under src/opass/: prose and string
+        # mentions, a solve_fig5() call, and longer identifiers.
+        "opass/clean_fig5_caller.cpp",
+        '#include "opass/fig5.hpp"\n'
+        "// solve_fig5() wraps graph::max_flow(ws, s, t) and graph::dinic(net, s, t).\n"
+        'const char* kWhy = "graph::max_flow(";\n'
+        "void plan(graph::FlowWorkspace& ws) {\n"
+        "  (void)solve_fig5(ws, caps, unit, edges);\n"
+        "  (void)run_max_flow(ws);\n"
+        "}\n",
+    ),
+    (
+        # Outside src/opass/ the rule does not apply.
+        "graph/clean_solver_user.cpp",
+        '#include "graph/max_flow.hpp"\n'
+        "long solve(FlowNetwork& net) { return graph::dinic(net, 0, 1); }\n",
     ),
     (
         # What single-pipeline must NOT flag: mentions of runtime::execute( in

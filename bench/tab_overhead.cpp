@@ -5,12 +5,12 @@
 // single chunk file remotely could take more than 2 seconds, the worst case
 // being 12 seconds".
 //
-// google-benchmark microbenchmarks of the matchers across problem sizes,
-// followed by the explicit overhead-vs-data-access comparison.
+// google-benchmark microbenchmarks of the matchers (through core::plan())
+// across problem sizes, followed by the explicit overhead-vs-data-access
+// comparison.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <chrono>
 
 #include "exp/experiment.hpp"
 #include "opass/opass.hpp"
@@ -35,22 +35,12 @@ struct Env {
   core::ProcessPlacement placement;
 };
 
-void BM_BuildLocalityGraph(benchmark::State& state) {
-  Env env(static_cast<std::uint32_t>(state.range(0)),
-          static_cast<std::uint32_t>(state.range(0)) * 10, false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_process_chunk_graph(env.nn, env.placement));
-  }
-}
-BENCHMARK(BM_BuildLocalityGraph)->Arg(16)->Arg(64)->Arg(128);
-
 void BM_SingleDataDinic(benchmark::State& state) {
   Env env(static_cast<std::uint32_t>(state.range(0)),
           static_cast<std::uint32_t>(state.range(0)) * 10, false);
   for (auto _ : state) {
     Rng rng(1);
-    // opass-lint: allow(facade-only) — microbenchmark of the raw matcher
-    benchmark::DoNotOptimize(core::assign_single_data(env.nn, env.tasks, env.placement, rng));
+    benchmark::DoNotOptimize(core::plan({&env.nn, &env.tasks, &env.placement, &rng}));
   }
 }
 BENCHMARK(BM_SingleDataDinic)->Arg(16)->Arg(64)->Arg(128);
@@ -59,8 +49,8 @@ void BM_MultiDataAlgorithm1(benchmark::State& state) {
   Env env(static_cast<std::uint32_t>(state.range(0)),
           static_cast<std::uint32_t>(state.range(0)) * 10, true);
   for (auto _ : state) {
-    // opass-lint: allow(facade-only) — microbenchmark of the raw matcher
-    benchmark::DoNotOptimize(core::assign_multi_data(env.nn, env.tasks, env.placement));
+    benchmark::DoNotOptimize(core::plan({&env.nn, &env.tasks, &env.placement, nullptr},
+                                        {.planner = core::PlannerKind::kMultiData}));
   }
 }
 BENCHMARK(BM_MultiDataAlgorithm1)->Arg(16)->Arg(64)->Arg(128);
@@ -71,13 +61,10 @@ void print_overhead_table() {
   std::printf("\nOverhead of matching vs. data access (64 nodes, 640 chunks):\n");
   Env env(64, 640, false);
 
-  const auto t0 = std::chrono::steady_clock::now();
+  // plan_wall_ms times the matcher alone (graph build, solve and fill),
+  // without plan()'s stats pass.
   Rng rng(1);
-  // opass-lint: allow(facade-only) — timing the matcher alone is the point
-  auto plan = core::assign_single_data(env.nn, env.tasks, env.placement, rng);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double match_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
+  const double match_ms = core::plan({&env.nn, &env.tasks, &env.placement, &rng}).plan_wall_ms;
 
   exp::ExperimentConfig cfg;
   cfg.nodes = 64;

@@ -22,7 +22,6 @@ NameNode::NameNode(Topology topo, std::uint32_t replication, Bytes chunk_size)
 FileId NameNode::create_file(const std::string& name, Bytes size, PlacementPolicy& policy,
                              Rng& rng, NodeId writer) {
   OPASS_REQUIRE(size > 0, "cannot create an empty file");
-  OPASS_REQUIRE(!exists(name), "a file with this name already exists");
   const auto fid = static_cast<FileId>(files_.size());
   FileInfo fi;
   fi.id = fid;
@@ -54,49 +53,7 @@ FileId NameNode::create_file(const std::string& name, Bytes size, PlacementPolic
     remaining -= csize;
   }
   files_.push_back(std::move(fi));
-  file_deleted_.push_back(0);
-  by_name_.emplace(name, fid);
   return fid;
-}
-
-FileId NameNode::find_file(const std::string& name) const {
-  const auto it = by_name_.find(name);
-  return it == by_name_.end() ? kInvalidFile : it->second;
-}
-
-std::vector<FileId> NameNode::list_prefix(const std::string& prefix) const {
-  std::vector<FileId> out;
-  for (const auto& f : files_) {
-    if (file_deleted_[f.id]) continue;
-    if (f.name.compare(0, prefix.size(), prefix) == 0) out.push_back(f.id);
-  }
-  return out;
-}
-
-void NameNode::delete_file(FileId id) {
-  OPASS_REQUIRE(id < files_.size(), "file id out of range");
-  OPASS_REQUIRE(!file_deleted_[id], "file already deleted");
-  for (ChunkId c : files_[id].chunks) {
-    // Drop every replica; the chunk id stays allocated as a tombstone.
-    const auto replicas = chunks_[c].replicas;  // copy: remove_replica mutates
-    for (NodeId n : replicas) remove_replica(c, n);
-  }
-  by_name_.erase(files_[id].name);
-  file_deleted_[id] = 1;
-}
-
-void NameNode::rename_file(FileId id, const std::string& new_name) {
-  OPASS_REQUIRE(id < files_.size(), "file id out of range");
-  OPASS_REQUIRE(!file_deleted_[id], "cannot rename a deleted file");
-  OPASS_REQUIRE(!exists(new_name), "a file with the new name already exists");
-  by_name_.erase(files_[id].name);
-  files_[id].name = new_name;
-  by_name_.emplace(new_name, id);
-}
-
-bool NameNode::is_deleted(FileId id) const {
-  OPASS_REQUIRE(id < files_.size(), "file id out of range");
-  return file_deleted_[id] != 0;
 }
 
 const FileInfo& NameNode::file(FileId id) const {
@@ -130,8 +87,7 @@ std::vector<Bytes> NameNode::node_bytes() const {
 
 Bytes NameNode::total_file_bytes() const {
   Bytes total = 0;
-  for (const auto& f : files_)
-    if (!file_deleted_[f.id]) total += f.size;
+  for (const auto& f : files_) total += f.size;
   return total;
 }
 
@@ -196,13 +152,6 @@ void NameNode::unregister_replica(ChunkId chunk, NodeId node) {
   remove_replica(chunk, node);
 }
 
-std::vector<NodeId> NameNode::alive_nodes() const {
-  std::vector<NodeId> alive;
-  for (NodeId n = 0; n < topo_.node_count(); ++n)
-    if (!decommissioned_[n]) alive.push_back(n);
-  return alive;
-}
-
 bool NameNode::is_decommissioned(NodeId node) const {
   OPASS_REQUIRE(node < decommissioned_.size(), "node out of range");
   return decommissioned_[node] != 0;
@@ -235,13 +184,7 @@ std::uint32_t NameNode::balance(Rng& rng, std::uint32_t tolerance) {
 }
 
 void NameNode::check_invariants() const {
-  std::size_t live_chunks = 0;
   for (const auto& c : chunks_) {
-    if (file_deleted_[c.file]) {
-      OPASS_CHECK(c.replicas.empty(), "deleted file still holds replicas");
-      continue;
-    }
-    ++live_chunks;
     OPASS_CHECK(c.replicas.size() == replication_, "chunk replica count drifted");
     std::unordered_set<NodeId> distinct(c.replicas.begin(), c.replicas.end());
     OPASS_CHECK(distinct.size() == c.replicas.size(), "duplicate replica nodes");
@@ -253,7 +196,7 @@ void NameNode::check_invariants() const {
   }
   std::size_t indexed = 0;
   for (const auto& inv : node_chunks_) indexed += inv.size();
-  OPASS_CHECK(indexed == live_chunks * replication_, "inventory size mismatch");
+  OPASS_CHECK(indexed == chunks_.size() * replication_, "inventory size mismatch");
 }
 
 void NameNode::add_replica(ChunkId chunk, NodeId node) {

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -30,7 +29,8 @@ class NameNode {
   // --- write path ---
 
   /// Create a file of `size` bytes: splits into ceil(size/chunk_size) chunks
-  /// (last chunk possibly short) and places each via `policy`.
+  /// (last chunk possibly short) and places each via `policy`. `name` is a
+  /// label (FileInfo::name); files are addressed by FileId.
   FileId create_file(const std::string& name, Bytes size, PlacementPolicy& policy, Rng& rng,
                      NodeId writer = kInvalidNode);
 
@@ -46,29 +46,6 @@ class NameNode {
 
   const FileInfo& file(FileId id) const;
   const ChunkInfo& chunk(ChunkId id) const;
-
-  /// Look up a live file by exact name; kInvalidFile if absent or deleted.
-  FileId find_file(const std::string& name) const;
-
-  /// True iff a live file with this name exists.
-  bool exists(const std::string& name) const { return find_file(name) != kInvalidFile; }
-
-  /// All live files whose name starts with `prefix` (directory-listing
-  /// semantics for path prefixes like "multiblock/").
-  std::vector<FileId> list_prefix(const std::string& prefix) const;
-
-  /// Delete a file: all chunk replicas are dropped from node inventories and
-  /// the name is released. Ids stay allocated (tombstoned) so existing
-  /// ChunkIds never dangle.
-  void delete_file(FileId id);
-
-  /// Rename a live file; the new name must be free.
-  void rename_file(FileId id, const std::string& new_name);
-
-  /// True iff the file has been deleted.
-  bool is_deleted(FileId id) const;
-
-  static constexpr FileId kInvalidFile = UINT32_MAX;
 
   /// Replica locations of a chunk (the layout query).
   const std::vector<NodeId>& locations(ChunkId id) const { return chunk(id).replicas; }
@@ -120,9 +97,6 @@ class NameNode {
   /// Drop the replica of `chunk` on `node`. It must exist.
   void unregister_replica(ChunkId chunk, NodeId node);
 
-  /// Nodes not decommissioned, ascending.
-  std::vector<NodeId> alive_nodes() const;
-
   /// HDFS-style balancer: repeatedly move one replica from the node with the
   /// most replicas to the node with the fewest (that lacks the chunk) until
   /// the spread (max - min replica count) is <= `tolerance` or no legal move
@@ -144,8 +118,6 @@ class NameNode {
   std::vector<ChunkInfo> chunks_;
   std::vector<std::vector<ChunkId>> node_chunks_;  // per-node inventory
   std::vector<char> decommissioned_;
-  std::vector<char> file_deleted_;
-  std::unordered_map<std::string, FileId> by_name_;
 };
 
 }  // namespace opass::dfs

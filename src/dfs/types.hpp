@@ -41,7 +41,7 @@ struct ChunkInfo {
 /// Metadata of one logical file.
 struct FileInfo {
   FileId id = 0;
-  std::string name;
+  std::string name;  ///< label for listings; files are addressed by FileId
   Bytes size = 0;
   std::vector<ChunkId> chunks;
 };

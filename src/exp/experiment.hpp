@@ -23,7 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "obs/timeline.hpp"
-#include "opass/locality_graph.hpp"
+#include "opass/process_index.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/static_partitioner.hpp"
 #include "sim/cluster.hpp"

@@ -7,7 +7,7 @@
 #include <cstdint>
 
 #include "dfs/namenode.hpp"
-#include "opass/locality_graph.hpp"
+#include "opass/process_index.hpp"
 #include "runtime/static_partitioner.hpp"
 #include "runtime/task.hpp"
 

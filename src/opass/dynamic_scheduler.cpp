@@ -8,8 +8,8 @@ namespace opass::core {
 
 OpassDynamicSource::OpassDynamicSource(runtime::Assignment guideline, const dfs::NameNode& nn,
                                        const std::vector<runtime::Task>& tasks,
-                                       ProcessPlacement placement, DynamicOptions options)
-    : nn_(nn), tasks_(tasks), placement_(std::move(placement)), options_(options) {
+                                       ProcessPlacement placement)
+    : nn_(nn), tasks_(tasks), placement_(std::move(placement)) {
   OPASS_REQUIRE(guideline.size() == placement_.size(),
                 "guideline and placement disagree on process count");
   lists_.resize(guideline.size());
@@ -50,14 +50,12 @@ std::optional<runtime::TaskId> OpassDynamicSource::next_task(runtime::ProcessId 
 
   auto& victim = lists_[longest];
   std::size_t best = 0;
-  if (options_.steal_policy == StealPolicy::kBestLocality) {
-    Bytes best_bytes = co_located_bytes(process, victim[0]);
-    for (std::size_t i = 1; i < victim.size(); ++i) {
-      const Bytes b = co_located_bytes(process, victim[i]);
-      if (b > best_bytes) {
-        best_bytes = b;
-        best = i;
-      }
+  Bytes best_bytes = co_located_bytes(process, victim[0]);
+  for (std::size_t i = 1; i < victim.size(); ++i) {
+    const Bytes b = co_located_bytes(process, victim[i]);
+    if (b > best_bytes) {
+      best_bytes = b;
+      best = i;
     }
   }
   const runtime::TaskId t = victim[best];

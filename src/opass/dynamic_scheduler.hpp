@@ -30,25 +30,10 @@
 #include <vector>
 
 #include "dfs/namenode.hpp"
-#include "opass/locality_graph.hpp"
+#include "opass/process_index.hpp"
 #include "runtime/task_source.hpp"
 
 namespace opass::core {
-
-/// How an idle slave picks a task out of the victim's list.
-enum class StealPolicy {
-  /// Paper rule: scan the victim list for the task with the largest
-  /// co-located byte count for the idle slave (O(list) per steal).
-  kBestLocality,
-  /// Cheap rule: take the victim's front task (O(1) per steal). Useful as a
-  /// baseline to quantify what locality-aware stealing buys.
-  kFront,
-};
-
-/// Knobs for the dynamic scheduler (options-last on every entry point).
-struct DynamicOptions {
-  StealPolicy steal_policy = StealPolicy::kBestLocality;
-};
 
 /// The Section IV-D scheduler.
 class OpassDynamicSource final : public runtime::TaskSource {
@@ -61,8 +46,7 @@ class OpassDynamicSource final : public runtime::TaskSource {
   /// the guideline indexes `tasks`; `nn` and `tasks` outlive the source
   /// (borrowed by reference).
   OpassDynamicSource(runtime::Assignment guideline, const dfs::NameNode& nn,
-                     const std::vector<runtime::Task>& tasks, ProcessPlacement placement,
-                     DynamicOptions options = {});
+                     const std::vector<runtime::Task>& tasks, ProcessPlacement placement);
 
   std::optional<runtime::TaskId> next_task(runtime::ProcessId process, Seconds now) override;
 
@@ -99,9 +83,8 @@ class OpassDynamicSource final : public runtime::TaskSource {
   std::uint32_t steal_count() const { return steals_; }
 
   /// Steals whose chosen task had at least one input replica co-located with
-  /// the stealing process — the "steal locality hit rate" numerator. Under
-  /// StealPolicy::kBestLocality this measures how often the paper's rule
-  /// actually finds local data in the victim's list.
+  /// the stealing process — the "steal locality hit rate" numerator: how
+  /// often the paper's rule actually finds local data in the victim's list.
   std::uint32_t steal_local_hits() const { return steal_local_hits_; }
 
   /// Tasks handed out from a process's own guideline list L_i (step 2), as
@@ -120,7 +103,6 @@ class OpassDynamicSource final : public runtime::TaskSource {
   const dfs::NameNode& nn_;
   const std::vector<runtime::Task>& tasks_;
   ProcessPlacement placement_;
-  DynamicOptions options_;
   std::vector<dfs::NodeId> dead_nodes_;
   std::uint32_t steals_ = 0;
   std::uint32_t steal_local_hits_ = 0;

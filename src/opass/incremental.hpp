@@ -16,7 +16,6 @@
 #include "dfs/namenode.hpp"
 #include "graph/max_flow.hpp"
 #include "opass/assignment_stats.hpp"
-#include "opass/locality_graph.hpp"
 #include "opass/process_index.hpp"
 #include "runtime/static_partitioner.hpp"
 #include "runtime/task.hpp"

@@ -1,18 +1,30 @@
-#include "opass/multi_data.hpp"
-
+// Opass for parallel multi-data access (paper Section IV-C, Algorithm 1).
+//
+// Tasks with several inputs (e.g. a human + mouse + chimpanzee gene partition
+// per comparison task) cannot be matched by the unit flow network, because a
+// task may be partly local to several processes at once. Algorithm 1 is a
+// stable-marriage-style greedy: every process must end up with n/m tasks;
+// a deficient process proposes to its best not-yet-considered task (highest
+// co-located byte count m_i^j); an assigned task accepts a proposal only
+// from a process with a strictly larger matching value, cancelling its
+// current assignment (the reassignment event of Fig. 6(b)).
+//
+// The result is optimal from each process's perspective (proposer-optimal,
+// as in Gale–Shapley) and runs in O(m * n) proposals. It works for any task
+// arity (single-input tasks reduce to a greedy locality matcher); quotas are
+// n/m tasks per process with the first n%m processes taking one extra.
 #include <algorithm>
 #include <deque>
 #include <numeric>
 
 #include "common/require.hpp"
 #include "opass/fig5.hpp"
-#include "opass/process_index.hpp"
+#include "opass/matchers.hpp"
 
 namespace opass::core {
 
-MultiDataPlan assign_multi_data(const dfs::NameNode& nn,
-                                const std::vector<runtime::Task>& tasks,
-                                const ProcessPlacement& placement) {
+PlanResult assign_multi_data(const dfs::NameNode& nn, const std::vector<runtime::Task>& tasks,
+                             const ProcessPlacement& placement) {
   const auto m = static_cast<std::uint32_t>(placement.size());
   const auto n = static_cast<std::uint32_t>(tasks.size());
   OPASS_REQUIRE(m > 0, "need at least one process");
@@ -49,7 +61,7 @@ MultiDataPlan assign_multi_data(const dfs::NameNode& nn,
   std::vector<std::uint32_t> held(m, 0);
   std::vector<std::size_t> cursor(m, 0);  // next unconsidered preference index
 
-  MultiDataPlan plan;
+  PlanResult plan;
 
   // Round-robin over deficient processes; each iteration is one proposal.
   std::deque<std::uint32_t> deficient;
@@ -87,7 +99,6 @@ MultiDataPlan assign_multi_data(const dfs::NameNode& nn,
     plan.assignment[owner[t]].push_back(t);
     plan.matched_bytes += val(owner[t], t);
   }
-  for (const auto& task : tasks) plan.total_bytes += task.input_bytes(nn);
   for (std::uint32_t p = 0; p < m; ++p)
     OPASS_CHECK(held[p] == quotas[p] && plan.assignment[p].size() == quotas[p],
                 "process ended away from its quota");

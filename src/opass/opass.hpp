@@ -13,15 +13,9 @@
 #include "opass/admission.hpp"
 #include "opass/assignment_stats.hpp"
 #include "opass/dynamic_scheduler.hpp"
-#include "opass/locality_graph.hpp"
-#include "opass/multi_data.hpp"
+#include "opass/incremental.hpp"
 #include "opass/plan_audit.hpp"
 #include "opass/plan_io.hpp"
-#include "opass/hdfs_integration.hpp"
-#include "opass/incremental.hpp"
 #include "opass/planner.hpp"
 #include "opass/process_index.hpp"
-#include "opass/rack_aware.hpp"
 #include "opass/service.hpp"
-#include "opass/single_data.hpp"
-#include "opass/weighted_single_data.hpp"

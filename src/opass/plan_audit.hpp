@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "opass/assignment_stats.hpp"
-#include "opass/locality_graph.hpp"
+#include "opass/process_index.hpp"
 #include "runtime/static_partitioner.hpp"
 #include "runtime/task.hpp"
 

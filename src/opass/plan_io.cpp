@@ -1,7 +1,9 @@
 #include "opass/plan_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/require.hpp"
 
@@ -23,6 +25,24 @@ std::string serialize_assignment(const runtime::Assignment& assignment,
   return os.str();
 }
 
+namespace {
+
+/// Read the `<field> <count>` header line. A count must fit the 32-bit id
+/// range: it is compared against ids, never used as an allocation size.
+std::uint32_t parse_count(std::istream& is, const std::string& field) {
+  std::string line, word;
+  OPASS_REQUIRE(static_cast<bool>(std::getline(is, line)), "missing '" + field + "' line");
+  std::istringstream ls(line);
+  std::uint64_t count = 0;
+  OPASS_REQUIRE((ls >> word) && word == field && (ls >> count),
+                "malformed '" + field + "' line");
+  OPASS_REQUIRE(count <= UINT32_MAX, "'" + field + "' count " + std::to_string(count) +
+                                         " is outside the 32-bit id range");
+  return static_cast<std::uint32_t>(count);
+}
+
+}  // namespace
+
 runtime::Assignment parse_assignment(const std::string& text) {
   std::istringstream is(text);
   std::string line;
@@ -30,23 +50,15 @@ runtime::Assignment parse_assignment(const std::string& text) {
   OPASS_REQUIRE(std::getline(is, line) && line == "opass-plan v1",
                 "plan header missing or unsupported version");
 
-  std::string word;
-  std::size_t processes = 0, tasks = 0;
-  {
-    OPASS_REQUIRE(static_cast<bool>(std::getline(is, line)), "missing 'processes' line");
-    std::istringstream ls(line);
-    OPASS_REQUIRE(ls >> word && word == "processes" && ls >> processes && processes > 0,
-                  "malformed 'processes' line");
-  }
-  {
-    OPASS_REQUIRE(static_cast<bool>(std::getline(is, line)), "missing 'tasks' line");
-    std::istringstream ls(line);
-    OPASS_REQUIRE((ls >> word) && word == "tasks" && (ls >> tasks),
-                  "malformed 'tasks' line");
-  }
+  const std::uint32_t processes = parse_count(is, "processes");
+  OPASS_REQUIRE(processes > 0, "malformed 'processes' line");
+  const std::uint32_t tasks = parse_count(is, "tasks");
 
-  runtime::Assignment assignment(processes);
-  for (std::size_t expected = 0; expected < processes; ++expected) {
+  // Lists are appended as their lines arrive, so a header that over-counts
+  // fails as truncated instead of sizing the assignment.
+  runtime::Assignment assignment;
+  std::string word;
+  for (std::uint32_t expected = 0; expected < processes; ++expected) {
     OPASS_REQUIRE(static_cast<bool>(std::getline(is, line)),
                   "plan truncated: missing process line");
     std::istringstream ls(line);
@@ -55,15 +67,16 @@ runtime::Assignment parse_assignment(const std::string& text) {
     OPASS_REQUIRE((ls >> word) && word == "p" && (ls >> p) && (ls >> colon) && colon == ":",
                   "malformed process line: " + line);
     OPASS_REQUIRE(p == expected, "process lines out of order");
+    auto& list = assignment.emplace_back();
     runtime::TaskId t;
     while (ls >> t) {
       OPASS_REQUIRE(t < tasks, "task id out of range in plan");
-      assignment[p].push_back(t);
+      list.push_back(t);
     }
     OPASS_REQUIRE(ls.eof(), "trailing garbage on process line: " + line);
   }
 
-  OPASS_REQUIRE(runtime::is_partition(assignment, static_cast<std::uint32_t>(tasks)),
+  OPASS_REQUIRE(runtime::is_partition(assignment, tasks),
                 "plan is not a partition: duplicate or missing task ids");
   return assignment;
 }

@@ -4,10 +4,7 @@
 #include <optional>
 
 #include "common/require.hpp"
-#include "opass/multi_data.hpp"
-#include "opass/rack_aware.hpp"
-#include "opass/single_data.hpp"
-#include "opass/weighted_single_data.hpp"
+#include "opass/matchers.hpp"
 
 namespace opass::core {
 
@@ -98,58 +95,29 @@ PlanResult plan(const PlanRequest& request, PlanOptions options) {
   if (workspace == nullptr && pool != nullptr) workspace = &local_workspace;
   // Declared after transient_pool, so the loan ends before that pool dies.
   const PoolLoan loan(workspace, pool);
-  options.workspace = workspace;
 
   PlanResult result;
-  result.planner = options.planner;
   const auto plan_begin = std::chrono::steady_clock::now();
   switch (options.planner) {
-    case PlannerKind::kSingleData: {
-      auto p = assign_single_data(nn, tasks, placement, *request.rng, {options.workspace});
-      result.assignment = std::move(p.assignment);
-      result.locally_matched = p.locally_matched;
-      result.randomly_filled = p.randomly_filled;
+    case PlannerKind::kSingleData:
+      result = assign_single_data(nn, tasks, placement, *request.rng, workspace);
       break;
-    }
-    case PlannerKind::kWeighted: {
-      auto p = assign_single_data_weighted(nn, tasks, placement, *request.rng,
-                                           {options.workspace});
-      result.assignment = std::move(p.assignment);
-      result.locally_matched = p.flow_assigned;
-      result.randomly_filled = p.fill_assigned;
-      result.matched_bytes = p.local_bytes;
+    case PlannerKind::kWeighted:
+      result = assign_single_data_weighted(nn, tasks, placement, *request.rng, workspace);
       break;
-    }
-    case PlannerKind::kRackAware: {
-      auto p = assign_single_data_rack_aware(nn, tasks, placement, *request.rng,
-                                             RackAwareOptions{options.workspace});
-      result.assignment = std::move(p.assignment);
-      result.locally_matched = p.node_local;
-      result.rack_local = p.rack_local;
-      result.randomly_filled = p.random_filled;
+    case PlannerKind::kRackAware:
+      result = assign_single_data_rack_aware(nn, tasks, placement, *request.rng, workspace);
       break;
-    }
-    case PlannerKind::kMultiData: {
-      auto p = assign_multi_data(nn, tasks, placement);
-      result.assignment = std::move(p.assignment);
-      result.reassignments = p.reassignments;
-      result.matched_bytes = p.matched_bytes;
+    case PlannerKind::kMultiData:
+      result = assign_multi_data(nn, tasks, placement);
       break;
-    }
   }
   result.plan_wall_ms = elapsed_ms(plan_begin);
+  result.planner = options.planner;
   const auto stats_begin = std::chrono::steady_clock::now();
   result.stats = evaluate_assignment(nn, tasks, result.assignment, placement);
   result.stats_wall_ms = elapsed_ms(stats_begin);
   return result;
-}
-
-std::unique_ptr<OpassDynamicSource> make_dynamic_source(const PlanRequest& request,
-                                                        PlanOptions options) {
-  PlanResult guideline = plan(request, options);
-  return std::make_unique<OpassDynamicSource>(std::move(guideline.assignment), *request.nn,
-                                              *request.tasks, *request.placement,
-                                              DynamicOptions{options.steal_policy});
 }
 
 }  // namespace opass::core

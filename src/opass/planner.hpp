@@ -1,20 +1,15 @@
-// Unified planning facade over the Opass matchers.
+// The planning API: core::plan() runs one of the Opass matchers
+// (single-data flow, byte-weighted flow, rack-aware two-phase flow,
+// multi-data stable matching) on one request, with one options struct
+// (options-last, defaulted), and returns one result carrying the
+// assignment, uniform AssignmentStats and the planner-specific counters.
 //
-// The library grew one free function per planner (single-data flow, byte-
-// weighted flow, rack-aware two-phase flow, multi-data stable matching),
-// each with its own result struct. Callers that switch planners — the CLI,
-// the experiment harness, benchmarks — ended up with a hand-rolled dispatch
-// per call site. plan() centralizes that: one request, one options struct
-// (options-last, defaulted), one result carrying the assignment, uniform
-// AssignmentStats, and the planner-specific counters that still matter.
-//
-// The per-planner free functions are src/opass/ internals behind plan():
-// code outside the layer calls the facade (the facade-only lint rule
-// enforces that), which adds nothing to them but the uniform packaging.
+// plan() is the only planning entry point. The matchers behind it are
+// src/opass/ internals (opass/matchers.hpp); the facade-only lint rule keeps
+// every other caller, tests included, on plan().
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/rng.hpp"
@@ -22,8 +17,7 @@
 #include "dfs/namenode.hpp"
 #include "graph/max_flow.hpp"
 #include "opass/assignment_stats.hpp"
-#include "opass/dynamic_scheduler.hpp"
-#include "opass/locality_graph.hpp"
+#include "opass/process_index.hpp"
 #include "runtime/static_partitioner.hpp"
 #include "runtime/task.hpp"
 
@@ -57,10 +51,9 @@ struct PlanRequest {
 /// Knobs shared by every planner (options-last on every entry point).
 struct PlanOptions {
   PlannerKind planner = PlannerKind::kSingleData;
-  /// Optional reusable network + solver arenas for the flow-based planners.
+  /// Optional reusable network + solver arenas for the flow-based planners:
+  /// repeated planning allocates nothing once the arenas are warm.
   graph::FlowWorkspace* workspace = nullptr;
-  /// Steal rule used by make_dynamic_source().
-  StealPolicy steal_policy = StealPolicy::kBestLocality;
   /// Worker-pool opt-in (DESIGN.md §12): with more than one lane, the Dinic
   /// solves run their independent per-source-file subflows concurrently
   /// where the Fig. 5 network decomposes, falling back to the serial solver
@@ -80,14 +73,14 @@ struct [[nodiscard]] PlanResult {
   runtime::Assignment assignment;
   AssignmentStats stats;
 
-  // Flow planners (kSingleData, kRackAware; kWeighted reports fill_assigned).
-  std::uint32_t locally_matched = 0;  ///< tasks matched by a max-flow phase
-  std::uint32_t randomly_filled = 0;  ///< tasks placed by a fill pass
+  // Flow planners (kSingleData, kWeighted, kRackAware).
+  std::uint32_t locally_matched = 0;  ///< tasks matched by the (node-local) max-flow
+  std::uint32_t randomly_filled = 0;  ///< tasks placed by the fill pass
   std::uint32_t rack_local = 0;       ///< kRackAware: phase-2 matches
 
-  // kMultiData.
-  std::uint32_t reassignments = 0;  ///< Algorithm 1 steal-backs
-  Bytes matched_bytes = 0;          ///< co-located bytes of the final matching
+  std::uint32_t reassignments = 0;  ///< kMultiData: Algorithm 1 steal-backs
+  /// kWeighted, kMultiData: co-located bytes of the final matching.
+  Bytes matched_bytes = 0;
 
   // Host wall-clock timings of the facade's two phases, measured with
   // steady_clock. These are NOT deterministic across runs or machines —
@@ -179,11 +172,5 @@ struct ServiceOptions {
   /// plain maximum locality (single flow solve).
   bool fair_share = true;
 };
-
-/// Build the Section IV-D dynamic source seeded with plan()'s assignment as
-/// the guideline A*. The request's nn/tasks/placement must outlive the
-/// returned source.
-std::unique_ptr<OpassDynamicSource> make_dynamic_source(const PlanRequest& request,
-                                                        PlanOptions options = {});
 
 }  // namespace opass::core

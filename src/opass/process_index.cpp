@@ -38,6 +38,14 @@ void require_known_nodes(const dfs::NameNode& nn, const ProcessPlacement& placem
 
 }  // namespace
 
+ProcessPlacement one_process_per_node(const dfs::NameNode& nn, std::uint32_t process_count) {
+  const std::uint32_t m = process_count ? process_count : nn.node_count();
+  ProcessPlacement placement(m);
+  for (std::uint32_t p = 0; p < m; ++p)
+    placement[p] = static_cast<dfs::NodeId>(p % nn.node_count());
+  return placement;
+}
+
 Adjacency transpose(const Adjacency& adj, std::uint32_t columns) {
   return group_by_column(columns, [&](const auto& emit) {
     for (std::uint32_t r = 0; r < adj.rows(); ++r)

@@ -1,4 +1,10 @@
-// Process-side indexes shared by the planners.
+// Process placement and the process-side indexes shared by the planners.
+//
+// Opass's first step (paper Section IV-A) is to "retrieve data distribution
+// information from storage and build the locality relationship between
+// processes and chunk files": a process is co-located with a chunk when one
+// of the chunk's replicas (NameNode::locations, HDFS's
+// getFileBlockLocations) sits on the process's node.
 //
 // Placement is fixed for a planner's lifetime, so the processes hosted on
 // each node are indexed once. A planner then finds a task's Fig. 5 edges from
@@ -11,9 +17,15 @@
 #include <vector>
 
 #include "dfs/namenode.hpp"
-#include "opass/locality_graph.hpp"
 
 namespace opass::core {
+
+/// Where each process runs (index = ProcessId, value = NodeId).
+using ProcessPlacement = std::vector<dfs::NodeId>;
+
+/// One process pinned to each of the first `process_count` nodes (the
+/// paper's deployment); `process_count` = 0 means one per cluster node.
+ProcessPlacement one_process_per_node(const dfs::NameNode& nn, std::uint32_t process_count = 0);
 
 /// Row-compressed lists: row r holds `items[offset[r], offset[r + 1])`.
 struct Adjacency {

@@ -55,9 +55,8 @@
 #include "dfs/namenode.hpp"
 #include "graph/max_flow.hpp"
 #include "opass/admission.hpp"
-#include "opass/locality_graph.hpp"
-#include "opass/planner.hpp"
 #include "opass/process_index.hpp"
+#include "opass/planner.hpp"
 #include "runtime/task.hpp"
 
 namespace opass::core {

@@ -1,33 +1,49 @@
-#include "opass/weighted_single_data.hpp"
-
+// Byte-weighted single-data assignment — the Fig. 5 network with byte
+// capacities, as the paper prints it.
+//
+// assign_single_data() uses unit (task-count) capacities, which matches the
+// paper's experiments because every chunk file there is the same size. When
+// file sizes vary (e.g. a VTK series with mixed-resolution time steps),
+// equalizing task *counts* leaves processes with unequal *bytes*. This
+// variant equalizes bytes:
+//
+//   s --(ceil(TotalSize/m))--> p_i --(size_j)--> f_j --(size_j)--> t
+//
+// An integral max-flow on byte capacities may split a file's flow between
+// two co-located processes; since a task is indivisible, each task is
+// assigned to the co-located process carrying the most of its flow, and
+// tasks that received no flow are filled onto the least-loaded (by bytes)
+// processes. The result keeps the max-flow's locality while bounding the
+// per-process byte overload by one file size.
 #include <algorithm>
 
 #include "common/require.hpp"
 #include "opass/fig5.hpp"
-#include "opass/process_index.hpp"
+#include "opass/matchers.hpp"
 
 namespace opass::core {
 
-WeightedPlan assign_single_data_weighted(const dfs::NameNode& nn,
-                                         const std::vector<runtime::Task>& tasks,
-                                         const ProcessPlacement& placement, Rng& rng,
-                                         WeightedOptions options) {
+PlanResult assign_single_data_weighted(const dfs::NameNode& nn,
+                                       const std::vector<runtime::Task>& tasks,
+                                       const ProcessPlacement& placement, Rng& rng,
+                                       graph::FlowWorkspace* workspace) {
   const auto m = static_cast<std::uint32_t>(placement.size());
   const auto n = static_cast<std::uint32_t>(tasks.size());
   OPASS_REQUIRE(m > 0, "need at least one process");
   for (const auto& t : tasks)
     OPASS_REQUIRE(t.inputs.size() == 1, "single-data tasks must have exactly one input");
 
-  WeightedPlan plan;
+  PlanResult plan;
   plan.assignment.assign(m, {});
   if (n == 0) return plan;
 
   std::vector<Bytes> size(n);
+  Bytes total_bytes = 0;
   for (std::uint32_t ti = 0; ti < n; ++ti) {
     size[ti] = nn.chunk(tasks[ti].inputs[0]).size;
-    plan.total_bytes += size[ti];
+    total_bytes += size[ti];
   }
-  const Bytes quota = plan.total_bytes / m + (plan.total_bytes % m ? 1 : 0);
+  const Bytes quota = total_bytes / m + (total_bytes % m ? 1 : 0);
 
   // Processes per node, so locality edges are found from replica lists in
   // O(n * r) instead of all m * n pairs (same scheme as assign_single_data).
@@ -37,7 +53,7 @@ WeightedPlan assign_single_data_weighted(const dfs::NameNode& nn,
   // into the reusable workspace. Each task goes to the co-located process
   // carrying the most of its flow.
   graph::FlowWorkspace local_ws;
-  graph::FlowWorkspace& ws = options.workspace ? *options.workspace : local_ws;
+  graph::FlowWorkspace& ws = workspace ? *workspace : local_ws;
   std::vector<std::uint32_t> owner = solve_fig5(
       ws, std::vector<graph::Cap>(m, static_cast<graph::Cap>(quota)), n,
       [&](const Fig5Edges& edge) {
@@ -51,8 +67,8 @@ WeightedPlan assign_single_data_weighted(const dfs::NameNode& nn,
   for (std::uint32_t ti = 0; ti < n; ++ti) {
     if (owner[ti] == kNoOwner) continue;
     load[owner[ti]] += size[ti];
-    plan.local_bytes += size[ti];
-    ++plan.flow_assigned;
+    plan.matched_bytes += size[ti];
+    ++plan.locally_matched;
   }
 
   // Balance fill: tasks with no flow go to the lightest process, largest
@@ -70,12 +86,10 @@ WeightedPlan assign_single_data_weighted(const dfs::NameNode& nn,
       if (load[p] < load[lightest]) lightest = p;
     owner[ti] = lightest;
     load[lightest] += size[ti];
-    ++plan.fill_assigned;
+    ++plan.randomly_filled;
   }
 
   plan.assignment = group_by_owner(owner, m);
-  plan.max_process_bytes = *std::max_element(load.begin(), load.end());
-  plan.min_process_bytes = *std::min_element(load.begin(), load.end());
   return plan;
 }
 

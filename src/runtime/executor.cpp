@@ -486,9 +486,11 @@ ExecutionResult execute(sim::Cluster& cluster, const dfs::NameNode& nn,
                         ExecutorConfig config) {
   OPASS_REQUIRE(cluster.simulator().active_flows() == 0,
                 "cluster must be idle before an execution");
+  const bool recording = cluster.read_breakdown_recording();
   Driver driver(cluster, nn, tasks, source, rng, config);
   driver.launch(cluster.simulator().now());
   cluster.run();
+  cluster.record_read_breakdown(recording);
   return driver.take_result();
 }
 
@@ -498,6 +500,7 @@ std::vector<ExecutionResult> execute_jobs(sim::Cluster& cluster, const dfs::Name
   OPASS_REQUIRE(cluster.simulator().active_flows() == 0,
                 "cluster must be idle before an execution");
   const Seconds base = cluster.simulator().now();
+  const bool recording = cluster.read_breakdown_recording();
 
   std::vector<std::unique_ptr<Driver>> drivers;
   drivers.reserve(jobs.size());
@@ -510,6 +513,7 @@ std::vector<ExecutionResult> execute_jobs(sim::Cluster& cluster, const dfs::Name
     drivers.back()->launch(base + job.start_time);
   }
   cluster.run();
+  cluster.record_read_breakdown(recording);
 
   std::vector<ExecutionResult> results;
   results.reserve(jobs.size());

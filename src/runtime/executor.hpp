@@ -94,8 +94,9 @@ struct ExecutorConfig {
   /// Record each read's causal breakdown (admission wait, positioning,
   /// binding-resource transfer intervals) into
   /// ExecutionResult::read_breakdowns for the obs span log. Enables the
-  /// cluster's breakdown recording for the duration of the run; observation
-  /// only — the simulated schedule is byte-identical either way.
+  /// cluster's breakdown recording for the duration of the run and restores
+  /// the cluster's previous setting when the run returns; observation only —
+  /// the simulated schedule is byte-identical either way.
   bool record_read_breakdown = false;
   /// Optional queue-depth probe (borrowed; must outlive the run). Null = no
   /// stamping, zero overhead.

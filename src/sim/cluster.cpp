@@ -351,49 +351,4 @@ void Cluster::send(dfs::NodeId src, dfs::NodeId dst, Bytes bytes,
   });
 }
 
-void Cluster::write_pipeline(dfs::NodeId writer, const std::vector<dfs::NodeId>& replicas,
-                             Bytes bytes, std::function<void(Seconds)> on_complete) {
-  OPASS_REQUIRE(writer < node_count_, "node out of range");
-  OPASS_REQUIRE(!replicas.empty(), "write pipeline needs at least one replica");
-  for (dfs::NodeId r : replicas) {
-    OPASS_REQUIRE(r < node_count_, "node out of range");
-    OPASS_REQUIRE(!failed_[r], "cannot write to a failed node");
-  }
-
-  // Resource set of the cut-through stream: each hop's NICs plus every
-  // replica's disk. Duplicate resources (e.g. a node appearing twice on the
-  // chain) are collapsed — the flow engine expects distinct entries.
-  std::vector<ResourceId> path;
-  auto add_unique = [&path](ResourceId r) {
-    for (ResourceId existing : path)
-      if (existing == r) return;
-    path.push_back(r);
-  };
-
-  dfs::NodeId hop_src = writer;
-  std::uint32_t network_hops = 0;
-  for (dfs::NodeId r : replicas) {
-    if (r != hop_src) {
-      add_unique(nic_out_[hop_src]);
-      add_unique(nic_in_[r]);
-      if (!rack_up_.empty() && rack_of_node_[hop_src] != rack_of_node_[r]) {
-        add_unique(rack_up_[rack_of_node_[hop_src]]);
-        add_unique(rack_down_[rack_of_node_[r]]);
-      }
-      ++network_hops;
-    }
-    add_unique(disk_[r]);
-    hop_src = r;
-  }
-
-  const Seconds latency =
-      params_.seek_latency + params_.remote_latency * static_cast<double>(network_hops);
-  sim_.after(latency, [this, path = std::move(path), bytes,
-                       cb = std::move(on_complete)](Seconds) mutable {
-    sim_.start_flow(std::move(path), bytes, [cb = std::move(cb)](Seconds end) {
-      if (cb) cb(end);
-    });
-  });
-}
-
 }  // namespace opass::sim

@@ -186,15 +186,6 @@ class Cluster {
   void send(dfs::NodeId src, dfs::NodeId dst, Bytes bytes,
             std::function<void(Seconds)> on_complete);
 
-  /// HDFS-style replication write pipeline: `writer` streams `bytes` through
-  /// the chain of `replicas` (client -> r1 -> r2 -> ...), each replica also
-  /// writing to its disk. Modelled as one pipelined flow whose rate is the
-  /// minimum across every link and disk on the chain (cut-through
-  /// streaming), plus per-hop latency. A replica equal to the writer skips
-  /// its network hop (the local-first-replica case).
-  void write_pipeline(dfs::NodeId writer, const std::vector<dfs::NodeId>& replicas,
-                      Bytes bytes, std::function<void(Seconds)> on_complete);
-
   /// Reads currently being served by each node (in-flight, including the
   /// positioning phase). Used by least-loaded replica choice.
   const std::vector<std::uint32_t>& inflight_per_node() const { return inflight_; }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "graph/bipartite_graph.hpp"
 #include "support/edmonds_karp.hpp"
 
 namespace opass::graph {
@@ -158,17 +157,19 @@ TEST(MaxFlowAgreement, UnitBipartiteNetworksAgreeWithOracle) {
     Rng rng(seed);
     const auto nl = static_cast<std::uint32_t>(2 + rng.uniform(10));
     const auto nr = static_cast<std::uint32_t>(2 + rng.uniform(10));
-    BipartiteGraph g(nl, nr);
-    const int edges = static_cast<int>(nl * 2);
-    for (int i = 0; i < edges; ++i)
-      g.add_edge(static_cast<std::uint32_t>(rng.uniform(nl)),
-                 static_cast<std::uint32_t>(rng.uniform(nr)), 1);
-
     FlowNetwork net(nl + nr + 2);
     const NodeIdx s = nl + nr, t = nl + nr + 1;
     for (std::uint32_t l = 0; l < nl; ++l) net.add_edge(s, l, 1);
     for (std::uint32_t r = 0; r < nr; ++r) net.add_edge(nl + r, t, 1);
-    for (const auto& e : g.edges()) net.add_edge(e.left, nl + e.right, 1);
+    // 2·nl random left -> right edges, duplicates allowed. Each edge draws
+    // its right end first: that is the draw order these instances have
+    // always had.
+    const int edges = static_cast<int>(nl * 2);
+    for (int i = 0; i < edges; ++i) {
+      const auto right = static_cast<std::uint32_t>(rng.uniform(nr));
+      const auto left = static_cast<std::uint32_t>(rng.uniform(nl));
+      net.add_edge(left, nl + right, 1);
+    }
 
     const Cap flow = dinic(net, s, t);
     net.reset_flow();

@@ -5,9 +5,8 @@
 // against real optimizer output, not just hand-built fixtures.
 #include <gtest/gtest.h>
 
-#include "opass/multi_data.hpp"
 #include "opass/plan_audit.hpp"
-#include "opass/single_data.hpp"
+#include "opass/planner.hpp"
 #include "runtime/static_partitioner.hpp"
 #include "workload/dataset.hpp"
 #include "workload/multi_input.hpp"
@@ -26,7 +25,7 @@ TEST(AuditE2E, SingleDataPlansAuditCleanAcrossSeeds) {
       const auto placement = core::one_process_per_node(nn);
 
       Rng assign_rng(seed + 1);
-      const auto plan = core::assign_single_data(nn, tasks, placement, assign_rng);
+      const auto plan = core::plan({&nn, &tasks, &placement, &assign_rng});
 
       core::AuditOptions opts;
       opts.enforce_capacity = true;  // flow network must respect TotalSize/m
@@ -46,7 +45,8 @@ TEST(AuditE2E, MultiDataPlansAuditCleanAcrossSeeds) {
     auto tasks = workload::make_multi_input_workload(nn, 64, *policy, rng);
     const auto placement = core::one_process_per_node(nn);
 
-    const auto plan = core::assign_multi_data(nn, tasks, placement);
+    const auto plan = core::plan({&nn, &tasks, &placement, nullptr},
+                                 {.planner = core::PlannerKind::kMultiData});
     const auto report = core::audit_plan(nn, tasks, plan.assignment, placement);
     EXPECT_TRUE(report.ok()) << "seed=" << seed << '\n' << report.to_string();
 
@@ -54,7 +54,7 @@ TEST(AuditE2E, MultiDataPlansAuditCleanAcrossSeeds) {
     // auditor recounts — the two modules must agree.
     ASSERT_TRUE(report.stats.has_value());
     EXPECT_EQ(report.stats->local_bytes, plan.matched_bytes);
-    EXPECT_EQ(report.stats->total_bytes, plan.total_bytes);
+    EXPECT_EQ(report.stats->total_bytes, plan.stats.total_bytes);
   }
 }
 

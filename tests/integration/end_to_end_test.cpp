@@ -39,7 +39,7 @@ TEST_F(EndToEnd, OpassBeatsBaselineOnIoTimeAndBalance) {
   const auto base =
       run(tasks, runtime::rank_interval_assignment(160, kNodes));
   Rng assign_rng(7);
-  const auto plan = core::assign_single_data(nn, tasks, placement, assign_rng);
+  const auto plan = core::plan({&nn, &tasks, &placement, &assign_rng});
   const auto opass = run(tasks, plan.assignment);
 
   // Locality: baseline near r/m, Opass near 1.
@@ -68,7 +68,8 @@ TEST_F(EndToEnd, MultiDataOpassImprovesButLessThanSingle) {
   const auto placement = core::one_process_per_node(nn);
 
   const auto base = run(tasks, runtime::rank_interval_assignment(64, kNodes));
-  const auto plan = core::assign_multi_data(nn, tasks, placement);
+  const auto plan = core::plan({&nn, &tasks, &placement, nullptr},
+                               {.planner = core::PlannerKind::kMultiData});
   const auto opass = run(tasks, plan.assignment);
 
   const double base_local = base.trace.local_fraction();
@@ -91,7 +92,7 @@ TEST_F(EndToEnd, DynamicOpassBeatsRandomMasterWorker) {
   const auto base = runtime::execute(c1, nn, tasks, mw, exec_rng);
 
   Rng assign_rng(5);
-  const auto plan = core::assign_single_data(nn, tasks, placement, assign_rng);
+  const auto plan = core::plan({&nn, &tasks, &placement, &assign_rng});
   sim::Cluster c2(kNodes);
   core::OpassDynamicSource dyn(plan.assignment, nn, tasks, placement);
   const auto opass = runtime::execute(c2, nn, tasks, dyn, exec_rng);

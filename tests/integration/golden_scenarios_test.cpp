@@ -1,8 +1,7 @@
 // Cross-commit golden pin for the five exp scenarios, their observability
-// sinks, the service replay and the batch, rack-aware, single-data and
-// weighted planners. The other
-// determinism suites compare a run with a second run of the same build; this
-// one compares against constants recorded from an earlier commit, so a change
+// sinks, the service replay, the batch planner and all four core::plan()
+// planners. The other determinism suites compare a run with a second run of
+// the same build; this one compares against constants recorded from an earlier commit, so a change
 // that shifts any scenario's bytes (a different plan, a reordered read, a
 // re-leveled rate, a reordered metric registration) fails here even when it
 // is self-consistent. Each digest is FNV-1a over the exact bits of a run's
@@ -25,9 +24,9 @@
 #include "obs/report.hpp"
 #include "opass/incremental.hpp"
 #include "opass/planner.hpp"
-#include "opass/rack_aware.hpp"
 #include "opass/service.hpp"
 #include "workload/dataset.hpp"
+#include "workload/multi_input.hpp"
 
 namespace opass::exp {
 namespace {
@@ -409,13 +408,15 @@ std::string rack_aware_digest(std::uint32_t replication) {
   core::ProcessPlacement placement;
   for (std::uint32_t p = 0; p < 16; ++p) placement.push_back(p % 8);
   Rng fill(4);
-  const auto plan = core::assign_single_data_rack_aware(nn, tasks, placement, fill);
-  EXPECT_GT(plan.rack_local, 0u);
+  core::PlanOptions options;
+  options.planner = core::PlannerKind::kRackAware;
+  const auto result = core::plan({&nn, &tasks, &placement, &fill}, options);
+  EXPECT_GT(result.rack_local, 0u);
   Digest d;
-  d.assignment(plan.assignment);
-  d.u64(plan.node_local);
-  d.u64(plan.rack_local);
-  d.u64(plan.random_filled);
+  d.assignment(result.assignment);
+  d.u64(result.locally_matched);
+  d.u64(result.rack_local);
+  d.u64(result.randomly_filled);
   return d.hex();
 }
 
@@ -488,6 +489,63 @@ TEST(GoldenScenarios, WeightedMixedSizes) {
   EXPECT_EQ(weighted_mixed_digest(1), "5de492473e2d77a3");
   EXPECT_EQ(weighted_mixed_digest(2), "9bffbb6a4a1bf30f");
   EXPECT_EQ(weighted_mixed_digest(3), "6f8aa2421e7ae240");
+}
+
+/// core::plan() on the planner-facade layouts: 80 single-chunk tasks (or 48
+/// multi-input tasks) on two racks of eight nodes, r = 3, one process per
+/// node, the fill rng seeded 9. Digests the assignment, every planner
+/// counter and the stats profile.
+std::string facade_digest(core::PlannerKind planner, std::uint64_t seed,
+                          bool multi_input = false) {
+  dfs::NameNode nn(dfs::Topology::uniform_racks(16, 2), 3);
+  dfs::RandomPlacement policy;
+  Rng rng(seed);
+  const auto tasks = multi_input ? workload::make_multi_input_workload(nn, 48, policy, rng)
+                                 : workload::make_single_data_workload(nn, 80, policy, rng);
+  const auto placement = core::one_process_per_node(nn);
+  Rng fill(9);
+  core::PlanOptions options;
+  options.planner = planner;
+  const auto result = core::plan({&nn, &tasks, &placement, &fill}, options);
+  Digest d;
+  d.assignment(result.assignment);
+  d.u64(result.locally_matched);
+  d.u64(result.randomly_filled);
+  d.u64(result.rack_local);
+  d.u64(result.reassignments);
+  d.u64(result.matched_bytes);
+  d.u64(result.stats.total_bytes);
+  d.u64(result.stats.local_bytes);
+  d.u64(result.stats.task_count);
+  d.u64(result.stats.max_tasks_per_process);
+  d.u64(result.stats.min_tasks_per_process);
+  return d.hex();
+}
+
+TEST(GoldenScenarios, PlanSingleData) {
+  EXPECT_EQ(facade_digest(core::PlannerKind::kSingleData, 1), "c65a0e7c64fa59d5");
+  EXPECT_EQ(facade_digest(core::PlannerKind::kSingleData, 2), "873d68b7cce806f5");
+  EXPECT_EQ(facade_digest(core::PlannerKind::kSingleData, 3), "bc89f5ada0bf3b35");
+}
+
+TEST(GoldenScenarios, PlanWeighted) {
+  EXPECT_EQ(facade_digest(core::PlannerKind::kWeighted, 1), "8ea45d923b1d99c4");
+  EXPECT_EQ(facade_digest(core::PlannerKind::kWeighted, 2), "bf150bb40c0da764");
+  EXPECT_EQ(facade_digest(core::PlannerKind::kWeighted, 3), "ec463d0930cdb924");
+}
+
+TEST(GoldenScenarios, PlanRackAware) {
+  EXPECT_EQ(facade_digest(core::PlannerKind::kRackAware, 1), "c65a0e7c64fa59d5");
+  EXPECT_EQ(facade_digest(core::PlannerKind::kRackAware, 2), "873d68b7cce806f5");
+  EXPECT_EQ(facade_digest(core::PlannerKind::kRackAware, 3), "bc89f5ada0bf3b35");
+}
+
+TEST(GoldenScenarios, PlanMultiData) {
+  EXPECT_EQ(facade_digest(core::PlannerKind::kMultiData, 1), "e7bfd04837139f54");
+  EXPECT_EQ(facade_digest(core::PlannerKind::kMultiData, 2), "ee2d78577d0844d4");
+  EXPECT_EQ(facade_digest(core::PlannerKind::kMultiData, 3), "59b516fe14a70f74");
+  EXPECT_EQ(facade_digest(core::PlannerKind::kMultiData, 4, /*multi_input=*/true),
+            "22c1c5326e0c230b");
 }
 
 }  // namespace

@@ -34,14 +34,15 @@ TEST(RackEndToEnd, RackAwareMatcherCutsOffRackTraffic) {
   };
 
   Rng r1(5), r2(5);
-  const auto node_only = core::assign_single_data(nn, tasks, placement, r1);
-  const auto rack_aware = core::assign_single_data_rack_aware(nn, tasks, placement, r2);
+  const auto node_only = core::plan({&nn, &tasks, &placement, &r1});
+  const auto rack_aware =
+      core::plan({&nn, &tasks, &placement, &r2}, {.planner = core::PlannerKind::kRackAware});
 
   const auto [off_node, mk_node] = off_rack_reads(node_only.assignment);
   const auto [off_rack, mk_rack] = off_rack_reads(rack_aware.assignment);
   EXPECT_LE(off_rack, off_node);
   // Node-local matches are identical; the rack phase only adds.
-  EXPECT_EQ(rack_aware.node_local, node_only.locally_matched);
+  EXPECT_EQ(rack_aware.locally_matched, node_only.locally_matched);
   // Everything completes either way.
   EXPECT_GT(mk_node, 0.0);
   EXPECT_GT(mk_rack, 0.0);

@@ -79,7 +79,7 @@ TEST_F(MwFixture, SchedulerOverheadNegligibleVsDataMovement) {
 
 TEST_F(MwFixture, OpassGuidelineSourceImprovesLocality) {
   Rng assign_rng(3);
-  const auto plan = core::assign_single_data(nn, tasks, worker_placement, assign_rng);
+  const auto plan = core::plan({&nn, &tasks, &worker_placement, &assign_rng});
 
   sim::Cluster c1(kNodes);
   Comm comm1(c1);

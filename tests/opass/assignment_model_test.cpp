@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "opass/single_data.hpp"
+#include "opass/planner.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/task_source.hpp"
 #include "workload/dataset.hpp"
@@ -33,14 +33,14 @@ TEST_F(AssignmentModelFixture, ExpectedBytesSumToDatasetSize) {
 
 TEST_F(AssignmentModelFixture, FullyLocalAssignmentServesFromReaders) {
   Rng arng(5);
-  const auto plan = core::assign_single_data(nn, tasks, placement, arng);
-  if (!plan.full_matching) GTEST_SKIP() << "layout did not admit a full matching";
-  const auto served = expected_bytes_served(nn, tasks, plan.assignment, placement);
+  const auto result = plan({&nn, &tasks, &placement, &arng});
+  if (result.randomly_filled > 0) GTEST_SKIP() << "layout did not admit a full matching";
+  const auto served = expected_bytes_served(nn, tasks, result.assignment, placement);
   // Locally served with certainty: every byte accounted on a reader node,
   // and each node serves exactly its own process's assigned bytes.
   for (std::uint32_t p = 0; p < placement.size(); ++p) {
     double assigned = 0;
-    for (auto t : plan.assignment[p])
+    for (auto t : result.assignment[p])
       assigned += static_cast<double>(tasks[t].input_bytes(nn));
     EXPECT_NEAR(served[placement[p]], assigned, 1.0);
   }
@@ -77,7 +77,7 @@ TEST_F(AssignmentModelFixture, SimulatedMakespanRespectsLowerBound) {
     runtime::Assignment a;
     if (use_opass) {
       Rng arng(5);
-      a = core::assign_single_data(nn, tasks, placement, arng).assignment;
+      a = plan({&nn, &tasks, &placement, &arng}).assignment;
     } else {
       a = runtime::rank_interval_assignment(32, 8);
     }
@@ -96,14 +96,14 @@ TEST_F(AssignmentModelFixture, SimulatedMakespanRespectsLowerBound) {
 
 TEST_F(AssignmentModelFixture, BoundTightForFullLocality) {
   Rng arng(5);
-  const auto plan = core::assign_single_data(nn, tasks, placement, arng);
-  if (!plan.full_matching) GTEST_SKIP() << "layout did not admit a full matching";
+  const auto planned = plan({&nn, &tasks, &placement, &arng});
+  if (planned.randomly_filled > 0) GTEST_SKIP() << "layout did not admit a full matching";
   sim::ClusterParams params;
   const Seconds bound =
-      makespan_lower_bound(nn, tasks, plan.assignment, placement, params.disk_bandwidth);
+      makespan_lower_bound(nn, tasks, planned.assignment, placement, params.disk_bandwidth);
 
   sim::Cluster cluster(8, params);
-  runtime::StaticAssignmentSource source(plan.assignment);
+  runtime::StaticAssignmentSource source(planned.assignment);
   Rng exec_rng(13);
   const auto result = runtime::execute(cluster, nn, tasks, source, exec_rng);
   // Fully local reads: the only gap to the bound is per-read seek latency.

@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "opass/single_data.hpp"
+#include "opass/planner.hpp"
 #include "workload/dataset.hpp"
 
 namespace opass::core {
@@ -57,8 +57,8 @@ TEST_F(DynamicFixture, StealPrefersCoLocatedTask) {
 }
 
 TEST_F(DynamicFixture, DrainsEverythingExactlyOnce) {
-  const auto plan = assign_single_data(nn, tasks, placement, rng);
-  OpassDynamicSource src(plan.assignment, nn, tasks, placement);
+  const auto guideline = plan({&nn, &tasks, &placement, &rng});
+  OpassDynamicSource src(guideline.assignment, nn, tasks, placement);
   std::set<runtime::TaskId> seen;
   // Round-robin idle processes until drained.
   bool progress = true;

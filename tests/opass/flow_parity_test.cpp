@@ -57,15 +57,15 @@ TEST(FlowParity, SingleDataMatchesAreEqualAndAudited) {
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     const auto layout = make_layout(seed);
     Rng rng(seed + 1);
-    const auto plan =
-        assign_single_data(layout.nn, layout.tasks, layout.placement, rng, {&ws});
-    EXPECT_EQ(static_cast<graph::Cap>(plan.locally_matched), oracle_value(ws))
+    const auto result =
+        plan({&layout.nn, &layout.tasks, &layout.placement, &rng}, {.workspace = &ws});
+    EXPECT_EQ(static_cast<graph::Cap>(result.locally_matched), oracle_value(ws))
         << "seed " << seed;
 
     AuditOptions audit;
     audit.enforce_capacity = true;
     const auto report =
-        audit_plan(layout.nn, layout.tasks, plan.assignment, layout.placement, audit);
+        audit_plan(layout.nn, layout.tasks, result.assignment, layout.placement, audit);
     EXPECT_TRUE(report.ok()) << "seed " << seed << "\n" << report.to_string();
   }
 }
@@ -84,17 +84,19 @@ TEST(FlowParity, RackAwarePhaseTotalsAreEqual) {
     // Phase 1 is the single-data node-local network, so node_local must
     // equal the oracle's value on that network.
     Rng rng_single(seed + 1), rng_rack(seed + 1);
-    (void)assign_single_data(nn, tasks, placement, rng_single, {&ws});
+    (void)plan({&nn, &tasks, &placement, &rng_single}, {.workspace = &ws});
     const graph::Cap node_local_max = oracle_value(ws);
-    const auto rack = assign_single_data_rack_aware(nn, tasks, placement, rng_rack,
-                                                    RackAwareOptions{&ws});
-    EXPECT_EQ(static_cast<graph::Cap>(rack.node_local), node_local_max) << "seed " << seed;
+    const auto rack = plan({&nn, &tasks, &placement, &rng_rack},
+                           {.planner = PlannerKind::kRackAware, .workspace = &ws});
+    EXPECT_EQ(static_cast<graph::Cap>(rack.locally_matched), node_local_max)
+        << "seed " << seed;
     // With several racks, phase 2 runs whenever phase 1 leaves tasks open,
     // and the workspace then holds its rack-local network.
-    if (rack.node_local < tasks.size()) {
+    if (rack.locally_matched < tasks.size()) {
       EXPECT_EQ(static_cast<graph::Cap>(rack.rack_local), oracle_value(ws)) << "seed " << seed;
     }
-    EXPECT_EQ(rack.task_count(), tasks.size()) << "seed " << seed;
+    EXPECT_EQ(rack.locally_matched + rack.rack_local + rack.randomly_filled, tasks.size())
+        << "seed " << seed;
   }
 }
 
@@ -106,10 +108,9 @@ TEST(FlowParity, WorkspaceReuseReproducesTheFreshPlan) {
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
     const auto layout = make_layout(seed);
     Rng rng_fresh(seed), rng_reused(seed);
-    const auto fresh =
-        assign_single_data(layout.nn, layout.tasks, layout.placement, rng_fresh, {nullptr});
-    const auto reused =
-        assign_single_data(layout.nn, layout.tasks, layout.placement, rng_reused, {&ws});
+    const auto fresh = plan({&layout.nn, &layout.tasks, &layout.placement, &rng_fresh});
+    const auto reused = plan({&layout.nn, &layout.tasks, &layout.placement, &rng_reused},
+                             {.workspace = &ws});
     EXPECT_EQ(fresh.assignment, reused.assignment) << "seed " << seed;
     EXPECT_EQ(fresh.locally_matched, reused.locally_matched) << "seed " << seed;
   }

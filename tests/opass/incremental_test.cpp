@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "opass/single_data.hpp"
+#include "opass/planner.hpp"
 #include "support/edmonds_karp.hpp"
 #include "workload/dataset.hpp"
 
@@ -32,7 +32,7 @@ TEST_F(IncrementalFixture, SingleBatchMatchesFullPlanner) {
   IncrementalPlanner planner(nn, placement);
   Rng r1(3), r2(3);
   const auto inc = planner.match_batch(all_tasks, r1, {});
-  const auto full = assign_single_data(nn, all_tasks, placement, r2);
+  const auto full = plan({&nn, &all_tasks, &placement, &r2});
   EXPECT_EQ(inc.locally_matched, full.locally_matched);
   EXPECT_EQ(inc.locally_matched + inc.randomly_filled, 80u);
 }

@@ -1,8 +1,7 @@
-#include "opass/multi_data.hpp"
-
 #include <gtest/gtest.h>
 
 #include "opass/assignment_stats.hpp"
+#include "opass/planner.hpp"
 #include "runtime/static_partitioner.hpp"
 #include "workload/dataset.hpp"
 #include "workload/multi_input.hpp"
@@ -10,16 +9,22 @@
 namespace opass::core {
 namespace {
 
+/// Algorithm 1 through plan(); it draws no random numbers, so no rng.
+PlanResult algorithm1(const dfs::NameNode& nn, const std::vector<runtime::Task>& tasks,
+                      const ProcessPlacement& placement) {
+  return plan({&nn, &tasks, &placement, nullptr}, {.planner = PlannerKind::kMultiData});
+}
+
 TEST(MultiData, AssignsEveryTaskWithEqualQuotas) {
   dfs::NameNode nn(dfs::Topology::single_rack(8), 3, kDefaultChunkSize);
   dfs::RandomPlacement policy;
   Rng rng(1);
   const auto tasks = workload::make_multi_input_workload(nn, 24, policy, rng);
   const auto placement = one_process_per_node(nn);
-  const auto plan = assign_multi_data(nn, tasks, placement);
+  const auto result = algorithm1(nn, tasks, placement);
 
-  EXPECT_TRUE(runtime::is_partition(plan.assignment, 24));
-  for (const auto& list : plan.assignment) EXPECT_EQ(list.size(), 3u);
+  EXPECT_TRUE(runtime::is_partition(result.assignment, 24));
+  for (const auto& list : result.assignment) EXPECT_EQ(list.size(), 3u);
 }
 
 TEST(MultiData, MatchedBytesConsistentWithAssignment) {
@@ -28,12 +33,11 @@ TEST(MultiData, MatchedBytesConsistentWithAssignment) {
   Rng rng(2);
   const auto tasks = workload::make_multi_input_workload(nn, 16, policy, rng);
   const auto placement = one_process_per_node(nn);
-  const auto plan = assign_multi_data(nn, tasks, placement);
+  const auto result = algorithm1(nn, tasks, placement);
 
-  const auto stats = evaluate_assignment(nn, tasks, plan.assignment, placement);
-  EXPECT_EQ(stats.local_bytes, plan.matched_bytes);
-  EXPECT_EQ(stats.total_bytes, plan.total_bytes);
-  EXPECT_EQ(plan.total_bytes, 16u * 60 * kMiB);  // 30+20+10 MB per task
+  const auto stats = evaluate_assignment(nn, tasks, result.assignment, placement);
+  EXPECT_EQ(stats.local_bytes, result.matched_bytes);
+  EXPECT_EQ(stats.total_bytes, 16u * 60 * kMiB);  // 30+20+10 MB per task
 }
 
 TEST(MultiData, BeatsRankIntervalOnRandomLayouts) {
@@ -44,11 +48,11 @@ TEST(MultiData, BeatsRankIntervalOnRandomLayouts) {
     const auto tasks = workload::make_multi_input_workload(nn, 64, policy, rng);
     const auto placement = one_process_per_node(nn);
 
-    const auto plan = assign_multi_data(nn, tasks, placement);
+    const auto result = algorithm1(nn, tasks, placement);
     const auto base = runtime::rank_interval_assignment(64, 16);
     const auto base_stats = evaluate_assignment(nn, tasks, base, placement);
 
-    EXPECT_GE(plan.matched_fraction(), base_stats.local_fraction()) << "seed " << seed;
+    EXPECT_GE(result.local_fraction(), base_stats.local_fraction()) << "seed " << seed;
   }
 }
 
@@ -78,10 +82,10 @@ TEST(MultiData, PrefersLargerCoLocation) {
   tasks[0].inputs = {nn.file(fa).chunks[0], nn.file(fb).chunks[0]};
   tasks[1].inputs = {nn.file(fc).chunks[0], nn.file(fd).chunks[0]};
 
-  const auto plan = assign_multi_data(nn, tasks, one_process_per_node(nn));
-  EXPECT_EQ(plan.assignment[0], (std::vector<runtime::TaskId>{0}));
-  EXPECT_EQ(plan.assignment[1], (std::vector<runtime::TaskId>{1}));
-  EXPECT_EQ(plan.matched_bytes, 80 * kMiB);
+  const auto result = algorithm1(nn, tasks, one_process_per_node(nn));
+  EXPECT_EQ(result.assignment[0], (std::vector<runtime::TaskId>{0}));
+  EXPECT_EQ(result.assignment[1], (std::vector<runtime::TaskId>{1}));
+  EXPECT_EQ(result.matched_bytes, 80 * kMiB);
 }
 
 TEST(MultiData, ReassignmentEventHappens) {
@@ -115,12 +119,12 @@ TEST(MultiData, ReassignmentEventHappens) {
   tasks[0].inputs = {nn.file(f0).chunks[0]};
   tasks[1].inputs = {nn.file(f1a).chunks[0], nn.file(f1b).chunks[0]};
 
-  const auto plan = assign_multi_data(nn, tasks, one_process_per_node(nn));
+  const auto result = algorithm1(nn, tasks, one_process_per_node(nn));
   // p0 proposes to t1 first (30M > 10M) and takes it; p1 then steals t1
   // (40M > 30M); p0 falls back to t0.
-  EXPECT_EQ(plan.reassignments, 1u);
-  EXPECT_EQ(plan.assignment[0], (std::vector<runtime::TaskId>{0}));
-  EXPECT_EQ(plan.assignment[1], (std::vector<runtime::TaskId>{1}));
+  EXPECT_EQ(result.reassignments, 1u);
+  EXPECT_EQ(result.assignment[0], (std::vector<runtime::TaskId>{0}));
+  EXPECT_EQ(result.assignment[1], (std::vector<runtime::TaskId>{1}));
 }
 
 TEST(MultiData, WorksWithSingleInputTasks) {
@@ -129,9 +133,9 @@ TEST(MultiData, WorksWithSingleInputTasks) {
   dfs::RandomPlacement policy;
   Rng rng(5);
   const auto tasks = workload::make_single_data_workload(nn, 32, policy, rng);
-  const auto plan = assign_multi_data(nn, tasks, one_process_per_node(nn));
-  EXPECT_TRUE(runtime::is_partition(plan.assignment, 32));
-  EXPECT_GT(plan.matched_fraction(), 0.5);
+  const auto result = algorithm1(nn, tasks, one_process_per_node(nn));
+  EXPECT_TRUE(runtime::is_partition(result.assignment, 32));
+  EXPECT_GT(result.local_fraction(), 0.5);
 }
 
 TEST(MultiData, TasksWithNoLocalityStillAssigned) {
@@ -150,10 +154,10 @@ TEST(MultiData, TasksWithNoLocalityStillAssigned) {
   const auto tasks = workload::make_single_data_workload(nn, 8, policy, rng);
   // Processes only on nodes 0..3.
   const ProcessPlacement placement{0, 1, 2, 3};
-  const auto plan = assign_multi_data(nn, tasks, placement);
-  EXPECT_TRUE(runtime::is_partition(plan.assignment, 8));
-  EXPECT_EQ(plan.matched_bytes, 0u);
-  for (const auto& list : plan.assignment) EXPECT_EQ(list.size(), 2u);
+  const auto result = algorithm1(nn, tasks, placement);
+  EXPECT_TRUE(runtime::is_partition(result.assignment, 8));
+  EXPECT_EQ(result.matched_bytes, 0u);
+  for (const auto& list : result.assignment) EXPECT_EQ(list.size(), 2u);
 }
 
 TEST(MultiData, UnevenTaskCountSpreadsRemainder) {
@@ -161,11 +165,11 @@ TEST(MultiData, UnevenTaskCountSpreadsRemainder) {
   dfs::RandomPlacement policy;
   Rng rng(9);
   const auto tasks = workload::make_single_data_workload(nn, 10, policy, rng);
-  const auto plan = assign_multi_data(nn, tasks, one_process_per_node(nn));
-  EXPECT_EQ(plan.assignment[0].size(), 3u);
-  EXPECT_EQ(plan.assignment[1].size(), 3u);
-  EXPECT_EQ(plan.assignment[2].size(), 2u);
-  EXPECT_EQ(plan.assignment[3].size(), 2u);
+  const auto result = algorithm1(nn, tasks, one_process_per_node(nn));
+  EXPECT_EQ(result.assignment[0].size(), 3u);
+  EXPECT_EQ(result.assignment[1].size(), 3u);
+  EXPECT_EQ(result.assignment[2].size(), 2u);
+  EXPECT_EQ(result.assignment[3].size(), 2u);
 }
 
 }  // namespace

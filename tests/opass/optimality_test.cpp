@@ -5,8 +5,7 @@
 #include <algorithm>
 
 #include "opass/fig5.hpp"
-#include "opass/multi_data.hpp"
-#include "opass/single_data.hpp"
+#include "opass/planner.hpp"
 #include "workload/dataset.hpp"
 #include "workload/multi_input.hpp"
 
@@ -49,9 +48,9 @@ TEST(Optimality, FlowMatcherEqualsBruteForceOnRandomInstances) {
     const auto tasks = workload::make_single_data_workload(nn, 9, policy, rng);
     const auto placement = one_process_per_node(nn);
 
-    const auto plan = assign_single_data(nn, tasks, placement, rng);
+    const auto result = plan({&nn, &tasks, &placement, &rng});
     const auto optimal = brute_force_max_local(nn, tasks, placement);
-    EXPECT_EQ(plan.locally_matched, optimal) << "seed " << seed;
+    EXPECT_EQ(result.locally_matched, optimal) << "seed " << seed;
   }
 }
 
@@ -63,8 +62,8 @@ TEST(Optimality, FlowMatcherEqualsBruteForceWithMoreProcesses) {
     const auto tasks = workload::make_single_data_workload(nn, 8, policy, rng);
     const auto placement = one_process_per_node(nn);
 
-    const auto plan = assign_single_data(nn, tasks, placement, rng);
-    EXPECT_EQ(plan.locally_matched, brute_force_max_local(nn, tasks, placement))
+    const auto result = plan({&nn, &tasks, &placement, &rng});
+    EXPECT_EQ(result.locally_matched, brute_force_max_local(nn, tasks, placement))
         << "seed " << seed;
   }
 }
@@ -89,16 +88,17 @@ TEST(Optimality, Algorithm1SatisfiesQuotaStability) {
     Rng rng(seed);
     const auto tasks = workload::make_multi_input_workload(nn, 24, policy, rng);
     const auto placement = one_process_per_node(nn);
-    const auto plan = assign_multi_data(nn, tasks, placement);
+    const auto result =
+        plan({&nn, &tasks, &placement, nullptr}, {.planner = PlannerKind::kMultiData});
 
     std::vector<std::uint32_t> owner(tasks.size(), UINT32_MAX);
     for (std::uint32_t p = 0; p < placement.size(); ++p)
-      for (auto t : plan.assignment[p]) owner[t] = p;
+      for (auto t : result.assignment[p]) owner[t] = p;
 
     for (std::uint32_t p = 0; p < placement.size(); ++p) {
       // p's least-valued holding.
       Bytes min_held = UINT64_MAX;
-      for (auto t : plan.assignment[p])
+      for (auto t : result.assignment[p])
         min_held = std::min(min_held, value_of(nn, tasks[t], placement[p]));
       for (std::uint32_t t = 0; t < tasks.size(); ++t) {
         if (owner[t] == p) continue;
@@ -123,7 +123,8 @@ TEST(Optimality, Algorithm1MatchedBytesAtLeastGreedyWithoutStealing) {
     Rng rng(seed);
     const auto tasks = workload::make_multi_input_workload(nn, 18, policy, rng);
     const auto placement = one_process_per_node(nn);
-    const auto plan = assign_multi_data(nn, tasks, placement);
+    const auto result =
+        plan({&nn, &tasks, &placement, nullptr}, {.planner = PlannerKind::kMultiData});
 
     // One-shot greedy: tasks in id order to their best open process.
     const auto quotas = equal_quotas(18, 6);
@@ -143,7 +144,7 @@ TEST(Optimality, Algorithm1MatchedBytesAtLeastGreedyWithoutStealing) {
       ++used[best_p];
       greedy += best_v;
     }
-    EXPECT_GE(plan.matched_bytes, greedy) << "seed " << seed;
+    EXPECT_GE(result.matched_bytes, greedy) << "seed " << seed;
   }
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "opass/single_data.hpp"
+#include "opass/planner.hpp"
 #include "workload/dataset.hpp"
 
 namespace opass::core {
@@ -38,10 +38,10 @@ TEST_F(AuditFixture, ValidPlanPasses) {
 
 TEST_F(AuditFixture, OptimizerOutputPasses) {
   Rng assign_rng(7);
-  const auto plan = assign_single_data(nn, tasks, placement, assign_rng);
+  const auto result = plan({&nn, &tasks, &placement, &assign_rng});
   AuditOptions opts;
   opts.enforce_capacity = true;
-  const auto report = audit_plan(nn, tasks, plan.assignment, placement, opts);
+  const auto report = audit_plan(nn, tasks, result.assignment, placement, opts);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 

@@ -86,14 +86,13 @@ TEST(PlanDeterminism, WorkspaceCarriedAcrossDifferentLayoutsStaysClean) {
   graph::FlowWorkspace workspace;
   const auto warm = make_layout(3, 30, 200);
   Rng warm_rng(3);
-  (void)assign_single_data(warm.nn, warm.tasks, warm.placement, warm_rng, {&workspace});
+  (void)plan({&warm.nn, &warm.tasks, &warm.placement, &warm_rng}, {.workspace = &workspace});
 
   const auto layout = make_layout(4, 24, 120);
   Rng rng_dirty(21), rng_fresh(21);
-  const auto dirty = assign_single_data(layout.nn, layout.tasks, layout.placement, rng_dirty,
-                                        {&workspace});
-  const auto fresh = assign_single_data(layout.nn, layout.tasks, layout.placement, rng_fresh,
-                                        {nullptr});
+  const auto dirty = plan({&layout.nn, &layout.tasks, &layout.placement, &rng_dirty},
+                          {.workspace = &workspace});
+  const auto fresh = plan({&layout.nn, &layout.tasks, &layout.placement, &rng_fresh});
   EXPECT_EQ(serialize_assignment(dirty.assignment, 120),
             serialize_assignment(fresh.assignment, 120));
 }

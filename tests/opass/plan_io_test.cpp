@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
-#include "opass/single_data.hpp"
+#include "opass/planner.hpp"
 #include "workload/dataset.hpp"
 
 namespace opass::core {
@@ -21,9 +22,10 @@ TEST(PlanIo, RoundTripsRealPlan) {
   dfs::RandomPlacement policy;
   Rng rng(3);
   const auto tasks = workload::make_single_data_workload(nn, 40, policy, rng);
-  const auto plan = assign_single_data(nn, tasks, one_process_per_node(nn), rng);
-  const std::string text = serialize_assignment(plan.assignment, 40);
-  EXPECT_EQ(parse_assignment(text), plan.assignment);
+  const auto placement = one_process_per_node(nn);
+  const auto result = plan({&nn, &tasks, &placement, &rng});
+  const std::string text = serialize_assignment(result.assignment, 40);
+  EXPECT_EQ(parse_assignment(text), result.assignment);
 }
 
 TEST(PlanIo, HeaderContainsCounts) {
@@ -55,6 +57,32 @@ TEST(PlanIo, ParseRejectsMalformedInputs) {
                std::invalid_argument);  // out of order
   EXPECT_THROW(parse_assignment("opass-plan v1\nprocesses 1\ntasks 2\np 0 : 0 0\n"),
                std::invalid_argument);  // duplicate task
+}
+
+/// parse_assignment must throw std::invalid_argument whose message contains
+/// `needle`.
+void expect_rejected(const std::string& text, const std::string& needle) {
+  try {
+    (void)parse_assignment(text);
+    FAIL() << "accepted:\n" << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(PlanIo, ParseRejectsCountsOutsideTheIdRange) {
+  // 2^32 + 1 tasks would wrap to 1 if cast to a 32-bit id.
+  expect_rejected("opass-plan v1\nprocesses 1\ntasks 4294967297\np 0 : 0\n", "'tasks'");
+  // A process count is not an allocation size.
+  expect_rejected("opass-plan v1\nprocesses 100000000000000\ntasks 1\np 0 : 0\n",
+                  "'processes'");
+}
+
+TEST(PlanIo, OverCountedProcessesFailAsTruncated) {
+  // Inside the id range, but the file holds one process line: the parser
+  // reads the lines it is given instead of sizing from the header.
+  expect_rejected("opass-plan v1\nprocesses 4000000000\ntasks 1\np 0 : 0\n",
+                  "plan truncated");
 }
 
 TEST(PlanIo, EmptyProcessListsSurvive) {

@@ -1,7 +1,7 @@
-// The core::plan() facade must be a pure repackaging of the per-planner free
-// functions: same assignments for the same inputs and seeds, uniform stats,
-// and strict request validation. Also covers the planner-name round trip and
-// the dynamic-source construction (both steal policies).
+// The core::plan() facade: the matched count is the oracle's max-flow,
+// Algorithm 1 needs no rng, requests are validated strictly, and planner
+// names round-trip. Each planner's plans are pinned across commits by
+// GoldenScenarios.Plan* (tests/integration/golden_scenarios_test.cpp).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,66 +31,19 @@ Layout make_layout(std::uint64_t seed, bool multi_input = false) {
   return layout;
 }
 
-TEST(PlannerFacade, SingleDataMatchesLegacyFunction) {
-  const auto layout = make_layout(1);
-  Rng rng_facade(9), rng_legacy(9);
-  const auto facade = plan({&layout.nn, &layout.tasks, &layout.placement, &rng_facade});
-  const auto legacy =
-      assign_single_data(layout.nn, layout.tasks, layout.placement, rng_legacy);
-
-  EXPECT_EQ(facade.planner, PlannerKind::kSingleData);
-  EXPECT_EQ(facade.assignment, legacy.assignment);
-  EXPECT_EQ(facade.locally_matched, legacy.locally_matched);
-  EXPECT_EQ(facade.randomly_filled, legacy.randomly_filled);
-  const auto stats =
-      evaluate_assignment(layout.nn, layout.tasks, legacy.assignment, layout.placement);
-  EXPECT_EQ(facade.stats.local_bytes, stats.local_bytes);
-  EXPECT_DOUBLE_EQ(facade.local_fraction(), stats.local_fraction());
-}
-
-TEST(PlannerFacade, WeightedMatchesLegacyFunction) {
-  const auto layout = make_layout(2);
-  Rng rng_facade(9), rng_legacy(9);
-  PlanOptions options;
-  options.planner = PlannerKind::kWeighted;
-  const auto facade =
-      plan({&layout.nn, &layout.tasks, &layout.placement, &rng_facade}, options);
-  const auto legacy =
-      assign_single_data_weighted(layout.nn, layout.tasks, layout.placement, rng_legacy);
-
-  EXPECT_EQ(facade.assignment, legacy.assignment);
-  EXPECT_EQ(facade.locally_matched, legacy.flow_assigned);
-  EXPECT_EQ(facade.randomly_filled, legacy.fill_assigned);
-  EXPECT_EQ(facade.matched_bytes, legacy.local_bytes);
-}
-
-TEST(PlannerFacade, RackAwareMatchesLegacyFunction) {
-  const auto layout = make_layout(3);
-  Rng rng_facade(9), rng_legacy(9);
-  PlanOptions options;
-  options.planner = PlannerKind::kRackAware;
-  const auto facade =
-      plan({&layout.nn, &layout.tasks, &layout.placement, &rng_facade}, options);
-  const auto legacy =
-      assign_single_data_rack_aware(layout.nn, layout.tasks, layout.placement, rng_legacy);
-
-  EXPECT_EQ(facade.assignment, legacy.assignment);
-  EXPECT_EQ(facade.locally_matched, legacy.node_local);
-  EXPECT_EQ(facade.rack_local, legacy.rack_local);
-  EXPECT_EQ(facade.randomly_filled, legacy.random_filled);
-}
-
-TEST(PlannerFacade, MultiDataMatchesLegacyFunctionAndNeedsNoRng) {
+TEST(PlannerFacade, MultiDataNeedsNoRng) {
   const auto layout = make_layout(4, /*multi_input=*/true);
-  // kMultiData is deterministic: no rng in the request.
+  // kMultiData is deterministic: no rng in the request, and lending one
+  // changes nothing.
+  Rng rng(9);
   PlanOptions options;
   options.planner = PlannerKind::kMultiData;
-  const auto facade = plan({&layout.nn, &layout.tasks, &layout.placement, nullptr}, options);
-  const auto legacy = assign_multi_data(layout.nn, layout.tasks, layout.placement);
-
-  EXPECT_EQ(facade.assignment, legacy.assignment);
-  EXPECT_EQ(facade.reassignments, legacy.reassignments);
-  EXPECT_EQ(facade.matched_bytes, legacy.matched_bytes);
+  const auto without = plan({&layout.nn, &layout.tasks, &layout.placement, nullptr}, options);
+  const auto with = plan({&layout.nn, &layout.tasks, &layout.placement, &rng}, options);
+  EXPECT_EQ(without.planner, PlannerKind::kMultiData);
+  EXPECT_EQ(without.assignment, with.assignment);
+  EXPECT_EQ(without.reassignments, with.reassignments);
+  EXPECT_EQ(without.matched_bytes, with.matched_bytes);
 }
 
 TEST(PlannerFacade, MatchedCountIsTheOracleMaxFlow) {
@@ -133,46 +86,6 @@ TEST(PlannerFacade, KindNamesRoundTrip) {
     EXPECT_NE(std::string(e.what()).find("gale-shapley"), std::string::npos) << e.what();
     EXPECT_NE(std::string(e.what()).find("single-data"), std::string::npos) << e.what();
   }
-}
-
-TEST(PlannerFacade, MakeDynamicSourceDrainsEveryTask) {
-  const auto layout = make_layout(7);
-  Rng rng(9);
-  const auto source = make_dynamic_source({&layout.nn, &layout.tasks, &layout.placement, &rng});
-  ASSERT_NE(source, nullptr);
-
-  // Drain round-robin: every task comes out exactly once.
-  std::vector<int> seen(layout.tasks.size(), 0);
-  std::uint32_t drained = 0;
-  bool any = true;
-  while (any) {
-    any = false;
-    for (runtime::ProcessId p = 0; p < layout.placement.size(); ++p) {
-      if (const auto t = source->next_task(p, 0)) {
-        ++seen[*t];
-        ++drained;
-        any = true;
-      }
-    }
-  }
-  EXPECT_EQ(drained, layout.tasks.size());
-  for (std::size_t t = 0; t < seen.size(); ++t) EXPECT_EQ(seen[t], 1) << "task " << t;
-}
-
-TEST(PlannerFacade, FrontStealPolicyStillDrainsAndSteals) {
-  const auto layout = make_layout(8);
-  Rng rng(9);
-  PlanOptions options;
-  options.steal_policy = StealPolicy::kFront;
-  const auto source =
-      make_dynamic_source({&layout.nn, &layout.tasks, &layout.placement, &rng}, options);
-
-  // Process 0 drains everything alone: every pull past its own list is a
-  // front-steal from the longest victim.
-  std::uint32_t drained = 0;
-  while (source->next_task(0, 0)) ++drained;
-  EXPECT_EQ(drained, layout.tasks.size());
-  EXPECT_GT(source->steal_count(), 0u);
 }
 
 }  // namespace

@@ -54,6 +54,21 @@ TEST(LeastLoadedQuotas, EdgeShapes) {
   EXPECT_THROW((void)least_loaded_quotas({}, 1), std::invalid_argument);
 }
 
+TEST(OneProcessPerNode, DefaultIsOnePerClusterNode) {
+  dfs::NameNode nn(dfs::Topology::single_rack(4), 2, kDefaultChunkSize);
+  const auto p = one_process_per_node(nn);
+  ASSERT_EQ(p.size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(p[i], i);
+}
+
+TEST(OneProcessPerNode, ExplicitProcessCountWraps) {
+  dfs::NameNode nn(dfs::Topology::single_rack(4), 2, kDefaultChunkSize);
+  const auto p = one_process_per_node(nn, 6);
+  ASSERT_EQ(p.size(), 6u);
+  EXPECT_EQ(p[4], 0u);
+  EXPECT_EQ(p[5], 1u);
+}
+
 TEST(ProcessesByNode, EmptyNodesAndSharedNodes) {
   dfs::NameNode nn(dfs::Topology::single_rack(4), 1, kDefaultChunkSize);
   // Node 1 hosts three processes (listed out of order), node 3 none.

@@ -1,13 +1,13 @@
-#include "opass/rack_aware.hpp"
-
 #include <gtest/gtest.h>
 
 #include "opass/fig5.hpp"
-#include "opass/single_data.hpp"
+#include "opass/planner.hpp"
 #include "workload/dataset.hpp"
 
 namespace opass::core {
 namespace {
+
+constexpr PlanOptions kRackAware{.planner = PlannerKind::kRackAware};
 
 TEST(RackAware, SingleRackDegeneratesToNodeLocalPlusFill) {
   dfs::NameNode nn(dfs::Topology::single_rack(8), 3, kDefaultChunkSize);
@@ -17,10 +17,10 @@ TEST(RackAware, SingleRackDegeneratesToNodeLocalPlusFill) {
   const auto placement = one_process_per_node(nn);
 
   Rng r1(2), r2(2);
-  const auto rack = assign_single_data_rack_aware(nn, tasks, placement, r1);
-  const auto unit = assign_single_data(nn, tasks, placement, r2);
+  const auto rack = plan({&nn, &tasks, &placement, &r1}, kRackAware);
+  const auto unit = plan({&nn, &tasks, &placement, &r2});
   EXPECT_EQ(rack.rack_local, 0u);  // no second rack exists
-  EXPECT_EQ(rack.node_local, unit.locally_matched);
+  EXPECT_EQ(rack.locally_matched, unit.locally_matched);
   EXPECT_TRUE(runtime::is_partition(rack.assignment, 32));
 }
 
@@ -30,12 +30,12 @@ TEST(RackAware, QuotasRespected) {
   Rng rng(3);
   const auto tasks = workload::make_single_data_workload(nn, 30, policy, rng);
   const auto placement = one_process_per_node(nn);
-  const auto plan = assign_single_data_rack_aware(nn, tasks, placement, rng);
-  EXPECT_TRUE(runtime::is_partition(plan.assignment, 30));
+  const auto result = plan({&nn, &tasks, &placement, &rng}, kRackAware);
+  EXPECT_TRUE(runtime::is_partition(result.assignment, 30));
   const auto quotas = equal_quotas(30, 12);
   for (std::uint32_t p = 0; p < 12; ++p)
-    EXPECT_EQ(plan.assignment[p].size(), quotas[p]) << "p=" << p;
-  EXPECT_EQ(plan.task_count(), 30u);
+    EXPECT_EQ(result.assignment[p].size(), quotas[p]) << "p=" << p;
+  EXPECT_EQ(result.locally_matched + result.rack_local + result.randomly_filled, 30u);
 }
 
 TEST(RackAware, RackPhaseRecoversWhatNodePhaseCannot) {
@@ -46,16 +46,16 @@ TEST(RackAware, RackPhaseRecoversWhatNodePhaseCannot) {
   Rng rng(5);
   const auto tasks = workload::make_single_data_workload(nn, 64, policy, rng);
   const auto placement = one_process_per_node(nn);
-  const auto plan = assign_single_data_rack_aware(nn, tasks, placement, rng);
+  const auto result = plan({&nn, &tasks, &placement, &rng}, kRackAware);
 
-  EXPECT_GT(plan.rack_local, 0u);
-  EXPECT_GT(plan.node_local + plan.rack_local, 48u);  // most tasks in-rack
+  EXPECT_GT(result.rack_local, 0u);
+  EXPECT_GT(result.locally_matched + result.rack_local, 48u);  // most tasks in-rack
 
   // Verify the claimed locality levels are real.
   const auto& topo = nn.topology();
   std::uint32_t node_ok = 0, rack_ok = 0;
   for (std::uint32_t p = 0; p < placement.size(); ++p) {
-    for (auto t : plan.assignment[p]) {
+    for (auto t : result.assignment[p]) {
       const auto& chunk = nn.chunk(tasks[t].inputs[0]);
       if (chunk.has_replica_on(placement[p])) {
         ++node_ok;
@@ -68,8 +68,8 @@ TEST(RackAware, RackPhaseRecoversWhatNodePhaseCannot) {
         }
     }
   }
-  EXPECT_GE(node_ok, plan.node_local);
-  EXPECT_GE(node_ok + rack_ok, plan.node_local + plan.rack_local);
+  EXPECT_GE(node_ok, result.locally_matched);
+  EXPECT_GE(node_ok + rack_ok, result.locally_matched + result.rack_local);
 }
 
 TEST(RackAware, NodeLocalAlwaysPreferred) {
@@ -82,9 +82,9 @@ TEST(RackAware, NodeLocalAlwaysPreferred) {
     const auto tasks = workload::make_single_data_workload(nn, 48, policy, rng);
     const auto placement = one_process_per_node(nn);
     Rng r1(seed + 10), r2(seed + 10);
-    const auto rack = assign_single_data_rack_aware(nn, tasks, placement, r1);
-    const auto unit = assign_single_data(nn, tasks, placement, r2);
-    EXPECT_EQ(rack.node_local, unit.locally_matched) << "seed " << seed;
+    const auto rack = plan({&nn, &tasks, &placement, &r1}, kRackAware);
+    const auto unit = plan({&nn, &tasks, &placement, &r2});
+    EXPECT_EQ(rack.locally_matched, unit.locally_matched) << "seed " << seed;
   }
 }
 
@@ -95,8 +95,9 @@ TEST(RackAware, RejectsMultiInputTasks) {
   nn.create_file("a", 2 * kDefaultChunkSize, policy, rng);
   runtime::Task t;
   t.inputs = {0, 1};
-  EXPECT_THROW(assign_single_data_rack_aware(nn, {t}, one_process_per_node(nn), rng),
-               std::invalid_argument);
+  const std::vector<runtime::Task> tasks{t};
+  const auto placement = one_process_per_node(nn);
+  EXPECT_THROW((void)plan({&nn, &tasks, &placement, &rng}, kRackAware), std::invalid_argument);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "opass/dynamic_scheduler.hpp"
 #include "opass/plan_audit.hpp"
-#include "opass/single_data.hpp"
 #include "workload/dataset.hpp"
 
 namespace opass::core {

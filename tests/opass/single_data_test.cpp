@@ -1,9 +1,8 @@
-#include "opass/single_data.hpp"
-
 #include <gtest/gtest.h>
 
 #include "opass/assignment_stats.hpp"
 #include "opass/fig5.hpp"
+#include "opass/planner.hpp"
 #include "support/edmonds_karp.hpp"
 #include "workload/dataset.hpp"
 
@@ -17,61 +16,55 @@ TEST(EqualQuotas, DistributesRemainder) {
   EXPECT_THROW(equal_quotas(4, 0), std::invalid_argument);
 }
 
-class SingleDataTest : public ::testing::Test {
- protected:
-  SingleDataOptions opts() const { return {}; }
-};
-
-TEST_F(SingleDataTest, RoundRobinLayoutYieldsFullMatching) {
+TEST(SingleDataTest, RoundRobinLayoutYieldsFullMatching) {
   // Perfectly even placement: a full matching must exist and be found.
   dfs::NameNode nn(dfs::Topology::single_rack(8), 3, kDefaultChunkSize);
   dfs::RoundRobinPlacement policy;
   Rng rng(1);
   const auto tasks = workload::make_single_data_workload(nn, 32, policy, rng);
   const auto placement = one_process_per_node(nn);
-  const auto plan = assign_single_data(nn, tasks, placement, rng, opts());
+  const auto result = plan({&nn, &tasks, &placement, &rng});
 
-  EXPECT_TRUE(plan.full_matching);
-  EXPECT_EQ(plan.locally_matched, 32u);
-  EXPECT_EQ(plan.randomly_filled, 0u);
-  EXPECT_TRUE(runtime::is_partition(plan.assignment, 32));
-  const auto stats = evaluate_assignment(nn, tasks, plan.assignment, placement);
+  EXPECT_EQ(result.locally_matched, 32u);
+  EXPECT_EQ(result.randomly_filled, 0u);
+  EXPECT_TRUE(runtime::is_partition(result.assignment, 32));
+  const auto stats = evaluate_assignment(nn, tasks, result.assignment, placement);
   EXPECT_DOUBLE_EQ(stats.local_fraction(), 1.0);
 }
 
-TEST_F(SingleDataTest, QuotasAreExact) {
+TEST(SingleDataTest, QuotasAreExact) {
   dfs::NameNode nn(dfs::Topology::single_rack(8), 3, kDefaultChunkSize);
   dfs::RandomPlacement policy;
   Rng rng(7);
   const auto tasks = workload::make_single_data_workload(nn, 36, policy, rng);
   const auto placement = one_process_per_node(nn);
-  const auto plan = assign_single_data(nn, tasks, placement, rng, opts());
+  const auto result = plan({&nn, &tasks, &placement, &rng});
 
   const auto quotas = equal_quotas(36, 8);
   for (std::uint32_t p = 0; p < 8; ++p)
-    EXPECT_EQ(plan.assignment[p].size(), quotas[p]) << "p=" << p;
-  EXPECT_TRUE(runtime::is_partition(plan.assignment, 36));
+    EXPECT_EQ(result.assignment[p].size(), quotas[p]) << "p=" << p;
+  EXPECT_TRUE(runtime::is_partition(result.assignment, 36));
 }
 
-TEST_F(SingleDataTest, MatchedTasksAreActuallyLocal) {
+TEST(SingleDataTest, MatchedTasksAreActuallyLocal) {
   dfs::NameNode nn(dfs::Topology::single_rack(16), 3, kDefaultChunkSize);
   dfs::RandomPlacement policy;
   Rng rng(3);
   const auto tasks = workload::make_single_data_workload(nn, 64, policy, rng);
   const auto placement = one_process_per_node(nn);
-  const auto plan = assign_single_data(nn, tasks, placement, rng, opts());
+  const auto result = plan({&nn, &tasks, &placement, &rng});
 
   // locally_matched must equal the number of (process, task) pairs where the
   // chunk is on the process's node.
   std::uint32_t local = 0;
   for (std::uint32_t p = 0; p < placement.size(); ++p)
-    for (auto t : plan.assignment[p])
+    for (auto t : result.assignment[p])
       if (nn.chunk(tasks[t].inputs[0]).has_replica_on(placement[p])) ++local;
-  EXPECT_EQ(local, plan.locally_matched);
-  EXPECT_EQ(plan.locally_matched + plan.randomly_filled, 64u);
+  EXPECT_EQ(local, result.locally_matched);
+  EXPECT_EQ(result.locally_matched + result.randomly_filled, 64u);
 }
 
-TEST_F(SingleDataTest, MatchingIsMaximum) {
+TEST(SingleDataTest, MatchingIsMaximum) {
   // Verify optimality on a crafted instance whose optimum is known (the
   // randomized oracle parity lives in SingleData.MatchesOracleOnTheSameNetwork).
   //
@@ -92,13 +85,12 @@ TEST_F(SingleDataTest, MatchingIsMaximum) {
   Rng rng(5);
   const auto tasks = workload::make_single_data_workload(nn, 4, policy, rng);
   const auto placement = one_process_per_node(nn);
-  const auto plan = assign_single_data(nn, tasks, placement, rng, opts());
-  EXPECT_EQ(plan.locally_matched, 3u);
-  EXPECT_EQ(plan.randomly_filled, 1u);
-  EXPECT_FALSE(plan.full_matching);
+  const auto result = plan({&nn, &tasks, &placement, &rng});
+  EXPECT_EQ(result.locally_matched, 3u);
+  EXPECT_EQ(result.randomly_filled, 1u);
 }
 
-TEST_F(SingleDataTest, ReassignmentBeatsGreedy) {
+TEST(SingleDataTest, ReassignmentBeatsGreedy) {
   // The flow cancellation case: p0 co-located with {c0, c1}, p1 only with
   // {c0}. Greedy could give c0 to p0 and leave p1 remote; max-flow must
   // reach 2 local tasks.
@@ -117,24 +109,25 @@ TEST_F(SingleDataTest, ReassignmentBeatsGreedy) {
   auto tasks = workload::make_single_data_workload(nn, 2, policy, rng);
   const auto placement = one_process_per_node(nn);
   // Both chunks on node 0, quota 1 each: only one can be local.
-  const auto plan = assign_single_data(nn, tasks, placement, rng, opts());
-  EXPECT_EQ(plan.locally_matched, 1u);
+  const auto result = plan({&nn, &tasks, &placement, &rng});
+  EXPECT_EQ(result.locally_matched, 1u);
   // And the local one must be on p0.
-  EXPECT_TRUE(nn.chunk(tasks[plan.assignment[0][0]].inputs[0]).has_replica_on(0));
+  EXPECT_TRUE(nn.chunk(tasks[result.assignment[0][0]].inputs[0]).has_replica_on(0));
 }
 
-TEST_F(SingleDataTest, RejectsMultiInputTasks) {
+TEST(SingleDataTest, RejectsMultiInputTasks) {
   dfs::NameNode nn(dfs::Topology::single_rack(2), 1, kDefaultChunkSize);
   dfs::RandomPlacement policy;
   Rng rng(5);
   nn.create_file("a", 2 * kDefaultChunkSize, policy, rng);
   runtime::Task t;
   t.inputs = {0, 1};
-  EXPECT_THROW(assign_single_data(nn, {t}, one_process_per_node(nn), rng, opts()),
-               std::invalid_argument);
+  const std::vector<runtime::Task> tasks{t};
+  const auto placement = one_process_per_node(nn);
+  EXPECT_THROW((void)plan({&nn, &tasks, &placement, &rng}), std::invalid_argument);
 }
 
-TEST_F(SingleDataTest, LocalityBeatsRankIntervalOnRandomLayouts) {
+TEST(SingleDataTest, LocalityBeatsRankIntervalOnRandomLayouts) {
   // Property sweep: on random layouts Opass's planned locality must always
   // dominate the rank-interval baseline's.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
@@ -144,8 +137,8 @@ TEST_F(SingleDataTest, LocalityBeatsRankIntervalOnRandomLayouts) {
     const auto tasks = workload::make_single_data_workload(nn, 80, policy, rng);
     const auto placement = one_process_per_node(nn);
 
-    const auto plan = assign_single_data(nn, tasks, placement, rng, opts());
-    const auto opass_stats = evaluate_assignment(nn, tasks, plan.assignment, placement);
+    const auto result = plan({&nn, &tasks, &placement, &rng});
+    const auto opass_stats = evaluate_assignment(nn, tasks, result.assignment, placement);
     const auto base = runtime::rank_interval_assignment(80, 16);
     const auto base_stats = evaluate_assignment(nn, tasks, base, placement);
 
@@ -166,9 +159,9 @@ TEST(SingleData, MatchesOracleOnTheSameNetwork) {
     Rng prng(seed + 100);
     const auto tasks = workload::make_single_data_workload(nn, 60, policy, prng);
     const auto placement = one_process_per_node(nn);
-    const auto plan = assign_single_data(nn, tasks, placement, rng, {&ws});
+    const auto result = plan({&nn, &tasks, &placement, &rng}, {.workspace = &ws});
     ws.network.reset_flow();
-    EXPECT_EQ(static_cast<graph::Cap>(plan.locally_matched),
+    EXPECT_EQ(static_cast<graph::Cap>(result.locally_matched),
               oracle::edmonds_karp(ws.network, 0, 1))
         << "seed " << seed;
   }

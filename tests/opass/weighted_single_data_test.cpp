@@ -1,9 +1,9 @@
-#include "opass/weighted_single_data.hpp"
-
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "opass/assignment_stats.hpp"
-#include "opass/single_data.hpp"
+#include "opass/planner.hpp"
 #include "workload/dataset.hpp"
 
 namespace opass::core {
@@ -24,6 +24,20 @@ std::vector<runtime::Task> heterogeneous_tasks(dfs::NameNode& nn,
   return tasks;
 }
 
+/// Input bytes assigned to each process.
+std::vector<Bytes> process_bytes(const dfs::NameNode& nn, const std::vector<runtime::Task>& tasks,
+                                 const runtime::Assignment& assignment) {
+  std::vector<Bytes> bytes;
+  for (const auto& list : assignment) {
+    Bytes b = 0;
+    for (auto t : list) b += nn.chunk(tasks[t].inputs[0]).size;
+    bytes.push_back(b);
+  }
+  return bytes;
+}
+
+constexpr PlanOptions kWeighted{.planner = PlannerKind::kWeighted};
+
 TEST(WeightedSingleData, UniformSizesBehaveLikeUnitAssigner) {
   dfs::NameNode nn(dfs::Topology::single_rack(8), 3, kDefaultChunkSize);
   dfs::RandomPlacement policy;
@@ -32,13 +46,11 @@ TEST(WeightedSingleData, UniformSizesBehaveLikeUnitAssigner) {
   const auto placement = one_process_per_node(nn);
 
   Rng r1(2), r2(2);
-  const auto w = assign_single_data_weighted(nn, tasks, placement, r1);
-  const auto u = assign_single_data(nn, tasks, placement, r2);
+  const auto w = plan({&nn, &tasks, &placement, &r1}, kWeighted);
+  const auto u = plan({&nn, &tasks, &placement, &r2});
   EXPECT_TRUE(runtime::is_partition(w.assignment, 40));
   // Same total locality on uniform sizes (both compute a max matching).
-  const auto ws = evaluate_assignment(nn, tasks, w.assignment, placement);
-  const auto us = evaluate_assignment(nn, tasks, u.assignment, placement);
-  EXPECT_EQ(ws.local_bytes, us.local_bytes);
+  EXPECT_EQ(w.stats.local_bytes, u.stats.local_bytes);
 }
 
 TEST(WeightedSingleData, BalancesBytesNotCounts) {
@@ -62,15 +74,17 @@ TEST(WeightedSingleData, BalancesBytesNotCounts) {
   const auto tasks = heterogeneous_tasks(nn, sizes, policy, rng);
   const auto placement = one_process_per_node(nn);
 
-  const auto plan = assign_single_data_weighted(nn, tasks, placement, rng);
-  EXPECT_TRUE(runtime::is_partition(plan.assignment,
+  const auto result = plan({&nn, &tasks, &placement, &rng}, kWeighted);
+  EXPECT_TRUE(runtime::is_partition(result.assignment,
                                     static_cast<std::uint32_t>(tasks.size())));
   // Total 180 MiB over 4 processes => quota 45 MiB. p0 cannot take both
   // 60 MiB files (a count-equal split could); the guarantee is
   // quota + one-file overload, so max load stays below 105 MiB and well
   // below the 120 MiB a count-based split would allow on p0.
-  EXPECT_LT(plan.max_process_bytes, 120 * kMiB);
-  EXPECT_LE(plan.max_process_bytes, 60 * kMiB + 20 * kMiB);
+  const auto bytes = process_bytes(nn, tasks, result.assignment);
+  const Bytes max_process_bytes = *std::max_element(bytes.begin(), bytes.end());
+  EXPECT_LT(max_process_bytes, 120 * kMiB);
+  EXPECT_LE(max_process_bytes, 60 * kMiB + 20 * kMiB);
 }
 
 TEST(WeightedSingleData, ByteSpreadBeatsCountAssignerOnSkewedSizes) {
@@ -86,18 +100,13 @@ TEST(WeightedSingleData, ByteSpreadBeatsCountAssignerOnSkewedSizes) {
     const auto placement = one_process_per_node(nn);
 
     Rng r1(seed + 50), r2(seed + 50);
-    const auto w = assign_single_data_weighted(nn, tasks, placement, r1);
-    const auto u = assign_single_data(nn, tasks, placement, r2);
+    const auto w = plan({&nn, &tasks, &placement, &r1}, kWeighted);
+    const auto u = plan({&nn, &tasks, &placement, &r2});
 
     auto byte_spread = [&](const runtime::Assignment& a) {
-      Bytes hi = 0, lo = UINT64_MAX;
-      for (const auto& list : a) {
-        Bytes b = 0;
-        for (auto t : list) b += nn.chunk(tasks[t].inputs[0]).size;
-        hi = std::max(hi, b);
-        lo = std::min(lo, b);
-      }
-      return hi - lo;
+      const auto bytes = process_bytes(nn, tasks, a);
+      const auto [lo, hi] = std::minmax_element(bytes.begin(), bytes.end());
+      return *hi - *lo;
     };
     EXPECT_LE(byte_spread(w.assignment), byte_spread(u.assignment)) << "seed " << seed;
   }
@@ -111,9 +120,12 @@ TEST(WeightedSingleData, LocalityStaysHighOnRandomLayouts) {
   for (int i = 0; i < 160; ++i) sizes.push_back((16 + rng.uniform(48)) * kMiB);
   const auto tasks = heterogeneous_tasks(nn, sizes, policy, rng);
   const auto placement = one_process_per_node(nn);
-  const auto plan = assign_single_data_weighted(nn, tasks, placement, rng);
-  EXPECT_GT(plan.local_fraction(), 0.9);
-  EXPECT_EQ(plan.flow_assigned + plan.fill_assigned, 160u);
+  const auto result = plan({&nn, &tasks, &placement, &rng}, kWeighted);
+  // The flow alone places more than 90 % of the bytes locally.
+  EXPECT_GT(static_cast<double>(result.matched_bytes) /
+                static_cast<double>(result.stats.total_bytes),
+            0.9);
+  EXPECT_EQ(result.locally_matched + result.randomly_filled, 160u);
 }
 
 TEST(WeightedSingleData, StatsConsistentWithEvaluate) {
@@ -122,19 +134,20 @@ TEST(WeightedSingleData, StatsConsistentWithEvaluate) {
   Rng rng(11);
   const auto tasks = workload::make_single_data_workload(nn, 32, policy, rng);
   const auto placement = one_process_per_node(nn);
-  const auto plan = assign_single_data_weighted(nn, tasks, placement, rng);
-  const auto stats = evaluate_assignment(nn, tasks, plan.assignment, placement);
-  EXPECT_EQ(stats.total_bytes, plan.total_bytes);
-  EXPECT_GE(stats.local_bytes, plan.local_bytes);  // fill may add lucky locality
+  const auto result = plan({&nn, &tasks, &placement, &rng}, kWeighted);
+  const auto stats = evaluate_assignment(nn, tasks, result.assignment, placement);
+  EXPECT_EQ(stats.total_bytes, 32 * 64 * kMiB);
+  EXPECT_GE(stats.local_bytes, result.matched_bytes);  // fill may add lucky locality
 }
 
 TEST(WeightedSingleData, EmptyTaskListIsFine) {
   dfs::NameNode nn(dfs::Topology::single_rack(4), 2, kDefaultChunkSize);
   const auto placement = one_process_per_node(nn);
   Rng rng(1);
-  const auto plan = assign_single_data_weighted(nn, {}, placement, rng);
-  EXPECT_EQ(plan.total_bytes, 0u);
-  EXPECT_EQ(plan.assignment.size(), 4u);
+  const std::vector<runtime::Task> tasks;
+  const auto result = plan({&nn, &tasks, &placement, &rng}, kWeighted);
+  EXPECT_EQ(result.stats.total_bytes, 0u);
+  EXPECT_EQ(result.assignment.size(), 4u);
 }
 
 TEST(WeightedSingleData, RejectsMultiInputTasks) {
@@ -144,8 +157,9 @@ TEST(WeightedSingleData, RejectsMultiInputTasks) {
   nn.create_file("a", 2 * kDefaultChunkSize, policy, rng);
   runtime::Task t;
   t.inputs = {0, 1};
-  EXPECT_THROW(assign_single_data_weighted(nn, {t}, one_process_per_node(nn), rng),
-               std::invalid_argument);
+  const std::vector<runtime::Task> tasks{t};
+  const auto placement = one_process_per_node(nn);
+  EXPECT_THROW((void)plan({&nn, &tasks, &placement, &rng}, kWeighted), std::invalid_argument);
 }
 
 }  // namespace

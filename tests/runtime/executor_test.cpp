@@ -42,6 +42,29 @@ TEST_F(ExecutorFixture, ExecutesEveryTaskExactlyOnce) {
   for (int s : seen) EXPECT_EQ(s, 1);
 }
 
+TEST_F(ExecutorFixture, ReadBreakdownRecordingLastsOneRun) {
+  const auto tasks = make_tasks(8);
+  sim::Cluster cluster(4, params);
+  ExecutorConfig config;
+  config.record_read_breakdown = true;
+  StaticAssignmentSource source(rank_interval_assignment(8, 4));
+  const auto result = execute(cluster, nn, tasks, source, rng, config);
+  EXPECT_EQ(result.read_breakdowns.size(), result.trace.size());
+  EXPECT_FALSE(cluster.read_breakdown_recording());
+
+  StaticAssignmentSource job_source(rank_interval_assignment(8, 4));
+  JobSpec job{&tasks, &job_source, config, 0};
+  const auto results = execute_jobs(cluster, nn, {job}, rng);
+  EXPECT_EQ(results[0].read_breakdowns.size(), results[0].trace.size());
+  EXPECT_FALSE(cluster.read_breakdown_recording());
+
+  // Recording the caller turned on stays on.
+  cluster.record_read_breakdown(true);
+  StaticAssignmentSource plain_source(rank_interval_assignment(8, 4));
+  (void)execute(cluster, nn, tasks, plain_source, rng);
+  EXPECT_TRUE(cluster.read_breakdown_recording());
+}
+
 TEST_F(ExecutorFixture, ReadsAreSequentialPerProcess) {
   const auto tasks = make_tasks(8);
   sim::Cluster cluster(4, params);

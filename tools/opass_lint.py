@@ -35,16 +35,15 @@ Rules (all scoped to src/ unless noted):
                     form ending in "." (used to splice in a node/process id).
                     A malformed literal would pass compilation but throw at
                     recorder registration or silently miss exporter filters.
-  facade-only       (scoped to src/ outside src/opass/, plus bench/ and
-                    examples/) Planning goes through the core::plan() facade;
-                    the per-planner entry points (assign_single_data,
-                    assign_single_data_weighted, assign_single_data_rack_aware,
-                    assign_multi_data) are implementation details reserved for
-                    src/opass/ internals and unit tests. A direct call
-                    elsewhere bypasses PlanOptions validation, workspace
-                    reuse, and the one place where new planners get wired in.
-                    Harnesses that deliberately measure a raw matcher carry an
-                    inline allow(facade-only) marker.
+  facade-only       (scoped to src/ outside src/opass/, plus bench/,
+                    examples/ and tests/) Planning goes through the
+                    core::plan() facade; the matchers behind it
+                    (assign_single_data, assign_single_data_weighted,
+                    assign_single_data_rack_aware, assign_multi_data, declared
+                    in src/opass/matchers.hpp) are src/opass/ internals. A
+                    direct call elsewhere bypasses PlanRequest validation,
+                    workspace and pool lending, the stats pass, and the one
+                    place where new planners get wired in.
   no-raw-thread     Raw threading primitives (std::thread / std::mutex /
                     std::atomic / std::condition_variable / the std lock
                     guards) are confined to src/common/thread_pool.* and
@@ -141,8 +140,8 @@ TIMELINE_PREFIX = re.compile(r"timeline\.(?:[a-z0-9_]+\.)*")
 # obs::valid_span_name, which SpanLog::add enforces at runtime.
 SPAN_LITERAL = re.compile(r'"((?:exec|svc)\.[^"\n]*)"')
 SPAN_FULL_NAME = re.compile(r"(?:exec|svc)\.[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*")
-# A direct call of a per-planner entry point: `assign_single_data(...)`,
-# optionally `core::`-qualified. The facade spelling `core::plan(...)` does
+# A direct call of a matcher declared in src/opass/matchers.hpp:
+# `assign_single_data(...)`, optionally `core::`-qualified. The facade spelling `core::plan(...)` does
 # not match; prose mentions live in comments, which scrub() blanks out.
 DIRECT_PLANNER_CALL = re.compile(
     r"\b(?:core\s*::\s*)?"
@@ -403,8 +402,7 @@ def check_facade_only(path: pathlib.Path, root: pathlib.Path, text: str, finding
             Finding(path, _line_of(text, m.start()), "facade-only",
                     f"direct {m.group(1)}() call bypasses the core::plan() "
                     "facade; route through plan() (PlanOptions selects the "
-                    "planner) or mark a deliberate raw-matcher measurement "
-                    "with opass-lint: allow(facade-only)"))
+                    "planner, PlanResult::plan_wall_ms times the matcher)"))
 
 
 def check_single_pipeline(root: pathlib.Path, texts: dict, findings: list):
@@ -462,10 +460,9 @@ def lint_tree(root: pathlib.Path) -> list:
         check_no_raw_thread(path, root, text, findings)
         check_facade_only(path, root, text, findings)
     check_single_pipeline(root, texts, findings)
-    # bench/ and examples/ consume the planner API, so only the API-usage
-    # rule applies there; tests/ stays exempt (unit tests exercise the
-    # per-planner entry points on purpose).
-    for tree in ("bench", "examples"):
+    # bench/, examples/ and tests/ consume the planner API, so only the
+    # API-usage rule applies there.
+    for tree in ("bench", "examples", "tests"):
         tree_root = root / tree
         if not tree_root.is_dir():
             continue
@@ -606,9 +603,9 @@ _CLEANS = (
         "const std::string kPlan = \"svc.job.plan\";\n",
     ),
     (
-        # src/opass/ internals may call the per-planner entry points directly
-        # (the facade is implemented in terms of them), and the facade
-        # spelling core::plan(...) must never match facade-only anywhere.
+        # src/opass/ internals may call the matchers directly (the facade is
+        # implemented in terms of them), and the facade spelling
+        # core::plan(...) must never match facade-only anywhere.
         "opass/clean_internal_call.cpp",
         '#include "opass/planner.hpp"\n'
         "int internal() { return assign_single_data_weighted(nn, tasks, placement, rng).n; }\n"
@@ -724,6 +721,13 @@ _SUPPRESSED = (
 )
 _SUPPRESSED_CAUGHT_LINE = 7
 
+# facade-only reaches tests/: a unit test plans through core::plan() too.
+_TESTS_VIOLATION = (
+    "tests/opass/bad_direct_plan_test.cpp",
+    '#include "opass/opass.hpp"\n'
+    "TEST(Bad, Direct) { (void)core::assign_multi_data(nn, tasks, placement); }\n",
+)
+
 
 def self_test() -> int:
     failures = 0
@@ -740,6 +744,9 @@ def self_test() -> int:
             (src / name).write_text(content, encoding="utf-8")
             clean_names.add(pathlib.Path(name).name)
         (src / _SUPPRESSED[0]).write_text(_SUPPRESSED[1], encoding="utf-8")
+        tests_bad = root / _TESTS_VIOLATION[0]
+        tests_bad.parent.mkdir(parents=True)
+        tests_bad.write_text(_TESTS_VIOLATION[1], encoding="utf-8")
 
         findings = lint_tree(root)
         suppressed_hits = sorted(
@@ -750,6 +757,13 @@ def self_test() -> int:
         else:
             print(f"self-test: FAIL — suppression file expected a finding on "
                   f"line {_SUPPRESSED_CAUGHT_LINE} only, got {suppressed_hits}")
+            failures += 1
+        if any(f.rule == "facade-only" and f.path == tests_bad for f in findings):
+            print("self-test: rule 'facade-only' caught its seeded violation "
+                  "under tests/")
+        else:
+            print("self-test: FAIL — rule 'facade-only' missed its seeded "
+                  "violation under tests/")
             failures += 1
         fired = {f.rule for f in findings}
         for rule in _VIOLATIONS:

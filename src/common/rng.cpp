@@ -1,7 +1,7 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace opass {
 namespace {
@@ -77,9 +77,10 @@ double Rng::pareto(double xm, double alpha) {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n, std::uint32_t k) {
+InlineVector<std::uint32_t, 4> Rng::sample_without_replacement(std::uint32_t n,
+                                                              std::uint32_t k) {
   OPASS_REQUIRE(k <= n, "cannot sample more elements than the population holds");
-  std::vector<std::uint32_t> out;
+  InlineVector<std::uint32_t, 4> out;
   out.reserve(k);
   if (k == 0) return out;
   if (k * 3 >= n) {
@@ -93,12 +94,10 @@ std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n, std:
     }
     return out;
   }
-  // Sparse case: rejection with a hash set.
-  std::unordered_set<std::uint32_t> seen;
-  seen.reserve(k * 2);
+  // Sparse case: rejection sampling, redrawing any repeat of an earlier pick.
   while (out.size() < k) {
     const auto v = static_cast<std::uint32_t>(uniform(n));
-    if (seen.insert(v).second) out.push_back(v);
+    if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
   }
   return out;
 }

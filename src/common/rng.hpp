@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/inline_vector.hpp"
 #include "common/require.hpp"
 
 namespace opass {
@@ -61,9 +62,11 @@ class Rng {
   }
 
   /// k distinct indices drawn uniformly from [0, n). Requires k <= n.
-  /// Order of the result is random. O(n) when k is a large fraction of n,
-  /// O(k) expected otherwise.
-  std::vector<std::uint32_t> sample_without_replacement(std::uint32_t n, std::uint32_t k);
+  /// Order of the result is random. O(n) when k is a large fraction of n;
+  /// otherwise each draw is checked against the picks so far, O(k^2)
+  /// comparisons, which for replica-sized k beats hashing. Up to four picks
+  /// are held inline (the dfs::ReplicaList layout placement returns as-is).
+  InlineVector<std::uint32_t, 4> sample_without_replacement(std::uint32_t n, std::uint32_t k);
 
   /// Split off an independent generator (for per-component streams).
   Rng split();

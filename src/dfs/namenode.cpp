@@ -1,11 +1,25 @@
 #include "dfs/namenode.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/require.hpp"
 
 namespace opass::dfs {
+
+namespace {
+
+/// Throws std::logic_error unless `replicas` holds `replication` distinct
+/// nodes below `node_count` (the PlacementPolicy postcondition).
+void check_placement(const ReplicaList& replicas, std::uint32_t replication,
+                     std::uint32_t node_count) {
+  OPASS_CHECK(replicas.size() == replication, "policy returned wrong replica count");
+  for (auto it = replicas.begin(); it != replicas.end(); ++it)
+    OPASS_CHECK(std::find(replicas.begin(), it, *it) == it,
+                "policy returned duplicate replicas");
+  for (NodeId n : replicas) OPASS_CHECK(n < node_count, "policy returned node out of range");
+}
+
+}  // namespace
 
 NameNode::NameNode(Topology topo, std::uint32_t replication, Bytes chunk_size)
     : topo_(std::move(topo)),
@@ -28,29 +42,33 @@ FileId NameNode::create_file(const std::string& name, Bytes size, PlacementPolic
   fi.name = name;
   fi.size = size;
 
-  Bytes remaining = size;
-  std::uint32_t index = 0;
-  while (remaining > 0) {
-    const Bytes csize = std::min(remaining, chunk_size_);
-    const auto cid = static_cast<ChunkId>(chunks_.size());
-    ChunkInfo ci;
-    ci.id = cid;
-    ci.file = fid;
-    ci.index_in_file = index++;
-    ci.size = csize;
-    chunks_.push_back(ci);
-
-    auto replicas = policy.place(topo_, writer, replication_, rng);
-    OPASS_CHECK(replicas.size() == replication_, "policy returned wrong replica count");
-    std::unordered_set<NodeId> distinct(replicas.begin(), replicas.end());
-    OPASS_CHECK(distinct.size() == replicas.size(), "policy returned duplicate replicas");
-    for (NodeId n : replicas) {
-      OPASS_CHECK(n < topo_.node_count(), "policy returned node out of range");
-      add_replica(cid, n);
+  // Draw and check every placement first, staged past the committed end of
+  // chunks_; no inventory or file entry changes until all of them pass, and a
+  // rejected placement (or a throwing policy) drops the staged tail.
+  const std::size_t first = chunks_.size();
+  try {
+    Bytes remaining = size;
+    for (std::uint32_t index = 0; remaining > 0; ++index) {
+      ChunkInfo ci;
+      ci.id = static_cast<ChunkId>(chunks_.size());
+      ci.file = fid;
+      ci.index_in_file = index;
+      ci.size = std::min(remaining, chunk_size_);
+      ci.replicas = policy.place(topo_, writer, replication_, rng);
+      check_placement(ci.replicas, replication_, topo_.node_count());
+      remaining -= ci.size;
+      chunks_.push_back(std::move(ci));
     }
+  } catch (...) {
+    chunks_.resize(first);
+    throw;
+  }
 
-    fi.chunks.push_back(cid);
-    remaining -= csize;
+  fi.chunks.reserve(chunks_.size() - first);
+  for (std::size_t i = first; i < chunks_.size(); ++i) {
+    const ChunkInfo& ci = chunks_[i];
+    for (NodeId n : ci.replicas) node_chunks_[n].push_back(ci.id);
+    fi.chunks.push_back(ci.id);
   }
   files_.push_back(std::move(fi));
   return fid;
@@ -186,10 +204,9 @@ std::uint32_t NameNode::balance(Rng& rng, std::uint32_t tolerance) {
 void NameNode::check_invariants() const {
   for (const auto& c : chunks_) {
     OPASS_CHECK(c.replicas.size() == replication_, "chunk replica count drifted");
-    std::unordered_set<NodeId> distinct(c.replicas.begin(), c.replicas.end());
-    OPASS_CHECK(distinct.size() == c.replicas.size(), "duplicate replica nodes");
-    for (NodeId n : c.replicas) {
-      const auto& inv = node_chunks_.at(n);
+    for (auto it = c.replicas.begin(); it != c.replicas.end(); ++it) {
+      OPASS_CHECK(std::find(c.replicas.begin(), it, *it) == it, "duplicate replica nodes");
+      const auto& inv = node_chunks_.at(*it);
       OPASS_CHECK(std::find(inv.begin(), inv.end(), c.id) != inv.end(),
                   "node inventory missing a replica");
     }

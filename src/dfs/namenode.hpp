@@ -30,7 +30,10 @@ class NameNode {
 
   /// Create a file of `size` bytes: splits into ceil(size/chunk_size) chunks
   /// (last chunk possibly short) and places each via `policy`. `name` is a
-  /// label (FileInfo::name); files are addressed by FileId.
+  /// label (FileInfo::name); files are addressed by FileId. Every placement
+  /// is checked (count, range, distinctness) before any of the file's chunks
+  /// is registered, so a rejected placement throws with the namespace
+  /// unchanged.
   FileId create_file(const std::string& name, Bytes size, PlacementPolicy& policy, Rng& rng,
                      NodeId writer = kInvalidNode);
 
@@ -48,7 +51,7 @@ class NameNode {
   const ChunkInfo& chunk(ChunkId id) const;
 
   /// Replica locations of a chunk (the layout query).
-  const std::vector<NodeId>& locations(ChunkId id) const { return chunk(id).replicas; }
+  const ReplicaList& locations(ChunkId id) const { return chunk(id).replicas; }
 
   /// All chunk ids with a replica on `node`.
   const std::vector<ChunkId>& chunks_on_node(NodeId node) const;

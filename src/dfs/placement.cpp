@@ -10,7 +10,7 @@ namespace {
 
 /// Draw a node uniformly from `candidates`, excluding any already in `chosen`.
 /// Returns kInvalidNode when no candidate remains.
-NodeId draw_excluding(const std::vector<NodeId>& candidates, const std::vector<NodeId>& chosen,
+NodeId draw_excluding(const std::vector<NodeId>& candidates, const ReplicaList& chosen,
                       Rng& rng) {
   std::vector<NodeId> pool;
   pool.reserve(candidates.size());
@@ -22,19 +22,18 @@ NodeId draw_excluding(const std::vector<NodeId>& candidates, const std::vector<N
 
 }  // namespace
 
-std::vector<NodeId> RandomPlacement::place(const Topology& topo, NodeId /*writer*/,
-                                           std::uint32_t replication, Rng& rng) {
+ReplicaList RandomPlacement::place(const Topology& topo, NodeId /*writer*/,
+                                   std::uint32_t replication, Rng& rng) {
   OPASS_REQUIRE(replication <= topo.node_count(),
                 "replication factor exceeds cluster size");
-  const auto picks = rng.sample_without_replacement(topo.node_count(), replication);
-  return {picks.begin(), picks.end()};
+  return rng.sample_without_replacement(topo.node_count(), replication);
 }
 
-std::vector<NodeId> HdfsDefaultPlacement::place(const Topology& topo, NodeId writer,
-                                                std::uint32_t replication, Rng& rng) {
+ReplicaList HdfsDefaultPlacement::place(const Topology& topo, NodeId writer,
+                                        std::uint32_t replication, Rng& rng) {
   OPASS_REQUIRE(replication <= topo.node_count(),
                 "replication factor exceeds cluster size");
-  std::vector<NodeId> chosen;
+  ReplicaList chosen;
   chosen.reserve(replication);
 
   // Replica 1: the writer itself, or a random node for external clients.
@@ -79,11 +78,11 @@ std::vector<NodeId> HdfsDefaultPlacement::place(const Topology& topo, NodeId wri
   return chosen;
 }
 
-std::vector<NodeId> RoundRobinPlacement::place(const Topology& topo, NodeId /*writer*/,
-                                               std::uint32_t replication, Rng& /*rng*/) {
+ReplicaList RoundRobinPlacement::place(const Topology& topo, NodeId /*writer*/,
+                                       std::uint32_t replication, Rng& /*rng*/) {
   OPASS_REQUIRE(replication <= topo.node_count(),
                 "replication factor exceeds cluster size");
-  std::vector<NodeId> chosen;
+  ReplicaList chosen;
   chosen.reserve(replication);
   for (std::uint32_t i = 0; i < replication; ++i)
     chosen.push_back(static_cast<NodeId>((next_ + i) % topo.node_count()));
@@ -91,8 +90,8 @@ std::vector<NodeId> RoundRobinPlacement::place(const Topology& topo, NodeId /*wr
   return chosen;
 }
 
-std::vector<NodeId> SpreadPlacement::place(const Topology& topo, NodeId /*writer*/,
-                                           std::uint32_t replication, Rng& /*rng*/) {
+ReplicaList SpreadPlacement::place(const Topology& topo, NodeId /*writer*/,
+                                   std::uint32_t replication, Rng& /*rng*/) {
   OPASS_REQUIRE(replication <= topo.node_count(),
                 "replication factor exceeds cluster size");
   if (counts_.size() < topo.node_count()) counts_.resize(topo.node_count(), 0);
@@ -105,7 +104,7 @@ std::vector<NodeId> SpreadPlacement::place(const Topology& topo, NodeId /*writer
   std::sort(order.begin(), order.end(), [this](NodeId a, NodeId b) {
     return counts_[a] != counts_[b] ? counts_[a] < counts_[b] : a < b;
   });
-  std::vector<NodeId> chosen(order.begin(), order.begin() + replication);
+  ReplicaList chosen(order.begin(), order.begin() + replication);
   for (NodeId n : chosen) ++counts_[n];
   return chosen;
 }

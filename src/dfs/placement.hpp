@@ -46,8 +46,8 @@ class PlacementPolicy {
   /// < topo.node_count(); callers validate via OPASS checks in the NameNode.
   /// Stateful policies (round-robin, spread) must tolerate `topo` growing
   /// between calls (churn joins add nodes mid-run).
-  virtual std::vector<NodeId> place(const Topology& topo, NodeId writer,
-                                    std::uint32_t replication, Rng& rng) = 0;
+  virtual ReplicaList place(const Topology& topo, NodeId writer, std::uint32_t replication,
+                            Rng& rng) = 0;
 
   virtual std::string name() const = 0;
 };
@@ -55,8 +55,8 @@ class PlacementPolicy {
 /// r distinct nodes drawn uniformly at random — the model the paper analyzes.
 class RandomPlacement final : public PlacementPolicy {
  public:
-  std::vector<NodeId> place(const Topology& topo, NodeId writer, std::uint32_t replication,
-                            Rng& rng) override;
+  ReplicaList place(const Topology& topo, NodeId writer, std::uint32_t replication,
+                    Rng& rng) override;
   std::string name() const override { return "random"; }
 };
 
@@ -66,8 +66,8 @@ class RandomPlacement final : public PlacementPolicy {
 /// topology the rack constraints degenerate to "distinct random nodes".
 class HdfsDefaultPlacement final : public PlacementPolicy {
  public:
-  std::vector<NodeId> place(const Topology& topo, NodeId writer, std::uint32_t replication,
-                            Rng& rng) override;
+  ReplicaList place(const Topology& topo, NodeId writer, std::uint32_t replication,
+                    Rng& rng) override;
   std::string name() const override { return "hdfs-default"; }
 };
 
@@ -75,8 +75,8 @@ class HdfsDefaultPlacement final : public PlacementPolicy {
 /// Opass a guaranteed full matching — the idealized upper bound.
 class RoundRobinPlacement final : public PlacementPolicy {
  public:
-  std::vector<NodeId> place(const Topology& topo, NodeId writer, std::uint32_t replication,
-                            Rng& rng) override;
+  ReplicaList place(const Topology& topo, NodeId writer, std::uint32_t replication,
+                    Rng& rng) override;
   std::string name() const override { return "round-robin"; }
 
  private:
@@ -92,8 +92,8 @@ class RoundRobinPlacement final : public PlacementPolicy {
 /// node joining mid-run (churn) absorbs the next writes until it catches up.
 class SpreadPlacement final : public PlacementPolicy {
  public:
-  std::vector<NodeId> place(const Topology& topo, NodeId writer, std::uint32_t replication,
-                            Rng& rng) override;
+  ReplicaList place(const Topology& topo, NodeId writer, std::uint32_t replication,
+                    Rng& rng) override;
   std::string name() const override { return "spread"; }
 
  private:

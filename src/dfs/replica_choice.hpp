@@ -25,11 +25,15 @@ const char* replica_choice_name(ReplicaChoice c);
 
 /// Pick the node to serve a read of `chunk` issued from `reader`.
 ///
-/// Applies local preference first. `node_load[n]` is the number of in-flight
-/// requests on node n (only consulted by kLeastLoaded; may be empty for other
-/// policies).
+/// Only live replicas are candidates: `failed[n] != 0` marks node n failed,
+/// and nodes past the end of `failed` are alive (empty = healthy cluster).
+/// The choice equals the policy applied to the replica list with the failed
+/// nodes erased, consuming the same rng draws. Applies local preference
+/// first. `node_load[n]` is the number of in-flight requests on node n (only
+/// consulted by kLeastLoaded; may be empty for other policies). Throws
+/// std::invalid_argument when every replica sits on a failed node.
 NodeId choose_serving_node(const ChunkInfo& chunk, NodeId reader,
                            const std::vector<std::uint32_t>& node_load, ReplicaChoice policy,
-                           Rng& rng);
+                           Rng& rng, const std::vector<char>& failed = {});
 
 }  // namespace opass::dfs

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/inline_vector.hpp"
 #include "common/units.hpp"
 
 namespace opass::dfs {
@@ -23,13 +24,18 @@ using FileId = std::uint32_t;
 
 inline constexpr NodeId kInvalidNode = UINT32_MAX;
 
+/// A chunk's replica locations, in placement order. Four inline slots cover
+/// r <= 3 plus the extra replica a drain holds between registering the copy
+/// and dropping the original; larger r spills to the heap.
+using ReplicaList = InlineVector<NodeId, 4>;
+
 /// Metadata of one chunk file (HDFS block).
 struct ChunkInfo {
   ChunkId id = 0;
   FileId file = 0;
   std::uint32_t index_in_file = 0;  ///< chunk ordinal within its file
   Bytes size = 0;
-  std::vector<NodeId> replicas;  ///< distinct DataNodes holding a copy
+  ReplicaList replicas;  ///< distinct DataNodes holding a copy
 
   bool has_replica_on(NodeId node) const {
     for (NodeId r : replicas)

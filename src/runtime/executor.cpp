@@ -72,6 +72,10 @@ class Driver {
     TaskId computing = kInvalidTask;   ///< task whose compute is in flight
     Seconds computing_start = 0;       ///< pull time of `computing`
     std::uint32_t events_pending = 0;
+    /// The process's one in-flight read (reads are sequential). Kept here so
+    /// the cluster callbacks capture only {this, p} and stay within
+    /// std::function's small buffer: no heap allocation per read.
+    sim::ReadRecord read;
   };
 
   void pull_next_task(ProcessId p) {
@@ -387,59 +391,47 @@ class Driver {
   }
 
   void issue_read(ProcessId p, dfs::ChunkId cid) {
-    const ProcState& st = states_[p];
     // Serve from live replicas only; a node that failed mid-run is skipped
-    // (metadata-level re-replication is the NameNode's job, not ours). On a
-    // healthy cluster the filter is a no-op, so skip the ChunkInfo copy it
-    // would need — this path runs once per read.
-    const dfs::ChunkInfo& info = nn_.chunk(cid);
-    dfs::NodeId server;
-    if (!cluster_.has_failed_nodes()) {
-      server = dfs::choose_serving_node(info, st.node, cluster_.inflight_per_node(),
-                                        replica_choice_, rng_);
-    } else {
-      dfs::ChunkInfo alive = info;
-      std::erase_if(alive.replicas,
-                    [this](dfs::NodeId n) { return cluster_.is_failed(n); });
-      OPASS_REQUIRE(!alive.replicas.empty(),
-                    "all replicas of a chunk are on failed nodes");
-      server = dfs::choose_serving_node(alive, st.node, cluster_.inflight_per_node(),
-                                        replica_choice_, rng_);
-    }
+    // (metadata-level re-replication is the NameNode's job, not ours).
+    const dfs::NodeId server =
+        dfs::choose_serving_node(nn_.chunk(cid), states_[p].node, cluster_.inflight_per_node(),
+                                 replica_choice_, rng_, cluster_.failed_nodes());
     issue_read_to(p, cid, server);
   }
 
   /// Issue the read with the serving replica already chosen (the staged
   /// local fast path skips choose_serving_node; see pull_wave).
   void issue_read_to(ProcessId p, dfs::ChunkId cid, dfs::NodeId server) {
-    const ProcState& st = states_[p];
-    const dfs::ChunkInfo& info = nn_.chunk(cid);
+    ProcState& st = states_[p];
+    const Bytes bytes = nn_.chunk(cid).size;
 
-    sim::ReadRecord rec;
+    sim::ReadRecord& rec = st.read;
+    rec = {};
     rec.process = p;
     rec.reader_node = st.node;
     rec.serving_node = server;
     rec.chunk = cid;
     rec.task = st.task;
-    rec.bytes = info.size;
+    rec.bytes = bytes;
     rec.issue_time = cluster_.simulator().now();
     rec.local = server == st.node;
 
     bump_depth(p, +1);
     cluster_.read(
-        st.node, server, info.size,
-        [this, p, rec](Seconds end) mutable {
+        st.node, server, bytes,
+        [this, p](Seconds end) {
           bump_depth(p, -1);
-          rec.end_time = end;
-          result_.trace.add(rec);
+          sim::ReadRecord& done = states_[p].read;
+          done.end_time = end;
+          result_.trace.add(done);
           if (breakdown_) result_.read_breakdowns.push_back(cluster_.last_read_breakdown());
           read_next_input(p);
         },
-        [this, p, cid](Seconds) {
+        [this, p](Seconds) {
           // Server died mid-read: retry on another replica.
           bump_depth(p, -1);
           ++result_.read_failures;
-          issue_read(p, cid);
+          issue_read(p, states_[p].read.chunk);
         });
   }
 

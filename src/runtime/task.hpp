@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/inline_vector.hpp"
 #include "common/units.hpp"
 #include "dfs/namenode.hpp"
 #include "dfs/types.hpp"
@@ -21,11 +22,16 @@ using ProcessId = std::uint32_t;
 
 inline constexpr TaskId kInvalidTask = UINT32_MAX;
 
+/// A task's input chunks, in read order. Four inline slots cover every
+/// single-data task and the multi-data workloads' two- and three-dataset
+/// comparisons; longer lists spill to the heap.
+using TaskInputs = InlineVector<dfs::ChunkId, 4>;
+
 /// One data-processing task.
 struct Task {
   TaskId id = 0;
-  std::vector<dfs::ChunkId> inputs;  ///< chunks read (in order) before compute
-  Seconds compute_time = 0;          ///< post-read processing time
+  TaskInputs inputs;         ///< chunks read (in order) before compute
+  Seconds compute_time = 0;  ///< post-read processing time
 
   /// Total input bytes of the task (the paper's d(t_j) size).
   Bytes input_bytes(const dfs::NameNode& nn) const {

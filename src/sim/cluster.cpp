@@ -229,7 +229,7 @@ void Cluster::admit(ReadId id) {
     ReadOp& read = read_pool_[rslot];
     if (!read.active || read.tag != static_cast<std::uint32_t>(id >> 32))
       return;  // aborted by a failure meanwhile
-    std::vector<ResourceId> path;
+    FlowPath path;
     if (read.reader == read.server) {
       path = {disk_[read.server]};
     } else {
@@ -295,7 +295,6 @@ void Cluster::fail_node(dfs::NodeId node, Seconds when) {
   sim_.at(when, [this, node](Seconds t) {
     if (failed_[node]) return;
     failed_[node] = 1;
-    any_failed_ = true;
     // Abort every read this node is serving or queueing. The pool holds one
     // slot per in-flight read (peak concurrency, not total reads), so this
     // scan is proportional to the live set.
@@ -340,7 +339,7 @@ void Cluster::send(dfs::NodeId src, dfs::NodeId dst, Bytes bytes,
       params_.remote_latency + (cross_rack ? params_.cross_rack_latency : 0.0);
   sim_.after(latency, [this, src, dst, bytes, cross_rack,
                        cb = std::move(on_complete)](Seconds) mutable {
-    std::vector<ResourceId> path{nic_out_[src], nic_in_[dst]};
+    FlowPath path{nic_out_[src], nic_in_[dst]};
     if (!rack_up_.empty() && cross_rack) {
       path.push_back(rack_up_[rack_of_node_[src]]);
       path.push_back(rack_down_[rack_of_node_[dst]]);

@@ -177,9 +177,9 @@ class Cluster {
   /// True once the node's failure time has passed.
   bool is_failed(dfs::NodeId node) const;
 
-  /// True once any node's failure time has passed (cheap global check that
-  /// lets readers skip per-replica liveness filtering on healthy clusters).
-  bool has_failed_nodes() const { return any_failed_; }
+  /// Per-node failure flags (index = NodeId, nonzero = failed): the liveness
+  /// filter dfs::choose_serving_node takes.
+  const std::vector<char>& failed_nodes() const { return failed_; }
 
   /// Network-only transfer `src` -> `dst` (no disk involvement): MPI
   /// messages, RPCs. Same-node sends pay only the local software latency.
@@ -294,7 +294,6 @@ class Cluster {
   std::vector<Bytes> served_;
   std::vector<char> failed_;
   std::vector<double> speed_;  // per-node capacity factor, 1.0 = full speed
-  bool any_failed_ = false;
   std::vector<ReadOp> read_pool_;               // slot pool, free-list reused
   std::vector<std::uint32_t> free_read_slots_;
   std::uint64_t read_seq_ = 0;

@@ -363,7 +363,7 @@ void FaultInjector::start_rebalance(Seconds now, std::uint32_t tolerance) {
   // HDFS balancer's most- to least-loaded rule with deterministic ties),
   // then execute it as traffic. Metadata commits as each copy lands.
   std::vector<std::vector<dfs::ChunkId>> inv(cluster_.node_count());
-  std::vector<std::vector<dfs::NodeId>> replicas;
+  std::vector<dfs::ReplicaList> replicas;
   replicas.reserve(nn_.chunk_count());
   for (dfs::ChunkId c = 0; c < nn_.chunk_count(); ++c) replicas.push_back(nn_.locations(c));
   for (dfs::NodeId n = 0; n < cluster_.node_count(); ++n) {

@@ -132,7 +132,7 @@ void FlowSimulator::set_rate(std::uint32_t slot, double rate, ResourceId binding
   push_eta(slot);
 }
 
-FlowId FlowSimulator::start_flow(std::vector<ResourceId> resources, Bytes bytes,
+FlowId FlowSimulator::start_flow(FlowPath resources, Bytes bytes,
                                  std::function<void(Seconds)> on_complete,
                                  BytesPerSec rate_cap) {
   OPASS_REQUIRE(!resources.empty(), "a flow must cross at least one resource");
@@ -218,7 +218,7 @@ void FlowSimulator::retire_slot(std::uint32_t slot) {
   f.bytes_anchor = 0;
   f.on_complete = nullptr;
   ++f.epoch;
-  std::vector<ResourceId>().swap(f.resources);  // release storage on retirement
+  f.resources = FlowPath{};  // release any heap block on retirement
   std::vector<BindingInterval>().swap(f.attr);
   --flows_active_;
   free_slots_.push_back(slot);
@@ -233,7 +233,8 @@ void FlowSimulator::retire_slot(std::uint32_t slot) {
 /// per retirement — far too slow for benchmarking, invaluable under ASan.
 void FlowSimulator::audit_retired_slot(std::uint32_t slot) const {
   const Flow& f = flows_[slot];
-  OPASS_CHECK(!f.active && f.resources.capacity() == 0 && !f.on_complete &&
+  OPASS_CHECK(!f.active && f.resources.empty() &&
+                  f.resources.capacity() == FlowPath::kInlineCapacity && !f.on_complete &&
                   f.attr.capacity() == 0,
               "retired flow slot still holds state");
   for (const Resource& res : resources_)

@@ -30,6 +30,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/inline_vector.hpp"
 #include "common/require.hpp"
 #include "common/units.hpp"
 
@@ -40,6 +41,11 @@ class ThreadPool;
 namespace opass::sim {
 
 using ResourceId = std::uint32_t;
+
+/// The resources one flow crosses. Six inline slots hold the longest path the
+/// cluster builds (source disk, NIC out, NIC in, two rack links, destination
+/// disk of a copy), so a flow's path lives in its slot with no heap block.
+using FlowPath = InlineVector<ResourceId, 6>;
 
 /// Opaque flow handle: low 32 bits address a reusable flow slot, high 32 bits
 /// carry the creation tag that makes handles to retired flows inert.
@@ -103,8 +109,8 @@ class FlowSimulator {
   /// on the next event-loop step. `rate_cap` bounds the flow's own rate
   /// regardless of resource availability (models single-stream protocol
   /// limits, e.g. one HDFS read over one TCP connection); 0 means uncapped.
-  FlowId start_flow(std::vector<ResourceId> resources, Bytes bytes,
-                    std::function<void(Seconds)> on_complete, BytesPerSec rate_cap = 0);
+  FlowId start_flow(FlowPath resources, Bytes bytes, std::function<void(Seconds)> on_complete,
+                    BytesPerSec rate_cap = 0);
 
   /// Schedule `fn(time)` at absolute virtual time `when` (>= now).
   void at(Seconds when, std::function<void(Seconds)> fn);
@@ -212,7 +218,7 @@ class FlowSimulator {
   };
 
   struct Flow {
-    std::vector<ResourceId> resources;
+    FlowPath resources;
     double bytes_anchor = 0;   // bytes left as of anchor_time
     Seconds anchor_time = 0;   // last rate change (progress committed up to here)
     double rate = 0;

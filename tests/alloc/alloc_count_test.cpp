@@ -1,0 +1,141 @@
+// Allocation-count regression gate for the per-entity lists (DESIGN.md §5).
+//
+// This binary replaces the global operator new and delete with counting
+// versions, so each test can count the heap allocations one call makes. The
+// paper-scale layout (40,960 chunks on 1,024 nodes at r = 3) and the
+// rank-interval baseline's simulated reads over it must stay well below one
+// allocation per chunk and per read: replica lists, task inputs and flow
+// paths live inline, and the executor's read callback captures no record.
+// What remains is the amortized growth of per-node inventories, traces and
+// event heaps.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "dfs/namenode.hpp"
+#include "dfs/placement.hpp"
+#include "runtime/executor.hpp"
+#include "runtime/static_partitioner.hpp"
+#include "runtime/task.hpp"
+#include "runtime/task_source.hpp"
+#include "sim/cluster.hpp"
+
+namespace {
+
+// Only the test body allocates while counting is on; the suite runs no
+// worker threads, so plain globals suffice.
+bool g_counting = false;
+std::size_t g_allocations = 0;
+
+void* counted_alloc(std::size_t size, std::size_t align) {
+  if (g_counting) ++g_allocations;
+  if (size == 0) size = 1;
+  void* p = align > alignof(std::max_align_t)
+                ? std::aligned_alloc(align, (size + align - 1) / align * align)
+                : std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+/// Counts the allocations made while it is alive.
+class AllocationCounter {
+ public:
+  AllocationCounter() {
+    g_allocations = 0;
+    g_counting = true;
+  }
+  ~AllocationCounter() { g_counting = false; }
+  AllocationCounter(const AllocationCounter&) = delete;
+  AllocationCounter& operator=(const AllocationCounter&) = delete;
+  std::size_t count() const { return g_allocations; }
+};
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size, 0); }
+void* operator new[](std::size_t size) { return counted_alloc(size, 0); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size, 0);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size, 0);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
+namespace opass {
+namespace {
+
+constexpr std::uint32_t kNodes = 1024;
+constexpr std::uint32_t kChunks = 40960;
+
+/// The single-data layout of the repository benchmark's 1,024-node workloads.
+dfs::FileId store_layout(dfs::NameNode& nn, Rng& rng) {
+  dfs::RandomPlacement policy;
+  return nn.create_file("dataset", static_cast<Bytes>(kChunks) * nn.chunk_size(), policy, rng);
+}
+
+TEST(AllocationCount, LayoutStaysBelowHalfAnAllocationPerChunk) {
+  dfs::NameNode nn(dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize);
+  Rng rng(9);
+  std::size_t allocations = 0;
+  {
+    AllocationCounter counter;
+    store_layout(nn, rng);
+    allocations = counter.count();
+  }
+  ASSERT_EQ(nn.chunk_count(), kChunks);
+  const double per_chunk = static_cast<double>(allocations) / kChunks;
+  RecordProperty("allocations_per_chunk", std::to_string(per_chunk));
+  EXPECT_LT(per_chunk, 0.5) << allocations << " allocations for " << kChunks << " chunks";
+}
+
+TEST(AllocationCount, BaselineExecutionStaysBelowHalfAnAllocationPerRead) {
+  dfs::NameNode nn(dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize);
+  Rng rng(9);
+  const dfs::FileId file = store_layout(nn, rng);
+  const auto tasks = runtime::single_input_tasks(nn, {file});
+  const auto assignment = runtime::rank_interval_assignment(kChunks, kNodes);
+  sim::Cluster cluster(kNodes);
+  runtime::StaticAssignmentSource source(assignment);
+  Rng exec_rng(3);
+  runtime::ExecutionResult result;
+  std::size_t allocations = 0;
+  {
+    AllocationCounter counter;
+    result = runtime::execute(cluster, nn, tasks, source, exec_rng);
+    allocations = counter.count();
+  }
+  ASSERT_EQ(result.trace.size(), kChunks);
+  const double per_read = static_cast<double>(allocations) / kChunks;
+  RecordProperty("allocations_per_read", std::to_string(per_read));
+  EXPECT_LT(per_read, 0.5) << allocations << " allocations for " << kChunks << " reads";
+}
+
+}  // namespace
+}  // namespace opass

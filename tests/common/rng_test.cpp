@@ -126,6 +126,35 @@ TEST(Rng, SampleWithoutReplacementDistinct) {
   }
 }
 
+/// Exact draws of both sampler branches, pinned from an earlier commit: the
+/// sparse branch (rejection of repeats) and the dense one (partial
+/// Fisher-Yates). 4,096 sparse samples of 3 of 1,024 include rejected
+/// repeats, and the stream position after each run is pinned too, so a
+/// sampler that accepts or rejects a different draw fails here.
+std::uint64_t sample_digest(Rng& rng, std::uint32_t n, std::uint32_t k, int samples) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (int i = 0; i < samples; ++i)
+    for (std::uint32_t v : rng.sample_without_replacement(n, k))
+      h = (h ^ v) * 1099511628211ULL;
+  return h;
+}
+
+TEST(Rng, SampleWithoutReplacementExactDraws) {
+  Rng sparse(17);
+  const auto first = sparse.sample_without_replacement(1024, 3);
+  EXPECT_EQ(std::vector<std::uint32_t>(first.begin(), first.end()),
+            (std::vector<std::uint32_t>{714, 257, 441}));
+  EXPECT_EQ(sample_digest(sparse, 1024, 3, 4096), 6749277257221874302ULL);
+  EXPECT_EQ(sparse(), 13987235912019340029ULL);
+
+  Rng dense(17);
+  const auto picks = dense.sample_without_replacement(8, 3);
+  EXPECT_EQ(std::vector<std::uint32_t>(picks.begin(), picks.end()),
+            (std::vector<std::uint32_t>{2, 4, 3}));
+  EXPECT_EQ(sample_digest(dense, 8, 3, 4096), 12316402460392234063ULL);
+  EXPECT_EQ(dense(), 11528030013756273244ULL);
+}
+
 TEST(Rng, SampleWithoutReplacementRejectsOversample) {
   Rng rng(29);
   EXPECT_THROW(rng.sample_without_replacement(5, 6), std::invalid_argument);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 namespace opass::dfs {
 namespace {
@@ -169,6 +172,70 @@ TEST(NameNode, MultipleFilesGetDenseChunkIds) {
   EXPECT_EQ(nn.file(b).chunks, (std::vector<ChunkId>{2, 3}));
   EXPECT_EQ(nn.chunk_count(), 4u);
   EXPECT_EQ(nn.file_count(), 2u);
+}
+
+/// Hands out scripted placements in order (the last one repeats), so a test
+/// can make the k-th chunk of a file break the PlacementPolicy contract.
+class ScriptedPlacement final : public PlacementPolicy {
+ public:
+  explicit ScriptedPlacement(std::vector<ReplicaList> script) : script_(std::move(script)) {}
+  ReplicaList place(const Topology&, NodeId, std::uint32_t, Rng&) override {
+    return script_[std::min(next_++, script_.size() - 1)];
+  }
+  std::string name() const override { return "scripted"; }
+
+ private:
+  std::vector<ReplicaList> script_;
+  std::size_t next_ = 0;
+};
+
+/// Everything a rejected create_file must leave untouched.
+struct NamespaceState {
+  std::uint32_t files = 0;
+  std::uint32_t chunks = 0;
+  std::vector<std::vector<ChunkId>> inventories;
+
+  explicit NamespaceState(const NameNode& nn)
+      : files(nn.file_count()), chunks(nn.chunk_count()) {
+    for (NodeId n = 0; n < nn.node_count(); ++n) inventories.push_back(nn.chunks_on_node(n));
+  }
+  bool operator==(const NamespaceState&) const = default;
+};
+
+/// Writes a two-chunk file, then a file of `chunks` chunks whose last
+/// placement is `bad`: the write must throw and change nothing, and the next
+/// good write must get the next dense ids.
+void expect_rejected_without_trace(const ReplicaList& bad, std::uint32_t chunks) {
+  auto nn = make_nn(8, 3);
+  RandomPlacement random;
+  Rng rng(29);
+  nn.create_file("base", 2 * kDefaultChunkSize, random, rng);
+  const NamespaceState before(nn);
+
+  std::vector<ReplicaList> script(chunks - 1, ReplicaList{4, 5, 6});
+  script.push_back(bad);
+  ScriptedPlacement policy(script);
+  EXPECT_THROW(nn.create_file("bad", chunks * kDefaultChunkSize, policy, rng),
+               std::logic_error);
+  EXPECT_TRUE(NamespaceState(nn) == before) << "chunks " << chunks;
+  EXPECT_NO_THROW(nn.check_invariants());
+
+  const FileId next = nn.create_file("next", kDefaultChunkSize, random, rng);
+  EXPECT_EQ(next, 1u);
+  EXPECT_EQ(nn.file(next).chunks, (std::vector<ChunkId>{2}));
+  EXPECT_NO_THROW(nn.check_invariants());
+}
+
+TEST(NameNode, RejectsWrongReplicaCountWithoutTrace) {
+  for (std::uint32_t chunks : {1u, 3u}) expect_rejected_without_trace({1, 2}, chunks);
+}
+
+TEST(NameNode, RejectsOutOfRangeReplicaWithoutTrace) {
+  for (std::uint32_t chunks : {1u, 3u}) expect_rejected_without_trace({1, 2, 8}, chunks);
+}
+
+TEST(NameNode, RejectsDuplicateReplicaWithoutTrace) {
+  for (std::uint32_t chunks : {1u, 3u}) expect_rejected_without_trace({1, 2, 1}, chunks);
 }
 
 }  // namespace

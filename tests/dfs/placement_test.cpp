@@ -127,9 +127,9 @@ TEST(SpreadPlacement, AlwaysPicksTheLeastLoadedNodes) {
   Rng rng(19);
   // Ties break to the smallest id, and every placement levels the counters:
   // {0,1} -> {2,3} -> {0,1} -> ...
-  EXPECT_EQ(policy.place(topo, kInvalidNode, 2, rng), (std::vector<NodeId>{0, 1}));
-  EXPECT_EQ(policy.place(topo, kInvalidNode, 2, rng), (std::vector<NodeId>{2, 3}));
-  EXPECT_EQ(policy.place(topo, kInvalidNode, 2, rng), (std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(policy.place(topo, kInvalidNode, 2, rng), (ReplicaList{0, 1}));
+  EXPECT_EQ(policy.place(topo, kInvalidNode, 2, rng), (ReplicaList{2, 3}));
+  EXPECT_EQ(policy.place(topo, kInvalidNode, 2, rng), (ReplicaList{0, 1}));
 }
 
 TEST(SpreadPlacement, LayoutIsRngIndependent) {

@@ -151,6 +151,40 @@ TEST(GoldenScenarios, Dynamic) {
   EXPECT_EQ(dynamic_digest(Method::kOpass, /*crash_at=*/2.0), "825c479ab7c74785");
 }
 
+/// r = 5 on 16 nodes: every replica list is longer than four, so the layout,
+/// both single-data methods, the read policy and recovery all walk lists
+/// that spill past any small inline capacity. The crash (node 5 dies at
+/// t = 2 s) re-adds the dead node's replicas on survivors; the drain
+/// (node 5 decommissioned at t = 2 s) holds r + 1 replicas of a chunk while
+/// its copy lands.
+std::string replication5_digest(Method m, const sim::FaultPlan* faults, bool dynamic) {
+  auto cfg = golden_cfg();
+  cfg.replication = 5;
+  cfg.faults = faults;
+  Digest d;
+  digest_run(d, dynamic ? run_dynamic(cfg, 96, m) : run_single_data(cfg, 160, m));
+  return d.hex();
+}
+
+sim::FaultPlan node5_plan(sim::FaultKind kind) {
+  sim::FaultPlan plan;
+  sim::FaultEvent event;
+  event.at = 2.0;
+  event.kind = kind;
+  event.node = 5;
+  plan.events.push_back(event);
+  return plan;
+}
+
+TEST(GoldenScenarios, ReplicationFive) {
+  EXPECT_EQ(replication5_digest(Method::kBaseline, nullptr, false), "c2cdccf48d4dcad6");
+  EXPECT_EQ(replication5_digest(Method::kOpass, nullptr, false), "d3960afb1b54ad41");
+  const sim::FaultPlan crash = node5_plan(sim::FaultKind::kCrash);
+  EXPECT_EQ(replication5_digest(Method::kOpass, &crash, true), "da943b37df7b219f");
+  const sim::FaultPlan drain = node5_plan(sim::FaultKind::kDecommission);
+  EXPECT_EQ(replication5_digest(Method::kOpass, &drain, true), "07657fc49cdf1d88");
+}
+
 TEST(GoldenScenarios, ParaView) {
   EXPECT_EQ(paraview_digest(Method::kBaseline), "f6ee84fda7ef09bc");
   EXPECT_EQ(paraview_digest(Method::kOpass), "d363dc281e66d381");

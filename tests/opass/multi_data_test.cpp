@@ -62,8 +62,7 @@ TEST(MultiData, PrefersLargerCoLocation) {
   dfs::NameNode nn(dfs::Topology::single_rack(2), 1, kDefaultChunkSize);
   class FixedPlacement : public dfs::PlacementPolicy {
    public:
-    std::vector<dfs::NodeId> place(const dfs::Topology&, dfs::NodeId, std::uint32_t,
-                                   Rng&) override {
+    dfs::ReplicaList place(const dfs::Topology&, dfs::NodeId, std::uint32_t, Rng&) override {
       // files: t0-a (40M)->n0, t0-b (10M)->n1 ; t1-a (40M)->n1, t1-b (10M)->n0
       static const dfs::NodeId seq[] = {0, 1, 1, 0};
       return {seq[i_++]};
@@ -101,8 +100,7 @@ TEST(MultiData, ReassignmentEventHappens) {
   dfs::NameNode nn(dfs::Topology::single_rack(2), 1, kDefaultChunkSize);
   class FixedPlacement : public dfs::PlacementPolicy {
    public:
-    std::vector<dfs::NodeId> place(const dfs::Topology&, dfs::NodeId, std::uint32_t,
-                                   Rng&) override {
+    dfs::ReplicaList place(const dfs::Topology&, dfs::NodeId, std::uint32_t, Rng&) override {
       static const dfs::NodeId seq[] = {0, 0, 1};
       return {seq[i_++]};
     }
@@ -144,8 +142,7 @@ TEST(MultiData, TasksWithNoLocalityStillAssigned) {
   dfs::NameNode nn(dfs::Topology::single_rack(6), 2, kDefaultChunkSize);
   class FixedPlacement : public dfs::PlacementPolicy {
    public:
-    std::vector<dfs::NodeId> place(const dfs::Topology&, dfs::NodeId, std::uint32_t,
-                                   Rng&) override {
+    dfs::ReplicaList place(const dfs::Topology&, dfs::NodeId, std::uint32_t, Rng&) override {
       return {4, 5};  // all data on nodes 4 and 5
     }
     std::string name() const override { return "fixed"; }

@@ -74,8 +74,7 @@ TEST(SingleDataTest, MatchingIsMaximum) {
   dfs::NameNode nn(dfs::Topology::single_rack(4), 1, kDefaultChunkSize);
   class FixedPlacement : public dfs::PlacementPolicy {
    public:
-    std::vector<dfs::NodeId> place(const dfs::Topology&, dfs::NodeId, std::uint32_t,
-                                   Rng&) override {
+    dfs::ReplicaList place(const dfs::Topology&, dfs::NodeId, std::uint32_t, Rng&) override {
       static const dfs::NodeId seq[] = {0, 0, 1, 2};
       return {seq[i_++]};
     }
@@ -97,8 +96,7 @@ TEST(SingleDataTest, ReassignmentBeatsGreedy) {
   dfs::NameNode nn(dfs::Topology::single_rack(2), 1, kDefaultChunkSize);
   class FixedPlacement : public dfs::PlacementPolicy {
    public:
-    std::vector<dfs::NodeId> place(const dfs::Topology&, dfs::NodeId, std::uint32_t,
-                                   Rng&) override {
+    dfs::ReplicaList place(const dfs::Topology&, dfs::NodeId, std::uint32_t, Rng&) override {
       static const dfs::NodeId seq[] = {0, 0};
       return {seq[i_++]};
     }

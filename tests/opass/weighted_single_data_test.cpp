@@ -60,8 +60,7 @@ TEST(WeightedSingleData, BalancesBytesNotCounts) {
   dfs::NameNode nn(dfs::Topology::single_rack(4), 1, 64 * kMiB);
   class FixedPlacement : public dfs::PlacementPolicy {
    public:
-    std::vector<dfs::NodeId> place(const dfs::Topology&, dfs::NodeId, std::uint32_t,
-                                   Rng&) override {
+    dfs::ReplicaList place(const dfs::Topology&, dfs::NodeId, std::uint32_t, Rng&) override {
       static const dfs::NodeId seq[] = {0, 0, 1, 1, 2, 2, 3, 3};
       return {seq[i_++ % 8]};
     }

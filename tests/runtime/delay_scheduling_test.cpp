@@ -42,8 +42,7 @@ TEST_F(DelayFixture, WaitsThenSettlesForRemote) {
   dfs::NameNode empty_nn(dfs::Topology::single_rack(4), 1, kDefaultChunkSize);
   class PinnedPlacement : public dfs::PlacementPolicy {
    public:
-    std::vector<dfs::NodeId> place(const dfs::Topology&, dfs::NodeId, std::uint32_t,
-                                   Rng&) override {
+    dfs::ReplicaList place(const dfs::Topology&, dfs::NodeId, std::uint32_t, Rng&) override {
       return {0};  // everything on node 0
     }
     std::string name() const override { return "pinned"; }

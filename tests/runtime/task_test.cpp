@@ -40,7 +40,8 @@ TEST_F(TaskFixture, SingleInputTasksAcrossFiles) {
 TEST_F(TaskFixture, InputBytesSumsChunkSizes) {
   const auto fid = nn.create_file("a", 2 * kDefaultChunkSize + kMiB, policy, rng);
   Task t;
-  t.inputs = nn.file(fid).chunks;
+  const auto& chunks = nn.file(fid).chunks;
+  t.inputs.assign(chunks.begin(), chunks.end());
   EXPECT_EQ(t.input_bytes(nn), 2 * kDefaultChunkSize + kMiB);
 }
 

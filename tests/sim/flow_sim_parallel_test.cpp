@@ -42,7 +42,7 @@ struct Scenario {
         const std::size_t slot = next++;
         // Flows cross one or two of the group's resources; staggered starts
         // keep the incremental engine re-leveling dirty components all run.
-        std::vector<ResourceId> path{group_res[g][f % resources_per_group]};
+        FlowPath path{group_res[g][f % resources_per_group]};
         if (f % 3 == 0)
           path.push_back(group_res[g][(f + 1) % resources_per_group]);
         const Bytes bytes = 200 + 37 * (f % 5);
@@ -56,8 +56,7 @@ struct Scenario {
       if (cross_group_flows) {
         // A flow spanning two groups merges their components mid-run.
         const std::size_t slot = next++;
-        const std::vector<ResourceId> path{group_res[g][0],
-                                           group_res[(g + 1) % groups][0]};
+        const FlowPath path{group_res[g][0], group_res[(g + 1) % groups][0]};
         sim.at(0.6, [&sim, &done, slot, path](Seconds) {
           sim.start_flow(path, 333, [&done, slot](Seconds end) { done[slot] = end; });
         });
@@ -103,10 +102,8 @@ TEST(FlowSimParallel, EngineCountersMatchSerial) {
     const auto r2 = sim.add_resource(80.0);
     const auto r3 = sim.add_resource(60.0);
     for (int i = 0; i < 9; ++i) {
-      const std::vector<ResourceId> path =
-          i % 3 == 0 ? std::vector<ResourceId>{r1}
-                     : (i % 3 == 1 ? std::vector<ResourceId>{r2}
-                                   : std::vector<ResourceId>{r3, r2});
+      const FlowPath path =
+          i % 3 == 0 ? FlowPath{r1} : (i % 3 == 1 ? FlowPath{r2} : FlowPath{r3, r2});
       sim.after(0.1 * i, [&sim, path](Seconds) {
         sim.start_flow(path, 150, [](Seconds) {});
       });

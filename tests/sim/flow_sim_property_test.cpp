@@ -15,7 +15,7 @@ struct RandomInstance {
   std::vector<ResourceId> resources;
   std::vector<double> capacities;
   std::vector<Bytes> flow_bytes;
-  std::vector<std::vector<ResourceId>> flow_paths;
+  std::vector<FlowPath> flow_paths;
 
   explicit RandomInstance(std::uint64_t seed) {
     Rng rng(seed);
@@ -29,7 +29,7 @@ struct RandomInstance {
     for (std::uint32_t f = 0; f < f_count; ++f) {
       const auto path_len = static_cast<std::uint32_t>(1 + rng.uniform(3));
       auto pick = rng.sample_without_replacement(r_count, std::min(path_len, r_count));
-      std::vector<ResourceId> path;
+      FlowPath path;
       for (auto idx : pick) path.push_back(resources[idx]);
       flow_paths.push_back(path);
       flow_bytes.push_back(100 + rng.uniform(5000));

@@ -16,13 +16,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "obs/analytics.hpp"
 #include "obs/collect.hpp"
 #include "opass/opass.hpp"
@@ -41,8 +38,7 @@ struct Scenario {
   std::uint32_t replication;
   std::uint64_t seed;
   std::uint32_t repeats;
-  bool smoke;                 ///< included in the --smoke matrix
-  std::uint32_t threads = 1;  ///< worker-pool lanes (1 = serial path)
+  bool smoke;  ///< included in the --smoke matrix
 };
 
 constexpr Scenario kScenarios[] = {
@@ -51,13 +47,6 @@ constexpr Scenario kScenarios[] = {
     {"wide-256n-2560t-r3", 256, 2560, 3, 6, 5, false},
     {"large-256n-10240t-r3", 256, 10240, 3, 7, 3, false},
     {"huge-1024n-40960t-r3", 1024, 40960, 3, 9, 3, false},
-    // Pooled rows: identical replay (byte-determinism, enforced by ctest) on
-    // a 4-lane pool driving the simulator's re-leveling, the staged wave
-    // issue and the planner; diff against the serial twin for the pool's
-    // wall cost/benefit on the host.
-    {"paper-64n-640t-r3-parallel-4t", 64, 640, 3, 42, 7, true, 4},
-    {"medium-128n-1280t-r3-parallel-4t", 128, 1280, 3, 3, 5, true, 4},
-    {"huge-1024n-40960t-r3-parallel-4t", 1024, 40960, 3, 9, 3, false, 4},
 };
 
 long peak_rss_kb() {
@@ -71,21 +60,14 @@ long peak_rss_kb() {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_executor.json";
   bool smoke = false;
-  long threads_override = 0;  // 0 = use each scenario's matrix value
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads_override = std::atol(argv[i] + 10);
-      if (threads_override < 1) {
-        std::fprintf(stderr, "--threads must be >= 1\n");
-        return 2;
-      }
     } else {
-      std::fprintf(stderr,
-                   "usage: perf_executor [--out=path.json] [--smoke] [--threads=N]\n");
+      std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
+      std::fprintf(stderr, "usage: perf_executor [--out=path.json] [--smoke]\n");
       return 2;
     }
   }
@@ -107,15 +89,8 @@ int main(int argc, char** argv) {
     const auto tasks = workload::make_single_data_workload(nn, sc.tasks, policy, layout_rng);
     const auto placement = core::one_process_per_node(nn);
 
-    const std::uint32_t threads =
-        threads_override > 0 ? static_cast<std::uint32_t>(threads_override) : sc.threads;
-    std::optional<ThreadPool> pool;
-    if (threads > 1) pool.emplace(threads);
-
     Rng assign_rng(sc.seed * 7919 + 1);
-    core::PlanOptions plan_options;
-    plan_options.pool = pool ? &*pool : nullptr;
-    const auto plan = core::plan({&nn, &tasks, &placement, &assign_rng}, plan_options);
+    const auto plan = core::plan({&nn, &tasks, &placement, &assign_rng});
 
     double wall_ms_min = 0, total_ms = 0;
     Seconds makespan = 0;
@@ -127,10 +102,6 @@ int main(int argc, char** argv) {
       runtime::StaticAssignmentSource source(plan.assignment);
       runtime::ExecutorConfig ec;
       ec.process_count = static_cast<std::uint32_t>(placement.size());
-      if (pool) {
-        cluster.simulator().set_parallelism(&*pool);
-        ec.pool = &*pool;
-      }
       Rng exec_rng(sc.seed * 7919 + 2);  // identical stream every repeat
 
       const auto t0 = std::chrono::steady_clock::now();
@@ -175,7 +146,7 @@ int main(int argc, char** argv) {
     first = false;
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"nodes\": %u, \"tasks\": %u, \"replication\": %u, "
-                 "\"seed\": %llu, \"repeats\": %u, \"threads\": %u,\n"
+                 "\"seed\": %llu, \"repeats\": %u,\n"
                  "     \"wall_ms_min\": %.4f, \"wall_ms_mean\": %.4f, \"makespan_s\": %.4f, "
                  "\"local_pct\": %.2f, \"peak_rss_kb\": %ld,\n"
                  "     \"metrics\": {\"reads_total\": %llu, \"reads_local\": %llu, "
@@ -187,7 +158,7 @@ int main(int argc, char** argv) {
                  "\"serve_gini\": %.4f, \"serve_peak_over_mean\": %.4f, "
                  "\"straggler_nodes\": %zu, \"straggler_processes\": %zu}}",
                  sc.name, sc.nodes, sc.tasks, sc.replication,
-                 static_cast<unsigned long long>(sc.seed), sc.repeats, threads, wall_ms_min,
+                 static_cast<unsigned long long>(sc.seed), sc.repeats, wall_ms_min,
                  total_ms / sc.repeats, makespan, local_pct, peak_rss_kb(),
                  static_cast<unsigned long long>(reads_total),
                  static_cast<unsigned long long>(reads_local), to_mib(bytes_local),

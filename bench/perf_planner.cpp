@@ -18,13 +18,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "opass/opass.hpp"
 #include "workload/dataset.hpp"
 
@@ -39,8 +36,7 @@ struct Scenario {
   std::uint32_t replication;
   std::uint64_t seed;
   std::uint32_t repeats;
-  bool smoke;                 ///< included in the --smoke matrix
-  std::uint32_t threads = 1;  ///< worker-pool lanes (1 = serial path)
+  bool smoke;  ///< included in the --smoke matrix
 };
 
 constexpr Scenario kScenarios[] = {
@@ -51,13 +47,6 @@ constexpr Scenario kScenarios[] = {
     {"replication-5-64n-640t", 64, 640, 5, 5, 9, false},
     {"wide-256n-2560t-r3", 256, 2560, 3, 6, 5, false},
     {"large-256n-10240t-r3", 256, 10240, 3, 7, 5, false},
-    // Pooled rows: same layouts and seeds as their serial twins, solved with
-    // PlanOptions::threads = 4 — the plan is byte-identical (the determinism
-    // suite enforces it), so diffing the twin rows isolates the pool's wall
-    // cost/benefit on the host.
-    {"paper-64n-640t-r3-parallel-4t", 64, 640, 3, 42, 9, true, 4},
-    {"medium-128n-1280t-r3-parallel-4t", 128, 1280, 3, 3, 7, true, 4},
-    {"large-256n-10240t-r3-parallel-4t", 256, 10240, 3, 7, 5, false, 4},
 };
 
 struct SolverResult {
@@ -81,12 +70,11 @@ long peak_rss_kb() {
 
 SolverResult run_solver(const Scenario& sc, const dfs::NameNode& nn,
                         const std::vector<runtime::Task>& tasks,
-                        const core::ProcessPlacement& placement, ThreadPool* pool) {
+                        const core::ProcessPlacement& placement) {
   SolverResult out;
   graph::FlowWorkspace workspace;
   core::PlanOptions options;
   options.workspace = &workspace;
-  options.pool = pool;
 
   double total_ms = 0;
   core::PlanResult last;
@@ -131,21 +119,14 @@ void emit_solver(std::FILE* f, const SolverResult& r) {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_planner.json";
   bool smoke = false;
-  long threads_override = 0;  // 0 = use each scenario's matrix value
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads_override = std::atol(argv[i] + 10);
-      if (threads_override < 1) {
-        std::fprintf(stderr, "--threads must be >= 1\n");
-        return 2;
-      }
     } else {
-      std::fprintf(stderr,
-                   "usage: perf_planner [--out=path.json] [--smoke] [--threads=N]\n");
+      std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
+      std::fprintf(stderr, "usage: perf_planner [--out=path.json] [--smoke]\n");
       return 2;
     }
   }
@@ -169,21 +150,16 @@ int main(int argc, char** argv) {
     const auto tasks = workload::make_single_data_workload(nn, sc.tasks, policy, layout_rng);
     const auto placement = core::one_process_per_node(nn);
 
-    const std::uint32_t threads =
-        threads_override > 0 ? static_cast<std::uint32_t>(threads_override) : sc.threads;
-    std::optional<ThreadPool> pool;
-    if (threads > 1) pool.emplace(threads);
-
-    const SolverResult result = run_solver(sc, nn, tasks, placement, pool ? &*pool : nullptr);
+    const SolverResult result = run_solver(sc, nn, tasks, placement);
     if (!result.audit_ok) rc = 1;
 
     std::fprintf(f, "%s", first ? "" : ",\n");
     first = false;
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"nodes\": %u, \"tasks\": %u, \"replication\": %u, "
-                 "\"seed\": %llu, \"repeats\": %u, \"threads\": %u,\n     \"algorithms\": {\n",
+                 "\"seed\": %llu, \"repeats\": %u,\n     \"algorithms\": {\n",
                  sc.name, sc.nodes, sc.tasks, sc.replication,
-                 static_cast<unsigned long long>(sc.seed), sc.repeats, threads);
+                 static_cast<unsigned long long>(sc.seed), sc.repeats);
     emit_solver(f, result);
     std::fprintf(f, "     },\n     \"peak_rss_kb\": %ld}", peak_rss_kb());
 

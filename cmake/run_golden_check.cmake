@@ -3,18 +3,21 @@
 #
 #   cmake -DCLI=<opass_cli> -DOUT_DIR=<scratch-dir>
 #         -DARGS=<arg>,<arg>,...            # common to every run
-#         -DRUNS=<label>[:<arg>],...         # one run per label, first = reference
+#         -DRUNS=<label>,...                 # one run per label, first = reference
 #         -DARTIFACTS=<flag>=<stem>.<ext>,...
 #         [-DCOMPARE_STDOUT=ON]
+#         [-DSHA256=<stem>.<ext>=<hex digest>,...]
 #         -P cmake/run_golden_check.cmake
 #
-# Runs the CLI once per label with the common arguments, the label's own
-# extra argument (e.g. --threads=4) and one output path per artifact,
-# `--<flag>=<OUT_DIR>/<stem>_<label>.<ext>`. Every artifact of every later
+# Runs the CLI once per label with the common arguments and one output path
+# per artifact, `--<flag>=<OUT_DIR>/<stem>_<label>.<ext>`. Every artifact of every later
 # run must be byte-identical to the reference run's, and so must stdout when
-# COMPARE_STDOUT is set. The gated contracts: a replay of one seed writes the
-# same bytes (no map-order, padding or locale drift), and worker-pool lanes
-# change wall clock, never an output byte (DESIGN.md §12, §13).
+# COMPARE_STDOUT is set. The gated contract: a replay of one seed writes the
+# same bytes (no map-order, padding or locale drift; DESIGN.md §13).
+#
+# Digest mode: each SHA256 entry names one file of the reference run
+# (stdout.txt for stdout) and the SHA-256 it must hash to, so a change that
+# moves every run alike still fails. A mismatch lists every file's digest.
 #
 # Rejection mode, for usage-error gates (opass_rejects in the same file):
 #
@@ -37,28 +40,17 @@ endif()
 
 if(NOT DEFINED CLI OR NOT DEFINED OUT_DIR OR NOT DEFINED RUNS OR NOT DEFINED ARTIFACTS)
   message(FATAL_ERROR "usage: cmake -DCLI=<opass_cli> -DOUT_DIR=<dir> -DARGS=<a,b> "
-                      "-DRUNS=<label[:arg],...> -DARTIFACTS=<flag=stem.ext,...> "
-                      "[-DCOMPARE_STDOUT=ON] -P run_golden_check.cmake")
+                      "-DRUNS=<label,...> -DARTIFACTS=<flag=stem.ext,...> "
+                      "[-DCOMPARE_STDOUT=ON] [-DSHA256=<stem.ext=digest,...>] "
+                      "-P run_golden_check.cmake")
 endif()
 
 string(REPLACE "," ";" args "${ARGS}")
-string(REPLACE "," ";" runs "${RUNS}")
+string(REPLACE "," ";" labels "${RUNS}")
 string(REPLACE "," ";" artifacts "${ARTIFACTS}")
 file(MAKE_DIRECTORY "${OUT_DIR}")
 
-set(labels)
-foreach(run IN LISTS runs)
-  string(FIND "${run}" ":" colon)
-  set(extra)
-  if(colon EQUAL -1)
-    set(label "${run}")
-  else()
-    string(SUBSTRING "${run}" 0 ${colon} label)
-    math(EXPR after "${colon} + 1")
-    string(SUBSTRING "${run}" ${after} -1 extra)
-  endif()
-  list(APPEND labels "${label}")
-
+foreach(label IN LISTS labels)
   set(outputs)
   foreach(artifact IN LISTS artifacts)
     string(REGEX MATCH "^([^=]+)=(.+)\\.([^.]+)$" _ "${artifact}")
@@ -70,7 +62,7 @@ foreach(run IN LISTS runs)
     set(stdout_sink OUTPUT_QUIET)
   endif()
   execute_process(
-    COMMAND "${CLI}" ${args} ${extra} ${outputs}
+    COMMAND "${CLI}" ${args} ${outputs}
     RESULT_VARIABLE rc
     ${stdout_sink})
   if(NOT rc EQUAL 0)
@@ -88,7 +80,11 @@ if(COMPARE_STDOUT)
 endif()
 
 list(GET labels 0 reference)
-list(SUBLIST labels 1 -1 others)
+list(LENGTH labels run_count)
+set(others)
+if(run_count GREATER 1)
+  list(SUBLIST labels 1 -1 others)
+endif()
 foreach(file IN LISTS files)
   string(REGEX MATCH "^(.+)\\.([^.]+)$" _ "${file}")
   set(stem "${CMAKE_MATCH_1}")
@@ -104,5 +100,26 @@ foreach(file IN LISTS files)
     endif()
   endforeach()
 endforeach()
+
+if(SHA256)
+  string(REPLACE "," ";" pins "${SHA256}")
+  set(mismatches)
+  foreach(pin IN LISTS pins)
+    string(REGEX MATCH "^(.+)\\.([^.=]+)=([0-9a-f]+)$" matched "${pin}")
+    if(NOT matched)
+      message(FATAL_ERROR "malformed SHA256 entry '${pin}' (want <stem>.<ext>=<digest>)")
+    endif()
+    set(path "${OUT_DIR}/${CMAKE_MATCH_1}_${reference}.${CMAKE_MATCH_2}")
+    set(want "${CMAKE_MATCH_3}")
+    file(SHA256 "${path}" got)
+    if(NOT got STREQUAL want)
+      string(APPEND mismatches "\n  ${CMAKE_MATCH_1}.${CMAKE_MATCH_2}=${got} (pinned ${want})")
+    endif()
+  endforeach()
+  if(mismatches)
+    message(FATAL_ERROR "outputs differ from their pinned SHA-256 digests:${mismatches}")
+  endif()
+  message(STATUS "${pins} match their pinned SHA-256 digests")
+endif()
 
 message(STATUS "${files} byte-identical across runs ${labels}")

@@ -7,7 +7,6 @@
 //   opass_cli --scenario=single --metrics-out=metrics.json --trace-out=trace.json
 //   opass_cli --service-trace=bench/traces/service_small.trace --batch-window=0.5
 //   opass_cli --scenario=single --fault-plan=bench/faults/crash.json --method=both
-//   opass_cli --scenario=single --threads=4      # same bytes, less wall clock
 //
 // Fault injection: --fault-plan loads a JSON fault/churn scenario
 // (sim/fault_plan.hpp documents the format) and arms it on each run's
@@ -47,7 +46,6 @@
 
 #include "common/options.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "exp/experiment.hpp"
 #include "exp/service_trace.hpp"
 #include "obs/analytics.hpp"
@@ -312,9 +310,6 @@ int run(int argc, char** argv) {
       .add("placement", "random", "random | hdfs-default | round-robin | spread")
       .add("fault-plan", "",
            "JSON fault/churn scenario armed on each run's cluster (single|multi|dynamic)")
-      .add("threads", "1",
-           "worker-pool lanes for the simulator/executor/planner hot paths; "
-           "output is byte-identical for every value (1 = serial)")
       .add("csv", "false", "emit per-op I/O times as CSV instead of the summary table")
       .add("audit", "false", "audit the scenario's plan statically instead of simulating")
       .add("metrics-out", "", "write run metrics to this path (.csv => CSV, else JSON)")
@@ -344,8 +339,8 @@ int run(int argc, char** argv) {
   std::vector<const char*> unread;
   if (given(opts, "service-trace")) {
     mode = "--service-trace";
-    unread = {"scenario", "method", "tasks", "compute", "fault-plan", "threads",
-              "csv", "audit", "trace-out", "report-html", "hotspots"};
+    unread = {"scenario", "method", "tasks", "compute", "fault-plan", "csv", "audit",
+              "trace-out", "report-html", "hotspots"};
   } else if (opts.boolean("audit")) {
     mode = "--audit";
     unread = {"compute", "fault-plan", "csv", "metrics-out", "trace-out", "timeline-out",
@@ -386,15 +381,6 @@ int run(int argc, char** argv) {
   Outputs out;
   if (mode == "--service-trace") return run_service_trace(opts, cfg, out);
 
-  cfg.threads = opts.unsigned_integer("threads", 1);
-  // One pool for the whole invocation (instead of one per run_* call): lane
-  // stats accumulate across methods for the --hotspots lane report, and the
-  // workers spin up once. Output stays byte-identical either way.
-  std::unique_ptr<ThreadPool> pool;
-  if (cfg.threads > 1) {
-    pool = std::make_unique<ThreadPool>(cfg.threads);
-    cfg.pool = pool.get();
-  }
   const std::string method = opts.str("method");
   if (method != "baseline" && method != "opass" && method != "both") {
     std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
@@ -434,8 +420,6 @@ int run(int argc, char** argv) {
                 dfs::placement_kind_name(cfg.placement));
     std::fputs(table.render().c_str(), stdout);
   }
-  if (opts.boolean("hotspots") && pool != nullptr)
-    std::printf("\n%s", obs::pool_lane_report(*pool).c_str());
   return out.write(opts);
 }
 

@@ -17,9 +17,7 @@
 // Thread-safety: policies are single-threaded — place() mutates internal
 // policy state (RoundRobinPlacement::next_, SpreadPlacement::counts_) with
 // no synchronization, matching the single simulation thread that drives
-// every experiment. Share one policy across threads only behind an
-// opass::Mutex with the fields annotated OPASS_GUARDED_BY (see
-// common/thread_annotations.hpp).
+// every experiment.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 #include "dfs/topology.hpp"
 #include "obs/collect.hpp"
 #include "opass/opass.hpp"
@@ -48,15 +47,13 @@ PlannedScenario make_layout(const ExperimentConfig& cfg, Rng& placement_rng, Sto
 runtime::Assignment assign(const ExperimentConfig& cfg, Method method, core::PlannerKind kind,
                            const dfs::NameNode& nn, const std::vector<runtime::Task>& tasks,
                            const core::ProcessPlacement& placement, Rng& rng,
-                           ThreadPool* pool, graph::FlowWorkspace* workspace = nullptr) {
+                           graph::FlowWorkspace* workspace = nullptr) {
   if (method == Method::kBaseline)
     return runtime::rank_interval_assignment(static_cast<std::uint32_t>(tasks.size()),
                                              static_cast<std::uint32_t>(placement.size()));
   core::PlanOptions options;
   options.planner = kind;
   options.workspace = workspace;
-  options.threads = cfg.threads;
-  options.pool = pool;
   auto result = core::plan({&nn, &tasks, &placement, &rng}, options);
   if (cfg.metrics != nullptr) obs::collect_plan(*cfg.metrics, result, "opass.planner");
   return std::move(result.assignment);
@@ -78,7 +75,7 @@ std::vector<runtime::Task> subset(const std::vector<runtime::Task>& tasks,
 }
 
 /// Steps 3 and 4 (DESIGN.md §8): one run on the flow simulator. The
-/// cluster, executor config, worker pool, timeline and fault harness live
+/// cluster, executor config, timeline and fault harness live
 /// for the whole run; every job, ParaView step or iterative epoch is one
 /// phase(), and finish() feeds the sinks and reduces once.
 class Run {
@@ -86,17 +83,12 @@ class Run {
   Run(const ExperimentConfig& cfg, Method method, dfs::NameNode& nn,
       const core::ProcessPlacement& placement, Streams& streams)
       : cfg_(cfg), method_(method), nn_(nn), placement_(placement), exec_rng_(streams.exec),
-        pool_(make_pool(cfg, owned_pool_)),
         cluster_(cfg.nodes, cfg.cluster),
         timeline_(cfg.timeline, cluster_, static_cast<std::uint32_t>(placement.size())) {
     ec_.replica_choice = cfg.replica_choice;
     ec_.process_count = static_cast<std::uint32_t>(placement.size());
     ec_.record_read_breakdown = cfg.spans != nullptr;
     ec_.probe = timeline_.executor_probe();
-    if (pool_ != nullptr) {
-      cluster_.simulator().set_parallelism(pool_);
-      ec_.pool = pool_;
-    }
     // The scripted events and heartbeat checks are simulator timers, so they
     // interleave with the first phase's reads deterministically.
     if (cfg.faults == nullptr) return;
@@ -111,8 +103,6 @@ class Run {
   Run(const Run&) = delete;
   Run& operator=(const Run&) = delete;
 
-  /// The run's worker pool (null = serial), lent to its planners too.
-  ThreadPool* pool() const { return pool_; }
   /// The armed fault injector, or null without a fault plan.
   sim::FaultInjector* injector() { return injector_ ? &*injector_ : nullptr; }
 
@@ -145,15 +135,13 @@ class Run {
   }
 
   /// Flush the timeline, export the fault counters, feed the metrics (in
-  /// registration order "pool" → "<method>.executor" → "<method>.cluster")
+  /// registration order "<method>.executor" → "<method>.cluster")
   /// and reduce the aggregate to the series the paper plots; the aggregate
   /// itself then moves into the raw sink.
   RunOutput finish() {
     timeline_.finish();
     if (injector_ && cfg_.fault_stats != nullptr) *cfg_.fault_stats = injector_->stats();
     if (cfg_.metrics != nullptr) {
-      // Pool stats are wall-clock tagged, so deterministic exports ignore them.
-      if (pool_ != nullptr) obs::collect_thread_pool(*cfg_.metrics, *pool_, "pool");
       const std::string prefix = method_name(method_);
       obs::collect_execution(*cfg_.metrics, agg_, cfg_.nodes, prefix + ".executor");
       obs::collect_cluster(*cfg_.metrics, cluster_, prefix + ".cluster");
@@ -172,14 +160,6 @@ class Run {
   }
 
  private:
-  /// The config's borrowed pool, one owned for the run when threads > 1,
-  /// or null (serial).
-  static ThreadPool* make_pool(const ExperimentConfig& cfg, std::optional<ThreadPool>& owned) {
-    OPASS_REQUIRE(cfg.threads >= 1, "ExperimentConfig.threads must be >= 1");
-    if (cfg.pool != nullptr) return cfg.pool;
-    return cfg.threads > 1 ? &owned.emplace(cfg.threads) : nullptr;
-  }
-
   /// Fold a later phase into the aggregate: traces, task spans and read
   /// breakdowns concatenate (breakdowns stay index-aligned with the
   /// records), finish times take the latest, stalls and counters sum.
@@ -208,8 +188,6 @@ class Run {
   dfs::NameNode& nn_;
   const core::ProcessPlacement& placement_;
   Rng& exec_rng_;
-  std::optional<ThreadPool> owned_pool_;  // outlives the cluster that borrows it
-  ThreadPool* pool_;
   sim::Cluster cluster_;
   runtime::ExecutorConfig ec_;
   obs::RunTimeline timeline_;
@@ -243,7 +221,7 @@ PlannedScenario plan_single_data(const ExperimentConfig& cfg, std::uint32_t chun
     return workload::make_single_data_workload(nn, chunk_count, policy, rng);
   });
   sc.assignment = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn, sc.tasks,
-                         sc.placement, streams.assign, cfg.pool);
+                         sc.placement, streams.assign);
   sc.single_data = true;
   return sc;
 }
@@ -255,7 +233,7 @@ PlannedScenario plan_multi_data(const ExperimentConfig& cfg, std::uint32_t task_
     return workload::make_multi_input_workload(nn, task_count, policy, rng, spec);
   });
   sc.assignment = assign(cfg, method, core::PlannerKind::kMultiData, sc.nn, sc.tasks,
-                         sc.placement, streams.assign, cfg.pool);
+                         sc.placement, streams.assign);
   return sc;
 }
 
@@ -286,7 +264,7 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
   // Opass: the matching-based guideline A*, consumed by the Section IV-D
   // master (own list first, then best-co-located steal from longest list).
   sc.assignment = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn, sc.tasks,
-                         sc.placement, streams.assign, run.pool());
+                         sc.placement, streams.assign);
   core::OpassDynamicSource source(sc.assignment, sc.nn, sc.tasks, sc.placement);
   if (sim::FaultInjector* injector = run.injector()) {
     // Membership changes feed back into the scheduler (DESIGN.md §11): a
@@ -308,7 +286,6 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
           const auto pending = subset(sc.tasks, remaining);
           core::PlanOptions options;
           options.planner = core::PlannerKind::kSingleData;
-          options.pool = run.pool();
           const auto replan =
               core::plan({&sc.nn, &pending, &sc.placement, &streams.assign}, options);
           runtime::Assignment mapped(replan.assignment.size());
@@ -344,8 +321,7 @@ ParaViewOutput run_paraview(const ExperimentConfig& cfg, Method method,
     const auto step_tasks = subset(sc.tasks, step);
     // Opass inside ReadXMLData(): assign this step's pieces by matching.
     const auto assignment = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn,
-                                   step_tasks, sc.placement, streams.assign, run.pool(),
-                                   &workspace);
+                                   step_tasks, sc.placement, streams.assign, &workspace);
     runtime::StaticAssignmentSource source(assignment);
     out.step_times.push_back(run.phase(step_tasks, source, &assignment));
   }
@@ -369,7 +345,7 @@ IterativeOutput run_iterative(const ExperimentConfig& cfg, std::uint32_t chunk_c
   // The assignment is computed once, before the first epoch — for Opass this
   // is where the matching overhead is amortized across every epoch.
   sc.assignment = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn, sc.tasks,
-                         sc.placement, streams.assign, run.pool());
+                         sc.placement, streams.assign);
   IterativeOutput out;
   for (std::uint32_t e = 0; e < epochs; ++e) {
     runtime::StaticAssignmentSource source(sc.assignment);

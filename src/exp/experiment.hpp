@@ -54,15 +54,6 @@ struct ExperimentConfig {
   /// Parallel processes per node (Marmot has 2 cores per node; the paper
   /// runs one process per node, our default). Every scenario honours it.
   std::uint32_t processes_per_node = 1;
-  /// Worker-pool opt-in (DESIGN.md §12): with more than one lane, each run
-  /// drives the simulator's incremental re-leveling, the executor's wave
-  /// issue and the Opass flow solves through a deterministic pool. Every
-  /// output — plans, traces, metrics, timelines — is byte-identical to
-  /// threads = 1 (the determinism contract; enforced by ctest). `pool` lends
-  /// an existing pool (takes precedence); otherwise `threads > 1` spins one
-  /// up per run_* call. Default 1 = today's serial path.
-  std::uint32_t threads = 1;
-  ThreadPool* pool = nullptr;
   sim::ClusterParams cluster;
   /// Optional observability sinks (borrowed; must outlive the run call).
   /// When `metrics` is set, every run_* reduces the execution, the cluster's

@@ -1,7 +1,6 @@
 #include "obs/collect.hpp"
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 
 namespace opass::obs {
 
@@ -135,22 +134,6 @@ void collect_service(MetricsRegistry& registry, const core::PlannerService& serv
     registry.counter_add(t + ".charged_bytes", accounts.charged(tenant));
     registry.gauge_set(t + ".weight", accounts.weight(tenant));
     registry.gauge_set(t + ".normalized_usage", accounts.normalized_usage(tenant));
-  }
-}
-
-void collect_thread_pool(MetricsRegistry& registry, const ThreadPool& pool,
-                         const std::string& prefix) {
-  registry.gauge_set(prefix + ".threads", static_cast<double>(pool.thread_count()),
-                     Determinism::kWallClock);
-  registry.gauge_set(prefix + ".batches", static_cast<double>(pool.batches()),
-                     Determinism::kWallClock);
-  registry.gauge_set(prefix + ".chunks_executed",
-                     static_cast<double>(pool.chunks_executed()), Determinism::kWallClock);
-  for (std::uint32_t lane = 0; lane < pool.thread_count(); ++lane) {
-    const std::string l = prefix + ".lane." + std::to_string(lane);
-    registry.gauge_set(l + ".busy_ms", pool.lane_busy_ms(lane), Determinism::kWallClock);
-    registry.gauge_set(l + ".chunks", static_cast<double>(pool.lane_chunks(lane)),
-                       Determinism::kWallClock);
   }
 }
 

@@ -25,10 +25,6 @@
 #include "sim/cluster.hpp"
 #include "obs/metrics.hpp"
 
-namespace opass {
-class ThreadPool;
-}
-
 namespace opass::obs {
 
 /// Bucket bounds (seconds) of the per-read I/O-time histogram, spanning
@@ -63,13 +59,5 @@ void collect_dynamic(MetricsRegistry& registry, const core::OpassDynamicSource& 
 /// cumulative charged locality bytes.
 void collect_service(MetricsRegistry& registry, const core::PlannerService& service,
                      const std::string& prefix = "service");
-
-/// Reduce a worker pool's execution profile (DESIGN.md §12): lane count,
-/// batch/chunk totals and per-lane busy time and chunk counts. Everything is
-/// registered as a gauge tagged Determinism::kWallClock — lane sharding
-/// depends on the lane count and busy times on the host — so default
-/// (deterministic) exports stay byte-stable across thread counts.
-void collect_thread_pool(MetricsRegistry& registry, const ThreadPool& pool,
-                         const std::string& prefix = "pool");
 
 }  // namespace opass::obs

@@ -65,20 +65,4 @@ std::string HotspotReport::render() const {
   return out;
 }
 
-std::string pool_lane_report(const ThreadPool& pool) {
-  Table table({"lane", "chunks", "busy ms"});
-  double total_busy = 0;
-  for (std::uint32_t lane = 0; lane < pool.thread_count(); ++lane) {
-    total_busy += pool.lane_busy_ms(lane);
-    table.add_row({Table::integer(lane),
-                   Table::integer(static_cast<long long>(pool.lane_chunks(lane))),
-                   Table::num(pool.lane_busy_ms(lane), 1)});
-  }
-  std::string out = table.render("worker-pool lanes (lane 0 = caller)");
-  out += "batches " + Table::integer(static_cast<long long>(pool.batches())) +
-         " | chunks " + Table::integer(static_cast<long long>(pool.chunks_executed())) +
-         " | busy " + Table::num(total_busy, 1) + " ms\n";
-  return out;
-}
-
 }  // namespace opass::obs

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "dfs/types.hpp"
 #include "sim/cluster.hpp"
@@ -55,13 +54,5 @@ struct HotspotReport {
 /// simulator's resource accounting.
 HotspotReport hotspot_report(const sim::TraceRecorder& trace, std::uint32_t node_count,
                              const sim::Cluster* cluster = nullptr);
-
-/// Render the worker pool's per-lane utilization as an ASCII table: chunks
-/// executed and busy wall-clock milliseconds per lane, plus the batch/chunk
-/// totals. Lane-chunk counts are deterministic for a fixed thread count
-/// (static assignment); busy times are host wall clock and vary run to run —
-/// terminal diagnostics only, never written to a determinism-checked
-/// artifact. Read when the pool is idle (after the runs it served).
-std::string pool_lane_report(const ThreadPool& pool);
 
 }  // namespace opass::obs

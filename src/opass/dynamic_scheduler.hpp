@@ -22,8 +22,7 @@
 //
 // Thread-safety: single-threaded, like every scheduler in this repo — the
 // executor calls next_task() and the recovery hooks from the one simulation
-// thread. Fields would carry OPASS_GUARDED_BY (common/thread_annotations.hpp)
-// once a concurrent executor shares a source across threads.
+// thread.
 #pragma once
 
 #include <deque>

@@ -1,7 +1,6 @@
 #include "opass/planner.hpp"
 
 #include <chrono>
-#include <optional>
 
 #include "common/require.hpp"
 #include "opass/matchers.hpp"
@@ -44,25 +43,6 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-/// Lends `pool` (when set) to `workspace` for one plan() call and hands the
-/// caller's pool back on every exit, a throwing planner included.
-class PoolLoan {
- public:
-  PoolLoan(graph::FlowWorkspace* workspace, ThreadPool* pool)
-      : workspace_(workspace), saved_(workspace != nullptr ? workspace->pool : nullptr) {
-    if (workspace_ != nullptr && pool != nullptr) workspace_->pool = pool;
-  }
-  ~PoolLoan() {
-    if (workspace_ != nullptr) workspace_->pool = saved_;
-  }
-  PoolLoan(const PoolLoan&) = delete;
-  PoolLoan& operator=(const PoolLoan&) = delete;
-
- private:
-  graph::FlowWorkspace* workspace_;
-  ThreadPool* saved_;
-};
-
 void validate(const PlanRequest& request, PlannerKind planner) {
   OPASS_REQUIRE(request.nn != nullptr, "PlanRequest.nn must be set");
   OPASS_REQUIRE(request.tasks != nullptr, "PlanRequest.tasks must be set");
@@ -75,38 +55,23 @@ void validate(const PlanRequest& request, PlannerKind planner) {
 
 PlanResult plan(const PlanRequest& request, PlanOptions options) {
   validate(request, options.planner);
-  OPASS_REQUIRE(options.threads >= 1, "PlanOptions.threads must be >= 1");
   const dfs::NameNode& nn = *request.nn;
   const auto& tasks = *request.tasks;
   const auto& placement = *request.placement;
-
-  // Worker-pool opt-in: lend the pool to the flow workspace for the duration
-  // of this call (the solvers read workspace->pool). A transient pool is
-  // spun up only when the caller asked for threads > 1 without lending one;
-  // repeated planning should pass PlanOptions.pool to amortize thread spawn.
-  std::optional<ThreadPool> transient_pool;
-  ThreadPool* pool = options.pool;
-  if (pool == nullptr && options.threads > 1) {
-    transient_pool.emplace(options.threads);
-    pool = &*transient_pool;
-  }
-  graph::FlowWorkspace local_workspace;
-  graph::FlowWorkspace* workspace = options.workspace;
-  if (workspace == nullptr && pool != nullptr) workspace = &local_workspace;
-  // Declared after transient_pool, so the loan ends before that pool dies.
-  const PoolLoan loan(workspace, pool);
 
   PlanResult result;
   const auto plan_begin = std::chrono::steady_clock::now();
   switch (options.planner) {
     case PlannerKind::kSingleData:
-      result = assign_single_data(nn, tasks, placement, *request.rng, workspace);
+      result = assign_single_data(nn, tasks, placement, *request.rng, options.workspace);
       break;
     case PlannerKind::kWeighted:
-      result = assign_single_data_weighted(nn, tasks, placement, *request.rng, workspace);
+      result =
+          assign_single_data_weighted(nn, tasks, placement, *request.rng, options.workspace);
       break;
     case PlannerKind::kRackAware:
-      result = assign_single_data_rack_aware(nn, tasks, placement, *request.rng, workspace);
+      result =
+          assign_single_data_rack_aware(nn, tasks, placement, *request.rng, options.workspace);
       break;
     case PlannerKind::kMultiData:
       result = assign_multi_data(nn, tasks, placement);

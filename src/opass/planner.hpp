@@ -13,7 +13,6 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "dfs/namenode.hpp"
 #include "graph/max_flow.hpp"
 #include "opass/assignment_stats.hpp"
@@ -54,15 +53,6 @@ struct PlanOptions {
   /// Optional reusable network + solver arenas for the flow-based planners:
   /// repeated planning allocates nothing once the arenas are warm.
   graph::FlowWorkspace* workspace = nullptr;
-  /// Worker-pool opt-in (DESIGN.md §12): with more than one lane, the Dinic
-  /// solves run their independent per-source-file subflows concurrently
-  /// where the Fig. 5 network decomposes, falling back to the serial solver
-  /// otherwise. Output is byte-identical for every value. `pool` lends an
-  /// existing pool (preferred for repeated planning — takes precedence);
-  /// otherwise `threads > 1` spins up a transient pool for this call.
-  /// Default 1 = today's serial path.
-  std::uint32_t threads = 1;
-  ThreadPool* pool = nullptr;
 };
 
 /// Uniform result: the assignment, its locality/balance profile, and the

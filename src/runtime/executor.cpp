@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 
 namespace opass::runtime {
 
@@ -28,9 +26,6 @@ class Driver {
     breakdown_ = config.record_read_breakdown;
     if (breakdown_) cluster.record_read_breakdown(true);
     probe_ = config.probe;
-    pool_ = config.pool;
-    staged_ = pool_ != nullptr && pool_->thread_count() > 1 && !prefetch_ &&
-              source.concurrent_pull_safe();
     depth_.assign(m, 0);
     OPASS_REQUIRE(!(prefetch_ && bsp_), "prefetch and barrier_per_task are exclusive");
     result_.process_finish_time.assign(m, 0);
@@ -117,129 +112,8 @@ class Driver {
     }
   }
 
-  // --- staged wave issue (ExecutorConfig::pool) ---
-  //
-  // A launch and every BSP barrier release issue one pull per active process
-  // at a single instant. The serial loop interleaves, per process: the
-  // source pull, the chunk lookup, the replica choice, and the read/compute
-  // issue. Staging splits that into a pure half and a stateful half:
-  //
-  //   Phase A (pool, sharded over processes): source_.pull (per-process
-  //   state only — guarded by TaskSource::concurrent_pull_safe), the task
-  //   bounds check, the first-input chunk lookup, and the local-replica
-  //   test. None of these touch shared mutable state.
-  //
-  //   Phase B (serial, ascending process order): everything observable — rng
-  //   draws, load-based replica choice, timer scheduling, cluster_.read.
-  //
-  // Byte-exactness versus the serial loop:
-  //  1. No simulated time passes inside a wave (issues only schedule events),
-  //     so every pull sees the same `now` in both schedules.
-  //  2. Process p's issue cannot change process q's Phase A inputs: the
-  //     source is per-process by contract, nn_ and task tables are
-  //     immutable, and node failures only flip via timers, never
-  //     synchronously from an issue. The one mutable input to replica
-  //     choice — inflight_per_node — is only read for *remote* reads, which
-  //     Phase A defers entirely to Phase B.
-  //  3. choose_serving_node returns the reader without an rng draw or load
-  //     read whenever the reader holds a live replica (every policy), so the
-  //     staged local fast path is the serial choice verbatim; remote reads
-  //     re-run the full serial choice in Phase B, consuming the rng stream
-  //     in the serial order.
-  //  4. All side effects — timer seqs, rng draws, task_spans pushes, probe
-  //     stamps, wave accounting, synchronous zero-input completions — happen
-  //     in Phase B in the serial per-process order, so the event heap and
-  //     every counter evolve identically.
-
-  /// Phase A result for one process (plain data, written from pool lanes).
-  struct StagedPull {
-    Pull pull;
-    dfs::ChunkId chunk = 0;   ///< first input (valid when has_inputs)
-    bool has_inputs = false;  ///< kTask with at least one input chunk
-    bool local = false;       ///< reader holds a live replica of `chunk`
-  };
-
   void launch_all() {
-    if (!staged_) {
-      for (ProcessId p = 0; p < states_.size(); ++p) pull_next_task(p);
-      return;
-    }
-    std::vector<ProcessId> all(states_.size());
-    std::iota(all.begin(), all.end(), ProcessId{0});
-    pull_wave(all);
-  }
-
-  /// Issue one synchronized wave of pulls, staged across the pool when
-  /// enabled (see the block comment above for the equivalence argument).
-  void pull_wave(const std::vector<ProcessId>& procs) {
-    if (!staged_ || procs.size() < 2) {
-      for (ProcessId p : procs) pull_next_task(p);
-      return;
-    }
-    const Seconds now = cluster_.simulator().now();
-    // Own the stage buffer locally: Phase B can reenter release_wave (and
-    // thus pull_wave) when a zero-input task completes synchronously.
-    std::vector<StagedPull> staged = std::move(stage_buf_);
-    staged.resize(procs.size());
-    pool_->parallel_for_chunks(
-        procs.size(), kMinStagedPerChunk,
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t i = begin; i < end; ++i)
-            staged[i] = stage_pull(procs[i], now);
-        });
-    for (std::size_t i = 0; i < procs.size(); ++i) commit_pull(procs[i], staged[i]);
-    staged.clear();
-    stage_buf_ = std::move(staged);
-  }
-
-  /// Phase A: pure per-process work. Runs on pool lanes — must not touch
-  /// shared mutable state (rng_, result_, timers, cluster mutation).
-  StagedPull stage_pull(ProcessId p, Seconds now) {
-    StagedPull s;
-    s.pull = source_.pull(p, now);
-    if (s.pull.kind != Pull::Kind::kTask) return s;
-    OPASS_REQUIRE(s.pull.task < tasks_.size(), "task source returned unknown task");
-    const Task& task = tasks_[s.pull.task];
-    s.has_inputs = !task.inputs.empty();
-    if (!s.has_inputs) return s;
-    s.chunk = task.inputs.front();
-    const dfs::NodeId reader = states_[p].node;
-    s.local = nn_.chunk(s.chunk).has_replica_on(reader) && !cluster_.is_failed(reader);
-    return s;
-  }
-
-  /// Phase B: replay the observable half of pull_next_task for one staged
-  /// result, in the serial order (the caller iterates ascending processes).
-  void commit_pull(ProcessId p, const StagedPull& s) {
-    switch (s.pull.kind) {
-      case Pull::Kind::kDone:
-        retire_process(p);
-        return;
-      case Pull::Kind::kWait:
-        OPASS_REQUIRE(s.pull.retry_after > 0, "wait must carry a positive retry delay");
-        cluster_.simulator().after(s.pull.retry_after,
-                                   [this, p](Seconds) { pull_next_task(p); });
-        return;
-      case Pull::Kind::kTask:
-        break;
-    }
-    ProcState& st = states_[p];
-    st.task = s.pull.task;
-    st.next_input = 0;
-    st.task_start = cluster_.simulator().now();
-    ++result_.tasks_executed;
-    if (!s.has_inputs) {
-      // Zero-input task: compute phase / synchronous completion, exactly the
-      // serial path (may arrive at the barrier or pull again).
-      read_next_input(p);
-      return;
-    }
-    st.next_input = 1;
-    if (s.local) {
-      issue_read_to(p, s.chunk, st.node);
-    } else {
-      issue_read(p, s.chunk);  // remote: full serial choice, rng in order
-    }
+    for (ProcessId p = 0; p < states_.size(); ++p) pull_next_task(p);
   }
 
   /// One task fully processed: either pull the next immediately (async) or
@@ -277,7 +151,7 @@ class Driver {
         wave_arrival_[p] = -1.0;
       }
     }
-    pull_wave(wave);
+    for (ProcessId p : wave) pull_next_task(p);
     wave_buf_ = std::move(wave);
   }
 
@@ -393,16 +267,10 @@ class Driver {
   void issue_read(ProcessId p, dfs::ChunkId cid) {
     // Serve from live replicas only; a node that failed mid-run is skipped
     // (metadata-level re-replication is the NameNode's job, not ours).
-    const dfs::NodeId server =
-        dfs::choose_serving_node(nn_.chunk(cid), states_[p].node, cluster_.inflight_per_node(),
-                                 replica_choice_, rng_, cluster_.failed_nodes());
-    issue_read_to(p, cid, server);
-  }
-
-  /// Issue the read with the serving replica already chosen (the staged
-  /// local fast path skips choose_serving_node; see pull_wave).
-  void issue_read_to(ProcessId p, dfs::ChunkId cid, dfs::NodeId server) {
     ProcState& st = states_[p];
+    const dfs::NodeId server =
+        dfs::choose_serving_node(nn_.chunk(cid), st.node, cluster_.inflight_per_node(),
+                                 replica_choice_, rng_, cluster_.failed_nodes());
     const Bytes bytes = nn_.chunk(cid).size;
 
     sim::ReadRecord& rec = st.read;
@@ -444,10 +312,6 @@ class Driver {
     probe_->on_process_depth(cluster_.simulator().now(), p, depth_[p]);
   }
 
-  /// Phase A is cheap per process (a pull, a chunk lookup, a replica scan);
-  /// don't shard below this many processes per chunk.
-  static constexpr std::size_t kMinStagedPerChunk = 16;
-
   sim::Cluster& cluster_;
   const dfs::NameNode& nn_;
   const std::vector<Task>& tasks_;
@@ -457,10 +321,7 @@ class Driver {
   bool prefetch_ = false;
   bool bsp_ = false;
   bool breakdown_ = false;  ///< copy per-read causal breakdowns into the result
-  bool staged_ = false;  ///< pool with >1 lane + concurrent-pull-safe source
   ExecutorProbe* probe_ = nullptr;
-  ThreadPool* pool_ = nullptr;
-  std::vector<StagedPull> stage_buf_;  ///< reusable Phase A scratch
   std::vector<std::uint32_t> depth_;  ///< per-process op depth (probe only)
   std::vector<char> retired_;
   std::vector<Seconds> wave_arrival_;  ///< barrier-park time per process; -1 = not parked

@@ -21,10 +21,6 @@
 #include "runtime/task.hpp"
 #include "runtime/task_source.hpp"
 
-namespace opass {
-class ThreadPool;
-}
-
 namespace opass::runtime {
 
 /// One task's lifetime on a process: from the successful pull to the end of
@@ -101,15 +97,6 @@ struct ExecutorConfig {
   /// Optional queue-depth probe (borrowed; must outlive the run). Null = no
   /// stamping, zero overhead.
   ExecutorProbe* probe = nullptr;
-  /// Opt-in worker pool (borrowed, may be null; DESIGN.md §12). With more
-  /// than one lane and a TaskSource that declares concurrent_pull_safe(),
-  /// wave issue is staged: the pure per-process half (source pull, chunk
-  /// lookup, local-replica check) runs on the pool, and the stateful half
-  /// (rng draws, load-based replica choice, read/compute issue) replays
-  /// serially in ascending process order. The resulting event schedule is
-  /// byte-identical to pool = null — see Driver::pull_wave for the argument.
-  /// Ignored in prefetch mode (no synchronized waves to shard).
-  ThreadPool* pool = nullptr;
 };
 
 /// Run the job to completion on `cluster` (which must be idle) and return the

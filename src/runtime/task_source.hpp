@@ -49,14 +49,6 @@ class TaskSource {
     const auto t = next_task(process, now);
     return t ? Pull::run(*t) : Pull::done();
   }
-
-  /// True when pull() for distinct processes touches disjoint state, so the
-  /// staged executor (ExecutorConfig::pool) may pull one whole wave
-  /// concurrently — one call per process, never two concurrent calls for the
-  /// same process. Sources with any shared hand-out state (global queues,
-  /// stealing, delay clocks) must keep the default false; the executor then
-  /// pulls the wave serially.
-  virtual bool concurrent_pull_safe() const { return false; }
 };
 
 /// Replays a fixed per-process assignment in order.
@@ -64,10 +56,6 @@ class StaticAssignmentSource final : public TaskSource {
  public:
   explicit StaticAssignmentSource(Assignment assignment);
   std::optional<TaskId> next_task(ProcessId process, Seconds now) override;
-
-  /// Replay state is one cursor per process; pulls for distinct processes
-  /// never share a word.
-  bool concurrent_pull_safe() const override { return true; }
 
  private:
   Assignment assignment_;

@@ -31,9 +31,7 @@
 // drawn, so a seeded run with a fault plan replays byte-identically.
 //
 // Thread-safety: single-threaded, like the rest of the simulator — all
-// members are confined to the simulation thread (see
-// common/thread_annotations.hpp for the vocabulary used once state is
-// shared across threads).
+// members are confined to the simulation thread.
 #pragma once
 
 #include <cstdint>

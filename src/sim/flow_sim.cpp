@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/thread_pool.hpp"
-
 namespace opass::sim {
 
 namespace {
@@ -265,10 +263,6 @@ bool FlowSimulator::flow_active(FlowId id) const {
 }
 
 void FlowSimulator::recompute_rates() {
-  if (pool_ != nullptr && pool_->thread_count() > 1) {
-    recompute_rates_parallel();
-    return;
-  }
   ++rate_recomputes_;
   ++visit_stamp_;
   comp_resources_.clear();
@@ -306,27 +300,17 @@ void FlowSimulator::recompute_rates() {
   max_relevel_component_ =
       std::max(max_relevel_component_, static_cast<std::uint32_t>(comp_flows_.size()));
   if (comp_flows_.empty()) return;  // e.g. the last flow on a disk retired
-
-  // The serial path water-fills the merged component set jointly (exactly the
-  // pre-pool engine), committing each pinned rate through set_rate as it
-  // binds.
-  water_fill(comp_resources_.data(), comp_resources_.size(), comp_flows_.data(),
-             comp_flows_.size(), share_heap_, cap_heap_,
-             [this](std::uint32_t slot, double share, ResourceId binding) {
-               set_rate(slot, share, binding);
-             });
+  water_fill();
 }
 
-/// Water-filling with per-flow caps, restricted to the given component span:
-/// rates rise together until the first constraint binds. Each round, the
-/// binding level is the minimum over (a) each active resource's fair share
-/// and (b) each unfixed flow's own rate cap; all flows pinned by the binding
-/// constraint freeze at that level and release the rest of their resources'
-/// capacity. `sink(slot, share, binding)` receives every pin in binding order
-/// — `binding` names the constraint that froze the flow (the bottleneck
-/// resource, or kCapBinding when its own rate cap bound). The serial path
-/// commits immediately via set_rate, the parallel path stages the triple for
-/// the ordered commit phase.
+/// Water-filling with per-flow caps over the dirty components gathered in
+/// comp_resources_ / comp_flows_: rates rise together until the first
+/// constraint binds. Each round, the binding level is the minimum over (a)
+/// each active resource's fair share and (b) each unfixed flow's own rate
+/// cap; all flows pinned by the binding constraint freeze at that level and
+/// release the rest of their resources' capacity. Every pin commits through
+/// set_rate in binding order, naming the constraint that froze the flow (the
+/// bottleneck resource, or kCapBinding when its own rate cap bound).
 ///
 /// Both minima come from lazily invalidated min-heaps instead of per-round
 /// scans, making a full re-level O(incidences * log) instead of
@@ -335,15 +319,11 @@ void FlowSimulator::recompute_rates() {
 /// remaining/unfixed change, so a surviving entry always equals the share a
 /// fresh scan would compute; ties break on ascending resource id, matching
 /// the reference scan's strict-< argmin.
-template <typename PinSink>
-void FlowSimulator::water_fill(const std::uint32_t* comp_res, std::size_t res_count,
-                               const std::uint32_t* comp_flows, std::size_t flow_count,
-                               std::vector<ShareEntry>& share_heap,
-                               std::vector<CapEntry>& cap_heap, PinSink&& sink) {
-  share_heap.clear();
-  cap_heap.clear();
-  for (std::size_t i = 0; i < res_count; ++i) {
-    Resource& res = resources_[comp_res[i]];
+void FlowSimulator::water_fill() {
+  share_heap_.clear();
+  cap_heap_.clear();
+  for (ResourceId r : comp_resources_) {
+    Resource& res = resources_[r];
     // Effective capacity for this instant: disks degrade with total
     // concurrency on them (head thrash), NICs (beta = 0) do not.
     const double k = static_cast<double>(res.active);
@@ -352,51 +332,50 @@ void FlowSimulator::water_fill(const std::uint32_t* comp_res, std::size_t res_co
                         : res.capacity / (1.0 + res.beta * (k - 1.0));
     res.unfixed = 0;
   }
-  for (std::size_t i = 0; i < flow_count; ++i) {
-    Flow& f = flows_[comp_flows[i]];
+  for (std::uint32_t slot : comp_flows_) {
+    Flow& f = flows_[slot];
     for (ResourceId r : f.resources) ++resources_[r].unfixed;
-    if (f.rate_cap > 0) cap_heap.push_back({f.rate_cap, f.seq, comp_flows[i]});
+    if (f.rate_cap > 0) cap_heap_.push_back({f.rate_cap, f.seq, slot});
   }
-  std::make_heap(cap_heap.begin(), cap_heap.end(), std::greater<>{});
-  for (std::size_t i = 0; i < res_count; ++i) {
-    const ResourceId r = comp_res[i];
+  std::make_heap(cap_heap_.begin(), cap_heap_.end(), std::greater<>{});
+  for (ResourceId r : comp_resources_) {
     const Resource& res = resources_[r];
     if (res.unfixed == 0) continue;  // a dirty seed whose last flow retired
-    share_heap.push_back(
+    share_heap_.push_back(
         {res.remaining / static_cast<double>(res.unfixed), r, res.wf_epoch});
   }
-  std::make_heap(share_heap.begin(), share_heap.end(), std::greater<>{});
+  std::make_heap(share_heap_.begin(), share_heap_.end(), std::greater<>{});
 
   // Freeze a flow's rate at the binding share and release the headroom on
   // every resource it crosses, re-queuing their updated fair shares.
   const auto pin = [&](std::uint32_t slot, double share, ResourceId binding) {
     Flow& f = flows_[slot];
     f.fixed = visit_stamp_;
-    sink(slot, share, binding);
+    set_rate(slot, share, binding);
     for (ResourceId r : f.resources) {
       Resource& res = resources_[r];
       res.remaining = std::max(0.0, res.remaining - share);
       --res.unfixed;
       ++res.wf_epoch;
       if (res.unfixed > 0) {
-        share_heap.push_back(
+        share_heap_.push_back(
             {res.remaining / static_cast<double>(res.unfixed), r, res.wf_epoch});
-        std::push_heap(share_heap.begin(), share_heap.end(), std::greater<>{});
+        std::push_heap(share_heap_.begin(), share_heap_.end(), std::greater<>{});
       }
     }
   };
 
-  std::size_t flows_left = flow_count;
+  std::size_t flows_left = comp_flows_.size();
   while (flows_left > 0) {
     // Current bottleneck resource (lowest fair share, then lowest id).
     double res_share = kInf;
     ResourceId best_r = 0;
-    while (!share_heap.empty()) {
-      const ShareEntry& top = share_heap.front();
+    while (!share_heap_.empty()) {
+      const ShareEntry& top = share_heap_.front();
       const Resource& res = resources_[top.r];
       if (top.epoch != res.wf_epoch || res.unfixed == 0) {
-        std::pop_heap(share_heap.begin(), share_heap.end(), std::greater<>{});
-        share_heap.pop_back();
+        std::pop_heap(share_heap_.begin(), share_heap_.end(), std::greater<>{});
+        share_heap_.pop_back();
         continue;
       }
       res_share = top.share;
@@ -405,11 +384,11 @@ void FlowSimulator::water_fill(const std::uint32_t* comp_res, std::size_t res_co
     }
     // Tightest per-flow cap still unfixed.
     double cap_min = kInf;
-    while (!cap_heap.empty()) {
-      const CapEntry& top = cap_heap.front();
+    while (!cap_heap_.empty()) {
+      const CapEntry& top = cap_heap_.front();
       if (flows_[top.slot].fixed == visit_stamp_) {
-        std::pop_heap(cap_heap.begin(), cap_heap.end(), std::greater<>{});
-        cap_heap.pop_back();
+        std::pop_heap(cap_heap_.begin(), cap_heap_.end(), std::greater<>{});
+        cap_heap_.pop_back();
         continue;
       }
       cap_min = top.cap;
@@ -423,11 +402,11 @@ void FlowSimulator::water_fill(const std::uint32_t* comp_res, std::size_t res_co
     const std::size_t before = flows_left;
     if (cap_binds) {
       // Freeze every unfixed capped flow at or below the binding level.
-      while (!cap_heap.empty()) {
-        const CapEntry top = cap_heap.front();
+      while (!cap_heap_.empty()) {
+        const CapEntry top = cap_heap_.front();
         if (flows_[top.slot].fixed != visit_stamp_ && top.cap > best_share) break;
-        std::pop_heap(cap_heap.begin(), cap_heap.end(), std::greater<>{});
-        cap_heap.pop_back();
+        std::pop_heap(cap_heap_.begin(), cap_heap_.end(), std::greater<>{});
+        cap_heap_.pop_back();
         if (flows_[top.slot].fixed == visit_stamp_) continue;
         pin(top.slot, best_share, kCapBinding);
         --flows_left;
@@ -442,117 +421,6 @@ void FlowSimulator::water_fill(const std::uint32_t* comp_res, std::size_t res_co
     }
     OPASS_CHECK(flows_left < before, "water-filling made no progress");
   }
-}
-
-/// Worker-pool re-leveling (DESIGN.md §12). Byte-exactness argument, step by
-/// step against the serial joint run:
-///
-///  1. The BFS is segmented per dirty seed instead of merged, so components
-///     come out as contiguous spans. Component *membership* is identical;
-///     only the order inside comp_resources_/comp_flows_ differs, and that
-///     order is unobservable — it only shapes initial heap layout, and a
-///     binary heap's pop sequence depends on the entry multiset and the
-///     comparator (total order: share ties break on resource id, cap ties on
-///     flow seq), never on layout.
-///  2. Components are resource- and flow-disjoint, so concurrent water-fills
-///     touch disjoint Resource/Flow scratch fields (remaining, unfixed,
-///     wf_epoch, fixed) — race-free with the pool's batch barrier.
-///  3. The pinned level of every flow is a component-local value: a joint
-///     round pins either the flows of one bottleneck resource (share from
-///     its own component's remaining/unfixed) or the cap-tied flows at their
-///     own rate_cap. Interleaving across components never changes a value.
-///  4. Commits are replayed through set_rate in ascending component id, and
-///     inside a component in binding order — the same relative order the
-///     joint run produces (a joint run's pin subsequence restricted to one
-///     component is exactly that component's isolated binding sequence). A
-///     resource's bytes_served accumulation order is therefore preserved
-///     (flows on it all live in its own component), keeping the FP sums
-///     bit-identical; the ETA heap receives the same entry multiset, and its
-///     pop order is comparator-total-ordered, so eta_stale_pops_ and every
-///     completion follow identically.
-///  5. max_relevel_component_ counts all flows touched per recompute (the
-///     joint path merges every dirty component into one count), so the stat
-///     is computed on the same totals here, not per component.
-void FlowSimulator::recompute_rates_parallel() {
-  ++rate_recomputes_;
-  ++visit_stamp_;
-  comp_resources_.clear();
-  comp_flows_.clear();
-  comp_spans_.clear();
-
-  // Segmented BFS: each still-unvisited dirty seed grows its full connected
-  // component before the next seed starts, so every component is a
-  // contiguous span of comp_resources_/comp_flows_.
-  for (std::uint32_t seed : dirty_resources_) {
-    Resource& seed_res = resources_[seed];
-    seed_res.dirty = false;
-    if (seed_res.visit == visit_stamp_) continue;  // swallowed by a prior seed
-    CompSpan span;
-    span.res_begin = static_cast<std::uint32_t>(comp_resources_.size());
-    span.flow_begin = static_cast<std::uint32_t>(comp_flows_.size());
-    seed_res.visit = visit_stamp_;
-    comp_resources_.push_back(seed);
-    for (std::size_t i = span.res_begin; i < comp_resources_.size(); ++i) {
-      const Resource& res = resources_[comp_resources_[i]];
-      for (std::uint32_t slot : res.flows) {
-        Flow& f = flows_[slot];
-        if (f.visit == visit_stamp_) continue;
-        f.visit = visit_stamp_;
-        comp_flows_.push_back(slot);
-        for (ResourceId r2 : f.resources) {
-          Resource& res2 = resources_[r2];
-          if (res2.visit == visit_stamp_) continue;
-          res2.visit = visit_stamp_;
-          comp_resources_.push_back(r2);
-        }
-      }
-    }
-    span.res_end = static_cast<std::uint32_t>(comp_resources_.size());
-    span.flow_end = static_cast<std::uint32_t>(comp_flows_.size());
-    comp_spans_.push_back(span);
-  }
-  dirty_resources_.clear();
-  rate_recompute_touched_ += comp_flows_.size();
-  max_relevel_component_ =
-      std::max(max_relevel_component_, static_cast<std::uint32_t>(comp_flows_.size()));
-  if (comp_flows_.empty()) return;
-
-  // Stage every component's pins into its own flow-span slice of pinned_
-  // (a component pins each of its flows exactly once), then commit in
-  // ascending component order. Chunks are contiguous component ranges; each
-  // chunk index owns one scratch slot.
-  pinned_.resize(comp_flows_.size());
-  if (wf_scratch_.size() < pool_->thread_count()) wf_scratch_.resize(pool_->thread_count());
-  // Size-aware split: water-fill cost scales with a component's flow count,
-  // and component sizes are heavily skewed (one big contended component among
-  // many singletons), so chunk by total flow weight rather than component
-  // count. The boundaries are a pure function of the component shapes —
-  // byte-identical output for every thread count, same as the equal split.
-  comp_weights_.clear();
-  comp_weights_.reserve(comp_spans_.size());
-  for (const CompSpan& span : comp_spans_)
-    comp_weights_.push_back(
-        static_cast<std::uint64_t>(span.flow_end - span.flow_begin) + 1);
-  pool_->parallel_weighted_for_chunks(
-      comp_weights_, /*min_weight_per_chunk=*/1,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        WfScratch& scratch = wf_scratch_[chunk];
-        for (std::size_t c = begin; c < end; ++c) {
-          const CompSpan& span = comp_spans_[c];
-          std::uint32_t fill = span.flow_begin;
-          water_fill(comp_resources_.data() + span.res_begin, span.res_end - span.res_begin,
-                     comp_flows_.data() + span.flow_begin, span.flow_end - span.flow_begin,
-                     scratch.share_heap, scratch.cap_heap,
-                     [&](std::uint32_t slot, double share, ResourceId binding) {
-                       pinned_[fill++] = {slot, share, binding};
-                     });
-          OPASS_CHECK(fill == span.flow_end,
-                      "parallel re-level pinned a component incompletely");
-        }
-      });
-
-  // Ordered commit: ascending component id, binding order within a component.
-  for (const PinnedRate& p : pinned_) set_rate(p.slot, p.share, p.binding);
 }
 
 void FlowSimulator::advance_to(Seconds t) {

@@ -34,10 +34,6 @@
 #include "common/require.hpp"
 #include "common/units.hpp"
 
-namespace opass {
-class ThreadPool;
-}
-
 namespace opass::sim {
 
 using ResourceId = std::uint32_t;
@@ -55,7 +51,7 @@ using FlowId = std::uint64_t;
 /// All causal-tracing arithmetic (obs/spans) happens on these ticks so
 /// interval durations sum *exactly* — chained boundaries telescope in int64
 /// with no floating-point drift. Deterministic because the underlying doubles
-/// are byte-identical across runs and thread counts (DESIGN.md §12).
+/// are byte-identical across runs.
 inline std::int64_t to_ticks(Seconds t) { return std::llround(t * 1e9); }
 
 /// One binding-resource interval of a flow: over [start_ticks, end_ticks)
@@ -81,17 +77,6 @@ class FlowSimulator {
   /// Add a shared resource. `beta` is the concurrency degradation factor
   /// (0 for NICs/switches, > 0 for disks).
   ResourceId add_resource(BytesPerSec capacity, double beta = 0.0);
-
-  /// Opt in to worker-pool re-leveling (DESIGN.md §12): when `pool` has more
-  /// than one lane, each rate recomputation water-fills its dirty connected
-  /// components concurrently and commits the pinned rates serially in
-  /// ascending component-id order. Every simulation output is byte-identical
-  /// to the serial path — max-min is component-decomposable, pinned levels
-  /// are component-local values, and the per-resource floating-point commit
-  /// order within a component is preserved (the proof obligations are spelled
-  /// out above recompute_rates_parallel()). Borrowed; pass nullptr (or a
-  /// 1-lane pool) to return to the serial path.
-  void set_parallelism(ThreadPool* pool) { pool_ = pool; }
 
   std::uint32_t resource_count() const { return static_cast<std::uint32_t>(resources_.size()); }
 
@@ -276,30 +261,6 @@ class FlowSimulator {
     }
   };
 
-  /// One dirty connected component: half-open spans into comp_resources_ /
-  /// comp_flows_. Components are disjoint by construction (a shared resource
-  /// or flow would merge them in the BFS).
-  struct CompSpan {
-    std::uint32_t res_begin, res_end;
-    std::uint32_t flow_begin, flow_end;
-  };
-
-  /// A rate pinned by water-filling but not yet committed: the parallel path
-  /// stages (slot, share, binding) per component, then commits through
-  /// set_rate() in ascending component order.
-  struct PinnedRate {
-    std::uint32_t slot;
-    double share;
-    ResourceId binding;
-  };
-
-  /// Per-chunk water-filling scratch for the parallel path (the serial path
-  /// uses the share_heap_ / cap_heap_ members directly).
-  struct WfScratch {
-    std::vector<ShareEntry> share_heap;
-    std::vector<CapEntry> cap_heap;
-  };
-
   static std::uint32_t slot_of(FlowId id) { return static_cast<std::uint32_t>(id); }
   static std::uint32_t tag_of(FlowId id) { return static_cast<std::uint32_t>(id >> 32); }
 
@@ -310,15 +271,10 @@ class FlowSimulator {
   void note_binding(Flow& f, ResourceId binding);
   void stash_attribution(std::uint32_t slot);
   void set_rate(std::uint32_t slot, double rate, ResourceId binding);
-  template <typename PinSink>
-  void water_fill(const std::uint32_t* comp_res, std::size_t res_count,
-                  const std::uint32_t* comp_flows, std::size_t flow_count,
-                  std::vector<ShareEntry>& share_heap, std::vector<CapEntry>& cap_heap,
-                  PinSink&& sink);
+  void water_fill();
   void retire_slot(std::uint32_t slot);
   double next_completion_time();
   void recompute_rates();
-  void recompute_rates_parallel();
   void advance_to(Seconds t);
   void audit_retired_slot(std::uint32_t slot) const;
 
@@ -340,11 +296,6 @@ class FlowSimulator {
   std::vector<std::uint32_t> comp_flows_;
   std::vector<ShareEntry> share_heap_;
   std::vector<CapEntry> cap_heap_;
-  ThreadPool* pool_ = nullptr;  // borrowed; nullptr = serial re-leveling
-  std::vector<CompSpan> comp_spans_;
-  std::vector<std::uint64_t> comp_weights_;  // per-component flow weights
-  std::vector<PinnedRate> pinned_;
-  std::vector<WfScratch> wf_scratch_;
   std::vector<Eta> requeued_;
   std::vector<std::uint32_t> completed_;
   std::vector<std::function<void(Seconds)>> callbacks_;

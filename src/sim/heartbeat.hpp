@@ -23,9 +23,8 @@
 //
 // Thread-safety: like the rest of the simulator, this class is
 // single-threaded — all state is confined to the simulation thread driving
-// FlowSimulator::run(), so no field carries OPASS_GUARDED_BY (see
-// common/thread_annotations.hpp for the vocabulary used once state is
-// shared). Do not call any member from another thread while run() is live.
+// FlowSimulator::run(). Do not call any member from another thread while
+// run() is live.
 #pragma once
 
 #include <cstdint>

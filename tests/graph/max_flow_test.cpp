@@ -177,6 +177,72 @@ TEST(MaxFlowAgreement, UnitBipartiteNetworksAgreeWithOracle) {
   }
 }
 
+TEST(MaxFlowAgreement, DirectSourceSinkArcCarriesFlow) {
+  // An s->t arc is a one-edge augmenting path: Dinic saturates it alongside
+  // the two-edge paths in its first phase.
+  FlowWorkspace ws;
+  ws.network.clear(4);
+  ws.network.add_edge(0, 1, 5);  // s -> t directly
+  ws.network.add_edge(0, 2, 3);
+  ws.network.add_edge(2, 1, 3);
+  ws.network.add_edge(0, 3, 2);
+  ws.network.add_edge(3, 1, 2);
+  EXPECT_EQ(max_flow(ws, 0, 1), 10);
+  for (EdgeIdx e = 0; e < ws.network.edge_count(); ++e)
+    EXPECT_EQ(ws.network.flow(e), ws.network.capacity(e)) << "edge " << e;
+  ws.network.reset_flow();
+  EXPECT_EQ(oracle::edmonds_karp(ws.network, 0, 1), 10);
+}
+
+/// A Fig. 5-shaped network: s -> per-file task nodes -> replica node slots
+/// -> t. Node 0 is s, node 1 is t; each task can land on one or two of its
+/// file's slots.
+FlowNetwork fig5_network(std::uint32_t files, std::uint32_t tasks_per_file,
+                         std::uint32_t slots_per_file, Cap slot_cap) {
+  FlowNetwork net(2 + files * (tasks_per_file + slots_per_file));
+  NodeIdx next = 2;
+  for (std::uint32_t f = 0; f < files; ++f) {
+    const NodeIdx task0 = next;
+    next += tasks_per_file;
+    const NodeIdx slot0 = next;
+    next += slots_per_file;
+    for (std::uint32_t ti = 0; ti < tasks_per_file; ++ti) {
+      net.add_edge(0, task0 + ti, 1);
+      const std::uint32_t a = ti % slots_per_file;
+      const std::uint32_t b = (ti + 1 + ti / slots_per_file) % slots_per_file;
+      net.add_edge(task0 + ti, slot0 + a, 1);
+      if (b != a) net.add_edge(task0 + ti, slot0 + b, 1);
+    }
+    for (std::uint32_t si = 0; si < slots_per_file; ++si)
+      net.add_edge(slot0 + si, 1, slot_cap);
+  }
+  return net;
+}
+
+TEST(FlowWorkspace, WarmWorkspaceMatchesFreshEdgeForEdge) {
+  // Replanning reuses one warm workspace across networks of different shapes
+  // (ParaView steps, dynamic re-plans); the retained scratch must not leak
+  // into the next solve. The last shape leaves tasks unmatched.
+  struct Shape {
+    std::uint32_t files, tasks_per_file, slots_per_file;
+    Cap slot_cap;
+  };
+  FlowWorkspace warm;
+  for (const Shape& sh : {Shape{5, 8, 5, 2}, Shape{2, 8, 5, 2}, Shape{9, 8, 5, 2},
+                          Shape{1, 8, 5, 2}, Shape{12, 3, 2, 1}}) {
+    warm.network = fig5_network(sh.files, sh.tasks_per_file, sh.slots_per_file, sh.slot_cap);
+    FlowWorkspace fresh;
+    fresh.network = warm.network;
+    const Cap value = max_flow(warm, 0, 1);
+    EXPECT_EQ(value, max_flow(fresh, 0, 1)) << "files=" << sh.files;
+    for (EdgeIdx e = 0; e < warm.network.edge_count(); ++e)
+      EXPECT_EQ(warm.network.flow(e), fresh.network.flow(e))
+          << "files=" << sh.files << " edge " << e;
+    warm.network.reset_flow();
+    EXPECT_EQ(value, oracle::edmonds_karp(warm.network, 0, 1)) << "files=" << sh.files;
+  }
+}
+
 TEST(FlowWorkspace, ReuseAcrossSolvesReproducesValues) {
   // One workspace, many networks: clear() + rebuild between solves must give
   // the same values as fresh networks.

@@ -82,7 +82,6 @@ ExperimentConfig golden_cfg() {
   ExperimentConfig cfg;
   cfg.nodes = 16;
   cfg.seed = 42;
-  cfg.threads = 1;
   return cfg;
 }
 

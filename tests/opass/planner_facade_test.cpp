@@ -1,7 +1,8 @@
 // The core::plan() facade: the matched count is the oracle's max-flow,
-// Algorithm 1 needs no rng, requests are validated strictly, and planner
-// names round-trip. Each planner's plans are pinned across commits by
-// GoldenScenarios.Plan* (tests/integration/golden_scenarios_test.cpp).
+// Algorithm 1 needs no rng, a warm lent workspace plans like a fresh one,
+// requests are validated strictly, and planner names round-trip. Each
+// planner's plans are pinned across commits by GoldenScenarios.Plan*
+// (tests/integration/golden_scenarios_test.cpp).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -58,6 +59,33 @@ TEST(PlannerFacade, MatchedCountIsTheOracleMaxFlow) {
   workspace.network.reset_flow();
   EXPECT_EQ(static_cast<graph::Cap>(result.locally_matched),
             oracle::edmonds_karp(workspace.network, 0, 1));
+}
+
+TEST(PlannerFacade, OneWarmWorkspaceServesEveryPlannerKind) {
+  // A service or replanning loop lends one workspace to plan after plan, of
+  // every kind and layout: the warm arenas must plan exactly as fresh ones.
+  graph::FlowWorkspace warm;
+  for (std::uint64_t seed : {7ull, 2ull, 11ull}) {
+    for (const auto kind : {PlannerKind::kSingleData, PlannerKind::kWeighted,
+                            PlannerKind::kRackAware, PlannerKind::kMultiData}) {
+      const auto layout = make_layout(seed, kind == PlannerKind::kMultiData);
+      PlanOptions options;
+      options.planner = kind;
+      options.workspace = &warm;
+      Rng warm_rng(seed + 17);
+      const auto with_warm =
+          plan({&layout.nn, &layout.tasks, &layout.placement, &warm_rng}, options);
+      graph::FlowWorkspace fresh;
+      options.workspace = &fresh;
+      Rng fresh_rng(seed + 17);
+      const auto with_fresh =
+          plan({&layout.nn, &layout.tasks, &layout.placement, &fresh_rng}, options);
+      EXPECT_EQ(with_warm.assignment, with_fresh.assignment)
+          << planner_kind_name(kind) << " seed " << seed;
+      EXPECT_EQ(with_warm.locally_matched, with_fresh.locally_matched)
+          << planner_kind_name(kind) << " seed " << seed;
+    }
+  }
 }
 
 TEST(PlannerFacade, RejectsIncompleteRequests) {

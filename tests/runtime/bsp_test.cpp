@@ -1,6 +1,9 @@
 // BSP (barrier-per-task) execution mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "runtime/executor.hpp"
 #include "runtime/task_source.hpp"
 #include "workload/dataset.hpp"
@@ -111,6 +114,42 @@ TEST_F(BspFixture, EmptyProcessesDontBlockTheWave) {
   a[2] = {0, 1, 2, 3};
   const auto result = run(tasks, a, true);
   EXPECT_EQ(result.tasks_executed, 4u);
+}
+
+TEST_F(BspFixture, ZeroInputTasksCompleteInsideTheWave) {
+  // Compute-only tasks read nothing: with zero compute they finish
+  // synchronously inside the wave release that pulled them, which may then
+  // release the next wave from within itself. Processes 0 and 2 get only
+  // read tasks and 1 and 3 only compute-only ones, so every wave mixes both
+  // kinds. The async replay of the same lists must complete too.
+  const auto reads = make_tasks(8);
+  std::vector<Task> mixed;
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    mixed.push_back(reads[i]);
+    Task compute_only;
+    compute_only.compute_time = (i % 3 == 0) ? 0.0 : 0.01;
+    mixed.push_back(compute_only);
+  }
+  Assignment a(4);
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    mixed[i].id = static_cast<TaskId>(i);
+    a[i % 4].push_back(static_cast<TaskId>(i));
+  }
+  EXPECT_EQ(run(mixed, a, false).tasks_executed, 16u);
+  const auto result = run(mixed, a, true);
+  EXPECT_EQ(result.tasks_executed, 16u);
+  EXPECT_EQ(result.trace.size(), 8u);
+  ASSERT_EQ(result.task_spans.size(), 16u);
+
+  // Wave k = each process's k-th task: no wave starts before the previous
+  // one has fully finished.
+  std::vector<std::vector<TaskSpan>> by_process(4);
+  for (const TaskSpan& span : result.task_spans) by_process[span.process].push_back(span);
+  for (std::size_t wave = 1; wave < 4; ++wave) {
+    Seconds prev_end = 0;
+    for (const auto& spans : by_process) prev_end = std::max(prev_end, spans[wave - 1].end);
+    for (const auto& spans : by_process) EXPECT_GE(spans[wave].start, prev_end) << wave;
+  }
 }
 
 TEST_F(BspFixture, PrefetchAndBspAreExclusive) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 namespace opass::sim {
@@ -186,6 +187,59 @@ TEST(FlowSimSlotPool, ObservabilityCountersAdvance) {
   EXPECT_GE(sim.rate_recomputes(), 1u);
   EXPECT_GE(sim.rate_recompute_touched_flows(), 2u);
   EXPECT_GE(sim.max_relevel_component(), 2u);
+}
+
+/// (rate_recomputes, touched flows, largest re-leveled component, stale ETA
+/// pops) after the simulator drains.
+using Counters = std::tuple<std::uint64_t, std::uint64_t, std::uint32_t, std::uint64_t>;
+
+Counters counters(const FlowSimulator& sim) {
+  return {sim.rate_recomputes(), sim.rate_recompute_touched_flows(),
+          sim.max_relevel_component(), sim.eta_stale_pops()};
+}
+
+TEST(FlowSimCounters, MergingComponentsCountExactly) {
+  // Flows over r3 also cross r2, so r2's and r3's components merge each time
+  // such a flow joins and split when it leaves. The engine counters are part
+  // of the deterministic surface (they feed the metrics export), so they are
+  // pinned exactly.
+  FlowSimulator sim;
+  const auto r1 = sim.add_resource(100.0);
+  const auto r2 = sim.add_resource(80.0);
+  const auto r3 = sim.add_resource(60.0);
+  for (int i = 0; i < 9; ++i) {
+    const FlowPath path =
+        i % 3 == 0 ? FlowPath{r1} : (i % 3 == 1 ? FlowPath{r2} : FlowPath{r3, r2});
+    sim.after(0.1 * i, [&sim, path](Seconds) { sim.start_flow(path, 150, [](Seconds) {}); });
+  }
+  sim.run();
+  EXPECT_EQ(counters(sim), (Counters{18, 45, 6, 36}));
+}
+
+TEST(FlowSimCounters, CrossGroupFlowsMergeComponentsMidRun) {
+  // Eight disjoint three-resource groups with staggered, partly capped flows;
+  // at t = 0.6 one flow per group spans it and its neighbour, chaining every
+  // group into one component until those flows drain.
+  FlowSimulator sim;
+  std::vector<std::vector<ResourceId>> groups(8);
+  for (auto& group : groups)
+    for (std::uint32_t r = 0; r < 3; ++r)
+      group.push_back(sim.add_resource(50.0 + 10.0 * r, r == 0 ? 0.05 : 0.0));
+  for (std::uint32_t g = 0; g < groups.size(); ++g) {
+    for (std::uint32_t f = 0; f < 12; ++f) {
+      FlowPath path{groups[g][f % 3]};
+      if (f % 3 == 0) path.push_back(groups[g][(f + 1) % 3]);
+      const Bytes bytes = 200 + 37 * (f % 5);
+      const BytesPerSec cap = (f % 4 == 0) ? 18.0 : 0.0;
+      sim.at(0.25 * static_cast<double>(f % 7), [&sim, path, bytes, cap](Seconds) {
+        sim.start_flow(path, bytes, [](Seconds) {}, cap);
+      });
+    }
+    const FlowPath bridge{groups[g][0], groups[(g + 1) % groups.size()][0]};
+    sim.at(0.6, [&sim, bridge](Seconds) { sim.start_flow(bridge, 333, [](Seconds) {}); });
+  }
+  sim.run();
+  EXPECT_EQ(counters(sim), (Counters{21, 720, 88, 384}));
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ import sys
 
 # Known per-scenario / per-solver keys; anything else triggers a warning.
 _KNOWN_SCENARIO_KEYS = {
-    "name", "nodes", "tasks", "replication", "seed", "repeats", "threads",
+    "name", "nodes", "tasks", "replication", "seed", "repeats",
     "wall_ms_min", "wall_ms_mean", "makespan_s", "local_pct",
     "peak_rss_kb", "parity_ok", "algorithms", "metrics",
 }

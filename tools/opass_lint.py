@@ -42,18 +42,15 @@ Rules (all scoped to src/ unless noted):
                     assign_single_data_rack_aware, assign_multi_data, declared
                     in src/opass/matchers.hpp) are src/opass/ internals. A
                     direct call elsewhere bypasses PlanRequest validation,
-                    workspace and pool lending, the stats pass, and the one
-                    place where new planners get wired in.
+                    workspace lending, the stats pass, and the one place
+                    where new planners get wired in.
   no-raw-thread     Raw threading primitives (std::thread / std::mutex /
                     std::atomic / std::condition_variable / the std lock
-                    guards) are confined to src/common/thread_pool.* and
-                    src/common/thread_annotations.hpp. Everything else
-                    expresses concurrency through opass::ThreadPool and the
-                    annotated opass::Mutex / opass::ScopedLock vocabulary, so
-                    the thread-safety analysis and the determinism contract
-                    (DESIGN.md §12) see every lock and every parallel region.
-                    A deliberate exception carries an inline
-                    allow(no-raw-thread) marker.
+                    guards) are banned everywhere in src/: the program is
+                    single-threaded by design (DESIGN.md §12), and
+                    parallelism comes back only together with a benchmark
+                    workload that shows its gain. A deliberate exception
+                    carries an inline allow(no-raw-thread) marker.
   replica-scan      src/opass/ only: no `has_replica_on` call inside a loop
                     over every process (`for (...; p < m; ...)`). Testing each
                     task against all m processes is the O(tasks x processes)
@@ -81,7 +78,7 @@ Rules (all scoped to src/ unless noted):
                     the phase() of its one Run pipeline (DESIGN.md §8). Every
                     scenario — static plans, dynamic lists, ParaView steps,
                     iterative epochs — runs its phases through it, so a second
-                    call site (a scenario body wiring its own cluster, pool,
+                    call site (a scenario body wiring its own cluster,
                     timeline and sinks again) is flagged, one finding per
                     extra site.
 
@@ -179,13 +176,9 @@ RAW_THREAD = re.compile(
     r"|lock_guard\b|unique_lock\b|scoped_lock\b|shared_lock\b|call_once\b"
     r"|once_flag\b|future\b|promise\b|async\b|counting_semaphore\b"
     r"|binary_semaphore\b|barrier\b|latch\b)")
-# The sanctioned homes: the pool implementation itself and the annotation
-# vocabulary it is built on.
-RAW_THREAD_EXEMPT = (
-    "src/common/thread_pool.hpp",
-    "src/common/thread_pool.cpp",
-    "src/common/thread_annotations.hpp",
-)
+# Files allowed to use the raw threading vocabulary: none, since the program
+# is single-threaded.
+RAW_THREAD_EXEMPT: tuple = ()
 
 
 def _line_of(text: str, offset: int) -> int:
@@ -386,11 +379,9 @@ def check_no_raw_thread(path: pathlib.Path, root: pathlib.Path, text: str, findi
     for m in RAW_THREAD.finditer(scrub(text)):
         findings.append(
             Finding(path, _line_of(text, m.start()), "no-raw-thread",
-                    f"'{m.group(0)}' outside common/thread_pool — express "
-                    "concurrency through opass::ThreadPool and the annotated "
-                    "opass::Mutex/ScopedLock vocabulary (common/"
-                    "thread_annotations.hpp) so locks stay visible to "
-                    "-Wthread-safety and the determinism contract"))
+                    f"'{m.group(0)}' in src/ — the program is single-threaded "
+                    "by design (DESIGN.md §12); bring parallelism back only "
+                    "with a benchmark workload that shows the gain"))
 
 
 def check_facade_only(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
@@ -418,7 +409,7 @@ def check_single_pipeline(root: pathlib.Path, texts: dict, findings: list):
                     f"second runtime::execute() call site under src/exp/ (the "
                     f"first is {first[0].name}:{first[1]}); run the scenario's "
                     "phases through the one Run pipeline instead of wiring "
-                    "another cluster, pool, timeline and sink set"))
+                    "another cluster, timeline and sink set"))
 
 
 def check_nodiscard_status(path: pathlib.Path, src_root: pathlib.Path, text: str, findings: list):
@@ -610,21 +601,6 @@ _CLEANS = (
         '#include "opass/planner.hpp"\n'
         "int internal() { return assign_single_data_weighted(nn, tasks, placement, rng).n; }\n"
         "int facade() { return core::plan(request).locally_matched; }\n",
-    ),
-    (
-        # The sanctioned home: raw primitives inside src/common/thread_pool.*
-        # are exempt from no-raw-thread.
-        "common/thread_pool.cpp",
-        '#include "common/thread_pool.hpp"\n\n#include <mutex>\n#include <thread>\n'
-        "void pump() { std::mutex mu; std::unique_lock<std::mutex> lock(mu); }\n",
-    ),
-    (
-        # The annotated vocabulary is the compliant spelling no-raw-thread
-        # must NOT flag anywhere in src/.
-        "sim/clean_annotated_lock.cpp",
-        '#include "common/thread_annotations.hpp"\n'
-        "opass::Mutex mu_;\n"
-        "void locked() { opass::ScopedLock lock(mu_); }\n",
     ),
     (
         # What replica-scan must NOT flag: evaluating a finished assignment

@@ -41,7 +41,7 @@ Outcome run_once(bool use_opass, bool inject_failure) {
   plan.events.push_back(crash);
 
   sim::FaultStats stats;
-  obs::FaultEventLog log;
+  obs::FaultEventLog log(plan);
   runtime::ExecutionResult raw;
   cfg.raw = &raw;
   if (inject_failure) {

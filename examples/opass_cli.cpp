@@ -142,7 +142,7 @@ void run_method(const Options& opts, exp::Method method, exp::ExperimentConfig c
   std::optional<obs::FaultEventLog> fault_log;
   sim::FaultStats fault_stats;
   if (faults != nullptr) {
-    fault_log.emplace(recorder);
+    fault_log.emplace(*faults, recorder);
     cfg.faults = faults;
     cfg.fault_probe = &*fault_log;
     cfg.fault_stats = &fault_stats;

@@ -88,9 +88,9 @@ struct ExperimentConfig {
   /// plan with std::invalid_argument: their phases each run the cluster
   /// until idle, so the first phase would consume every scripted event.
   const sim::FaultPlan* faults = nullptr;
-  /// Fault-lifecycle observer wired into the injector (borrowed), e.g.
-  /// obs::FaultEventLog. Only read when `faults` is set.
-  sim::FaultProbe* fault_probe = nullptr;
+  /// Fault-lifecycle probe wired into the injector (borrowed), e.g.
+  /// obs::FaultEventLog over the same plan. Only read when `faults` is set.
+  Probe* fault_probe = nullptr;
   /// When set (and `faults` is set), the injector's final counters are
   /// copied out after the run.
   sim::FaultStats* fault_stats = nullptr;

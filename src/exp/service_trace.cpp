@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "common/require.hpp"
@@ -103,14 +104,13 @@ ServiceTraceOutput replay_service_trace(const ServiceTraceConfig& cfg,
   core::ServiceOptions options;
   options.seed = cfg.seed;
   options.batch_window = cfg.batch_window;
-  options.max_batch_jobs = cfg.max_batch_jobs;
-  options.max_batch_tasks = cfg.max_batch_tasks;
   options.fair_share = cfg.fair_share;
   core::PlannerService service(nn, placement, options);
 
   std::unique_ptr<obs::ServiceTimelineProbe> probe;
   if (cfg.timeline != nullptr) {
-    probe = std::make_unique<obs::ServiceTimelineProbe>(*cfg.timeline, max_tenant + 1);
+    probe =
+        std::make_unique<obs::ServiceTimelineProbe>(*cfg.timeline, service, max_tenant + 1);
     service.set_probe(probe.get());
   }
 

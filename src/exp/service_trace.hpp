@@ -51,13 +51,11 @@ struct ServiceTraceConfig {
   std::uint32_t replication = 3;
   std::uint64_t seed = 42;
   dfs::PlacementKind placement = dfs::PlacementKind::kRandom;
-  Seconds batch_window = 0;
-  std::uint32_t max_batch_jobs = 0;
-  std::uint32_t max_batch_tasks = 0;
+  Seconds batch_window = 0;  ///< coalescing window; no job or task cap per batch
   bool fair_share = true;
   /// Optional sinks (borrowed). `metrics` receives collect_service();
-  /// `timeline` receives a ServiceTimelineProbe's series and is finish()ed
-  /// at the drain time.
+  /// `timeline` receives an obs::ServiceTimelineProbe's series and is
+  /// finish()ed at the drain time.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TimelineRecorder* timeline = nullptr;
   /// When set, the replay appends svc.job.queue / svc.job.plan spans for

@@ -1,5 +1,7 @@
 #include "obs/fault_log.hpp"
 
+#include "common/require.hpp"
+
 namespace opass::obs {
 
 namespace {
@@ -26,35 +28,41 @@ std::string describe(const sim::FaultEvent& event) {
 
 }  // namespace
 
-FaultEventLog::FaultEventLog(TimelineRecorder* recorder) : recorder_(recorder) {
+FaultEventLog::FaultEventLog(const sim::FaultPlan& plan, TimelineRecorder* recorder)
+    : plan_(plan), recorder_(recorder) {
   if (recorder_ != nullptr) {
     dead_nodes_ = recorder_->add_level_series("timeline.faults.dead_nodes");
     copy_rate_ = recorder_->add_rate_series("timeline.faults.rereplication_rate");
   }
 }
 
-void FaultEventLog::on_fault(Seconds now, const sim::FaultEvent& event) {
-  entries_.push_back({now, describe(event)});
-  if (recorder_ != nullptr && event.kind == sim::FaultKind::kCrash)
-    recorder_->record_level(dead_nodes_, now, static_cast<double>(++dead_));
-}
-
-void FaultEventLog::on_detection(Seconds now, dfs::NodeId node) {
-  entries_.push_back({now, "detected node " + std::to_string(node) + " dead"});
-}
-
-void FaultEventLog::on_copy(Seconds now, dfs::ChunkId /*chunk*/, dfs::NodeId /*src*/,
-                            dfs::NodeId /*dst*/, Bytes bytes) {
-  ++copies_;
-  copied_bytes_ += bytes;
-  if (recorder_ != nullptr)
-    recorder_->record_rate(copy_rate_, now, static_cast<double>(bytes));
-}
-
-void FaultEventLog::on_recovery_complete(Seconds now, dfs::NodeId node) {
-  entries_.push_back({now, node == dfs::kInvalidNode
-                               ? std::string("rebalance complete")
-                               : "recovery of node " + std::to_string(node) + " complete"});
+void FaultEventLog::on_event(const ProbeEvent& event) {
+  const Seconds now = event.at;
+  switch (event.kind) {
+    case ProbeKind::kFault: {
+      OPASS_REQUIRE(event.id < plan_.events.size(), "fault event index outside the plan");
+      const sim::FaultEvent& fault = plan_.events[static_cast<std::size_t>(event.id)];
+      entries_.push_back({now, describe(fault)});
+      if (recorder_ != nullptr && fault.kind == sim::FaultKind::kCrash)
+        recorder_->record_level(dead_nodes_, now, static_cast<double>(++dead_));
+      return;
+    }
+    case ProbeKind::kDetection:
+      entries_.push_back({now, "detected node " + std::to_string(event.id) + " dead"});
+      return;
+    case ProbeKind::kCopy:
+      if (recorder_ != nullptr)
+        recorder_->record_rate(copy_rate_, now, static_cast<double>(event.bytes));
+      return;
+    case ProbeKind::kRecovered:
+      entries_.push_back({now, event.id == dfs::kInvalidNode
+                                   ? std::string("rebalance complete")
+                                   : "recovery of node " + std::to_string(event.id) +
+                                         " complete"});
+      return;
+    default:
+      return;
+  }
 }
 
 void FaultEventLog::add_instants(ChromeTraceBuilder& builder, std::uint32_t pid) const {

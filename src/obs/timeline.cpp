@@ -192,76 +192,109 @@ std::vector<double> TimelineRecorder::series_values(SeriesId id) const {
   return out;
 }
 
-// --- probes -----------------------------------------------------------------
+// --- probe consumers --------------------------------------------------------
 
-ClusterTimelineProbe::ClusterTimelineProbe(TimelineRecorder& recorder,
-                                           const sim::Cluster& cluster)
+RunTimeline::RunTimeline(TimelineRecorder* recorder, sim::Cluster& cluster,
+                         std::uint32_t process_count)
     : recorder_(recorder), cluster_(cluster) {
+  if (recorder_ == nullptr) return;
+  // A recorder carries series from at most one cluster/executor shape:
+  // multi-step scenarios recreate RunTimeline only when they recreate the
+  // cluster, and wiring the same recorder twice would double-register names
+  // and trip the duplicate check. Cluster series register first, then the
+  // executor's.
   const std::uint32_t m = cluster.node_count();
   node_rate_.reserve(m);
   node_inflight_.reserve(m);
   for (std::uint32_t n = 0; n < m; ++n) {
     const std::string node = "timeline.cluster.node." + std::to_string(n);
-    node_rate_.push_back(recorder_.add_rate_series(node + ".serve_bytes_per_s"));
-    node_inflight_.push_back(recorder_.add_level_series(node + ".inflight"));
+    node_rate_.push_back(recorder_->add_rate_series(node + ".serve_bytes_per_s"));
+    node_inflight_.push_back(recorder_->add_level_series(node + ".inflight"));
   }
-  total_rate_ = recorder_.add_rate_series("timeline.cluster.serve_bytes_per_s");
-  total_inflight_ = recorder_.add_level_series("timeline.cluster.inflight");
-  read_slots_ = recorder_.add_level_series("timeline.cluster.read_slots");
-  bytes_remaining_ = recorder_.add_level_series("timeline.cluster.bytes_remaining");
-}
-
-void ClusterTimelineProbe::add_expected_bytes(Seconds now, Bytes bytes) {
-  remaining_ += static_cast<double>(bytes);
-  recorder_.record_level(bytes_remaining_, now, remaining_);
-}
-
-void ClusterTimelineProbe::on_read_issued(Seconds now, dfs::NodeId server, Bytes /*bytes*/) {
-  ++inflight_total_;
-  recorder_.record_level(node_inflight_[server], now,
-                         cluster_.inflight_per_node()[server]);
-  recorder_.record_level(total_inflight_, now, inflight_total_);
-  recorder_.record_level(read_slots_, now, cluster_.read_slot_count());
-}
-
-void ClusterTimelineProbe::on_read_finished(Seconds now, dfs::NodeId server, Bytes bytes,
-                                            bool completed) {
-  OPASS_CHECK(inflight_total_ > 0, "timeline in-flight underflow");
-  --inflight_total_;
-  recorder_.record_level(node_inflight_[server], now,
-                         cluster_.inflight_per_node()[server]);
-  recorder_.record_level(total_inflight_, now, inflight_total_);
-  if (!completed) return;  // aborted reads retry; their bytes are still owed
-  recorder_.record_rate(node_rate_[server], now, static_cast<double>(bytes));
-  recorder_.record_rate(total_rate_, now, static_cast<double>(bytes));
-  remaining_ -= static_cast<double>(bytes);
-  recorder_.record_level(bytes_remaining_, now, remaining_);
-}
-
-ExecutorTimelineProbe::ExecutorTimelineProbe(TimelineRecorder& recorder,
-                                             std::uint32_t process_count)
-    : recorder_(recorder), depth_(process_count, 0) {
+  total_rate_ = recorder_->add_rate_series("timeline.cluster.serve_bytes_per_s");
+  total_inflight_ = recorder_->add_level_series("timeline.cluster.inflight");
+  read_slots_ = recorder_->add_level_series("timeline.cluster.read_slots");
+  bytes_remaining_ = recorder_->add_level_series("timeline.cluster.bytes_remaining");
   process_depth_.reserve(process_count);
   for (std::uint32_t p = 0; p < process_count; ++p)
-    process_depth_.push_back(recorder_.add_level_series(
+    process_depth_.push_back(recorder_->add_level_series(
         "timeline.executor.process." + std::to_string(p) + ".depth"));
-  queue_depth_ = recorder_.add_level_series("timeline.executor.queue_depth");
+  queue_depth_ = recorder_->add_level_series("timeline.executor.queue_depth");
+  depth_.assign(process_count, 0);
+  cluster_.set_probe(this);
 }
 
-void ExecutorTimelineProbe::on_process_depth(Seconds now, runtime::ProcessId process,
-                                             std::uint32_t depth) {
-  OPASS_REQUIRE(process < depth_.size(), "process rank out of probe range");
-  total_depth_ += depth;
-  OPASS_CHECK(total_depth_ >= depth_[process], "queue depth underflow");
-  total_depth_ -= depth_[process];
-  depth_[process] = depth;
-  recorder_.record_level(process_depth_[process], now, depth);
-  recorder_.record_level(queue_depth_, now, total_depth_);
+RunTimeline::~RunTimeline() {
+  if (recorder_ != nullptr) cluster_.set_probe(nullptr);
+}
+
+Probe* RunTimeline::executor_probe() { return recorder_ != nullptr ? this : nullptr; }
+
+void RunTimeline::add_expected_bytes(Bytes bytes) {
+  if (recorder_ == nullptr) return;
+  remaining_ += static_cast<double>(bytes);
+  recorder_->record_level(bytes_remaining_, cluster_.simulator().now(), remaining_);
+}
+
+void RunTimeline::finish() {
+  if (recorder_ != nullptr) recorder_->finish(cluster_.simulator().now());
+}
+
+void RunTimeline::on_event(const ProbeEvent& event) {
+  const Seconds now = event.at;
+  switch (event.kind) {
+    case ProbeKind::kReadIssued:
+    case ProbeKind::kReadCompleted:
+    case ProbeKind::kReadAborted: {
+      const auto server = static_cast<std::size_t>(event.id);
+      const bool per_node = server < node_inflight_.size();  // else it joined mid-run
+      if (event.kind == ProbeKind::kReadIssued) {
+        ++inflight_total_;
+      } else {
+        OPASS_CHECK(inflight_total_ > 0, "timeline in-flight underflow");
+        --inflight_total_;
+      }
+      if (per_node)
+        recorder_->record_level(node_inflight_[server], now,
+                                cluster_.inflight_per_node()[server]);
+      recorder_->record_level(total_inflight_, now, inflight_total_);
+      if (event.kind == ProbeKind::kReadIssued) {
+        recorder_->record_level(read_slots_, now, cluster_.read_slot_count());
+      } else if (event.kind == ProbeKind::kReadCompleted) {
+        // Aborted reads retry elsewhere; their bytes are still owed.
+        const auto bytes = static_cast<double>(event.bytes);
+        if (per_node) recorder_->record_rate(node_rate_[server], now, bytes);
+        recorder_->record_rate(total_rate_, now, bytes);
+        remaining_ -= bytes;
+        recorder_->record_level(bytes_remaining_, now, remaining_);
+      }
+      return;
+    }
+    case ProbeKind::kOpBegin:
+    case ProbeKind::kOpEnd: {
+      OPASS_REQUIRE(event.id < depth_.size(), "process rank out of probe range");
+      const auto process = static_cast<std::size_t>(event.id);
+      if (event.kind == ProbeKind::kOpBegin) {
+        ++depth_[process];
+        ++total_depth_;
+      } else {
+        OPASS_CHECK(depth_[process] > 0, "process depth underflow");
+        --depth_[process];
+        --total_depth_;
+      }
+      recorder_->record_level(process_depth_[process], now, depth_[process]);
+      recorder_->record_level(queue_depth_, now, total_depth_);
+      return;
+    }
+    default:
+      return;
+  }
 }
 
 ServiceTimelineProbe::ServiceTimelineProbe(TimelineRecorder& recorder,
+                                           const core::PlannerService& service,
                                            std::uint32_t tenant_count)
-    : recorder_(recorder), tenant_level_(tenant_count, 0) {
+    : recorder_(recorder), service_(service), tenant_level_(tenant_count, 0) {
   queue_depth_ = recorder_.add_level_series("timeline.service.queue_depth");
   batch_jobs_ = recorder_.add_level_series("timeline.service.batch_jobs");
   batch_tasks_ = recorder_.add_level_series("timeline.service.batch_tasks");
@@ -273,17 +306,18 @@ ServiceTimelineProbe::ServiceTimelineProbe(TimelineRecorder& recorder,
         "timeline.service.tenant." + std::to_string(i) + ".local_bytes"));
 }
 
-void ServiceTimelineProbe::on_job_queued(Seconds now, const core::JobStatus& /*job*/,
-                                         std::uint32_t queue_depth) {
-  recorder_.record_level(queue_depth_, now, queue_depth);
-}
-
-void ServiceTimelineProbe::on_job_cancelled(Seconds now, const core::JobStatus& /*job*/,
-                                            std::uint32_t queue_depth) {
-  recorder_.record_level(queue_depth_, now, queue_depth);
-}
-
-void ServiceTimelineProbe::on_batch_planned(const core::BatchReport& report) {
+void ServiceTimelineProbe::on_event(const ProbeEvent& event) {
+  switch (event.kind) {
+    case ProbeKind::kJobQueued:
+    case ProbeKind::kJobCancelled:
+      recorder_.record_level(queue_depth_, event.at, event.count);
+      return;
+    case ProbeKind::kBatchPlanned:
+      break;
+    default:
+      return;
+  }
+  const core::BatchReport& report = service_.last_batch();
   const Seconds now = report.planned_at;
   recorder_.record_level(queue_depth_, now, report.queue_depth_after);
   recorder_.record_level(batch_jobs_, now, report.jobs);
@@ -297,36 +331,6 @@ void ServiceTimelineProbe::on_batch_planned(const core::BatchReport& report) {
     recorder_.record_level(tenant_bytes_[share.tenant], now,
                            tenant_level_[share.tenant]);
   }
-}
-
-// --- per-run wiring ---------------------------------------------------------
-
-RunTimeline::RunTimeline(TimelineRecorder* recorder, sim::Cluster& cluster,
-                         std::uint32_t process_count)
-    : recorder_(recorder), cluster_(cluster) {
-  if (recorder_ == nullptr) return;
-  // Probe registration is idempotent per recorder: a recorder carries series
-  // from at most one cluster/executor shape, so re-wiring the same recorder
-  // (multi-step scenarios recreate RunTimeline only when they recreate the
-  // cluster) would double-register names and trip the duplicate check.
-  cluster_probe_ = std::make_unique<ClusterTimelineProbe>(*recorder_, cluster);
-  executor_probe_ = std::make_unique<ExecutorTimelineProbe>(*recorder_, process_count);
-  cluster_.set_probe(cluster_probe_.get());
-}
-
-RunTimeline::~RunTimeline() {
-  if (cluster_probe_ != nullptr) cluster_.set_probe(nullptr);
-}
-
-runtime::ExecutorProbe* RunTimeline::executor_probe() { return executor_probe_.get(); }
-
-void RunTimeline::add_expected_bytes(Bytes bytes) {
-  if (cluster_probe_ != nullptr)
-    cluster_probe_->add_expected_bytes(cluster_.simulator().now(), bytes);
-}
-
-void RunTimeline::finish() {
-  if (recorder_ != nullptr) recorder_->finish(cluster_.simulator().now());
 }
 
 }  // namespace opass::obs

@@ -6,7 +6,7 @@
 // *evolve*" — which nodes served how fast at which point of the run, where
 // the queue depth collapsed to a straggler tail. TimelineRecorder captures
 // that: named series sampled at fixed virtual-time boundaries, updated from
-// instrumentation probes on the measured subsystems.
+// the probe events of the measured subsystems (common/probe.hpp).
 //
 // Sampling model. Virtual time is partitioned into intervals of `interval`
 // seconds; sample k is stamped at boundary t_k = k * interval. Callers feed
@@ -40,13 +40,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/probe.hpp"
 #include "common/units.hpp"
 #include "opass/service.hpp"
-#include "runtime/executor.hpp"
 #include "sim/cluster.hpp"
 
 namespace opass::obs {
@@ -151,104 +150,68 @@ class TimelineRecorder {
   Seconds partial_duration_ = 0;
 };
 
-// --- subsystem probes -------------------------------------------------------
-//
-// The measured subsystems stay metric-blind (DESIGN.md §8): sim::Cluster and
-// runtime's executor expose tiny abstract probe interfaces, and the adapters
-// below translate probe callbacks into timeline series. exp::ExperimentConfig
-// wires them per run via RunTimeline.
+// --- probe consumers (common/probe.hpp) ---------------------------------------
+// obs/fault_log.hpp holds the fault-side one.
 
-/// Cluster-side adapter: per-node serve rate and in-flight reads, plus
+/// Run-side consumer, attached to the cluster and the executor. From the
+/// cluster's read events: per-node serve rate and in-flight reads, plus
 /// cluster-wide serve rate, in-flight, read-slot and bytes-remaining series.
-class ClusterTimelineProbe final : public sim::ClusterProbe {
- public:
-  ClusterTimelineProbe(TimelineRecorder& recorder, const sim::Cluster& cluster);
-
-  /// Grow the `timeline.cluster.bytes_remaining` level by the bytes the run
-  /// is about to read (call before the reads are issued).
-  void add_expected_bytes(Seconds now, Bytes bytes);
-
-  void on_read_issued(Seconds now, dfs::NodeId server, Bytes bytes) override;
-  void on_read_finished(Seconds now, dfs::NodeId server, Bytes bytes,
-                        bool completed) override;
-
- private:
-  TimelineRecorder& recorder_;
-  const sim::Cluster& cluster_;
-  std::vector<TimelineRecorder::SeriesId> node_rate_, node_inflight_;
-  TimelineRecorder::SeriesId total_rate_, total_inflight_, read_slots_,
-      bytes_remaining_;
-  std::uint32_t inflight_total_ = 0;
-  double remaining_ = 0;
-};
-
-/// Executor-side adapter: per-process operation depth (in-flight reads +
-/// compute) and the cluster-wide queue depth, stamped on every transition.
-class ExecutorTimelineProbe final : public runtime::ExecutorProbe {
- public:
-  ExecutorTimelineProbe(TimelineRecorder& recorder, std::uint32_t process_count);
-
-  void on_process_depth(Seconds now, runtime::ProcessId process,
-                        std::uint32_t depth) override;
-
- private:
-  TimelineRecorder& recorder_;
-  std::vector<TimelineRecorder::SeriesId> process_depth_;
-  TimelineRecorder::SeriesId queue_depth_;
-  std::vector<std::uint32_t> depth_;
-  std::uint32_t total_depth_ = 0;
-};
-
-/// Planning-service adapter: queue depth, batch shape, planned/local task
-/// rates, and per-tenant cumulative locally-assigned bytes. The recorder
-/// requires every series before the first sample, so the tenant id space
-/// must be declared up front: tenant ids must be dense in [0, tenant_count).
-class ServiceTimelineProbe final : public core::ServiceProbe {
- public:
-  ServiceTimelineProbe(TimelineRecorder& recorder, std::uint32_t tenant_count);
-
-  void on_job_queued(Seconds now, const core::JobStatus& job,
-                     std::uint32_t queue_depth) override;
-  void on_job_cancelled(Seconds now, const core::JobStatus& job,
-                        std::uint32_t queue_depth) override;
-  void on_batch_planned(const core::BatchReport& report) override;
-
- private:
-  TimelineRecorder& recorder_;
-  TimelineRecorder::SeriesId queue_depth_, batch_jobs_, batch_tasks_,
-      planned_rate_, local_rate_;
-  std::vector<TimelineRecorder::SeriesId> tenant_bytes_;
-  std::vector<double> tenant_level_;
-};
-
-/// One-stop wiring for a run: attaches a ClusterTimelineProbe to the cluster
-/// and owns an ExecutorTimelineProbe for the executor config. All methods are
-/// no-ops when `recorder` is null, so call sites stay branch-free. Detaches
-/// the cluster probe on destruction.
-class RunTimeline {
+/// From the executor's op events: per-process operation depth (in-flight
+/// reads + compute) and the cluster-wide queue depth. A node that joins
+/// mid-run has no series of its own (the recorder registers every series
+/// before its first sample); its reads count in the cluster-wide series.
+/// Every method is a no-op when `recorder` is null, so call sites stay
+/// branch-free. Attaches itself to the cluster on construction and detaches
+/// on destruction.
+class RunTimeline final : public Probe {
  public:
   RunTimeline(TimelineRecorder* recorder, sim::Cluster& cluster,
               std::uint32_t process_count);
-  ~RunTimeline();
-
-  RunTimeline(const RunTimeline&) = delete;
-  RunTimeline& operator=(const RunTimeline&) = delete;
+  ~RunTimeline() override;
 
   /// Probe pointer for ExecutorConfig::probe (null when disabled).
-  runtime::ExecutorProbe* executor_probe();
+  Probe* executor_probe();
 
-  /// Forwarded to ClusterTimelineProbe::add_expected_bytes.
+  /// Grow the `timeline.cluster.bytes_remaining` level by the bytes the run
+  /// is about to read (call before the reads are issued).
   void add_expected_bytes(Bytes bytes);
 
   /// Flush the recorder at the cluster's current virtual time.
   void finish();
 
+  void on_event(const ProbeEvent& event) override;
+
  private:
   TimelineRecorder* recorder_;
   sim::Cluster& cluster_;
-  // Engaged only when recorder_ != nullptr.
-  std::unique_ptr<ClusterTimelineProbe> cluster_probe_;
-  std::unique_ptr<ExecutorTimelineProbe> executor_probe_;
+  std::vector<TimelineRecorder::SeriesId> node_rate_, node_inflight_, process_depth_;
+  TimelineRecorder::SeriesId total_rate_ = 0, total_inflight_ = 0, read_slots_ = 0,
+                             bytes_remaining_ = 0, queue_depth_ = 0;
+  std::uint32_t inflight_total_ = 0;
+  double remaining_ = 0;
+  std::vector<std::uint32_t> depth_;  ///< per-process operation depth
+  std::uint32_t total_depth_ = 0;
+};
+
+/// Planning-service consumer: queue depth, batch shape, planned/local task
+/// rates, and per-tenant cumulative locally-assigned bytes, read from the
+/// service's last_batch() on every kBatchPlanned. The recorder requires
+/// every series before the first sample, so the tenant id space must be
+/// declared up front: tenant ids must be dense in [0, tenant_count).
+class ServiceTimelineProbe final : public Probe {
+ public:
+  ServiceTimelineProbe(TimelineRecorder& recorder, const core::PlannerService& service,
+                       std::uint32_t tenant_count);
+
+  void on_event(const ProbeEvent& event) override;
+
+ private:
+  TimelineRecorder& recorder_;
+  const core::PlannerService& service_;
+  TimelineRecorder::SeriesId queue_depth_ = 0, batch_jobs_ = 0, batch_tasks_ = 0,
+                             planned_rate_ = 0, local_rate_ = 0;
+  std::vector<TimelineRecorder::SeriesId> tenant_bytes_;
+  std::vector<double> tenant_level_;
 };
 
 }  // namespace opass::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/require.hpp"
 #include "graph/flow_network.hpp"
@@ -40,7 +41,7 @@ JobId PlannerService::submit(JobRequest request) {
   ++counters_.jobs_submitted;
   counters_.max_queue_depth = std::max(counters_.max_queue_depth, queue_depth());
   if (probe_ != nullptr)
-    probe_->on_job_queued(now_, jobs_.back().status, queue_depth());
+    probe_->on_event({now_, ProbeKind::kJobQueued, id, queue_depth(), 0});
   return id;
 }
 
@@ -73,7 +74,8 @@ bool PlannerService::cancel(JobId id) {
   }
   job.status.state = JobState::kCancelled;
   ++counters_.jobs_cancelled;
-  if (probe_ != nullptr) probe_->on_job_cancelled(now_, job.status, queue_depth());
+  if (probe_ != nullptr)
+    probe_->on_event({now_, ProbeKind::kJobCancelled, id, queue_depth(), 0});
   return true;
 }
 
@@ -284,7 +286,10 @@ void PlannerService::plan_batch(std::vector<PendingJob> batch, Seconds cut) {
   counters_.randomly_filled += randomly_filled;
   counters_.max_batch_tasks = std::max(counters_.max_batch_tasks, b);
   report.queue_depth_after = queue_depth();
-  if (probe_ != nullptr) probe_->on_batch_planned(report);
+  last_batch_ = std::move(report);
+  if (probe_ != nullptr)
+    probe_->on_event({cut, ProbeKind::kBatchPlanned, last_batch_.batch,
+                      last_batch_.queue_depth_after, 0});
 }
 
 }  // namespace opass::core

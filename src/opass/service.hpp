@@ -39,18 +39,19 @@
 // Determinism contract. Virtual time only; the service owns a seeded Rng for
 // the fill pass; queue order, tenant splits and network construction are all
 // deterministic — the same submit/advance/cancel/complete sequence with the
-// same seed reproduces every assignment and probe callback byte-for-byte
+// same seed reproduces every assignment and probe event byte-for-byte
 // (ctest: service_determinism_test).
 //
-// Observability. The service is metric-blind (DESIGN.md §8): it reports
-// transitions through the abstract ServiceProbe; obs/timeline.hpp adapts
-// them into timeline series and obs/collect.hpp reduces counters() into a
-// MetricsRegistry.
+// Observability. The service is metric-blind (DESIGN.md §8): it emits job
+// and batch events to an opass::Probe (common/probe.hpp), the batch itself
+// in last_batch(); obs/timeline.hpp turns them into timeline series and
+// obs/collect.hpp reduces counters() into a MetricsRegistry.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/probe.hpp"
 #include "common/rng.hpp"
 #include "dfs/namenode.hpp"
 #include "graph/max_flow.hpp"
@@ -61,7 +62,7 @@
 
 namespace opass::core {
 
-/// Per-tenant slice of one planned batch (probe + introspection payload).
+/// Per-tenant slice of one planned batch.
 struct TenantBatchShare {
   TenantId tenant = 0;
   std::uint32_t tasks = 0;            ///< batch tasks belonging to the tenant
@@ -70,7 +71,7 @@ struct TenantBatchShare {
   Bytes local_bytes = 0;              ///< bytes of those placements
 };
 
-/// Summary of one planned batch, reported through ServiceProbe.
+/// Summary of one planned batch (PlannerService::last_batch()).
 struct BatchReport {
   std::uint32_t batch = 0;     ///< 1-based sequence number
   Seconds planned_at = 0;      ///< batch cut time
@@ -80,22 +81,6 @@ struct BatchReport {
   std::uint32_t randomly_filled = 0;
   std::uint32_t queue_depth_after = 0;  ///< jobs still queued after the cut
   std::vector<TenantBatchShare> tenants;  ///< in first-appearance order
-};
-
-/// Abstract observation hooks (all defaulted to no-ops). Implementations
-/// live in obs/ — the service never includes an observability header.
-class ServiceProbe {
- public:
-  virtual ~ServiceProbe() = default;
-  ServiceProbe() = default;
-  ServiceProbe(const ServiceProbe&) = delete;
-  ServiceProbe& operator=(const ServiceProbe&) = delete;
-
-  virtual void on_job_queued(Seconds now, const JobStatus& job,
-                             std::uint32_t queue_depth) = 0;
-  virtual void on_job_cancelled(Seconds now, const JobStatus& job,
-                                std::uint32_t queue_depth) = 0;
-  virtual void on_batch_planned(const BatchReport& report) = 0;
 };
 
 /// Monotone counters of a service's lifetime (collect_service() input).
@@ -157,8 +142,12 @@ class PlannerService {
   /// cancelled) — the load the next batch's quotas balance against.
   const std::vector<std::uint32_t>& process_load() const { return load_; }
 
-  /// Attach/detach the observation hook (borrowed; may be null).
-  void set_probe(ServiceProbe* probe) { probe_ = probe; }
+  /// The most recently planned batch (a default report before the first).
+  const BatchReport& last_batch() const { return last_batch_; }
+
+  /// Attach (or with nullptr, detach) the probe for kJobQueued,
+  /// kJobCancelled and kBatchPlanned events. Borrowed; may be null.
+  void set_probe(Probe* probe) { probe_ = probe; }
 
  private:
   struct Job {
@@ -180,7 +169,8 @@ class PlannerService {
   std::vector<Job> jobs_;  ///< indexed by JobId - 1
   std::vector<std::uint32_t> load_;
   ServiceCounters counters_;
-  ServiceProbe* probe_ = nullptr;
+  BatchReport last_batch_;
+  Probe* probe_ = nullptr;
   Seconds now_ = 0;
 };
 

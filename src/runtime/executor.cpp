@@ -26,7 +26,6 @@ class Driver {
     breakdown_ = config.record_read_breakdown;
     if (breakdown_) cluster.record_read_breakdown(true);
     probe_ = config.probe;
-    depth_.assign(m, 0);
     OPASS_REQUIRE(!(prefetch_ && bsp_), "prefetch and barrier_per_task are exclusive");
     result_.process_finish_time.assign(m, 0);
     result_.barrier_stall.assign(m, 0);
@@ -171,9 +170,9 @@ class Driver {
       }
       // All inputs in memory: spend the compute time, then continue.
       if (task.compute_time > 0) {
-        bump_depth(p, +1);
+        emit(ProbeKind::kOpBegin, p);
         cluster_.simulator().after(task.compute_time, [this, p](Seconds) {
-          bump_depth(p, -1);
+          emit(ProbeKind::kOpEnd, p);
           task_complete(p);
         });
       } else {
@@ -229,11 +228,11 @@ class Driver {
     st.events_pending = 2;  // event A: compute; event B: next task's reads
 
     if (task.compute_time > 0) {
-      bump_depth(p, +1);
+      emit(ProbeKind::kOpBegin, p);
       cluster_.simulator().after(
           task.compute_time,
           [this, p, t = st.computing, s = st.computing_start](Seconds end) {
-            bump_depth(p, -1);
+            emit(ProbeKind::kOpEnd, p);
             result_.task_spans.push_back({p, t, s, end});
             cycle_event(p);
           });
@@ -284,11 +283,11 @@ class Driver {
     rec.issue_time = cluster_.simulator().now();
     rec.local = server == st.node;
 
-    bump_depth(p, +1);
+    emit(ProbeKind::kOpBegin, p);
     cluster_.read(
         st.node, server, bytes,
         [this, p](Seconds end) {
-          bump_depth(p, -1);
+          emit(ProbeKind::kOpEnd, p);
           sim::ReadRecord& done = states_[p].read;
           done.end_time = end;
           result_.trace.add(done);
@@ -297,19 +296,16 @@ class Driver {
         },
         [this, p](Seconds) {
           // Server died mid-read: retry on another replica.
-          bump_depth(p, -1);
+          emit(ProbeKind::kOpEnd, p);
           ++result_.read_failures;
           issue_read(p, states_[p].read.chunk);
         });
   }
 
-  /// Queue-depth stamp: maintained only when a probe is attached, so the
-  /// unprobed hot path pays one branch.
-  void bump_depth(ProcessId p, int delta) {
-    if (probe_ == nullptr) return;
-    OPASS_CHECK(delta > 0 || depth_[p] > 0, "process depth underflow");
-    depth_[p] = static_cast<std::uint32_t>(static_cast<int>(depth_[p]) + delta);
-    probe_->on_process_depth(cluster_.simulator().now(), p, depth_[p]);
+  /// One operation of process `p` began or ended; the unprobed hot path
+  /// pays one branch.
+  void emit(ProbeKind kind, ProcessId p) const {
+    if (probe_ != nullptr) probe_->on_event({cluster_.simulator().now(), kind, p, 0, 0});
   }
 
   sim::Cluster& cluster_;
@@ -321,8 +317,7 @@ class Driver {
   bool prefetch_ = false;
   bool bsp_ = false;
   bool breakdown_ = false;  ///< copy per-read causal breakdowns into the result
-  ExecutorProbe* probe_ = nullptr;
-  std::vector<std::uint32_t> depth_;  ///< per-process op depth (probe only)
+  Probe* probe_ = nullptr;
   std::vector<char> retired_;
   std::vector<Seconds> wave_arrival_;  ///< barrier-park time per process; -1 = not parked
   std::vector<ProcessId> wave_buf_;    ///< reusable wave scratch for release_wave
@@ -332,6 +327,21 @@ class Driver {
   ExecutionResult result_;
 };
 
+/// Restores the cluster's breakdown-recording flag when a run returns or
+/// throws (a Driver turns it on for its run).
+class RecordingScope {
+ public:
+  explicit RecordingScope(sim::Cluster& cluster)
+      : cluster_(cluster), recording_(cluster.read_breakdown_recording()) {}
+  ~RecordingScope() { cluster_.record_read_breakdown(recording_); }
+  RecordingScope(const RecordingScope&) = delete;
+  RecordingScope& operator=(const RecordingScope&) = delete;
+
+ private:
+  sim::Cluster& cluster_;
+  bool recording_;
+};
+
 }  // namespace
 
 ExecutionResult execute(sim::Cluster& cluster, const dfs::NameNode& nn,
@@ -339,11 +349,10 @@ ExecutionResult execute(sim::Cluster& cluster, const dfs::NameNode& nn,
                         ExecutorConfig config) {
   OPASS_REQUIRE(cluster.simulator().active_flows() == 0,
                 "cluster must be idle before an execution");
-  const bool recording = cluster.read_breakdown_recording();
+  const RecordingScope recording(cluster);
   Driver driver(cluster, nn, tasks, source, rng, config);
   driver.launch(cluster.simulator().now());
   cluster.run();
-  cluster.record_read_breakdown(recording);
   return driver.take_result();
 }
 
@@ -353,8 +362,10 @@ std::vector<ExecutionResult> execute_jobs(sim::Cluster& cluster, const dfs::Name
   OPASS_REQUIRE(cluster.simulator().active_flows() == 0,
                 "cluster must be idle before an execution");
   const Seconds base = cluster.simulator().now();
-  const bool recording = cluster.read_breakdown_recording();
+  const RecordingScope recording(cluster);
 
+  // Check (and build a driver for) every job before any launches: a launch
+  // puts reads in flight whose callbacks hold the driver.
   std::vector<std::unique_ptr<Driver>> drivers;
   drivers.reserve(jobs.size());
   for (const auto& job : jobs) {
@@ -363,10 +374,9 @@ std::vector<ExecutionResult> execute_jobs(sim::Cluster& cluster, const dfs::Name
     OPASS_REQUIRE(job.start_time >= 0, "job start time must be non-negative");
     drivers.push_back(
         std::make_unique<Driver>(cluster, nn, *job.tasks, *job.source, rng, job.config));
-    drivers.back()->launch(base + job.start_time);
   }
+  for (std::size_t j = 0; j < jobs.size(); ++j) drivers[j]->launch(base + jobs[j].start_time);
   cluster.run();
-  cluster.record_read_breakdown(recording);
 
   std::vector<ExecutionResult> results;
   results.reserve(jobs.size());

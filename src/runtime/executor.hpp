@@ -8,11 +8,15 @@
 // configured policy), spend the task's compute time, repeat. The job ends at
 // the implicit barrier when every process has drained — the paper's "overall
 // execution time will be decided by the longest running process".
+//
+// The executor stays metric-blind (DESIGN.md §8): it emits op events to
+// ExecutorConfig::probe and keeps no depth of its own.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/probe.hpp"
 #include "common/rng.hpp"
 #include "dfs/namenode.hpp"
 #include "dfs/replica_choice.hpp"
@@ -54,23 +58,6 @@ struct ExecutionResult {
   std::uint32_t read_failures = 0;  ///< aborted reads retried on another replica
 };
 
-/// Execution-lifecycle observer. The executor stays metric-blind (DESIGN.md
-/// §8): it stamps per-process queue-depth transitions and nothing more;
-/// turning the stamps into time series is the obs layer's job
-/// (obs::ExecutorTimelineProbe).
-class ExecutorProbe {
- public:
-  virtual ~ExecutorProbe() = default;
-
-  /// The process's operation depth changed: `depth` counts its in-flight
-  /// operations (chunk reads being served plus an active compute phase)
-  /// after the transition. Stamped at read issue/completion/abort and at
-  /// compute start/end; a drained process stays at depth 0, which is what
-  /// makes straggler tails visible on the timeline.
-  virtual void on_process_depth(Seconds now, ProcessId process,
-                                std::uint32_t depth) = 0;
-};
-
 /// Configuration of one parallel execution.
 struct ExecutorConfig {
   std::uint32_t process_count = 0;  ///< 0 = one process per cluster node
@@ -94,9 +81,9 @@ struct ExecutorConfig {
   /// the cluster's previous setting when the run returns; observation only —
   /// the simulated schedule is byte-identical either way.
   bool record_read_breakdown = false;
-  /// Optional queue-depth probe (borrowed; must outlive the run). Null = no
-  /// stamping, zero overhead.
-  ExecutorProbe* probe = nullptr;
+  /// Optional probe (borrowed; must outlive the run): one kOpBegin/kOpEnd
+  /// pair per chunk read and per compute phase. Null = one branch each.
+  Probe* probe = nullptr;
 };
 
 /// Run the job to completion on `cluster` (which must be idle) and return the

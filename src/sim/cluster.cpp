@@ -184,7 +184,7 @@ void Cluster::start_read(dfs::NodeId reader, dfs::NodeId server, Bytes bytes, bo
 
   // DataNode admission gate (xceiver limit): queue when the server already
   // serves its maximum number of concurrent reads.
-  if (probe_ != nullptr) probe_->on_read_issued(sim_.now(), server, bytes);
+  emit(sim_.now(), ProbeKind::kReadIssued, server, bytes);
   if (params_.max_concurrent_serves > 0 &&
       serving_[server] >= params_.max_concurrent_serves) {
     waiting_[server].push_back(id);
@@ -270,8 +270,7 @@ void Cluster::admit(ReadId id) {
                                 auto cb = std::move(done.on_complete);
                                 retire_read(cslot);
                                 release_serve_slot(server);
-                                if (probe_ != nullptr)
-                                  probe_->on_read_finished(end, server, bytes, true);
+                                emit(end, ProbeKind::kReadCompleted, server, bytes);
                                 if (cb) cb(end);
                               },
                               cap);
@@ -312,7 +311,7 @@ void Cluster::fail_node(dfs::NodeId node, Seconds when) {
       const Bytes bytes = op.bytes;
       if (op.on_failure) failures.push_back(std::move(op.on_failure));
       retire_read(slot);
-      if (probe_ != nullptr) probe_->on_read_finished(t, node, bytes, false);
+      emit(t, ProbeKind::kReadAborted, node, bytes);
     }
     waiting_[node].clear();
     for (auto& cb : failures) cb(t);

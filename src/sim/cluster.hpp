@@ -5,6 +5,10 @@
 // through the server's disk, the server's NIC-out and the reader's NIC-in
 // (all nodes hang off one switch, as on Marmot, so there is no core
 // bottleneck). Every read also pays a fixed positioning latency.
+//
+// The cluster stays metric-blind (DESIGN.md §8): it emits read events to an
+// opass::Probe (common/probe.hpp) after its own accounting updated, so a
+// consumer reads the rest from inflight_per_node(), read_slot_count(), ...
 #pragma once
 
 #include <cstdint>
@@ -12,6 +16,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/probe.hpp"
 #include "common/units.hpp"
 #include "dfs/topology.hpp"
 #include "dfs/types.hpp"
@@ -85,26 +90,6 @@ struct ReadBreakdown {
   std::int64_t transfer_start_ticks = 0;  ///< positioning done, flow started
   std::int64_t end_ticks = 0;             ///< last byte arrived
   std::vector<BindingInterval> transfer;  ///< tiles [transfer_start, end]
-};
-
-/// Read-lifecycle observer. The cluster stays metric-blind (DESIGN.md §8):
-/// it only reports state transitions; translating them into time series is
-/// the obs layer's job (obs::ClusterTimelineProbe). Callbacks fire *after*
-/// the cluster's own accounting updated, so a probe may read the public
-/// accessors (inflight_per_node(), read_slot_count(), ...) for the
-/// post-transition state.
-class ClusterProbe {
- public:
-  virtual ~ClusterProbe() = default;
-
-  /// A read for `bytes` on `server` entered the in-flight set (admission
-  /// queueing included — the request occupies the node either way).
-  virtual void on_read_issued(Seconds now, dfs::NodeId server, Bytes bytes) = 0;
-
-  /// A previously issued read left the in-flight set: `completed` is true
-  /// for a normal completion, false when a node failure aborted it.
-  virtual void on_read_finished(Seconds now, dfs::NodeId server, Bytes bytes,
-                                bool completed) = 0;
 };
 
 /// Simulated cluster of `node_count` identical nodes.
@@ -226,9 +211,9 @@ class Cluster {
   /// number of reads issued.
   std::uint32_t read_slot_count() const { return static_cast<std::uint32_t>(read_pool_.size()); }
 
-  /// Attach (or with nullptr, detach) a read-lifecycle probe. Borrowed; must
-  /// outlive the cluster or be detached first. At most one at a time.
-  void set_probe(ClusterProbe* probe) { probe_ = probe; }
+  /// Attach (or with nullptr, detach) the read-lifecycle probe. Borrowed;
+  /// must outlive the cluster or be detached first. At most one at a time.
+  void set_probe(Probe* probe) { probe_ = probe; }
 
   // --- causal tracing (obs/spans) ------------------------------------------
 
@@ -282,10 +267,13 @@ class Cluster {
   void admit(ReadId id);
   void retire_read(std::uint32_t slot);
   void release_serve_slot(dfs::NodeId server);
+  void emit(Seconds at, ProbeKind kind, dfs::NodeId server, Bytes bytes) const {
+    if (probe_ != nullptr) probe_->on_event({at, kind, server, 0, bytes});
+  }
 
   std::uint32_t node_count_;
   ClusterParams params_;
-  ClusterProbe* probe_ = nullptr;
+  Probe* probe_ = nullptr;
   FlowSimulator sim_;
   std::vector<ResourceId> disk_, nic_in_, nic_out_;
   std::vector<dfs::RackId> rack_of_node_;

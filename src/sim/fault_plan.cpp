@@ -233,15 +233,16 @@ void FaultInjector::arm() {
     }
   }
 
-  for (const FaultEvent& ev : plan_.events)
-    cluster_.simulator().at(ev.at, [this, ev](Seconds now) { apply(now, ev); });
+  for (std::size_t i = 0; i < plan_.events.size(); ++i)
+    cluster_.simulator().at(plan_.events[i].at, [this, i](Seconds now) { apply(now, i); });
 }
 
 bool FaultInjector::node_usable(dfs::NodeId node) const {
   return !cluster_.is_failed(node) && !nn_.is_decommissioned(node);
 }
 
-void FaultInjector::apply(Seconds now, const FaultEvent& event) {
+void FaultInjector::apply(Seconds now, std::size_t index) {
+  const FaultEvent& event = plan_.events[index];
   switch (event.kind) {
     case FaultKind::kCrash:
       ++stats_.crashes;
@@ -273,7 +274,7 @@ void FaultInjector::apply(Seconds now, const FaultEvent& event) {
       start_rebalance(now, event.tolerance);
       break;
   }
-  if (probe_ != nullptr) probe_->on_fault(now, event);
+  emit(now, ProbeKind::kFault, index);
 }
 
 dfs::NodeId FaultInjector::pick_source(dfs::ChunkId chunk) const {
@@ -305,7 +306,7 @@ dfs::NodeId FaultInjector::pick_target(dfs::ChunkId chunk) const {
 }
 
 void FaultInjector::on_declared(dfs::NodeId node, Seconds now) {
-  if (probe_ != nullptr) probe_->on_detection(now, node);
+  emit(now, ProbeKind::kDetection, node);
   if (membership_) membership_(now, MembershipEvent::kNodeDead, node);
 
   // Crash recovery: drop the dead node's replicas from the metadata, then
@@ -330,7 +331,7 @@ void FaultInjector::on_declared(dfs::NodeId node, Seconds now) {
   }
   if (drives_.back().pending == 0) {
     ++stats_.recoveries;
-    if (probe_ != nullptr) probe_->on_recovery_complete(now, node);
+    emit(now, ProbeKind::kRecovered, node);
     if (membership_) membership_(now, MembershipEvent::kRecoveryComplete, node);
   }
   pump(now);
@@ -352,7 +353,7 @@ void FaultInjector::start_drain(Seconds now, dfs::NodeId node) {
     enqueue({c, node, dst, node, nn_.chunk(c).size, drive});
   }
   if (drives_.back().pending == 0) {
-    if (probe_ != nullptr) probe_->on_recovery_complete(now, node);
+    emit(now, ProbeKind::kRecovered, node);
     if (membership_) membership_(now, MembershipEvent::kDrainComplete, node);
   }
   pump(now);
@@ -405,7 +406,7 @@ void FaultInjector::start_rebalance(Seconds now, std::uint32_t tolerance) {
     enqueue({moved, hi, lo, hi, nn_.chunk(moved).size, drive});
   }
   if (drives_.back().pending == 0) {
-    if (probe_ != nullptr) probe_->on_recovery_complete(now, dfs::kInvalidNode);
+    emit(now, ProbeKind::kRecovered, dfs::kInvalidNode);
     if (membership_) membership_(now, MembershipEvent::kRebalanceComplete, dfs::kInvalidNode);
   }
   pump(now);
@@ -475,7 +476,7 @@ void FaultInjector::finish_copy(Seconds now, const Copy& copy, bool landed) {
       nn_.unregister_replica(copy.chunk, copy.remove_from);
     ++stats_.replicas_copied;
     stats_.rereplicated_bytes += copy.bytes;
-    if (probe_ != nullptr) probe_->on_copy(now, copy.chunk, copy.src, copy.dst, copy.bytes);
+    emit(now, ProbeKind::kCopy, copy.chunk, copy.dst, copy.bytes);
   } else {
     ++stats_.aborted_copies;
   }
@@ -484,7 +485,7 @@ void FaultInjector::finish_copy(Seconds now, const Copy& copy, bool landed) {
   OPASS_CHECK(drive.pending > 0, "recovery drive copy count underflow");
   if (--drive.pending == 0) {
     if (drive.done_event == MembershipEvent::kRecoveryComplete) ++stats_.recoveries;
-    if (probe_ != nullptr) probe_->on_recovery_complete(now, drive.node);
+    emit(now, ProbeKind::kRecovered, drive.node);
     if (membership_) membership_(now, drive.done_event, drive.node);
   }
 }

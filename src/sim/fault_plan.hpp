@@ -30,6 +30,10 @@
 // and concurrent copies are bounded by a FIFO of plan order. No RNG is
 // drawn, so a seeded run with a fault plan replays byte-identically.
 //
+// Observability: the injector stays metric-blind (DESIGN.md §8). It emits
+// fault-lifecycle events to an opass::Probe (common/probe.hpp), naming an
+// applied event by its index in the plan; obs::FaultEventLog renders them.
+//
 // Thread-safety: single-threaded, like the rest of the simulator — all
 // members are confined to the simulation thread.
 #pragma once
@@ -40,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "common/probe.hpp"
 #include "common/units.hpp"
 #include "dfs/namenode.hpp"
 #include "dfs/types.hpp"
@@ -105,31 +110,6 @@ FaultPlan parse_fault_plan(const std::string& json_text);
 /// Read `path` and parse_fault_plan its contents.
 FaultPlan load_fault_plan(const std::string& path);
 
-/// Fault-lifecycle observer. The injector stays metric-blind (DESIGN.md §8):
-/// it reports transitions; obs::FaultEventLog turns them into trace events
-/// and metrics. Callbacks fire after the injector's own accounting updated.
-class FaultProbe {
- public:
-  virtual ~FaultProbe() = default;
-
-  /// A scripted event was applied at `now` (for kCrash this is injection
-  /// time; detection is reported separately).
-  virtual void on_fault(Seconds now, const FaultEvent& event) = 0;
-
-  /// The heartbeat monitor declared `node` dead and recovery began.
-  virtual void on_detection(Seconds now, dfs::NodeId node) = 0;
-
-  /// One re-replication/rebalance copy of `bytes` for `chunk` landed on
-  /// `dst` (sourced from `src`).
-  virtual void on_copy(Seconds now, dfs::ChunkId chunk, dfs::NodeId src, dfs::NodeId dst,
-                       Bytes bytes) = 0;
-
-  /// A recovery drive (crash re-replication, drain, or rebalance) finished
-  /// its last copy. `node` is the recovered/drained node, or kInvalidNode
-  /// for a rebalance.
-  virtual void on_recovery_complete(Seconds now, dfs::NodeId node) = 0;
-};
-
 /// Counters accumulated over an armed plan.
 struct FaultStats {
   std::uint32_t crashes = 0;
@@ -174,9 +154,9 @@ class FaultInjector {
   /// Schedule every event and install the recovery handler. Call once.
   void arm();
 
-  /// Attach (or with nullptr, detach) a fault probe. Borrowed; must outlive
-  /// the injector or be detached first.
-  void set_probe(FaultProbe* probe) { probe_ = probe; }
+  /// Attach (or with nullptr, detach) the probe for kFault, kDetection,
+  /// kCopy and kRecovered events. Borrowed; must outlive the injector.
+  void set_probe(Probe* probe) { probe_ = probe; }
 
   /// Register a membership-change callback (borrowed semantics: the callee
   /// must stay valid for the simulation). Runs inside the event loop.
@@ -206,7 +186,11 @@ class FaultInjector {
     std::uint32_t pending = 0;
   };
 
-  void apply(Seconds now, const FaultEvent& event);
+  void apply(Seconds now, std::size_t index);
+  void emit(Seconds at, ProbeKind kind, std::uint64_t id, std::uint32_t count = 0,
+            Bytes bytes = 0) const {
+    if (probe_ != nullptr) probe_->on_event({at, kind, id, count, bytes});
+  }
   void on_declared(dfs::NodeId node, Seconds now);
   void start_drain(Seconds now, dfs::NodeId node);
   void start_rebalance(Seconds now, std::uint32_t tolerance);
@@ -221,7 +205,7 @@ class FaultInjector {
   dfs::NameNode& nn_;
   HeartbeatMonitor& monitor_;
   FaultPlan plan_;
-  FaultProbe* probe_ = nullptr;
+  Probe* probe_ = nullptr;
   MembershipCallback membership_;
   FaultStats stats_;
   std::deque<Copy> queue_;

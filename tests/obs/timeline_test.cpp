@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exp/experiment.hpp"
+#include "runtime/executor.hpp"
+#include "runtime/static_partitioner.hpp"
+#include "runtime/task_source.hpp"
+#include "workload/dataset.hpp"
 
 namespace opass::obs {
 namespace {
@@ -240,6 +247,52 @@ TEST(TimelineFaults, CrashReplaysRecordByteIdenticalSeries) {
   EXPECT_EQ(run(), run());
 }
 
+// A node that joins mid-run serves reads once the rebalance moves chunks
+// onto it, but the recorder cannot register its series after the first
+// sample: its reads count in the cluster-wide series only.
+TEST(TimelineFaults, JoinedNodeCountsInTheClusterSeriesOnly) {
+  TimelineRecorder recorder(options(0.5));
+  exp::ExperimentConfig cfg;
+  cfg.nodes = 8;
+  cfg.seed = 42;
+  cfg.timeline = &recorder;
+  runtime::ExecutionResult raw;
+  cfg.raw = &raw;
+  sim::FaultPlan plan;
+  sim::FaultEvent join;
+  join.at = 0.5;
+  join.kind = sim::FaultKind::kJoin;
+  sim::FaultEvent rebalance;
+  rebalance.at = 1.0;
+  rebalance.kind = sim::FaultKind::kRebalance;
+  plan.events = {join, rebalance};
+  cfg.faults = &plan;
+  exp::run_single_data(cfg, /*chunk_count=*/400, exp::Method::kBaseline);
+
+  const std::vector<Bytes> served = raw.trace.bytes_served_per_node(cfg.nodes + 1);
+  ASSERT_GT(served[cfg.nodes], 0u);  // the joined node served job reads
+  ASSERT_TRUE(recorder.finished());
+  double served_total = 0;
+  for (Bytes b : served) served_total += static_cast<double>(b);
+  for (TimelineRecorder::SeriesId s = 0; s < recorder.series_count(); ++s) {
+    const std::string& name = recorder.series_name(s);
+    EXPECT_EQ(name.rfind("timeline.cluster.node.8.", 0), std::string::npos) << name;
+    if (name == "timeline.cluster.inflight") {
+      EXPECT_EQ(recorder.series_values(s).back(), 0.0);
+    }
+    if (name == "timeline.cluster.serve_bytes_per_s") {
+      // Job reads and rebalance copies both count, the joined node's too.
+      const std::vector<double> values = recorder.series_values(s);
+      double integral = 0;
+      for (std::size_t i = 0; i < values.size(); ++i)
+        integral += values[i] * (recorder.partial_duration() > 0 && i + 1 == values.size()
+                                     ? recorder.partial_duration()
+                                     : recorder.interval());
+      EXPECT_GE(integral, served_total - 1.0);
+    }
+  }
+}
+
 TEST(TimelineProbes, RecordAFullRunEndToEnd) {
   TimelineRecorder recorder(options(0.5));
   exp::ExperimentConfig cfg;
@@ -300,6 +353,69 @@ TEST(TimelineProbes, RecordedRunsAreDeterministic) {
     return all;
   };
   EXPECT_EQ(run(), run());
+}
+
+/// FNV-1a (64-bit) over every series' name, kind and sample bits in
+/// registration order, plus the window shape.
+std::string digest_series(const TimelineRecorder& recorder) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto bytes = [&](const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= p[i];
+      hash *= 1099511628211ULL;
+    }
+  };
+  const auto u64 = [&](std::uint64_t v) { bytes(&v, sizeof v); };
+  const auto f64 = [&](double v) { bytes(&v, sizeof v); };
+  u64(recorder.series_count());
+  u64(recorder.tick_count());
+  f64(recorder.partial_duration());
+  f64(recorder.end_time());
+  for (TimelineRecorder::SeriesId s = 0; s < recorder.series_count(); ++s) {
+    const std::string& name = recorder.series_name(s);
+    u64(name.size());
+    bytes(name.data(), name.size());
+    u64(static_cast<std::uint64_t>(recorder.series_kind(s)));
+    const std::vector<double> values = recorder.series_values(s);
+    u64(values.size());
+    for (double v : values) f64(v);
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, hash);
+  return buf;
+}
+
+// The executor's depth events also move in prefetch mode (compute overlaps
+// the next task's reads) and in BSP mode (processes park at every task
+// barrier). Pin every series of a RunTimeline attached to one run of each:
+// the constants were recorded on an earlier commit, so a change that moves
+// one depth stamp fails here even when it replays consistently.
+TEST(TimelineProbes, PrefetchAndBspRunsRecordPinnedSeries) {
+  const auto run = [](bool prefetch, bool bsp) {
+    constexpr std::uint32_t kNodes = 8;
+    constexpr std::uint32_t kTasks = 48;
+    dfs::NameNode nn(dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize);
+    dfs::RandomPlacement policy;
+    Rng rng(5);
+    const auto tasks =
+        workload::make_single_data_workload(nn, kTasks, policy, rng, /*compute_time=*/0.3);
+    sim::Cluster cluster(kNodes);
+    TimelineRecorder recorder(options(0.25));
+    RunTimeline timeline(&recorder, cluster, kNodes);
+    runtime::ExecutorConfig ec;
+    ec.prefetch = prefetch;
+    ec.barrier_per_task = bsp;
+    ec.probe = timeline.executor_probe();
+    timeline.add_expected_bytes(runtime::total_task_bytes(nn, tasks));
+    runtime::StaticAssignmentSource source(runtime::rank_interval_assignment(kTasks, kNodes));
+    const auto result = runtime::execute(cluster, nn, tasks, source, rng, ec);
+    EXPECT_EQ(result.tasks_executed, kTasks);
+    timeline.finish();
+    return digest_series(recorder);
+  };
+  EXPECT_EQ(run(/*prefetch=*/true, /*bsp=*/false), "feb98c20b048d718");
+  EXPECT_EQ(run(/*prefetch=*/false, /*bsp=*/true), "3ba46046e9283bf8");
 }
 
 }  // namespace

@@ -42,16 +42,30 @@ struct ServiceFixture : ::testing::Test {
   ProcessPlacement placement;
 };
 
-/// Captures every BatchReport the service emits.
-struct RecordingProbe : ServiceProbe {
-  void on_job_queued(Seconds, const JobStatus&, std::uint32_t depth) override {
-    max_depth = std::max(max_depth, depth);
-  }
-  void on_job_cancelled(Seconds, const JobStatus&, std::uint32_t) override {
-    ++cancelled;
-  }
-  void on_batch_planned(const BatchReport& report) override { reports.push_back(report); }
+/// Captures every BatchReport the service plans.
+struct RecordingProbe : Probe {
+  explicit RecordingProbe(const PlannerService& planner) : service(planner) {}
 
+  void on_event(const ProbeEvent& event) override {
+    switch (event.kind) {
+      case ProbeKind::kJobQueued:
+        max_depth = std::max(max_depth, event.count);
+        return;
+      case ProbeKind::kJobCancelled:
+        ++cancelled;
+        return;
+      case ProbeKind::kBatchPlanned:
+        EXPECT_EQ(event.id, service.last_batch().batch);
+        EXPECT_EQ(event.count, service.last_batch().queue_depth_after);
+        reports.push_back(service.last_batch());
+        return;
+      default:
+        ADD_FAILURE() << "unexpected probe event";
+        return;
+    }
+  }
+
+  const PlannerService& service;
   std::vector<BatchReport> reports;
   std::uint32_t max_depth = 0;
   std::uint32_t cancelled = 0;
@@ -116,7 +130,7 @@ TEST_F(ServiceFixture, FairShareSplitsTheLocalityBudgetByWeight) {
   ServiceOptions options;
   options.seed = 5;
   PlannerService service(scarce, {0, 1}, options);
-  RecordingProbe probe;
+  RecordingProbe probe(service);
   service.set_probe(&probe);
 
   JobRequest light, heavy;
@@ -154,7 +168,7 @@ TEST_F(ServiceFixture, FairShareSplitsTheLocalityBudgetByWeight) {
 
 TEST_F(ServiceFixture, CancelMidQueueSkipsPlanning) {
   PlannerService service(nn, placement);
-  RecordingProbe probe;
+  RecordingProbe probe(service);
   service.set_probe(&probe);
   (void)service.submit(job(0, 8));
   const JobId doomed = service.submit(job(8, 8));

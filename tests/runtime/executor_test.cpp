@@ -63,6 +63,23 @@ TEST_F(ExecutorFixture, ReadBreakdownRecordingLastsOneRun) {
   StaticAssignmentSource plain_source(rank_interval_assignment(8, 4));
   (void)execute(cluster, nn, tasks, plain_source, rng);
   EXPECT_TRUE(cluster.read_breakdown_recording());
+
+  // A run that throws restores the flag as well: an exclusive mode pair
+  // rejected after recording went on, and a source that hands out a task
+  // the table does not hold.
+  cluster.record_read_breakdown(false);
+  ExecutorConfig exclusive = config;
+  exclusive.prefetch = true;
+  exclusive.barrier_per_task = true;
+  StaticAssignmentSource exclusive_source(rank_interval_assignment(8, 4));
+  EXPECT_THROW((void)execute(cluster, nn, tasks, exclusive_source, rng, exclusive),
+               std::invalid_argument);
+  EXPECT_FALSE(cluster.read_breakdown_recording());
+
+  StaticAssignmentSource unknown_source(Assignment{{99}, {}, {}, {}});
+  EXPECT_THROW((void)execute(cluster, nn, tasks, unknown_source, rng, config),
+               std::invalid_argument);
+  EXPECT_FALSE(cluster.read_breakdown_recording());
 }
 
 TEST_F(ExecutorFixture, ReadsAreSequentialPerProcess) {

@@ -116,5 +116,28 @@ TEST_F(MultiJobFixture, Validation) {
   EXPECT_THROW(execute_jobs(cluster, nn, jobs, rng), std::invalid_argument);
 }
 
+// Every job is checked before any launches: a bad second job must not leave
+// the first one's reads in flight, holding callbacks into a freed driver.
+TEST_F(MultiJobFixture, InvalidLaterJobLaunchesNothing) {
+  const auto ta = make_tasks("a", 8);
+  ExecutorConfig exclusive;
+  exclusive.prefetch = true;
+  exclusive.barrier_per_task = true;
+  for (const bool null_source : {true, false}) {
+    sim::Cluster cluster(4, params);
+    StaticAssignmentSource sa(rank_interval_assignment(8, 4));
+    StaticAssignmentSource sb(rank_interval_assignment(8, 4));
+    std::vector<JobSpec> jobs(2);
+    jobs[0].tasks = &ta;
+    jobs[0].source = &sa;
+    jobs[1].tasks = &ta;
+    jobs[1].source = null_source ? nullptr : &sb;
+    if (!null_source) jobs[1].config = exclusive;
+    EXPECT_THROW(execute_jobs(cluster, nn, jobs, rng), std::invalid_argument);
+    for (std::uint32_t n : cluster.inflight_per_node()) EXPECT_EQ(n, 0u);
+    EXPECT_EQ(cluster.simulator().active_flows(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace opass::runtime

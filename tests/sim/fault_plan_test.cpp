@@ -129,23 +129,33 @@ FaultEvent make_event(Seconds at, FaultKind kind, dfs::NodeId node) {
 }
 
 /// Probe that flattens the fault lifecycle into a comparable trace.
-struct RecordingProbe final : FaultProbe {
+struct RecordingProbe final : Probe {
+  explicit RecordingProbe(const FaultPlan& fault_plan) : plan(fault_plan) {}
+
+  const FaultPlan& plan;
   std::vector<std::string> lines;
 
-  void on_fault(Seconds now, const FaultEvent& event) override {
-    lines.push_back("fault " + std::string(fault_kind_name(event.kind)) + " @" +
-                    std::to_string(now));
-  }
-  void on_detection(Seconds now, dfs::NodeId node) override {
-    lines.push_back("detect " + std::to_string(node) + " @" + std::to_string(now));
-  }
-  void on_copy(Seconds now, dfs::ChunkId chunk, dfs::NodeId src, dfs::NodeId dst,
-               Bytes /*bytes*/) override {
-    lines.push_back("copy " + std::to_string(chunk) + " " + std::to_string(src) + "->" +
-                    std::to_string(dst) + " @" + std::to_string(now));
-  }
-  void on_recovery_complete(Seconds now, dfs::NodeId node) override {
-    lines.push_back("done " + std::to_string(node) + " @" + std::to_string(now));
+  void on_event(const ProbeEvent& event) override {
+    const std::string at = " @" + std::to_string(event.at);
+    switch (event.kind) {
+      case ProbeKind::kFault:
+        lines.push_back("fault " +
+                        std::string(fault_kind_name(plan.events.at(event.id).kind)) + at);
+        return;
+      case ProbeKind::kDetection:
+        lines.push_back("detect " + std::to_string(event.id) + at);
+        return;
+      case ProbeKind::kCopy:
+        lines.push_back("copy " + std::to_string(event.id) + " ->" +
+                        std::to_string(event.count) + " " + std::to_string(event.bytes) + at);
+        return;
+      case ProbeKind::kRecovered:
+        lines.push_back("done " + std::to_string(event.id) + at);
+        return;
+      default:
+        lines.push_back("unexpected event" + at);
+        return;
+    }
   }
 };
 
@@ -162,7 +172,7 @@ struct InjectorFixture : ::testing::Test {
   }
 
   /// Arm `plan` and run the (otherwise idle) cluster to completion.
-  FaultStats run_plan(const FaultPlan& plan, FaultProbe* probe = nullptr) {
+  FaultStats run_plan(const FaultPlan& plan, Probe* probe = nullptr) {
     HeartbeatMonitor monitor(*cluster, *nn, /*namenode_host=*/0, *rng);
     FaultInjector injector(*cluster, *nn, monitor, plan);
     if (probe != nullptr) injector.set_probe(probe);
@@ -272,11 +282,11 @@ TEST_F(InjectorFixture, CrashRecoveryReplaysIdentically) {
   plan.events.push_back(make_event(1.0, FaultKind::kCrash, 5));
 
   build(3, 32);
-  RecordingProbe first;
+  RecordingProbe first(plan);
   const auto stats1 = run_plan(plan, &first);
 
   build(3, 32);
-  RecordingProbe second;
+  RecordingProbe second(plan);
   const auto stats2 = run_plan(plan, &second);
 
   EXPECT_EQ(stats1.replicas_copied, stats2.replicas_copied);
@@ -284,6 +294,12 @@ TEST_F(InjectorFixture, CrashRecoveryReplaysIdentically) {
   EXPECT_EQ(stats1.recoveries, stats2.recoveries);
   EXPECT_EQ(first.lines, second.lines);
   ASSERT_FALSE(first.lines.empty());
+  // The scripted crash comes first, and every landed copy is one event.
+  EXPECT_EQ(first.lines.front(), "fault crash @1.000000");
+  const auto copies =
+      std::count_if(first.lines.begin(), first.lines.end(),
+                    [](const std::string& line) { return line.rfind("copy ", 0) == 0; });
+  EXPECT_EQ(static_cast<std::uint32_t>(copies), stats1.replicas_copied);
 }
 
 // ------------------------------------------------- heartbeat edge timing

@@ -81,6 +81,13 @@ Rules (all scoped to src/ unless noted):
                     call site (a scenario body wiring its own cluster,
                     timeline and sinks again) is flagged, one finding per
                     extra site.
+  one-probe         src/ declares one observer interface, opass::Probe
+                    (src/common/probe.hpp): a class declaring a pure-virtual
+                    `on_*` method anywhere else is a second one. Subsystems
+                    report their transitions as plain ProbeEvent records to
+                    the Probe they are given, and a consumer that needs more
+                    reads the emitter's accessors, so a new emitter or sink
+                    adds an event kind, not an interface.
 
 Usage:
   opass_lint.py <repo-root>     lint the tree rooted there (exit 1 on findings)
@@ -168,6 +175,13 @@ FIG5_SOLVE_HOMES = (
 )
 # A call of the executor's entry point (comments and strings are scrubbed).
 EXECUTE_CALL = re.compile(r"\bruntime\s*::\s*execute\s*\(")
+# A pure-virtual `on_*` method declaration: `virtual void on_x(...) = 0;`
+# (const/noexcept qualifiers allowed). Overrides and non-pure virtuals do not
+# match.
+PURE_VIRTUAL_ON = re.compile(
+    r"\bvirtual\b[^;{}]*?\b(on_\w+)\s*\([^;{}]*\)[^;{}=]*=\s*0\s*;")
+# The one file allowed to declare an observer interface.
+ONE_PROBE_HOME = "src/common/probe.hpp"
 # Raw threading vocabulary. std::atomic covers std::atomic<T>, the _flag /
 # _bool /... aliases and the free atomic_* functions via the \w* tail.
 RAW_THREAD = re.compile(
@@ -412,6 +426,17 @@ def check_single_pipeline(root: pathlib.Path, texts: dict, findings: list):
                     "another cluster, timeline and sink set"))
 
 
+def check_one_probe(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
+    if path.relative_to(root).as_posix() == ONE_PROBE_HOME:
+        return
+    for m in PURE_VIRTUAL_ON.finditer(scrub(text)):
+        findings.append(
+            Finding(path, _line_of(text, m.start()), "one-probe",
+                    f"pure-virtual {m.group(1)}() declares a second observer "
+                    "interface; emit ProbeEvent records to the opass::Probe "
+                    f"of {ONE_PROBE_HOME} and add an event kind instead"))
+
+
 def check_nodiscard_status(path: pathlib.Path, src_root: pathlib.Path, text: str, findings: list):
     if path.suffix != ".hpp" or "obs" not in path.relative_to(src_root).parts[:1]:
         return
@@ -450,6 +475,7 @@ def lint_tree(root: pathlib.Path) -> list:
         check_fig5_solve(path, root, text, findings)
         check_no_raw_thread(path, root, text, findings)
         check_facade_only(path, root, text, findings)
+        check_one_probe(path, root, text, findings)
     check_single_pipeline(root, texts, findings)
     # bench/, examples/ and tests/ consume the planner API, so only the
     # API-usage rule applies there.
@@ -535,6 +561,15 @@ _VIOLATIONS = {
         '#include "runtime/executor.hpp"\n'
         "void a(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n"
         "void b(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n",
+    ),
+    "one-probe": (
+        "sim/bad_second_probe.hpp",
+        "#pragma once\n"
+        "class ReadProbe {\n"
+        " public:\n"
+        "  virtual ~ReadProbe() = default;\n"
+        "  virtual void on_read_issued(double now, unsigned server) const = 0;\n"
+        "};\n",
     ),
     "pq-top-copy": (
         "bad_top_copy.cpp",
@@ -665,6 +700,33 @@ _CLEANS = (
         '#include "runtime/executor.hpp"\n'
         "void a(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n"
         "void b(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n",
+    ),
+    (
+        # The one observer interface one-probe allows.
+        "common/probe.hpp",
+        "#pragma once\n"
+        "class Probe {\n"
+        " public:\n"
+        "  virtual ~Probe() = default;\n"
+        "  virtual void on_event(const ProbeEvent& event) = 0;\n"
+        "};\n",
+    ),
+    (
+        # What one-probe must NOT flag: a consumer's override, a non-pure
+        # virtual hook, a pure-virtual method not named on_*, and prose.
+        "runtime/clean_probe_users.hpp",
+        "#pragma once\n"
+        "// A second interface would declare virtual void on_x() = 0;\n"
+        "class Timeline final : public Probe {\n"
+        " public:\n"
+        "  void on_event(const ProbeEvent& event) override;\n"
+        "};\n"
+        "class Source {\n"
+        " public:\n"
+        "  virtual ~Source() = default;\n"
+        "  virtual void on_idle() {}\n"
+        "  virtual int next_task(int process) = 0;\n"
+        "};\n",
     ),
     (
         # Reference bindings from .top() are the compliant spelling pq-top-copy

@@ -168,6 +168,8 @@ void run_method(const Options& opts, exp::Method method, exp::ExperimentConfig c
 
   const char* name = exp::method_name(method);
   const std::uint32_t pid = method == exp::Method::kBaseline ? 0 : 1;
+  // The node count after the run, so a node a fault plan joined is counted.
+  const auto node_count = static_cast<std::uint32_t>(run.served_mb.size());
   if (trace) {
     // One trace process group per method, so --method=both renders both
     // timelines side by side.
@@ -175,7 +177,7 @@ void run_method(const Options& opts, exp::Method method, exp::ExperimentConfig c
     out.trace.add_execution(raw, pid);
   }
   if (span_log != nullptr) {
-    out.span_doc.add_method(name, *span_log, cfg.nodes);
+    out.span_doc.add_method(name, *span_log, node_count);
     // Overlay the critical path's cross-process hops on the Chrome trace as
     // flow arrows — only when both sinks are active, so a plain --trace-out
     // stays byte-identical to earlier releases.
@@ -187,17 +189,17 @@ void run_method(const Options& opts, exp::Method method, exp::ExperimentConfig c
     obs::MethodReport mr;
     mr.name = name;
     mr.timeline = recorder;
-    mr.analytics = obs::analyze_execution(raw, cfg.nodes);
+    mr.analytics = obs::analyze_execution(raw, node_count);
     mr.makespan = run.makespan;
     mr.local_fraction = run.local_fraction;
     mr.spans = span_log;
-    mr.node_count = cfg.nodes;
+    mr.node_count = node_count;
     out.report.add_method(std::move(mr));
     if (trace) obs::add_timeline_counters(out.trace, *recorder, pid);
   }
   if (hotspots) {
     std::printf("[%s]\n%s\n", name,
-                obs::hotspot_report(raw.trace, cfg.nodes).render().c_str());
+                obs::hotspot_report(raw.trace, node_count).render().c_str());
   }
   if (fault_log) {
     if (trace) fault_log->add_instants(out.trace, pid);

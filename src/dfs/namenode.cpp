@@ -176,6 +176,9 @@ bool NameNode::is_decommissioned(NodeId node) const {
 }
 
 std::uint32_t NameNode::balance(Rng& rng, std::uint32_t tolerance) {
+  // A spread of exactly 1 cannot shrink: a move only swaps which node is
+  // heavier. So 0 means 1, or the loop would never stop.
+  const std::size_t spread = std::max<std::uint32_t>(tolerance, 1);
   std::uint32_t moves = 0;
   for (;;) {
     // Find most- and least-loaded alive nodes by replica count.
@@ -186,7 +189,7 @@ std::uint32_t NameNode::balance(Rng& rng, std::uint32_t tolerance) {
       if (lo == kInvalidNode || node_chunks_[n].size() < node_chunks_[lo].size()) lo = n;
     }
     if (hi == kInvalidNode || lo == kInvalidNode) break;
-    if (node_chunks_[hi].size() <= node_chunks_[lo].size() + tolerance) break;
+    if (node_chunks_[hi].size() <= node_chunks_[lo].size() + spread) break;
 
     // Move one replica hi -> lo; pick a random movable chunk.
     std::vector<ChunkId> movable;

@@ -103,7 +103,9 @@ class NameNode {
   /// HDFS-style balancer: repeatedly move one replica from the node with the
   /// most replicas to the node with the fewest (that lacks the chunk) until
   /// the spread (max - min replica count) is <= `tolerance` or no legal move
-  /// exists. Returns the number of replicas moved.
+  /// exists. A tolerance of 0 means 1 ("within one replica"): at a spread of
+  /// exactly 1 the replicas do not divide evenly over the nodes, so no move
+  /// can shrink it. Returns the number of replicas moved.
   std::uint32_t balance(Rng& rng, std::uint32_t tolerance = 1);
 
   /// Validation: every chunk has `replication` distinct alive replicas and

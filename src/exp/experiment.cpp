@@ -143,7 +143,9 @@ class Run {
     if (injector_ && cfg_.fault_stats != nullptr) *cfg_.fault_stats = injector_->stats();
     if (cfg_.metrics != nullptr) {
       const std::string prefix = method_name(method_);
-      obs::collect_execution(*cfg_.metrics, agg_, cfg_.nodes, prefix + ".executor");
+      // Sized by the NameNode after the run: a node that joined mid-run
+      // serves reads too.
+      obs::collect_execution(*cfg_.metrics, agg_, nn_.node_count(), prefix + ".executor");
       obs::collect_cluster(*cfg_.metrics, cluster_, prefix + ".cluster");
     }
     RunOutput out;

@@ -102,7 +102,9 @@ struct ExperimentConfig {
 struct RunOutput {
   Summary io;                        ///< per-chunk-read I/O time stats (s)
   std::vector<double> io_times;      ///< per-op I/O times in issue order (s)
-  std::vector<double> served_mb;     ///< bytes served per node (MiB)
+  /// Bytes served per node (MiB), one entry per node the run ended with
+  /// (a node a fault plan joined included).
+  std::vector<double> served_mb;
   double local_fraction = 0;         ///< observed locally served op fraction
   double planned_local_fraction = 0; ///< assignment-level local byte fraction
   Seconds makespan = 0;              ///< parallel completion time

@@ -10,12 +10,9 @@ namespace opass::obs {
 
 namespace {
 
-std::string i64(std::int64_t v) { return std::to_string(v); }
-std::string u64(std::uint64_t v) { return std::to_string(v); }
-
-/// Sentinel-aware id rendering: UINT32_MAX fields render as -1.
-std::string opt_id(std::uint32_t v) {
-  return v == UINT32_MAX ? std::string("-1") : std::to_string(v);
+/// Sentinel-aware id: UINT32_MAX fields render as -1.
+std::int64_t signed_id(std::uint32_t v) {
+  return v == UINT32_MAX ? std::int64_t{-1} : std::int64_t{v};
 }
 
 bool valid_method_name(const std::string& name) {
@@ -25,23 +22,21 @@ bool valid_method_name(const std::string& name) {
   return true;
 }
 
-std::string attribution_json(const AttributionTotals& totals) {
-  std::string out = "{\"total_ticks\": " + i64(totals.total_ticks) + ", \"kinds\": {";
+void write_attribution(SinkWriter& w, const AttributionTotals& totals) {
+  w << "{\"total_ticks\": " << totals.total_ticks << ", \"kinds\": {";
   for (std::size_t k = 0; k < kAttrKindCount; ++k) {
-    if (k) out += ", ";
-    out += std::string("\"") + attr_kind_name(static_cast<AttrKind>(k)) +
-           "\": " + i64(totals.kind_ticks[k]);
+    if (k) w << ", ";
+    w << '"' << attr_kind_name(static_cast<AttrKind>(k)) << "\": " << totals.kind_ticks[k];
   }
-  out += "}, \"nodes\": {";
+  w << "}, \"nodes\": {";
   bool first = true;
   for (std::size_t n = 0; n < totals.node_ticks.size(); ++n) {
     if (totals.node_ticks[n] == 0) continue;
-    if (!first) out += ", ";
+    if (!first) w << ", ";
     first = false;
-    out += "\"" + u64(n) + "\": " + i64(totals.node_ticks[n]);
+    w << '"' << n << "\": " << totals.node_ticks[n];
   }
-  out += "}}";
-  return out;
+  w << "}}";
 }
 
 }  // namespace
@@ -202,81 +197,83 @@ const CriticalPath& SpanDocBuilder::path(std::size_t index) const {
 }
 
 std::string SpanDocBuilder::spans_json() const {
-  std::string out = "{\"schema\": 1, \"ticks_per_second\": 1000000000, \"methods\": [";
+  std::size_t spans_total = 0;
+  for (const Method& m : methods_) spans_total += m.log->size();
+  std::string out;
+  out.reserve(512 * spans_total + 1024);  // a rendered span is ~400-450 bytes
+  SinkWriter w(out);
+  w << "{\"schema\": 1, \"ticks_per_second\": 1000000000, \"methods\": [";
   for (std::size_t mi = 0; mi < methods_.size(); ++mi) {
     const Method& m = methods_[mi];
-    out += mi ? ",\n" : "\n";
-    out += "{\"name\": \"" + m.name + "\"";
-    out += ", \"makespan_ticks\": " + i64(m.log->max_end_ticks());
-    out += ", \"span_count\": " + u64(m.log->size());
-    out += ", \"attribution\": " + attribution_json(m.totals);
-    out += ", \"spans\": [";
+    w << (mi ? ",\n" : "\n") << "{\"name\": \"" << m.name
+      << "\", \"makespan_ticks\": " << m.log->max_end_ticks()
+      << ", \"span_count\": " << m.log->size() << ", \"attribution\": ";
+    write_attribution(w, m.totals);
+    w << ", \"spans\": [";
     const auto& spans = m.log->spans();
     for (std::size_t si = 0; si < spans.size(); ++si) {
       const Span& s = spans[si];
-      out += si ? ",\n  " : "\n  ";
-      out += "{\"id\": " + u64(s.id) + ", \"parent\": " + opt_id(s.parent) +
-             ", \"kind\": \"" + span_kind_name(s.kind) + "\", \"name\": \"" + s.name +
-             "\", \"process\": " + u64(s.process) + ", \"task\": " + opt_id(s.task) +
-             ", \"node\": " + opt_id(s.node) + ", \"server\": " + opt_id(s.server) +
-             ", \"chunk\": " + opt_id(s.chunk) + ", \"bytes\": " + u64(s.bytes) +
-             ", \"start_ticks\": " + i64(s.start_ticks) +
-             ", \"end_ticks\": " + i64(s.end_ticks) + ", \"breakdown\": [";
+      w << (si ? ",\n  " : "\n  ") << "{\"id\": " << s.id
+        << ", \"parent\": " << signed_id(s.parent) << ", \"kind\": \""
+        << span_kind_name(s.kind) << "\", \"name\": \"" << s.name
+        << "\", \"process\": " << s.process
+        << ", \"task\": " << signed_id(s.task) << ", \"node\": " << signed_id(s.node)
+        << ", \"server\": " << signed_id(s.server) << ", \"chunk\": " << signed_id(s.chunk)
+        << ", \"bytes\": " << s.bytes << ", \"start_ticks\": " << s.start_ticks
+        << ", \"end_ticks\": " << s.end_ticks << ", \"breakdown\": [";
       for (std::size_t bi = 0; bi < s.breakdown.size(); ++bi) {
         const AttrSlice& b = s.breakdown[bi];
-        if (bi) out += ", ";
-        out += std::string("{\"kind\": \"") + attr_kind_name(b.kind) +
-               "\", \"node\": " + opt_id(b.node) +
-               ", \"start_ticks\": " + i64(b.start_ticks) +
-               ", \"end_ticks\": " + i64(b.end_ticks) + "}";
+        if (bi) w << ", ";
+        w << "{\"kind\": \"" << attr_kind_name(b.kind) << "\", \"node\": " << signed_id(b.node)
+          << ", \"start_ticks\": " << b.start_ticks << ", \"end_ticks\": " << b.end_ticks
+          << '}';
       }
-      out += "]}";
+      w << "]}";
     }
-    out += "\n]}";
+    w << "\n]}";
   }
-  out += "\n]}\n";
+  w << "\n]}\n";
   return out;
 }
 
 std::string SpanDocBuilder::critical_path_json() const {
-  std::string out = "{\"schema\": 1, \"ticks_per_second\": 1000000000, \"methods\": [";
+  std::string out;
+  SinkWriter w(out);
+  w << "{\"schema\": 1, \"ticks_per_second\": 1000000000, \"methods\": [";
   for (std::size_t mi = 0; mi < methods_.size(); ++mi) {
     const Method& m = methods_[mi];
     const auto& spans = m.log->spans();
-    out += mi ? ",\n" : "\n";
-    out += "{\"name\": \"" + m.name + "\"";
-    out += ", \"makespan_ticks\": " + i64(m.log->max_end_ticks());
-    out += ", \"blame\": " + attribution_json(m.path.blame);
-    out += ", \"steps\": [";
+    w << (mi ? ",\n" : "\n") << "{\"name\": \"" << m.name
+      << "\", \"makespan_ticks\": " << m.log->max_end_ticks() << ", \"blame\": ";
+    write_attribution(w, m.path.blame);
+    w << ", \"steps\": [";
     for (std::size_t si = 0; si < m.path.steps.size(); ++si) {
       const CriticalPath::Step& step = m.path.steps[si];
-      out += si ? ",\n  " : "\n  ";
+      w << (si ? ",\n  " : "\n  ");
       if (step.span == kNoSpan) {
-        out += "{\"span\": -1, \"name\": \"idle\", \"process\": -1, \"task\": -1";
+        w << "{\"span\": -1, \"name\": \"idle\", \"process\": -1, \"task\": -1";
       } else {
         const Span& s = spans[step.span];
-        out += "{\"span\": " + u64(step.span) + ", \"name\": \"" + s.name +
-               "\", \"process\": " + u64(s.process) + ", \"task\": " + opt_id(s.task);
+        w << "{\"span\": " << step.span << ", \"name\": \"" << s.name
+          << "\", \"process\": " << s.process << ", \"task\": " << signed_id(s.task);
       }
-      out += ", \"start_ticks\": " + i64(step.start_ticks) +
-             ", \"end_ticks\": " + i64(step.end_ticks) + "}";
+      w << ", \"start_ticks\": " << step.start_ticks << ", \"end_ticks\": " << step.end_ticks
+        << '}';
     }
-    out += "\n]}";
+    w << "\n]}";
   }
-  out += "\n]}\n";
+  w << "\n]}\n";
   return out;
 }
 
 std::string SpanDocBuilder::critical_path_text() const {
   std::string out;
+  SinkWriter w(out);
   for (const Method& m : methods_) {
     const std::int64_t makespan = m.log->max_end_ticks();
-    out += "== " + m.name + " ==\n";
-    out += "makespan: " + format_double(static_cast<double>(makespan) * 1e-9) +
-           " s (" + i64(makespan) + " ticks)\n";
-    out += "critical path: " + u64(m.path.steps.size()) + " steps covering " +
-           format_double(static_cast<double>(m.path.blame.total_ticks) * 1e-9) + " s\n";
-    out += "blame:\n";
+    w << "== " << m.name << " ==\nmakespan: " << SpanLog::seconds(makespan) << " s ("
+      << makespan << " ticks)\ncritical path: " << m.path.steps.size() << " steps covering "
+      << SpanLog::seconds(m.path.blame.total_ticks) << " s\nblame:\n";
     // Buckets in descending tick order, ties by enum order; zeros omitted.
     std::vector<std::size_t> kinds;
     for (std::size_t k = 0; k < kAttrKindCount; ++k)
@@ -290,9 +287,8 @@ std::string SpanDocBuilder::critical_path_text() const {
                              ? 100.0 * static_cast<double>(t) /
                                    static_cast<double>(m.path.blame.total_ticks)
                              : 0.0;
-      out += std::string("  ") + attr_kind_name(static_cast<AttrKind>(k)) + " " +
-             format_double(static_cast<double>(t) * 1e-9) + " s (" +
-             format_double(pct) + "%)\n";
+      w << "  " << attr_kind_name(static_cast<AttrKind>(k)) << ' ' << SpanLog::seconds(t)
+        << " s (" << pct << "%)\n";
     }
     std::vector<std::size_t> nodes;
     for (std::size_t n = 0; n < m.path.blame.node_ticks.size(); ++n)
@@ -302,11 +298,9 @@ std::string SpanDocBuilder::critical_path_text() const {
     });
     if (nodes.size() > 8) nodes.resize(8);
     if (!nodes.empty()) {
-      out += "blamed nodes:\n";
+      w << "blamed nodes:\n";
       for (std::size_t n : nodes)
-        out += "  node " + u64(n) + " " +
-               format_double(static_cast<double>(m.path.blame.node_ticks[n]) * 1e-9) +
-               " s\n";
+        w << "  node " << n << ' ' << SpanLog::seconds(m.path.blame.node_ticks[n]) << " s\n";
     }
   }
   return out;

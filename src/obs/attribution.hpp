@@ -73,7 +73,7 @@ CriticalPath critical_path(const SpanLog& log, std::uint32_t node_count);
 /// --critical-path): schema-versioned JSON documents and a human-readable
 /// critical-path summary. Methods render in add order; names follow the
 /// report convention ([a-z0-9_]+). All numbers are integer ticks (or exact
-/// tick-derived percentages via obs::format_double), so output is
+/// tick-derived percentages via obs::SinkWriter), so output is
 /// byte-deterministic.
 class SpanDocBuilder {
  public:

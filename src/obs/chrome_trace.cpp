@@ -1,7 +1,7 @@
 #include "obs/chrome_trace.hpp"
 
 #include <algorithm>
-#include <tuple>
+#include <charconv>
 
 #include "common/require.hpp"
 #include "obs/metrics_io.hpp"
@@ -12,9 +12,20 @@ namespace {
 
 constexpr double kMicrosPerSecond = 1e6;
 
-std::string format_u64(std::uint64_t v) { return std::to_string(v); }
-
 }  // namespace
+
+std::uint32_t ChromeTraceBuilder::intern(const std::string& name) {
+  if (names_.empty() || names_.back() != name) names_.push_back(name);
+  return static_cast<std::uint32_t>(names_.size() - 1);
+}
+
+std::string_view ChromeTraceBuilder::name_of(const Event& e, char (&buf)[32]) const {
+  if (e.label == Label::kNamed) return names_[e.name];
+  const std::string_view prefix = e.label == Label::kReadChunk ? "read chunk " : "task ";
+  const std::size_t n = prefix.copy(buf, prefix.size());
+  const char* end = std::to_chars(buf + n, buf + sizeof buf, e.id).ptr;
+  return {buf, static_cast<std::size_t>(end - buf)};
+}
 
 void ChromeTraceBuilder::set_process_name(std::uint32_t pid, const std::string& name) {
   for (auto& entry : process_names_) {
@@ -33,26 +44,27 @@ void ChromeTraceBuilder::add_execution(const runtime::ExecutionResult& result,
     Event e;
     e.ts_us = r.issue_time * kMicrosPerSecond;
     e.dur_us = r.io_time() * kMicrosPerSecond;
+    e.id = r.chunk;
+    e.bytes = r.bytes;
     e.pid = pid;
     e.tid = r.process;
-    e.name = "read chunk " + format_u64(r.chunk);
+    e.server = r.serving_node;
     e.cat = "read";
-    e.args_json = "{\"chunk\": " + format_u64(r.chunk) +
-                  ", \"bytes\": " + format_u64(r.bytes) +
-                  ", \"server\": " + format_u64(r.serving_node) +
-                  ", \"local\": " + (r.local ? "true" : "false") + "}";
-    events_.push_back(std::move(e));
+    e.label = Label::kReadChunk;
+    e.local = r.local;
+    events_.push_back(e);
   }
   for (const runtime::TaskSpan& s : result.task_spans) {
     OPASS_REQUIRE(s.end >= s.start, "task span with negative duration");
     Event e;
     e.ts_us = s.start * kMicrosPerSecond;
     e.dur_us = (s.end - s.start) * kMicrosPerSecond;
+    e.id = s.task;
     e.pid = pid;
     e.tid = s.process;
-    e.name = "task " + format_u64(s.task);
     e.cat = "task";
-    events_.push_back(std::move(e));
+    e.label = Label::kTask;
+    events_.push_back(e);
   }
 }
 
@@ -61,12 +73,12 @@ void ChromeTraceBuilder::add_counter(std::uint32_t pid, const std::string& name,
   OPASS_REQUIRE(ts_us >= 0, "counter sample before the epoch");
   Event e;
   e.ts_us = ts_us;
+  e.value = value;
   e.pid = pid;
   e.ph = 'C';
-  e.name = name;
+  e.name = intern(name);
   e.cat = "counter";
-  e.args_json = "{\"value\": " + format_double(value) + "}";
-  events_.push_back(std::move(e));
+  events_.push_back(e);
 }
 
 void ChromeTraceBuilder::add_instant(std::uint32_t pid, const std::string& name,
@@ -76,9 +88,9 @@ void ChromeTraceBuilder::add_instant(std::uint32_t pid, const std::string& name,
   e.ts_us = ts_us;
   e.pid = pid;
   e.ph = 'i';
-  e.name = name;
+  e.name = intern(name);
   e.cat = category;
-  events_.push_back(std::move(e));
+  events_.push_back(e);
 }
 
 void ChromeTraceBuilder::add_flow_step(std::uint32_t pid, std::uint32_t tid,
@@ -87,30 +99,38 @@ void ChromeTraceBuilder::add_flow_step(std::uint32_t pid, std::uint32_t tid,
   OPASS_REQUIRE(ts_us >= 0, "flow event before the epoch");
   Event e;
   e.ts_us = ts_us;
+  e.id = flow_id;
   e.pid = pid;
   e.tid = tid;
   e.ph = ph;
-  e.name = "critical_path";
+  e.name = intern("critical_path");
   e.cat = "critical_path";
-  e.flow_id = flow_id;
-  events_.push_back(std::move(e));
+  events_.push_back(e);
 }
 
 std::string ChromeTraceBuilder::json() const {
+  // Sorted by (ts, pid, tid, name); the names render only to break a tie.
   std::vector<const Event*> order;
   order.reserve(events_.size());
   for (const Event& e : events_) order.push_back(&e);
-  std::stable_sort(order.begin(), order.end(), [](const Event* a, const Event* b) {
-    return std::tie(a->ts_us, a->pid, a->tid, a->name) <
-           std::tie(b->ts_us, b->pid, b->tid, b->name);
+  std::stable_sort(order.begin(), order.end(), [this](const Event* a, const Event* b) {
+    if (a->ts_us < b->ts_us) return true;
+    if (b->ts_us < a->ts_us) return false;
+    if (a->pid != b->pid) return a->pid < b->pid;
+    if (a->tid != b->tid) return a->tid < b->tid;
+    char abuf[32], bbuf[32];
+    return name_of(*a, abuf) < name_of(*b, bbuf);
   });
 
-  std::string out = "{\"traceEvents\": [";
+  std::string out;
+  out.reserve(160 * events_.size() + 1024);  // a rendered event is ~140 bytes
+  SinkWriter w(out);
+  w << "{\"traceEvents\": [";
   bool first = true;
-  const auto emit = [&out, &first](const std::string& event) {
-    out += first ? "\n" : ",\n";
+  const auto next = [&w, &first]() -> SinkWriter& {
+    w << (first ? "\n  " : ",\n  ");
     first = false;
-    out += "  " + event;
+    return w;
   };
   // Metadata block, sorted by pid: a name pins the group label, the
   // sort_index events pin numeric group/track order (the viewer's default is
@@ -119,11 +139,10 @@ std::string ChromeTraceBuilder::json() const {
   std::sort(names.begin(), names.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [pid, name] : names) {
-    emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " + format_u64(pid) +
-         ", \"tid\": 0, \"args\": {\"name\": \"" + name + "\"}}");
-    emit("{\"name\": \"process_sort_index\", \"ph\": \"M\", \"pid\": " +
-         format_u64(pid) + ", \"tid\": 0, \"args\": {\"sort_index\": " +
-         format_u64(pid) + "}}");
+    next() << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << pid
+           << ", \"tid\": 0, \"args\": {\"name\": \"" << name << "\"}}";
+    next() << "{\"name\": \"process_sort_index\", \"ph\": \"M\", \"pid\": " << pid
+           << ", \"tid\": 0, \"args\": {\"sort_index\": " << pid << "}}";
   }
   std::vector<std::pair<std::uint32_t, std::uint32_t>> tracks;
   for (const Event& e : events_)
@@ -131,32 +150,34 @@ std::string ChromeTraceBuilder::json() const {
   std::sort(tracks.begin(), tracks.end());
   tracks.erase(std::unique(tracks.begin(), tracks.end()), tracks.end());
   for (const auto& [pid, tid] : tracks) {
-    emit("{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": " +
-         format_u64(pid) + ", \"tid\": " + format_u64(tid) +
-         ", \"args\": {\"sort_index\": " + format_u64(tid) + "}}");
+    next() << "{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": " << pid
+           << ", \"tid\": " << tid << ", \"args\": {\"sort_index\": " << tid << "}}";
   }
   for (const Event* e : order) {
-    std::string line = "{\"name\": \"" + e->name + "\", \"cat\": \"" + e->cat + "\"";
+    char buf[32];
+    next() << "{\"name\": \"" << name_of(*e, buf) << "\", \"cat\": \"" << e->cat << '"';
     if (e->ph == 'X') {
-      line += ", \"ph\": \"X\", \"ts\": " + format_double(e->ts_us) +
-              ", \"dur\": " + format_double(e->dur_us);
+      w << ", \"ph\": \"X\", \"ts\": " << e->ts_us << ", \"dur\": " << e->dur_us;
     } else if (e->ph == 'i') {
-      line += ", \"ph\": \"i\", \"s\": \"g\", \"ts\": " + format_double(e->ts_us);
+      w << ", \"ph\": \"i\", \"s\": \"g\", \"ts\": " << e->ts_us;
     } else if (e->ph == 's' || e->ph == 'f') {
-      line += std::string(", \"ph\": \"") + e->ph + "\"";
-      if (e->ph == 'f') line += ", \"bp\": \"e\"";
-      line += ", \"id\": " + format_u64(e->flow_id) +
-              ", \"ts\": " + format_double(e->ts_us);
+      w << ", \"ph\": \"" << e->ph << '"';
+      if (e->ph == 'f') w << ", \"bp\": \"e\"";
+      w << ", \"id\": " << e->id << ", \"ts\": " << e->ts_us;
     } else {
-      line += ", \"ph\": \"C\", \"ts\": " + format_double(e->ts_us);
+      w << ", \"ph\": \"C\", \"ts\": " << e->ts_us;
     }
-    line += ", \"pid\": " + format_u64(e->pid) + ", \"tid\": " + format_u64(e->tid);
-    if (!e->args_json.empty()) line += ", \"args\": " + e->args_json;
-    line += "}";
-    emit(line);
+    w << ", \"pid\": " << e->pid << ", \"tid\": " << e->tid;
+    if (e->label == Label::kReadChunk) {
+      w << ", \"args\": {\"chunk\": " << e->id << ", \"bytes\": " << e->bytes
+        << ", \"server\": " << e->server << ", \"local\": " << (e->local ? "true" : "false")
+        << '}';
+    } else if (e->ph == 'C') {
+      w << ", \"args\": {\"value\": " << e->value << '}';
+    }
+    w << '}';
   }
-  out += first ? "], " : "\n], ";
-  out += "\"displayTimeUnit\": \"ms\"}\n";
+  w << (first ? "], " : "\n], ") << "\"displayTimeUnit\": \"ms\"}\n";
   return out;
 }
 

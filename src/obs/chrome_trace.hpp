@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -72,19 +73,36 @@ class ChromeTraceBuilder {
   std::string json() const;
 
  private:
+  /// What an event's "name" renders from: "read chunk <id>", "task <id>",
+  /// or names_[name] (counters, instants and flow steps).
+  enum class Label : std::uint8_t { kReadChunk, kTask, kNamed };
+
+  /// One duration, counter, instant or flow event, kept as typed fields and
+  /// rendered only by json().
   struct Event {
     double ts_us = 0;   ///< issue time in trace microseconds
     double dur_us = 0;  ///< duration in trace microseconds (>= 0; "X" only)
+    double value = 0;   ///< counter sample ("C" only)
+    std::uint64_t id = 0;     ///< chunk (reads), task (tasks), flow id ("s"/"f")
+    std::uint64_t bytes = 0;  ///< read payload (reads only)
     std::uint32_t pid = 0;
     std::uint32_t tid = 0;
-    char ph = 'X';  ///< "X" duration, "C" counter, "i" instant, "s"/"f" flow
-    std::string name;
+    std::uint32_t server = 0;  ///< serving node (reads only)
+    std::uint32_t name = 0;    ///< index into names_ (kNamed only)
     const char* cat = "";
-    std::string args_json;   ///< rendered {...} args object, may be empty
-    std::uint64_t flow_id = 0;  ///< binding id for "s"/"f" events
+    char ph = 'X';  ///< "X" duration, "C" counter, "i" instant, "s"/"f" flow
+    Label label = Label::kNamed;
+    bool local = false;  ///< read served from the reader's own node
   };
 
+  /// Index of `name` in names_; consecutive events of one counter series
+  /// share one entry.
+  std::uint32_t intern(const std::string& name);
+  /// The event's rendered "name"; reads and tasks render into `buf`.
+  std::string_view name_of(const Event& e, char (&buf)[32]) const;
+
   std::vector<Event> events_;
+  std::vector<std::string> names_;
   std::vector<std::pair<std::uint32_t, std::string>> process_names_;
 };
 

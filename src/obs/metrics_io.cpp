@@ -1,7 +1,5 @@
 #include "obs/metrics_io.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 
 #include "common/require.hpp"
@@ -10,135 +8,127 @@ namespace opass::obs {
 
 namespace {
 
-/// Minimal JSON string escaping; metric names are ASCII identifiers, but the
-/// writer must not silently corrupt output if one ever is not.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// RFC 4180 field quoting: a name containing a comma, quote, CR or LF is
-/// wrapped in double quotes with embedded quotes doubled. Metric names are
-/// normally bare identifiers, but an adversarial label must not shift every
-/// column after it (tests/obs/metrics_test.cpp pins this).
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\r\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string format_u64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
-}
-
 bool included(const Metric& m, const ExportOptions& options) {
   return options.include_wall_clock || m.determinism == Determinism::kDeterministic;
 }
 
 }  // namespace
 
+SinkWriter& SinkWriter::operator<<(double v) {
+  if (v == 0) v = 0;  // "-0" renders as "0"
+  char buf[32];
+  out_.append(buf,
+              std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 9).ptr);
+  return *this;
+}
+
+/// Minimal JSON string escaping; metric names are ASCII identifiers, but the
+/// writer must not silently corrupt output if one ever is not.
+SinkWriter& SinkWriter::escaped(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\t': out_ += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out_ += "\\u00";
+          out_ += kHex[c >> 4];
+          out_ += kHex[c & 0xf];
+        } else {
+          out_ += c;
+        }
+    }
+  }
+  return *this;
+}
+
 std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  std::string s = buf;
-  if (s == "-0") s = "0";
+  std::string s;
+  SinkWriter(s) << value;
   return s;
 }
 
 std::string to_json(const MetricsRegistry& registry, ExportOptions options) {
-  std::string out = "{\n  \"schema\": 1,\n  \"metrics\": [";
+  std::string out;
+  SinkWriter w(out);
+  w << "{\n  \"schema\": 1,\n  \"metrics\": [";
   bool first = true;
   for (const Metric& m : registry.metrics()) {
     if (!included(m, options)) continue;
-    out += first ? "\n" : ",\n";
+    w << (first ? "\n" : ",\n");
     first = false;
-    out += "    {\"name\": \"" + json_escape(m.name) + "\", \"kind\": \"";
-    out += metric_kind_name(m.kind);
-    out += "\"";
-    if (m.determinism == Determinism::kWallClock) out += ", \"wall_clock\": true";
+    w << "    {\"name\": \"";
+    w.escaped(m.name) << "\", \"kind\": \"" << metric_kind_name(m.kind) << '"';
+    if (m.determinism == Determinism::kWallClock) w << ", \"wall_clock\": true";
     switch (m.kind) {
       case MetricKind::kCounter:
-        out += ", \"value\": " + format_u64(m.counter);
+        w << ", \"value\": " << m.counter;
         break;
       case MetricKind::kGauge:
-        out += ", \"value\": " + format_double(m.gauge);
+        w << ", \"value\": " << m.gauge;
         break;
       case MetricKind::kHistogram: {
         const HistogramData& h = m.histogram;
-        out += ", \"count\": " + format_u64(h.count);
-        out += ", \"sum\": " + format_double(h.sum);
-        out += ", \"min\": " + format_double(h.min);
-        out += ", \"max\": " + format_double(h.max);
-        out += ", \"buckets\": [";
+        w << ", \"count\": " << h.count << ", \"sum\": " << h.sum << ", \"min\": " << h.min
+          << ", \"max\": " << h.max << ", \"buckets\": [";
         for (std::size_t i = 0; i < h.upper_bounds.size(); ++i) {
-          if (i) out += ", ";
-          out += "{\"le\": " + format_double(h.upper_bounds[i]) +
-                 ", \"count\": " + format_u64(h.buckets[i]) + "}";
+          if (i) w << ", ";
+          w << "{\"le\": " << h.upper_bounds[i] << ", \"count\": " << h.buckets[i] << '}';
         }
-        out += "], \"overflow\": " + format_u64(h.overflow());
+        w << "], \"overflow\": " << h.overflow();
         break;
       }
     }
-    out += "}";
+    w << '}';
   }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
+  w << (first ? "]\n}\n" : "\n  ]\n}\n");
   return out;
 }
 
 std::string to_csv(const MetricsRegistry& registry, ExportOptions options) {
-  std::string out = "name,kind,value\n";
-  const auto row = [&out](const std::string& name, const char* kind,
-                          const std::string& value) {
-    out += csv_escape(name);
-    out += ',';
-    out += kind;
-    out += ',';
-    out += value;
-    out += '\n';
-  };
+  std::string out;
+  SinkWriter w(out);
+  w << "name,kind,value\n";
   for (const Metric& m : registry.metrics()) {
     if (!included(m, options)) continue;
+    // RFC 4180 field quoting: a name containing a comma, quote, CR or LF is
+    // wrapped in double quotes with embedded quotes doubled. Metric names
+    // are normally bare identifiers, but an adversarial label must not shift
+    // every column after it (tests/obs/metrics_test.cpp pins this).
+    const bool quote = m.name.find_first_of(",\"\r\n") != std::string::npos;
+    // Starts a row: the name with `suffix` appended (never in need of
+    // quoting) as one field, then the kind; the caller writes the value.
+    const auto row = [&](const char* kind, const auto&... suffix) -> SinkWriter& {
+      if (!quote) {
+        w << m.name;
+      } else {
+        w << '"';
+        for (const char c : m.name) {
+          if (c == '"') w << '"';
+          w << c;
+        }
+      }
+      return (w << ... << suffix) << (quote ? "\"," : ",") << kind << ',';
+    };
     switch (m.kind) {
       case MetricKind::kCounter:
-        row(m.name, "counter", format_u64(m.counter));
+        row("counter") << m.counter << '\n';
         break;
       case MetricKind::kGauge:
-        row(m.name, "gauge", format_double(m.gauge));
+        row("gauge") << m.gauge << '\n';
         break;
       case MetricKind::kHistogram: {
         const HistogramData& h = m.histogram;
-        row(m.name + ".count", "histogram", format_u64(h.count));
-        row(m.name + ".sum", "histogram", format_double(h.sum));
-        row(m.name + ".min", "histogram", format_double(h.min));
-        row(m.name + ".max", "histogram", format_double(h.max));
+        row("histogram", ".count") << h.count << '\n';
+        row("histogram", ".sum") << h.sum << '\n';
+        row("histogram", ".min") << h.min << '\n';
+        row("histogram", ".max") << h.max << '\n';
         for (std::size_t i = 0; i < h.upper_bounds.size(); ++i)
-          row(m.name + ".le_" + format_double(h.upper_bounds[i]), "histogram",
-              format_u64(h.buckets[i]));
-        row(m.name + ".overflow", "histogram", format_u64(h.overflow()));
+          row("histogram", ".le_", h.upper_bounds[i]) << h.buckets[i] << '\n';
+        row("histogram", ".overflow") << h.overflow() << '\n';
         break;
       }
     }

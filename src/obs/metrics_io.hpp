@@ -2,18 +2,59 @@
 //
 // Determinism contract: the default export includes only metrics tagged
 // Determinism::kDeterministic, iterates in registration order, and formats
-// every double with one fixed printf spec — so a seeded run writes
-// byte-identical files on every execution and on every machine (the property
-// the `cli_metrics_deterministic` ctest entry asserts). Wall-clock metrics
-// appear only when ExportOptions::include_wall_clock is set, and such files
-// are explicitly not byte-stable.
+// every double with one fixed spec (SinkWriter below) — so a seeded run
+// writes byte-identical files on every execution and on every machine (the
+// property the `cli_metrics_deterministic` ctest entry asserts). Wall-clock
+// metrics appear only when ExportOptions::include_wall_clock is set, and
+// such files are explicitly not byte-stable.
 #pragma once
 
+#include <charconv>
+#include <concepts>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 
 namespace opass::obs {
+
+/// The one number-and-string appender behind every deterministic sink (the
+/// metrics, Chrome-trace, span, critical-path, timeline and HTML
+/// renderers): each `<<` writes straight into the caller's std::string with
+/// std::to_chars, so no field builds a temporary string. Integers render in
+/// decimal; doubles as "%.9g" would (chars_format::general, precision 9),
+/// with "-0" normalized to "0". tests/obs/metrics_test.cpp checks that
+/// format against snprintf, so a standard library whose to_chars differs
+/// fails there instead of in a golden digest.
+class SinkWriter {
+ public:
+  explicit SinkWriter(std::string& out) : out_(out) {}
+
+  SinkWriter& operator<<(std::string_view s) {
+    out_.append(s);
+    return *this;
+  }
+  SinkWriter& operator<<(char c) {
+    out_.push_back(c);
+    return *this;
+  }
+  SinkWriter& operator<<(double v);
+  /// Any integer but char and bool (a bool must be spelled out).
+  template <std::integral T>
+    requires(!std::same_as<T, char> && !std::same_as<T, bool>)
+  SinkWriter& operator<<(T v) {
+    char buf[std::numeric_limits<T>::digits10 + 3];  // digits, sign, and one spare
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    return *this;
+  }
+
+  /// Append `s` with JSON string escaping (no surrounding quotes).
+  SinkWriter& escaped(std::string_view s);
+
+ private:
+  std::string& out_;
+};
 
 /// Outcome of a file write. Returned (not thrown) because a missing
 /// directory or full disk on `--metrics-out` is an operator error, not a
@@ -54,9 +95,8 @@ IoStatus write_file(const std::string& path, const std::string& content);
 IoStatus write_metrics(const MetricsRegistry& registry, const std::string& path,
                        ExportOptions options = {});
 
-/// The fixed double format shared by every deterministic sink ("%.9g",
-/// with "-0" normalized to "0"). Exposed so other exporters (the Chrome
-/// trace writer, bench JSON embedding) format identically.
+/// SinkWriter's double format as a string, for exporters that build text
+/// another way (the service-trace rendering).
 std::string format_double(double value);
 
 }  // namespace opass::obs

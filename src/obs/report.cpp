@@ -36,7 +36,7 @@ std::vector<double> sample_times(const TimelineRecorder& t) {
 
 /// Find a series id by exact name; returns false when the recorder has none
 /// (e.g. a run shape that never wired the executor probe).
-bool find_series(const TimelineRecorder& t, const std::string& name,
+bool find_series(const TimelineRecorder& t, std::string_view name,
                  TimelineRecorder::SeriesId& out) {
   for (TimelineRecorder::SeriesId id = 0; id < t.series_count(); ++id) {
     if (t.series_name(id) == name) {
@@ -47,14 +47,16 @@ bool find_series(const TimelineRecorder& t, const std::string& name,
   return false;
 }
 
-/// One inline SVG step chart of a single series.
-std::string svg_chart(const std::string& chart_id, const std::string& title,
-                      const TimelineRecorder& t, const std::string& series) {
-  std::string out = "<figure>\n<figcaption>" + title + "</figcaption>\n";
+/// One inline SVG step chart of a single series, with the element id
+/// `chart-<method>-<chart>`.
+void write_svg_chart(SinkWriter& w, const std::string& method, const char* chart,
+                     const char* title, const TimelineRecorder& t, const char* series) {
+  w << "<figure>\n<figcaption>" << title << "</figcaption>\n";
   TimelineRecorder::SeriesId id = 0;
   if (!find_series(t, series, id)) {
-    return out + "<p class=\"missing\" id=\"" + chart_id +
-           "\">series not recorded</p>\n</figure>\n";
+    w << "<p class=\"missing\" id=\"chart-" << method << '-' << chart
+      << "\">series not recorded</p>\n</figure>\n";
+    return;
   }
   const std::vector<double> values = t.series_values(id);
   const std::vector<double> times = sample_times(t);
@@ -64,77 +66,62 @@ std::string svg_chart(const std::string& chart_id, const std::string& title,
   for (double v : values) vmax = std::max(vmax, v);
   const double tmax = times.empty() ? 0 : std::max(times.back(), t.interval());
 
-  out += "<svg id=\"" + chart_id + "\" viewBox=\"0 0 " +
-         std::to_string(kChartWidth) + " " + std::to_string(kChartHeight) +
-         "\" preserveAspectRatio=\"none\">\n";
-  std::string points;
+  w << "<svg id=\"chart-" << method << '-' << chart << "\" viewBox=\"0 0 " << kChartWidth
+    << ' ' << kChartHeight << "\" preserveAspectRatio=\"none\">\n"
+    << "<polyline fill=\"none\" stroke=\"currentColor\" stroke-width=\"1.5\" points=\"";
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double x = tmax > 0 ? times[i] / tmax * kChartWidth : 0;
     const double y = vmax > 0 ? kChartHeight - values[i] / vmax * kChartHeight
                               : kChartHeight;
-    if (!points.empty()) points += " ";
-    points += format_double(x) + "," + format_double(y);
+    if (i > 0) w << ' ';
+    w << x << ',' << y;
   }
-  out += "<polyline fill=\"none\" stroke=\"currentColor\" stroke-width=\"1.5\" "
-         "points=\"" + points + "\"/>\n</svg>\n";
-  out += "<p class=\"axis\">0 &ndash; " + format_double(tmax) +
-         " s, peak " + format_double(vmax) + "</p>\n</figure>\n";
-  return out;
+  w << "\"/>\n</svg>\n<p class=\"axis\">0 &ndash; " << tmax << " s, peak " << vmax
+    << "</p>\n</figure>\n";
 }
 
-std::string imbalance_json(const ImbalanceStats& s) {
-  return "{\"count\": " + std::to_string(s.count) +
-         ", \"mean\": " + format_double(s.mean) +
-         ", \"max\": " + format_double(s.max) +
-         ", \"degree_of_imbalance\": " + format_double(s.degree_of_imbalance) +
-         ", \"cv\": " + format_double(s.cv) +
-         ", \"gini\": " + format_double(s.gini) +
-         ", \"peak_over_mean\": " + format_double(s.peak_over_mean) + "}";
+void write_imbalance_json(SinkWriter& w, const ImbalanceStats& s) {
+  w << "{\"count\": " << s.count << ", \"mean\": " << s.mean << ", \"max\": " << s.max
+    << ", \"degree_of_imbalance\": " << s.degree_of_imbalance << ", \"cv\": " << s.cv
+    << ", \"gini\": " << s.gini << ", \"peak_over_mean\": " << s.peak_over_mean << '}';
 }
 
-std::string stragglers_json(const std::vector<Straggler>& list) {
-  std::string out = "[";
+void write_stragglers_json(SinkWriter& w, const std::vector<Straggler>& list) {
+  w << '[';
   for (std::size_t i = 0; i < list.size(); ++i) {
     const Straggler& s = list[i];
-    if (i > 0) out += ", ";
-    out += "{\"id\": " + std::to_string(s.id) +
-           ", \"finish\": " + format_double(s.finish) +
-           ", \"threshold\": " + format_double(s.threshold) + ", \"chunks\": [";
+    if (i > 0) w << ", ";
+    w << "{\"id\": " << s.id << ", \"finish\": " << s.finish
+      << ", \"threshold\": " << s.threshold << ", \"chunks\": [";
     for (std::size_t c = 0; c < s.causal_chunks.size(); ++c) {
-      if (c > 0) out += ", ";
-      out += std::to_string(s.causal_chunks[c]);
+      if (c > 0) w << ", ";
+      w << s.causal_chunks[c];
     }
-    out += "]}";
+    w << "]}";
   }
-  return out + "]";
+  w << ']';
 }
 
-std::string imbalance_rows(const std::string& label, const ImbalanceStats& s) {
-  return "<tr><td>" + label + " degree of imbalance</td><td>" +
-         format_double(s.degree_of_imbalance) + "</td></tr>\n<tr><td>" + label +
-         " CV</td><td>" + format_double(s.cv) + "</td></tr>\n<tr><td>" + label +
-         " Gini</td><td>" + format_double(s.gini) + "</td></tr>\n<tr><td>" +
-         label + " peak / mean</td><td>" + format_double(s.peak_over_mean) +
-         "</td></tr>\n";
+void write_imbalance_rows(SinkWriter& w, const char* label, const ImbalanceStats& s) {
+  w << "<tr><td>" << label << " degree of imbalance</td><td>" << s.degree_of_imbalance
+    << "</td></tr>\n<tr><td>" << label << " CV</td><td>" << s.cv
+    << "</td></tr>\n<tr><td>" << label << " Gini</td><td>" << s.gini
+    << "</td></tr>\n<tr><td>" << label << " peak / mean</td><td>" << s.peak_over_mean
+    << "</td></tr>\n";
 }
 
-std::string straggler_rows(const std::string& label,
-                           const std::vector<Straggler>& list) {
-  std::string out = "<tr><td>";
-  out += label;
-  out += "</td><td>";
-  out += std::to_string(list.size());
+void write_straggler_rows(SinkWriter& w, const char* label,
+                          const std::vector<Straggler>& list) {
+  w << "<tr><td>" << label << "</td><td>" << list.size();
   if (!list.empty()) {
-    out += " (";
+    w << " (";
     for (std::size_t i = 0; i < list.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += '#';
-      out += std::to_string(list[i].id);
+      if (i > 0) w << ", ";
+      w << '#' << list[i].id;
     }
-    out += ")";
+    w << ')';
   }
-  out += "</td></tr>\n";
-  return out;
+  w << "</td></tr>\n";
 }
 
 }  // namespace
@@ -151,52 +138,48 @@ void ReportBuilder::add_method(MethodReport method) {
 }
 
 std::string ReportBuilder::html() const {
-  std::string out =
-      "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n"
-      "<title>opass run report</title>\n<style>\n"
-      "body { font-family: system-ui, sans-serif; margin: 2rem; color: #222; }\n"
-      "section { margin-bottom: 2.5rem; }\n"
-      "figure { margin: 1rem 0; }\n"
-      "figcaption { font-weight: 600; margin-bottom: 0.25rem; }\n"
-      "svg { width: 100%; max-width: 640px; height: 160px; display: block;\n"
-      "      border: 1px solid #ccc; background: #fafafa; color: #0b62a4; }\n"
-      ".axis, .missing { color: #666; font-size: 0.85rem; margin: 0.25rem 0; }\n"
-      "table { border-collapse: collapse; }\n"
-      "td { border: 1px solid #ccc; padding: 0.25rem 0.75rem; }\n"
-      "</style>\n</head>\n<body>\n<h1>opass run report</h1>\n";
+  std::string out;
+  SinkWriter w(out);
+  w << "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n"
+       "<title>opass run report</title>\n<style>\n"
+       "body { font-family: system-ui, sans-serif; margin: 2rem; color: #222; }\n"
+       "section { margin-bottom: 2.5rem; }\n"
+       "figure { margin: 1rem 0; }\n"
+       "figcaption { font-weight: 600; margin-bottom: 0.25rem; }\n"
+       "svg { width: 100%; max-width: 640px; height: 160px; display: block;\n"
+       "      border: 1px solid #ccc; background: #fafafa; color: #0b62a4; }\n"
+       ".axis, .missing { color: #666; font-size: 0.85rem; margin: 0.25rem 0; }\n"
+       "table { border-collapse: collapse; }\n"
+       "td { border: 1px solid #ccc; padding: 0.25rem 0.75rem; }\n"
+       "</style>\n</head>\n<body>\n<h1>opass run report</h1>\n";
   for (const MethodReport& m : methods_) {
     const TimelineRecorder& t = *m.timeline;
-    out += "<section id=\"method-" + m.name + "\">\n<h2>" + m.name + "</h2>\n";
-    out += "<table>\n";
-    out += "<tr><td>makespan</td><td>" + format_double(m.makespan) + " s</td></tr>\n";
-    out += "<tr><td>local read fraction</td><td>" + format_double(m.local_fraction) +
-           "</td></tr>\n";
-    out += imbalance_rows("serve bytes", m.analytics.serve_bytes);
-    out += imbalance_rows("process finish", m.analytics.process_finish);
-    out += straggler_rows("straggler nodes", m.analytics.straggler_nodes);
-    out += straggler_rows("straggler processes", m.analytics.straggler_processes);
-    if (t.dropped_ticks() > 0) {
-      out += "<tr><td>dropped ticks (ring wrap)</td><td>" +
-             std::to_string(t.dropped_ticks()) + "</td></tr>\n";
-    }
-    out += "</table>\n";
+    w << "<section id=\"method-" << m.name << "\">\n<h2>" << m.name << "</h2>\n"
+      << "<table>\n<tr><td>makespan</td><td>" << m.makespan << " s</td></tr>\n"
+      << "<tr><td>local read fraction</td><td>" << m.local_fraction << "</td></tr>\n";
+    write_imbalance_rows(w, "serve bytes", m.analytics.serve_bytes);
+    write_imbalance_rows(w, "process finish", m.analytics.process_finish);
+    write_straggler_rows(w, "straggler nodes", m.analytics.straggler_nodes);
+    write_straggler_rows(w, "straggler processes", m.analytics.straggler_processes);
+    if (t.dropped_ticks() > 0)
+      w << "<tr><td>dropped ticks (ring wrap)</td><td>" << t.dropped_ticks() << "</td></tr>\n";
+    w << "</table>\n";
     if (m.spans != nullptr && !m.spans->empty()) {
       // Bottleneck attribution: where the (top-level) span time went, per
       // causal bucket and per blamed node — the DESIGN.md §13 breakdown.
       const AttributionTotals totals = attribute_spans(*m.spans, m.node_count);
-      out += "<h3>bottleneck attribution</h3>\n<table>\n";
+      w << "<h3>bottleneck attribution</h3>\n<table>\n";
       for (std::size_t k = 0; k < kAttrKindCount; ++k) {
         if (totals.kind_ticks[k] == 0) continue;
         const double share = totals.total_ticks > 0
                                  ? static_cast<double>(totals.kind_ticks[k]) /
                                        static_cast<double>(totals.total_ticks)
                                  : 0.0;
-        out += std::string("<tr><td>") + attr_kind_name(static_cast<AttrKind>(k)) +
-               "</td><td>" +
-               format_double(static_cast<double>(totals.kind_ticks[k]) * 1e-9) +
-               " s</td><td>" + format_double(100.0 * share) + "%</td></tr>\n";
+        w << "<tr><td>" << attr_kind_name(static_cast<AttrKind>(k)) << "</td><td>"
+          << SpanLog::seconds(totals.kind_ticks[k]) << " s</td><td>" << 100.0 * share
+          << "%</td></tr>\n";
       }
-      out += "</table>\n";
+      w << "</table>\n";
       std::vector<std::size_t> nodes;
       for (std::size_t n = 0; n < totals.node_ticks.size(); ++n)
         if (totals.node_ticks[n] > 0) nodes.push_back(n);
@@ -205,66 +188,61 @@ std::string ReportBuilder::html() const {
       });
       if (nodes.size() > 8) nodes.resize(8);
       if (!nodes.empty()) {
-        out += "<h3>top blamed nodes</h3>\n<table>\n";
+        w << "<h3>top blamed nodes</h3>\n<table>\n";
         for (std::size_t n : nodes)
-          out += "<tr><td>node " + std::to_string(n) + "</td><td>" +
-                 format_double(static_cast<double>(totals.node_ticks[n]) * 1e-9) +
-                 " s</td></tr>\n";
-        out += "</table>\n";
+          w << "<tr><td>node " << n << "</td><td>" << SpanLog::seconds(totals.node_ticks[n])
+            << " s</td></tr>\n";
+        w << "</table>\n";
       }
     }
-    out += svg_chart("chart-" + m.name + "-serve-bytes",
-                     "cluster serve rate (bytes/s)", t,
-                     "timeline.cluster.serve_bytes_per_s");
-    out += svg_chart("chart-" + m.name + "-queue-depth",
-                     "executor queue depth (in-flight ops)", t,
-                     "timeline.executor.queue_depth");
-    out += svg_chart("chart-" + m.name + "-bytes-remaining", "bytes remaining", t,
-                     "timeline.cluster.bytes_remaining");
-    out += "</section>\n";
+    write_svg_chart(w, m.name, "serve-bytes", "cluster serve rate (bytes/s)", t,
+                    "timeline.cluster.serve_bytes_per_s");
+    write_svg_chart(w, m.name, "queue-depth", "executor queue depth (in-flight ops)", t,
+                    "timeline.executor.queue_depth");
+    write_svg_chart(w, m.name, "bytes-remaining", "bytes remaining", t,
+                    "timeline.cluster.bytes_remaining");
+    w << "</section>\n";
   }
-  out += "</body>\n</html>\n";
+  w << "</body>\n</html>\n";
   return out;
 }
 
 std::string ReportBuilder::timeline_json() const {
-  std::string out = "{\"schema\": 1, \"methods\": [";
+  std::string out;
+  SinkWriter w(out);
+  w << "{\"schema\": 1, \"methods\": [";
   for (std::size_t mi = 0; mi < methods_.size(); ++mi) {
     const MethodReport& m = methods_[mi];
     const TimelineRecorder& t = *m.timeline;
-    out += mi > 0 ? ",\n" : "\n";
-    out += " {\"name\": \"" + m.name + "\"";
-    out += ", \"interval\": " + format_double(t.interval());
-    out += ", \"end_time\": " + format_double(t.end_time());
-    out += ", \"partial_duration\": " + format_double(t.partial_duration());
-    out += ", \"tick_count\": " + std::to_string(t.tick_count());
-    out += ", \"dropped_ticks\": " + std::to_string(t.dropped_ticks());
-    out += ", \"makespan\": " + format_double(m.makespan);
-    out += ", \"local_fraction\": " + format_double(m.local_fraction);
-    out += ",\n  \"analytics\": {\"serve_bytes\": " +
-           imbalance_json(m.analytics.serve_bytes) +
-           ", \"process_finish\": " + imbalance_json(m.analytics.process_finish) +
-           ", \"node_finish_p90\": " + format_double(m.analytics.node_finish_p90) +
-           ", \"process_finish_p90\": " +
-           format_double(m.analytics.process_finish_p90) +
-           ", \"straggler_nodes\": " + stragglers_json(m.analytics.straggler_nodes) +
-           ", \"straggler_processes\": " +
-           stragglers_json(m.analytics.straggler_processes) + "}";
-    out += ",\n  \"series\": [";
+    w << (mi > 0 ? ",\n" : "\n") << " {\"name\": \"" << m.name
+      << "\", \"interval\": " << t.interval() << ", \"end_time\": " << t.end_time()
+      << ", \"partial_duration\": " << t.partial_duration()
+      << ", \"tick_count\": " << t.tick_count() << ", \"dropped_ticks\": " << t.dropped_ticks()
+      << ", \"makespan\": " << m.makespan << ", \"local_fraction\": " << m.local_fraction
+      << ",\n  \"analytics\": {\"serve_bytes\": ";
+    write_imbalance_json(w, m.analytics.serve_bytes);
+    w << ", \"process_finish\": ";
+    write_imbalance_json(w, m.analytics.process_finish);
+    w << ", \"node_finish_p90\": " << m.analytics.node_finish_p90
+      << ", \"process_finish_p90\": " << m.analytics.process_finish_p90
+      << ", \"straggler_nodes\": ";
+    write_stragglers_json(w, m.analytics.straggler_nodes);
+    w << ", \"straggler_processes\": ";
+    write_stragglers_json(w, m.analytics.straggler_processes);
+    w << "},\n  \"series\": [";
     for (TimelineRecorder::SeriesId id = 0; id < t.series_count(); ++id) {
-      out += id > 0 ? ",\n   " : "\n   ";
-      out += "{\"name\": \"" + t.series_name(id) + "\", \"kind\": \"" +
-             series_kind_name(t.series_kind(id)) + "\", \"values\": [";
+      w << (id > 0 ? ",\n   " : "\n   ") << "{\"name\": \"" << t.series_name(id)
+        << "\", \"kind\": \"" << series_kind_name(t.series_kind(id)) << "\", \"values\": [";
       const std::vector<double> values = t.series_values(id);
       for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += format_double(values[i]);
+        if (i > 0) w << ", ";
+        w << values[i];
       }
-      out += "]}";
+      w << "]}";
     }
-    out += "]}";
+    w << "]}";
   }
-  out += "\n]}\n";
+  w << "\n]}\n";
   return out;
 }
 

@@ -10,8 +10,8 @@
 // tools/bench_compare.py.
 //
 // Determinism contract: both renderers iterate methods in add order and
-// series in registration order, and format every double through
-// obs::format_double — a seeded run writes byte-identical artifacts (the
+// series in registration order, and write every number through
+// obs::SinkWriter — a seeded run writes byte-identical artifacts (the
 // `cli_report_deterministic` ctest entry asserts this).
 #pragma once
 

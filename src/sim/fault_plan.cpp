@@ -372,6 +372,9 @@ void FaultInjector::start_rebalance(Seconds now, std::uint32_t tolerance) {
     std::sort(inv[n].begin(), inv[n].end());
   }
 
+  // As in NameNode::balance, a tolerance of 0 means 1: a spread of exactly
+  // 1 cannot shrink, and every further pass would enqueue another copy.
+  const std::size_t spread = std::max<std::uint32_t>(tolerance, 1);
   const std::uint32_t drive = static_cast<std::uint32_t>(drives_.size());
   drives_.push_back({dfs::kInvalidNode, MembershipEvent::kRebalanceComplete, 0});
   for (;;) {
@@ -382,7 +385,7 @@ void FaultInjector::start_rebalance(Seconds now, std::uint32_t tolerance) {
       if (lo == dfs::kInvalidNode || inv[n].size() < inv[lo].size()) lo = n;
     }
     if (hi == dfs::kInvalidNode || lo == dfs::kInvalidNode) break;
-    if (inv[hi].size() <= inv[lo].size() + tolerance) break;
+    if (inv[hi].size() <= inv[lo].size() + spread) break;
 
     // Smallest movable chunk id on hi that lo lacks.
     dfs::ChunkId moved = dfs::kInvalidNode;

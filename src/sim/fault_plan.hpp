@@ -79,6 +79,8 @@ struct FaultEvent {
   dfs::NodeId node = dfs::kInvalidNode;
   double factor = 1.0;
   dfs::RackId rack = 0;
+  /// Rebalance stops once max - min replicas per node is at most this. 0
+  /// and 1 both mean "within one replica": a spread of 1 cannot shrink.
   std::uint32_t tolerance = 1;
 };
 

@@ -154,6 +154,23 @@ TEST(NameNode, BalanceTightensSpread) {
   nn.check_invariants();
 }
 
+TEST(NameNode, BalanceToleranceZeroStopsWithinOneReplica) {
+  // 25 two-replica files on 8 nodes: 50 replicas cannot level to a spread of
+  // 0, and at a spread of 1 a move only swaps which node is heavier, so
+  // tolerance 0 has to stop at 1 instead of looping forever.
+  auto nn = make_nn(8, 2);
+  HdfsDefaultPlacement policy;
+  Rng rng(17);
+  for (int i = 0; i < 25; ++i)
+    nn.create_file("f" + std::to_string(i), kDefaultChunkSize, policy, rng, /*writer=*/0);
+
+  EXPECT_GT(nn.balance(rng, 0), 0u);
+  const auto counts = nn.node_chunk_counts();
+  const auto [lo, hi] = std::minmax_element(counts.begin(), counts.end());
+  EXPECT_EQ(*hi - *lo, 1u);
+  nn.check_invariants();
+}
+
 TEST(NameNode, BalanceNoopOnEvenLayout) {
   auto nn = make_nn(4, 2);
   RoundRobinPlacement policy;

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/experiment.hpp"
 
@@ -119,6 +120,46 @@ TEST(ChromeTrace, CounterEventsRenderWithoutDurations) {
   EXPECT_NE(json.find("\"args\": {\"value\": 1.5}"), std::string::npos);
   EXPECT_THROW(builder.add_counter(0, "timeline.cluster.inflight", -1.0, 0),
                std::invalid_argument);
+}
+
+TEST(ChromeTrace, TiesOnTimeAndTrackSortByRenderedName) {
+  // Events at one (ts, pid, tid) order by their rendered names compared as
+  // strings, so "read chunk 10" precedes "read chunk 9"; equal names keep
+  // their add order.
+  runtime::ExecutionResult raw;
+  raw.task_spans.push_back({/*process=*/0, /*task=*/3, /*start=*/1.0, /*end=*/2.0});
+  sim::ReadRecord r;
+  r.issue_time = 1.0;
+  r.end_time = 1.5;
+  r.chunk = 9;
+  r.bytes = 64;
+  r.serving_node = 5;
+  raw.trace.add(r);
+  r.chunk = 10;
+  r.local = true;
+  raw.trace.add(r);
+  ChromeTraceBuilder builder;
+  builder.add_execution(raw, /*pid=*/0);
+  builder.add_counter(0, "b", 1e6, 2);
+  builder.add_counter(0, "a", 1e6, 1);
+  builder.add_counter(0, "b", 1e6, 3);
+  const std::string json = builder.json();
+
+  const std::vector<std::string> order = {
+      "\"name\": \"a\"", "\"args\": {\"value\": 2}", "\"args\": {\"value\": 3}",
+      "\"name\": \"read chunk 10\"", "\"name\": \"read chunk 9\"", "\"name\": \"task 3\""};
+  std::size_t at = 0;
+  for (const std::string& needle : order) {
+    const std::size_t found = json.find(needle, at);
+    ASSERT_NE(found, std::string::npos) << needle << " out of order in\n" << json;
+    at = found;
+  }
+  EXPECT_NE(json.find("\"name\": \"read chunk 9\", \"cat\": \"read\", \"ph\": \"X\", "
+                      "\"ts\": 1000000, \"dur\": 500000, \"pid\": 0, \"tid\": 0, \"args\": "
+                      "{\"chunk\": 9, \"bytes\": 64, \"server\": 5, \"local\": false}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"chunk\": 10, \"bytes\": 64, \"server\": 5, \"local\": true}"),
+            std::string::npos);
 }
 
 TEST(ChromeTrace, ConvenienceWrapperMatchesBuilder) {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "obs/metrics_io.hpp"
 
 namespace opass::obs {
@@ -151,6 +158,103 @@ TEST(MetricsIo, CsvFlattensHistograms) {
 TEST(MetricsIo, FormatDoubleNormalizesNegativeZero) {
   EXPECT_EQ(format_double(-0.0), "0");
   EXPECT_EQ(format_double(0.25), "0.25");
+}
+
+// --- SinkWriter parity ----------------------------------------------------
+
+/// The format every deterministic sink has always used, kept here as the
+/// oracle for SinkWriter's std::to_chars path: "%.9g" with "-0" shown as "0".
+std::string printf_double(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  const std::string s = buf;
+  return s == "-0" ? "0" : s;
+}
+
+std::string written(double v) {
+  std::string s;
+  SinkWriter(s) << v;
+  return s;
+}
+
+template <typename T>
+std::string written_int(T v) {
+  std::string s;
+  SinkWriter(s) << v;
+  return s;
+}
+
+TEST(SinkWriter, DoublesMatchPrintfOnEdgeValues) {
+  using limits = std::numeric_limits<double>;
+  const std::vector<double> edges = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1.0 / 3.0, 2.0 / 3.0,
+      limits::infinity(), -limits::infinity(), limits::quiet_NaN(),
+      limits::max(), -limits::max(), limits::min(), -limits::min(),
+      limits::denorm_min(), -limits::denorm_min(), limits::epsilon(),
+      // Where %g switches between fixed and exponent notation.
+      1e-5, 9.99999999e-5, 1e-4, 0.000123456789, 123456789.0, 999999999.0,
+      999999999.5, 1e9, 1234567890.0, 9.9999999949, 9.9999999951,
+      // Rounding at the ninth significant digit.
+      0.1234567895, 1.0000000005, 2.5e-7, 4096.0 / 3.0, 1e15, 1e21, 1e-300,
+      // Typical sink values: tick-derived seconds, trace microseconds,
+      // percentages and rates.
+      16908400000 * 1e-9, 2180333333 * 1e-9, 4797259259 * 1e-3, 0.25 * 1e6,
+      100.0 * 5333487622 / 16908400000, 67108864.0 / 2.180333333};
+  for (const double v : edges) {
+    EXPECT_EQ(written(v), printf_double(v)) << "bits " << std::bit_cast<std::uint64_t>(v);
+    EXPECT_EQ(format_double(v), printf_double(v));
+  }
+}
+
+TEST(SinkWriter, DoublesMatchPrintfOnRandomBitsAndScaledValues) {
+  Rng rng(2024);
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  const auto check = [&](double v) {
+    const std::string got = written(v);
+    const std::string want = printf_double(v);
+    if (got != want && mismatches++ == 0) first_mismatch = got + " vs " + want;
+  };
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Any bit pattern: every exponent, subnormals, infinities and NaNs.
+    check(std::bit_cast<double>(rng()));
+  }
+  for (int i = 0; i < 200'000; ++i) {
+    // Integer ticks shown as seconds, and seconds shown as trace
+    // microseconds, over the range a run produces.
+    check(static_cast<double>(rng.uniform(std::uint64_t{1} << 50)) * 1e-9);
+    check(rng.uniform01() * 1e4 * 1e6);
+    check(-rng.uniform01() * std::pow(10.0, static_cast<double>(rng.uniform(40)) - 20));
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
+}
+
+TEST(SinkWriter, IntegersMatchToString) {
+  using u64 = std::numeric_limits<std::uint64_t>;
+  using i64 = std::numeric_limits<std::int64_t>;
+  for (const std::uint64_t v : {u64::min(), std::uint64_t{1}, std::uint64_t{9},
+                                std::uint64_t{10}, std::uint64_t{UINT32_MAX},
+                                std::uint64_t{10'000'000'000'000'000'000u}, u64::max() - 1,
+                                u64::max()})
+    EXPECT_EQ(written_int(v), std::to_string(v));
+  for (const std::int64_t v : {i64::min(), i64::min() + 1, std::int64_t{-1}, std::int64_t{0},
+                               std::int64_t{1}, i64::max() - 1, i64::max()})
+    EXPECT_EQ(written_int(v), std::to_string(v));
+  EXPECT_EQ(written_int(std::uint32_t{UINT32_MAX}), "4294967295");
+  EXPECT_EQ(written_int(-7), "-7");
+  Rng rng(7);
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint64_t bits = rng();
+    EXPECT_EQ(written_int(bits), std::to_string(bits));
+    EXPECT_EQ(written_int(static_cast<std::int64_t>(bits)),
+              std::to_string(static_cast<std::int64_t>(bits)));
+  }
+}
+
+TEST(SinkWriter, EscapesJsonStrings) {
+  std::string s;
+  SinkWriter(s).escaped("a\"b\\c\nd\te\x01\x1f");
+  EXPECT_EQ(s, "a\\\"b\\\\c\\nd\\te\\u0001\\u001f");
 }
 
 TEST(MetricsIo, CsvQuotesAdversarialLabels) {

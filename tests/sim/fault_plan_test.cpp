@@ -260,6 +260,28 @@ TEST_F(InjectorFixture, RebalanceLevelsWithinTolerance) {
   nn->check_invariants();
 }
 
+TEST_F(InjectorFixture, RebalanceToleranceZeroStopsWithinOneReplica) {
+  // 49 two-replica chunks on 8 nodes: 98 replicas cannot level to a spread
+  // of 0. Tolerance 0 has to stop at 1 instead of planning (and enqueueing a
+  // copy for) one more swap forever.
+  build(/*replication=*/2, /*chunks=*/49);
+  FaultPlan plan;
+  auto ev = make_event(1.0, FaultKind::kRebalance, dfs::kInvalidNode);
+  ev.tolerance = 0;
+  plan.events.push_back(ev);
+  const auto stats = run_plan(plan);
+
+  EXPECT_EQ(stats.rebalances, 1u);
+  std::size_t lo = SIZE_MAX, hi = 0;
+  for (dfs::NodeId n = 0; n < kNodes; ++n) {
+    const auto held = nn->chunks_on_node(n).size();
+    lo = std::min(lo, held);
+    hi = std::max(hi, held);
+  }
+  EXPECT_EQ(hi - lo, 1u);
+  nn->check_invariants();
+}
+
 TEST_F(InjectorFixture, JoinedNodeAbsorbsRebalancedReplicas) {
   build(/*replication=*/2, /*chunks=*/48);
   FaultPlan plan;

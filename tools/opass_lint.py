@@ -88,6 +88,14 @@ Rules (all scoped to src/ unless noted):
                     the Probe they are given, and a consumer that needs more
                     reads the emitter's accessors, so a new emitter or sink
                     adds an event kind, not an interface.
+  sink-writer       The four sink renderers (src/obs/metrics_io.cpp,
+                    chrome_trace.cpp, attribution.cpp and report.cpp) write
+                    every number through obs::SinkWriter (std::to_chars into
+                    the caller's string). `std::to_string(`, `snprintf(` and
+                    `+ format_double(` there build a temporary string per
+                    field, which is what made the sinks slow. fault_log.cpp
+                    is out of scope: its instant labels keep the pinned
+                    std::to_string(double) format.
 
 Usage:
   opass_lint.py <repo-root>     lint the tree rooted there (exit 1 on findings)
@@ -182,6 +190,18 @@ PURE_VIRTUAL_ON = re.compile(
     r"\bvirtual\b[^;{}]*?\b(on_\w+)\s*\([^;{}]*\)[^;{}=]*=\s*0\s*;")
 # The one file allowed to declare an observer interface.
 ONE_PROBE_HOME = "src/common/probe.hpp"
+# Per-field string formatting in a sink renderer: each builds a temporary
+# std::string instead of writing through obs::SinkWriter.
+SINK_FORMAT = re.compile(
+    r"\bstd\s*::\s*to_string\s*\(|(?<![\w])(?:std\s*::\s*)?snprintf\s*\("
+    r"|\+\s*(?:obs\s*::\s*)?format_double\s*\(")
+# The renderers sink-writer covers.
+SINK_RENDERERS = (
+    "src/obs/metrics_io.cpp",
+    "src/obs/chrome_trace.cpp",
+    "src/obs/attribution.cpp",
+    "src/obs/report.cpp",
+)
 # Raw threading vocabulary. std::atomic covers std::atomic<T>, the _flag /
 # _bool /... aliases and the free atomic_* functions via the \w* tail.
 RAW_THREAD = re.compile(
@@ -437,6 +457,17 @@ def check_one_probe(path: pathlib.Path, root: pathlib.Path, text: str, findings:
                     f"of {ONE_PROBE_HOME} and add an event kind instead"))
 
 
+def check_sink_writer(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
+    if path.relative_to(root).as_posix() not in SINK_RENDERERS:
+        return
+    for m in SINK_FORMAT.finditer(scrub(text)):
+        findings.append(
+            Finding(path, _line_of(text, m.start()), "sink-writer",
+                    f"'{' '.join(m.group(0).split())}' formats a field into a temporary "
+                    "string; write it through obs::SinkWriter "
+                    "(obs/metrics_io.hpp), which appends with std::to_chars"))
+
+
 def check_nodiscard_status(path: pathlib.Path, src_root: pathlib.Path, text: str, findings: list):
     if path.suffix != ".hpp" or "obs" not in path.relative_to(src_root).parts[:1]:
         return
@@ -476,6 +507,7 @@ def lint_tree(root: pathlib.Path) -> list:
         check_no_raw_thread(path, root, text, findings)
         check_facade_only(path, root, text, findings)
         check_one_probe(path, root, text, findings)
+        check_sink_writer(path, root, text, findings)
     check_single_pipeline(root, texts, findings)
     # bench/, examples/ and tests/ consume the planner API, so only the
     # API-usage rule applies there.
@@ -570,6 +602,14 @@ _VIOLATIONS = {
         "  virtual ~ReadProbe() = default;\n"
         "  virtual void on_read_issued(double now, unsigned server) const = 0;\n"
         "};\n",
+    ),
+    "sink-writer": (
+        "obs/chrome_trace.cpp",
+        "#include <string>\n"
+        "std::string args(unsigned long chunk, double value) {\n"
+        "  return \"{\\\"chunk\\\": \" + std::to_string(chunk) +\n"
+        "         \", \\\"value\\\": \" + format_double(value) + \"}\";\n"
+        "}\n",
     ),
     "pq-top-copy": (
         "bad_top_copy.cpp",
@@ -727,6 +767,23 @@ _CLEANS = (
         "  virtual void on_idle() {}\n"
         "  virtual int next_task(int process) = 0;\n"
         "};\n",
+    ),
+    (
+        # What sink-writer must NOT flag in a renderer: writing through
+        # SinkWriter, and prose or string mentions of the banned calls.
+        "obs/attribution.cpp",
+        '#include "obs/metrics_io.hpp"\n'
+        "// Not std::to_string(v) or snprintf(buf, n, fmt, v) + format_double(x).\n"
+        "void row(std::string& out, long ticks, double share) {\n"
+        "  SinkWriter(out) << \"std::to_string(\" << ticks << ' ' << share;\n"
+        "}\n",
+    ),
+    (
+        # Outside the four renderers the rule does not apply: the fault log's
+        # instant labels keep their pinned std::to_string(double) format.
+        "obs/fault_log.cpp",
+        "#include <string>\n"
+        "std::string label(double factor) { return \"x\" + std::to_string(factor); }\n",
     ),
     (
         # Reference bindings from .top() are the compliant spelling pq-top-copy

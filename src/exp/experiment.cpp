@@ -40,23 +40,31 @@ PlannedScenario make_layout(const ExperimentConfig& cfg, Rng& placement_rng, Sto
   return sc;
 }
 
+/// A method's static assignment, with the profile core::plan() scored it
+/// with (none for the baseline, which is not planned).
+struct Assigned {
+  runtime::Assignment assignment;
+  std::optional<core::AssignmentStats> stats;
+};
+
 /// Step 2: the method's static assignment of `tasks` — the rank-interval
 /// baseline, or the Opass planner `kind` through the core::plan() facade
 /// (whose counters accumulate in "opass.planner" across ParaView's per-step
 /// plans; gauges keep the last step's value).
-runtime::Assignment assign(const ExperimentConfig& cfg, Method method, core::PlannerKind kind,
-                           const dfs::NameNode& nn, const std::vector<runtime::Task>& tasks,
-                           const core::ProcessPlacement& placement, Rng& rng,
-                           graph::FlowWorkspace* workspace = nullptr) {
+Assigned assign(const ExperimentConfig& cfg, Method method, core::PlannerKind kind,
+                const dfs::NameNode& nn, const std::vector<runtime::Task>& tasks,
+                const core::ProcessPlacement& placement, Rng& rng,
+                graph::FlowWorkspace* workspace = nullptr) {
   if (method == Method::kBaseline)
-    return runtime::rank_interval_assignment(static_cast<std::uint32_t>(tasks.size()),
-                                             static_cast<std::uint32_t>(placement.size()));
+    return {runtime::rank_interval_assignment(static_cast<std::uint32_t>(tasks.size()),
+                                              static_cast<std::uint32_t>(placement.size())),
+            std::nullopt};
   core::PlanOptions options;
   options.planner = kind;
   options.workspace = workspace;
   auto result = core::plan({&nn, &tasks, &placement, &rng}, options);
   if (cfg.metrics != nullptr) obs::collect_plan(*cfg.metrics, result, "opass.planner");
-  return std::move(result.assignment);
+  return {std::move(result.assignment), result.stats};
 }
 
 /// The tasks `ids` names, renumbered densely (position i holds task ids[i])
@@ -110,11 +118,14 @@ class Run {
   /// fold the phase into the run; returns its duration. The first phase is
   /// moved into the aggregate and later ones are appended, so the run's
   /// makespan is the sum of phase durations. `planned` (null when the
-  /// method has no plan) is scored after the phase runs, against the
-  /// namespace the phase left behind. Spans append against the phase's own
-  /// task table: ParaView's renumbered step ids would alias in the aggregate.
+  /// method has no plan) is scored against the namespace the phase left
+  /// behind: `scored`, the score core::plan() gave it, when no fault plan
+  /// is armed (nothing else changes the namespace), else a fresh
+  /// evaluate_assignment(). Spans append against the phase's own task table:
+  /// ParaView's renumbered step ids would alias in the aggregate.
   Seconds phase(const std::vector<runtime::Task>& tasks, runtime::TaskSource& source,
-                const runtime::Assignment* planned) {
+                const runtime::Assignment* planned,
+                const std::optional<core::AssignmentStats>& scored = std::nullopt) {
     const Seconds start = cluster_.simulator().now();
     timeline_.add_expected_bytes(runtime::total_task_bytes(nn_, tasks));
     auto exec = runtime::execute(cluster_, nn_, tasks, source, exec_rng_, ec_);
@@ -122,7 +133,9 @@ class Run {
     makespan_ += duration;
     if (cfg_.spans != nullptr) obs::append_execution_spans(*cfg_.spans, exec, tasks, cluster_);
     if (planned != nullptr) {
-      const auto stats = core::evaluate_assignment(nn_, tasks, *planned, placement_);
+      const auto stats = scored && cfg_.faults == nullptr
+                             ? *scored
+                             : core::evaluate_assignment(nn_, tasks, *planned, placement_);
       planned_.total_bytes += stats.total_bytes;
       planned_.local_bytes += stats.local_bytes;
     }
@@ -206,7 +219,7 @@ RunOutput run_planned(const ExperimentConfig& cfg, Method method, PlannedScenari
   Streams streams(cfg.seed);
   Run run(cfg, method, sc.nn, sc.placement, streams);
   runtime::StaticAssignmentSource source(sc.assignment);
-  run.phase(sc.tasks, source, &sc.assignment);
+  run.phase(sc.tasks, source, &sc.assignment, sc.stats);
   return run.finish();
 }
 
@@ -222,9 +235,11 @@ PlannedScenario plan_single_data(const ExperimentConfig& cfg, std::uint32_t chun
   auto sc = make_layout(cfg, streams.placement, [&](auto& nn, auto& policy, Rng& rng) {
     return workload::make_single_data_workload(nn, chunk_count, policy, rng);
   });
-  sc.assignment = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn, sc.tasks,
-                         sc.placement, streams.assign);
+  auto [assignment, stats] = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn,
+                                    sc.tasks, sc.placement, streams.assign);
+  sc.assignment = std::move(assignment);
   sc.single_data = true;
+  sc.stats = stats;
   return sc;
 }
 
@@ -234,8 +249,10 @@ PlannedScenario plan_multi_data(const ExperimentConfig& cfg, std::uint32_t task_
   auto sc = make_layout(cfg, streams.placement, [&](auto& nn, auto& policy, Rng& rng) {
     return workload::make_multi_input_workload(nn, task_count, policy, rng, spec);
   });
-  sc.assignment = assign(cfg, method, core::PlannerKind::kMultiData, sc.nn, sc.tasks,
-                         sc.placement, streams.assign);
+  auto [assignment, stats] = assign(cfg, method, core::PlannerKind::kMultiData, sc.nn,
+                                    sc.tasks, sc.placement, streams.assign);
+  sc.assignment = std::move(assignment);
+  sc.stats = stats;
   return sc;
 }
 
@@ -265,8 +282,9 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
   }
   // Opass: the matching-based guideline A*, consumed by the Section IV-D
   // master (own list first, then best-co-located steal from longest list).
-  sc.assignment = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn, sc.tasks,
-                         sc.placement, streams.assign);
+  auto [assignment, stats] = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn,
+                                    sc.tasks, sc.placement, streams.assign);
+  sc.assignment = std::move(assignment);
   core::OpassDynamicSource source(sc.assignment, sc.nn, sc.tasks, sc.placement);
   if (sim::FaultInjector* injector = run.injector()) {
     // Membership changes feed back into the scheduler (DESIGN.md §11): a
@@ -296,7 +314,7 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
           source.adopt_guideline(mapped);
         });
   }
-  run.phase(sc.tasks, source, &sc.assignment);
+  run.phase(sc.tasks, source, &sc.assignment, stats);
   auto out = run.finish();
   if (cfg.metrics != nullptr) obs::collect_dynamic(*cfg.metrics, source, "opass.dynamic");
   return out;
@@ -322,10 +340,11 @@ ParaViewOutput run_paraview(const ExperimentConfig& cfg, Method method,
   for (const auto& step : steps) {
     const auto step_tasks = subset(sc.tasks, step);
     // Opass inside ReadXMLData(): assign this step's pieces by matching.
-    const auto assignment = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn,
-                                   step_tasks, sc.placement, streams.assign, &workspace);
+    const auto [assignment, stats] = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn,
+                                            step_tasks, sc.placement, streams.assign,
+                                            &workspace);
     runtime::StaticAssignmentSource source(assignment);
-    out.step_times.push_back(run.phase(step_tasks, source, &assignment));
+    out.step_times.push_back(run.phase(step_tasks, source, &assignment, stats));
   }
   out.run = run.finish();
   out.total_time = out.run.makespan;
@@ -346,12 +365,13 @@ IterativeOutput run_iterative(const ExperimentConfig& cfg, std::uint32_t chunk_c
   Run run(cfg, method, sc.nn, sc.placement, streams);
   // The assignment is computed once, before the first epoch — for Opass this
   // is where the matching overhead is amortized across every epoch.
-  sc.assignment = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn, sc.tasks,
-                         sc.placement, streams.assign);
+  auto [assignment, stats] = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn,
+                                    sc.tasks, sc.placement, streams.assign);
+  sc.assignment = std::move(assignment);
   IterativeOutput out;
   for (std::uint32_t e = 0; e < epochs; ++e) {
     runtime::StaticAssignmentSource source(sc.assignment);
-    out.epoch_times.push_back(run.phase(sc.tasks, source, &sc.assignment));
+    out.epoch_times.push_back(run.phase(sc.tasks, source, &sc.assignment, stats));
   }
   out.run = run.finish();
   out.total_time = out.run.makespan;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -23,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "obs/timeline.hpp"
+#include "opass/assignment_stats.hpp"
 #include "opass/process_index.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/static_partitioner.hpp"
@@ -123,6 +125,9 @@ struct PlannedScenario {
   core::ProcessPlacement placement;
   runtime::Assignment assignment;
   bool single_data = false;  ///< every task reads exactly one chunk
+  /// The profile core::plan() scored `assignment` with; none for the
+  /// baseline, which is not planned.
+  std::optional<core::AssignmentStats> stats = std::nullopt;
 };
 
 /// Build (without simulating) the single-data scenario's plan.

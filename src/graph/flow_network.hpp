@@ -1,19 +1,24 @@
 // Residual flow network used by the Opass single-data assigner (the network of
-// paper Fig. 5) and by the max-flow algorithms in max_flow.hpp.
+// paper Fig. 5) and by the max-flow solver in max_flow.hpp.
 //
-// Storage is a compact CSR (compressed sparse row) arena: edges are paired
-// forward/reverse half-edge entries in flat arrays (the reverse of half-edge
-// h is h ^ 1), and adjacency is a counting-sorted index over half-edge ids,
-// built lazily on first residual query and rebuilt only after new edges are
-// added. There is no per-node std::vector, so a network is four flat arrays
-// plus the CSR index — cache-friendly to traverse and cheap to reuse:
-// clear() resets the network to empty while keeping every arena's capacity,
-// so repeated planning runs (dynamic/incremental replanning) allocate
-// nothing in steady state. Capacities are 64-bit so byte-granularity
-// networks (capacities up to the dataset size) are exact.
+// Storage is two sets of flat arrays. The build keeps one (tail, head,
+// capacity) entry per edge, in insertion order. The first residual query
+// turns them into arcs in CSR (compressed sparse row) order: a counting sort
+// by origin writes each edge's forward and reverse arc at its position in its
+// origin's row, with the arc's head, its residual capacity and its partner's
+// position side by side. A traversal therefore reads a node's arcs
+// sequentially, and each node's arcs keep insertion order (the forward arc of
+// an edge before its reverse), so solver paths are deterministic. Edge ids
+// stay dense in insertion order; an edge reaches its arcs through
+// forward_arc(). There is no per-node std::vector: clear() resets the network
+// to empty while keeping every array's capacity, so repeated planning runs
+// (dynamic/incremental replanning) allocate nothing in steady state.
+// Capacities are 64-bit so byte-granularity networks (capacities up to the
+// dataset size) are exact.
 #pragma once
 
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 #include "common/require.hpp"
@@ -21,15 +26,16 @@
 namespace opass::graph {
 
 using NodeIdx = std::uint32_t;
-using EdgeIdx = std::uint32_t;
+using EdgeIdx = std::uint32_t;  ///< dense edge id, in insertion order
+using ArcIdx = std::uint32_t;   ///< arc position, in CSR order
 using Cap = std::int64_t;
 
-/// Directed flow network with residual edges.
+/// Directed flow network with residual arcs.
 class FlowNetwork {
  public:
   explicit FlowNetwork(NodeIdx node_count = 0) : nodes_(node_count) {}
 
-  /// Reset to an empty `node_count`-node network, keeping the arenas'
+  /// Reset to an empty `node_count`-node network, keeping the arrays'
   /// capacity so a reused network reaches zero steady-state allocation.
   void clear(NodeIdx node_count = 0);
 
@@ -38,63 +44,80 @@ class FlowNetwork {
 
   NodeIdx node_count() const { return nodes_; }
 
-  /// Number of *forward* edges added via add_edge.
-  std::size_t edge_count() const { return to_.size() / 2; }
+  /// Number of edges added via add_edge.
+  std::size_t edge_count() const { return edge_cap_.size(); }
 
-  /// Add a directed edge u -> v with the given capacity (>= 0).
-  /// Returns the forward edge index (use with flow()/capacity()).
+  /// Add a directed edge u -> v with the given capacity (>= 0). Returns its
+  /// edge id (use with flow()/capacity()). Flows already routed through
+  /// earlier edges are kept.
   EdgeIdx add_edge(NodeIdx u, NodeIdx v, Cap capacity);
 
-  /// Flow currently routed through forward edge e (set by a max-flow run).
+  /// Flow currently routed through edge e (set by a max-flow run).
   Cap flow(EdgeIdx e) const;
 
-  /// Original capacity of forward edge e.
+  /// Original capacity of edge e.
   Cap capacity(EdgeIdx e) const;
 
-  /// Endpoints of forward edge e. The origin is recovered from the reverse
-  /// half-edge's target, so no separate from-array is stored.
-  NodeIdx edge_from(EdgeIdx e) const { return to_[e * 2 + 1]; }
-  NodeIdx edge_to(EdgeIdx e) const { return to_[e * 2]; }
+  /// Endpoints of edge e.
+  NodeIdx edge_from(EdgeIdx e) const { return edge_tail_[e]; }
+  NodeIdx edge_to(EdgeIdx e) const { return edge_head_[e]; }
 
   /// Reset all flows to zero (capacities preserved).
   void reset_flow();
 
   // --- residual-graph accessors used by the algorithms ---
 
-  /// Contiguous view over the half-edge ids leaving one node.
-  struct AdjacencyRange {
-    const EdgeIdx* first = nullptr;
-    const EdgeIdx* last = nullptr;
-    const EdgeIdx* begin() const { return first; }
-    const EdgeIdx* end() const { return last; }
-    std::size_t size() const { return static_cast<std::size_t>(last - first); }
-    EdgeIdx operator[](std::size_t i) const { return first[i]; }
-  };
+  /// The arc positions leaving one node, consecutive and in insertion order.
+  using ArcRange = std::ranges::iota_view<ArcIdx, ArcIdx>;
 
-  /// Half-edges (both directions) incident from u. Finalizes the CSR index
-  /// if edges were added since the last query.
-  AdjacencyRange residual_adjacency(NodeIdx u) const;
+  /// Arcs (forward edges and residual reverses) leaving u. Lays the arcs out
+  /// if edges or nodes were added since the last query.
+  ArcRange residual_adjacency(NodeIdx u) {
+    OPASS_REQUIRE(u < nodes_, "node index out of range");
+    if (!finalized_) finalize();
+    return ArcRange(offsets_[u], offsets_[u + 1]);
+  }
 
-  NodeIdx residual_to(EdgeIdx half_edge) const { return to_[half_edge]; }
-  Cap residual_capacity(EdgeIdx half_edge) const { return cap_[half_edge]; }
-  void push(EdgeIdx half_edge, Cap amount);
+  /// Position of edge e's forward arc (its reverse is partner() of it).
+  ArcIdx forward_arc(EdgeIdx e) {
+    OPASS_REQUIRE(e < edge_cap_.size(), "edge index out of range");
+    if (!finalized_) finalize();
+    return edge_arc_[e];
+  }
+
+  NodeIdx residual_to(ArcIdx a) const { return to_[a]; }
+  Cap residual_capacity(ArcIdx a) const { return residual_[a]; }
+  /// The arc in the opposite direction of the same edge.
+  ArcIdx partner(ArcIdx a) const { return partner_[a]; }
+
+  /// Route `amount` more flow through arc a (at most its residual capacity).
+  void push(ArcIdx a, Cap amount) {
+    OPASS_CHECK(a < residual_.size(), "arc out of range");
+    OPASS_CHECK(residual_[a] >= amount, "pushing more flow than residual capacity");
+    residual_[a] -= amount;
+    residual_[partner_[a]] += amount;
+  }
 
  private:
-  /// Build the CSR adjacency index (counting sort of half-edges by origin).
-  /// Lazily invoked from residual_adjacency; idempotent until the edge set
-  /// changes. The index is derived state, hence mutable.
-  void finalize() const;
+  /// Lay the edges added since the last layout out as arcs in CSR order
+  /// (counting sort by origin), moving the arcs laid out before, with their
+  /// flows, to make room.
+  void finalize();
 
   NodeIdx nodes_ = 0;
-  // Half-edge arrays: entry 2e is the forward direction of logical edge e,
-  // entry 2e+1 the residual reverse.
+  // Edges, in insertion order.
+  std::vector<NodeIdx> edge_tail_;
+  std::vector<NodeIdx> edge_head_;
+  std::vector<Cap> edge_cap_;
+  // Arcs, in CSR order: row u is [offsets_[u], offsets_[u + 1]).
   std::vector<NodeIdx> to_;
-  std::vector<Cap> cap_;        // residual capacities
-  std::vector<Cap> orig_cap_;   // original capacities (forward entries only meaningful)
-  mutable std::vector<EdgeIdx> csr_;             // half-edge ids grouped by origin
-  mutable std::vector<std::uint32_t> offsets_;   // nodes_ + 1 bucket boundaries
-  mutable std::vector<std::uint32_t> cursor_;    // counting-sort scratch
-  mutable bool finalized_ = false;
+  std::vector<Cap> residual_;
+  std::vector<ArcIdx> partner_;
+  std::vector<ArcIdx> edge_arc_;        ///< forward arc of each laid-out edge
+  std::vector<std::uint32_t> offsets_;  ///< nodes_ + 1 row boundaries
+  std::vector<std::uint32_t> cursor_;   ///< counting-sort scratch
+  EdgeIdx laid_out_ = 0;                ///< edges the arcs hold
+  bool finalized_ = false;
 };
 
 }  // namespace opass::graph

@@ -9,35 +9,33 @@ namespace {
 
 constexpr Cap kInf = std::numeric_limits<Cap>::max();
 
-void check_terminals(const FlowNetwork& net, NodeIdx s, NodeIdx t) {
-  OPASS_REQUIRE(s < net.node_count() && t < net.node_count(), "s/t out of range");
-  OPASS_REQUIRE(s != t, "source and sink must differ");
-}
-
-/// Dinic level graph: BFS from s over positive-residual edges. Returns true
-/// iff t is reachable.
+/// Dinic level graph: BFS from s over positive-residual arcs, stopping as
+/// soon as t is labelled. Returns true iff t is reachable.
 bool build_levels(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws) {
   ws.level.assign(net.node_count(), -1);
-  ws.queue.clear();
-  ws.queue.push_back(s);
+  ws.queue.resize(net.node_count());  // each node enters at most once
+  std::size_t tail = 0;
+  ws.queue[tail++] = s;
   ws.level[s] = 0;
-  for (std::size_t head = 0; head < ws.queue.size(); ++head) {
+  for (std::size_t head = 0; head < tail; ++head) {
     const NodeIdx u = ws.queue[head];
-    for (EdgeIdx h : net.residual_adjacency(u)) {
-      if (net.residual_capacity(h) <= 0) continue;
-      const NodeIdx v = net.residual_to(h);
+    const std::int32_t next = ws.level[u] + 1;
+    for (ArcIdx a : net.residual_adjacency(u)) {
+      if (net.residual_capacity(a) <= 0) continue;
+      const NodeIdx v = net.residual_to(a);
       if (ws.level[v] >= 0) continue;
-      ws.level[v] = ws.level[u] + 1;
-      ws.queue.push_back(v);
+      ws.level[v] = next;
+      if (v == t) return true;
+      ws.queue[tail++] = v;
     }
   }
-  return ws.level[t] >= 0;
+  return false;
 }
 
 /// One blocking flow over the current level graph, as an iterative DFS with
 /// the current-arc optimization: arc[u] persists across augmenting paths so
-/// every half-edge is inspected at most once per phase, and the explicit
-/// path stack keeps deep networks off the call stack.
+/// every arc is inspected at most once per phase, and the explicit path
+/// stack keeps deep networks off the call stack.
 Cap blocking_flow(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws) {
   Cap total = 0;
   ws.path.clear();
@@ -45,62 +43,54 @@ Cap blocking_flow(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws) {
   for (;;) {
     if (u == t) {
       Cap bottleneck = kInf;
-      for (EdgeIdx h : ws.path) bottleneck = std::min(bottleneck, net.residual_capacity(h));
-      for (EdgeIdx h : ws.path) net.push(h, bottleneck);
+      for (ArcIdx a : ws.path) bottleneck = std::min(bottleneck, net.residual_capacity(a));
+      for (ArcIdx a : ws.path) net.push(a, bottleneck);
       total += bottleneck;
-      // Retreat to the tail of the first saturated edge; the saturated arc
+      // Retreat to the tail of the first saturated arc; the saturated arc
       // is skipped by the advance scan below on the next iteration.
       std::size_t i = 0;
       while (i < ws.path.size() && net.residual_capacity(ws.path[i]) > 0) ++i;
       OPASS_CHECK(i < ws.path.size(), "augmenting path saturated no edge");
-      u = net.residual_to(ws.path[i] ^ 1);
+      u = net.residual_to(net.partner(ws.path[i]));
       ws.path.resize(i);
       continue;
     }
-    bool advanced = false;
+    // Scan u's arcs from its current arc for an admissible one; the cursor
+    // stays on the arc taken.
     const auto adj = net.residual_adjacency(u);
-    while (ws.arc[u] < adj.size()) {
-      const EdgeIdx h = adj[ws.arc[u]];
-      const NodeIdx v = net.residual_to(h);
-      if (net.residual_capacity(h) > 0 && ws.level[v] == ws.level[u] + 1) {
-        ws.path.push_back(h);
-        u = v;
-        advanced = true;
-        break;
-      }
-      ++ws.arc[u];
+    const std::int32_t next = ws.level[u] + 1;
+    std::uint32_t i = ws.arc[u];
+    while (i < adj.size() &&
+           (net.residual_capacity(adj[i]) <= 0 || ws.level[net.residual_to(adj[i])] != next))
+      ++i;
+    ws.arc[u] = i;
+    if (i < adj.size()) {
+      ws.path.push_back(adj[i]);
+      u = net.residual_to(adj[i]);
+      continue;
     }
-    if (advanced) continue;
     if (u == s) break;  // blocking flow complete
     ws.level[u] = -1;   // dead end: prune u from this phase
-    const EdgeIdx back = ws.path.back();
+    const ArcIdx back = ws.path.back();
     ws.path.pop_back();
-    u = net.residual_to(back ^ 1);
+    u = net.residual_to(net.partner(back));
     ++ws.arc[u];  // the arc into the dead end is spent
-  }
-  return total;
-}
-
-Cap run_dinic(FlowNetwork& net, NodeIdx s, NodeIdx t, FlowWorkspace& ws) {
-  Cap total = 0;
-  while (build_levels(net, s, t, ws)) {
-    ws.arc.assign(net.node_count(), 0);
-    total += blocking_flow(net, s, t, ws);
   }
   return total;
 }
 
 }  // namespace
 
-Cap dinic(FlowNetwork& net, NodeIdx s, NodeIdx t) {
-  check_terminals(net, s, t);
-  FlowWorkspace ws;
-  return run_dinic(net, s, t, ws);
-}
-
 Cap max_flow(FlowWorkspace& workspace, NodeIdx s, NodeIdx t) {
-  check_terminals(workspace.network, s, t);
-  return run_dinic(workspace.network, s, t, workspace);
+  FlowNetwork& net = workspace.network;
+  OPASS_REQUIRE(s < net.node_count() && t < net.node_count(), "s/t out of range");
+  OPASS_REQUIRE(s != t, "source and sink must differ");
+  Cap total = 0;
+  while (build_levels(net, s, t, workspace)) {
+    workspace.arc.assign(net.node_count(), 0);
+    total += blocking_flow(net, s, t, workspace);
+  }
+  return total;
 }
 
 }  // namespace opass::graph

@@ -5,9 +5,14 @@
 // the max-flow value (the count of locally matched tasks) and the integral
 // edge flows of one maximum flow, so any maximum-flow solver serves; Dinic
 // finishes the planner's shallow unit networks in a handful of phases. It
-// operates on FlowNetwork in place, leaving the final flow readable via
-// FlowNetwork::flow(edge). An independent BFS augmenting-path solver lives
-// with the tests (tests/support/) as the parity oracle.
+// operates on FlowNetwork in place, starting from whatever flow the network
+// already carries and leaving the final flow readable via
+// FlowNetwork::flow(edge). Each level-graph BFS stops as soon as it labels
+// t: every node on a shorter level is labelled by then, and no node at t's
+// level or beyond lies on a shortest augmenting path, so the blocking flow
+// augments the same paths and only skips dead ends. The tests keep an
+// independent BFS augmenting-path solver and the full-BFS Dinic this one
+// must match edge for edge (tests/support/) as oracles.
 //
 // FlowWorkspace bundles a reusable network arena with the solver's scratch
 // arrays. Planners that replan repeatedly (dynamic batches, incremental
@@ -31,14 +36,12 @@ struct FlowWorkspace {
   std::vector<std::int32_t> level;  ///< BFS level per node; -1 = unreached
   std::vector<std::uint32_t> arc;   ///< current-arc cursor per node
   std::vector<NodeIdx> queue;       ///< BFS frontier
-  std::vector<EdgeIdx> path;        ///< DFS path of half-edges
+  std::vector<ArcIdx> path;         ///< DFS path of arcs
 };
 
-/// Run Dinic from s to t on a standalone network; returns the max-flow value.
-Cap dinic(FlowNetwork& net, NodeIdx s, NodeIdx t);
-
-/// Workspace form: solve `workspace.network` in place, reusing the
-/// workspace's scratch arrays (no allocation once warm).
+/// Solve `workspace.network` from s to t in place, reusing the workspace's
+/// scratch arrays (no allocation once warm). Returns the flow added to what
+/// the network already carried: the max-flow value on a fresh network.
 Cap max_flow(FlowWorkspace& workspace, NodeIdx s, NodeIdx t);
 
 }  // namespace opass::graph

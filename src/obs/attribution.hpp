@@ -19,9 +19,9 @@
 //    totals sum exactly to the makespan they explain.
 //
 // Both render through SpanDocBuilder into schema-versioned JSON with
-// integer-tick arithmetic only — byte-identical across thread counts and
-// replays, which is what lets tools/span_diff.py explain a makespan
-// regression as an attribution delta.
+// integer-tick arithmetic only — byte-identical across replays, which is
+// what lets tools/span_diff.py explain a makespan regression as an
+// attribution delta.
 #pragma once
 
 #include <array>

@@ -13,9 +13,9 @@
 // last closes at its end — so slice durations sum *bit-exactly* to the span
 // duration (SpanLog::add enforces this; the spans_reconcile tests and the
 // cli_span_byte_identical ctest gate it end to end). Because the underlying doubles
-// are byte-identical across thread counts and replays (DESIGN.md §12), the
-// span log and everything derived from it (obs/attribution.hpp) exports
-// byte-identically too.
+// are byte-identical across replays (the program is single-threaded, DESIGN.md
+// §12), the span log and everything derived from it (obs/attribution.hpp)
+// exports byte-identically too.
 #pragma once
 
 #include <array>

@@ -1,5 +1,6 @@
 #include "opass/fig5.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/require.hpp"
@@ -39,7 +40,32 @@ std::vector<std::uint32_t> solve_fig5(graph::FlowWorkspace& ws,
     task_cap_total += edges.capacity(task);
   }
 
-  const graph::Cap flow = graph::max_flow(ws, s, t);
+  // Dinic's phase 0 on this fresh network has levels s = 0, processes 1,
+  // tasks 2 and t = 3, and its blocking flow is a process-major greedy: each
+  // process in s's arc order takes its tasks in its own arc order, skipping
+  // a task whose task -> t arc has no residual left, and pushes the minimum
+  // of the three residuals until its quota is spent. Running that loop on
+  // the arcs leaves the residual state phase 0 leaves, so graph::max_flow
+  // continues with phase 1 and finds the same flow.
+  graph::Cap flow = 0;
+  for (std::uint32_t p = 0; p < m; ++p) {
+    const graph::ArcIdx quota = net.forward_arc(p);
+    for (graph::ArcIdx a : net.residual_adjacency(proc0 + p)) {
+      if (net.residual_capacity(quota) <= 0) break;
+      const graph::NodeIdx task = net.residual_to(a);  // the row opens with p -> s
+      if (task < task0 || net.residual_capacity(a) <= 0) continue;
+      const graph::ArcIdx sink = net.forward_arc(locality_end + (task - task0));
+      const graph::Cap amount =
+          std::min({net.residual_capacity(quota), net.residual_capacity(a),
+                    net.residual_capacity(sink)});
+      if (amount <= 0) continue;
+      net.push(quota, amount);
+      net.push(a, amount);
+      net.push(sink, amount);
+      flow += amount;
+    }
+  }
+  flow += graph::max_flow(ws, s, t);
   OPASS_CHECK(flow >= 0 && flow <= task_cap_total, "max-flow value out of range");
 
   // Edge ids are dense in insertion order — s->p edges are [0, m), the

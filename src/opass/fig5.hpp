@@ -56,7 +56,9 @@ struct Fig5Edges {
 
 /// Build Fig. 5 over `task_count` tasks into `ws.network` — s -> p with
 /// `process_caps[p]`, the locality edges `emit_edges` adds in its own order,
-/// task -> t with the task's capacity — and solve it with graph::max_flow.
+/// task -> t with the task's capacity — and solve it with Dinic: phase 0 as
+/// the process-major greedy it is on this fresh network, then graph::max_flow
+/// from that residual state, so the flows are Dinic's edge for edge.
 /// A task's capacity is `task_caps[task]` (bytes, for the weighted planner),
 /// or 1 when `task_caps` is empty: the task units of equal-size chunks,
 /// which spare the unit planners a per-task array. Returns each task's

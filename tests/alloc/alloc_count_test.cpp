@@ -7,16 +7,23 @@
 // allocation per chunk and per read: replica lists, task inputs and flow
 // paths live inline, and the executor's read callback captures no record.
 // What remains is the amortized growth of per-node inventories, traces and
-// event heaps.
+// event heaps. Repeated planning allocates nothing once its arenas are warm
+// (DESIGN.md §5): a network rebuild and max-flow solve on a warm
+// FlowWorkspace allocate nothing, and a warm Fig. 5 solve allocates only the
+// owner vector it returns.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "dfs/namenode.hpp"
 #include "dfs/placement.hpp"
+#include "graph/max_flow.hpp"
+#include "opass/fig5.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/static_partitioner.hpp"
 #include "runtime/task.hpp"
@@ -135,6 +142,71 @@ TEST(AllocationCount, BaselineExecutionStaysBelowHalfAnAllocationPerRead) {
   const double per_read = static_cast<double>(allocations) / kChunks;
   RecordProperty("allocations_per_read", std::to_string(per_read));
   EXPECT_LT(per_read, 0.5) << allocations << " allocations for " << kChunks << " reads";
+}
+
+/// The Fig. 5 network of 8,192 tasks on 256 single-process nodes at r = 3:
+/// per-process quotas, then each task's replica holders in replica order.
+struct Fig5Instance {
+  std::vector<graph::Cap> quotas;
+  std::vector<dfs::ReplicaList> holders;
+
+  Fig5Instance() {
+    dfs::NameNode nn(dfs::Topology::single_rack(256), 3, kDefaultChunkSize);
+    Rng rng(9);
+    dfs::RandomPlacement policy;
+    const dfs::FileId file =
+        nn.create_file("dataset", Bytes{8192} * nn.chunk_size(), policy, rng);
+    for (dfs::ChunkId c : nn.file(file).chunks) holders.push_back(nn.chunk(c).replicas);
+    quotas.assign(256, 8192 / 256);
+  }
+
+  /// Rebuild the network into `ws`: s = 0, t = 1, processes, then tasks.
+  void build(graph::FlowWorkspace& ws) const {
+    const auto m = static_cast<graph::NodeIdx>(quotas.size());
+    const auto n = static_cast<graph::NodeIdx>(holders.size());
+    ws.network.clear(2 + m + n);
+    for (graph::NodeIdx p = 0; p < m; ++p) ws.network.add_edge(0, 2 + p, quotas[p]);
+    for (graph::NodeIdx task = 0; task < n; ++task)
+      for (dfs::NodeId node : holders[task]) ws.network.add_edge(2 + node, 2 + m + task, 1);
+    for (graph::NodeIdx task = 0; task < n; ++task) ws.network.add_edge(2 + m + task, 1, 1);
+  }
+};
+
+TEST(AllocationCount, WarmMaxFlowAllocatesNothing) {
+  const Fig5Instance instance;
+  graph::FlowWorkspace ws;
+  instance.build(ws);
+  const graph::Cap cold = graph::max_flow(ws, 0, 1);
+  std::size_t allocations = 0;
+  graph::Cap warm = 0;
+  {
+    AllocationCounter counter;
+    instance.build(ws);
+    warm = graph::max_flow(ws, 0, 1);
+    allocations = counter.count();
+  }
+  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST(AllocationCount, WarmFig5SolveAllocatesOnlyItsResult) {
+  const Fig5Instance instance;
+  const auto n = static_cast<std::uint32_t>(instance.holders.size());
+  const std::function<void(const core::Fig5Edges&)> emit = [&](const core::Fig5Edges& edge) {
+    for (std::uint32_t task = 0; task < n; ++task)
+      for (dfs::NodeId node : instance.holders[task]) edge(node, task);
+  };
+  graph::FlowWorkspace ws;
+  const auto cold = core::solve_fig5(ws, instance.quotas, n, emit);
+  std::size_t allocations = 0;
+  std::vector<std::uint32_t> warm;
+  {
+    AllocationCounter counter;
+    warm = core::solve_fig5(ws, instance.quotas, n, emit);
+    allocations = counter.count();
+  }
+  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(allocations, 1u) << "only the returned owner vector may allocate";
 }
 
 }  // namespace

@@ -41,25 +41,40 @@ TEST(FlowNetwork, RejectsNegativeCapacity) {
 TEST(FlowNetwork, PushMovesResidualCapacity) {
   FlowNetwork net(2);
   const EdgeIdx e = net.add_edge(0, 1, 5);
-  net.push(e * 2, 3);  // forward half-edge
+  const ArcIdx fwd = net.forward_arc(e);
+  net.push(fwd, 3);
   EXPECT_EQ(net.flow(e), 3);
-  EXPECT_EQ(net.residual_capacity(e * 2), 2);
-  EXPECT_EQ(net.residual_capacity(e * 2 + 1), 3);
+  EXPECT_EQ(net.residual_capacity(fwd), 2);
+  EXPECT_EQ(net.residual_capacity(net.partner(fwd)), 3);
 }
 
 TEST(FlowNetwork, PushBeyondCapacityThrows) {
   FlowNetwork net(2);
   const EdgeIdx e = net.add_edge(0, 1, 5);
-  EXPECT_THROW(net.push(e * 2, 6), std::logic_error);
+  EXPECT_THROW(net.push(net.forward_arc(e), 6), std::logic_error);
 }
 
 TEST(FlowNetwork, ResetFlowRestoresCapacities) {
   FlowNetwork net(2);
   const EdgeIdx e = net.add_edge(0, 1, 5);
-  net.push(e * 2, 5);
+  net.push(net.forward_arc(e), 5);
   net.reset_flow();
   EXPECT_EQ(net.flow(e), 0);
-  EXPECT_EQ(net.residual_capacity(e * 2), 5);
+  EXPECT_EQ(net.residual_capacity(net.forward_arc(e)), 5);
+}
+
+TEST(FlowNetwork, PartnersPairTheTwoArcsOfAnEdge) {
+  FlowNetwork net(3);
+  const EdgeIdx a = net.add_edge(0, 1, 4);
+  const EdgeIdx b = net.add_edge(2, 0, 6);
+  for (EdgeIdx e : {a, b}) {
+    const ArcIdx fwd = net.forward_arc(e);
+    EXPECT_EQ(net.partner(net.partner(fwd)), fwd);
+    EXPECT_EQ(net.residual_to(fwd), net.edge_to(e));
+    EXPECT_EQ(net.residual_to(net.partner(fwd)), net.edge_from(e));
+    EXPECT_EQ(net.residual_capacity(fwd), net.capacity(e));
+    EXPECT_EQ(net.residual_capacity(net.partner(fwd)), 0);
+  }
 }
 
 TEST(FlowNetwork, AdjacencyContainsBothDirections) {
@@ -70,17 +85,20 @@ TEST(FlowNetwork, AdjacencyContainsBothDirections) {
 }
 
 TEST(FlowNetwork, AdjacencyPreservesInsertionOrder) {
-  // The CSR finalize must keep each node's half-edges in insertion order so
-  // solver traversals stay deterministic.
+  // The CSR layout must keep each node's arcs in insertion order, an edge's
+  // forward arc before its reverse, so solver traversals stay deterministic.
   FlowNetwork net(4);
   const EdgeIdx a = net.add_edge(0, 1, 1);
-  const EdgeIdx b = net.add_edge(0, 2, 1);
+  const EdgeIdx b = net.add_edge(2, 0, 1);
   const EdgeIdx c = net.add_edge(0, 3, 1);
+  const EdgeIdx loop = net.add_edge(0, 0, 1);
   const auto adj = net.residual_adjacency(0);
-  ASSERT_EQ(adj.size(), 3u);
-  EXPECT_EQ(adj[0], a * 2);
-  EXPECT_EQ(adj[1], b * 2);
-  EXPECT_EQ(adj[2], c * 2);
+  ASSERT_EQ(adj.size(), 5u);
+  EXPECT_EQ(adj[0], net.forward_arc(a));
+  EXPECT_EQ(adj[1], net.partner(net.forward_arc(b)));
+  EXPECT_EQ(adj[2], net.forward_arc(c));
+  EXPECT_EQ(adj[3], net.forward_arc(loop));
+  EXPECT_EQ(adj[4], net.partner(net.forward_arc(loop)));
 }
 
 TEST(FlowNetwork, AddEdgeAfterAdjacencyReadRebuildsCsr) {
@@ -92,6 +110,32 @@ TEST(FlowNetwork, AddEdgeAfterAdjacencyReadRebuildsCsr) {
   net.add_edge(0, 2, 1);
   EXPECT_EQ(net.residual_adjacency(0).size(), 2u);
   EXPECT_EQ(net.residual_adjacency(2).size(), 1u);
+}
+
+TEST(FlowNetwork, AddEdgeAfterPushKeepsRoutedFlow) {
+  // The planning service tops a solved network up with new edges and solves
+  // again; the re-layout must carry every routed flow over.
+  FlowNetwork net(3);
+  const EdgeIdx a = net.add_edge(0, 1, 5);
+  const EdgeIdx b = net.add_edge(1, 2, 4);
+  net.push(net.forward_arc(a), 3);
+  net.push(net.forward_arc(b), 3);
+  const EdgeIdx c = net.add_edge(0, 1, 2);
+  EXPECT_EQ(net.flow(a), 3);  // before the re-layout
+  EXPECT_EQ(net.flow(c), 0);
+  EXPECT_EQ(net.residual_capacity(net.forward_arc(a)), 2);  // after it
+  EXPECT_EQ(net.flow(a), 3);
+  EXPECT_EQ(net.flow(b), 3);
+  EXPECT_EQ(net.flow(c), 0);
+  for (EdgeIdx e : {a, b, c}) {
+    const ArcIdx fwd = net.forward_arc(e);
+    EXPECT_EQ(net.partner(net.partner(fwd)), fwd) << "edge " << e;
+    EXPECT_EQ(net.residual_to(net.partner(fwd)), net.edge_from(e)) << "edge " << e;
+    EXPECT_EQ(net.residual_capacity(net.partner(fwd)), net.flow(e)) << "edge " << e;
+  }
+  net.reset_flow();
+  EXPECT_EQ(net.flow(a), 0);
+  EXPECT_EQ(net.residual_capacity(net.forward_arc(b)), 4);
 }
 
 TEST(FlowNetwork, ClearResetsStateAndAllowsReuse) {

@@ -2,32 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/rng.hpp"
 #include "support/edmonds_karp.hpp"
 
 namespace opass::graph {
 namespace {
 
-/// Structural tests of the library solver on hand-built networks.
-class MaxFlowTest : public ::testing::Test {
- protected:
-  Cap solve(FlowNetwork& net, NodeIdx s, NodeIdx t) { return dinic(net, s, t); }
-};
+/// Solve `net` in place with graph::max_flow, lending it to a workspace.
+Cap solve(FlowNetwork& net, NodeIdx s, NodeIdx t) {
+  FlowWorkspace ws;
+  ws.network = std::move(net);
+  const Cap value = max_flow(ws, s, t);
+  net = std::move(ws.network);
+  return value;
+}
 
-TEST_F(MaxFlowTest, SingleEdge) {
+// MaxFlowTest: structural tests of the library solver on hand-built networks.
+
+TEST(MaxFlowTest, SingleEdge) {
   FlowNetwork net(2);
   net.add_edge(0, 1, 10);
   EXPECT_EQ(solve(net, 0, 1), 10);
 }
 
-TEST_F(MaxFlowTest, SeriesBottleneck) {
+TEST(MaxFlowTest, SeriesBottleneck) {
   FlowNetwork net(3);
   net.add_edge(0, 1, 10);
   net.add_edge(1, 2, 3);
   EXPECT_EQ(solve(net, 0, 2), 3);
 }
 
-TEST_F(MaxFlowTest, ParallelPathsSum) {
+TEST(MaxFlowTest, ParallelPathsSum) {
   FlowNetwork net(4);
   net.add_edge(0, 1, 4);
   net.add_edge(1, 3, 4);
@@ -36,7 +43,7 @@ TEST_F(MaxFlowTest, ParallelPathsSum) {
   EXPECT_EQ(solve(net, 0, 3), 10);
 }
 
-TEST_F(MaxFlowTest, ClassicClrsNetwork) {
+TEST(MaxFlowTest, ClassicClrsNetwork) {
   // CLRS Fig 26.1: max flow 23.
   FlowNetwork net(6);
   net.add_edge(0, 1, 16);
@@ -52,7 +59,7 @@ TEST_F(MaxFlowTest, ClassicClrsNetwork) {
   EXPECT_EQ(solve(net, 0, 5), 23);
 }
 
-TEST_F(MaxFlowTest, RequiresAugmentingPathCancellation) {
+TEST(MaxFlowTest, RequiresAugmentingPathCancellation) {
   // The "diamond with a cross edge" where a greedy path must be partially
   // undone via the residual edge — the paper's reassignment cancellation.
   FlowNetwork net(4);
@@ -64,20 +71,20 @@ TEST_F(MaxFlowTest, RequiresAugmentingPathCancellation) {
   EXPECT_EQ(solve(net, 0, 3), 2);
 }
 
-TEST_F(MaxFlowTest, DisconnectedSinkIsZero) {
+TEST(MaxFlowTest, DisconnectedSinkIsZero) {
   FlowNetwork net(4);
   net.add_edge(0, 1, 5);
   net.add_edge(2, 3, 5);
   EXPECT_EQ(solve(net, 0, 3), 0);
 }
 
-TEST_F(MaxFlowTest, ZeroCapacityEdgeCarriesNothing) {
+TEST(MaxFlowTest, ZeroCapacityEdgeCarriesNothing) {
   FlowNetwork net(2);
   net.add_edge(0, 1, 0);
   EXPECT_EQ(solve(net, 0, 1), 0);
 }
 
-TEST_F(MaxFlowTest, FlowConservationHolds) {
+TEST(MaxFlowTest, FlowConservationHolds) {
   // On a random network: flow out of s == flow into t == returned value,
   // and every intermediate node conserves flow.
   Rng rng(7);
@@ -103,12 +110,12 @@ TEST_F(MaxFlowTest, FlowConservationHolds) {
   for (NodeIdx v = 1; v < 11; ++v) EXPECT_EQ(net_out[v], 0) << "node " << v;
 }
 
-TEST_F(MaxFlowTest, RejectsEqualSourceSink) {
+TEST(MaxFlowTest, RejectsEqualSourceSink) {
   FlowNetwork net(2);
   EXPECT_THROW(solve(net, 0, 0), std::invalid_argument);
 }
 
-TEST_F(MaxFlowTest, RejectsOutOfRangeTerminals) {
+TEST(MaxFlowTest, RejectsOutOfRangeTerminals) {
   FlowNetwork net(2);
   EXPECT_THROW(solve(net, 0, 9), std::invalid_argument);
 }
@@ -122,7 +129,7 @@ TEST(MaxFlowAgreement, ResetFlowAllowsResolving) {
   net.add_edge(2, 3, 6);
   EXPECT_EQ(oracle::edmonds_karp(net, 0, 3), 7);
   net.reset_flow();
-  EXPECT_EQ(dinic(net, 0, 3), 7);
+  EXPECT_EQ(solve(net, 0, 3), 7);
   net.reset_flow();
   EXPECT_EQ(oracle::edmonds_karp(net, 0, 3), 7);
 }
@@ -144,7 +151,7 @@ TEST(MaxFlowAgreement, RandomNetworksAgreeAcrossAlgorithms) {
       b.add_edge(u, v, c);
     }
     const Cap fa = oracle::edmonds_karp(a, 0, nodes - 1);
-    const Cap fb = dinic(b, 0, nodes - 1);
+    const Cap fb = solve(b, 0, nodes - 1);
     EXPECT_EQ(fa, fb) << "seed " << seed;
   }
 }
@@ -171,7 +178,7 @@ TEST(MaxFlowAgreement, UnitBipartiteNetworksAgreeWithOracle) {
       net.add_edge(left, nl + right, 1);
     }
 
-    const Cap flow = dinic(net, s, t);
+    const Cap flow = solve(net, s, t);
     net.reset_flow();
     EXPECT_EQ(flow, oracle::edmonds_karp(net, s, t)) << "seed " << seed;
   }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "opass/opass.hpp"
+#include "workload/paraview.hpp"
+
 namespace opass::exp {
 namespace {
 
@@ -183,6 +186,47 @@ TEST(Experiment, ParaViewAndIterativeRejectFaultPlans) {
   };
   expect_rejected([&] { (void)run_paraview(cfg, Method::kOpass); });
   expect_rejected([&] { (void)run_iterative(cfg, 16, 1, Method::kOpass); });
+}
+
+TEST(Experiment, PlannedLocalFractionEqualsAFreshScore) {
+  // Without a fault plan a run reuses the score core::plan() gave its plan
+  // instead of scoring the plan again; both must agree.
+  const auto cfg = small_cfg();
+  const auto sc = plan_single_data(cfg, 160, Method::kOpass);
+  ASSERT_TRUE(sc.stats.has_value());
+  const auto fresh = core::evaluate_assignment(sc.nn, sc.tasks, sc.assignment, sc.placement);
+  EXPECT_EQ(sc.stats->local_bytes, fresh.local_bytes);
+  EXPECT_EQ(sc.stats->total_bytes, fresh.total_bytes);
+  EXPECT_FALSE(plan_single_data(cfg, 160, Method::kBaseline).stats.has_value());
+  EXPECT_EQ(run_single_data(cfg, 160, Method::kOpass).planned_local_fraction,
+            fresh.local_fraction());
+  // Every iterative epoch replays that same plan of the same layout.
+  EXPECT_EQ(run_iterative(cfg, 160, 3, Method::kOpass).run.planned_local_fraction,
+            fresh.local_fraction());
+
+  // ParaView plans each rendering step; rebuild those plans from the
+  // harness's derived streams (placement seed * 2654435761 + 1, assignment
+  // + 2) and score each one afresh.
+  Rng placement_rng(cfg.seed * 2654435761ULL + 1);
+  Rng assign_rng(cfg.seed * 2654435761ULL + 2);
+  dfs::NameNode nn(dfs::Topology::single_rack(cfg.nodes), cfg.replication, cfg.chunk_size);
+  const auto policy = dfs::make_placement(cfg.placement);
+  const auto wl = workload::make_paraview_workload(nn, *policy, placement_rng);
+  const auto placement = core::one_process_per_node(nn, cfg.nodes * cfg.processes_per_node);
+  Bytes local = 0, total = 0;
+  for (const auto& step : wl.steps) {
+    std::vector<runtime::Task> tasks;
+    for (runtime::TaskId id : step) {
+      tasks.push_back(wl.tasks[id]);
+      tasks.back().id = static_cast<runtime::TaskId>(tasks.size() - 1);
+    }
+    const auto plan = core::plan({&nn, &tasks, &placement, &assign_rng});
+    const auto step_stats = core::evaluate_assignment(nn, tasks, plan.assignment, placement);
+    local += step_stats.local_bytes;
+    total += step_stats.total_bytes;
+  }
+  EXPECT_EQ(run_paraview(cfg, Method::kOpass).run.planned_local_fraction,
+            static_cast<double>(local) / static_cast<double>(total));
 }
 
 TEST(Experiment, MethodNames) {

@@ -524,6 +524,23 @@ TEST(GoldenScenarios, WeightedMixedSizes) {
   EXPECT_EQ(weighted_mixed_digest(3), "6f8aa2421e7ae240");
 }
 
+/// A plan's assignment, every planner counter and its stats profile.
+std::string plan_digest(const core::PlanResult& result) {
+  Digest d;
+  d.assignment(result.assignment);
+  d.u64(result.locally_matched);
+  d.u64(result.randomly_filled);
+  d.u64(result.rack_local);
+  d.u64(result.reassignments);
+  d.u64(result.matched_bytes);
+  d.u64(result.stats.total_bytes);
+  d.u64(result.stats.local_bytes);
+  d.u64(result.stats.task_count);
+  d.u64(result.stats.max_tasks_per_process);
+  d.u64(result.stats.min_tasks_per_process);
+  return d.hex();
+}
+
 /// core::plan() on the planner-facade layouts: 80 single-chunk tasks (or 48
 /// multi-input tasks) on two racks of eight nodes, r = 3, one process per
 /// node, the fill rng seeded 9. Digests the assignment, every planner
@@ -539,20 +556,7 @@ std::string facade_digest(core::PlannerKind planner, std::uint64_t seed,
   Rng fill(9);
   core::PlanOptions options;
   options.planner = planner;
-  const auto result = core::plan({&nn, &tasks, &placement, &fill}, options);
-  Digest d;
-  d.assignment(result.assignment);
-  d.u64(result.locally_matched);
-  d.u64(result.randomly_filled);
-  d.u64(result.rack_local);
-  d.u64(result.reassignments);
-  d.u64(result.matched_bytes);
-  d.u64(result.stats.total_bytes);
-  d.u64(result.stats.local_bytes);
-  d.u64(result.stats.task_count);
-  d.u64(result.stats.max_tasks_per_process);
-  d.u64(result.stats.min_tasks_per_process);
-  return d.hex();
+  return plan_digest(core::plan({&nn, &tasks, &placement, &fill}, options));
 }
 
 TEST(GoldenScenarios, PlanSingleData) {
@@ -579,6 +583,92 @@ TEST(GoldenScenarios, PlanMultiData) {
   EXPECT_EQ(facade_digest(core::PlannerKind::kMultiData, 3), "59b516fe14a70f74");
   EXPECT_EQ(facade_digest(core::PlannerKind::kMultiData, 4, /*multi_input=*/true),
             "22c1c5326e0c230b");
+}
+
+/// core::plan() at the repository benchmark's scale, where Dinic runs
+/// several phases over tens of thousands of tasks. The 16-node pins above
+/// need few phases, and the benchmark's own single-opass digest cannot tell
+/// which process reads which chunk: every read there is local and
+/// conflict-free.
+core::PlanResult scale_plan(core::PlannerKind planner, std::uint32_t nodes, std::uint32_t racks,
+                            std::uint32_t replication, std::uint32_t task_count,
+                            std::uint32_t processes_per_node = 1) {
+  dfs::NameNode nn(dfs::Topology::uniform_racks(nodes, racks), replication,
+                   kDefaultChunkSize);
+  dfs::RandomPlacement policy;
+  Rng rng(9);
+  const auto tasks = workload::make_single_data_workload(nn, task_count, policy, rng);
+  const auto placement = core::one_process_per_node(nn, nodes * processes_per_node);
+  Rng fill(3);
+  core::PlanOptions options;
+  options.planner = planner;
+  return core::plan({&nn, &tasks, &placement, &fill}, options);
+}
+
+/// The byte-weighted planner on 8,192 single-chunk files of 8-63 MiB on 256
+/// nodes at r = 2, so byte flows split between processes.
+std::string weighted_scale_digest() {
+  dfs::NameNode nn(dfs::Topology::single_rack(256), 2, 64 * kMiB);
+  dfs::RandomPlacement policy;
+  Rng rng(21);
+  std::vector<runtime::Task> tasks;
+  for (std::uint32_t i = 0; i < 8192; ++i) {
+    const Bytes size = (8 + rng.uniform(56)) * kMiB;
+    const auto file = nn.create_file("f" + std::to_string(i), size, policy, rng);
+    runtime::Task task;
+    task.id = i;
+    task.inputs = {nn.file(file).chunks[0]};
+    tasks.push_back(std::move(task));
+  }
+  const auto placement = core::one_process_per_node(nn);
+  Rng fill(8);
+  core::PlanOptions options;
+  options.planner = core::PlannerKind::kWeighted;
+  return plan_digest(core::plan({&nn, &tasks, &placement, &fill}, options));
+}
+
+/// Three IncrementalPlanner batches over 1,024 nodes at r = 3; uneven batch
+/// sizes leave the later batches uneven quotas.
+std::string incremental_scale_digest() {
+  dfs::NameNode nn(dfs::Topology::single_rack(1024), 3, kDefaultChunkSize);
+  dfs::RandomPlacement policy;
+  Rng rng(9);
+  const auto tasks = workload::make_single_data_workload(nn, 30720, policy, rng);
+  core::IncrementalPlanner planner(nn, core::one_process_per_node(nn));
+  Rng fill(3);
+  Digest d;
+  std::uint32_t from = 0;
+  for (std::uint32_t size : {12289u, 10240u, 8191u}) {
+    const std::vector<runtime::Task> batch(tasks.begin() + from, tasks.begin() + from + size);
+    from += size;
+    const auto plan = planner.match_batch(batch, fill);
+    d.assignment(plan.assignment);
+    d.u64(plan.locally_matched);
+    d.u64(plan.randomly_filled);
+    d.u64(plan.stats.local_bytes);
+  }
+  for (std::uint32_t load : planner.load()) d.u64(load);
+  return d.hex();
+}
+
+TEST(GoldenScenarios, PlanAtBenchmarkScale) {
+  using core::PlannerKind;
+  // Single-data 1,024 x 40,960; r = 1 leaves tasks to the random fill.
+  const auto sparse = scale_plan(PlannerKind::kSingleData, 1024, 1, 1, 40960);
+  EXPECT_GT(sparse.randomly_filled, 0u);
+  EXPECT_EQ(plan_digest(sparse), "23d614f6aa5258fe");
+  EXPECT_EQ(plan_digest(scale_plan(PlannerKind::kSingleData, 1024, 1, 3, 40960)),
+            "8fea74f68cdea365");
+  EXPECT_EQ(weighted_scale_digest(), "c880085fae2dbc2c");
+  // Rack-aware on 8 racks at r = 1: the rack phase matches what the node
+  // phase leaves open.
+  const auto rack = scale_plan(PlannerKind::kRackAware, 512, 8, 1, 16384);
+  EXPECT_GT(rack.rack_local, 0u);
+  EXPECT_EQ(plan_digest(rack), "8b61e56ab138b935");
+  // Two processes per node: each replica contributes two locality edges.
+  EXPECT_EQ(plan_digest(scale_plan(PlannerKind::kSingleData, 256, 1, 3, 10240, 2)),
+            "524288397c7a641f");
+  EXPECT_EQ(incremental_scale_digest(), "a6b2f00bbb3589a7");
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 namespace opass::oracle {
 
 using graph::Cap;
-using graph::EdgeIdx;
+using graph::ArcIdx;
 using graph::NodeIdx;
 
 Cap edmonds_karp(graph::FlowNetwork& net, NodeIdx s, NodeIdx t) {
@@ -17,7 +17,7 @@ Cap edmonds_karp(graph::FlowNetwork& net, NodeIdx s, NodeIdx t) {
   OPASS_REQUIRE(s < n && t < n, "s/t out of range");
   OPASS_REQUIRE(s != t, "source and sink must differ");
   std::vector<std::int32_t> level;
-  std::vector<EdgeIdx> parent;
+  std::vector<ArcIdx> parent;
   std::vector<NodeIdx> queue;
   Cap total = 0;
   for (;;) {
@@ -30,7 +30,7 @@ Cap edmonds_karp(graph::FlowNetwork& net, NodeIdx s, NodeIdx t) {
     bool reached = false;
     for (std::size_t head = 0; head < queue.size() && !reached; ++head) {
       const NodeIdx u = queue[head];
-      for (EdgeIdx h : net.residual_adjacency(u)) {
+      for (ArcIdx h : net.residual_adjacency(u)) {
         if (net.residual_capacity(h) <= 0) continue;
         const NodeIdx v = net.residual_to(h);
         if (level[v] >= 0) continue;
@@ -50,14 +50,14 @@ Cap edmonds_karp(graph::FlowNetwork& net, NodeIdx s, NodeIdx t) {
     // process and re-assigns it to another.
     Cap bottleneck = std::numeric_limits<Cap>::max();
     for (NodeIdx v = t; v != s;) {
-      const EdgeIdx h = parent[v];
+      const ArcIdx h = parent[v];
       bottleneck = std::min(bottleneck, net.residual_capacity(h));
-      v = net.residual_to(h ^ 1);
+      v = net.residual_to(net.partner(h));
     }
     for (NodeIdx v = t; v != s;) {
-      const EdgeIdx h = parent[v];
+      const ArcIdx h = parent[v];
       net.push(h, bottleneck);
-      v = net.residual_to(h ^ 1);
+      v = net.residual_to(net.partner(h));
     }
     total += bottleneck;
   }

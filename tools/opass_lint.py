@@ -59,8 +59,8 @@ Rules (all scoped to src/ unless noted):
                     processes_by_node() (opass/process_index.hpp) instead.
                     Evaluating a finished assignment — one call per assigned
                     task, as plan_audit and assignment_stats do — is fine.
-  fig5-solve        src/opass/ only: a max-flow solve (`graph::max_flow(` or
-                    `graph::dinic(`, qualified or not) is called only from
+  fig5-solve        src/opass/ only: a max-flow solve (`graph::max_flow(`,
+                    qualified or not) is called only from
                     the shared Fig. 5 solve (src/opass/fig5.*) and from the
                     planning service's tenant-layered network
                     (src/opass/service.cpp). Every other planner emits its
@@ -96,6 +96,11 @@ Rules (all scoped to src/ unless noted):
                     field, which is what made the sinks slow. fault_log.cpp
                     is out of scope: its instant labels keep the pinned
                     std::to_string(double) format.
+  arc-partner       (scoped to src/graph/, src/opass/ and tests/support/) No
+                    `^ 1` on an edge or arc id: arcs are laid out in CSR
+                    order, so an arc's partner (the reverse of its edge) is
+                    FlowNetwork::partner(a), not a ^ 1. The old pairing still
+                    compiles but names the wrong arc.
 
 Usage:
   opass_lint.py <repo-root>     lint the tree rooted there (exit 1 on findings)
@@ -171,10 +176,10 @@ PQ_TOP_COPY = re.compile(
 EVERY_PROCESS_COND = re.compile(r"\s*\w+\s*<\s*m\s*")
 FOR_HEADER = re.compile(r"\bfor\s*\(")
 REPLICA_TEST = re.compile(r"\bhas_replica_on\s*\(")
-# A max-flow solve: `graph::max_flow(` / `graph::dinic(`, also unqualified
-# (argument-dependent lookup finds graph:: from a FlowWorkspace argument).
-# Member calls and longer identifiers (`run_dinic(`) do not match.
-MAX_FLOW_CALL = re.compile(r"(?<![\w.>])(?:(?:opass\s*::\s*)?graph\s*::\s*)?(?:max_flow|dinic)\s*\(")
+# A max-flow solve: `graph::max_flow(`, also unqualified (argument-dependent
+# lookup finds graph:: from a FlowWorkspace argument). Member calls and longer
+# identifiers (`run_max_flow(`) do not match.
+MAX_FLOW_CALL = re.compile(r"(?<![\w.>])(?:(?:opass\s*::\s*)?graph\s*::\s*)?max_flow\s*\(")
 # The files allowed to solve a flow network under src/opass/.
 FIG5_SOLVE_HOMES = (
     "src/opass/fig5.hpp",
@@ -202,6 +207,11 @@ SINK_RENDERERS = (
     "src/obs/attribution.cpp",
     "src/obs/report.cpp",
 )
+# XOR with 1 (`h ^ 1`, `a ^= 1u`): the half-edge pairing of an adjacency
+# layout where an edge's two arcs sat side by side. `^ 10` does not match.
+XOR_ONE = re.compile(r"\^=?\s*1[uUlL]*\b")
+# Where arc ids live: the flow core, its planners, and the test oracles.
+ARC_PARTNER_SCOPE = ("src/graph/", "src/opass/", "tests/support/")
 # Raw threading vocabulary. std::atomic covers std::atomic<T>, the _flag /
 # _bool /... aliases and the free atomic_* functions via the \w* tail.
 RAW_THREAD = re.compile(
@@ -468,6 +478,17 @@ def check_sink_writer(path: pathlib.Path, root: pathlib.Path, text: str, finding
                     "(obs/metrics_io.hpp), which appends with std::to_chars"))
 
 
+def check_arc_partner(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
+    if not path.relative_to(root).as_posix().startswith(ARC_PARTNER_SCOPE):
+        return
+    for m in XOR_ONE.finditer(scrub(text)):
+        findings.append(
+            Finding(path, _line_of(text, m.start()), "arc-partner",
+                    f"'{m.group(0)}' pairs arcs by id parity, but arcs are laid "
+                    "out in CSR order; take the reverse arc from "
+                    "FlowNetwork::partner(a)"))
+
+
 def check_nodiscard_status(path: pathlib.Path, src_root: pathlib.Path, text: str, findings: list):
     if path.suffix != ".hpp" or "obs" not in path.relative_to(src_root).parts[:1]:
         return
@@ -508,9 +529,10 @@ def lint_tree(root: pathlib.Path) -> list:
         check_facade_only(path, root, text, findings)
         check_one_probe(path, root, text, findings)
         check_sink_writer(path, root, text, findings)
+        check_arc_partner(path, root, text, findings)
     check_single_pipeline(root, texts, findings)
     # bench/, examples/ and tests/ consume the planner API, so only the
-    # API-usage rule applies there.
+    # API-usage rule applies there, plus arc-partner in the test oracles.
     for tree in ("bench", "examples", "tests"):
         tree_root = root / tree
         if not tree_root.is_dir():
@@ -521,6 +543,7 @@ def lint_tree(root: pathlib.Path) -> list:
             text = path.read_text(encoding="utf-8")
             texts[path] = text
             check_facade_only(path, root, text, findings)
+            check_arc_partner(path, root, text, findings)
     return apply_suppressions(findings, texts)
 
 
@@ -610,6 +633,11 @@ _VIOLATIONS = {
         "  return \"{\\\"chunk\\\": \" + std::to_string(chunk) +\n"
         "         \", \\\"value\\\": \" + format_double(value) + \"}\";\n"
         "}\n",
+    ),
+    "arc-partner": (
+        "graph/bad_arc_partner.cpp",
+        '#include "graph/flow_network.hpp"\n'
+        "NodeIdx tail(const FlowNetwork& net, ArcIdx h) { return net.residual_to(h ^ 1); }\n",
     ),
     "pq-top-copy": (
         "bad_top_copy.cpp",
@@ -715,7 +743,7 @@ _CLEANS = (
         # mentions, a solve_fig5() call, and longer identifiers.
         "opass/clean_fig5_caller.cpp",
         '#include "opass/fig5.hpp"\n'
-        "// solve_fig5() wraps graph::max_flow(ws, s, t) and graph::dinic(net, s, t).\n"
+        "// solve_fig5() wraps graph::max_flow(ws, s, t).\n"
         'const char* kWhy = "graph::max_flow(";\n'
         "void plan(graph::FlowWorkspace& ws) {\n"
         "  (void)solve_fig5(ws, caps, unit, edges);\n"
@@ -726,7 +754,22 @@ _CLEANS = (
         # Outside src/opass/ the rule does not apply.
         "graph/clean_solver_user.cpp",
         '#include "graph/max_flow.hpp"\n'
-        "long solve(FlowNetwork& net) { return graph::dinic(net, 0, 1); }\n",
+        "long solve(FlowWorkspace& ws) { return graph::max_flow(ws, 0, 1); }\n",
+    ),
+    (
+        # What arc-partner must NOT flag: partner(), prose and strings naming
+        # the old pairing, and XOR with anything but 1.
+        "opass/clean_arc_partner.cpp",
+        '#include "graph/flow_network.hpp"\n'
+        "// Not h ^ 1: arcs are in CSR order.\n"
+        'const char* kOld = "h ^ 1";\n'
+        "NodeIdx tail(const FlowNetwork& net, ArcIdx a) { return net.residual_to(net.partner(a)); }\n"
+        "unsigned mix(unsigned h) { return (h ^ 10) ^ 2u; }\n",
+    ),
+    (
+        # Outside the flow code a parity flip is just arithmetic.
+        "sim/clean_parity_flip.cpp",
+        "unsigned other_side(unsigned side) { return side ^ 1; }\n",
     ),
     (
         # What single-pipeline must NOT flag: mentions of runtime::execute( in
@@ -822,6 +865,12 @@ _TESTS_VIOLATION = (
     '#include "opass/opass.hpp"\n'
     "TEST(Bad, Direct) { (void)core::assign_multi_data(nn, tasks, placement); }\n",
 )
+# arc-partner reaches the test oracles in tests/support/.
+_SUPPORT_VIOLATION = (
+    "tests/support/bad_oracle.cpp",
+    '#include "graph/flow_network.hpp"\n'
+    "void undo(FlowNetwork& net, ArcIdx h) { net.push(h ^ 1, 1); }\n",
+)
 
 
 def self_test() -> int:
@@ -842,6 +891,9 @@ def self_test() -> int:
         tests_bad = root / _TESTS_VIOLATION[0]
         tests_bad.parent.mkdir(parents=True)
         tests_bad.write_text(_TESTS_VIOLATION[1], encoding="utf-8")
+        support_bad = root / _SUPPORT_VIOLATION[0]
+        support_bad.parent.mkdir(parents=True)
+        support_bad.write_text(_SUPPORT_VIOLATION[1], encoding="utf-8")
 
         findings = lint_tree(root)
         suppressed_hits = sorted(
@@ -859,6 +911,13 @@ def self_test() -> int:
         else:
             print("self-test: FAIL — rule 'facade-only' missed its seeded "
                   "violation under tests/")
+            failures += 1
+        if any(f.rule == "arc-partner" and f.path == support_bad for f in findings):
+            print("self-test: rule 'arc-partner' caught its seeded violation "
+                  "under tests/support/")
+        else:
+            print("self-test: FAIL — rule 'arc-partner' missed its seeded "
+                  "violation under tests/support/")
             failures += 1
         fired = {f.rule for f in findings}
         for rule in _VIOLATIONS:

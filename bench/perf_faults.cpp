@@ -1,4 +1,4 @@
-// perf_faults — deterministic fault/churn scenario suite with gated metrics.
+// perf_faults — deterministic fault/churn scenario suite with pinned metrics.
 //
 // Each scenario arms a scripted sim::FaultPlan (DESIGN.md §11) on a
 // fixed-seed run and reports the outcome the failure model promises:
@@ -15,10 +15,12 @@
 //
 // Every recovery decision is deterministic (no RNG), so the embedded
 // metrics are exact simulation outputs: any drift means behaviour changed.
-// CI gates makespan_s and degree_of_imbalance via tools/bench_compare.py.
+// stdout carries each scenario's metrics object exactly as the JSON does,
+// and nothing host-dependent, so the perf_faults_pinned ctest pins its
+// SHA-256. The JSON adds the host wall times, which CI compares with
+// tools/bench_compare.py.
 //
-//   perf_faults                      # full matrix -> BENCH_faults.json
-//   perf_faults --smoke              # same matrix (all scenarios are small)
+//   perf_faults                      # all five scenarios -> BENCH_faults.json
 //   perf_faults --out=path.json
 #include <chrono>
 #include <cstdio>
@@ -133,8 +135,8 @@ Outcome run_churn() {
 }
 
 /// Graceful drain at r=1: every chunk on node 9 has no other replica, so a
-/// crash would lose data — decommission moves them away first. The gate
-/// checks lost_chunks stays 0.
+/// crash would lose data — decommission moves them away first, so
+/// lost_chunks stays 0.
 Outcome run_drain_r1() {
   exp::ExperimentConfig cfg;
   cfg.nodes = 64;
@@ -220,10 +222,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      // Every scenario is 64 nodes; the full matrix *is* the smoke matrix.
     } else {
-      std::fprintf(stderr, "usage: perf_faults [--out=path.json] [--smoke]\n");
+      std::fprintf(stderr, "usage: perf_faults [--out=path.json]\n");
       return 2;
     }
   }
@@ -248,31 +248,31 @@ int main(int argc, char** argv) {
       if (rep == 0 || ms < wall_ms_min) wall_ms_min = ms;
     }
 
+    char metrics[512];
+    std::snprintf(metrics, sizeof metrics,
+                  "{\"makespan_s\": %.4f, \"degree_of_imbalance\": %.4f, "
+                  "\"local_pct\": %.2f, \"read_failures\": %llu, "
+                  "\"rereplicated_mib\": %.2f, \"replicas_copied\": %u, "
+                  "\"recoveries\": %u, \"lost_chunks\": %u, \"aborted_copies\": %u}",
+                  o.makespan, o.degree_of_imbalance, o.local_pct,
+                  static_cast<unsigned long long>(o.read_failures),
+                  to_mib(o.faults.rereplicated_bytes), o.faults.replicas_copied,
+                  o.faults.recoveries, o.faults.lost_chunks, o.faults.aborted_copies);
+
     std::fprintf(f, "%s", first ? "" : ",\n");
     first = false;
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"nodes\": %u, \"tasks\": %u, "
                  "\"replication\": %u, \"seed\": %llu, \"repeats\": %u,\n"
                  "     \"wall_ms_min\": %.4f, \"wall_ms_mean\": %.4f,\n"
-                 "     \"metrics\": {\"makespan_s\": %.4f, "
-                 "\"degree_of_imbalance\": %.4f, \"local_pct\": %.2f, "
-                 "\"read_failures\": %llu, \"rereplicated_mib\": %.2f, "
-                 "\"replicas_copied\": %u, \"recoveries\": %u, "
-                 "\"lost_chunks\": %u, \"aborted_copies\": %u}}",
+                 "     \"metrics\": %s}",
                  sc.name, sc.nodes, sc.tasks, sc.replication,
                  static_cast<unsigned long long>(sc.seed), sc.repeats, wall_ms_min,
-                 total_ms / sc.repeats, o.makespan, o.degree_of_imbalance, o.local_pct,
-                 static_cast<unsigned long long>(o.read_failures),
-                 to_mib(o.faults.rereplicated_bytes), o.faults.replicas_copied,
-                 o.faults.recoveries, o.faults.lost_chunks, o.faults.aborted_copies);
-
-    std::printf("%-24s makespan %8.2f s  DoI %6.3f  local %5.1f%%  copies %4u  "
-                "lost %u\n",
-                sc.name, o.makespan, o.degree_of_imbalance, o.local_pct,
-                o.faults.replicas_copied, o.faults.lost_chunks);
+                 total_ms / sc.repeats, metrics);
+    std::printf("%-24s %s\n", sc.name, metrics);
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   return 0;
 }

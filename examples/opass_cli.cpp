@@ -265,6 +265,10 @@ int run_service_trace(const Options& opts, const exp::ExperimentConfig& cfg, Out
   scfg.seed = cfg.seed;
   scfg.placement = cfg.placement;
   scfg.batch_window = opts.real("batch-window");
+  if (!(scfg.batch_window >= 0)) {
+    std::fprintf(stderr, "error: --batch-window must be non-negative\n");
+    return 2;
+  }
   scfg.fair_share = opts.boolean("fair-share");
   if (given(opts, "metrics-out")) scfg.metrics = &out.metrics;
   scfg.timeline = out.add_timeline(opts);

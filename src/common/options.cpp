@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -101,6 +102,7 @@ double Options::real(const std::string& name) const {
   char* end = nullptr;
   const double parsed = std::strtod(v.c_str(), &end);
   if (!end || *end != '\0' || v.empty()) bad_value(name, "is not a number: '" + v + "'");
+  if (!std::isfinite(parsed)) bad_value(name, "is not a finite number: '" + v + "'");
   return parsed;
 }
 

@@ -26,7 +26,8 @@ class Options {
   /// malformed input. Positional arguments are collected in positional().
   bool parse(int argc, const char* const* argv);
 
-  /// Accessors; flags must have been declared. A malformed value throws
+  /// Accessors; flags must have been declared. A malformed value, or a
+  /// real() that is infinite, NaN or too large for a double, throws
   /// std::invalid_argument naming the flag.
   std::string str(const std::string& name) const;
   std::int64_t integer(const std::string& name) const;

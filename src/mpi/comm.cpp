@@ -4,12 +4,6 @@
 
 namespace opass::mpi {
 
-namespace {
-/// Wire size of the control messages internal collectives exchange
-/// (MPI envelope + tiny payload).
-constexpr Bytes kControlBytes = 64;
-}  // namespace
-
 Comm::Comm(sim::Cluster& cluster) : cluster_(cluster) {
   placement_.resize(cluster.node_count());
   for (Rank r = 0; r < placement_.size(); ++r) placement_[r] = r;
@@ -83,130 +77,5 @@ void Comm::recv(Rank at_rank, Rank source, Tag tag, std::function<void(Message)>
   }
   box.waiting.push_back(std::move(pending));
 }
-
-void Comm::barrier(Rank rank, std::function<void(Seconds)> on_release) {
-  OPASS_REQUIRE(rank < size(), "rank out of range");
-  OPASS_REQUIRE(on_release != nullptr, "barrier needs a continuation");
-  if (barrier_waiters_.empty()) barrier_waiters_.resize(size());
-  OPASS_REQUIRE(!barrier_waiters_[rank], "rank entered the barrier twice");
-  barrier_waiters_[rank] = std::move(on_release);
-
-  // Arrival message to rank 0's node.
-  ++messages_sent_;
-  bytes_sent_ += kControlBytes;
-  cluster_.send(node_of(rank), node_of(0), kControlBytes, [this](Seconds) {
-    ++barrier_arrived_;
-    if (barrier_arrived_ < size()) return;
-    // Everyone arrived: release every rank with a message from rank 0.
-    barrier_arrived_ = 0;
-    ++barrier_generation_;
-    auto waiters = std::move(barrier_waiters_);
-    barrier_waiters_.clear();
-    for (Rank r = 0; r < size(); ++r) {
-      ++messages_sent_;
-      bytes_sent_ += kControlBytes;
-      cluster_.send(node_of(0), node_of(r), kControlBytes,
-                    [cb = std::move(waiters[r])](Seconds t) { cb(t); });
-    }
-  });
-}
-
-void Comm::bcast(Rank root, Bytes bytes, std::uint64_t value,
-                 std::function<void(Rank, std::uint64_t, Seconds)> on_done) {
-  OPASS_REQUIRE(root < size(), "rank out of range");
-  OPASS_REQUIRE(on_done != nullptr, "bcast needs a continuation");
-  const Rank n = size();
-  // Forward along a binomial tree in relative-rank space; each rank's
-  // continuation fires on delivery, then it relays to its subtree.
-  auto forward = [this, root, bytes, n, on_done](auto&& self, Rank rel, std::uint64_t v,
-                                                 Seconds t) -> void {
-    const Rank absolute = (root + rel) % n;
-    on_done(absolute, v, t);
-    for (Rank mask = 1; mask < n; mask <<= 1) {
-      if (rel >= mask) continue;          // receives at the round mask = msb(rel)
-      const Rank child_rel = rel + mask;  // standard binomial fan-out
-      if (child_rel >= n) break;
-      const Rank child_abs = (root + child_rel) % n;
-      ++messages_sent_;
-      bytes_sent_ += bytes;
-      cluster_.send(node_of(absolute), node_of(child_abs), std::max<Bytes>(bytes, 1),
-                    [self, child_rel, v](Seconds when) { self(self, child_rel, v, when); });
-    }
-  };
-  forward(forward, 0, value, cluster_.simulator().now());
-}
-
-void Comm::gather(Rank root, Bytes bytes_per_rank,
-                  std::function<void(std::vector<std::uint64_t>, Seconds)> on_gathered) {
-  OPASS_REQUIRE(root < size(), "rank out of range");
-  OPASS_REQUIRE(!gather_.active, "a gather is already in progress");
-  gather_.root = root;
-  gather_.bytes_per_rank = bytes_per_rank;
-  gather_.values.assign(size(), std::nullopt);
-  gather_.received = 0;
-  gather_.on_gathered = std::move(on_gathered);
-  gather_.active = true;
-}
-
-void Comm::contribute(Rank rank, std::uint64_t value) {
-  OPASS_REQUIRE(gather_.active, "contribute() without an active gather");
-  OPASS_REQUIRE(rank < size(), "rank out of range");
-  OPASS_REQUIRE(!gather_.values[rank].has_value(), "rank contributed twice");
-  auto complete_one = [this, rank, value](Seconds t) {
-    gather_.values[rank] = value;
-    if (++gather_.received < size()) return;
-    std::vector<std::uint64_t> out;
-    out.reserve(size());
-    for (const auto& v : gather_.values) out.push_back(*v);
-    gather_.active = false;
-    // Detach the continuation before invoking it: it may legally start the
-    // next gather, which reassigns gather_.on_gathered.
-    auto cb = std::move(gather_.on_gathered);
-    cb(std::move(out), t);
-  };
-  if (rank == gather_.root) {
-    complete_one(cluster_.simulator().now());
-    return;
-  }
-  ++messages_sent_;
-  bytes_sent_ += gather_.bytes_per_rank;
-  cluster_.send(node_of(rank), node_of(gather_.root),
-                std::max<Bytes>(gather_.bytes_per_rank, 1), complete_one);
-}
-
-void Comm::scatter(Rank root, Bytes bytes_per_rank, std::vector<std::uint64_t> values,
-                   std::function<void(Rank, std::uint64_t, Seconds)> on_recv) {
-  OPASS_REQUIRE(root < size(), "rank out of range");
-  OPASS_REQUIRE(values.size() == size(), "scatter needs one value per rank");
-  OPASS_REQUIRE(on_recv != nullptr, "scatter needs a continuation");
-  for (Rank r = 0; r < size(); ++r) {
-    if (r == root) {
-      on_recv(r, values[r], cluster_.simulator().now());
-      continue;
-    }
-    ++messages_sent_;
-    bytes_sent_ += bytes_per_rank;
-    const std::uint64_t v = values[r];
-    cluster_.send(node_of(root), node_of(r), std::max<Bytes>(bytes_per_rank, 1),
-                  [on_recv, r, v](Seconds t) { on_recv(r, v, t); });
-  }
-}
-
-void Comm::allreduce(Bytes bytes_per_rank,
-                     std::function<std::uint64_t(std::uint64_t, std::uint64_t)> op,
-                     std::function<void(Rank, std::uint64_t, Seconds)> on_done) {
-  OPASS_REQUIRE(op != nullptr && on_done != nullptr, "allreduce needs op and continuation");
-  // Reduce at rank 0, then broadcast the result back out.
-  gather(0, bytes_per_rank,
-         [this, bytes_per_rank, op = std::move(op),
-          on_done = std::move(on_done)](std::vector<std::uint64_t> values, Seconds) {
-           std::uint64_t acc = values[0];
-           for (std::size_t i = 1; i < values.size(); ++i) acc = op(acc, values[i]);
-           bcast(0, bytes_per_rank, acc,
-                 [on_done](Rank r, std::uint64_t v, Seconds t) { on_done(r, v, t); });
-         });
-}
-
-void Comm::reduce_contribute(Rank rank, std::uint64_t value) { contribute(rank, value); }
 
 }  // namespace opass::mpi

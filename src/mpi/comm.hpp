@@ -3,22 +3,20 @@
 // The paper's applications are MPI programs (MPICH on Marmot): ParaView data
 // servers synchronize per rendering step, and the mpiBLAST-style scheduler
 // exchanges request/grant messages between a master and its slaves. This
-// module provides the message-passing substrate for those patterns on top of
-// the flow-level simulator: point-to-point send/recv with tag matching, and
-// the collectives the workloads need (barrier, broadcast, gather).
+// module provides the message-passing substrate the master–worker scheduler
+// (mpi/master_worker.hpp) runs on: point-to-point send/recv with tag
+// matching over the flow-level simulator.
 //
 // The API is continuation-passing — the discrete-event simulator owns the
 // control flow, so "blocking" MPI calls become callbacks fired at the
 // virtual time the operation completes. Semantics follow MPI where it
-// matters here: per (source, destination, tag) ordering is FIFO, receives
-// match by (source, tag) with wildcards, and collectives synchronize all
-// ranks of the communicator.
+// matters here: per (source, destination, tag) ordering is FIFO, and
+// receives match by (source, tag) with wildcards.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/units.hpp"
@@ -68,39 +66,6 @@ class Comm {
   /// if one already arrived). Unmatched receives queue in post order.
   void recv(Rank at_rank, Rank source, Tag tag, std::function<void(Message)> on_recv);
 
-  /// Barrier across all ranks: `on_release(time)` fires per rank once every
-  /// rank has entered. Implemented as a gather-to-0 + broadcast of release
-  /// messages, so it pays realistic latency.
-  void barrier(Rank rank, std::function<void(Seconds)> on_release);
-
-  /// Broadcast `bytes`/`value` from `root` to every other rank along a
-  /// binomial tree; per-rank `on_done(value, time)` fires on delivery (and
-  /// immediately on the root).
-  void bcast(Rank root, Bytes bytes, std::uint64_t value,
-             std::function<void(Rank, std::uint64_t, Seconds)> on_done);
-
-  /// Gather each rank's value at `root`: call contribute() once per rank;
-  /// `on_gathered(values, time)` fires at the root when all have arrived.
-  /// `bytes_per_rank` models each contribution's wire size.
-  void gather(Rank root, Bytes bytes_per_rank,
-              std::function<void(std::vector<std::uint64_t>, Seconds)> on_gathered);
-  void contribute(Rank rank, std::uint64_t value);
-
-  /// Scatter: `root` sends values[i] (wire size `bytes_per_rank`) to rank i;
-  /// per-rank `on_recv(rank, value, time)` fires on delivery (immediately on
-  /// the root for its own element). values.size() must equal size().
-  void scatter(Rank root, Bytes bytes_per_rank, std::vector<std::uint64_t> values,
-               std::function<void(Rank, std::uint64_t, Seconds)> on_recv);
-
-  /// All-reduce of one value per rank with a binary `op` (e.g. plus, max):
-  /// gather-to-0 then broadcast of the reduction. Call allreduce() once,
-  /// then reduce_contribute() once per rank; every rank's `on_done` fires
-  /// with the reduced value.
-  void allreduce(Bytes bytes_per_rank,
-                 std::function<std::uint64_t(std::uint64_t, std::uint64_t)> op,
-                 std::function<void(Rank, std::uint64_t, Seconds)> on_done);
-  void reduce_contribute(Rank rank, std::uint64_t value);
-
   /// Messages sent so far (observability for tests and overhead accounting).
   std::uint64_t messages_sent() const { return messages_sent_; }
   Bytes bytes_sent() const { return bytes_sent_; }
@@ -117,26 +82,12 @@ class Comm {
     std::deque<PendingRecv> waiting;
   };
 
-  struct GatherState {
-    Rank root = 0;
-    Bytes bytes_per_rank = 0;
-    std::vector<std::optional<std::uint64_t>> values;
-    std::uint32_t received = 0;
-    std::function<void(std::vector<std::uint64_t>, Seconds)> on_gathered;
-    bool active = false;
-  };
-
   void deliver(Rank to, Message msg);
   static bool matches(const PendingRecv& r, const Message& m);
 
   sim::Cluster& cluster_;
   std::vector<dfs::NodeId> placement_;
   std::vector<Mailbox> mailboxes_;
-  // Barrier bookkeeping.
-  std::uint32_t barrier_arrived_ = 0;
-  std::vector<std::function<void(Seconds)>> barrier_waiters_;
-  std::uint64_t barrier_generation_ = 0;
-  GatherState gather_;
   std::uint64_t messages_sent_ = 0;
   Bytes bytes_sent_ = 0;
 };

@@ -15,7 +15,7 @@
 //
 // Everything here is a pure function of the trace, so analytics inherit the
 // byte-determinism of the recorder; report.hpp embeds them in the HTML/JSON
-// artifacts and bench/perf_executor.cpp in the benchmark JSON.
+// artifacts.
 #pragma once
 
 #include <cstdint>

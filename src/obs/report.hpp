@@ -6,8 +6,7 @@
 // bytes-remaining charts side by side — the paper's Fig. 2/3 story at a
 // glance — plus the imbalance analytics of obs/analytics.hpp. The JSON is
 // the tooling-facing twin (`--timeline-out=...`): full series values plus
-// the same analytics, consumed by tools/check_report.py and
-// tools/bench_compare.py.
+// the same analytics, consumed by tools/check_report.py.
 //
 // Determinism contract: both renderers iterate methods in add order and
 // series in registration order, and write every number through

@@ -136,6 +136,13 @@ TEST(Options, MalformedNumbersNameTheFlag) {
   EXPECT_EQ(error_of([&] { (void)o.real("rate"); }), "flag --rate is not a number: 'x'");
   // Out of int64 range: rejected, not clamped to INT64_MAX.
   EXPECT_NE(error_of([&] { (void)o.integer("name"); }).find("--name"), std::string::npos);
+  // strtod parses these, but no flag means an infinite or NaN value.
+  for (const char* v : {"inf", "-inf", "nan", "1e999"}) {
+    const std::string arg = std::string("--rate=") + v;
+    ASSERT_TRUE(parse(o, {arg.c_str()}));
+    EXPECT_EQ(error_of([&] { (void)o.real("rate"); }),
+              "flag --rate is not a finite number: '" + std::string(v) + "'");
+  }
 }
 
 TEST(Options, IsDefaultComparesTheText) {

@@ -23,6 +23,7 @@
 #include "obs/metrics_io.hpp"
 #include "obs/report.hpp"
 #include "opass/incremental.hpp"
+#include "opass/plan_audit.hpp"
 #include "opass/planner.hpp"
 #include "opass/service.hpp"
 #include "workload/dataset.hpp"
@@ -358,6 +359,21 @@ core::ProcessPlacement two_per_node(const dfs::NameNode& nn) {
   return core::one_process_per_node(nn, 2 * nn.node_count());
 }
 
+/// Every job's status, in `ids` order, then every process's load.
+void digest_jobs(Digest& d, const core::PlannerService& service,
+                 const std::vector<core::JobId>& ids) {
+  for (core::JobId id : ids) {
+    const auto& status = service.status(id);
+    d.u64(static_cast<std::uint64_t>(status.state));
+    d.u64(status.batch);
+    d.u64(status.locally_matched);
+    d.u64(status.randomly_filled);
+    d.u64(status.local_bytes);
+    d.assignment(status.assignment);
+  }
+  for (std::uint32_t load : service.process_load()) d.u64(load);
+}
+
 TEST(GoldenScenarios, ServiceFairShareTwoPerNode) {
   dfs::NameNode nn(dfs::Topology::single_rack(16), 3, kDefaultChunkSize);
   dfs::RandomPlacement policy;
@@ -391,18 +407,68 @@ TEST(GoldenScenarios, ServiceFairShareTwoPerNode) {
   service.drain();
 
   Digest d;
-  for (core::JobId id : ids) {
-    const auto& status = service.status(id);
-    d.u64(static_cast<std::uint64_t>(status.state));
-    d.u64(status.batch);
-    d.u64(status.locally_matched);
-    d.u64(status.randomly_filled);
-    d.u64(status.local_bytes);
-    d.assignment(status.assignment);
-  }
-  for (std::uint32_t load : service.process_load()) d.u64(load);
+  digest_jobs(d, service, ids);
   d.u64(service.counters().batches);
   EXPECT_EQ(d.hex(), "5ffed0415a7f7958");
+}
+
+/// Arrival streams on one rack at r = 3: `jobs` jobs of `tasks_per_job`
+/// single-chunk tasks, one every 0.05 virtual seconds, cycling four tenants
+/// of weights 1, 2, 1, 2, coalesced in a 0.2 s window. The layout rng is
+/// seeded `seed`, the service `seed * 7919 + 1`; the service advances to
+/// each arrival in turn, then drains.
+TEST(GoldenScenarios, ServiceArrivalStreams) {
+  struct Row {
+    std::uint32_t nodes;
+    std::uint32_t jobs;
+    std::uint32_t tasks_per_job;
+    std::uint64_t seed;
+    std::uint32_t batches;
+    std::uint64_t locally_matched;
+    const char* digest;
+  };
+  const Row rows[] = {
+      {64, 20, 32, 11, 5, 625, "418cd32cfd8e384e"},
+      {256, 40, 64, 12, 9, 2400, "d99b029de539f013"},
+      {1024, 64, 128, 13, 13, 6539, "16239d48f20692b9"},
+  };
+  constexpr Seconds kArrivalGap = 0.05;
+  for (const Row& row : rows) {
+    dfs::NameNode nn(dfs::Topology::single_rack(row.nodes), 3, kDefaultChunkSize);
+    dfs::RandomPlacement policy;
+    Rng rng(row.seed);
+    const auto tasks =
+        workload::make_single_data_workload(nn, row.jobs * row.tasks_per_job, policy, rng);
+    core::ServiceOptions options;
+    options.seed = row.seed * 7919 + 1;
+    options.batch_window = 0.2;
+    core::PlannerService service(nn, core::one_process_per_node(nn), options);
+
+    std::vector<core::JobId> ids;
+    for (std::uint32_t j = 0; j < row.jobs; ++j) {
+      core::JobRequest request;
+      request.tenant = j % 4;
+      request.weight = 1.0 + static_cast<double>(request.tenant % 2);
+      request.arrival = j * kArrivalGap;
+      const auto first = tasks.begin() + static_cast<std::ptrdiff_t>(j * row.tasks_per_job);
+      request.tasks.assign(first, first + row.tasks_per_job);
+      ids.push_back(service.submit(std::move(request)));
+    }
+    for (std::uint32_t j = 0; j < row.jobs; ++j) service.advance_to(j * kArrivalGap);
+    service.drain();
+
+    const core::ServiceCounters& c = service.counters();
+    EXPECT_EQ(c.batches, row.batches) << row.nodes << " nodes";
+    EXPECT_EQ(c.locally_matched, row.locally_matched) << row.nodes << " nodes";
+    Digest d;
+    digest_jobs(d, service, ids);
+    for (std::uint64_t v : {c.jobs_submitted, c.jobs_planned, c.jobs_cancelled,
+                            c.jobs_completed, c.tasks_planned, c.locally_matched,
+                            c.randomly_filled})
+      d.u64(v);
+    for (std::uint32_t v : {c.batches, c.max_batch_tasks, c.max_queue_depth}) d.u64(v);
+    EXPECT_EQ(d.hex(), row.digest) << row.nodes << " nodes";
+  }
 }
 
 TEST(GoldenScenarios, IncrementalThreeBatches) {
@@ -585,24 +651,57 @@ TEST(GoldenScenarios, PlanMultiData) {
             "22c1c5326e0c230b");
 }
 
-/// core::plan() at the repository benchmark's scale, where Dinic runs
-/// several phases over tens of thousands of tasks. The 16-node pins above
-/// need few phases, and the benchmark's own single-opass digest cannot tell
-/// which process reads which chunk: every read there is local and
-/// conflict-free.
+/// core::plan() on a single-data layout of `task_count` chunks, the layout
+/// rng seeded `layout_seed` and the fill rng `fill_seed`. Every plan must
+/// pass the auditor, per-process capacity included.
 core::PlanResult scale_plan(core::PlannerKind planner, std::uint32_t nodes, std::uint32_t racks,
                             std::uint32_t replication, std::uint32_t task_count,
-                            std::uint32_t processes_per_node = 1) {
+                            std::uint32_t processes_per_node = 1,
+                            std::uint64_t layout_seed = 9, std::uint64_t fill_seed = 3) {
   dfs::NameNode nn(dfs::Topology::uniform_racks(nodes, racks), replication,
                    kDefaultChunkSize);
   dfs::RandomPlacement policy;
-  Rng rng(9);
+  Rng rng(layout_seed);
   const auto tasks = workload::make_single_data_workload(nn, task_count, policy, rng);
   const auto placement = core::one_process_per_node(nn, nodes * processes_per_node);
-  Rng fill(3);
+  Rng fill(fill_seed);
   core::PlanOptions options;
   options.planner = planner;
-  return core::plan({&nn, &tasks, &placement, &fill}, options);
+  auto result = core::plan({&nn, &tasks, &placement, &fill}, options);
+  core::AuditOptions audit;
+  audit.enforce_capacity = true;
+  const auto report = core::audit_plan(nn, tasks, result.assignment, placement, audit);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  return result;
+}
+
+/// Single-data plans on one rack from 16 to 256 nodes at r = 1, 3 and 5, the
+/// layout rng seeded `seed` and the fill rng `seed * 7919 + 1`.
+TEST(GoldenScenarios, PlanSingleDataMatrix) {
+  struct Row {
+    std::uint32_t nodes;
+    std::uint32_t replication;
+    std::uint32_t tasks;
+    std::uint64_t seed;
+    std::uint32_t locally_matched;
+    const char* digest;
+  };
+  const Row rows[] = {
+      {16, 3, 160, 1, 160, "c324b156757eb835"},
+      {64, 3, 640, 42, 640, "c6dbd41afb6a1a49"},
+      {128, 3, 1280, 3, 1280, "b51406b093d367d1"},
+      {64, 1, 640, 4, 566, "10ab790d79c15edb"},
+      {64, 5, 640, 5, 640, "c4a06d025c5373ad"},
+      {256, 3, 2560, 6, 2560, "9f25ce40b5c82c6a"},
+      {256, 3, 10240, 7, 10240, "7bf4cb8b918a542a"},
+  };
+  for (const Row& row : rows) {
+    const auto result = scale_plan(core::PlannerKind::kSingleData, row.nodes, 1,
+                                   row.replication, row.tasks, 1, row.seed,
+                                   row.seed * 7919 + 1);
+    EXPECT_EQ(result.locally_matched, row.locally_matched) << row.nodes << " x " << row.tasks;
+    EXPECT_EQ(plan_digest(result), row.digest) << row.nodes << " x " << row.tasks;
+  }
 }
 
 /// The byte-weighted planner on 8,192 single-chunk files of 8-63 MiB on 256
@@ -651,6 +750,11 @@ std::string incremental_scale_digest() {
   return d.hex();
 }
 
+/// core::plan() at the repository benchmark's scale, where Dinic runs
+/// several phases over tens of thousands of tasks. The 16-node pins above
+/// need few phases, and the benchmark's own single-opass digest cannot tell
+/// which process reads which chunk: every read there is local and
+/// conflict-free.
 TEST(GoldenScenarios, PlanAtBenchmarkScale) {
   using core::PlannerKind;
   // Single-data 1,024 x 40,960; r = 1 leaves tasks to the random fill.

@@ -1,4 +1,4 @@
-// Randomized stress and reuse tests for the MPI-model communicator.
+// Randomized stress test for the MPI-model communicator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -47,59 +47,6 @@ TEST(CommStress, RandomSendRecvAllDelivered) {
     EXPECT_EQ(received, sent) << "seed " << seed;
     EXPECT_EQ(comm.messages_sent(), static_cast<std::uint64_t>(messages));
   }
-}
-
-TEST(CommStress, SequentialBarriersReuseState) {
-  sim::Cluster cluster(4, fast_net());
-  Comm comm(cluster);
-  std::vector<int> rounds_done(4, 0);
-
-  // Three barrier generations back to back, driven per rank.
-  std::function<void(Rank)> enter = [&](Rank r) {
-    comm.barrier(r, [&, r](Seconds) {
-      if (++rounds_done[r] < 3) enter(r);
-    });
-  };
-  for (Rank r = 0; r < 4; ++r) enter(r);
-  cluster.run();
-  for (Rank r = 0; r < 4; ++r) EXPECT_EQ(rounds_done[r], 3) << "rank " << r;
-}
-
-TEST(CommStress, BarrierOrdersWorkAcrossPhases) {
-  // Classic phase pattern: all sends of phase 1 complete (barrier) before
-  // any phase-2 receive is posted; nothing deadlocks, everything matches.
-  sim::Cluster cluster(3, fast_net());
-  Comm comm(cluster);
-  int phase2_msgs = 0;
-  for (Rank r = 0; r < 3; ++r) {
-    comm.send(r, (r + 1) % 3, /*tag=*/1, 16, r);
-    comm.recv(r, kAnySource, 1, [](Message) {});
-    comm.barrier(r, [&, r](Seconds) {
-      comm.send(r, (r + 2) % 3, /*tag=*/2, 16, r);
-      comm.recv(r, kAnySource, 2, [&](Message) { ++phase2_msgs; });
-    });
-  }
-  cluster.run();
-  EXPECT_EQ(phase2_msgs, 3);
-}
-
-TEST(CommStress, GatherAfterGatherWorks) {
-  sim::Cluster cluster(3, fast_net());
-  Comm comm(cluster);
-  std::vector<std::vector<std::uint64_t>> results;
-  comm.gather(0, 8, [&](std::vector<std::uint64_t> v, Seconds) {
-    results.push_back(v);
-    // Second round, nested in the first completion.
-    comm.gather(1, 8, [&](std::vector<std::uint64_t> v2, Seconds) {
-      results.push_back(v2);
-    });
-    for (Rank r = 0; r < 3; ++r) comm.contribute(r, 100 + r);
-  });
-  for (Rank r = 0; r < 3; ++r) comm.contribute(r, r);
-  cluster.run();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0], (std::vector<std::uint64_t>{0, 1, 2}));
-  EXPECT_EQ(results[1], (std::vector<std::uint64_t>{100, 101, 102}));
 }
 
 }  // namespace

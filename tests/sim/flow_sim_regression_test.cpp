@@ -3,7 +3,9 @@
 // Pins the observable outputs of four seed scenarios — makespan, the full
 // read trace (every record, in completion order), and the per-resource
 // busy-time / bytes-served / peak-load / degraded-join tallies — as digest
-// strings captured from the reference implementation. Any engine change that
+// strings captured from the reference implementation; the static replays also
+// pin the engine's slot and re-leveling counters and the serve-bytes
+// imbalance analytics. Any engine change that
 // alters event ordering, completion sets, max-min rates, or accounting shows
 // up as a digest mismatch; pure mechanical speedups (the active-flow index,
 // the ETA heap, incremental re-leveling) must keep every digest stable.
@@ -19,6 +21,7 @@
 #include <cstdio>
 #include <string>
 
+#include "obs/analytics.hpp"
 #include "opass/opass.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/task_source.hpp"
@@ -89,10 +92,34 @@ std::string digest(const runtime::ExecutionResult& exec, const sim::Cluster& clu
   return d;
 }
 
-/// Static Opass plan replayed one-process-per-node — the perf_executor
-/// scenario shape (100% local, one flow per disk at a time).
-std::string run_static_local(std::uint32_t nodes, std::uint32_t tasks_n,
-                             std::uint64_t seed) {
+/// The engine's slot and re-leveling counters and the serve-bytes analytics
+/// of one replay: what digest() leaves out.
+std::string replay_counters(const runtime::ExecutionResult& exec, const sim::Cluster& cluster,
+                            std::uint32_t nodes) {
+  const sim::FlowSimulator& sim = cluster.simulator();
+  const obs::ExecutionAnalytics analytics = obs::analyze_execution(exec, nodes);
+  const obs::ImbalanceStats& serve = analytics.serve_bytes;
+  std::string d;
+  d += "flow_slots=" + std::to_string(sim.flow_slot_count());
+  d += " recomputes=" + std::to_string(sim.rate_recomputes());
+  d += " touched=" + std::to_string(sim.rate_recompute_touched_flows());
+  d += " doi=" + fmt6(serve.degree_of_imbalance);
+  d += " cv=" + fmt6(serve.cv);
+  d += " gini=" + fmt6(serve.gini);
+  d += " peak_over_mean=" + fmt6(serve.peak_over_mean);
+  d += " stragglers=" + std::to_string(analytics.straggler_nodes.size()) + "/" +
+       std::to_string(analytics.straggler_processes.size());
+  return d;
+}
+
+struct Replay {
+  std::string digest;    ///< digest()
+  std::string counters;  ///< replay_counters()
+};
+
+/// Static Opass plan replayed one process per node: 100% local, one flow per
+/// disk at a time.
+Replay run_static_local(std::uint32_t nodes, std::uint32_t tasks_n, std::uint64_t seed) {
   dfs::NameNode nn(dfs::Topology::single_rack(nodes), 3);
   dfs::RandomPlacement policy;
   Rng layout_rng(seed);
@@ -107,7 +134,7 @@ std::string run_static_local(std::uint32_t nodes, std::uint32_t tasks_n,
   ec.process_count = static_cast<std::uint32_t>(placement.size());
   Rng exec_rng(seed * 7919 + 2);
   const auto exec = runtime::execute(cluster, nn, tasks, source, exec_rng, ec);
-  return digest(exec, cluster);
+  return {digest(exec, cluster), replay_counters(exec, cluster, nodes)};
 }
 
 /// Master–worker queue with random replica choice: mostly-remote reads, NIC
@@ -178,10 +205,48 @@ std::string run_delay_scheduling(std::uint32_t nodes, std::uint32_t tasks_n,
 
 // Expected digests were captured from the pre-rewrite reference engine
 // (PR 3 tree) and must never change without a deliberate model change.
+// StaticLocalReplay's rows at 128 to 1,024 nodes and every counters string
+// were recorded later, from the same engine.
 TEST(FlowSimGolden, StaticLocalReplay) {
-  EXPECT_EQ(run_static_local(64, 640, 42),
-            "makespan=9.03333 reads=640 local=1 failures=0 "
-            "trace=c9ca5b2e480c06d3 resources=72c837910e723e45");
+  struct Row {
+    std::uint32_t nodes;
+    std::uint32_t tasks;
+    std::uint64_t seed;
+    const char* digest;
+    const char* counters;
+  };
+  const Row rows[] = {
+      {64, 640, 42,
+       "makespan=9.03333 reads=640 local=1 failures=0 "
+       "trace=c9ca5b2e480c06d3 resources=72c837910e723e45",
+       "flow_slots=64 recomputes=20 touched=640 doi=0 cv=0 gini=0 peak_over_mean=1 "
+       "stragglers=0/0"},
+      {128, 1280, 3,
+       "makespan=9.03333 reads=1280 local=1 failures=0 "
+       "trace=a9d55f1b8caa91f1 resources=b348d1946df604a5",
+       "flow_slots=128 recomputes=20 touched=1280 doi=0 cv=0 gini=0 peak_over_mean=1 "
+       "stragglers=0/0"},
+      {256, 2560, 6,
+       "makespan=9.03333 reads=2560 local=1 failures=0 "
+       "trace=4e9ebc2bd612a72f resources=e4eb5fd112915a19",
+       "flow_slots=256 recomputes=20 touched=2560 doi=0 cv=0 gini=0 peak_over_mean=1 "
+       "stragglers=0/0"},
+      {256, 10240, 7,
+       "makespan=36.1333 reads=10240 local=1 failures=0 "
+       "trace=ead7e6b1efc483eb resources=57f00db2a79a9fd9",
+       "flow_slots=256 recomputes=80 touched=10240 doi=0 cv=0 gini=0 peak_over_mean=1 "
+       "stragglers=0/0"},
+      {1024, 40960, 9,
+       "makespan=36.1333 reads=40960 local=1 failures=0 "
+       "trace=57f17071912771bf resources=83fbd43bd0321dab",
+       "flow_slots=1024 recomputes=80 touched=40960 doi=0 cv=0 gini=0 peak_over_mean=1 "
+       "stragglers=0/0"},
+  };
+  for (const Row& row : rows) {
+    const Replay replay = run_static_local(row.nodes, row.tasks, row.seed);
+    EXPECT_EQ(replay.digest, row.digest) << row.tasks << " tasks";
+    EXPECT_EQ(replay.counters, row.counters) << row.tasks << " tasks";
+  }
 }
 
 TEST(FlowSimGolden, RandomRemoteWithFailure) {

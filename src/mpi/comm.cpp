@@ -53,9 +53,10 @@ void Comm::send(Rank from, Rank to, Tag tag, Bytes bytes, std::uint64_t value,
   msg.bytes = bytes;
   msg.value = value;
   msg.sent_at = cluster_.simulator().now();
-  cluster_.send(node_of(from), node_of(to),
+  const dfs::NodeId src = node_of(from);
+  cluster_.send({&src, 1}, node_of(to),
                 std::max<Bytes>(bytes, 1),  // envelope floor: nothing is free
-                [this, to, msg, cb = std::move(on_sent)](Seconds t) mutable {
+                [this, to, msg, cb = std::move(on_sent)](dfs::NodeId, Seconds t) mutable {
                   msg.delivered_at = t;
                   if (cb) cb(t);
                   deliver(to, std::move(msg));

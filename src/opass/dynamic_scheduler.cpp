@@ -13,8 +13,17 @@ OpassDynamicSource::OpassDynamicSource(runtime::Assignment guideline, const dfs:
   OPASS_REQUIRE(guideline.size() == placement_.size(),
                 "guideline and placement disagree on process count");
   lists_.resize(guideline.size());
-  for (std::size_t p = 0; p < guideline.size(); ++p)
+  sizes_.resize(guideline.size());
+  for (std::size_t p = 0; p < guideline.size(); ++p) {
     lists_[p].assign(guideline[p].begin(), guideline[p].end());
+    sizes_[p] = static_cast<std::uint32_t>(lists_[p].size());
+    remaining_ += sizes_[p];
+  }
+}
+
+void OpassDynamicSource::push(std::size_t p, runtime::TaskId task) {
+  lists_[p].push_back(task);
+  ++sizes_[p];
 }
 
 Bytes OpassDynamicSource::co_located_bytes(runtime::ProcessId process,
@@ -35,19 +44,18 @@ std::optional<runtime::TaskId> OpassDynamicSource::next_task(runtime::ProcessId 
   if (!own.empty()) {
     const runtime::TaskId t = own.front();
     own.pop_front();
+    --sizes_[process];
+    --remaining_;
     ++guideline_hits_;
     return t;
   }
+  if (remaining_ == 0) return std::nullopt;  // all drained
 
-  // Step 3: steal from the longest remaining list, preferring the task with
-  // the most co-located data for the idle process.
-  std::size_t longest = lists_.size();
-  for (std::size_t k = 0; k < lists_.size(); ++k) {
-    if (lists_[k].empty()) continue;
-    if (longest == lists_.size() || lists_[k].size() > lists_[longest].size()) longest = k;
-  }
-  if (longest == lists_.size()) return std::nullopt;  // all drained
-
+  // Step 3: steal from the longest remaining list (the first maximum, so
+  // ties go to the lowest process id), preferring the task with the most
+  // co-located data for the idle process.
+  const auto longest = static_cast<std::size_t>(
+      std::max_element(sizes_.begin(), sizes_.end()) - sizes_.begin());
   auto& victim = lists_[longest];
   std::size_t best = 0;
   Bytes best_bytes = co_located_bytes(process, victim[0]);
@@ -60,6 +68,8 @@ std::optional<runtime::TaskId> OpassDynamicSource::next_task(runtime::ProcessId 
   }
   const runtime::TaskId t = victim[best];
   victim.erase(victim.begin() + static_cast<std::ptrdiff_t>(best));
+  --sizes_[longest];
+  --remaining_;
   ++steals_;
   if (co_located_bytes(process, t) > 0) ++steal_local_hits_;
   return t;
@@ -78,6 +88,7 @@ void OpassDynamicSource::on_node_dead(dfs::NodeId node) {
     if (placement_[p] != node) continue;
     std::deque<runtime::TaskId> orphans;
     orphans.swap(lists_[p]);
+    sizes_[p] = 0;
     for (runtime::TaskId t : orphans) {
       // Best co-located alive process, ties to the smallest id.
       std::size_t best = lists_.size();
@@ -91,7 +102,7 @@ void OpassDynamicSource::on_node_dead(dfs::NodeId node) {
         }
       }
       if (best == lists_.size()) {
-        lists_[p].push_back(t);  // every process is on a dead node: keep it
+        push(p, t);  // every process is on a dead node: keep it
         continue;
       }
       if (best_bytes == 0) {
@@ -99,19 +110,13 @@ void OpassDynamicSource::on_node_dead(dfs::NodeId node) {
         // shortest alive list takes it (ties to the smallest id).
         for (std::size_t q = 0; q < lists_.size(); ++q) {
           if (on_dead_node(static_cast<runtime::ProcessId>(q))) continue;
-          if (lists_[q].size() < lists_[best].size()) best = q;
+          if (sizes_[q] < sizes_[best]) best = q;
         }
       }
-      lists_[best].push_back(t);
+      push(best, t);
       ++failure_reassignments_;
     }
   }
-}
-
-std::uint32_t OpassDynamicSource::remaining_tasks() const {
-  std::size_t n = 0;
-  for (const auto& l : lists_) n += l.size();
-  return static_cast<std::uint32_t>(n);
 }
 
 std::vector<runtime::TaskId> OpassDynamicSource::remaining_task_ids() const {
@@ -130,8 +135,10 @@ void OpassDynamicSource::adopt_guideline(const runtime::Assignment& guideline) {
   std::sort(incoming.begin(), incoming.end());
   OPASS_REQUIRE(incoming == remaining_task_ids(),
                 "adopted guideline must cover exactly the remaining tasks");
-  for (std::size_t p = 0; p < guideline.size(); ++p)
+  for (std::size_t p = 0; p < guideline.size(); ++p) {
     lists_[p].assign(guideline[p].begin(), guideline[p].end());
+    sizes_[p] = static_cast<std::uint32_t>(lists_[p].size());
+  }
 }
 
 }  // namespace opass::core

@@ -64,7 +64,7 @@ class OpassDynamicSource final : public runtime::TaskSource {
   void on_node_dead(dfs::NodeId node);
 
   /// Pending (not yet dispensed) tasks across all lists.
-  std::uint32_t remaining_tasks() const;
+  std::uint32_t remaining_tasks() const { return remaining_; }
 
   /// Ids of all pending tasks, ascending — the re-planning work list.
   std::vector<runtime::TaskId> remaining_task_ids() const;
@@ -98,7 +98,14 @@ class OpassDynamicSource final : public runtime::TaskSource {
   Bytes co_located_bytes(runtime::ProcessId process, runtime::TaskId task) const;
   bool on_dead_node(runtime::ProcessId process) const;
 
+  /// Append `task` to process `p`'s list, keeping the size index in step.
+  void push(std::size_t p, runtime::TaskId task);
+
   std::vector<std::deque<runtime::TaskId>> lists_;
+  // sizes_[p] == lists_[p].size(), kept contiguous so the steal rule scans
+  // one array instead of every deque; remaining_ is their sum.
+  std::vector<std::uint32_t> sizes_;
+  std::uint32_t remaining_ = 0;
   const dfs::NameNode& nn_;
   const std::vector<runtime::Task>& tasks_;
   ProcessPlacement placement_;

@@ -323,30 +323,76 @@ bool Cluster::is_failed(dfs::NodeId node) const {
   return failed_[node] != 0;
 }
 
-void Cluster::send(dfs::NodeId src, dfs::NodeId dst, Bytes bytes,
-                   std::function<void(Seconds)> on_complete) {
-  OPASS_REQUIRE(src < node_count_ && dst < node_count_, "node out of range");
-  if (src == dst) {
-    // Loopback: software latency only, no NIC occupancy.
-    sim_.after(params_.remote_latency, [cb = std::move(on_complete)](Seconds t) {
-      if (cb) cb(t);
-    });
-    return;
+void Cluster::send(std::span<const dfs::NodeId> sources, dfs::NodeId dst, Bytes bytes,
+                   Arrival on_arrival) {
+  OPASS_REQUIRE(dst < node_count_, "node out of range");
+  for (dfs::NodeId src : sources) OPASS_REQUIRE(src < node_count_, "node out of range");
+  if (sources.empty()) return;
+  std::uint32_t slot;
+  if (!free_batches_.empty()) {
+    slot = free_batches_.back();
+    free_batches_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(batches_.size());
+    batches_.emplace_back();
   }
-  const bool cross_rack = rack_of_node_[src] != rack_of_node_[dst];
-  const Seconds latency =
-      params_.remote_latency + (cross_rack ? params_.cross_rack_latency : 0.0);
-  sim_.after(latency, [this, src, dst, bytes, cross_rack,
-                       cb = std::move(on_complete)](Seconds) mutable {
-    FlowPath path{nic_out_[src], nic_in_[dst]};
-    if (!rack_up_.empty() && cross_rack) {
-      path.push_back(rack_up_[rack_of_node_[src]]);
-      path.push_back(rack_down_[rack_of_node_[dst]]);
+  Batch& batch = batches_[slot];
+  batch.on_arrival = std::move(on_arrival);
+  batch.sources.assign(sources.begin(), sources.end());
+  batch.start.clear();
+  batch.dst = dst;
+  batch.bytes = bytes;
+  batch.pending = static_cast<std::uint32_t>(sources.size());
+
+  // One timer per distinct start time, scheduled in order of first use, as
+  // the per-message timers it replaces would have been.
+  start_times_.clear();
+  const Seconds now = sim_.now();
+  for (dfs::NodeId src : batch.sources) {
+    const bool cross_rack = rack_of_node_[src] != rack_of_node_[dst];
+    // Loopback: software latency only, no NIC occupancy.
+    const Seconds latency =
+        src == dst ? params_.remote_latency
+                   : params_.remote_latency + (cross_rack ? params_.cross_rack_latency : 0.0);
+    const Seconds when = now + latency;
+    const auto seen = std::find(start_times_.begin(), start_times_.end(), when);
+    batch.start.push_back(static_cast<std::uint32_t>(seen - start_times_.begin()));
+    if (seen != start_times_.end()) continue;
+    const auto start = static_cast<std::uint32_t>(start_times_.size());
+    start_times_.push_back(when);
+    sim_.at(when, [this, slot, start](Seconds) { start_messages(slot, start); });
+  }
+}
+
+/// Put every message of `batch` that starts at its `start`-th start time on
+/// the wire, in source order; a loopback message arrives right away.
+void Cluster::start_messages(std::uint32_t slot, std::uint32_t start) {
+  const Batch& batch = batches_[slot];
+  for (std::uint32_t i = 0; i < batch.sources.size(); ++i) {
+    if (batch.start[i] != start) continue;
+    const dfs::NodeId src = batch.sources[i];
+    if (src == batch.dst) {
+      arrive(slot, i, sim_.now());
+      continue;
     }
-    sim_.start_flow(std::move(path), bytes, [cb = std::move(cb)](Seconds end) {
-      if (cb) cb(end);
-    });
-  });
+    FlowPath path{nic_out_[src], nic_in_[batch.dst]};
+    if (!rack_up_.empty() && rack_of_node_[src] != rack_of_node_[batch.dst]) {
+      path.push_back(rack_up_[rack_of_node_[src]]);
+      path.push_back(rack_down_[rack_of_node_[batch.dst]]);
+    }
+    sim_.start_flow(std::move(path), batch.bytes,
+                    [this, slot, i](Seconds end) { arrive(slot, i, end); });
+  }
+}
+
+/// Deliver message `index` of `batch`, and free the batch after its last.
+void Cluster::arrive(std::uint32_t slot, std::uint32_t index, Seconds at) {
+  Batch& batch = batches_[slot];
+  OPASS_CHECK(batch.pending > 0, "message arrived from a finished batch");
+  if (batch.on_arrival) batch.on_arrival(batch.sources[index], at);
+  if (--batch.pending > 0) return;
+  batch.on_arrival = nullptr;  // drop the captured state with the batch
+  free_batches_.push_back(slot);
 }
 
 }  // namespace opass::sim

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/probe.hpp"
@@ -102,6 +103,11 @@ class Cluster {
   /// transfers share per-rack uplinks.
   Cluster(const dfs::Topology& topology, ClusterParams params = {});
 
+  /// Not copyable or movable: pending timers and flow completions point
+  /// back at this object.
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
+
   std::uint32_t node_count() const { return node_count_; }
   const ClusterParams& params() const { return params_; }
 
@@ -166,10 +172,21 @@ class Cluster {
   /// filter dfs::choose_serving_node takes.
   const std::vector<char>& failed_nodes() const { return failed_; }
 
-  /// Network-only transfer `src` -> `dst` (no disk involvement): MPI
-  /// messages, RPCs. Same-node sends pay only the local software latency.
-  void send(dfs::NodeId src, dfs::NodeId dst, Bytes bytes,
-            std::function<void(Seconds)> on_complete);
+  /// Arrival of one message of a send: (its source node, arrival time).
+  using Arrival = std::function<void(dfs::NodeId, Seconds)>;
+
+  /// Network-only transfers of `bytes` from each of `sources` to `dst` (no
+  /// disk involvement): heartbeats, MPI messages, RPCs. Each message starts
+  /// after its own latency, the remote latency plus the cross-rack latency
+  /// when it leaves its rack; a same-node send pays only the remote latency
+  /// and occupies no NIC. `on_arrival(source, time)` fires once per message
+  /// as its last byte arrives; it is stored once for the whole batch and may
+  /// be empty.
+  /// Messages that start at one virtual time start from one simulator timer,
+  /// in source order, which fires them exactly as one timer per message
+  /// would (DESIGN.md §8). An empty `sources` sends nothing.
+  void send(std::span<const dfs::NodeId> sources, dfs::NodeId dst, Bytes bytes,
+            Arrival on_arrival);
 
   /// Reads currently being served by each node (in-flight, including the
   /// positioning phase). Used by least-loaded replica choice.
@@ -261,6 +278,20 @@ class Cluster {
     std::function<void(Seconds)> on_failure;
   };
 
+  /// The messages of one send() call until the last of them arrives. Slots
+  /// live in a deque, so an arrival callback that sends again never moves
+  /// the batch it runs from.
+  struct Batch {
+    Arrival on_arrival;
+    std::vector<dfs::NodeId> sources;
+    std::vector<std::uint32_t> start;  // per source: index of its start time
+    dfs::NodeId dst = 0;
+    Bytes bytes = 0;
+    std::uint32_t pending = 0;  // messages not yet arrived; 0 = slot free
+  };
+
+  void start_messages(std::uint32_t batch, std::uint32_t start);
+  void arrive(std::uint32_t batch, std::uint32_t index, Seconds at);
   void start_read(dfs::NodeId reader, dfs::NodeId server, Bytes bytes, bool copy,
                   std::function<void(Seconds)> on_complete,
                   std::function<void(Seconds)> on_failure);
@@ -291,6 +322,9 @@ class Cluster {
   std::vector<std::uint32_t> peak_queue_;          // max FIFO depth, per node
   std::vector<ResourceInfo> resource_info_;        // indexed by ResourceId
   std::vector<SpeedChange> speed_changes_;
+  std::deque<Batch> batches_;                      // send() batches, free-list reused
+  std::vector<std::uint32_t> free_batches_;
+  std::vector<Seconds> start_times_;               // send() scratch: distinct start times
   bool record_breakdown_ = false;
   ReadBreakdown last_breakdown_;  // of the read completing right now
 };

@@ -146,9 +146,11 @@ FlowId FlowSimulator::start_flow(FlowPath resources, Bytes bytes,
     OPASS_CHECK(flows_.size() < 0xffffffffull, "flow slot space exhausted");
     slot = static_cast<std::uint32_t>(flows_.size());
     flows_.emplace_back();
+    positions_.emplace_back();
   }
   Flow& f = flows_[slot];
-  OPASS_CHECK(!f.active && f.resources.empty() && !f.on_complete,
+  FlowPositions& at = positions_[slot];
+  OPASS_CHECK(!f.active && f.resources.empty() && at.empty() && !f.on_complete,
               "flow slot reused before being fully retired");
   f.resources = std::move(resources);
   f.bytes_anchor = static_cast<double>(bytes);
@@ -164,6 +166,7 @@ FlowId FlowSimulator::start_flow(FlowPath resources, Bytes bytes,
     if (res.active == 0) res.busy_since = now_;
     ++res.active;
     res.peak_active = std::max(res.peak_active, res.active);
+    at.push_back(static_cast<std::uint32_t>(res.flows.size()));
     res.flows.push_back(slot);
     mark_dirty(r);
   }
@@ -195,20 +198,51 @@ std::uint64_t FlowSimulator::resource_degraded_joins(ResourceId r) const {
   return resources_[r].degraded_joins;
 }
 
+/// Remove path entry `i` of the flow in `slot` from its resource's flow list
+/// by swap-with-last, in O(path). The entry removed is the flow's first
+/// occurrence in the list, the one a linear search would find, so every list
+/// keeps the order water_fill iterates. The entry moved into the hole is
+/// matched by resource and position, which keeps a path that crosses one
+/// resource twice exact too.
+void FlowSimulator::detach(std::uint32_t slot, std::size_t i) {
+  const FlowPath& path = flows_[slot].resources;
+  std::uint32_t* at = positions_[slot].data();
+  const ResourceId r = path[i];
+  // Entries before i are gone; a later entry on the same resource may sit
+  // earlier in the list, and then it is the one to remove.
+  for (std::size_t j = i + 1; j < path.size(); ++j)
+    if (path[j] == r && at[j] < at[i]) std::swap(at[i], at[j]);
+  std::vector<std::uint32_t>& list = resources_[r].flows;
+  const std::uint32_t hole = at[i];
+  OPASS_CHECK(hole < list.size() && list[hole] == slot, "flow missing from its resource index");
+  const auto last = static_cast<std::uint32_t>(list.size() - 1);
+  const std::uint32_t moved = list[last];
+  list[hole] = moved;
+  list.pop_back();
+  if (hole == last) return;
+  const FlowPath& moved_path = flows_[moved].resources;
+  std::uint32_t* moved_at = positions_[moved].data();
+  for (std::size_t j = moved == slot ? i + 1 : 0; j < moved_path.size(); ++j) {
+    if (moved_path[j] == r && moved_at[j] == last) {
+      moved_at[j] = hole;
+      return;
+    }
+  }
+  OPASS_CHECK(false, "moved flow missing from its resource index");
+}
+
 /// Detach the flow from every resource it crosses (closing busy intervals and
 /// marking them for re-leveling), release its storage, and return the slot to
 /// the free list. The epoch bump turns any queued ETA entries stale.
 void FlowSimulator::retire_slot(std::uint32_t slot) {
   Flow& f = flows_[slot];
-  for (ResourceId r : f.resources) {
+  for (std::size_t i = 0; i < f.resources.size(); ++i) {
+    const ResourceId r = f.resources[i];
     Resource& res = resources_[r];
     OPASS_CHECK(res.active > 0, "resource active count underflow");
     --res.active;
     if (res.active == 0) res.busy_time += now_ - res.busy_since;
-    auto it = std::find(res.flows.begin(), res.flows.end(), slot);
-    OPASS_CHECK(it != res.flows.end(), "flow missing from its resource index");
-    *it = res.flows.back();
-    res.flows.pop_back();
+    detach(slot, i);
     mark_dirty(r);
   }
   f.active = false;
@@ -217,6 +251,7 @@ void FlowSimulator::retire_slot(std::uint32_t slot) {
   f.on_complete = nullptr;
   ++f.epoch;
   f.resources = FlowPath{};  // release any heap block on retirement
+  positions_[slot] = FlowPositions{};
   std::vector<BindingInterval>().swap(f.attr);
   --flows_active_;
   free_slots_.push_back(slot);
@@ -226,18 +261,31 @@ void FlowSimulator::retire_slot(std::uint32_t slot) {
 }
 
 /// Exhaustive slot-reuse invariants, run on every retirement under the
-/// sanitizer presets: the slot must be detached from every resource index,
-/// its per-flow storage released, and the free list duplicate-free. O(cluster)
-/// per retirement — far too slow for benchmarking, invaluable under ASan.
+/// sanitizer presets: the slot must be detached from every resource index and
+/// hold no positions, its per-flow storage released, the free list
+/// duplicate-free, and every remaining list entry must match the position its
+/// flow records for it. O(cluster) per retirement — far too slow for
+/// benchmarking, invaluable under ASan.
 void FlowSimulator::audit_retired_slot(std::uint32_t slot) const {
   const Flow& f = flows_[slot];
+  const FlowPositions& at = positions_[slot];
   OPASS_CHECK(!f.active && f.resources.empty() &&
-                  f.resources.capacity() == FlowPath::kInlineCapacity && !f.on_complete &&
+                  f.resources.capacity() == FlowPath::kInlineCapacity && at.empty() &&
+                  at.capacity() == FlowPath::kInlineCapacity && !f.on_complete &&
                   f.attr.capacity() == 0,
               "retired flow slot still holds state");
-  for (const Resource& res : resources_)
-    for (std::uint32_t s : res.flows)
-      OPASS_CHECK(s != slot, "retired flow slot still indexed by a resource");
+  for (ResourceId r = 0; r < resources_.size(); ++r) {
+    const std::vector<std::uint32_t>& list = resources_[r].flows;
+    for (std::uint32_t k = 0; k < list.size(); ++k) {
+      OPASS_CHECK(list[k] != slot, "retired flow slot still indexed by a resource");
+      const FlowPath& path = flows_[list[k]].resources;
+      const FlowPositions& pos = positions_[list[k]];
+      bool recorded = false;
+      for (std::size_t j = 0; j < path.size(); ++j)
+        recorded = recorded || (path[j] == r && pos[j] == k);
+      OPASS_CHECK(recorded, "flow list entry disagrees with its flow's position");
+    }
+  }
   std::size_t uses = 0;
   for (std::uint32_t s : free_slots_)
     if (s == slot) ++uses;

@@ -15,14 +15,16 @@
 // Scalability design (see DESIGN.md "Simulator scalability"): per-event cost
 // depends on the *active* flow set, never on the total number of flows ever
 // started. Retired flows return their slot to a free list (FlowIds carry a
-// generation tag so stale handles stay inert); completions come from a lazily
-// invalidated earliest-ETA heap (entries are epoch-stamped and re-validated
-// against exact remaining bytes when popped); and rate recomputation
-// re-levels only the connected component of resources a joining/leaving flow
-// touches, using reusable workspace buffers. Byte and busy-time accounting is
-// anchor-based: progress is committed when a flow's rate changes or the flow
-// ends, and read-side accessors materialize the open interval, so advancing
-// time is O(1) instead of O(active flows).
+// generation tag so stale handles stay inert) and leave each resource's flow
+// list in O(path), because every flow's position in those lists is kept;
+// completions come from a lazily invalidated earliest-ETA heap (entries are
+// epoch-stamped and re-validated against exact remaining bytes when
+// popped); and rate recomputation re-levels only the connected component of
+// resources a joining/leaving flow touches, using reusable workspace
+// buffers. Byte and busy-time accounting is anchor-based: progress is
+// committed when a flow's rate changes or the flow ends, and read-side
+// accessors materialize the open interval, so advancing time is O(1) instead
+// of O(active flows).
 #pragma once
 
 #include <cmath>
@@ -97,7 +99,11 @@ class FlowSimulator {
   FlowId start_flow(FlowPath resources, Bytes bytes, std::function<void(Seconds)> on_complete,
                     BytesPerSec rate_cap = 0);
 
-  /// Schedule `fn(time)` at absolute virtual time `when` (>= now).
+  /// Schedule `fn(time)` at absolute virtual time `when` (>= now). run()
+  /// fires every due timer, in (when, seq) order, before it re-levels, so
+  /// timers of one `when` whose seqs no other timer of that `when` falls
+  /// between may be merged into one timer that does their work in seq order
+  /// (DESIGN.md §8): heartbeat rounds and batched sends rely on this.
   void at(Seconds when, std::function<void(Seconds)> fn);
 
   /// Schedule `fn(time)` after `delay` seconds.
@@ -219,6 +225,12 @@ class FlowSimulator {
     std::vector<BindingInterval> attr;
   };
 
+  /// A flow's index in the flow list of each resource on its path:
+  /// positions_[slot][i] is the flow's index in
+  /// resources_[flows_[slot].resources[i]].flows. Kept beside flows_, not in
+  /// Flow, because only starting and retiring a flow read it.
+  using FlowPositions = InlineVector<std::uint32_t, FlowPath::kInlineCapacity>;
+
   struct Timer {
     Seconds when;
     std::uint64_t seq;
@@ -272,6 +284,7 @@ class FlowSimulator {
   void stash_attribution(std::uint32_t slot);
   void set_rate(std::uint32_t slot, double rate, ResourceId binding);
   void water_fill();
+  void detach(std::uint32_t slot, std::size_t i);
   void retire_slot(std::uint32_t slot);
   double next_completion_time();
   void recompute_rates();
@@ -280,6 +293,7 @@ class FlowSimulator {
 
   std::vector<Resource> resources_;
   std::vector<Flow> flows_;                  // slot pool; retired slots are reused
+  std::vector<FlowPositions> positions_;     // per slot, parallel to flows_
   std::vector<std::uint32_t> free_slots_;
   std::size_t flows_active_ = 0;
   std::uint32_t peak_active_flows_ = 0;

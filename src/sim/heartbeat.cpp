@@ -1,5 +1,7 @@
 #include "sim/heartbeat.hpp"
 
+#include <algorithm>
+
 #include "common/require.hpp"
 
 namespace opass::sim {
@@ -18,34 +20,42 @@ HeartbeatMonitor::HeartbeatMonitor(Cluster& cluster, dfs::NameNode& nn,
 void HeartbeatMonitor::start(Seconds horizon) {
   const Seconds now = cluster_.simulator().now();
   OPASS_REQUIRE(horizon > now, "horizon must lie in the future");
-  for (dfs::NodeId n = 0; n < cluster_.node_count(); ++n) {
+  OPASS_REQUIRE(groups_.empty(), "start() may be called at most once");
+  for (dfs::NodeId n = 0; n < cluster_.node_count(); ++n)
     last_beat_[n] = now;  // everyone is presumed alive at start
-    schedule_beat(n, now + params_.interval, horizon);
-  }
+  groups_.push_back({0, cluster_.node_count(), now + params_.interval, horizon});
+  schedule_round(0);
   schedule_check(now + params_.interval, horizon);
 }
 
 void HeartbeatMonitor::watch_node(dfs::NodeId node, Seconds horizon) {
+  OPASS_REQUIRE(!groups_.empty(), "watch_node needs start() first");
   OPASS_REQUIRE(node == last_beat_.size(), "watch_node ids must stay dense");
   OPASS_REQUIRE(node < cluster_.node_count(), "node not in the cluster yet");
   const Seconds now = cluster_.simulator().now();
   last_beat_.push_back(now);
   declared_at_.push_back(-1.0);
-  schedule_beat(node, now + params_.interval, horizon);
+  groups_.push_back({node, node + 1, now + params_.interval, horizon});
+  schedule_round(static_cast<std::uint32_t>(groups_.size() - 1));
 }
 
-void HeartbeatMonitor::schedule_beat(dfs::NodeId node, Seconds when, Seconds horizon) {
-  if (when > horizon) return;
-  cluster_.simulator().at(when, [this, node, when, horizon](Seconds) {
-    // A failed node sends nothing — that silence is the detection signal.
-    if (!cluster_.is_failed(node)) {
-      cluster_.send(node, namenode_host_, params_.heartbeat_bytes,
-                    [this, node](Seconds arrival) {
-                      last_beat_[node] = std::max(last_beat_[node], arrival);
-                    });
-    }
-    schedule_beat(node, when + params_.interval, horizon);
-  });
+void HeartbeatMonitor::schedule_round(std::uint32_t group) {
+  const Group& g = groups_[group];
+  if (g.when > g.horizon) return;
+  cluster_.simulator().at(g.when, [this, group](Seconds) { beat(group); });
+}
+
+void HeartbeatMonitor::beat(std::uint32_t group) {
+  // A failed node sends nothing — that silence is the detection signal.
+  senders_.clear();
+  for (dfs::NodeId n = groups_[group].first; n < groups_[group].end; ++n)
+    if (!cluster_.is_failed(n)) senders_.push_back(n);
+  cluster_.send(senders_, namenode_host_, params_.heartbeat_bytes,
+                [this](dfs::NodeId node, Seconds arrival) {
+                  last_beat_[node] = std::max(last_beat_[node], arrival);
+                });
+  groups_[group].when += params_.interval;
+  schedule_round(group);
 }
 
 void HeartbeatMonitor::schedule_check(Seconds when, Seconds horizon) {

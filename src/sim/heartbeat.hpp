@@ -7,6 +7,13 @@
 // real simulated messages, so a congested NameNode link delays detection
 // exactly as it would in production.
 //
+// Rounds. Nodes beat in groups: the nodes start() registers form one group
+// and every node watch_node() adds forms its own. A group holds one
+// simulator timer per interval; when it fires, the group's nodes that are
+// still alive, in ascending id, go to Cluster::send as one batch. That is the
+// same schedule as one timer and one message per node (DESIGN.md §8), at the
+// cost of one timer per group and a flow per message.
+//
 // Detection window. A node is declared dead at the first miss check where
 // `now - last_beat > interval * miss_threshold + interval`; the extra
 // interval absorbs wire latency of the last beat in flight. With the
@@ -62,14 +69,15 @@ class HeartbeatMonitor {
 
   /// Schedule heartbeats and miss checks from now until `horizon` (virtual
   /// time). The simulation still quiesces at the horizon, so run() keeps
-  /// its run-to-idle semantics. Precondition: `horizon` lies in the future.
-  /// Call at most once per monitor.
+  /// its run-to-idle semantics. Preconditions (checked): `horizon` lies in
+  /// the future, and start() was not called before on this monitor.
   void start(Seconds horizon);
 
   /// Track a node added to the cluster after start() (churn join): it begins
-  /// heartbeating at the current virtual time. Preconditions: start() was
-  /// called, `node` is the id just returned by Cluster::add_node, and the
-  /// monitor is not yet tracking it (ids are dense).
+  /// heartbeating at the current virtual time. Preconditions (checked):
+  /// start() was called, `node` is the id just returned by
+  /// Cluster::add_node, and the monitor is not yet tracking it (ids are
+  /// dense).
   void watch_node(dfs::NodeId node, Seconds horizon);
 
   /// Replace the default recovery action (NameNode::decommission_node) with
@@ -89,7 +97,16 @@ class HeartbeatMonitor {
   std::uint32_t recoveries() const { return recoveries_; }
 
  private:
-  void schedule_beat(dfs::NodeId node, Seconds when, Seconds horizon);
+  /// Nodes [first, end) that beat together, and their next round.
+  struct Group {
+    dfs::NodeId first = 0;
+    dfs::NodeId end = 0;
+    Seconds when = 0;     // next round
+    Seconds horizon = 0;  // no round after this
+  };
+
+  void schedule_round(std::uint32_t group);
+  void beat(std::uint32_t group);
   void schedule_check(Seconds when, Seconds horizon);
 
   Cluster& cluster_;
@@ -100,6 +117,8 @@ class HeartbeatMonitor {
   RecoveryHandler recovery_;          // empty = default decommission_node
   std::vector<Seconds> last_beat_;    // one entry per *watched* node
   std::vector<Seconds> declared_at_;  // < 0 while alive
+  std::vector<Group> groups_;
+  std::vector<dfs::NodeId> senders_;  // scratch: a round's alive nodes
   std::uint32_t recoveries_ = 0;
 };
 

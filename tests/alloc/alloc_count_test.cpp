@@ -7,7 +7,10 @@
 // allocation per chunk and per read: replica lists, task inputs and flow
 // paths live inline, and the executor's read callback captures no record.
 // What remains is the amortized growth of per-node inventories, traces and
-// event heaps. Repeated planning allocates nothing once its arenas are warm
+// event heaps. Heartbeat rounds on the same 1,024 nodes stay below a tenth
+// of an allocation per beat: a round is one timer per beat group and one
+// batched send, and each message's flow callback fits std::function's
+// inline buffer (DESIGN.md §8, §11). Repeated planning allocates nothing once its arenas are warm
 // (DESIGN.md §5): a network rebuild and max-flow solve on a warm
 // FlowWorkspace allocate nothing, and a warm Fig. 5 solve allocates only the
 // owner vector it returns.
@@ -29,6 +32,7 @@
 #include "runtime/task.hpp"
 #include "runtime/task_source.hpp"
 #include "sim/cluster.hpp"
+#include "sim/heartbeat.hpp"
 
 namespace {
 
@@ -142,6 +146,25 @@ TEST(AllocationCount, BaselineExecutionStaysBelowHalfAnAllocationPerRead) {
   const double per_read = static_cast<double>(allocations) / kChunks;
   RecordProperty("allocations_per_read", std::to_string(per_read));
   EXPECT_LT(per_read, 0.5) << allocations << " allocations for " << kChunks << " reads";
+}
+
+TEST(AllocationCount, HeartbeatRoundsStayBelowATenthOfAnAllocationPerBeat) {
+  dfs::NameNode nn(dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize);
+  sim::Cluster cluster(kNodes);
+  Rng rng(9);
+  sim::HeartbeatMonitor monitor(cluster, nn, /*namenode_host=*/0, rng);
+  std::size_t allocations = 0;
+  {
+    AllocationCounter counter;
+    monitor.start(/*horizon=*/120.0);
+    cluster.run();
+    allocations = counter.count();
+  }
+  EXPECT_EQ(monitor.recoveries(), 0u);
+  constexpr std::uint32_t kBeats = kNodes * 40;  // 3 s rounds up to 120 s
+  const double per_beat = static_cast<double>(allocations) / kBeats;
+  RecordProperty("allocations_per_beat", std::to_string(per_beat));
+  EXPECT_LT(per_beat, 0.1) << allocations << " allocations for " << kBeats << " beats";
 }
 
 /// The Fig. 5 network of 8,192 tasks on 256 single-process nodes at r = 3:

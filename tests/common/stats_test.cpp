@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace opass {
 namespace {
@@ -92,6 +96,25 @@ TEST(JainFairness, WorstCaseOneHot) {
 TEST(JainFairness, EmptyIsZero) { EXPECT_EQ(jain_fairness({}), 0.0); }
 
 TEST(JainFairness, AllZeroIsBalanced) { EXPECT_EQ(jain_fairness({0.0, 0.0}), 1.0); }
+
+TEST(Summary, OrderStatisticsMatchAFullSort) {
+  Rng rng(11);
+  for (std::size_t n : {1, 2, 3, 4, 7, 20, 101, 1000}) {
+    for (bool duplicates : {false, true}) {
+      std::vector<double> v(n);
+      for (double& x : v)
+        x = duplicates ? static_cast<double>(rng.uniform(5)) : rng.exponential(2.0);
+      std::vector<double> sorted = v;
+      std::sort(sorted.begin(), sorted.end());
+      const Summary s = summarize(v);
+      EXPECT_EQ(s.min, sorted.front()) << n;
+      EXPECT_EQ(s.max, sorted.back()) << n;
+      EXPECT_EQ(s.median, quantile_sorted(sorted, 0.5)) << n;
+      EXPECT_EQ(s.p95, quantile_sorted(sorted, 0.95)) << n;
+      EXPECT_EQ(s.p99, quantile_sorted(sorted, 0.99)) << n;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace opass

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 namespace opass::sim {
 namespace {
 
@@ -189,6 +192,52 @@ TEST(FlowSimulator, ConservationOfWork) {
   sim.run();
   // 1000 bytes through 50 B/s: exactly 20 s regardless of sharing pattern.
   EXPECT_DOUBLE_EQ(last, 20.0);
+}
+
+// Retirement detaches a flow by the positions it records, not by a search.
+// A cancelled flow moves a flow that crosses r0 twice into its hole, so that
+// flow's later path entry sits earlier in r0's list; a nine-resource path
+// spills its positions to the heap. Both must leave every list exact.
+TEST(FlowSimulator, RetiresRepeatedAndSpilledPathsByPosition) {
+  FlowSimulator sim;
+  std::vector<ResourceId> r;
+  for (int i = 0; i < 9; ++i) r.push_back(sim.add_resource(100.0));
+  const FlowId gone = sim.start_flow({r[0]}, 1000, nullptr);
+  Seconds twice = -1, spilled = -1;
+  sim.start_flow({r[1], r[0], r[2], r[3], r[4], r[5], r[6], r[7], r[8]}, 100,
+                 [&](Seconds t) { spilled = t; });
+  sim.start_flow({r[0], r[0]}, 100, [&](Seconds t) { twice = t; });
+  sim.cancel_flow(gone);  // r0's list becomes {twice#2, spilled, twice#1}
+  sim.run();
+  // r0 counts the repeated flow twice: three shares of 100 B/s.
+  EXPECT_NEAR(twice, 3.0, 1e-9);
+  EXPECT_NEAR(spilled, 3.0, 1e-9);
+  for (ResourceId id : r) EXPECT_EQ(sim.resource_load(id), 0u);
+}
+
+// Retiring a flow that crosses r0 twice must leave r0's list in the order a
+// linear search for its first entry would: {C, A, B}, not {B, A, C}. The
+// order shows in resource_bytes_served, which sums the open intervals in
+// list order: 1 + 2^-53 + 2^-53 rounds to 1, while 2^-53 + 2^-53 + 1 does
+// not.
+TEST(FlowSimulator, RetirementKeepsTheLinearSearchListOrder) {
+  FlowSimulator sim;
+  const ResourceId r0 = sim.add_resource(100.0);
+  const double tiny = std::ldexp(1.0, -53);
+  const FlowId x = sim.start_flow({r0}, 10, nullptr);
+  const FlowId a = sim.start_flow({r0}, 10, nullptr, tiny);
+  const FlowId t = sim.start_flow({r0, r0}, 10, nullptr);
+  sim.cancel_flow(x);  // {t#2, a, t#1}
+  const FlowId b = sim.start_flow({r0}, 10, nullptr, tiny);
+  const FlowId c = sim.start_flow({r0}, 10, nullptr, 1.0);
+  sim.cancel_flow(t);  // {t#2, a, t#1, b, c} -> {c, a, b}
+  double served = -1;
+  sim.at(1.0, [&](Seconds) {
+    served = sim.resource_bytes_served(r0);
+    for (FlowId id : {a, b, c}) sim.cancel_flow(id);
+  });
+  sim.run();
+  EXPECT_EQ(served, 1.0);
 }
 
 }  // namespace

@@ -94,6 +94,11 @@ TEST_F(HeartbeatFixture, Validation) {
   HeartbeatMonitor m(cluster, nn, 0, rng);
   EXPECT_THROW(m.start(-1.0), std::invalid_argument);
   EXPECT_THROW(m.declared_dead(99), std::invalid_argument);
+  HeartbeatMonitor unstarted(cluster, nn, 0, rng);
+  m.start(10.0);
+  EXPECT_THROW(m.start(20.0), std::invalid_argument);  // a second start would beat twice
+  const dfs::NodeId joined = cluster.add_node();
+  EXPECT_THROW(unstarted.watch_node(joined, 10.0), std::invalid_argument);  // before start()
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Multi-rack network model: per-rack uplinks, cross-rack latency.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "sim/cluster.hpp"
 
 namespace opass::sim {
@@ -92,9 +95,42 @@ TEST(RackNetwork, CrossRackSendUsesUplink) {
   const auto topo = dfs::Topology::uniform_racks(4, 2);
   Cluster c(topo, racked_params());
   Seconds done = -1;
-  c.send(0, 1, 100, [&](Seconds t) { done = t; });
+  const dfs::NodeId src = 0;
+  c.send({&src, 1}, 1, 100, [&](dfs::NodeId, Seconds t) { done = t; });
   c.run();
   EXPECT_DOUBLE_EQ(done, 2.0);  // 1 s cross-rack latency + 1 s transfer
+}
+
+// A batch mixing a loopback, same-rack and cross-rack sources (two start
+// times) delivers every message exactly as one send per source would.
+TEST(RackNetwork, BatchedSendMatchesOneSendPerSource) {
+  const auto topo = dfs::Topology::uniform_racks(6, 2);
+  const std::vector<dfs::NodeId> sources = {0, 1, 2, 3, 4, 5, 3};
+  using Arrivals = std::vector<std::pair<dfs::NodeId, Seconds>>;
+  const auto record = [](Arrivals& into) {
+    return [&into](dfs::NodeId src, Seconds t) { into.emplace_back(src, t); };
+  };
+  Arrivals batched, single;
+  {
+    Cluster c(topo, racked_params());
+    c.send(sources, /*dst=*/3, 50, record(batched));
+    c.run();
+  }
+  {
+    Cluster c(topo, racked_params());
+    for (const dfs::NodeId& src : sources) c.send({&src, 1}, 3, 50, record(single));
+    c.run();
+  }
+  ASSERT_EQ(batched.size(), sources.size());
+  EXPECT_EQ(batched, single);
+  {
+    Cluster c(topo, racked_params());
+    c.send(sources, 3, 50, nullptr);  // no arrival callback: the traffic still flows
+    EXPECT_DOUBLE_EQ(c.run(), batched.back().second);
+  }
+  // Node 3's two loopback messages arrive first, after the bare latency.
+  EXPECT_EQ(batched[0], std::make_pair(dfs::NodeId{3}, racked_params().remote_latency));
+  EXPECT_EQ(batched[1], batched[0]);
 }
 
 }  // namespace

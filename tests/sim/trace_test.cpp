@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace opass::sim {
 namespace {
 
@@ -35,6 +40,46 @@ TEST(TraceRecorder, IoTimesByIssueOrder) {
   t.add(rec(0, 0, 10, 2.0, 5.0, true));
   t.add(rec(1, 1, 10, 0.0, 2.0, true));
   EXPECT_EQ(t.io_times_by_issue(), (std::vector<double>{2.0, 3.0}));
+}
+
+/// io_times() (by end time) or io_times_by_issue() as a stable sort of the
+/// records computes them.
+std::vector<double> stable_order(const TraceRecorder& t, bool by_issue) {
+  std::vector<ReadRecord> sorted = t.records();
+  std::stable_sort(sorted.begin(), sorted.end(), [&](const ReadRecord& a, const ReadRecord& b) {
+    return by_issue ? a.issue_time < b.issue_time : a.end_time < b.end_time;
+  });
+  std::vector<double> out;
+  for (const auto& r : sorted) out.push_back(r.io_time());
+  return out;
+}
+
+TEST(TraceRecorder, IoTimeOrdersMatchStableSorts) {
+  Rng rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    // Every record's I/O time is distinct, so any reordering shows. Tied end
+    // times in half the trials, tied issue times in the other half.
+    const bool tie_ends = trial % 2 == 0;
+    std::vector<ReadRecord> records;
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      const double io = 1.0 + i * 1e-3;
+      const double tied = static_cast<double>(rng.uniform(10));
+      records.push_back(tie_ends ? rec(i, 0, 1, 10.0 + tied - io, 10.0 + tied, false)
+                                 : rec(i, 0, 1, tied, tied + io, false));
+    }
+    // Completion order, as the executor appends, in the even trials; out of
+    // order in the odd ones.
+    if (trial % 4 < 2) {
+      std::stable_sort(records.begin(), records.end(),
+                       [](const ReadRecord& a, const ReadRecord& b) {
+                         return a.end_time < b.end_time;
+                       });
+    }
+    TraceRecorder t;
+    for (const auto& r : records) t.add(r);
+    EXPECT_EQ(t.io_times(), stable_order(t, false)) << "trial " << trial;
+    EXPECT_EQ(t.io_times_by_issue(), stable_order(t, true)) << "trial " << trial;
+  }
 }
 
 TEST(TraceRecorder, BytesServedPerNode) {

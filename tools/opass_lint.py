@@ -96,6 +96,15 @@ Rules (all scoped to src/ unless noted):
                     field, which is what made the sinks slow. fault_log.cpp
                     is out of scope: its instant labels keep the pinned
                     std::to_string(double) format.
+  linear-detach     src/sim/ only: no `std::find` or `std::remove` (and
+                    their `_if` forms, plain or std::ranges::) inside the
+                    body of `retire_slot` or `detach`, whatever list it
+                    searches. Every flow keeps its position in the list of
+                    each resource on its path, so FlowSimulator detaches a
+                    retiring flow in O(path); a search there makes each
+                    retirement O(flows on the resource), which a heartbeat
+                    round that retires a thousand messages on one NIC pays
+                    squared.
   arc-partner       (scoped to src/graph/, src/opass/ and tests/support/) No
                     `^ 1` on an edge or arc id: arcs are laid out in CSR
                     order, so an arc's partner (the reverse of its edge) is
@@ -207,6 +216,10 @@ SINK_RENDERERS = (
     "src/obs/attribution.cpp",
     "src/obs/report.cpp",
 )
+# The functions that take a retiring flow off its resources' lists, and a
+# linear search or removal anywhere in their bodies.
+DETACH_FUNCTION = re.compile(r"\b(retire_slot|detach)\s*\(")
+LINEAR_SEARCH = re.compile(r"\bstd\s*::\s*(?:ranges\s*::\s*)?((?:find|remove)(?:_if)?)\s*\(")
 # XOR with 1 (`h ^ 1`, `a ^= 1u`): the half-edge pairing of an adjacency
 # layout where an edge's two arcs sat side by side. `^ 10` does not match.
 XOR_ONE = re.compile(r"\^=?\s*1[uUlL]*\b")
@@ -489,6 +502,21 @@ def check_arc_partner(path: pathlib.Path, root: pathlib.Path, text: str, finding
                     "FlowNetwork::partner(a)"))
 
 
+def check_linear_detach(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
+    if not path.relative_to(root).as_posix().startswith("src/sim/"):
+        return
+    code = scrub(text)
+    for fn in DETACH_FUNCTION.finditer(code):
+        # A call or declaration ends at its ';'; only a definition has a body.
+        close_at = _close_paren(code, fn.end() - 1)
+        for m in LINEAR_SEARCH.finditer(code, close_at + 1, _statement_end(code, close_at + 1)):
+            findings.append(
+                Finding(path, _line_of(text, m.start()), "linear-detach",
+                        f"std::{m.group(1)}() in {fn.group(1)}(); each flow records "
+                        "its position in every list on its path, so detach it by "
+                        "position in O(path)"))
+
+
 def check_nodiscard_status(path: pathlib.Path, src_root: pathlib.Path, text: str, findings: list):
     if path.suffix != ".hpp" or "obs" not in path.relative_to(src_root).parts[:1]:
         return
@@ -530,6 +558,7 @@ def lint_tree(root: pathlib.Path) -> list:
         check_one_probe(path, root, text, findings)
         check_sink_writer(path, root, text, findings)
         check_arc_partner(path, root, text, findings)
+        check_linear_detach(path, root, text, findings)
     check_single_pipeline(root, texts, findings)
     # bench/, examples/ and tests/ consume the planner API, so only the
     # API-usage rule applies there, plus arc-partner in the test oracles.
@@ -639,6 +668,18 @@ _VIOLATIONS = {
         '#include "graph/flow_network.hpp"\n'
         "NodeIdx tail(const FlowNetwork& net, ArcIdx h) { return net.residual_to(h ^ 1); }\n",
     ),
+    "linear-detach": (
+        "sim/bad_linear_detach.cpp",
+        "#include <algorithm>\n"
+        "void FlowSimulator::retire_slot(std::uint32_t slot) {\n"
+        "  for (ResourceId r : flows_[slot].resources) {\n"
+        "    std::vector<std::uint32_t>& list = resources_[r].flows;\n"
+        "    auto it = std::find(list.begin(), list.end(), slot);\n"
+        "    *it = list.back();\n"
+        "    list.pop_back();\n"
+        "  }\n"
+        "}\n",
+    ),
     "pq-top-copy": (
         "bad_top_copy.cpp",
         "#include <functional>\n#include <queue>\n"
@@ -648,6 +689,21 @@ _VIOLATIONS = {
 }
 
 _CLEANS = (
+    (
+        # What linear-detach must NOT flag under src/sim/: a search outside
+        # the detach functions, their declarations and calls, and prose
+        # naming the rule.
+        "sim/clean_detach.cpp",
+        "#include <algorithm>\n"
+        "void detach(std::uint32_t slot, std::size_t i);\n"
+        "// retire_slot() never calls std::find(list.begin(), ...).\n"
+        "void FlowSimulator::retire_slot(std::uint32_t slot) {\n"
+        "  for (std::size_t i = 0; i < flows_[slot].resources.size(); ++i) detach(slot, i);\n"
+        "}\n"
+        "bool seen(const std::vector<double>& times, double when) {\n"
+        "  return std::find(times.begin(), times.end(), when) != times.end();\n"
+        "}\n",
+    ),
     (
         "clean.cpp",
         '#include <vector>\n\n#include "common/require.hpp"\n'

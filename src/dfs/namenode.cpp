@@ -19,6 +19,14 @@ void check_placement(const ReplicaList& replicas, std::uint32_t replication,
   for (NodeId n : replicas) OPASS_CHECK(n < node_count, "policy returned node out of range");
 }
 
+/// Make room for `n` elements in one allocation, at least doubling the
+/// capacity as push_back would: a table sized once for a large file, and
+/// still amortized O(1) per element over many small ones.
+template <typename T>
+void reserve_total(std::vector<T>& v, std::size_t n) {
+  if (n > v.capacity()) v.reserve(std::max(n, 2 * v.capacity()));
+}
+
 }  // namespace
 
 NameNode::NameNode(Topology topo, std::uint32_t replication, Bytes chunk_size)
@@ -26,6 +34,7 @@ NameNode::NameNode(Topology topo, std::uint32_t replication, Bytes chunk_size)
       replication_(replication),
       chunk_size_(chunk_size),
       node_chunks_(topo_.node_count()),
+      staged_per_node_(topo_.node_count(), 0),
       decommissioned_(topo_.node_count(), 0) {
   OPASS_REQUIRE(replication_ > 0, "replication factor must be positive");
   OPASS_REQUIRE(replication_ <= topo_.node_count(),
@@ -46,6 +55,8 @@ FileId NameNode::create_file(const std::string& name, Bytes size, PlacementPolic
   // chunks_; no inventory or file entry changes until all of them pass, and a
   // rejected placement (or a throwing policy) drops the staged tail.
   const std::size_t first = chunks_.size();
+  reserve_total(chunks_, first + static_cast<std::size_t>(size / chunk_size_) +
+                             (size % chunk_size_ != 0 ? 1 : 0));
   try {
     Bytes remaining = size;
     for (std::uint32_t index = 0; remaining > 0; ++index) {
@@ -63,6 +74,16 @@ FileId NameNode::create_file(const std::string& name, Bytes size, PlacementPolic
     chunks_.resize(first);
     throw;
   }
+
+  // Size each touched inventory once for all of its new replicas, counting
+  // them in a member scratch that ends the call all zero again.
+  for (std::size_t i = first; i < chunks_.size(); ++i)
+    for (NodeId n : chunks_[i].replicas) ++staged_per_node_[n];
+  for (std::size_t i = first; i < chunks_.size(); ++i)
+    for (NodeId n : chunks_[i].replicas) {
+      reserve_total(node_chunks_[n], node_chunks_[n].size() + staged_per_node_[n]);
+      staged_per_node_[n] = 0;
+    }
 
   fi.chunks.reserve(chunks_.size() - first);
   for (std::size_t i = first; i < chunks_.size(); ++i) {
@@ -112,6 +133,7 @@ Bytes NameNode::total_file_bytes() const {
 NodeId NameNode::add_node(RackId rack) {
   const NodeId id = topo_.add_node(rack);
   node_chunks_.emplace_back();
+  staged_per_node_.push_back(0);
   decommissioned_.push_back(0);
   return id;
 }

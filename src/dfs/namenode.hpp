@@ -122,6 +122,7 @@ class NameNode {
   std::vector<FileInfo> files_;
   std::vector<ChunkInfo> chunks_;
   std::vector<std::vector<ChunkId>> node_chunks_;  // per-node inventory
+  std::vector<std::uint32_t> staged_per_node_;     // create_file scratch; zero between calls
   std::vector<char> decommissioned_;
 };
 

@@ -29,6 +29,13 @@ class Driver {
     OPASS_REQUIRE(!(prefetch_ && bsp_), "prefetch and barrier_per_task are exclusive");
     result_.process_finish_time.assign(m, 0);
     result_.barrier_stall.assign(m, 0);
+    // Each task runs once and reads each of its inputs once: size the trace
+    // and the spans for the whole table.
+    std::size_t reads = 0;
+    for (const Task& task : tasks) reads += task.inputs.size();
+    result_.trace.reserve(reads);
+    result_.task_spans.reserve(tasks.size());
+    if (breakdown_) result_.read_breakdowns.reserve(reads);
     retired_.assign(m, 0);
     wave_arrival_.assign(m, -1.0);
     wave_active_ = m;

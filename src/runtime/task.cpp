@@ -5,7 +5,10 @@ namespace opass::runtime {
 std::vector<Task> single_input_tasks(const dfs::NameNode& nn,
                                      const std::vector<dfs::FileId>& files,
                                      Seconds compute_time) {
+  std::size_t count = 0;
+  for (auto fid : files) count += nn.file(fid).chunks.size();
   std::vector<Task> tasks;
+  tasks.reserve(count);
   for (auto fid : files) {
     for (auto cid : nn.file(fid).chunks) {
       Task t;

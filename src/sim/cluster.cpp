@@ -10,8 +10,7 @@ Cluster::Cluster(std::uint32_t node_count, ClusterParams params)
 Cluster::Cluster(const dfs::Topology& topology, ClusterParams params)
     : node_count_(topology.node_count()), params_(params), inflight_(node_count_, 0),
       served_(node_count_, 0), failed_(node_count_, 0), speed_(node_count_, 1.0),
-      serving_(node_count_, 0), waiting_(node_count_), admission_waits_(node_count_, 0),
-      peak_queue_(node_count_, 0) {
+      serving_(node_count_, 0), queues_(node_count_) {
   OPASS_REQUIRE(node_count_ > 0, "cluster needs at least one node");
   disk_.reserve(node_count_);
   nic_in_.reserve(node_count_);
@@ -79,9 +78,7 @@ dfs::NodeId Cluster::add_node(dfs::RackId rack) {
   failed_.push_back(0);
   speed_.push_back(1.0);
   serving_.push_back(0);
-  waiting_.emplace_back();
-  admission_waits_.push_back(0);
-  peak_queue_.push_back(0);
+  queues_.emplace_back();
   return id;
 }
 
@@ -117,12 +114,12 @@ std::uint64_t Cluster::disk_degraded_joins(dfs::NodeId node) const {
 
 std::uint64_t Cluster::admission_waits(dfs::NodeId node) const {
   OPASS_REQUIRE(node < node_count_, "node out of range");
-  return admission_waits_[node];
+  return queues_[node].waits;
 }
 
 std::uint32_t Cluster::peak_admission_queue(dfs::NodeId node) const {
   OPASS_REQUIRE(node < node_count_, "node out of range");
-  return peak_queue_[node];
+  return queues_[node].peak;
 }
 
 void Cluster::read(dfs::NodeId reader, dfs::NodeId server, Bytes bytes,
@@ -180,20 +177,27 @@ void Cluster::start_read(dfs::NodeId reader, dfs::NodeId server, Bytes bytes, bo
   op.issue_ticks = to_ticks(sim_.now());
   op.on_complete = std::move(on_complete);
   op.on_failure = std::move(on_failure);
-  const ReadId id = (static_cast<ReadId>(op.tag) << 32) | slot;
 
-  // DataNode admission gate (xceiver limit): queue when the server already
-  // serves its maximum number of concurrent reads.
+  // DataNode admission gate (xceiver limit): queue at the tail of the
+  // server's FIFO when it already serves its maximum number of concurrent
+  // reads.
   emit(sim_.now(), ProbeKind::kReadIssued, server, bytes);
   if (params_.max_concurrent_serves > 0 &&
       serving_[server] >= params_.max_concurrent_serves) {
-    waiting_[server].push_back(id);
-    ++admission_waits_[server];
-    peak_queue_[server] =
-        std::max(peak_queue_[server], static_cast<std::uint32_t>(waiting_[server].size()));
+    AdmissionQueue& queue = queues_[server];
+    op.next_waiting = kNoSlot;
+    if (queue.length == 0) {
+      queue.head = slot;
+    } else {
+      read_pool_[queue.tail].next_waiting = slot;
+    }
+    queue.tail = slot;
+    ++queue.length;
+    ++queue.waits;
+    queue.peak = std::max(queue.peak, queue.length);
     return;
   }
-  admit(id);
+  admit(slot);
 }
 
 /// Return a finished/aborted read's slot to the free list, releasing any
@@ -207,11 +211,10 @@ void Cluster::retire_read(std::uint32_t slot) {
   free_read_slots_.push_back(slot);
 }
 
-void Cluster::admit(ReadId id) {
-  const std::uint32_t slot = static_cast<std::uint32_t>(id);
+void Cluster::admit(std::uint32_t slot) {
   ReadOp& op = read_pool_[slot];
-  OPASS_CHECK(op.active && op.tag == static_cast<std::uint32_t>(id >> 32),
-              "admitted read missing from the active set");
+  OPASS_CHECK(op.active && !op.admitted, "admitting a read that is not active and waiting");
+  const ReadId id = (static_cast<ReadId>(op.tag) << 32) | slot;
   op.admitted = true;
   op.admit_ticks = to_ticks(sim_.now());
   ++serving_[op.server];
@@ -281,11 +284,12 @@ void Cluster::release_serve_slot(dfs::NodeId server) {
   OPASS_CHECK(serving_[server] > 0, "serve-slot count underflow");
   --serving_[server];
   if (failed_[server]) return;  // the failure path drains the queue itself
-  if (!waiting_[server].empty()) {
-    const std::uint64_t next = waiting_[server].front();
-    waiting_[server].pop_front();
-    admit(next);
-  }
+  AdmissionQueue& queue = queues_[server];
+  if (queue.length == 0) return;
+  const std::uint32_t next = queue.head;
+  queue.head = read_pool_[next].next_waiting;
+  if (--queue.length == 0) queue.tail = kNoSlot;
+  admit(next);
 }
 
 void Cluster::fail_node(dfs::NodeId node, Seconds when) {
@@ -313,7 +317,9 @@ void Cluster::fail_node(dfs::NodeId node, Seconds when) {
       retire_read(slot);
       emit(t, ProbeKind::kReadAborted, node, bytes);
     }
-    waiting_[node].clear();
+    AdmissionQueue& queue = queues_[node];
+    queue.head = queue.tail = kNoSlot;
+    queue.length = 0;
     for (auto& cb : failures) cb(t);
   });
 }

@@ -261,11 +261,15 @@ class Cluster {
   /// to finished reads inert (same scheme as sim::FlowId).
   using ReadId = std::uint64_t;
 
+  /// No slot: the end of an admission FIFO, or an empty one.
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
   struct ReadOp {
     dfs::NodeId reader = 0;
     dfs::NodeId server = 0;
     Bytes bytes = 0;
     std::uint32_t tag = 0;      // generation of the current occupant
+    std::uint32_t next_waiting = kNoSlot;  // next slot in the server's FIFO, while queued
     bool active = false;        // slot occupied
     bool admitted = false;      // past the per-node admission gate
     bool transferring = false;  // false while in the positioning phase
@@ -276,6 +280,18 @@ class Cluster {
     std::int64_t transfer_start_ticks = 0;
     std::function<void(Seconds)> on_complete;
     std::function<void(Seconds)> on_failure;
+  };
+
+  /// A node's admission FIFO, threaded through the read-slot pool by
+  /// ReadOp::next_waiting: the queued slots from head to tail in arrival
+  /// order. Every queued slot is active; only fail_node retires one, and it
+  /// empties the queue too.
+  struct AdmissionQueue {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
+    std::uint32_t length = 0;
+    std::uint32_t peak = 0;   // max length so far
+    std::uint64_t waits = 0;  // reads ever queued
   };
 
   /// The messages of one send() call until the last of them arrives. Slots
@@ -295,7 +311,7 @@ class Cluster {
   void start_read(dfs::NodeId reader, dfs::NodeId server, Bytes bytes, bool copy,
                   std::function<void(Seconds)> on_complete,
                   std::function<void(Seconds)> on_failure);
-  void admit(ReadId id);
+  void admit(std::uint32_t slot);
   void retire_read(std::uint32_t slot);
   void release_serve_slot(dfs::NodeId server);
   void emit(Seconds at, ProbeKind kind, dfs::NodeId server, Bytes bytes) const {
@@ -317,9 +333,7 @@ class Cluster {
   std::vector<std::uint32_t> free_read_slots_;
   std::uint64_t read_seq_ = 0;
   std::vector<std::uint32_t> serving_;             // admitted reads per node
-  std::vector<std::deque<ReadId>> waiting_;        // admission FIFO per node
-  std::vector<std::uint64_t> admission_waits_;     // reads ever queued, per node
-  std::vector<std::uint32_t> peak_queue_;          // max FIFO depth, per node
+  std::vector<AdmissionQueue> queues_;             // admission FIFO per node
   std::vector<ResourceInfo> resource_info_;        // indexed by ResourceId
   std::vector<SpeedChange> speed_changes_;
   std::deque<Batch> batches_;                      // send() batches, free-list reused

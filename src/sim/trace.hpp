@@ -24,7 +24,8 @@ namespace opass::sim {
 /// One completed read operation: who asked, who served, how much, and when.
 /// `issue_time`/`end_time` are virtual (simulated) seconds from the cluster
 /// clock; `io_time()` is the paper's per-chunk "I/O time" (request to last
-/// byte, including positioning latency and any admission-queue wait).
+/// byte, including positioning latency and any admission-queue wait). The
+/// flag sits with the 32-bit ids, so a record is 48 bytes.
 struct ReadRecord {
   std::uint32_t process = 0;      ///< issuing process rank
   dfs::NodeId reader_node = 0;    ///< node the process runs on
@@ -34,10 +35,10 @@ struct ReadRecord {
   /// task-structured). Lets the causal span log nest reads under their task
   /// without guessing from time windows (which prefetch overlap would break).
   std::uint32_t task = 0xffffffffu;
+  bool local = false;             ///< served from the reader's own node
   Bytes bytes = 0;                ///< payload size of the read
   Seconds issue_time = 0;         ///< when the request was issued
   Seconds end_time = 0;           ///< when the last byte arrived
-  bool local = false;             ///< served from the reader's own node
 
   /// Wall-clock (virtual) duration of the operation.
   Seconds io_time() const { return end_time - issue_time; }
@@ -50,6 +51,9 @@ class TraceRecorder {
  public:
   /// Append one completed read. Records arrive in completion order.
   void add(const ReadRecord& r) { records_.push_back(r); }
+
+  /// Make room for `n` records in one allocation.
+  void reserve(std::size_t n) { records_.reserve(n); }
 
   /// All records, in the order they were added.
   const std::vector<ReadRecord>& records() const { return records_; }

@@ -14,12 +14,21 @@
 // (DESIGN.md §5): a network rebuild and max-flow solve on a warm
 // FlowWorkspace allocate nothing, and a warm Fig. 5 solve allocates only the
 // owner vector it returns.
+//
+// The footprint gates also sum the bytes each allocation asks for, so a table
+// grown by doubling pays for every buffer it abandoned. A run's tables are
+// sized once from the input that determines them (DESIGN.md §8): the chunk
+// table and each touched inventory from the staged placements, the task table
+// from the chunk count, the trace and task spans from the task table. A
+// layout of many one-chunk files must still grow geometrically, and the
+// cluster builds no per-node admission queue.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,9 +49,13 @@ namespace {
 // worker threads, so plain globals suffice.
 bool g_counting = false;
 std::size_t g_allocations = 0;
+std::size_t g_bytes = 0;
 
 void* counted_alloc(std::size_t size, std::size_t align) {
-  if (g_counting) ++g_allocations;
+  if (g_counting) {
+    ++g_allocations;
+    g_bytes += size;
+  }
   if (size == 0) size = 1;
   void* p = align > alignof(std::max_align_t)
                 ? std::aligned_alloc(align, (size + align - 1) / align * align)
@@ -51,17 +64,19 @@ void* counted_alloc(std::size_t size, std::size_t align) {
   return p;
 }
 
-/// Counts the allocations made while it is alive.
+/// Counts the allocations made while it is alive, and the bytes they asked for.
 class AllocationCounter {
  public:
   AllocationCounter() {
     g_allocations = 0;
+    g_bytes = 0;
     g_counting = true;
   }
   ~AllocationCounter() { g_counting = false; }
   AllocationCounter(const AllocationCounter&) = delete;
   AllocationCounter& operator=(const AllocationCounter&) = delete;
   std::size_t count() const { return g_allocations; }
+  std::size_t bytes() const { return g_bytes; }
 };
 
 }  // namespace
@@ -105,6 +120,9 @@ namespace {
 constexpr std::uint32_t kNodes = 1024;
 constexpr std::uint32_t kChunks = 40960;
 
+// Every completed read appends one record to the trace.
+static_assert(sizeof(sim::ReadRecord) == 48, "five ids, a flag and three 8-byte fields");
+
 /// The single-data layout of the repository benchmark's 1,024-node workloads.
 dfs::FileId store_layout(dfs::NameNode& nn, Rng& rng) {
   dfs::RandomPlacement policy;
@@ -146,6 +164,87 @@ TEST(AllocationCount, BaselineExecutionStaysBelowHalfAnAllocationPerRead) {
   const double per_read = static_cast<double>(allocations) / kChunks;
   RecordProperty("allocations_per_read", std::to_string(per_read));
   EXPECT_LT(per_read, 0.5) << allocations << " allocations for " << kChunks << " reads";
+}
+
+/// What one measured call allocated: blocks, and the bytes they asked for.
+struct Footprint {
+  double allocations = 0;
+  double bytes = 0;
+};
+
+template <typename Fn>
+Footprint measure(Fn&& fn) {
+  AllocationCounter counter;
+  fn();
+  return {static_cast<double>(counter.count()), static_cast<double>(counter.bytes())};
+}
+
+TEST(AllocationFootprint, LayoutSizesItsTablesOnce) {
+  dfs::NameNode nn(dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize);
+  Rng rng(9);
+  const Footprint f = measure([&] { store_layout(nn, rng); });
+  ASSERT_EQ(nn.chunk_count(), kChunks);
+  RecordProperty("allocations_per_chunk", std::to_string(f.allocations / kChunks));
+  RecordProperty("bytes_per_chunk", std::to_string(f.bytes / kChunks));
+  EXPECT_LT(f.allocations / kChunks, 0.05) << f.allocations << " allocations";
+  EXPECT_LT(f.bytes / kChunks, 80.0) << f.bytes << " bytes";
+}
+
+TEST(AllocationFootprint, ManyOneChunkFilesGrowGeometrically) {
+  // One chunk per create_file call: sizing the tables per call must cost no
+  // more than growing them one entry at a time, as the layout did before it
+  // sized them (1.642 allocations and 429.5 bytes per chunk). Scratch
+  // allocated per call, such as a node-count array, costs 4 KiB a file.
+  constexpr std::uint32_t kFiles = 10000;
+  dfs::NameNode nn(dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize);
+  Rng rng(9);
+  dfs::RandomPlacement policy;
+  const std::string name = "part";
+  const Footprint f = measure([&] {
+    for (std::uint32_t i = 0; i < kFiles; ++i)
+      nn.create_file(name, nn.chunk_size(), policy, rng);
+  });
+  ASSERT_EQ(nn.chunk_count(), kFiles);
+  RecordProperty("allocations_per_chunk", std::to_string(f.allocations / kFiles));
+  RecordProperty("bytes_per_chunk", std::to_string(f.bytes / kFiles));
+  EXPECT_LE(f.allocations / kFiles, 1.65) << f.allocations << " allocations";
+  EXPECT_LE(f.bytes / kFiles, 430.0) << f.bytes << " bytes";
+}
+
+TEST(AllocationFootprint, SingleInputTasksAreOneBlock) {
+  dfs::NameNode nn(dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize);
+  Rng rng(9);
+  const std::vector<dfs::FileId> files{store_layout(nn, rng)};
+  std::vector<runtime::Task> tasks;
+  const Footprint f = measure([&] { tasks = runtime::single_input_tasks(nn, files); });
+  ASSERT_EQ(tasks.size(), kChunks);
+  RecordProperty("bytes_per_task", std::to_string(f.bytes / kChunks));
+  EXPECT_LE(f.allocations, 2.0);
+  EXPECT_LE(f.bytes / kChunks, 48.0) << f.bytes << " bytes";
+}
+
+TEST(AllocationFootprint, ClusterBuildsNoPerNodeQueue) {
+  std::optional<sim::Cluster> cluster;
+  const Footprint f = measure([&] { cluster.emplace(kNodes); });
+  RecordProperty("allocations", std::to_string(f.allocations));
+  EXPECT_LT(f.allocations, 64.0);
+}
+
+TEST(AllocationFootprint, BaselineExecutionStaysBelow150BytesPerRead) {
+  dfs::NameNode nn(dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize);
+  Rng rng(9);
+  const dfs::FileId file = store_layout(nn, rng);
+  const auto tasks = runtime::single_input_tasks(nn, {file});
+  const auto assignment = runtime::rank_interval_assignment(kChunks, kNodes);
+  sim::Cluster cluster(kNodes);
+  runtime::StaticAssignmentSource source(assignment);
+  Rng exec_rng(3);
+  runtime::ExecutionResult result;
+  const Footprint f =
+      measure([&] { result = runtime::execute(cluster, nn, tasks, source, exec_rng); });
+  ASSERT_EQ(result.trace.size(), kChunks);
+  RecordProperty("bytes_per_read", std::to_string(f.bytes / kChunks));
+  EXPECT_LT(f.bytes / kChunks, 150.0) << f.bytes << " bytes";
 }
 
 TEST(AllocationCount, HeartbeatRoundsStayBelowATenthOfAnAllocationPerBeat) {

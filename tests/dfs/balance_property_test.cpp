@@ -15,8 +15,8 @@ TEST(BalanceProperty, BalancerConvergesOnRandomSkewedLayouts) {
     HdfsDefaultPlacement policy;
     const std::uint32_t files = 20 + static_cast<std::uint32_t>(rng.uniform(40));
     for (std::uint32_t f = 0; f < files; ++f) {
-      nn.create_file("f" + std::to_string(f), kDefaultChunkSize, policy, rng,
-                     static_cast<NodeId>(rng.uniform(3)));  // writers only on 0..2
+      nn.create_file(std::string("f").append(std::to_string(f)), kDefaultChunkSize, policy,
+                     rng, static_cast<NodeId>(rng.uniform(3)));  // writers only on 0..2
     }
 
     nn.balance(rng, /*tolerance=*/1);
@@ -41,7 +41,8 @@ TEST(BalanceProperty, BalancePreservesReplicationAndBytes) {
     NameNode nn(Topology::single_rack(10), 2, kDefaultChunkSize);
     HdfsDefaultPlacement policy;
     for (int f = 0; f < 30; ++f)
-      nn.create_file("f" + std::to_string(f), kDefaultChunkSize, policy, rng, 0);
+      nn.create_file(std::string("f").append(std::to_string(f)), kDefaultChunkSize, policy,
+                     rng, 0);
 
     const Bytes before = nn.total_file_bytes();
     Bytes replica_before = 0;

@@ -133,7 +133,8 @@ TEST(NameNode, BalanceTightensSpread) {
   HdfsDefaultPlacement policy;
   Rng rng(17);
   for (int i = 0; i < 24; ++i)
-    nn.create_file("f" + std::to_string(i), kDefaultChunkSize, policy, rng, /*writer=*/0);
+    nn.create_file(std::string("f").append(std::to_string(i)), kDefaultChunkSize, policy, rng,
+                   /*writer=*/0);
 
   auto spread = [&] {
     const auto counts = nn.node_chunk_counts();
@@ -162,7 +163,8 @@ TEST(NameNode, BalanceToleranceZeroStopsWithinOneReplica) {
   HdfsDefaultPlacement policy;
   Rng rng(17);
   for (int i = 0; i < 25; ++i)
-    nn.create_file("f" + std::to_string(i), kDefaultChunkSize, policy, rng, /*writer=*/0);
+    nn.create_file(std::string("f").append(std::to_string(i)), kDefaultChunkSize, policy, rng,
+                   /*writer=*/0);
 
   EXPECT_GT(nn.balance(rng, 0), 0u);
   const auto counts = nn.node_chunk_counts();

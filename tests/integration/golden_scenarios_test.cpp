@@ -562,7 +562,8 @@ std::string weighted_mixed_digest(std::uint32_t replication) {
   std::vector<runtime::Task> tasks;
   for (std::uint32_t i = 0; i < 120; ++i) {
     const Bytes size = (8 + rng.uniform(56)) * kMiB;
-    const auto file = nn.create_file("f" + std::to_string(i), size, policy, rng);
+    const auto file =
+        nn.create_file(std::string("f").append(std::to_string(i)), size, policy, rng);
     runtime::Task task;
     task.id = i;
     task.inputs = {nn.file(file).chunks[0]};
@@ -713,7 +714,8 @@ std::string weighted_scale_digest() {
   std::vector<runtime::Task> tasks;
   for (std::uint32_t i = 0; i < 8192; ++i) {
     const Bytes size = (8 + rng.uniform(56)) * kMiB;
-    const auto file = nn.create_file("f" + std::to_string(i), size, policy, rng);
+    const auto file =
+        nn.create_file(std::string("f").append(std::to_string(i)), size, policy, rng);
     runtime::Task task;
     task.id = i;
     task.inputs = {nn.file(file).chunks[0]};

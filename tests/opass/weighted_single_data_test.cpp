@@ -15,7 +15,8 @@ std::vector<runtime::Task> heterogeneous_tasks(dfs::NameNode& nn,
                                                dfs::PlacementPolicy& policy, Rng& rng) {
   std::vector<runtime::Task> tasks;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    const auto fid = nn.create_file("f" + std::to_string(i), sizes[i], policy, rng);
+    const auto fid =
+        nn.create_file(std::string("f").append(std::to_string(i)), sizes[i], policy, rng);
     runtime::Task t;
     t.id = static_cast<runtime::TaskId>(i);
     t.inputs = {nn.file(fid).chunks[0]};

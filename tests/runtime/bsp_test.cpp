@@ -22,8 +22,9 @@ struct BspFixture : ::testing::Test {
   }
 
   std::vector<Task> make_tasks(std::uint32_t chunks) {
-    const auto fid = nn.create_file("d" + std::to_string(nn.file_count()),
-                                    chunks * kDefaultChunkSize, policy, rng);
+    const auto fid =
+        nn.create_file(std::string("d").append(std::to_string(nn.file_count())),
+                       chunks * kDefaultChunkSize, policy, rng);
     return single_input_tasks(nn, {fid});
   }
 

@@ -20,8 +20,9 @@ struct PrefetchFixture : ::testing::Test {
   }
 
   std::vector<Task> make_tasks(std::uint32_t chunks, Seconds compute) {
-    const auto fid = nn.create_file("d" + std::to_string(nn.file_count()),
-                                    chunks * kDefaultChunkSize, policy, rng);
+    const auto fid =
+        nn.create_file(std::string("d").append(std::to_string(nn.file_count())),
+                       chunks * kDefaultChunkSize, policy, rng);
     auto tasks = single_input_tasks(nn, {fid}, compute);
     return tasks;
   }

@@ -1,6 +1,10 @@
 // DataNode admission control (xceiver limit) with FIFO queueing.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "sim/cluster.hpp"
 
 namespace opass::sim {
@@ -93,6 +97,54 @@ TEST(Admission, SlotFreedByFailureStillServesOtherTraffic) {
   c.read(0, 2, 100, [&](Seconds t) { ok = t; });
   c.run();
   EXPECT_GT(ok, 0.0);
+}
+
+TEST(Admission, InterleavedQueuesDrainInFifoOrder) {
+  // Limit 1 on servers 0 and 1. Reads to the two servers alternate, so the
+  // slots of their queues interleave in the one read-slot pool, and each
+  // server's first completion issues one more read, which takes the slot that
+  // completion just freed and queues behind the server's last waiting read.
+  Cluster c(4, gated_params(1));
+  std::vector<std::pair<int, Seconds>> done[2];  // per server: (label, end)
+  std::function<void(dfs::NodeId, int)> issue = [&](dfs::NodeId server, int label) {
+    c.read(2 + server, server, 100, [&, server, label](Seconds t) {
+      done[server].push_back({label, t});
+      if (label == 0) issue(server, 3);
+    });
+  };
+  for (int label = 0; label < 3; ++label)
+    for (dfs::NodeId server = 0; server < 2; ++server) issue(server, label);
+  EXPECT_EQ(c.inflight_per_node()[0], 3u);
+  EXPECT_EQ(c.inflight_per_node()[1], 3u);
+  c.run();
+
+  const std::vector<std::pair<int, Seconds>> in_order{{0, 1.0}, {1, 2.0}, {2, 3.0}, {3, 4.0}};
+  for (dfs::NodeId server = 0; server < 2; ++server) {
+    EXPECT_EQ(done[server], in_order) << "server " << server;
+    EXPECT_EQ(c.admission_waits(server), 3u);
+    EXPECT_EQ(c.peak_admission_queue(server), 2u);
+  }
+  EXPECT_EQ(c.admission_waits(2), 0u);
+  EXPECT_EQ(c.peak_admission_queue(2), 0u);
+  EXPECT_EQ(c.read_slot_count(), 6u);  // the chained reads reused freed slots
+}
+
+TEST(Admission, NodeAddedWhileGatedQueuesLikeTheOthers) {
+  Cluster c(2, gated_params(1));
+  const dfs::NodeId fresh = c.add_node();
+  std::vector<Seconds> fresh_done, old_done;
+  for (int i = 0; i < 3; ++i) {
+    c.read(0, fresh, 100, [&](Seconds t) { fresh_done.push_back(t); });
+    c.read(0, 1, 100, [&](Seconds t) { old_done.push_back(t); });
+  }
+  c.run();
+  EXPECT_EQ(fresh_done, (std::vector<Seconds>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(old_done, (std::vector<Seconds>{1.0, 2.0, 3.0}));
+  for (dfs::NodeId node : {fresh, dfs::NodeId{1}}) {
+    EXPECT_EQ(c.admission_waits(node), 2u);
+    EXPECT_EQ(c.peak_admission_queue(node), 2u);
+    EXPECT_EQ(c.inflight_per_node()[node], 0u);
+  }
 }
 
 }  // namespace

@@ -4,20 +4,32 @@
 // parallel reads be, and how unbalanced will the storage nodes get? This is
 // the paper's motivation analysis turned into a planning tool.
 //
-// Usage: cluster_analysis [nodes] [chunks] [replication]
+// Usage: cluster_analysis [--nodes=128] [--chunks=512] [--replication=3]
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "analysis/balance_model.hpp"
 #include "analysis/locality_model.hpp"
+#include "common/options.hpp"
 #include "common/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace opass;
+namespace {
 
-  const std::uint32_t m = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 128;
-  const std::uint32_t n = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 512;
-  const std::uint32_t r = argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 3;
+using namespace opass;
+
+int run(int argc, char** argv) {
+  Options opts;
+  opts.add("nodes", "128", "cluster size")
+      .add("chunks", "512", "chunk files in the dataset")
+      .add("replication", "3", "replication factor (at most --nodes)");
+  if (!opts.parse(argc, argv)) {
+    std::fprintf(stderr, "error: %s\n", opts.error().c_str());
+    std::fputs(opts.usage("cluster_analysis").c_str(), stderr);
+    return 2;
+  }
+  const std::uint32_t m = opts.unsigned_integer("nodes", 1);
+  const std::uint32_t n = opts.unsigned_integer("chunks", 1);
+  const std::uint32_t r = opts.unsigned_integer("replication", 1, m);
 
   std::printf("Cluster plan: m=%u nodes, n=%u chunks, r=%u replicas\n\n", m, n, r);
 
@@ -45,4 +57,17 @@ int main(int argc, char** argv) {
               "Opass removes by matching processes to co-located data.\n",
               bal.expected_chunks_served());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed flag values throw std::invalid_argument naming the flag: a
+  // usage error, not a crash.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -8,24 +8,38 @@
 // lists and lets idle slaves steal the best co-located task from the longest
 // remaining list.
 //
-// Usage: genome_comparison [nodes] [partitions] [mean_compute_seconds]
+// Usage: genome_comparison [--nodes=64] [--partitions=640] [--compute=0.4]
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
+#include "common/options.hpp"
 #include "common/stats.hpp"
 #include "exp/experiment.hpp"
 
-int main(int argc, char** argv) {
-  using namespace opass;
+namespace {
+
+using namespace opass;
+
+int run(int argc, char** argv) {
+  Options opts;
+  opts.add("nodes", "64", "cluster size (at least the 3 replicas)")
+      .add("partitions", "640", "database partitions, one 64 MiB chunk each")
+      .add("compute", "0.4", "mean compute seconds per comparison task");
+  if (!opts.parse(argc, argv)) {
+    std::fprintf(stderr, "error: %s\n", opts.error().c_str());
+    std::fputs(opts.usage("genome_comparison").c_str(), stderr);
+    return 2;
+  }
 
   exp::ExperimentConfig cfg;
-  cfg.nodes = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 64;
+  cfg.nodes = opts.unsigned_integer("nodes", cfg.replication);
   cfg.seed = 1997;  // BLAST's birth year
 
-  const std::uint32_t partitions =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 640;
+  const std::uint32_t partitions = opts.unsigned_integer("partitions", 1);
   workload::GenomicsSpec spec;
-  spec.mean_compute_time = argc > 3 ? std::atof(argv[3]) : 0.4;
+  spec.mean_compute_time = opts.real("compute");
+  if (!(spec.mean_compute_time >= 0))
+    throw std::invalid_argument("flag --compute must be non-negative");
 
   std::printf("Gene comparison: %u nodes, %u database partitions of 64 MiB, "
               "heavy-tailed compute (mean %.2f s)\n\n",
@@ -43,4 +57,17 @@ int main(int argc, char** argv) {
               "balances load but forces ~%.0f%% of reads to be remote.\n",
               100.0 * (1.0 - 3.0 / cfg.nodes));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed flag values throw std::invalid_argument naming the flag: a
+  // usage error, not a crash.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -7,22 +7,35 @@
 // assigner instead of by process rank, so each data server's pieces are
 // locally accessible.
 //
-// Usage: paraview_pipeline [nodes] [datasets] [datasets_per_step]
+// Usage: paraview_pipeline [--nodes=64] [--datasets=640] [--per-step=64]
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
+#include "common/options.hpp"
 #include "exp/experiment.hpp"
 
-int main(int argc, char** argv) {
-  using namespace opass;
+namespace {
+
+using namespace opass;
+
+int run(int argc, char** argv) {
+  Options opts;
+  opts.add("nodes", "64", "cluster size (at least the 3 replicas)")
+      .add("datasets", "640", "VTK sub-datasets in the series")
+      .add("per-step", "64", "datasets read per rendering step (at most --datasets)");
+  if (!opts.parse(argc, argv)) {
+    std::fprintf(stderr, "error: %s\n", opts.error().c_str());
+    std::fputs(opts.usage("paraview_pipeline").c_str(), stderr);
+    return 2;
+  }
 
   exp::ExperimentConfig cfg;
-  cfg.nodes = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 64;
+  cfg.nodes = opts.unsigned_integer("nodes", cfg.replication);
   cfg.seed = 2015;
 
   workload::ParaViewSpec spec;
-  if (argc > 2) spec.dataset_count = static_cast<std::uint32_t>(std::atoi(argv[2]));
-  if (argc > 3) spec.datasets_per_step = static_cast<std::uint32_t>(std::atoi(argv[3]));
+  spec.dataset_count = opts.unsigned_integer("datasets", 1);
+  spec.datasets_per_step = opts.unsigned_integer("per-step", 1, spec.dataset_count);
 
   std::printf("ParaView MultiBlock pipeline: %u nodes, %u datasets (%.1f GiB), "
               "%u per rendering step\n\n",
@@ -43,4 +56,17 @@ int main(int argc, char** argv) {
   std::printf("The rank-based reader's slow steps are renders stalled on one hot storage\n"
               "node; the Opass reader keeps every step near the local-read floor.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed flag values throw std::invalid_argument naming the flag: a
+  // usage error, not a crash.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

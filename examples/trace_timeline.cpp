@@ -3,11 +3,15 @@
 // paper's Figure 1 made visible: a few lanes solid with remote serves while
 // others sit empty; with Opass every lane carries one tidy local stripe.
 //
-// Usage: trace_timeline [nodes] [chunks]
+// Usage: trace_timeline [--nodes=16] [--chunks=<3 per node>]
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
-#include "common/timeline.hpp"
+#include "common/options.hpp"
 #include "opass/opass.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/task_source.hpp"
@@ -17,29 +21,47 @@ namespace {
 
 using namespace opass;
 
+/// Paint each read on its serving node's lane of a `kColumns`-wide time
+/// axis over [0, horizon): from its issue column to its end column (at
+/// least one cell, so short reads stay visible), later reads winning.
+/// `horizon` lies past every read's end, so no read needs clipping.
 void show(const char* title, const sim::TraceRecorder& trace, std::uint32_t nodes,
           Seconds horizon) {
-  Timeline tl(0.0, horizon, nodes, 72);
+  constexpr std::size_t kColumns = 72;
+  std::vector<std::string> lanes(nodes, std::string(kColumns, ' '));
+  const double scale = static_cast<double>(kColumns) / horizon;
+  const auto column = [scale](Seconds t) { return static_cast<std::size_t>(t * scale); };
   for (const auto& r : trace.records())
-    tl.add(r.serving_node, r.issue_time, r.end_time, r.local ? 'L' : 'R');
+    for (std::size_t c = column(r.issue_time); c <= column(r.end_time); ++c)
+      lanes[r.serving_node][c] = r.local ? 'L' : 'R';
 
-  std::vector<std::string> labels;
-  for (std::uint32_t n = 0; n < nodes; ++n) {
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "node-%02u", n);
-    labels.push_back(buf);
-  }
   std::printf("%s  (L = serving local read, R = serving remote read)\n", title);
-  std::fputs(tl.render(labels).c_str(), stdout);
-  std::printf("\n");
+  // Labels are padded to the longest, the last node's.
+  const int width = std::snprintf(nullptr, 0, "node-%02u", nodes - 1);
+  for (std::uint32_t n = 0; n < nodes; ++n) {
+    char label[16];
+    std::snprintf(label, sizeof label, "node-%02u", n);
+    std::printf("%-*s |%s|\n", width, label, lanes[n].c_str());
+  }
+  // Time-axis footer: 0.0s under the first column, the horizon right-aligned
+  // under the closing bar.
+  char end[32];
+  std::snprintf(end, sizeof end, "%.1fs", horizon);
+  std::printf("%*s 0.0s%*s\n\n", width, "", static_cast<int>(kColumns) - 2, end);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const std::uint32_t nodes = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 16;
-  const std::uint32_t chunks = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2]))
-                                        : nodes * 3;
+int run(int argc, char** argv) {
+  Options opts;
+  opts.add("nodes", "16", "cluster size (at least the 3 replicas)")
+      .add("chunks", "", "chunk files in the dataset (empty: 3 per node)");
+  if (!opts.parse(argc, argv)) {
+    std::fprintf(stderr, "error: %s\n", opts.error().c_str());
+    std::fputs(opts.usage("trace_timeline").c_str(), stderr);
+    return 2;
+  }
+  const std::uint32_t nodes = opts.unsigned_integer("nodes", 3);
+  const std::uint32_t chunks =
+      opts.is_default("chunks") ? nodes * 3 : opts.unsigned_integer("chunks", 1);
 
   dfs::NameNode nn(dfs::Topology::single_rack(nodes), 3, kDefaultChunkSize);
   dfs::RandomPlacement policy;
@@ -75,4 +97,17 @@ int main(int argc, char** argv) {
   show("opass", opass_trace, nodes, horizon);
   std::printf("baseline makespan %.1f s; opass makespan %.1f s\n", base_end, opass_end);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed flag values throw std::invalid_argument naming the flag: a
+  // usage error, not a crash.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

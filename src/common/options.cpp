@@ -34,8 +34,8 @@ bool Options::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      error_ = "unexpected argument '" + arg + "' (flags take the form --name=value)";
+      return false;
     }
     arg = arg.substr(2);
     std::string key, value;

@@ -1,8 +1,8 @@
 // Minimal command-line flag parser for the examples and the CLI driver.
 //
 // Supports --key=value, --key value, and boolean --flag forms, with typed
-// accessors, defaults, and an auto-generated usage string. Unknown flags are
-// an error so typos fail loudly.
+// accessors, defaults, and an auto-generated usage string. Unknown flags and
+// stray positional arguments are errors so typos fail loudly.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +22,8 @@ class Options {
   Options& add(const std::string& name, const std::string& default_value,
                const std::string& help);
 
-  /// Parse argv; returns false (and fills error()) on unknown flags or
-  /// malformed input. Positional arguments are collected in positional().
+  /// Parse argv; returns false (and fills error()) on unknown flags,
+  /// positional arguments or malformed input.
   bool parse(int argc, const char* const* argv);
 
   /// Accessors; flags must have been declared. A malformed value, or a
@@ -46,7 +46,6 @@ class Options {
   /// True while the flag holds its declared default (compared as text).
   bool is_default(const std::string& name) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
   const std::string& error() const { return error_; }
 
   /// Usage text listing every declared flag with default and help.
@@ -63,7 +62,6 @@ class Options {
   };
   std::map<std::string, Flag> flags_;
   std::vector<std::string> order_;
-  std::vector<std::string> positional_;
   std::string error_;
 };
 

@@ -9,6 +9,7 @@
 #include "obs/collect.hpp"
 #include "opass/opass.hpp"
 #include "runtime/task_source.hpp"
+#include "sim/heartbeat.hpp"
 #include "workload/dataset.hpp"
 
 namespace opass::exp {
@@ -100,7 +101,7 @@ class Run {
     // The scripted events and heartbeat checks are simulator timers, so they
     // interleave with the first phase's reads deterministically.
     if (cfg.faults == nullptr) return;
-    monitor_.emplace(cluster_, nn, /*namenode_host=*/0, streams.faults, cfg.heartbeat);
+    monitor_.emplace(cluster_, nn, /*namenode_host=*/0, streams.faults);
     injector_.emplace(cluster_, nn, *monitor_, *cfg.faults);
     injector_->set_probe(cfg.fault_probe);
     injector_->arm();

@@ -30,7 +30,6 @@
 #include "runtime/static_partitioner.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/heartbeat.hpp"
 #include "workload/genomics.hpp"
 #include "workload/multi_input.hpp"
 #include "workload/paraview.hpp"
@@ -81,10 +80,11 @@ struct ExperimentConfig {
   obs::TimelineRecorder* timeline = nullptr;
   /// Optional fault/churn scenario (borrowed; must outlive the run). When
   /// set, run_single_data / run_multi_data / run_dynamic stand up a
-  /// heartbeat monitor (beats travel to node 0) and arm the plan on the
-  /// run's cluster before execution, so crashes abort in-flight reads,
-  /// stragglers re-level active transfers, and re-replication traffic
-  /// competes with the job's reads. The dynamic Opass scheduler reacts to
+  /// heartbeat monitor at the default sim::HeartbeatParams cadence (beats
+  /// travel to node 0) and arm the plan on the run's cluster before
+  /// execution, so crashes abort in-flight reads, stragglers re-level active
+  /// transfers, and re-replication traffic competes with the job's reads.
+  /// The dynamic Opass scheduler reacts to
   /// membership events (dead-node list re-homing + a core::plan() re-plan of
   /// the remaining tasks). run_paraview / run_iterative reject a non-null
   /// plan with std::invalid_argument: their phases each run the cluster
@@ -96,8 +96,6 @@ struct ExperimentConfig {
   /// When set (and `faults` is set), the injector's final counters are
   /// copied out after the run.
   sim::FaultStats* fault_stats = nullptr;
-  /// Detection cadence used when `faults` is set.
-  sim::HeartbeatParams heartbeat;
 };
 
 /// Reduced results of one run.

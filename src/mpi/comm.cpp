@@ -41,8 +41,7 @@ void Comm::deliver(Rank to, Message msg) {
   box.arrived.push_back(std::move(msg));
 }
 
-void Comm::send(Rank from, Rank to, Tag tag, Bytes bytes, std::uint64_t value,
-                std::function<void(Seconds)> on_sent) {
+void Comm::send(Rank from, Rank to, Tag tag, Bytes bytes, std::uint64_t value) {
   OPASS_REQUIRE(from < size() && to < size(), "rank out of range");
   OPASS_REQUIRE(tag >= 0, "negative tags are reserved");
   ++messages_sent_;
@@ -52,13 +51,11 @@ void Comm::send(Rank from, Rank to, Tag tag, Bytes bytes, std::uint64_t value,
   msg.tag = tag;
   msg.bytes = bytes;
   msg.value = value;
-  msg.sent_at = cluster_.simulator().now();
   const dfs::NodeId src = node_of(from);
   cluster_.send({&src, 1}, node_of(to),
                 std::max<Bytes>(bytes, 1),  // envelope floor: nothing is free
-                [this, to, msg, cb = std::move(on_sent)](dfs::NodeId, Seconds t) mutable {
+                [this, to, msg](dfs::NodeId, Seconds t) mutable {
                   msg.delivered_at = t;
-                  if (cb) cb(t);
                   deliver(to, std::move(msg));
                 });
 }

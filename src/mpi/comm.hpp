@@ -38,7 +38,6 @@ struct Message {
   Tag tag = 0;
   Bytes bytes = 0;
   std::uint64_t value = 0;
-  Seconds sent_at = 0;
   Seconds delivered_at = 0;
 };
 
@@ -55,11 +54,9 @@ class Comm {
   Rank size() const { return static_cast<Rank>(placement_.size()); }
   dfs::NodeId node_of(Rank r) const;
 
-  /// Asynchronous send; `on_sent` (optional) fires when the message has been
-  /// fully pushed onto the wire (same virtual time it becomes matchable at
-  /// the destination — an eager protocol).
-  void send(Rank from, Rank to, Tag tag, Bytes bytes, std::uint64_t value,
-            std::function<void(Seconds)> on_sent = nullptr);
+  /// Asynchronous send: the message becomes matchable at the destination
+  /// once it has been fully pushed onto the wire (an eager protocol).
+  void send(Rank from, Rank to, Tag tag, Bytes bytes, std::uint64_t value);
 
   /// Post a receive at `at_rank` for (source, tag); wildcards allowed.
   /// `on_recv(msg)` fires when a matching message is available (immediately

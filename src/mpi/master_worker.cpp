@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/require.hpp"
+#include "dfs/replica_choice.hpp"
 
 namespace opass::mpi {
 
@@ -12,6 +13,8 @@ namespace {
 constexpr Tag kRequestTag = 1;
 constexpr Tag kGrantTag = 2;
 constexpr std::uint64_t kStop = UINT64_MAX;
+constexpr Bytes kRequestBytes = 64;  ///< REQUEST wire size
+constexpr Bytes kGrantBytes = 128;   ///< GRANT / STOP wire size
 
 /// Heap-pinned state machine; execute() joins before returning, so raw
 /// `this` captures in simulator callbacks are safe.
@@ -19,9 +22,8 @@ class Session {
  public:
   Session(sim::Cluster& cluster, const dfs::NameNode& nn,
           const std::vector<runtime::Task>& tasks, runtime::TaskSource& source, Comm& comm,
-          Rng& rng, const MasterWorkerConfig& config)
-      : cluster_(cluster), nn_(nn), tasks_(tasks), source_(source), comm_(comm), rng_(rng),
-        config_(config) {
+          Rng& rng)
+      : cluster_(cluster), nn_(nn), tasks_(tasks), source_(source), comm_(comm), rng_(rng) {
     OPASS_REQUIRE(comm_.size() >= 2, "master-worker needs a master and a worker");
     workers_ = comm_.size() - 1;
     result_.exec.process_finish_time.assign(workers_, 0);
@@ -67,7 +69,7 @@ class Session {
     switch (r.kind) {
       case runtime::Pull::Kind::kTask:
         ++result_.exec.tasks_executed;
-        comm_.send(0, worker, kGrantTag, config_.grant_bytes, r.task);
+        comm_.send(0, worker, kGrantTag, kGrantBytes, r.task);
         return;
       case runtime::Pull::Kind::kWait:
         cluster_.simulator().after(r.retry_after,
@@ -75,7 +77,7 @@ class Session {
         return;
       case runtime::Pull::Kind::kDone:
         ++stops_sent_;
-        comm_.send(0, worker, kGrantTag, config_.grant_bytes, kStop);
+        comm_.send(0, worker, kGrantTag, kGrantBytes, kStop);
         return;
     }
   }
@@ -83,7 +85,7 @@ class Session {
   // --- worker side ---
 
   void request_task(Rank worker) {
-    comm_.send(worker, 0, kRequestTag, config_.request_bytes, 0);
+    comm_.send(worker, 0, kRequestTag, kRequestBytes, 0);
     comm_.recv(worker, 0, kGrantTag, [this, worker](Message msg) {
       if (msg.value == kStop) {
         result_.exec.process_finish_time[worker - 1] = cluster_.simulator().now();
@@ -113,7 +115,7 @@ class Session {
     const dfs::ChunkInfo& chunk = nn_.chunk(cid);
     const dfs::NodeId reader = comm_.node_of(worker);
     const dfs::NodeId server = dfs::choose_serving_node(
-        chunk, reader, cluster_.inflight_per_node(), config_.replica_choice, rng_);
+        chunk, reader, cluster_.inflight_per_node(), dfs::ReplicaChoice::kRandom, rng_);
 
     sim::ReadRecord rec;
     rec.process = worker - 1;
@@ -137,7 +139,6 @@ class Session {
   runtime::TaskSource& source_;
   Comm& comm_;
   Rng& rng_;
-  MasterWorkerConfig config_;
   Rank workers_ = 0;
   Rank stops_sent_ = 0;
   std::vector<WorkerState> states_;
@@ -148,11 +149,10 @@ class Session {
 
 MasterWorkerResult run_master_worker(sim::Cluster& cluster, const dfs::NameNode& nn,
                                      const std::vector<runtime::Task>& tasks,
-                                     runtime::TaskSource& source, Comm& comm, Rng& rng,
-                                     MasterWorkerConfig config) {
+                                     runtime::TaskSource& source, Comm& comm, Rng& rng) {
   OPASS_REQUIRE(cluster.simulator().active_flows() == 0,
                 "cluster must be idle before an execution");
-  Session session(cluster, nn, tasks, source, comm, rng, config);
+  Session session(cluster, nn, tasks, source, comm, rng);
   return session.run();
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include "dfs/namenode.hpp"
-#include "dfs/replica_choice.hpp"
 #include "mpi/comm.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/task_source.hpp"
@@ -27,21 +26,15 @@ struct MasterWorkerResult {
   Bytes scheduler_bytes = 0;
 };
 
-/// Knobs for the message-based master–worker.
-struct MasterWorkerConfig {
-  Bytes request_bytes = 64;   ///< REQUEST wire size
-  Bytes grant_bytes = 128;    ///< GRANT / STOP wire size
-  dfs::ReplicaChoice replica_choice = dfs::ReplicaChoice::kRandom;
-};
-
 /// Run tasks to completion: rank 0 = master (it also executes tasks between
 /// dispatching — matching mpiBLAST's dedicated-master *variant* is just
 /// `worker_ranks = 1..n-1`, which is what we model: the master dispatches
 /// only, workers 1..size-1 execute). The TaskSource sees worker ids
-/// 0..size-2 (worker rank minus one).
+/// 0..size-2 (worker rank minus one). A REQUEST is 64 bytes on the wire, a
+/// GRANT or STOP 128, and workers pick among a chunk's replicas at random
+/// (dfs::ReplicaChoice::kRandom).
 MasterWorkerResult run_master_worker(sim::Cluster& cluster, const dfs::NameNode& nn,
                                      const std::vector<runtime::Task>& tasks,
-                                     runtime::TaskSource& source, Comm& comm, Rng& rng,
-                                     MasterWorkerConfig config = {});
+                                     runtime::TaskSource& source, Comm& comm, Rng& rng);
 
 }  // namespace opass::mpi

@@ -10,14 +10,16 @@ namespace opass::obs {
 
 namespace {
 
+constexpr double kStragglerLagFactor = 1.2;  ///< straggler bar, times the p90 finish
+constexpr std::size_t kMaxCausalChunks = 5;  ///< slowest reads kept per straggler
+
 /// Stragglers over one finish-time vector. `chunks_of(id)` returns the
-/// element's (io_time, chunk) pairs; the slowest max_causal_chunks survive.
+/// element's (io_time, chunk) pairs; the slowest kMaxCausalChunks survive.
 template <typename ChunksOf>
 std::vector<Straggler> find_stragglers(const std::vector<double>& finish, double p90,
-                                       const StragglerOptions& options,
                                        ChunksOf&& chunks_of) {
   std::vector<Straggler> out;
-  const double bar = options.lag_factor * p90;
+  const double bar = kStragglerLagFactor * p90;
   for (std::uint32_t id = 0; id < finish.size(); ++id) {
     if (!(finish[id] > bar)) continue;
     Straggler s;
@@ -29,7 +31,7 @@ std::vector<Straggler> find_stragglers(const std::vector<double>& finish, double
       if (a.first != b.first) return a.first > b.first;  // slowest first
       return a.second < b.second;
     });
-    if (reads.size() > options.max_causal_chunks) reads.resize(options.max_causal_chunks);
+    if (reads.size() > kMaxCausalChunks) reads.resize(kMaxCausalChunks);
     s.causal_chunks.reserve(reads.size());
     for (const auto& [io, chunk] : reads) s.causal_chunks.push_back(chunk);
     out.push_back(std::move(s));
@@ -71,9 +73,7 @@ ImbalanceStats imbalance_stats(const std::vector<double>& samples) {
 }
 
 ExecutionAnalytics analyze_execution(const runtime::ExecutionResult& result,
-                                     std::uint32_t node_count,
-                                     StragglerOptions options) {
-  OPASS_REQUIRE(options.lag_factor >= 1.0, "straggler lag factor must be >= 1");
+                                     std::uint32_t node_count) {
   ExecutionAnalytics out;
 
   const std::vector<sim::ReadRecord>& records = result.trace.records();
@@ -94,14 +94,14 @@ ExecutionAnalytics analyze_execution(const runtime::ExecutionResult& result,
   out.process_finish_p90 = p90_of(process_finish);
 
   out.straggler_nodes = find_stragglers(
-      node_finish, out.node_finish_p90, options, [&](std::uint32_t node) {
+      node_finish, out.node_finish_p90, [&](std::uint32_t node) {
         std::vector<std::pair<double, dfs::ChunkId>> reads;
         for (const sim::ReadRecord& r : records)
           if (r.serving_node == node) reads.emplace_back(r.io_time(), r.chunk);
         return reads;
       });
   out.straggler_processes = find_stragglers(
-      process_finish, out.process_finish_p90, options, [&](std::uint32_t process) {
+      process_finish, out.process_finish_p90, [&](std::uint32_t process) {
         std::vector<std::pair<double, dfs::ChunkId>> reads;
         for (const sim::ReadRecord& r : records)
           if (r.process == process) reads.emplace_back(r.io_time(), r.chunk);

@@ -9,9 +9,9 @@
 //     served bytes, per-process finish times): degree of imbalance
 //     (max - mean) / mean, coefficient of variation, Gini coefficient and
 //     peak-over-mean ratio;
-//   * a straggler detector: nodes / processes whose finish time lags the
-//     p90 finish by a configurable factor, each with the causal chunk list
-//     (its slowest reads) that explains *why* it lagged.
+//   * a straggler detector: nodes / processes whose finish time exceeds
+//     1.2 times the p90 finish, each with the causal chunk list (its five
+//     slowest reads) that explains *why* it lagged.
 //
 // Everything here is a pure function of the trace, so analytics inherit the
 // byte-determinism of the recorder; report.hpp embeds them in the HTML/JSON
@@ -44,22 +44,15 @@ struct ImbalanceStats {
 /// Compute ImbalanceStats. Empty input yields a zeroed result.
 ImbalanceStats imbalance_stats(const std::vector<double>& samples);
 
-/// Straggler-detection knobs (options-last on every entry point).
-struct StragglerOptions {
-  /// An element is a straggler when its finish time exceeds
-  /// `lag_factor * p90(finish times)`.
-  double lag_factor = 1.2;
-  /// Causal chunks reported per straggler (its slowest reads).
-  std::size_t max_causal_chunks = 5;
-};
-
-/// One lagging node or process.
+/// One lagging node or process: its finish time exceeds 1.2 × the p90 of
+/// its kind's finish times.
 struct Straggler {
   std::uint32_t id = 0;     ///< node id or process rank
   Seconds finish = 0;       ///< its last activity (serve / drain) time
-  Seconds threshold = 0;    ///< the lag_factor * p90 bar it exceeded
-  /// The element's slowest chunk reads — served by the node, or issued by
-  /// the process — ordered by descending I/O time (chunk id breaks ties).
+  Seconds threshold = 0;    ///< the 1.2 × p90 bar it exceeded
+  /// The element's five slowest chunk reads (fewer if it has fewer) —
+  /// served by the node, or issued by the process — ordered by descending
+  /// I/O time (chunk id breaks ties).
   std::vector<dfs::ChunkId> causal_chunks;
 };
 
@@ -76,7 +69,6 @@ struct ExecutionAnalytics {
 /// Reduce one finished execution. `node_count` sizes the per-node series;
 /// every trace record must reference a node below it.
 ExecutionAnalytics analyze_execution(const runtime::ExecutionResult& result,
-                                     std::uint32_t node_count,
-                                     StragglerOptions options = {});
+                                     std::uint32_t node_count);
 
 }  // namespace opass::obs

@@ -181,10 +181,4 @@ std::string ChromeTraceBuilder::json() const {
   return out;
 }
 
-std::string to_chrome_trace_json(const runtime::ExecutionResult& result) {
-  ChromeTraceBuilder builder;
-  builder.add_execution(result, /*pid=*/0);
-  return builder.json();
-}
-
 }  // namespace opass::obs

@@ -106,7 +106,4 @@ class ChromeTraceBuilder {
   std::vector<std::pair<std::uint32_t, std::string>> process_names_;
 };
 
-/// One-shot convenience: export a single execution as pid 0.
-std::string to_chrome_trace_json(const runtime::ExecutionResult& result);
-
 }  // namespace opass::obs

@@ -145,10 +145,4 @@ IoStatus write_file(const std::string& path, const std::string& content) {
   return {};
 }
 
-IoStatus write_metrics(const MetricsRegistry& registry, const std::string& path,
-                       ExportOptions options) {
-  const bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  return write_file(path, csv ? to_csv(registry, options) : to_json(registry, options));
-}
-
 }  // namespace opass::obs

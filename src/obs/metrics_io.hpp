@@ -90,11 +90,6 @@ std::string to_csv(const MetricsRegistry& registry, ExportOptions options = {});
 /// path) instead of aborting when the path is not writable.
 IoStatus write_file(const std::string& path, const std::string& content);
 
-/// Serialize and write in one step: CSV when `path` ends in ".csv", JSON
-/// otherwise.
-IoStatus write_metrics(const MetricsRegistry& registry, const std::string& path,
-                       ExportOptions options = {});
-
 /// SinkWriter's double format as a string, for exporters that build text
 /// another way (the service-trace rendering).
 std::string format_double(double value);

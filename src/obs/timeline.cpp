@@ -93,13 +93,6 @@ void TimelineRecorder::record_level(SeriesId id, Seconds now, double value) {
   s.level = value;
 }
 
-void TimelineRecorder::record_delta(SeriesId id, Seconds now, double delta) {
-  Series& s = checked(id);
-  OPASS_REQUIRE(s.kind == SeriesKind::kLevel, "record_delta on a rate series");
-  advance_to(now);
-  s.level += delta;
-}
-
 void TimelineRecorder::record_rate(SeriesId id, Seconds now, double amount) {
   Series& s = checked(id);
   OPASS_REQUIRE(s.kind == SeriesKind::kRate, "record_rate on a level series");

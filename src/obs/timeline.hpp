@@ -86,9 +86,6 @@ class TimelineRecorder {
   /// Set a level series to `value` as of virtual time `now` (>= last event).
   void record_level(SeriesId id, Seconds now, double value);
 
-  /// Add `delta` to a level series as of `now`.
-  void record_delta(SeriesId id, Seconds now, double delta);
-
   /// Accumulate `amount` into a rate series' current interval as of `now`.
   void record_rate(SeriesId id, Seconds now, double amount);
 

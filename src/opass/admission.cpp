@@ -37,22 +37,14 @@ Seconds AdmissionQueue::next_arrival() const {
   return queue_.front().request.arrival;
 }
 
-std::vector<PendingJob> AdmissionQueue::pop_batch(Seconds now, const BatchPolicy& policy) {
+std::vector<PendingJob> AdmissionQueue::pop_batch(Seconds now, Seconds window) {
   OPASS_REQUIRE(batch_ready(now), "no batch is ready at this time");
-  const Seconds head_arrival = queue_.front().request.arrival;
-  const Seconds cutoff = std::min(now, head_arrival + policy.window);
+  const Seconds cutoff = std::min(now, queue_.front().request.arrival + window);
 
   std::size_t take = 0;
   std::uint64_t tasks = 0;
-  for (; take < queue_.size(); ++take) {
-    const PendingJob& j = queue_[take];
-    if (j.request.arrival > cutoff) break;
-    if (policy.max_jobs != 0 && take == policy.max_jobs) break;
-    // The head always pops so the queue cannot wedge on one oversized job.
-    if (take > 0 && policy.max_tasks != 0 && tasks + j.request.tasks.size() > policy.max_tasks)
-      break;
-    tasks += j.request.tasks.size();
-  }
+  for (; take < queue_.size() && queue_[take].request.arrival <= cutoff; ++take)
+    tasks += queue_[take].request.tasks.size();
 
   const auto cut = queue_.begin() + static_cast<std::ptrdiff_t>(take);
   std::vector<PendingJob> batch(std::make_move_iterator(queue_.begin()),

@@ -6,7 +6,7 @@
 // unit-tested without standing up a namespace or running a flow solve:
 //
 //  * AdmissionQueue — pending jobs ordered by (arrival, job id), popped as
-//    *batches*: co-arriving jobs (arrivals within `BatchPolicy::window` of
+//    *batches*: co-arriving jobs (arrivals within a coalescing window of
 //    the batch head) coalesce into one entry so the service can merge them
 //    into a single flow solve. Cancellation removes a job mid-queue.
 //  * TenantAccounts — cumulative locally-assigned bytes per tenant, weighted
@@ -30,15 +30,6 @@
 
 namespace opass::core {
 
-/// How AdmissionQueue cuts batches.
-struct BatchPolicy {
-  /// Jobs arriving within `window` virtual seconds of the batch head are
-  /// coalesced into the head's batch (0 = only exact co-arrivals merge).
-  Seconds window = 0;
-  std::uint32_t max_jobs = 0;   ///< per-batch job cap (0 = unbounded)
-  std::uint32_t max_tasks = 0;  ///< per-batch task cap (0 = unbounded)
-};
-
 /// One queued job: the id assigned at submit plus the caller's request.
 struct PendingJob {
   JobId id = 0;
@@ -60,10 +51,9 @@ class AdmissionQueue {
   bool batch_ready(Seconds now) const;
 
   /// Pop the next batch: the head job plus every following job whose arrival
-  /// falls within `policy.window` of the head's arrival (and <= `now`), up
-  /// to the policy's job/task caps. Requires batch_ready(now). The head job
-  /// always pops, even when it alone exceeds `max_tasks`.
-  std::vector<PendingJob> pop_batch(Seconds now, const BatchPolicy& policy);
+  /// falls within `window` virtual seconds of the head's arrival (0 = only
+  /// exact co-arrivals) and at or before `now`. Requires batch_ready(now).
+  std::vector<PendingJob> pop_batch(Seconds now, Seconds window);
 
   std::size_t depth() const { return queue_.size(); }
   bool empty() const { return queue_.empty(); }

@@ -245,8 +245,8 @@ AuditReport audit_plan(const dfs::NameNode& nn, const std::vector<runtime::Task>
     if (options.enforce_capacity) check_capacity(nn, tasks, assignment, report);
     check_stats(nn, tasks, assignment, placement, options, report);
   }
-  if (options.check_round_trip && partition_ok && !assignment.empty())
-    check_round_trip(tasks, assignment, report);
+  // A plan that is not a partition could not serialize at all.
+  if (partition_ok && !assignment.empty()) check_round_trip(tasks, assignment, report);
 
   return report;
 }

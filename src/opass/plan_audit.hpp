@@ -67,10 +67,6 @@ struct AuditOptions {
   /// task granularity against ceil(n/m) and in bytes against
   /// ceil(n/m) * chunk_size.
   bool enforce_capacity = false;
-  /// Serialize and re-parse the plan through plan_io and require equality.
-  /// Skipped automatically when the plan is not a partition (it could not
-  /// serialize at all).
-  bool check_round_trip = true;
   /// Stats the plan claims for itself (e.g. recorded when it was broadcast).
   /// When set, the auditor recomputes the profile and reports any field that
   /// disagrees.

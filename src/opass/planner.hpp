@@ -156,8 +156,6 @@ struct ServiceOptions {
   /// Coalescing window: jobs arriving within `batch_window` of a batch head
   /// merge into the head's flow solve (0 = only exact co-arrivals).
   Seconds batch_window = 0;
-  std::uint32_t max_batch_jobs = 0;   ///< per-batch job cap (0 = unbounded)
-  std::uint32_t max_batch_tasks = 0;  ///< per-batch task cap (0 = unbounded)
   /// When false, the per-tenant fair-share phase is skipped and batches get
   /// plain maximum locality (single flow solve).
   bool fair_share = true;

@@ -14,7 +14,6 @@ PlannerService::PlannerService(const dfs::NameNode& nn, ProcessPlacement placeme
                                ServiceOptions options)
     : nn_(nn), placement_(std::move(placement)),
       procs_on_node_(processes_by_node(nn, placement_)), options_(options),
-      batch_policy_{options.batch_window, options.max_batch_jobs, options.max_batch_tasks},
       rng_(options.seed), load_(placement_.size(), 0) {
   OPASS_REQUIRE(!placement_.empty(), "need at least one process");
   OPASS_REQUIRE(options_.batch_window >= 0, "batch window must be non-negative");
@@ -97,7 +96,7 @@ void PlannerService::advance_to(Seconds t) {
   // A batch is cut once its coalescing window closes: head arrival + window.
   while (!queue_.empty() && queue_.next_arrival() + options_.batch_window <= t) {
     const Seconds cut = queue_.next_arrival() + options_.batch_window;
-    plan_batch(queue_.pop_batch(t, batch_policy_), cut);
+    plan_batch(queue_.pop_batch(t, options_.batch_window), cut);
   }
   now_ = t;
 }
@@ -105,7 +104,7 @@ void PlannerService::advance_to(Seconds t) {
 void PlannerService::drain() {
   while (!queue_.empty()) {
     const Seconds cut = queue_.next_arrival() + options_.batch_window;
-    plan_batch(queue_.pop_batch(cut, batch_policy_), cut);
+    plan_batch(queue_.pop_batch(cut, options_.batch_window), cut);
     now_ = std::max(now_, cut);
   }
 }

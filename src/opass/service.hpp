@@ -14,9 +14,9 @@
 //
 // Batching & coalescing. Submitted jobs wait in an AdmissionQueue ordered by
 // (arrival, id). advance_to(t) repeatedly cuts the earliest ready batch: the
-// queue head plus every job arriving within `batch_window` of it (bounded by
-// max_batch_jobs/max_batch_tasks), merged into ONE flow solve over a shared
-// FlowWorkspace — co-arriving jobs pay one graph build instead of one each.
+// queue head plus every job arriving within `batch_window` of it, merged
+// into ONE flow solve over a shared FlowWorkspace — co-arriving jobs pay one
+// graph build instead of one each.
 //
 // Capacity across batches. Per-process batch quotas are the incremental
 // planner's batch-adjusted fair share (opass/incremental.hpp): each batch
@@ -161,7 +161,6 @@ class PlannerService {
   ProcessPlacement placement_;
   Adjacency procs_on_node_;  ///< processes_by_node(), built once
   ServiceOptions options_;
-  BatchPolicy batch_policy_;
   Rng rng_;
   graph::FlowWorkspace workspace_;  ///< reused across batches
   AdmissionQueue queue_;

@@ -70,7 +70,7 @@ class Driver {
     Seconds task_start = 0;            ///< pull time of `task`
     // Prefetch mode: the cycle's join counter. A cycle = compute(T) overlapped
     // with reads(T+1); the cycle advances when both events have fired.
-    TaskId computing = kInvalidTask;   ///< task whose compute is in flight
+    TaskId computing = kInvalidTask;   ///< task whose compute is in flight, if any
     Seconds computing_start = 0;       ///< pull time of `computing`
     std::uint32_t events_pending = 0;
     /// The process's one in-flight read (reads are sequential). Kept here so
@@ -79,15 +79,20 @@ class Driver {
     sim::ReadRecord read;
   };
 
+  /// Pull a task and start reading its inputs; a kWait retries later. Under
+  /// prefetch, a pull made while a task computes is that cycle's reads
+  /// event, so a kDone there completes the event instead of retiring the
+  /// process (the cycle does once the compute ends).
   void pull_next_task(ProcessId p) {
-    if (prefetch_) {
-      pull_prefetched(p, /*first=*/true);
-      return;
-    }
     const Pull r = source_.pull(p, cluster_.simulator().now());
     switch (r.kind) {
       case Pull::Kind::kDone:
-        retire_process(p);
+        if (prefetch_ && states_[p].computing != kInvalidTask) {
+          states_[p].task = kInvalidTask;
+          cycle_event(p);
+        } else {
+          retire_process(p);
+        }
         return;
       case Pull::Kind::kWait:
         OPASS_REQUIRE(r.retry_after > 0, "wait must carry a positive retry delay");
@@ -194,37 +199,6 @@ class Driver {
 
   // --- prefetch (depth-1 read-ahead) mode ---
 
-  /// Pull a task and start reading its inputs; `first` bootstraps the
-  /// pipeline (nothing is computing yet). A kDone on a non-first pull fires
-  /// the cycle's reads event (trivially complete); a kWait retries later.
-  void pull_prefetched(ProcessId p, bool first) {
-    ProcState& st = states_[p];
-    const Pull r = source_.pull(p, cluster_.simulator().now());
-    switch (r.kind) {
-      case Pull::Kind::kDone:
-        st.task = kInvalidTask;
-        if (first) {
-          result_.process_finish_time[p] = cluster_.simulator().now();
-        } else {
-          cycle_event(p);
-        }
-        return;
-      case Pull::Kind::kWait:
-        OPASS_REQUIRE(r.retry_after > 0, "wait must carry a positive retry delay");
-        cluster_.simulator().after(
-            r.retry_after, [this, p, first](Seconds) { pull_prefetched(p, first); });
-        return;
-      case Pull::Kind::kTask:
-        break;
-    }
-    OPASS_REQUIRE(r.task < tasks_.size(), "task source returned unknown task");
-    st.task = r.task;
-    st.next_input = 0;
-    st.task_start = cluster_.simulator().now();
-    ++result_.tasks_executed;
-    read_next_input(p);
-  }
-
   /// Inputs of st.task are in memory: start its compute and overlap the
   /// next task's reads; the cycle advances when both join events fire.
   void reads_finished_prefetch(ProcessId p) {
@@ -247,7 +221,7 @@ class Driver {
 
     // Event B: fetch the next task's inputs while computing (fires
     // cycle_event itself, directly for kDone or after the reads land).
-    pull_prefetched(p, /*first=*/false);
+    pull_next_task(p);
 
     if (task.compute_time <= 0) {  // A is trivial
       result_.task_spans.push_back(

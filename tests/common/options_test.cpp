@@ -67,10 +67,14 @@ TEST(Options, MissingValueFails) {
   EXPECT_FALSE(parse(o, {"--nodes"}));
 }
 
-TEST(Options, PositionalCollected) {
+TEST(Options, PositionalArgumentFails) {
+  // A bare value is not silently dropped: `tool 8` must not run with the
+  // default in place of --nodes=8.
   auto o = make_opts();
-  ASSERT_TRUE(parse(o, {"input.txt", "--nodes=8", "more"}));
-  EXPECT_EQ(o.positional(), (std::vector<std::string>{"input.txt", "more"}));
+  EXPECT_FALSE(parse(o, {"--nodes=8", "more"}));
+  EXPECT_NE(o.error().find("unexpected argument 'more'"), std::string::npos) << o.error();
+  auto negative = make_opts();
+  EXPECT_FALSE(parse(negative, {"-3"}));
 }
 
 TEST(Options, TypeErrorsThrow) {

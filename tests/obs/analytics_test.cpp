@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <vector>
 
 #include "exp/experiment.hpp"
@@ -85,21 +84,28 @@ TEST(Stragglers, DetectsTheLaggingNodeWithCausalChunks) {
 }
 
 TEST(Stragglers, CausalChunkListIsCapped) {
-  StragglerOptions opt;
-  opt.max_causal_chunks = 2;
-  const ExecutionAnalytics a = analyze_execution(straggling_run(), 4, opt);
+  // Node 3 serves four more reads after its three in straggling_run(), each
+  // shorter than the last (0.4 s down to 0.1 s): only its five slowest of
+  // seven are named.
+  runtime::ExecutionResult exec = straggling_run();
+  for (dfs::ChunkId chunk = 13; chunk < 17; ++chunk) {
+    sim::ReadRecord r;
+    r.process = 3;
+    r.reader_node = 3;
+    r.serving_node = 3;
+    r.chunk = chunk;
+    r.bytes = 100;
+    r.issue_time = 10.5;
+    r.end_time = 10.5 + 0.1 * (17 - chunk);
+    exec.trace.add(r);
+  }
+  exec.process_finish_time[3] = 10.9;
+  const ExecutionAnalytics a = analyze_execution(exec, 4);
   ASSERT_EQ(a.straggler_nodes.size(), 1u);
-  EXPECT_EQ(a.straggler_nodes[0].causal_chunks, (std::vector<dfs::ChunkId>{10, 11}));
-}
-
-TEST(Stragglers, LagFactorGatesDetection) {
-  StragglerOptions opt;
-  opt.lag_factor = 3.0;  // p90 of node finishes is already ~10.5/3-ish away
-  const ExecutionAnalytics a = analyze_execution(straggling_run(), 4, opt);
-  EXPECT_TRUE(a.straggler_nodes.empty());
-  EXPECT_TRUE(a.straggler_processes.empty());
-  EXPECT_THROW(analyze_execution(straggling_run(), 4, StragglerOptions{0.5, 5}),
-               std::invalid_argument);
+  EXPECT_EQ(a.straggler_nodes[0].causal_chunks,
+            (std::vector<dfs::ChunkId>{10, 11, 12, 13, 14}));
+  ASSERT_EQ(a.straggler_processes.size(), 1u);
+  EXPECT_EQ(a.straggler_processes[0].causal_chunks, a.straggler_nodes[0].causal_chunks);
 }
 
 TEST(Analytics, OpassBeatsTheBaselineOnImbalance) {

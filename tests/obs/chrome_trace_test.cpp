@@ -162,12 +162,5 @@ TEST(ChromeTrace, TiesOnTimeAndTrackSortByRenderedName) {
             std::string::npos);
 }
 
-TEST(ChromeTrace, ConvenienceWrapperMatchesBuilder) {
-  const runtime::ExecutionResult raw = recorded_run();
-  ChromeTraceBuilder builder;
-  builder.add_execution(raw, 0);
-  EXPECT_EQ(to_chrome_trace_json(raw), builder.json());
-}
-
 }  // namespace
 }  // namespace opass::obs

@@ -45,47 +45,19 @@ TEST(AdmissionQueue, WindowCoalescesNearArrivals) {
   q.push(pending(3, 0.9, 1));
   q.push(pending(4, 2.0, 1));
 
-  BatchPolicy policy;
-  policy.window = 1.0;
-  const auto batch = q.pop_batch(10.0, policy);
+  const auto batch = q.pop_batch(10.0, /*window=*/1.0);
   EXPECT_EQ(batch.size(), 3u);  // arrivals within [0, 1] of the head
   EXPECT_EQ(q.depth(), 1u);
-  EXPECT_EQ(q.pop_batch(10.0, policy).front().id, 4u);
+  EXPECT_EQ(q.pop_batch(10.0, 1.0).front().id, 4u);
 }
 
 TEST(AdmissionQueue, NowCapsTheCutoffBelowTheWindow) {
   AdmissionQueue q;
   q.push(pending(1, 0.0, 1));
   q.push(pending(2, 0.5, 1));
-  BatchPolicy policy;
-  policy.window = 1.0;
   // Only 0.4 s have elapsed: job 2 has not arrived yet, window or not.
-  EXPECT_EQ(q.pop_batch(0.4, policy).size(), 1u);
+  EXPECT_EQ(q.pop_batch(0.4, /*window=*/1.0).size(), 1u);
   EXPECT_EQ(q.depth(), 1u);
-}
-
-TEST(AdmissionQueue, JobAndTaskCapsBoundTheBatch) {
-  AdmissionQueue q;
-  for (JobId id = 1; id <= 4; ++id) q.push(pending(id, 0.0, 10));
-
-  BatchPolicy by_jobs;
-  by_jobs.max_jobs = 2;
-  EXPECT_EQ(q.pop_batch(0.0, by_jobs).size(), 2u);
-
-  BatchPolicy by_tasks;
-  by_tasks.max_tasks = 15;  // head (10) + next (10) would exceed
-  EXPECT_EQ(q.pop_batch(0.0, by_tasks).size(), 1u);
-  EXPECT_EQ(q.depth(), 1u);
-}
-
-TEST(AdmissionQueue, OversizedHeadStillPops) {
-  AdmissionQueue q;
-  q.push(pending(1, 0.0, 100));
-  BatchPolicy policy;
-  policy.max_tasks = 10;
-  const auto batch = q.pop_batch(0.0, policy);
-  ASSERT_EQ(batch.size(), 1u);  // the queue must not wedge on one big job
-  EXPECT_EQ(batch[0].id, 1u);
 }
 
 TEST(AdmissionQueue, CancelRemovesMidQueue) {

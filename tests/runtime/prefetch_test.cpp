@@ -1,6 +1,9 @@
 // Depth-1 read-ahead (I/O–compute overlap) in the executor.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "runtime/executor.hpp"
 #include "runtime/task_source.hpp"
 #include "workload/dataset.hpp"
@@ -107,6 +110,82 @@ TEST_F(PrefetchFixture, MultiInputTasksPrefetchWholeTask) {
   const auto seq = run(tasks, Assignment{{0, 1}, {}, {}, {}}, false);
   const auto pre = run(tasks, Assignment{{0, 1}, {}, {}, {}}, true);
   EXPECT_GT(seq.makespan, pre.makespan + 1.0);
+}
+
+/// Replays `assignment`, but answers kWait for 0.3 * (p + 1) s on process
+/// p's first pull and on every third pull after it. Under prefetch that is
+/// the bootstrap pull, a pull made while a task computes and, with four
+/// tasks per process, the pull that finds the process drained.
+class WaitingSource final : public TaskSource {
+ public:
+  explicit WaitingSource(Assignment assignment)
+      : pulls_(assignment.size(), 0), inner_(std::move(assignment)) {}
+
+  std::optional<TaskId> next_task(ProcessId process, Seconds now) override {
+    return inner_.next_task(process, now);
+  }
+
+  Pull pull(ProcessId process, Seconds now) override {
+    if (pulls_[process]++ % 3 == 0) return Pull::wait(0.3 * (process + 1));
+    return TaskSource::pull(process, now);
+  }
+
+ private:
+  std::vector<std::uint32_t> pulls_;
+  StaticAssignmentSource inner_;
+};
+
+std::string exact(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST_F(PrefetchFixture, WaitingSourceOnFirstAndMidCyclePulls) {
+  // Four local tasks per process: 1 s read, 1 s compute. Process 3's 1.2 s
+  // waits outlast a compute; the others' do not. Every span (process, task,
+  // start, end), finish time and the makespan are pinned at full precision,
+  // as recorded before the prefetch pull was folded into the executor's one
+  // pull path.
+  const auto tasks = make_tasks(16, 1.0);
+  Assignment local(4);
+  for (TaskId t = 0; t < 16; ++t) local[t % 4].push_back(t);
+  sim::Cluster cluster(4, params);
+  WaitingSource source(local);
+  ExecutorConfig cfg;
+  cfg.prefetch = true;
+  Rng exec_rng(7);
+  const auto result = execute(cluster, nn, tasks, source, exec_rng, cfg);
+  EXPECT_EQ(result.tasks_executed, 16u);
+
+  std::string spans;
+  for (const TaskSpan& s : result.task_spans)
+    spans += std::to_string(s.process) + " " + std::to_string(s.task) + " " + exact(s.start) +
+             " " + exact(s.end) + "\n";
+  std::string finish;
+  for (Seconds t : result.process_finish_time) finish += exact(t) + " ";
+  EXPECT_EQ(spans,
+            "0 0 0.29999999999999999 2.2999999999999998\n"
+            "1 1 0.59999999999999998 2.5999999999999996\n"
+            "2 2 0.89999999999999991 2.8999999999999999\n"
+            "3 3 1.2 3.1999999999999997\n"
+            "0 4 1.3 3.2999999999999998\n"
+            "1 5 1.6000000000000001 3.5999999999999996\n"
+            "2 6 1.8999999999999999 3.8999999999999999\n"
+            "3 7 2.2000000000000002 4.1999999999999993\n"
+            "0 8 2.5999999999999996 4.5999999999999996\n"
+            "1 9 3.1999999999999997 5.1999999999999993\n"
+            "0 12 3.5999999999999996 5.5999999999999996\n"
+            "2 10 3.7999999999999998 5.7999999999999989\n"
+            "1 13 4.1999999999999993 6.1999999999999993\n"
+            "3 11 4.3999999999999995 6.3999999999999995\n"
+            "2 14 4.7999999999999998 6.7999999999999989\n"
+            "3 15 5.3999999999999995 7.3999999999999995\n");
+  // Process 3 drains at 7.6 s, after its last compute (7.4 s): the pull that
+  // finds it drained waited 1.2 s.
+  EXPECT_EQ(finish,
+            "5.5999999999999996 6.1999999999999993 6.7999999999999989 7.5999999999999996 ");
+  EXPECT_EQ(exact(result.makespan), "7.5999999999999996");
 }
 
 TEST_F(PrefetchFixture, WorksWithDynamicSource) {

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""opass_analyze — concurrency-readiness static analysis over src/.
+"""opass_analyze — layering and determinism static analysis over src/.
 
-The parallelization roadmap item (worker-pool re-leveling, sharded executor
-replay, parallel Dinic) runs under a strict determinism contract: parallel
-execution must produce byte-identical output. This analyzer lays the static
-floor for that work with three passes that a compiler cannot (or will not)
-run for us:
+Every run of the program must replay its seed byte for byte (DESIGN.md
+"Determinism contract"), and every layer must stay buildable and testable
+without the layers above it. This analyzer guards both in the serial
+program with three passes that a compiler cannot (or will not) run for us:
 
   Pass 1 — include-graph layering
       Every `#include "..."` edge under src/ is checked against the declared
@@ -17,16 +16,16 @@ run for us:
                             new modules must declare their layer
         layer-upward        an include that points at a *higher* layer, or
                             sideways at a different directory of the same
-                            rank: hidden coupling that turns into lock-order
-                            and initialization-order hazards once threads
-                            arrive
+                            rank: hidden coupling that ties a lower layer to
+                            the layers above it
         include-cycle       a strongly-connected component in the file-level
                             include graph
       The pass also emits the dependency report (deterministic DOT + JSON)
       that CI archives on every run.
 
   Pass 2 — shared-mutable-state audit
-      Thread-hostile state that a worker pool would race on:
+      Process-wide state that outlives a run, so a second run in the same
+      process can see what the first left behind:
         mutable-static-local   function-local `static` non-const variable
         mutable-global         namespace-scope mutable variable definition
         mutable-static-member  class-level `static` non-const data member
@@ -381,8 +380,8 @@ def check_mutable_statics(path: pathlib.Path, text: str, findings: list):
         if scope == "other":
             findings.append(Finding(
                 path, line, "mutable-static-local",
-                "function-local mutable `static` — one shared instance "
-                "across all future worker threads; localize it, pass it in, "
+                "function-local mutable `static` — one instance shared by "
+                "every run in the process; localize it, pass it in, "
                 "or make it const"))
         elif scope == "class":
             findings.append(Finding(
@@ -394,7 +393,7 @@ def check_mutable_statics(path: pathlib.Path, text: str, findings: list):
             findings.append(Finding(
                 path, line, "mutable-global",
                 "namespace-scope mutable `static` variable — hidden global "
-                "the worker pool would race on"))
+                "state shared by every run in the process"))
 
 
 def check_namespace_globals(path: pathlib.Path, text: str, findings: list):
@@ -436,8 +435,8 @@ def check_namespace_globals(path: pathlib.Path, text: str, findings: list):
         findings.append(Finding(
             path, line_of(no_pp, start), "mutable-global",
             f"namespace-scope mutable variable `{idents[-1]}` — global "
-            "state the worker pool would race on; scope it into the owning "
-            "object or make it constexpr"))
+            "state shared by every run in the process; scope it into the "
+            "owning object or make it constexpr"))
 
 
 # --- pass 3: unordered-iteration determinism --------------------------------

@@ -14,11 +14,16 @@
 // independent BFS augmenting-path solver and the full-BFS Dinic this one
 // must match edge for edge (tests/support/) as oracles.
 //
+// A caller may raise capacities with FlowNetwork::add_capacity() between
+// solves and solve again (the planning service's fair-share top-up). Both the
+// BFS and the DFS skip an arc at zero residual, so a zero-capacity edge that
+// waits to be raised changes no path of the solves before it.
+//
 // FlowWorkspace bundles a reusable network arena with the solver's scratch
 // arrays. Planners that replan repeatedly (dynamic batches, incremental
 // updates) thread one workspace through every run so steady-state planning
-// performs zero allocation: clear() the network, rebuild the edges into the
-// retained arenas, solve with the retained scratch.
+// performs zero allocation: FlowNetwork::build() writes the next network into
+// the retained arenas, and the solve reuses the retained scratch.
 #pragma once
 
 #include <vector>
@@ -30,7 +35,7 @@ namespace opass::graph {
 /// Reusable solver state: the network arena plus the per-run scratch arrays.
 /// Everything is sized on demand and keeps its capacity across runs.
 struct FlowWorkspace {
-  FlowNetwork network;            ///< build target; clear() it per plan
+  FlowNetwork network;            ///< rebuilt with FlowNetwork::build() per plan
 
   // Solver scratch (contents are meaningless between runs).
   std::vector<std::int32_t> level;  ///< BFS level per node; -1 = unreached

@@ -1,6 +1,7 @@
 #include "opass/fig5.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/require.hpp"
@@ -29,16 +30,17 @@ std::vector<std::uint32_t> solve_fig5(graph::FlowWorkspace& ws,
   const graph::NodeIdx proc0 = Fig5Edges::kFirstProcess;
   const graph::NodeIdx task0 = proc0 + m;
   graph::FlowNetwork& net = ws.network;
-  net.clear(task0 + n);
-  for (std::uint32_t p = 0; p < m; ++p) net.add_edge(s, proc0 + p, process_caps[p]);
-  const Fig5Edges edges{net, task0, task_caps};
-  emit_edges(edges);
-  const auto locality_end = static_cast<graph::EdgeIdx>(net.edge_count());
-  graph::Cap task_cap_total = 0;
-  for (std::uint32_t task = 0; task < n; ++task) {
-    net.add_edge(task0 + task, t, edges.capacity(task));
-    task_cap_total += edges.capacity(task);
-  }
+  net.build(task0 + n, [&](graph::FlowNetwork::Builder& builder) {
+    for (std::uint32_t p = 0; p < m; ++p) builder.add_edge(s, proc0 + p, process_caps[p]);
+    const Fig5Edges edges{builder, m, n, task_caps};
+    emit_edges(edges);
+    for (std::uint32_t task = 0; task < n; ++task)
+      builder.add_edge(task0 + task, t, edges.capacity(task));
+  });
+  const auto locality_end = static_cast<graph::EdgeIdx>(net.edge_count() - n);
+  const graph::Cap task_cap_total =
+      task_caps.empty() ? graph::Cap{n}
+                        : std::accumulate(task_caps.begin(), task_caps.end(), graph::Cap{0});
 
   // Dinic's phase 0 on this fresh network has levels s = 0, processes 1,
   // tasks 2 and t = 3, and its blocking flow is a process-major greedy: each

@@ -19,8 +19,10 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "common/require.hpp"
 #include "common/rng.hpp"
 #include "graph/max_flow.hpp"
 #include "opass/process_index.hpp"
@@ -40,12 +42,19 @@ std::vector<std::uint32_t> equal_quotas(std::uint32_t task_count, std::uint32_t 
 struct Fig5Edges {
   static constexpr graph::NodeIdx kFirstProcess = 2;
 
-  graph::FlowNetwork& net;
-  graph::NodeIdx first_task;
+  graph::FlowNetwork::Builder& net;
+  std::uint32_t process_count;
+  std::uint32_t task_count;
   std::span<const graph::Cap> task_caps;  ///< empty: every task has capacity 1
 
   /// Add the edge `process` -> `task`, with the task's capacity.
   void operator()(std::uint32_t process, std::uint32_t task) const {
+    OPASS_REQUIRE(process < process_count, "locality edge from process " +
+                                               std::to_string(process) + " of " +
+                                               std::to_string(process_count));
+    OPASS_REQUIRE(task < task_count, "locality edge to task " + std::to_string(task) +
+                                         " of " + std::to_string(task_count));
+    const graph::NodeIdx first_task = kFirstProcess + process_count;
     net.add_edge(kFirstProcess + process, first_task + task, capacity(task));
   }
 
@@ -58,12 +67,14 @@ struct Fig5Edges {
 /// `process_caps[p]`, the locality edges `emit_edges` adds in its own order,
 /// task -> t with the task's capacity — and solve it with Dinic: phase 0 as
 /// the process-major greedy it is on this fresh network, then graph::max_flow
-/// from that residual state, so the flows are Dinic's edge for edge.
-/// A task's capacity is `task_caps[task]` (bytes, for the weighted planner),
-/// or 1 when `task_caps` is empty: the task units of equal-size chunks,
-/// which spare the unit planners a per-task array. Returns each task's
-/// owner: the process carrying most of its flow, the lowest one on ties,
-/// or kNoOwner when the flow leaves the task unmatched.
+/// from that residual state, so the flows are Dinic's edge for edge. The
+/// build calls `emit_edges` twice (FlowNetwork::build), and both calls must
+/// add the same edges in the same order. A task's capacity is
+/// `task_caps[task]` (bytes, for the weighted planner), or 1 when
+/// `task_caps` is empty: the task units of equal-size chunks, which spare
+/// the unit planners a per-task array. Returns each task's owner: the
+/// process carrying most of its flow, the lowest one on ties, or kNoOwner
+/// when the flow leaves the task unmatched.
 std::vector<std::uint32_t> solve_fig5(graph::FlowWorkspace& ws,
                                       std::span<const graph::Cap> process_caps,
                                       std::uint32_t task_count,

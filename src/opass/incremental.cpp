@@ -37,7 +37,7 @@ BatchPlan IncrementalPlanner::match_batch(const std::vector<runtime::Task>& batc
   const Adjacency tasks_of = transpose(replica_holders(nn_, chunks, procs_on_node_), m);
 
   // Fig. 5 flow over this batch only, with the batch quotas as capacities.
-  // The internal workspace is cleared, not reconstructed, so steady-state
+  // The internal workspace is rebuilt, not reconstructed, so steady-state
   // batches reuse its arenas.
   std::vector<std::uint32_t> owner =
       solve_fig5(workspace ? *workspace : workspace_,

@@ -163,7 +163,7 @@ void PlannerService::plan_batch(std::vector<PendingJob> batch, Seconds cut) {
   // Tenant-layered Fig. 5 network: s -> tenant -> task -> process -> t.
   // Edge-id layout (dense, insertion order): [0, T) tenant caps, [T, T + b)
   // tenant->task, [T + b, T + b + pt) task->process, then process->t, then
-  // any top-up s->tenant edges appended by the fair-share passes.
+  // the fair-share pass's top-up s->tenant edges, one per tenant in `top_ups`.
   graph::FlowNetwork& net = workspace_.network;
   const graph::NodeIdx s = 0;
   const graph::NodeIdx t = 1;
@@ -171,44 +171,51 @@ void PlannerService::plan_batch(std::vector<PendingJob> batch, Seconds cut) {
   const graph::NodeIdx task0 = 2 + tenant_count;
   const graph::NodeIdx proc0 = task0 + b;
   const auto pt_count = static_cast<graph::EdgeIdx>(holders.items.size());
-  const auto build = [&](const std::vector<std::uint32_t>& tenant_caps) {
-    net.clear(proc0 + m);
-    for (std::uint32_t i = 0; i < tenant_count; ++i)
-      net.add_edge(s, tenant0 + i, static_cast<graph::Cap>(tenant_caps[i]));
-    for (std::uint32_t k = 0; k < b; ++k)
-      net.add_edge(tenant0 + tasks[k].tenant_slot, task0 + k, 1);
-    for (std::uint32_t k = 0; k < b; ++k)
-      for (std::uint32_t p : holders.row(k)) net.add_edge(task0 + k, proc0 + p, 1);
-    for (std::uint32_t p = 0; p < m; ++p)
-      net.add_edge(proc0 + p, t, static_cast<graph::Cap>(quota[p]));
+  const graph::EdgeIdx top_up0 = tenant_count + b + pt_count + m;
+  const auto build = [&](const std::vector<std::uint32_t>& tenant_caps,
+                         const std::vector<std::uint32_t>& top_ups) {
+    net.build(proc0 + m, [&](graph::FlowNetwork::Builder& edges) {
+      for (std::uint32_t i = 0; i < tenant_count; ++i)
+        edges.add_edge(s, tenant0 + i, static_cast<graph::Cap>(tenant_caps[i]));
+      for (std::uint32_t k = 0; k < b; ++k)
+        edges.add_edge(tenant0 + tasks[k].tenant_slot, task0 + k, 1);
+      for (std::uint32_t k = 0; k < b; ++k)
+        for (std::uint32_t p : holders.row(k)) edges.add_edge(task0 + k, proc0 + p, 1);
+      for (std::uint32_t p = 0; p < m; ++p)
+        edges.add_edge(proc0 + p, t, static_cast<graph::Cap>(quota[p]));
+      for (std::uint32_t i : top_ups) edges.add_edge(s, tenant0 + i, 0);
+    });
   };
 
   std::vector<std::uint32_t> fair_slots = tenant_demand;
   if (b > 0) {
     // Pass 0: unconstrained solve — the batch's locality budget L.
-    build(tenant_demand);
+    build(tenant_demand, {});
     const graph::Cap budget = graph::max_flow(workspace_, s, t);
 
     if (options_.fair_share && tenant_count > 1 && budget > 0) {
       // Split L among the batch's tenants by weight against cumulative
       // usage, then re-solve under the fair caps and top the caps back up
-      // so unclaimed locality is never wasted (work-conserving).
+      // so unclaimed locality is never wasted (work-conserving). A tenant
+      // that wants more than its cap gets a zero-capacity top-up edge,
+      // which the capped solve skips; raising it lets the re-solve continue
+      // from the capped flow.
       Bytes batch_bytes = 0;
       for (const auto& task : tasks) batch_bytes += nn_.chunk(task.chunk).size;
       const Bytes bytes_per_slot = std::max<Bytes>(1, batch_bytes / b);
       fair_slots = tenants_.split_slots(static_cast<std::uint32_t>(budget), tenant_ids,
                                         tenant_demand, bytes_per_slot);
-      build(fair_slots);
+      std::vector<std::uint32_t> top_ups;
+      for (std::uint32_t i = 0; i < tenant_count; ++i)
+        if (tenant_demand[i] > fair_slots[i]) top_ups.push_back(i);
+      build(fair_slots, top_ups);
       (void)graph::max_flow(workspace_, s, t);
-      bool topped_up = false;
-      for (std::uint32_t i = 0; i < tenant_count; ++i) {
-        if (tenant_demand[i] > fair_slots[i]) {
-          net.add_edge(s, tenant0 + i,
-                       static_cast<graph::Cap>(tenant_demand[i] - fair_slots[i]));
-          topped_up = true;
-        }
+      for (graph::EdgeIdx j = 0; j < top_ups.size(); ++j) {
+        const std::uint32_t i = top_ups[j];
+        net.add_capacity(top_up0 + j,
+                         static_cast<graph::Cap>(tenant_demand[i] - fair_slots[i]));
       }
-      if (topped_up) (void)graph::max_flow(workspace_, s, t);
+      if (!top_ups.empty()) (void)graph::max_flow(workspace_, s, t);
     }
   }
 

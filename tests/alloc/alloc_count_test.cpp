@@ -19,9 +19,10 @@
 // grown by doubling pays for every buffer it abandoned. A run's tables are
 // sized once from the input that determines them (DESIGN.md §8): the chunk
 // table and each touched inventory from the staged placements, the task table
-// from the chunk count, the trace and task spans from the task table. A
-// layout of many one-chunk files must still grow geometrically, and the
-// cluster builds no per-node admission queue.
+// from the chunk count, the trace and task spans from the task table, and a
+// cold Fig. 5 solve's arcs from one counting run over its edges. A layout of
+// many one-chunk files must still grow geometrically, and the cluster builds
+// no per-node admission queue.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -286,11 +287,20 @@ struct Fig5Instance {
   void build(graph::FlowWorkspace& ws) const {
     const auto m = static_cast<graph::NodeIdx>(quotas.size());
     const auto n = static_cast<graph::NodeIdx>(holders.size());
-    ws.network.clear(2 + m + n);
-    for (graph::NodeIdx p = 0; p < m; ++p) ws.network.add_edge(0, 2 + p, quotas[p]);
-    for (graph::NodeIdx task = 0; task < n; ++task)
-      for (dfs::NodeId node : holders[task]) ws.network.add_edge(2 + node, 2 + m + task, 1);
-    for (graph::NodeIdx task = 0; task < n; ++task) ws.network.add_edge(2 + m + task, 1, 1);
+    ws.network.build(2 + m + n, [&](graph::FlowNetwork::Builder& edges) {
+      for (graph::NodeIdx p = 0; p < m; ++p) edges.add_edge(0, 2 + p, quotas[p]);
+      for (graph::NodeIdx task = 0; task < n; ++task)
+        for (dfs::NodeId node : holders[task]) edges.add_edge(2 + node, 2 + m + task, 1);
+      for (graph::NodeIdx task = 0; task < n; ++task) edges.add_edge(2 + m + task, 1, 1);
+    });
+  }
+
+  /// The same locality edges, task-major in replica order, for solve_fig5.
+  std::function<void(const core::Fig5Edges&)> locality_edges() const {
+    return [this](const core::Fig5Edges& edge) {
+      for (std::uint32_t task = 0; task < holders.size(); ++task)
+        for (dfs::NodeId node : holders[task]) edge(node, task);
+    };
   }
 };
 
@@ -314,10 +324,7 @@ TEST(AllocationCount, WarmMaxFlowAllocatesNothing) {
 TEST(AllocationCount, WarmFig5SolveAllocatesOnlyItsResult) {
   const Fig5Instance instance;
   const auto n = static_cast<std::uint32_t>(instance.holders.size());
-  const std::function<void(const core::Fig5Edges&)> emit = [&](const core::Fig5Edges& edge) {
-    for (std::uint32_t task = 0; task < n; ++task)
-      for (dfs::NodeId node : instance.holders[task]) edge(node, task);
-  };
+  const auto emit = instance.locality_edges();
   graph::FlowWorkspace ws;
   const auto cold = core::solve_fig5(ws, instance.quotas, n, emit);
   std::size_t allocations = 0;
@@ -329,6 +336,24 @@ TEST(AllocationCount, WarmFig5SolveAllocatesOnlyItsResult) {
   }
   EXPECT_EQ(warm, cold);
   EXPECT_EQ(allocations, 1u) << "only the returned owner vector may allocate";
+}
+
+TEST(AllocationFootprint, ColdFig5SolveStaysBelow48BytesPerEdge) {
+  // A cold solve writes its network straight into exact-size CSR rows and
+  // keeps no edge list beside them: 36 bytes of arcs per edge, the per-node
+  // rows, the solver's per-node scratch and the owner vector.
+  const Fig5Instance instance;
+  const auto n = static_cast<std::uint32_t>(instance.holders.size());
+  const auto emit = instance.locality_edges();
+  graph::FlowWorkspace ws;
+  std::vector<std::uint32_t> owner;
+  const Footprint f = measure([&] { owner = core::solve_fig5(ws, instance.quotas, n, emit); });
+  const auto edges = static_cast<double>(ws.network.edge_count());
+  RecordProperty("bytes_per_edge", std::to_string(f.bytes / edges));
+  RecordProperty("allocations", std::to_string(f.allocations));
+  EXPECT_EQ(owner.size(), n);
+  EXPECT_LE(f.bytes / edges, 48.0) << f.bytes << " bytes for " << edges << " edges";
+  EXPECT_LE(f.allocations, 20.0);
 }
 
 }  // namespace

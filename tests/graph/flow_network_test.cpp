@@ -2,24 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace opass::graph {
 namespace {
 
-TEST(FlowNetwork, AddNodesReturnsFirstIndex) {
-  FlowNetwork net;
-  EXPECT_EQ(net.add_nodes(3), 0u);
-  EXPECT_EQ(net.add_nodes(2), 3u);
-  EXPECT_EQ(net.node_count(), 5u);
-}
-
-TEST(FlowNetwork, ConstructorPreallocatesNodes) {
-  FlowNetwork net(4);
-  EXPECT_EQ(net.node_count(), 4u);
-}
+using Builder = FlowNetwork::Builder;
 
 TEST(FlowNetwork, AddEdgeStoresEndpointsAndCapacity) {
-  FlowNetwork net(2);
-  const EdgeIdx e = net.add_edge(0, 1, 7);
+  FlowNetwork net;
+  EdgeIdx e = 0;
+  net.build(2, [&](Builder& edges) { e = edges.add_edge(0, 1, 7); });
+  EXPECT_EQ(net.node_count(), 2u);
   EXPECT_EQ(net.edge_from(e), 0u);
   EXPECT_EQ(net.edge_to(e), 1u);
   EXPECT_EQ(net.capacity(e), 7);
@@ -28,35 +23,43 @@ TEST(FlowNetwork, AddEdgeStoresEndpointsAndCapacity) {
 }
 
 TEST(FlowNetwork, RejectsBadEndpoints) {
-  FlowNetwork net(2);
-  EXPECT_THROW(net.add_edge(0, 5, 1), std::invalid_argument);
-  EXPECT_THROW(net.add_edge(5, 0, 1), std::invalid_argument);
+  FlowNetwork net;
+  EXPECT_THROW(net.build(2, [](Builder& edges) { edges.add_edge(0, 5, 1); }),
+               std::invalid_argument);
+  EXPECT_THROW(net.build(2, [](Builder& edges) { edges.add_edge(5, 0, 1); }),
+               std::invalid_argument);
+  EXPECT_EQ(net.node_count(), 0u);  // a throw leaves an empty network
 }
 
 TEST(FlowNetwork, RejectsNegativeCapacity) {
-  FlowNetwork net(2);
-  EXPECT_THROW(net.add_edge(0, 1, -1), std::invalid_argument);
+  FlowNetwork net;
+  EXPECT_THROW(net.build(2, [](Builder& edges) { edges.add_edge(0, 1, -1); }),
+               std::invalid_argument);
 }
 
 TEST(FlowNetwork, PushMovesResidualCapacity) {
-  FlowNetwork net(2);
-  const EdgeIdx e = net.add_edge(0, 1, 5);
+  FlowNetwork net;
+  EdgeIdx e = 0;
+  net.build(2, [&](Builder& edges) { e = edges.add_edge(0, 1, 5); });
   const ArcIdx fwd = net.forward_arc(e);
   net.push(fwd, 3);
   EXPECT_EQ(net.flow(e), 3);
+  EXPECT_EQ(net.capacity(e), 5);
   EXPECT_EQ(net.residual_capacity(fwd), 2);
   EXPECT_EQ(net.residual_capacity(net.partner(fwd)), 3);
 }
 
 TEST(FlowNetwork, PushBeyondCapacityThrows) {
-  FlowNetwork net(2);
-  const EdgeIdx e = net.add_edge(0, 1, 5);
+  FlowNetwork net;
+  EdgeIdx e = 0;
+  net.build(2, [&](Builder& edges) { e = edges.add_edge(0, 1, 5); });
   EXPECT_THROW(net.push(net.forward_arc(e), 6), std::logic_error);
 }
 
 TEST(FlowNetwork, ResetFlowRestoresCapacities) {
-  FlowNetwork net(2);
-  const EdgeIdx e = net.add_edge(0, 1, 5);
+  FlowNetwork net;
+  EdgeIdx e = 0;
+  net.build(2, [&](Builder& edges) { e = edges.add_edge(0, 1, 5); });
   net.push(net.forward_arc(e), 5);
   net.reset_flow();
   EXPECT_EQ(net.flow(e), 0);
@@ -64,9 +67,13 @@ TEST(FlowNetwork, ResetFlowRestoresCapacities) {
 }
 
 TEST(FlowNetwork, PartnersPairTheTwoArcsOfAnEdge) {
-  FlowNetwork net(3);
-  const EdgeIdx a = net.add_edge(0, 1, 4);
-  const EdgeIdx b = net.add_edge(2, 0, 6);
+  FlowNetwork net;
+  EdgeIdx a = 0;
+  EdgeIdx b = 0;
+  net.build(3, [&](Builder& edges) {
+    a = edges.add_edge(0, 1, 4);
+    b = edges.add_edge(2, 0, 6);
+  });
   for (EdgeIdx e : {a, b}) {
     const ArcIdx fwd = net.forward_arc(e);
     EXPECT_EQ(net.partner(net.partner(fwd)), fwd);
@@ -78,8 +85,8 @@ TEST(FlowNetwork, PartnersPairTheTwoArcsOfAnEdge) {
 }
 
 TEST(FlowNetwork, AdjacencyContainsBothDirections) {
-  FlowNetwork net(2);
-  net.add_edge(0, 1, 1);
+  FlowNetwork net;
+  net.build(2, [](Builder& edges) { edges.add_edge(0, 1, 1); });
   EXPECT_EQ(net.residual_adjacency(0).size(), 1u);
   EXPECT_EQ(net.residual_adjacency(1).size(), 1u);  // the residual reverse
 }
@@ -87,11 +94,17 @@ TEST(FlowNetwork, AdjacencyContainsBothDirections) {
 TEST(FlowNetwork, AdjacencyPreservesInsertionOrder) {
   // The CSR layout must keep each node's arcs in insertion order, an edge's
   // forward arc before its reverse, so solver traversals stay deterministic.
-  FlowNetwork net(4);
-  const EdgeIdx a = net.add_edge(0, 1, 1);
-  const EdgeIdx b = net.add_edge(2, 0, 1);
-  const EdgeIdx c = net.add_edge(0, 3, 1);
-  const EdgeIdx loop = net.add_edge(0, 0, 1);
+  FlowNetwork net;
+  EdgeIdx a = 0;
+  EdgeIdx b = 0;
+  EdgeIdx c = 0;
+  EdgeIdx loop = 0;
+  net.build(4, [&](Builder& edges) {
+    a = edges.add_edge(0, 1, 1);
+    b = edges.add_edge(2, 0, 1);
+    c = edges.add_edge(0, 3, 1);
+    loop = edges.add_edge(0, 0, 1);
+  });
   const auto adj = net.residual_adjacency(0);
   ASSERT_EQ(adj.size(), 5u);
   EXPECT_EQ(adj[0], net.forward_arc(a));
@@ -99,61 +112,121 @@ TEST(FlowNetwork, AdjacencyPreservesInsertionOrder) {
   EXPECT_EQ(adj[2], net.forward_arc(c));
   EXPECT_EQ(adj[3], net.forward_arc(loop));
   EXPECT_EQ(adj[4], net.partner(net.forward_arc(loop)));
+  EXPECT_EQ(net.edge_from(loop), 0u);
+  EXPECT_EQ(net.edge_to(loop), 0u);
 }
 
-TEST(FlowNetwork, AddEdgeAfterAdjacencyReadRebuildsCsr) {
-  // Reading adjacency finalizes the CSR; a later add_edge must invalidate
-  // and rebuild it.
-  FlowNetwork net(3);
-  net.add_edge(0, 1, 1);
-  EXPECT_EQ(net.residual_adjacency(0).size(), 1u);
-  net.add_edge(0, 2, 1);
-  EXPECT_EQ(net.residual_adjacency(0).size(), 2u);
-  EXPECT_EQ(net.residual_adjacency(2).size(), 1u);
-}
-
-TEST(FlowNetwork, AddEdgeAfterPushKeepsRoutedFlow) {
-  // The planning service tops a solved network up with new edges and solves
-  // again; the re-layout must carry every routed flow over.
-  FlowNetwork net(3);
-  const EdgeIdx a = net.add_edge(0, 1, 5);
-  const EdgeIdx b = net.add_edge(1, 2, 4);
+TEST(FlowNetwork, AddCapacityKeepsRoutedFlow) {
+  // The planning service builds its top-up edge at zero capacity, solves,
+  // raises the edge and solves again from the flow the first solve left.
+  FlowNetwork net;
+  EdgeIdx a = 0;
+  EdgeIdx b = 0;
+  EdgeIdx c = 0;
+  net.build(3, [&](Builder& edges) {
+    a = edges.add_edge(0, 1, 5);
+    b = edges.add_edge(1, 2, 4);
+    c = edges.add_edge(0, 1, 0);
+  });
   net.push(net.forward_arc(a), 3);
   net.push(net.forward_arc(b), 3);
-  const EdgeIdx c = net.add_edge(0, 1, 2);
-  EXPECT_EQ(net.flow(a), 3);  // before the re-layout
+  EXPECT_EQ(net.residual_capacity(net.forward_arc(c)), 0);
+  net.add_capacity(c, 2);
+  EXPECT_EQ(net.capacity(c), 2);
   EXPECT_EQ(net.flow(c), 0);
-  EXPECT_EQ(net.residual_capacity(net.forward_arc(a)), 2);  // after it
   EXPECT_EQ(net.flow(a), 3);
   EXPECT_EQ(net.flow(b), 3);
-  EXPECT_EQ(net.flow(c), 0);
+  EXPECT_EQ(net.residual_capacity(net.forward_arc(a)), 2);
+  net.push(net.forward_arc(c), 1);  // a path through the raised edge
+  net.push(net.forward_arc(b), 1);
   for (EdgeIdx e : {a, b, c}) {
     const ArcIdx fwd = net.forward_arc(e);
     EXPECT_EQ(net.partner(net.partner(fwd)), fwd) << "edge " << e;
     EXPECT_EQ(net.residual_to(net.partner(fwd)), net.edge_from(e)) << "edge " << e;
     EXPECT_EQ(net.residual_capacity(net.partner(fwd)), net.flow(e)) << "edge " << e;
+    EXPECT_EQ(net.residual_capacity(fwd), net.capacity(e) - net.flow(e)) << "edge " << e;
   }
+  EXPECT_EQ(net.flow(c), 1);
+  EXPECT_EQ(net.flow(b), 4);
+  EXPECT_THROW(net.add_capacity(c, -1), std::invalid_argument);
+  EXPECT_THROW(net.add_capacity(3, 1), std::invalid_argument);
   net.reset_flow();
   EXPECT_EQ(net.flow(a), 0);
+  EXPECT_EQ(net.flow(c), 0);
+  EXPECT_EQ(net.capacity(c), 2);  // the raise outlives the reset
   EXPECT_EQ(net.residual_capacity(net.forward_arc(b)), 4);
 }
 
-TEST(FlowNetwork, ClearResetsStateAndAllowsReuse) {
-  FlowNetwork net(4);
-  net.add_edge(0, 1, 5);
-  net.add_edge(1, 2, 5);
-  EXPECT_EQ(net.residual_adjacency(1).size(), 2u);
+/// The message of the std::logic_error `build` throws, or "" if none.
+template <typename Fn>
+std::string logic_error_of(Fn&& build) {
+  try {
+    build();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
 
-  net.clear(2);
-  EXPECT_EQ(net.node_count(), 2u);
+TEST(FlowNetwork, BuildRejectsASecondPassThatDiffers) {
+  // build() runs its emitter twice, and the second run must add the edges
+  // the first one counted. One that differs leaves an empty network.
+  FlowNetwork net;
+  int run = 0;
+  const auto extra_edge = [&](Builder& edges) {
+    edges.add_edge(0, 1, 1);
+    if (++run == 2) edges.add_edge(1, 2, 1);
+  };
+  EXPECT_NE(logic_error_of([&] { net.build(3, extra_edge); }).find("more edges"),
+            std::string::npos);
+  EXPECT_EQ(net.node_count(), 0u);
   EXPECT_EQ(net.edge_count(), 0u);
-  EXPECT_EQ(net.residual_adjacency(0).size(), 0u);
 
-  const EdgeIdx e = net.add_edge(0, 1, 3);
+  run = 0;
+  const auto missing_edge = [&](Builder& edges) {
+    edges.add_edge(0, 1, 1);
+    if (++run == 1) edges.add_edge(1, 2, 1);
+  };
+  EXPECT_NE(
+      logic_error_of([&] { net.build(3, missing_edge); }).find("different number of edges"),
+      std::string::npos);
+  EXPECT_EQ(net.edge_count(), 0u);
+
+  // The same edge count, with the second run's edge in another row.
+  run = 0;
+  const auto moved_edge = [&](Builder& edges) { edges.add_edge(0, ++run == 1 ? 1 : 2, 1); };
+  EXPECT_NE(logic_error_of([&] { net.build(3, moved_edge); }).find("filled a row differently"),
+            std::string::npos);
+  EXPECT_EQ(net.node_count(), 0u);
+  EXPECT_EQ(net.edge_count(), 0u);
+
+  net.build(3, [](Builder& edges) { edges.add_edge(0, 2, 1); });
+  EXPECT_EQ(net.edge_count(), 1u);
+  EXPECT_EQ(net.edge_to(0), 2u);
+  EXPECT_EQ(net.residual_adjacency(1).size(), 0u);
+}
+
+TEST(FlowNetwork, RebuildResetsStateAndAllowsReuse) {
+  FlowNetwork net;
+  net.build(4, [](Builder& edges) {
+    edges.add_edge(0, 1, 5);
+    edges.add_edge(1, 2, 5);
+  });
+  EXPECT_EQ(net.residual_adjacency(1).size(), 2u);
+  net.push(net.forward_arc(0), 5);
+
+  EdgeIdx e = 0;
+  net.build(2, [&](Builder& edges) { e = edges.add_edge(0, 1, 3); });
+  EXPECT_EQ(net.node_count(), 2u);
+  EXPECT_EQ(net.edge_count(), 1u);
   EXPECT_EQ(net.capacity(e), 3);
   EXPECT_EQ(net.flow(e), 0);
   EXPECT_EQ(net.residual_adjacency(0).size(), 1u);
-  EXPECT_THROW(net.add_edge(0, 3, 1), std::invalid_argument);  // old nodes gone
+  EXPECT_THROW(net.residual_adjacency(3), std::invalid_argument);  // old nodes gone
+
+  net.build(2, [](Builder&) {});
+  EXPECT_EQ(net.edge_count(), 0u);
+  EXPECT_EQ(net.residual_adjacency(0).size(), 0u);
 }
 
 }  // namespace

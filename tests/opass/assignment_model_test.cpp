@@ -10,18 +10,26 @@
 namespace opass::core {
 namespace {
 
-struct AssignmentModelFixture : ::testing::Test {
-  AssignmentModelFixture()
-      : nn(dfs::Topology::single_rack(8), 2, kDefaultChunkSize), rng(4) {
+/// 32 one-chunk tasks at r = 2 on 8 nodes, one process per node, with the
+/// chunks placed by `Policy`.
+template <typename Policy>
+struct Layout {
+  Layout() : nn(dfs::Topology::single_rack(8), 2, kDefaultChunkSize), rng(4) {
     tasks = workload::make_single_data_workload(nn, 32, policy, rng);
     placement = core::one_process_per_node(nn);
   }
   dfs::NameNode nn;
-  dfs::RandomPlacement policy;
+  Policy policy;
   Rng rng;
   std::vector<runtime::Task> tasks;
   core::ProcessPlacement placement;
 };
+
+struct AssignmentModelFixture : ::testing::Test, Layout<dfs::RandomPlacement> {};
+
+/// Round-robin placement gives every node 8 of the 64 replicas and admits a
+/// full matching (dfs/placement.hpp), so Opass plans every task local.
+using EvenLayout = Layout<dfs::RoundRobinPlacement>;
 
 TEST_F(AssignmentModelFixture, ExpectedBytesSumToDatasetSize) {
   const auto a = runtime::rank_interval_assignment(32, 8);
@@ -32,17 +40,19 @@ TEST_F(AssignmentModelFixture, ExpectedBytesSumToDatasetSize) {
 }
 
 TEST_F(AssignmentModelFixture, FullyLocalAssignmentServesFromReaders) {
+  const EvenLayout even;
   Rng arng(5);
-  const auto result = plan({&nn, &tasks, &placement, &arng});
-  if (result.randomly_filled > 0) GTEST_SKIP() << "layout did not admit a full matching";
-  const auto served = expected_bytes_served(nn, tasks, result.assignment, placement);
+  const auto result = plan({&even.nn, &even.tasks, &even.placement, &arng});
+  ASSERT_EQ(result.randomly_filled, 0u);
+  const auto served =
+      expected_bytes_served(even.nn, even.tasks, result.assignment, even.placement);
   // Locally served with certainty: every byte accounted on a reader node,
   // and each node serves exactly its own process's assigned bytes.
-  for (std::uint32_t p = 0; p < placement.size(); ++p) {
+  for (std::uint32_t p = 0; p < even.placement.size(); ++p) {
     double assigned = 0;
     for (auto t : result.assignment[p])
-      assigned += static_cast<double>(tasks[t].input_bytes(nn));
-    EXPECT_NEAR(served[placement[p]], assigned, 1.0);
+      assigned += static_cast<double>(even.tasks[t].input_bytes(even.nn));
+    EXPECT_NEAR(served[even.placement[p]], assigned, 1.0);
   }
 }
 
@@ -95,17 +105,18 @@ TEST_F(AssignmentModelFixture, SimulatedMakespanRespectsLowerBound) {
 }
 
 TEST_F(AssignmentModelFixture, BoundTightForFullLocality) {
+  const EvenLayout even;
   Rng arng(5);
-  const auto planned = plan({&nn, &tasks, &placement, &arng});
-  if (planned.randomly_filled > 0) GTEST_SKIP() << "layout did not admit a full matching";
+  const auto planned = plan({&even.nn, &even.tasks, &even.placement, &arng});
+  ASSERT_EQ(planned.randomly_filled, 0u);
   sim::ClusterParams params;
-  const Seconds bound =
-      makespan_lower_bound(nn, tasks, planned.assignment, placement, params.disk_bandwidth);
+  const Seconds bound = makespan_lower_bound(even.nn, even.tasks, planned.assignment,
+                                             even.placement, params.disk_bandwidth);
 
   sim::Cluster cluster(8, params);
   runtime::StaticAssignmentSource source(planned.assignment);
   Rng exec_rng(13);
-  const auto result = runtime::execute(cluster, nn, tasks, source, exec_rng);
+  const auto result = runtime::execute(cluster, even.nn, even.tasks, source, exec_rng);
   // Fully local reads: the only gap to the bound is per-read seek latency.
   const double overhead = 4.0 * params.seek_latency;  // 4 chunks per process
   EXPECT_LE(result.makespan, bound + overhead + 0.1);

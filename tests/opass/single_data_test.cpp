@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "opass/assignment_stats.hpp"
 #include "opass/fig5.hpp"
 #include "opass/planner.hpp"
@@ -14,6 +17,25 @@ TEST(EqualQuotas, DistributesRemainder) {
   EXPECT_EQ(equal_quotas(8, 4), (std::vector<std::uint32_t>{2, 2, 2, 2}));
   EXPECT_EQ(equal_quotas(0, 2), (std::vector<std::uint32_t>{0, 0}));
   EXPECT_THROW(equal_quotas(4, 0), std::invalid_argument);
+}
+
+TEST(Fig5Edges, RejectsAnOutOfRangeProcessOrTaskNamingIt) {
+  // Two processes and two tasks. Process 2 would land on task node 0 and
+  // task 2 on no node at all.
+  graph::FlowWorkspace ws;
+  const std::vector<graph::Cap> caps{1, 1};
+  const auto error_of = [&](std::uint32_t process, std::uint32_t task) -> std::string {
+    try {
+      (void)solve_fig5(ws, caps, 2, [&](const Fig5Edges& edge) { edge(process, task); });
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(error_of(2, 1).find("from process 2 of 2"), std::string::npos) << error_of(2, 1);
+  EXPECT_NE(error_of(1, 2).find("to task 2 of 2"), std::string::npos) << error_of(1, 2);
+  EXPECT_EQ(solve_fig5(ws, caps, 2, [](const Fig5Edges& edge) { edge(1, 1); }),
+            (std::vector<std::uint32_t>{kNoOwner, 1}));
 }
 
 TEST(SingleDataTest, RoundRobinLayoutYieldsFullMatching) {

@@ -67,13 +67,13 @@ int main() {
 
     sim::Cluster cluster(nodes);
     runtime::StaticAssignmentSource sa(a.assignment), sb(b.assignment);
-    std::vector<runtime::JobSpec> jobs(2);
-    jobs[0].tasks = &a.tasks;
-    jobs[0].source = &sa;
-    jobs[1].tasks = &b.tasks;
-    jobs[1].source = &sb;
     Rng exec_rng(13);
-    const auto results = runtime::execute_jobs(cluster, nn, jobs, exec_rng);
+    runtime::Execution job_a(cluster, nn, a.tasks, sa, exec_rng);
+    runtime::Execution job_b(cluster, nn, b.tasks, sb, exec_rng);
+    job_a.launch(0);
+    job_b.launch(0);
+    cluster.run();
+    const runtime::ExecutionResult results[] = {job_a.take_result(), job_b.take_result()};
 
     std::vector<double> served;
     for (Bytes v : cluster.served_bytes()) served.push_back(to_mib(v));

@@ -9,13 +9,13 @@
 //   opass_cli --scenario=single --fault-plan=bench/faults/crash.json --method=both
 //
 // Fault injection: --fault-plan loads a JSON fault/churn scenario
-// (sim/fault_plan.hpp documents the format) and arms it on each run's
-// cluster (single, multi and dynamic; paraview and iterative reject it with
-// exit code 2) — crashes, stragglers, joins, drains and rebalances play out as
-// scripted virtual-time events whose recovery traffic competes with the
-// run's reads. The fault summary prints after the method table; fault
-// markers join --trace-out as instant events and --report-html/--timeline-out
-// as timeline.faults.* series.
+// (sim/fault_plan.hpp documents the format) and arms it once on each run's
+// cluster, in every scenario (a ParaView or iterative run's steps and
+// epochs share the one plan) — crashes, stragglers, joins, drains and
+// rebalances play out as scripted virtual-time events whose recovery
+// traffic competes with the run's reads. The fault summary prints after the
+// method table; fault markers join --trace-out as instant events and
+// --report-html/--timeline-out as timeline.faults.* series.
 //
 // Prints the run's headline metrics as a table, or the per-op I/O series as
 // CSV with --csv (ready for plotting). With --audit the scenario's plan is
@@ -109,9 +109,9 @@ struct Outputs {
   /// one (null otherwise).
   obs::TimelineRecorder* add_timeline(const Options& opts) {
     if (!given(opts, "timeline-out") && !given(opts, "report-html")) return nullptr;
-    obs::TimelineRecorder::Options topt;
-    topt.interval = opts.real("sample-interval");
-    return timelines.emplace_back(std::make_unique<obs::TimelineRecorder>(topt)).get();
+    return timelines
+        .emplace_back(std::make_unique<obs::TimelineRecorder>(opts.real("sample-interval")))
+        .get();
   }
 
   /// A span log for one run when --spans-out or --critical-path asks for
@@ -315,7 +315,7 @@ int run(int argc, char** argv) {
       .add("compute", "0.0", "mean compute seconds per task (dynamic scenario)")
       .add("placement", "random", "random | hdfs-default | round-robin | spread")
       .add("fault-plan", "",
-           "JSON fault/churn scenario armed on each run's cluster (single|multi|dynamic)")
+           "JSON fault/churn scenario armed once on each run's cluster")
       .add("csv", "false", "emit per-op I/O times as CSV instead of the summary table")
       .add("audit", "false", "audit the scenario's plan statically instead of simulating")
       .add("metrics-out", "", "write run metrics to this path (.csv => CSV, else JSON)")
@@ -355,7 +355,6 @@ int run(int argc, char** argv) {
   } else {
     mode = "--scenario=" + scenario;
     unread = {"batch-window", "fair-share", "service-out"};
-    if (scenario == "paraview" || scenario == "iterative") unread.push_back("fault-plan");
     if (scenario != "dynamic" && scenario != "iterative") unread.push_back("compute");
   }
   for (const char* flag : unread) {

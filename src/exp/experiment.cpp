@@ -1,6 +1,7 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <utility>
 
@@ -86,7 +87,8 @@ std::vector<runtime::Task> subset(const std::vector<runtime::Task>& tasks,
 /// Steps 3 and 4 (DESIGN.md §8): one run on the flow simulator. The
 /// cluster, executor config, timeline and fault harness live
 /// for the whole run; every job, ParaView step or iterative epoch is one
-/// phase(), and finish() feeds the sinks and reduces once.
+/// phase(), and finish() drains the simulator, feeds the sinks and reduces
+/// once.
 class Run {
  public:
   Run(const ExperimentConfig& cfg, Method method, dfs::NameNode& nn,
@@ -99,7 +101,7 @@ class Run {
     ec_.record_read_breakdown = cfg.spans != nullptr;
     ec_.probe = timeline_.executor_probe();
     // The scripted events and heartbeat checks are simulator timers, so they
-    // interleave with the first phase's reads deterministically.
+    // interleave with every phase's reads deterministically.
     if (cfg.faults == nullptr) return;
     monitor_.emplace(cluster_, nn, /*namenode_host=*/0, streams.faults);
     injector_.emplace(cluster_, nn, *monitor_, *cfg.faults);
@@ -115,44 +117,36 @@ class Run {
   /// The armed fault injector, or null without a fault plan.
   sim::FaultInjector* injector() { return injector_ ? &*injector_ : nullptr; }
 
-  /// Execute `tasks`, pulled from `source`, until the cluster is idle and
-  /// fold the phase into the run; returns its duration. The first phase is
-  /// moved into the aggregate and later ones are appended, so the run's
-  /// makespan is the sum of phase durations. `planned` (null when the
-  /// method has no plan) is scored against the namespace the phase left
-  /// behind: `scored`, the score core::plan() gave it, when no fault plan
-  /// is armed (nothing else changes the namespace), else a fresh
-  /// evaluate_assignment(). Spans append against the phase's own task table:
-  /// ParaView's renumbered step ids would alias in the aggregate.
+  /// Execute `tasks`, pulled from `source`, until the phase's last process
+  /// drained and return the phase's duration; the next phase starts there,
+  /// while fault timers and recovery traffic carry on. The run's makespan is
+  /// the sum of phase durations. `tasks` and `planned` (null when the method
+  /// has no plan) must outlive finish(), which appends the phase's spans and
+  /// scores `planned` after the drain.
   Seconds phase(const std::vector<runtime::Task>& tasks, runtime::TaskSource& source,
                 const runtime::Assignment* planned,
                 const std::optional<core::AssignmentStats>& scored = std::nullopt) {
     const Seconds start = cluster_.simulator().now();
     timeline_.add_expected_bytes(runtime::total_task_bytes(nn_, tasks));
-    auto exec = runtime::execute(cluster_, nn_, tasks, source, exec_rng_, ec_);
-    const Seconds duration = exec.makespan - start;
+    runtime::Execution execution(cluster_, nn_, tasks, source, exec_rng_, ec_);
+    execution.launch(start);
+    execution.run_until_done();
+    phases_.push_back({execution.take_result(), &tasks, planned, scored});
+    const Seconds duration = phases_.back().exec.makespan - start;
     makespan_ += duration;
-    if (cfg_.spans != nullptr) obs::append_execution_spans(*cfg_.spans, exec, tasks, cluster_);
-    if (planned != nullptr) {
-      const auto stats = scored && cfg_.faults == nullptr
-                             ? *scored
-                             : core::evaluate_assignment(nn_, tasks, *planned, placement_);
-      planned_.total_bytes += stats.total_bytes;
-      planned_.local_bytes += stats.local_bytes;
-    }
-    if (phases_++ == 0) {
-      agg_ = std::move(exec);
-    } else {
-      append(exec);
-    }
     return duration;
   }
 
-  /// Flush the timeline, export the fault counters, feed the metrics (in
-  /// registration order "<method>.executor" → "<method>.cluster")
-  /// and reduce the aggregate to the series the paper plots; the aggregate
-  /// itself then moves into the raw sink.
+  /// Drain the simulator (recovery traffic and fault timers past the last
+  /// task), fold the phases into the aggregate, flush the timeline, export
+  /// the fault counters, feed the metrics (in registration order
+  /// "<method>.executor" → "<method>.cluster") and reduce the aggregate to
+  /// the series the paper plots; the aggregate itself then moves into the
+  /// raw sink.
   RunOutput finish() {
+    cluster_.run();
+    for (Phase& ph : phases_) fold(ph);
+    phases_.clear();
     timeline_.finish();
     if (injector_ && cfg_.fault_stats != nullptr) *cfg_.fault_stats = injector_->stats();
     if (cfg_.metrics != nullptr) {
@@ -176,10 +170,37 @@ class Run {
   }
 
  private:
-  /// Fold a later phase into the aggregate: traces, task spans and read
-  /// breakdowns concatenate (breakdowns stay index-aligned with the
-  /// records), finish times take the latest, stalls and counters sum.
-  void append(const runtime::ExecutionResult& exec) {
+  /// A finished phase, kept until the drain.
+  struct Phase {
+    runtime::ExecutionResult exec;
+    const std::vector<runtime::Task>* tasks;
+    const runtime::Assignment* planned;
+    std::optional<core::AssignmentStats> scored;
+  };
+
+  /// Append the phase's spans against its own task table (ParaView's
+  /// renumbered step ids would alias in the aggregate), score its plan
+  /// against the namespace the run left behind (`scored`, the score
+  /// core::plan() gave it, when no fault plan changed the namespace; else a
+  /// fresh evaluate_assignment()), then fold it into the aggregate: the first
+  /// phase is moved in; later traces, task spans and read breakdowns
+  /// concatenate (breakdowns stay index-aligned with the records), finish
+  /// times take the latest, stalls and counters sum.
+  void fold(Phase& ph) {
+    runtime::ExecutionResult& exec = ph.exec;
+    if (cfg_.spans != nullptr)
+      obs::append_execution_spans(*cfg_.spans, exec, *ph.tasks, cluster_);
+    if (ph.planned != nullptr) {
+      const auto stats = ph.scored && cfg_.faults == nullptr
+                             ? *ph.scored
+                             : core::evaluate_assignment(nn_, *ph.tasks, *ph.planned, placement_);
+      planned_.total_bytes += stats.total_bytes;
+      planned_.local_bytes += stats.local_bytes;
+    }
+    if (&ph == &phases_.front()) {
+      agg_ = std::move(exec);
+      return;
+    }
     for (const auto& rec : exec.trace.records()) agg_.trace.add(rec);
     agg_.task_spans.insert(agg_.task_spans.end(), exec.task_spans.begin(),
                            exec.task_spans.end());
@@ -209,8 +230,8 @@ class Run {
   obs::RunTimeline timeline_;
   std::optional<sim::HeartbeatMonitor> monitor_;
   std::optional<sim::FaultInjector> injector_;
+  std::vector<Phase> phases_;
   runtime::ExecutionResult agg_;
-  std::uint32_t phases_ = 0;
   Seconds makespan_ = 0;
   core::AssignmentStats planned_;  // byte sums of every scored phase
 };
@@ -277,7 +298,7 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
   });
   Run run(cfg, method, sc.nn, sc.placement, streams);
   if (method == Method::kBaseline) {
-    runtime::MasterWorkerSource source(task_count, streams.assign, /*shuffle=*/true);
+    runtime::MasterWorkerSource source(task_count, streams.assign);
     run.phase(sc.tasks, source, nullptr);
     return run.finish();
   }
@@ -323,9 +344,6 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
 
 ParaViewOutput run_paraview(const ExperimentConfig& cfg, Method method,
                             const workload::ParaViewSpec& spec) {
-  OPASS_REQUIRE(cfg.faults == nullptr,
-                "ExperimentConfig.faults is not supported by run_paraview "
-                "(fault plans apply to single, multi and dynamic runs)");
   Streams streams(cfg.seed);
   std::vector<std::vector<runtime::TaskId>> steps;
   auto sc = make_layout(cfg, streams.placement, [&](auto& nn, auto& policy, Rng& rng) {
@@ -337,15 +355,19 @@ ParaViewOutput run_paraview(const ExperimentConfig& cfg, Method method,
   // One workspace across all rendering steps: per-step replanning reuses the
   // warmed network/solver arenas instead of reallocating them.
   graph::FlowWorkspace workspace;
+  // Each step's table and plan live until run.finish() scores them.
+  std::deque<std::vector<runtime::Task>> step_tasks;
+  std::deque<Assigned> plans;
   ParaViewOutput out;
   for (const auto& step : steps) {
-    const auto step_tasks = subset(sc.tasks, step);
-    // Opass inside ReadXMLData(): assign this step's pieces by matching.
-    const auto [assignment, stats] = assign(cfg, method, core::PlannerKind::kSingleData, sc.nn,
-                                            step_tasks, sc.placement, streams.assign,
-                                            &workspace);
+    const auto& tasks = step_tasks.emplace_back(subset(sc.tasks, step));
+    // Opass inside ReadXMLData(): assign this step's pieces by matching, on
+    // the namespace as the step starts.
+    const auto& [assignment, stats] =
+        plans.emplace_back(assign(cfg, method, core::PlannerKind::kSingleData, sc.nn, tasks,
+                                  sc.placement, streams.assign, &workspace));
     runtime::StaticAssignmentSource source(assignment);
-    out.step_times.push_back(run.phase(step_tasks, source, &assignment, stats));
+    out.step_times.push_back(run.phase(tasks, source, &assignment, stats));
   }
   out.run = run.finish();
   out.total_time = out.run.makespan;
@@ -356,9 +378,6 @@ IterativeOutput run_iterative(const ExperimentConfig& cfg, std::uint32_t chunk_c
                               std::uint32_t epochs, Method method,
                               Seconds compute_per_task) {
   OPASS_REQUIRE(epochs > 0, "need at least one epoch");
-  OPASS_REQUIRE(cfg.faults == nullptr,
-                "ExperimentConfig.faults is not supported by run_iterative "
-                "(fault plans apply to single, multi and dynamic runs)");
   Streams streams(cfg.seed);
   auto sc = make_layout(cfg, streams.placement, [&](auto& nn, auto& policy, Rng& rng) {
     return workload::make_single_data_workload(nn, chunk_count, policy, rng, compute_per_task);

@@ -79,16 +79,14 @@ struct ExperimentConfig {
   /// covers one run: a `--method=both` comparison needs two.
   obs::TimelineRecorder* timeline = nullptr;
   /// Optional fault/churn scenario (borrowed; must outlive the run). When
-  /// set, run_single_data / run_multi_data / run_dynamic stand up a
-  /// heartbeat monitor at the default sim::HeartbeatParams cadence (beats
-  /// travel to node 0) and arm the plan on the run's cluster before
-  /// execution, so crashes abort in-flight reads, stragglers re-level active
-  /// transfers, and re-replication traffic competes with the job's reads.
-  /// The dynamic Opass scheduler reacts to
+  /// set, every run_* stands up a heartbeat monitor at the default
+  /// sim::HeartbeatParams cadence (beats travel to node 0) and arms the plan
+  /// once on the run's cluster before its first phase, so crashes abort
+  /// in-flight reads, stragglers re-level active transfers, and
+  /// re-replication traffic competes with the job's reads across every
+  /// ParaView step and iterative epoch. The dynamic Opass scheduler reacts to
   /// membership events (dead-node list re-homing + a core::plan() re-plan of
-  /// the remaining tasks). run_paraview / run_iterative reject a non-null
-  /// plan with std::invalid_argument: their phases each run the cluster
-  /// until idle, so the first phase would consume every scripted event.
+  /// the remaining tasks).
   const sim::FaultPlan* faults = nullptr;
   /// Fault-lifecycle probe wired into the injector (borrowed), e.g.
   /// obs::FaultEventLog over the same plan. Only read when `faults` is set.

@@ -4,23 +4,12 @@
 
 namespace opass::mpi {
 
-Comm::Comm(sim::Cluster& cluster) : cluster_(cluster) {
-  placement_.resize(cluster.node_count());
-  for (Rank r = 0; r < placement_.size(); ++r) placement_[r] = r;
-  mailboxes_.resize(placement_.size());
-}
-
-Comm::Comm(sim::Cluster& cluster, std::vector<dfs::NodeId> placement)
-    : cluster_(cluster), placement_(std::move(placement)) {
-  OPASS_REQUIRE(!placement_.empty(), "communicator needs at least one rank");
-  for (dfs::NodeId n : placement_)
-    OPASS_REQUIRE(n < cluster_.node_count(), "rank pinned to unknown node");
-  mailboxes_.resize(placement_.size());
-}
+Comm::Comm(sim::Cluster& cluster)
+    : cluster_(cluster), mailboxes_(cluster.node_count()) {}
 
 dfs::NodeId Comm::node_of(Rank r) const {
-  OPASS_REQUIRE(r < placement_.size(), "rank out of range");
-  return placement_[r];
+  OPASS_REQUIRE(r < size(), "rank out of range");
+  return r;
 }
 
 bool Comm::matches(const PendingRecv& r, const Message& m) {

@@ -41,17 +41,12 @@ struct Message {
   Seconds delivered_at = 0;
 };
 
-/// Communicator: `size()` ranks pinned to cluster nodes (rank r on node
-/// placement[r]; default one rank per node).
+/// Communicator: one rank per cluster node, rank r on node r.
 class Comm {
  public:
-  /// One rank per cluster node.
   explicit Comm(sim::Cluster& cluster);
 
-  /// Explicit rank -> node pinning.
-  Comm(sim::Cluster& cluster, std::vector<dfs::NodeId> placement);
-
-  Rank size() const { return static_cast<Rank>(placement_.size()); }
+  Rank size() const { return static_cast<Rank>(mailboxes_.size()); }
   dfs::NodeId node_of(Rank r) const;
 
   /// Asynchronous send: the message becomes matchable at the destination
@@ -83,8 +78,7 @@ class Comm {
   static bool matches(const PendingRecv& r, const Message& m);
 
   sim::Cluster& cluster_;
-  std::vector<dfs::NodeId> placement_;
-  std::vector<Mailbox> mailboxes_;
+  std::vector<Mailbox> mailboxes_;  ///< one per rank
   std::uint64_t messages_sent_ = 0;
   Bytes bytes_sent_ = 0;
 };

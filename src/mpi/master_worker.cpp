@@ -111,11 +111,18 @@ class Session {
       }
       return;
     }
-    const dfs::ChunkId cid = task.inputs[st.next_input++];
+    issue_read(worker, task.inputs[st.next_input++]);
+  }
+
+  /// Read `cid` from a live replica, as the executor does: a server that
+  /// fails mid-read counts in read_failures and the read retries on another
+  /// replica.
+  void issue_read(Rank worker, dfs::ChunkId cid) {
     const dfs::ChunkInfo& chunk = nn_.chunk(cid);
     const dfs::NodeId reader = comm_.node_of(worker);
-    const dfs::NodeId server = dfs::choose_serving_node(
-        chunk, reader, cluster_.inflight_per_node(), dfs::ReplicaChoice::kRandom, rng_);
+    const dfs::NodeId server =
+        dfs::choose_serving_node(chunk, reader, cluster_.inflight_per_node(),
+                                 dfs::ReplicaChoice::kRandom, rng_, cluster_.failed_nodes());
 
     sim::ReadRecord rec;
     rec.process = worker - 1;
@@ -126,11 +133,17 @@ class Session {
     rec.issue_time = cluster_.simulator().now();
     rec.local = server == reader;
 
-    cluster_.read(reader, server, chunk.size, [this, worker, rec](Seconds end) mutable {
-      rec.end_time = end;
-      result_.exec.trace.add(rec);
-      read_next_input(worker);
-    });
+    cluster_.read(
+        reader, server, chunk.size,
+        [this, worker, rec](Seconds end) mutable {
+          rec.end_time = end;
+          result_.exec.trace.add(rec);
+          read_next_input(worker);
+        },
+        [this, worker, cid](Seconds) {
+          ++result_.exec.read_failures;
+          issue_read(worker, cid);
+        });
   }
 
   sim::Cluster& cluster_;

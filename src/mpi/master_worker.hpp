@@ -31,8 +31,9 @@ struct MasterWorkerResult {
 /// `worker_ranks = 1..n-1`, which is what we model: the master dispatches
 /// only, workers 1..size-1 execute). The TaskSource sees worker ids
 /// 0..size-2 (worker rank minus one). A REQUEST is 64 bytes on the wire, a
-/// GRANT or STOP 128, and workers pick among a chunk's replicas at random
-/// (dfs::ReplicaChoice::kRandom).
+/// GRANT or STOP 128, and workers pick among a chunk's live replicas at
+/// random (dfs::ReplicaChoice::kRandom); a read whose server fails is
+/// counted in read_failures and retried on another replica.
 MasterWorkerResult run_master_worker(sim::Cluster& cluster, const dfs::NameNode& nn,
                                      const std::vector<runtime::Task>& tasks,
                                      runtime::TaskSource& source, Comm& comm, Rng& rng);

@@ -50,12 +50,8 @@ bool valid_timeline_series_name(const std::string& name) {
   return segments >= 3;
 }
 
-TimelineRecorder::TimelineRecorder() : TimelineRecorder(Options{}) {}
-
-TimelineRecorder::TimelineRecorder(Options options)
-    : interval_(options.interval), capacity_(options.capacity) {
+TimelineRecorder::TimelineRecorder(Seconds interval) : interval_(interval) {
   OPASS_REQUIRE(interval_ > 0, "sampling interval must be positive");
-  OPASS_REQUIRE(capacity_ > 0, "ring capacity must be positive");
 }
 
 TimelineRecorder::SeriesId TimelineRecorder::add_level_series(const std::string& name,
@@ -101,14 +97,14 @@ void TimelineRecorder::record_rate(SeriesId id, Seconds now, double amount) {
 }
 
 void TimelineRecorder::emit_tick(Seconds /*tick_start*/, Seconds duration) {
-  const std::size_t slot = static_cast<std::size_t>(next_tick_ % capacity_);
+  const std::size_t slot = static_cast<std::size_t>(next_tick_ % kRingCapacity);
   for (Series& s : series_) {
     double sample = s.level;
     if (s.kind == SeriesKind::kRate) {
       sample = s.accum / duration;
       s.accum = 0;
     }
-    if (s.ring.size() < capacity_) {
+    if (s.ring.size() < kRingCapacity) {
       s.ring.push_back(sample);  // warm-up growth; allocation-free once full
     } else {
       s.ring[slot] = sample;
@@ -145,7 +141,7 @@ void TimelineRecorder::finish(Seconds end) {
     // charged to the next interval — which will never come — so restamp the
     // final boundary with the end state: rates fold the trailing
     // accumulation in, levels take their final value.
-    const std::size_t slot = static_cast<std::size_t>((next_tick_ - 1) % capacity_);
+    const std::size_t slot = static_cast<std::size_t>((next_tick_ - 1) % kRingCapacity);
     for (Series& s : series_) {
       if (s.kind == SeriesKind::kRate) {
         if (s.accum != 0) s.ring[slot] += s.accum / interval_;
@@ -168,7 +164,7 @@ SeriesKind TimelineRecorder::series_kind(SeriesId id) const {
 }
 
 std::uint64_t TimelineRecorder::first_retained_tick() const {
-  return next_tick_ > capacity_ ? next_tick_ - capacity_ : 0;
+  return next_tick_ > kRingCapacity ? next_tick_ - kRingCapacity : 0;
 }
 
 std::uint64_t TimelineRecorder::dropped_ticks() const { return first_retained_tick(); }
@@ -180,7 +176,7 @@ std::vector<double> TimelineRecorder::series_values(SeriesId id) const {
   out.reserve(static_cast<std::size_t>(next_tick_ - first_retained_tick()) +
               (partial_duration_ > 0 ? 1 : 0));
   for (std::uint64_t t = first_retained_tick(); t < next_tick_; ++t)
-    out.push_back(s.ring[static_cast<std::size_t>(t % capacity_)]);
+    out.push_back(s.ring[static_cast<std::size_t>(t % kRingCapacity)]);
   if (partial_duration_ > 0) out.push_back(s.partial);
   return out;
 }

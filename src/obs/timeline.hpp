@@ -26,7 +26,7 @@
 // Determinism & cost. Samples are pure functions of the (deterministic)
 // event sequence — no wall clock anywhere — so a seeded run reproduces every
 // series byte-identically. Each series stores its samples in a bounded
-// ring buffer: the buffer grows geometrically up to `capacity` and then
+// ring buffer: the buffer grows geometrically up to kRingCapacity and then
 // wraps, overwriting the oldest ticks (counted by dropped_ticks()); once
 // warm, recording is allocation-free, which keeps the sim hot path clean.
 //
@@ -68,13 +68,11 @@ class TimelineRecorder {
  public:
   using SeriesId = std::uint32_t;
 
-  struct Options {
-    Seconds interval = 0.5;        ///< sampling period in virtual seconds
-    std::size_t capacity = 8192;   ///< max retained ticks per series (ring)
-  };
+  /// Max retained ticks per series (ring).
+  static constexpr std::size_t kRingCapacity = 8192;
 
-  TimelineRecorder();  ///< default Options
-  explicit TimelineRecorder(Options options);
+  /// Samples every `interval` virtual seconds.
+  explicit TimelineRecorder(Seconds interval = 0.5);
 
   /// Register a piecewise-constant series starting at `initial`. Names must
   /// pass valid_timeline_series_name() and be unique.
@@ -132,14 +130,13 @@ class TimelineRecorder {
     double accum = 0;              // current interval's accumulation (kRate)
     double partial = 0;            // trailing partial sample, valid when
                                    // partial_duration_ > 0
-    std::vector<double> ring;      // tick t lives at ring[t % capacity_]
+    std::vector<double> ring;      // tick t lives at ring[t % kRingCapacity]
   };
 
   void emit_tick(Seconds tick_start, Seconds duration);
   Series& checked(SeriesId id);
 
   Seconds interval_ = 0.5;
-  std::size_t capacity_ = 8192;
   std::vector<Series> series_;
   std::uint64_t next_tick_ = 0;    // next boundary index to emit
   bool finished_ = false;

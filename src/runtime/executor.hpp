@@ -77,35 +77,87 @@ struct ExecutorConfig {
   /// Record each read's causal breakdown (admission wait, positioning,
   /// binding-resource transfer intervals) into
   /// ExecutionResult::read_breakdowns for the obs span log. Enables the
-  /// cluster's breakdown recording for the duration of the run and restores
-  /// the cluster's previous setting when the run returns; observation only —
-  /// the simulated schedule is byte-identical either way.
+  /// cluster's breakdown recording while the Execution lives; observation
+  /// only — the simulated schedule is byte-identical either way.
   bool record_read_breakdown = false;
   /// Optional probe (borrowed; must outlive the run): one kOpBegin/kOpEnd
   /// pair per chunk read and per compute phase. Null = one branch each.
   Probe* probe = nullptr;
 };
 
-/// Run the job to completion on `cluster` (which must be idle) and return the
-/// trace. `tasks` is the task table indexed by TaskId; `source` dispenses
-/// task ids. `rng` drives replica choice.
+/// One job on the cluster: `process_count` processes pulling from one source
+/// and reading the task table's inputs. Build it, launch() it, run the
+/// cluster (until idle with Cluster::run(), or only until this job's last
+/// process drained with run_until_done()), then take_result(). Executions
+/// launched on one cluster are the shared-cluster setting of paper Section
+/// V-C1 ("clusters are usually shared by multiple applications"): they
+/// contend for the same disks and NICs, and each keeps its own trace and
+/// makespan (the absolute time its last process drained).
+///
+/// Simulator callbacks hold its address, so it is neither copyable nor
+/// movable and must outlive every cluster run that serves it. With
+/// ExecutorConfig::record_read_breakdown it turns the cluster's breakdown
+/// recording on, and off again when destroyed if it was off before.
+class Execution {
+ public:
+  /// Checks the configuration before touching the cluster. `tasks` is the
+  /// task table indexed by TaskId; `rng` drives replica choice.
+  Execution(sim::Cluster& cluster, const dfs::NameNode& nn, const std::vector<Task>& tasks,
+            TaskSource& source, Rng& rng, const ExecutorConfig& config = {});
+  ~Execution();
+  Execution(const Execution&) = delete;
+  Execution& operator=(const Execution&) = delete;
+
+  /// Start every process at `start_time`; a time not after now starts them
+  /// now.
+  void launch(Seconds start_time);
+
+  /// Run the cluster until every process of this job drained and return the
+  /// virtual time it stopped at. Other work on the cluster (other jobs, fault
+  /// timers, recovery traffic) may still be pending then.
+  Seconds run_until_done();
+
+  /// True once every process drained (the job's implicit final barrier).
+  bool done() const { return done_; }
+
+  /// Move the result out, its makespan filled in; call once, when done().
+  ExecutionResult take_result();
+
+ private:
+  struct ProcState;  ///< one process's progress (executor.cpp)
+
+  void pull_next_task(ProcessId p);
+  void retire_process(ProcessId p);
+  void task_complete(ProcessId p);
+  void release_wave();
+  void read_next_input(ProcessId p);
+  void reads_finished_prefetch(ProcessId p);
+  void cycle_event(ProcessId p);
+  void issue_read(ProcessId p, dfs::ChunkId cid);
+  void emit(ProbeKind kind, ProcessId p) const;
+
+  sim::Cluster& cluster_;
+  const dfs::NameNode& nn_;
+  const std::vector<Task>& tasks_;
+  TaskSource& source_;
+  Rng& rng_;
+  const ExecutorConfig config_;
+  bool stop_recording_ = false;  ///< turned the cluster's recording on
+  std::vector<char> retired_;          ///< per process: drained
+  std::vector<Seconds> wave_arrival_;  ///< barrier-park time per process; -1 = not parked
+  std::vector<ProcessId> wave_buf_;    ///< reusable wave scratch for release_wave
+  std::uint32_t wave_active_ = 0;
+  std::uint32_t wave_arrived_ = 0;
+  std::uint32_t drained_ = 0;
+  bool done_ = false;
+  std::vector<ProcState> states_;
+  ExecutionResult result_;
+};
+
+/// Run one job on `cluster` (which must be idle) until the cluster is idle
+/// again, and return its result: an Execution launched now.
 ExecutionResult execute(sim::Cluster& cluster, const dfs::NameNode& nn,
                         const std::vector<Task>& tasks, TaskSource& source, Rng& rng,
                         ExecutorConfig config = {});
-
-/// One application in a multi-job run.
-struct JobSpec {
-  const std::vector<Task>* tasks = nullptr;  ///< task table for this job
-  TaskSource* source = nullptr;              ///< dispenser for this job
-  ExecutorConfig config;
-  Seconds start_time = 0;  ///< launch offset relative to the run's t = 0
-};
-
-/// Run several applications concurrently on one cluster — the shared-cluster
-/// setting of paper Section V-C1 ("clusters are usually shared by multiple
-/// applications"). Jobs contend for the same disks and NICs; each gets its
-/// own trace and makespan (absolute completion time of its last process).
-std::vector<ExecutionResult> execute_jobs(sim::Cluster& cluster, const dfs::NameNode& nn,
-                                          std::vector<JobSpec> jobs, Rng& rng);
 
 }  // namespace opass::runtime

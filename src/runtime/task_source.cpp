@@ -14,10 +14,10 @@ std::optional<TaskId> StaticAssignmentSource::next_task(ProcessId process, Secon
   return assignment_[process][i++];
 }
 
-MasterWorkerSource::MasterWorkerSource(std::uint32_t task_count, Rng& rng, bool shuffle) {
+MasterWorkerSource::MasterWorkerSource(std::uint32_t task_count, Rng& rng) {
   queue_.resize(task_count);
   for (std::uint32_t t = 0; t < task_count; ++t) queue_[t] = t;
-  if (shuffle) rng.shuffle(queue_);
+  rng.shuffle(queue_);
 }
 
 std::optional<TaskId> MasterWorkerSource::next_task(ProcessId /*process*/, Seconds /*now*/) {
@@ -28,11 +28,10 @@ std::optional<TaskId> MasterWorkerSource::next_task(ProcessId /*process*/, Secon
 DelaySchedulingSource::DelaySchedulingSource(const dfs::NameNode& nn,
                                              const std::vector<Task>& tasks,
                                              std::vector<dfs::NodeId> placement, Rng& rng,
-                                             Seconds max_delay, Seconds retry_interval)
+                                             Seconds max_delay)
     : nn_(nn), tasks_(tasks), placement_(std::move(placement)), max_delay_(max_delay),
-      retry_interval_(retry_interval), wait_start_(placement_.size(), -1.0) {
+      wait_start_(placement_.size(), -1.0) {
   OPASS_REQUIRE(max_delay_ >= 0, "delay must be non-negative");
-  OPASS_REQUIRE(retry_interval_ > 0, "retry interval must be positive");
   queue_.resize(tasks.size());
   for (TaskId t = 0; t < tasks.size(); ++t) queue_[t] = t;
   rng.shuffle(queue_);
@@ -74,7 +73,7 @@ Pull DelaySchedulingSource::pull(ProcessId process, Seconds now) {
   }
   // No local task: wait up to max_delay before settling for remote work.
   if (wait_start_[process] < 0) wait_start_[process] = now;
-  if (now - wait_start_[process] < max_delay_) return Pull::wait(retry_interval_);
+  if (now - wait_start_[process] < max_delay_) return Pull::wait(kRetryInterval);
   wait_start_[process] = -1.0;
   ++remote_grants_;
   return Pull::run(take_head());

@@ -68,7 +68,7 @@ class StaticAssignmentSource final : public TaskSource {
 /// irregular computation patterns").
 class MasterWorkerSource final : public TaskSource {
  public:
-  MasterWorkerSource(std::uint32_t task_count, Rng& rng, bool shuffle = true);
+  MasterWorkerSource(std::uint32_t task_count, Rng& rng);
   std::optional<TaskId> next_task(ProcessId process, Seconds now) override;
 
  private:
@@ -80,13 +80,14 @@ class MasterWorkerSource final : public TaskSource {
 /// locality scheduling): an idle worker first looks for a task whose input
 /// is on its own node; if none exists it *waits* up to `max_delay` before
 /// accepting remote work, on the theory that a local slot frees up soon.
-/// Simplified single-job form with a per-worker wait clock. max_delay = 0
-/// degenerates to the FIFO master–worker.
+/// Simplified single-job form with a per-worker wait clock, re-polled every
+/// kRetryInterval. max_delay = 0 degenerates to the FIFO master–worker.
 class DelaySchedulingSource final : public TaskSource {
  public:
+  static constexpr Seconds kRetryInterval = 0.05;
+
   DelaySchedulingSource(const dfs::NameNode& nn, const std::vector<Task>& tasks,
-                        std::vector<dfs::NodeId> placement, Rng& rng, Seconds max_delay,
-                        Seconds retry_interval = 0.05);
+                        std::vector<dfs::NodeId> placement, Rng& rng, Seconds max_delay);
 
   Pull pull(ProcessId process, Seconds now) override;
 
@@ -106,7 +107,6 @@ class DelaySchedulingSource final : public TaskSource {
   const std::vector<Task>& tasks_;
   std::vector<dfs::NodeId> placement_;
   Seconds max_delay_;
-  Seconds retry_interval_;
   std::vector<TaskId> queue_;  // remaining tasks, FIFO order
   std::vector<Seconds> wait_start_;  // per process; <0 = not waiting
   std::uint32_t local_grants_ = 0;

@@ -120,11 +120,9 @@ class Cluster {
   /// Issue a read of `bytes` from `server`'s disk into a process on
   /// `reader`. `on_complete(end_time)` fires when the transfer finishes.
   /// If the server fails (fail_node) before completion — or is already
-  /// failed at issue time — `on_failure(time)` fires instead when provided.
-  /// A read without a failure handler on a failing server simply vanishes:
-  /// mpi::run_master_worker issues its reads that way, so a worker whose
-  /// server fails mid-read never finishes its task (runtime::execute retries
-  /// on another replica). Tracks per-node in-flight counts and served bytes.
+  /// failed at issue time — `on_failure(time)` fires instead when provided;
+  /// without one the read simply vanishes. Tracks per-node in-flight counts
+  /// and served bytes.
   void read(dfs::NodeId reader, dfs::NodeId server, Bytes bytes,
             std::function<void(Seconds)> on_complete,
             std::function<void(Seconds)> on_failure = nullptr);

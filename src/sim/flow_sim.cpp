@@ -513,13 +513,14 @@ double FlowSimulator::next_completion_time() {
   return kInf;
 }
 
-Seconds FlowSimulator::run() {
+Seconds FlowSimulator::run_until(const bool& done) {
   for (;;) {
     // Last step's completion attributions expire: completed_attribution() is
     // a within-callback accessor, not a history store.
     if (!finished_attr_.empty()) finished_attr_.clear();
 
     if (!dirty_resources_.empty()) recompute_rates();
+    if (done) break;
 
     const double next_completion = next_completion_time();
     const double next_timer = timers_.empty() ? kInf : timers_.front().when;

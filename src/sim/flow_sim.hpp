@@ -134,7 +134,13 @@ class FlowSimulator {
   const std::vector<BindingInterval>* completed_attribution(FlowId id) const;
 
   /// Run until no flows or timers remain. Returns the final virtual time.
-  Seconds run();
+  Seconds run() { return run_until(kNever); }
+
+  /// Run until `done` reads true or the simulator is idle, whichever comes
+  /// first; returns the virtual time it stopped at. `done` is read between
+  /// event steps only, after the last step's rate changes are applied, so a
+  /// run that stops and resumes fires exactly the events one run() fires.
+  Seconds run_until(const bool& done);
 
   Seconds now() const { return now_; }
 
@@ -188,6 +194,8 @@ class FlowSimulator {
   std::uint64_t eta_stale_pops() const { return eta_stale_pops_; }
 
  private:
+  static constexpr bool kNever = false;  ///< run()'s stop flag
+
   struct Resource {
     BytesPerSec capacity = 0;
     double beta = 0;

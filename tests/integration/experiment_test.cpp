@@ -169,25 +169,6 @@ TEST(Experiment, ProcessesPerNodeMultipliesProcesses) {
   EXPECT_EQ(raw.process_finish_time.size(), 32u);
 }
 
-TEST(Experiment, ParaViewAndIterativeRejectFaultPlans) {
-  // Each ParaView step / iterative epoch runs the cluster until idle, so a
-  // fault plan cannot be honoured across phases; it is refused, not ignored.
-  auto cfg = small_cfg();
-  sim::FaultPlan plan;
-  cfg.faults = &plan;
-  const auto expect_rejected = [](const auto& run) {
-    try {
-      run();
-      ADD_FAILURE() << "fault plan accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("ExperimentConfig.faults"), std::string::npos)
-          << e.what();
-    }
-  };
-  expect_rejected([&] { (void)run_paraview(cfg, Method::kOpass); });
-  expect_rejected([&] { (void)run_iterative(cfg, 16, 1, Method::kOpass); });
-}
-
 TEST(Experiment, PlannedLocalFractionEqualsAFreshScore) {
   // Without a fault plan a run reuses the score core::plan() gave its plan
   // instead of scoring the plan again; both must agree.

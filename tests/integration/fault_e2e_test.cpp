@@ -1,15 +1,18 @@
 // Fault-injection end to end through the exp harness (DESIGN.md §11):
 // exactly-once completion across crash + reassignment, re-replication byte
-// accounting against the planned layout, straggler-threshold detection, and
-// the dynamic scheduler's membership-driven re-plan.
+// accounting against the planned layout, straggler-threshold detection, the
+// dynamic scheduler's membership-driven re-plan, and one plan spanning every
+// ParaView step and iterative epoch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "exp/experiment.hpp"
 #include "obs/analytics.hpp"
 #include "opass/plan_audit.hpp"
+#include "workload/paraview.hpp"
 
 namespace opass::exp {
 namespace {
@@ -112,6 +115,80 @@ TEST(FaultE2E, DynamicSchedulerReplansAroundACrash) {
   EXPECT_EQ(stats.crashes, 1u);
   const auto report = core::audit_completion(80, executed_ids(raw));
   EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+/// The phases of a multi-phase run sit back to back in `raw`, `per_phase`
+/// task spans each: every phase must run its tasks exactly once, start at
+/// its predecessor's last task and last `durations[k]`, and the crash at
+/// `crash_at` must fire inside a running phase.
+void expect_chained_phases(const runtime::ExecutionResult& raw, std::uint32_t per_phase,
+                           const std::vector<Seconds>& durations, Seconds crash_at) {
+  ASSERT_EQ(raw.task_spans.size(), per_phase * durations.size());
+  Seconds prev_end = 0;
+  bool crash_inside = false;
+  for (std::size_t k = 0; k < durations.size(); ++k) {
+    const auto first = raw.task_spans.begin() + static_cast<std::ptrdiff_t>(k * per_phase);
+    std::vector<runtime::TaskId> ids;
+    Seconds start = first->start, end = first->end;
+    for (auto it = first; it != first + per_phase; ++it) {
+      ids.push_back(it->task);
+      start = std::min(start, it->start);
+      end = std::max(end, it->end);
+    }
+    const auto report = core::audit_completion(per_phase, ids);
+    EXPECT_TRUE(report.ok()) << "phase " << k << ": " << report.to_string();
+    EXPECT_EQ(start, prev_end) << "phase " << k;
+    EXPECT_DOUBLE_EQ(end - start, durations[k]) << "phase " << k;
+    crash_inside |= start < crash_at && crash_at < end;
+    prev_end = end;
+  }
+  EXPECT_TRUE(crash_inside);
+}
+
+/// bench/faults/crash.json: node 17 crashes at 3 s.
+sim::FaultPlan crash_plan() {
+  sim::FaultPlan plan;
+  plan.horizon = 120.0;
+  plan.max_concurrent_copies = 4;
+  plan.events.push_back(make_event(3.0, sim::FaultKind::kCrash, 17));
+  return plan;
+}
+
+TEST(FaultE2E, OnePlanSpansEveryParaViewStep) {
+  ExperimentConfig cfg;
+  cfg.nodes = 64;
+  const auto plan = crash_plan();
+  sim::FaultStats stats;
+  runtime::ExecutionResult raw;
+  cfg.faults = &plan;
+  cfg.fault_stats = &stats;
+  cfg.raw = &raw;
+  workload::ParaViewSpec spec;  // 640 datasets, 64 per step
+  const auto out = run_paraview(cfg, Method::kOpass, spec);
+  ASSERT_EQ(out.step_times.size(), 10u);
+  // Step 2 starts where step 1's last task ends, not at the plan's 120 s
+  // heartbeat horizon.
+  EXPECT_NEAR(out.step_times[0], 2.418667, 5e-7);
+  expect_chained_phases(raw, spec.datasets_per_step, out.step_times, 3.0);
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.recoveries, 1u);
+  EXPECT_EQ(stats.replicas_copied, 25u);
+}
+
+TEST(FaultE2E, OnePlanSpansEveryIterativeEpoch) {
+  ExperimentConfig cfg;
+  cfg.nodes = 24;
+  const auto plan = crash_plan();
+  sim::FaultStats stats;
+  runtime::ExecutionResult raw;
+  cfg.faults = &plan;
+  cfg.fault_stats = &stats;
+  cfg.raw = &raw;
+  const auto out = run_iterative(cfg, 48, 4, Method::kOpass);
+  ASSERT_EQ(out.epoch_times.size(), 4u);
+  expect_chained_phases(raw, 48, out.epoch_times, 3.0);
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.recoveries, 1u);
 }
 
 TEST(FaultE2E, ChurnRunStaysDeterministic) {

@@ -111,6 +111,34 @@ TEST_F(MwFixture, ComputeTimeDelaysRequests) {
   EXPECT_GE(result.exec.makespan, 5.0);
 }
 
+TEST_F(MwFixture, ReadsFailOverWhenTheirServerFails) {
+  // A storage node fails mid-run: the reads it was serving, and any chosen
+  // for it afterwards, move to live replicas, so every task's read lands
+  // once and every worker finishes.
+  std::uint32_t failures = 0;
+  for (dfs::NodeId victim = 1; victim < kNodes; ++victim) {
+    sim::Cluster cluster(kNodes);
+    cluster.fail_node(victim, 1.5);
+    Comm comm(cluster);
+    Rng mw_rng(1);
+    runtime::MasterWorkerSource source(static_cast<std::uint32_t>(tasks.size()), mw_rng);
+    Rng exec_rng(5);
+    const auto result = run_master_worker(cluster, nn, tasks, source, comm, exec_rng);
+    EXPECT_EQ(result.exec.tasks_executed, tasks.size());
+    std::vector<int> seen(tasks.size(), 0);
+    for (const auto& r : result.exec.trace.records()) {
+      ++seen[r.chunk];
+      if (r.issue_time >= 1.5) {
+        EXPECT_NE(r.serving_node, victim);
+      }
+    }
+    for (int s : seen) EXPECT_EQ(s, 1) << "victim " << victim;
+    for (Seconds t : result.exec.process_finish_time) EXPECT_GT(t, 0.0) << "victim " << victim;
+    failures += result.exec.read_failures;
+  }
+  EXPECT_GT(failures, 0u);  // some victim was serving when it failed
+}
+
 TEST_F(MwFixture, NeedsAtLeastTwoRanks) {
   sim::Cluster cluster(1);
   Comm comm(cluster);

@@ -17,13 +17,6 @@
 namespace opass::obs {
 namespace {
 
-TimelineRecorder::Options options(Seconds interval, std::size_t capacity = 8192) {
-  TimelineRecorder::Options opt;
-  opt.interval = interval;
-  opt.capacity = capacity;
-  return opt;
-}
-
 TEST(TimelineName, EnforcesTheTaxonomy) {
   EXPECT_TRUE(valid_timeline_series_name("timeline.cluster.inflight"));
   EXPECT_TRUE(valid_timeline_series_name("timeline.cluster.node.3.serve_bytes_per_s"));
@@ -36,7 +29,7 @@ TEST(TimelineName, EnforcesTheTaxonomy) {
 }
 
 TEST(TimelineRecorder, RejectsBadNamesAndDuplicates) {
-  TimelineRecorder t(options(1.0));
+  TimelineRecorder t(1.0);
   EXPECT_THROW(t.add_level_series("queue_depth"), std::invalid_argument);
   EXPECT_THROW(t.add_rate_series("timeline.serve"), std::invalid_argument);
   t.add_level_series("timeline.test.depth");
@@ -44,7 +37,7 @@ TEST(TimelineRecorder, RejectsBadNamesAndDuplicates) {
 }
 
 TEST(TimelineRecorder, LevelsRepeatAcrossEmptyIntervals) {
-  TimelineRecorder t(options(1.0));
+  TimelineRecorder t(1.0);
   const auto id = t.add_level_series("timeline.test.depth", /*initial=*/2);
   t.record_level(id, 2.5, 7);
   t.finish(5.0);
@@ -55,7 +48,7 @@ TEST(TimelineRecorder, LevelsRepeatAcrossEmptyIntervals) {
 }
 
 TEST(TimelineRecorder, EventExactlyOnABoundaryChargesTheNextInterval) {
-  TimelineRecorder t(options(1.0));
+  TimelineRecorder t(1.0);
   const auto level = t.add_level_series("timeline.test.depth");
   const auto rate = t.add_rate_series("timeline.test.bytes_per_s");
   t.record_level(level, 2.0, 5);  // exactly on boundary 2
@@ -67,7 +60,7 @@ TEST(TimelineRecorder, EventExactlyOnABoundaryChargesTheNextInterval) {
 }
 
 TEST(TimelineRecorder, RatesConvertToPerSecond) {
-  TimelineRecorder t(options(0.5));
+  TimelineRecorder t(0.5);
   const auto id = t.add_rate_series("timeline.test.bytes_per_s");
   t.record_rate(id, 0.1, 30);
   t.record_rate(id, 0.4, 20);
@@ -79,7 +72,7 @@ TEST(TimelineRecorder, RatesConvertToPerSecond) {
 }
 
 TEST(TimelineRecorder, FinishInsideAnIntervalEmitsAScaledPartialSample) {
-  TimelineRecorder t(options(1.0));
+  TimelineRecorder t(1.0);
   const auto rate = t.add_rate_series("timeline.test.bytes_per_s");
   const auto level = t.add_level_series("timeline.test.depth");
   t.record_rate(rate, 2.25, 10);
@@ -96,7 +89,7 @@ TEST(TimelineRecorder, SamplesExactlyOnTheEndTime) {
   // End exactly on a boundary: no partial sample, and events stamped at the
   // end restamp the final boundary instead of vanishing into a never-emitted
   // next interval.
-  TimelineRecorder t(options(1.0));
+  TimelineRecorder t(1.0);
   const auto rate = t.add_rate_series("timeline.test.bytes_per_s");
   const auto level = t.add_level_series("timeline.test.depth", /*initial=*/1);
   t.record_rate(rate, 3.0, 6);   // the run's final completions
@@ -109,7 +102,7 @@ TEST(TimelineRecorder, SamplesExactlyOnTheEndTime) {
 }
 
 TEST(TimelineRecorder, FinishIsFinal) {
-  TimelineRecorder t(options(1.0));
+  TimelineRecorder t(1.0);
   const auto id = t.add_level_series("timeline.test.depth");
   t.finish(1.0);
   EXPECT_TRUE(t.finished());
@@ -119,23 +112,30 @@ TEST(TimelineRecorder, FinishIsFinal) {
 }
 
 TEST(TimelineRecorder, RingWrapKeepsTheNewestTicks) {
-  TimelineRecorder t(options(1.0, /*capacity=*/4));
+  constexpr std::size_t kCap = TimelineRecorder::kRingCapacity;
+  TimelineRecorder t(1.0);
   const auto id = t.add_level_series("timeline.test.depth");
-  for (int k = 1; k <= 10; ++k)
+  const int last = static_cast<int>(kCap) + 6;
+  for (int k = 1; k <= last; ++k)
     t.record_level(id, static_cast<double>(k), k);  // boundary k samples k-1
-  t.finish(10.0);
-  EXPECT_EQ(t.tick_count(), 11u);
+  t.finish(static_cast<double>(last));
+  EXPECT_EQ(t.tick_count(), kCap + 7);
   EXPECT_EQ(t.dropped_ticks(), 7u);
   EXPECT_EQ(t.first_retained_tick(), 7u);
-  // Ticks 7..10 survive; the end-on-boundary restamp lifts tick 10 to the
-  // final level.
-  EXPECT_EQ(t.series_values(id), (std::vector<double>{6, 7, 8, 10}));
+  // Ticks 7..last survive (tick k holds k - 1); the end-on-boundary restamp
+  // lifts the last tick to the final level.
+  const auto values = t.series_values(id);
+  ASSERT_EQ(values.size(), kCap);
+  EXPECT_EQ(values.front(), 6);
+  EXPECT_EQ(values[1], 7);
+  EXPECT_EQ(values[kCap - 2], last - 2);
+  EXPECT_EQ(values.back(), last);
 }
 
 TEST(TimelineRecorder, ZeroLengthRunRestampsTickZero) {
   // A run that starts and ends at t = 0: the lone boundary is restamped with
   // the end state instead of the never-emitted "next interval" swallowing it.
-  TimelineRecorder t(options(1.0));
+  TimelineRecorder t(1.0);
   const auto level = t.add_level_series("timeline.test.depth", /*initial=*/1);
   const auto rate = t.add_rate_series("timeline.test.bytes_per_s");
   t.record_level(level, 0.0, 5);
@@ -151,7 +151,7 @@ TEST(TimelineRecorder, RestampFoldsInIntervalAndOnBoundaryMassTogether) {
   // Rate mass lands both strictly inside the final interval (2.4) and
   // exactly on the end boundary (3.0); the restamp must fold both into the
   // final sample — neither may leak into a phantom interval 4.
-  TimelineRecorder t(options(1.0));
+  TimelineRecorder t(1.0);
   const auto id = t.add_rate_series("timeline.test.bytes_per_s");
   t.record_rate(id, 2.4, 7);
   t.record_rate(id, 3.0, 3);
@@ -163,7 +163,7 @@ TEST(TimelineRecorder, RestampFoldsInIntervalAndOnBoundaryMassTogether) {
 TEST(TimelineRecorder, PartialWindowCarriesOnEndEvents) {
   // Events stamped exactly at a mid-interval end belong to the partial
   // window, scaled by its true duration (0.25 s here -> 5 / 0.25 = 20/s).
-  TimelineRecorder t(options(1.0));
+  TimelineRecorder t(1.0);
   const auto rate = t.add_rate_series("timeline.test.bytes_per_s");
   const auto level = t.add_level_series("timeline.test.depth");
   t.record_rate(rate, 1.25, 5);
@@ -186,7 +186,7 @@ TEST(TimelineFaults, CrashRunFinishesWithAConsistentWindowShape) {
   // A mid-run crash + recovery must still leave the recorder in a coherent
   // end state: flushed at the makespan, with every series carrying exactly
   // tick_count retained boundaries plus at most one partial sample.
-  TimelineRecorder recorder(options(0.5));
+  TimelineRecorder recorder(0.5);
   exp::ExperimentConfig cfg;
   cfg.nodes = 16;
   cfg.seed = 42;
@@ -230,7 +230,7 @@ TEST(TimelineFaults, CrashRunFinishesWithAConsistentWindowShape) {
 
 TEST(TimelineFaults, CrashReplaysRecordByteIdenticalSeries) {
   const auto run = [] {
-    TimelineRecorder recorder(options(0.5));
+    TimelineRecorder recorder(0.5);
     exp::ExperimentConfig cfg;
     cfg.nodes = 16;
     cfg.seed = 42;
@@ -251,7 +251,7 @@ TEST(TimelineFaults, CrashReplaysRecordByteIdenticalSeries) {
 // onto it, but the recorder cannot register its series after the first
 // sample: its reads count in the cluster-wide series only.
 TEST(TimelineFaults, JoinedNodeCountsInTheClusterSeriesOnly) {
-  TimelineRecorder recorder(options(0.5));
+  TimelineRecorder recorder(0.5);
   exp::ExperimentConfig cfg;
   cfg.nodes = 8;
   cfg.seed = 42;
@@ -294,7 +294,7 @@ TEST(TimelineFaults, JoinedNodeCountsInTheClusterSeriesOnly) {
 }
 
 TEST(TimelineProbes, RecordAFullRunEndToEnd) {
-  TimelineRecorder recorder(options(0.5));
+  TimelineRecorder recorder(0.5);
   exp::ExperimentConfig cfg;
   cfg.nodes = 8;
   cfg.seed = 42;
@@ -341,7 +341,7 @@ TEST(TimelineProbes, RecordAFullRunEndToEnd) {
 
 TEST(TimelineProbes, RecordedRunsAreDeterministic) {
   const auto run = [] {
-    TimelineRecorder recorder(options(0.5));
+    TimelineRecorder recorder(0.5);
     exp::ExperimentConfig cfg;
     cfg.nodes = 8;
     cfg.seed = 7;
@@ -401,7 +401,7 @@ TEST(TimelineProbes, PrefetchAndBspRunsRecordPinnedSeries) {
     const auto tasks =
         workload::make_single_data_workload(nn, kTasks, policy, rng, /*compute_time=*/0.3);
     sim::Cluster cluster(kNodes);
-    TimelineRecorder recorder(options(0.25));
+    TimelineRecorder recorder(0.25);
     RunTimeline timeline(&recorder, cluster, kNodes);
     runtime::ExecutorConfig ec;
     ec.prefetch = prefetch;

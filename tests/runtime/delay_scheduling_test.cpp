@@ -51,12 +51,11 @@ TEST_F(DelayFixture, WaitsThenSettlesForRemote) {
   const auto pinned_tasks = workload::make_single_data_workload(empty_nn, 8, pinned, prng);
 
   Rng q(1);
-  DelaySchedulingSource src(empty_nn, pinned_tasks, {1, 2}, q, /*max_delay=*/1.0,
-                            /*retry=*/0.25);
+  DelaySchedulingSource src(empty_nn, pinned_tasks, {1, 2}, q, /*max_delay=*/1.0);
   // t=0: no local work for process 0 -> wait.
   auto r = src.pull(0, 0.0);
   EXPECT_EQ(r.kind, Pull::Kind::kWait);
-  EXPECT_DOUBLE_EQ(r.retry_after, 0.25);
+  EXPECT_DOUBLE_EQ(r.retry_after, DelaySchedulingSource::kRetryInterval);
   // Still inside the delay window.
   EXPECT_EQ(src.pull(0, 0.5).kind, Pull::Kind::kWait);
   // Delay expired: remote grant.
@@ -118,8 +117,6 @@ TEST_F(DelayFixture, DelayImprovesLocalityOverFifo) {
 TEST_F(DelayFixture, Validation) {
   Rng q(1);
   EXPECT_THROW(DelaySchedulingSource(nn, tasks, placement, q, -1.0),
-               std::invalid_argument);
-  EXPECT_THROW(DelaySchedulingSource(nn, tasks, placement, q, 1.0, 0.0),
                std::invalid_argument);
   DelaySchedulingSource src(nn, tasks, placement, q, 1.0);
   EXPECT_THROW(src.pull(99, 0.0), std::invalid_argument);

@@ -52,10 +52,15 @@ TEST_F(ExecutorFixture, ReadBreakdownRecordingLastsOneRun) {
   EXPECT_EQ(result.read_breakdowns.size(), result.trace.size());
   EXPECT_FALSE(cluster.read_breakdown_recording());
 
-  StaticAssignmentSource job_source(rank_interval_assignment(8, 4));
-  JobSpec job{&tasks, &job_source, config, 0};
-  const auto results = execute_jobs(cluster, nn, {job}, rng);
-  EXPECT_EQ(results[0].read_breakdowns.size(), results[0].trace.size());
+  {
+    StaticAssignmentSource job_source(rank_interval_assignment(8, 4));
+    Execution job(cluster, nn, tasks, job_source, rng, config);
+    EXPECT_TRUE(cluster.read_breakdown_recording());
+    job.launch(0);
+    job.run_until_done();
+    const auto job_result = job.take_result();
+    EXPECT_EQ(job_result.read_breakdowns.size(), job_result.trace.size());
+  }
   EXPECT_FALSE(cluster.read_breakdown_recording());
 
   // Recording the caller turned on stays on.

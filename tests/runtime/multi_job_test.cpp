@@ -1,5 +1,8 @@
-// Concurrent multi-application execution on one cluster (execute_jobs).
+// Concurrent multi-application execution: several Executions on one cluster.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
 
 #include "runtime/executor.hpp"
 #include "runtime/task_source.hpp"
@@ -37,17 +40,18 @@ TEST_F(MultiJobFixture, TwoJobsBothComplete) {
   sim::Cluster cluster(4, params);
   StaticAssignmentSource sa(rank_interval_assignment(8, 4));
   StaticAssignmentSource sb(rank_interval_assignment(4, 4));
-  std::vector<JobSpec> jobs(2);
-  jobs[0].tasks = &ta;
-  jobs[0].source = &sa;
-  jobs[1].tasks = &tb;
-  jobs[1].source = &sb;
-  const auto results = execute_jobs(cluster, nn, jobs, rng);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].tasks_executed, 8u);
-  EXPECT_EQ(results[1].tasks_executed, 4u);
-  EXPECT_EQ(results[0].trace.size(), 8u);
-  EXPECT_EQ(results[1].trace.size(), 4u);
+  Execution a(cluster, nn, ta, sa, rng);
+  Execution b(cluster, nn, tb, sb, rng);
+  a.launch(0);
+  b.launch(0);
+  cluster.run();
+  ASSERT_TRUE(a.done() && b.done());
+  const auto ra = a.take_result();
+  const auto rb = b.take_result();
+  EXPECT_EQ(ra.tasks_executed, 8u);
+  EXPECT_EQ(rb.tasks_executed, 4u);
+  EXPECT_EQ(ra.trace.size(), 8u);
+  EXPECT_EQ(rb.trace.size(), 4u);
 }
 
 TEST_F(MultiJobFixture, ConcurrentJobsContendForDisks) {
@@ -66,13 +70,12 @@ TEST_F(MultiJobFixture, ConcurrentJobsContendForDisks) {
     sim::Cluster cluster(4, params);
     StaticAssignmentSource sa(rank_interval_assignment(8, 4));
     StaticAssignmentSource sb(rank_interval_assignment(8, 4));
-    std::vector<JobSpec> jobs(2);
-    jobs[0].tasks = &ta;
-    jobs[0].source = &sa;
-    jobs[1].tasks = &tb;
-    jobs[1].source = &sb;
-    const auto results = execute_jobs(cluster, nn, jobs, rng);
-    EXPECT_GT(results[0].makespan, alone * 1.2);
+    Execution a(cluster, nn, ta, sa, rng);
+    Execution b(cluster, nn, tb, sb, rng);
+    a.launch(0);
+    b.launch(0);
+    cluster.run();
+    EXPECT_GT(a.take_result().makespan, alone * 1.2);
   }
 }
 
@@ -80,13 +83,12 @@ TEST_F(MultiJobFixture, StartTimeOffsetsJobLaunch) {
   const auto ta = make_tasks("a", 4);
   sim::Cluster cluster(4, params);
   StaticAssignmentSource sa(rank_interval_assignment(4, 4));
-  std::vector<JobSpec> jobs(1);
-  jobs[0].tasks = &ta;
-  jobs[0].source = &sa;
-  jobs[0].start_time = 5.0;
-  const auto results = execute_jobs(cluster, nn, jobs, rng);
-  for (const auto& r : results[0].trace.records()) EXPECT_GE(r.issue_time, 5.0);
-  EXPECT_GE(results[0].makespan, 6.0);  // 5 s offset + ~1 s read
+  Execution a(cluster, nn, ta, sa, rng);
+  a.launch(5.0);
+  cluster.run();
+  const auto result = a.take_result();
+  for (const auto& r : result.trace.records()) EXPECT_GE(r.issue_time, 5.0);
+  EXPECT_GE(result.makespan, 6.0);  // 5 s offset + ~1 s read
 }
 
 TEST_F(MultiJobFixture, StaggeredJobsOverlapCorrectly) {
@@ -95,48 +97,68 @@ TEST_F(MultiJobFixture, StaggeredJobsOverlapCorrectly) {
   sim::Cluster cluster(4, params);
   StaticAssignmentSource sa(rank_interval_assignment(8, 4));
   StaticAssignmentSource sb(rank_interval_assignment(8, 4));
-  std::vector<JobSpec> jobs(2);
-  jobs[0].tasks = &ta;
-  jobs[0].source = &sa;
-  jobs[1].tasks = &tb;
-  jobs[1].source = &sb;
-  jobs[1].start_time = 1.0;
-  const auto results = execute_jobs(cluster, nn, jobs, rng);
+  Execution a(cluster, nn, ta, sa, rng);
+  Execution b(cluster, nn, tb, sb, rng);
+  a.launch(0);
+  b.launch(1.0);
+  cluster.run();
+  const auto ra = a.take_result();
+  const auto rb = b.take_result();
   // Job B starts strictly later and ends no earlier than A started.
   Seconds b_first = 1e30;
-  for (const auto& r : results[1].trace.records()) b_first = std::min(b_first, r.issue_time);
+  for (const auto& r : rb.trace.records()) b_first = std::min(b_first, r.issue_time);
   EXPECT_GE(b_first, 1.0);
-  EXPECT_EQ(results[0].tasks_executed + results[1].tasks_executed, 16u);
+  EXPECT_EQ(ra.tasks_executed + rb.tasks_executed, 16u);
 }
 
-TEST_F(MultiJobFixture, Validation) {
-  sim::Cluster cluster(4, params);
-  EXPECT_THROW(execute_jobs(cluster, nn, {}, rng), std::invalid_argument);
-  std::vector<JobSpec> jobs(1);
-  EXPECT_THROW(execute_jobs(cluster, nn, jobs, rng), std::invalid_argument);
+// run_until_done() stops at the job's own last task while a longer job on
+// the same cluster is still reading; resuming fires exactly what one
+// uninterrupted run fires.
+TEST_F(MultiJobFixture, RunUntilDoneStopsAtTheJobsLastTask) {
+  const auto ta = make_tasks("a", 4);
+  const auto tb = make_tasks("b", 12);
+  const auto run = [&](bool stop_at_a) {
+    sim::Cluster cluster(4, params);
+    StaticAssignmentSource sa(rank_interval_assignment(4, 4));
+    StaticAssignmentSource sb(rank_interval_assignment(12, 4));
+    Rng exec_rng(9);
+    Execution a(cluster, nn, ta, sa, exec_rng);
+    Execution b(cluster, nn, tb, sb, exec_rng);
+    a.launch(0);
+    b.launch(0);
+    if (stop_at_a) {
+      const Seconds stopped = a.run_until_done();
+      EXPECT_TRUE(a.done());
+      EXPECT_FALSE(b.done());
+      EXPECT_GT(cluster.simulator().active_flows(), 0u);
+      EXPECT_EQ(stopped, cluster.simulator().now());
+    }
+    cluster.run();
+    return std::pair(a.take_result(), b.take_result());
+  };
+  const auto [a_stopped, b_resumed] = run(true);
+  const auto [a_plain, b_plain] = run(false);
+  EXPECT_EQ(a_stopped.makespan, a_plain.makespan);
+  EXPECT_EQ(b_resumed.makespan, b_plain.makespan);
+  EXPECT_EQ(b_resumed.trace.io_times(), b_plain.trace.io_times());
 }
 
-// Every job is checked before any launches: a bad second job must not leave
-// the first one's reads in flight, holding callbacks into a freed driver.
-TEST_F(MultiJobFixture, InvalidLaterJobLaunchesNothing) {
+// The configuration is checked before the cluster is touched: a rejected
+// job leaves nothing in flight and the breakdown recording off.
+TEST_F(MultiJobFixture, InvalidJobTouchesNothing) {
   const auto ta = make_tasks("a", 8);
   ExecutorConfig exclusive;
   exclusive.prefetch = true;
   exclusive.barrier_per_task = true;
-  for (const bool null_source : {true, false}) {
-    sim::Cluster cluster(4, params);
-    StaticAssignmentSource sa(rank_interval_assignment(8, 4));
-    StaticAssignmentSource sb(rank_interval_assignment(8, 4));
-    std::vector<JobSpec> jobs(2);
-    jobs[0].tasks = &ta;
-    jobs[0].source = &sa;
-    jobs[1].tasks = &ta;
-    jobs[1].source = null_source ? nullptr : &sb;
-    if (!null_source) jobs[1].config = exclusive;
-    EXPECT_THROW(execute_jobs(cluster, nn, jobs, rng), std::invalid_argument);
-    for (std::uint32_t n : cluster.inflight_per_node()) EXPECT_EQ(n, 0u);
-    EXPECT_EQ(cluster.simulator().active_flows(), 0u);
-  }
+  exclusive.record_read_breakdown = true;
+  sim::Cluster cluster(4, params);
+  StaticAssignmentSource sa(rank_interval_assignment(8, 4));
+  StaticAssignmentSource sb(rank_interval_assignment(8, 4));
+  Execution a(cluster, nn, ta, sa, rng);
+  EXPECT_THROW(Execution(cluster, nn, ta, sb, rng, exclusive), std::invalid_argument);
+  for (std::uint32_t n : cluster.inflight_per_node()) EXPECT_EQ(n, 0u);
+  EXPECT_EQ(cluster.simulator().active_flows(), 0u);
+  EXPECT_FALSE(cluster.read_breakdown_recording());
 }
 
 }  // namespace

@@ -37,18 +37,12 @@ TEST(MasterWorkerSource, HandsOutEveryTaskOnce) {
 
 TEST(MasterWorkerSource, ShuffleRandomizesOrder) {
   Rng rng(5);
-  MasterWorkerSource src(50, rng, /*shuffle=*/true);
+  MasterWorkerSource src(50, rng);
   std::vector<TaskId> order;
   for (int i = 0; i < 50; ++i) order.push_back(*src.next_task(0, 0.0));
   std::vector<TaskId> sorted = order;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_NE(order, sorted);  // astronomically unlikely to be sorted
-}
-
-TEST(MasterWorkerSource, NoShuffleIsFifo) {
-  Rng rng(5);
-  MasterWorkerSource src(5, rng, /*shuffle=*/false);
-  for (TaskId t = 0; t < 5; ++t) EXPECT_EQ(src.next_task(0, 0.0), std::optional<TaskId>(t));
 }
 
 TEST(MasterWorkerSource, EmptyQueue) {

@@ -74,13 +74,13 @@ Rules (all scoped to src/ unless noted):
                     std::move cannot rescue it either. Bind a const reference,
                     or use a vector heap (std::pop_heap + move from the back)
                     as the event loops in src/sim do.
-  single-pipeline   src/exp/ holds exactly one runtime::execute( call site:
-                    the phase() of its one Run pipeline (DESIGN.md §8). Every
+  single-pipeline   src/exp/ holds exactly one execution site — a
+                    runtime::Execution or a runtime::execute( call: the
+                    phase() of its one Run pipeline (DESIGN.md §8). Every
                     scenario — static plans, dynamic lists, ParaView steps,
                     iterative epochs — runs its phases through it, so a second
-                    call site (a scenario body wiring its own cluster,
-                    timeline and sinks again) is flagged, one finding per
-                    extra site.
+                    site (a scenario body wiring its own cluster, timeline
+                    and sinks again) is flagged, one finding per extra site.
   one-probe         src/ declares one observer interface, opass::Probe
                     (src/common/probe.hpp): a class declaring a pure-virtual
                     `on_*` method anywhere else is a second one. Subsystems
@@ -196,7 +196,7 @@ FIG5_SOLVE_HOMES = (
     "src/opass/service.cpp",
 )
 # A call of the executor's entry point (comments and strings are scrubbed).
-EXECUTE_CALL = re.compile(r"\bruntime\s*::\s*execute\s*\(")
+EXECUTE_CALL = re.compile(r"\bruntime\s*::\s*(?:Execution\b|execute\s*\()")
 # A pure-virtual `on_*` method declaration: `virtual void on_x(...) = 0;`
 # (const/noexcept qualifiers allowed). Overrides and non-pure virtuals do not
 # match.
@@ -463,10 +463,10 @@ def check_single_pipeline(root: pathlib.Path, texts: dict, findings: list):
         first = sites[0]
         findings.append(
             Finding(path, line, "single-pipeline",
-                    f"second runtime::execute() call site under src/exp/ (the "
-                    f"first is {first[0].name}:{first[1]}); run the scenario's "
-                    "phases through the one Run pipeline instead of wiring "
-                    "another cluster, timeline and sink set"))
+                    f"second execution site under src/exp/ (the first is "
+                    f"{first[0].name}:{first[1]}); run the scenario's phases "
+                    "through the one Run pipeline instead of wiring another "
+                    "cluster, timeline and sink set"))
 
 
 def check_one_probe(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
@@ -643,8 +643,8 @@ _VIOLATIONS = {
     "single-pipeline": (
         "exp/bad_second_pipeline.cpp",
         '#include "runtime/executor.hpp"\n'
-        "void a(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n"
-        "void b(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n",
+        "void a(Cluster& c, Source& s) { runtime::Execution e(c, nn, tasks, s, rng, ec); }\n"
+        "void b(Cluster& c, Source& s) { runtime::Execution e(c, nn, tasks, s, rng, ec); }\n",
     ),
     "one-probe": (
         "sim/bad_second_probe.hpp",
@@ -828,16 +828,18 @@ _CLEANS = (
         "unsigned other_side(unsigned side) { return side ^ 1; }\n",
     ),
     (
-        # What single-pipeline must NOT flag: mentions of runtime::execute( in
-        # comments and strings under src/exp/, and call sites outside it.
+        # What single-pipeline must NOT flag: mentions of runtime::Execution
+        # in comments and strings under src/exp/, the result type, and
+        # execution sites outside it.
         "exp/clean_pipeline_mentions.cpp",
-        "// Run::phase is the one runtime::execute(...) call site.\n"
-        'const char* kWhere = "runtime::execute(";\n',
+        "// Run::phase is the one runtime::Execution site.\n"
+        'const char* kWhere = "runtime::Execution";\n'
+        "runtime::ExecutionResult merge(runtime::ExecutionResult a);\n",
     ),
     (
         "runtime/clean_execute_callers.cpp",
         '#include "runtime/executor.hpp"\n'
-        "void a(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n"
+        "void a(Cluster& c, Source& s) { runtime::Execution e(c, nn, tasks, s, rng, ec); }\n"
         "void b(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n",
     ),
     (

@@ -48,12 +48,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) {
-  OPASS_REQUIRE(lo <= hi, "uniform_range() requires lo <= hi");
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(span == 0 ? next() : uniform(span));
-}
-
 double Rng::uniform01() {
   // 53-bit mantissa construction: uniform on [0, 1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;

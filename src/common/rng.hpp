@@ -35,14 +35,8 @@ class Rng {
   /// sampling (Lemire-style) to avoid modulo bias.
   std::uint64_t uniform(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_range(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform01();
-
-  /// Bernoulli trial with probability p of returning true.
-  bool bernoulli(double p) { return uniform01() < p; }
 
   /// Exponential variate with the given mean (> 0).
   double exponential(double mean);

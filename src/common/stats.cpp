@@ -45,11 +45,6 @@ Summary summarize(const std::vector<double>& samples) {
   return s;
 }
 
-double coefficient_of_variation(const std::vector<double>& samples) {
-  const Summary s = summarize(samples);
-  return s.mean != 0.0 ? s.stddev / s.mean : 0.0;
-}
-
 double jain_fairness(const std::vector<double>& samples) {
   if (samples.empty()) return 0.0;
   double sum = 0, sumsq = 0;

@@ -33,9 +33,6 @@ Summary summarize(const std::vector<double>& samples);
 /// Linear-interpolated quantile of a *sorted* sample, q in [0, 1].
 double quantile_sorted(const std::vector<double>& sorted, double q);
 
-/// Coefficient of variation (stddev / mean); 0 for empty or zero-mean samples.
-double coefficient_of_variation(const std::vector<double>& samples);
-
 /// Jain's fairness index: (sum x)^2 / (n * sum x^2) in (0, 1]; 1 = perfectly
 /// balanced. Used to quantify the balance of per-node served bytes.
 double jain_fairness(const std::vector<double>& samples);

@@ -26,10 +26,6 @@ inline constexpr Bytes kGiB = 1024 * kMiB;
 /// The HDFS default chunk (block) size used across the paper: 64 MB.
 inline constexpr Bytes kDefaultChunkSize = 64 * kMiB;
 
-/// Convenience literal-style constructors.
-constexpr Bytes mib(std::uint64_t n) { return n * kMiB; }
-constexpr Bytes gib(std::uint64_t n) { return n * kGiB; }
-
 /// Convert bytes to (fractional) MiB, for reporting.
 constexpr double to_mib(Bytes b) { return static_cast<double>(b) / static_cast<double>(kMiB); }
 

@@ -124,12 +124,6 @@ std::vector<Bytes> NameNode::node_bytes() const {
   return bytes;
 }
 
-Bytes NameNode::total_file_bytes() const {
-  Bytes total = 0;
-  for (const auto& f : files_) total += f.size;
-  return total;
-}
-
 NodeId NameNode::add_node(RackId rack) {
   const NodeId id = topo_.add_node(rack);
   node_chunks_.emplace_back();

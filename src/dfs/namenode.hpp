@@ -62,9 +62,6 @@ class NameNode {
   /// Bytes of replicas held by each node.
   std::vector<Bytes> node_bytes() const;
 
-  /// Sum of file sizes (not replica bytes).
-  Bytes total_file_bytes() const;
-
   // --- cluster membership / maintenance ---
 
   /// Add an empty DataNode to the cluster (on `rack`); returns its id. Newly

@@ -185,7 +185,8 @@ class Run {
   /// fresh evaluate_assignment()), then fold it into the aggregate: the first
   /// phase is moved in; later traces, task spans and read breakdowns
   /// concatenate (breakdowns stay index-aligned with the records), finish
-  /// times take the latest, stalls and counters sum.
+  /// times take the latest, counters sum, and process nodes stay the first
+  /// phase's.
   void fold(Phase& ph) {
     runtime::ExecutionResult& exec = ph.exec;
     if (cfg_.spans != nullptr)
@@ -211,10 +212,6 @@ class Run {
     for (std::size_t p = 0; p < exec.process_finish_time.size(); ++p)
       agg_.process_finish_time[p] =
           std::max(agg_.process_finish_time[p], exec.process_finish_time[p]);
-    if (agg_.barrier_stall.size() < exec.barrier_stall.size())
-      agg_.barrier_stall.resize(exec.barrier_stall.size(), 0);
-    for (std::size_t p = 0; p < exec.barrier_stall.size(); ++p)
-      agg_.barrier_stall[p] += exec.barrier_stall[p];
     agg_.makespan = std::max(agg_.makespan, exec.makespan);
     agg_.tasks_executed += exec.tasks_executed;
     agg_.read_failures += exec.read_failures;

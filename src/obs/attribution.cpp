@@ -94,7 +94,7 @@ CriticalPath critical_path(const SpanLog& log, std::uint32_t node_count) {
     }
   if (!any) return cp;
 
-  // Task spans sorted by (end, process, id): the wave-blocker lookup — "who
+  // Task spans sorted by (end, process, id): the phase-boundary lookup — "who
   // finished exactly when this span started" — and its deterministic
   // tie-break fall out of one lower_bound.
   struct ByEnd {
@@ -136,8 +136,8 @@ CriticalPath critical_path(const SpanLog& log, std::uint32_t node_count) {
       cur = prev;
       continue;
     }
-    // 2. A task on any process finished exactly at our start: the BSP wave
-    // blocker (release_wave runs synchronously from the last arriver).
+    // 2. A task on any process finished exactly at our start: the last task
+    // of the previous phase, which launched this one.
     auto it = std::lower_bound(
         by_end.begin(), by_end.end(), start,
         [](const ByEnd& e, std::int64_t t) { return e.end < t; });

@@ -12,11 +12,11 @@
 //  - critical_path(): the longest chain of causally dependent spans that
 //    explains the makespan. The walk runs backward from the last-finishing
 //    task span; a predecessor is either the same process's previous task
-//    (chained exactly, end == start), or — at a BSP wave boundary — the task
-//    on *another* process whose completion released the wave (its end equals
-//    this start exactly, because release_wave runs synchronously from the
-//    last arriver's completion). Steps chain gap-free, so the path's blame
-//    totals sum exactly to the makespan they explain.
+//    (chained exactly, end == start), or — at a phase boundary — the task on
+//    *another* process that ended the previous phase (its end equals this
+//    start exactly, because exp's Run launches the next phase at its last
+//    task's end). Steps chain gap-free, so the path's blame totals sum
+//    exactly to the makespan they explain.
 //
 // Both render through SpanDocBuilder into schema-versioned JSON with
 // integer-tick arithmetic only — byte-identical across replays, which is
@@ -113,7 +113,7 @@ class SpanDocBuilder {
 /// Overlay `cp` on a Chrome trace: for each consecutive pair of task steps
 /// that hops between processes, emit an 's' flow event at the source span's
 /// end and an 'f' event at the destination span's start (same flow id), so
-/// the viewer draws the wave-release arrows the critical path followed.
+/// the viewer draws the phase-boundary arrows the critical path followed.
 /// Flow ids are sequential from 1 in path order — deterministic.
 void add_critical_path_flows(ChromeTraceBuilder& trace, const SpanLog& log,
                              const CriticalPath& cp, std::uint32_t pid);

@@ -61,10 +61,6 @@ class ChromeTraceBuilder {
   void add_flow_step(std::uint32_t pid, std::uint32_t tid, double ts_us, char ph,
                      std::uint64_t flow_id);
 
-  /// Number of duration and counter events added so far (metadata not
-  /// counted).
-  std::size_t event_count() const { return events_.size(); }
-
   /// Render the document: {"traceEvents": [...], "displayTimeUnit": "ms"}.
   /// Metadata events first — process_name / process_sort_index per named
   /// pid and thread_sort_index per (pid, tid) track, sorted by (pid, tid) so

@@ -49,8 +49,9 @@ void collect_execution(MetricsRegistry& registry, const runtime::ExecutionResult
   for (std::size_t p = 0; p < result.process_finish_time.size(); ++p) {
     const std::string proc = prefix + ".process." + std::to_string(p);
     registry.gauge_set(proc + ".finish_s", result.process_finish_time[p]);
-    if (p < result.barrier_stall.size())
-      registry.gauge_set(proc + ".stall_s", result.barrier_stall[p]);
+    // Always 0 (the executor has no per-task barrier); kept because the
+    // pinned metrics documents list it, until a benchmark digest change.
+    registry.gauge_set(proc + ".stall_s", 0.0);
   }
 }
 

@@ -33,7 +33,8 @@ const std::vector<double>& io_time_bounds();
 
 /// Reduce one execution: totals (reads, bytes, local/remote split), the
 /// makespan, the per-read I/O-time histogram, per-node served bytes/ops and
-/// per-process finish/stall times. `node_count` sizes the per-node series.
+/// per-process finish times (each followed by a `stall_s` gauge of 0).
+/// `node_count` sizes the per-node series.
 void collect_execution(MetricsRegistry& registry, const runtime::ExecutionResult& result,
                        std::uint32_t node_count, const std::string& prefix = "executor");
 

@@ -82,8 +82,6 @@ std::uint32_t SpanLog::add(Span span) {
 
 namespace {
 
-constexpr std::int64_t kNoBreakdown = -1;
-
 /// Append a slice, merging into the previous one when kind and blamed node
 /// match (water-filling can re-pin the same constraint across re-levels).
 void push_slice(std::vector<AttrSlice>& slices, AttrKind kind, dfs::NodeId node,
@@ -180,7 +178,9 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
                             const std::vector<runtime::Task>& tasks,
                             const sim::Cluster& cluster) {
   const auto& records = exec.trace.records();
-  const bool have_breakdowns = exec.read_breakdowns.size() == records.size();
+  OPASS_REQUIRE(exec.read_breakdowns.size() == records.size(),
+                "execution spans need each read's breakdown: run the execution with "
+                "ExecutorConfig::record_read_breakdown");
 
   // Group read records under their task (ReadRecord::task), each task's
   // reads ordered by issue time (completion order equals issue order for the
@@ -205,12 +205,13 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
 
   for (std::size_t i = 0; i < ordered.size(); ++i) {
     const runtime::TaskSpan& ts = ordered[i];
-    const dfs::NodeId node = static_cast<dfs::NodeId>(ts.process % cluster.node_count());
+    OPASS_REQUIRE(ts.process < exec.process_node.size(), "task span of an unknown process");
+    const dfs::NodeId node = exec.process_node[ts.process];
     const std::int64_t start = sim::to_ticks(ts.start);
     const std::int64_t end = sim::to_ticks(ts.end);
 
-    // Gap to the previous task on this process: a wait span (BSP barrier
-    // park or a dynamic-source retry window).
+    // Gap to the previous task on this process: a wait span (a
+    // dynamic-source retry window).
     if (i > 0 && ordered[i - 1].process == ts.process) {
       const std::int64_t prev_end = sim::to_ticks(ordered[i - 1].end);
       if (prev_end < start) {
@@ -235,26 +236,16 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
     std::int64_t cursor = start;
     bool exact = true;
     for (std::uint32_t rec_idx : reads) {
-      const sim::ReadRecord& rec = records[rec_idx];
-      const std::int64_t r_start = have_breakdowns
-                                       ? exec.read_breakdowns[rec_idx].issue_ticks
-                                       : sim::to_ticks(rec.issue_time);
-      const std::int64_t r_end = have_breakdowns ? exec.read_breakdowns[rec_idx].end_ticks
-                                                 : sim::to_ticks(rec.end_time);
-      if (r_start < cursor || r_end > end) {
+      const sim::ReadBreakdown& rb = exec.read_breakdowns[rec_idx];
+      if (rb.issue_ticks < cursor || rb.end_ticks > end) {
         exact = false;
         break;
       }
-      if (r_start > cursor)
-        push_slice(slices, AttrKind::kOther, dfs::kInvalidNode, cursor, r_start);
-      if (have_breakdowns) {
-        for (const AttrSlice& s : read_slices(exec.read_breakdowns[rec_idx], cluster,
-                                              rec.serving_node))
-          push_slice(slices, s.kind, s.node, s.start_ticks, s.end_ticks);
-      } else {
-        push_slice(slices, AttrKind::kOther, rec.serving_node, r_start, r_end);
-      }
-      cursor = r_end;
+      if (rb.issue_ticks > cursor)
+        push_slice(slices, AttrKind::kOther, dfs::kInvalidNode, cursor, rb.issue_ticks);
+      for (const AttrSlice& s : read_slices(rb, cluster, records[rec_idx].serving_node))
+        push_slice(slices, s.kind, s.node, s.start_ticks, s.end_ticks);
+      cursor = rb.end_ticks;
     }
     if (exact && cursor <= end) {
       const std::int64_t residual = end - cursor;
@@ -299,15 +290,10 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
       read.server = rec.serving_node;
       read.chunk = rec.chunk;
       read.bytes = rec.bytes;
-      if (have_breakdowns) {
-        const sim::ReadBreakdown& rb = exec.read_breakdowns[rec_idx];
-        read.start_ticks = rb.issue_ticks;
-        read.end_ticks = rb.end_ticks;
-        read.breakdown = read_slices(rb, cluster, rec.serving_node);
-      } else {
-        read.start_ticks = sim::to_ticks(rec.issue_time);
-        read.end_ticks = sim::to_ticks(rec.end_time);
-      }
+      const sim::ReadBreakdown& rb = exec.read_breakdowns[rec_idx];
+      read.start_ticks = rb.issue_ticks;
+      read.end_ticks = rb.end_ticks;
+      read.breakdown = read_slices(rb, cluster, rec.serving_node);
       log.add(std::move(read));
     }
   }

@@ -30,8 +30,8 @@
 namespace opass::obs {
 
 /// What a span measures. Task/read spans come from executions, queue/plan
-/// spans from the planning service, wait spans from inter-task gaps (BSP
-/// barriers, dynamic-source retry waits).
+/// spans from the planning service, wait spans from inter-task gaps
+/// (dynamic-source retry waits).
 enum class SpanKind : std::uint8_t { kTask, kRead, kWait, kQueue, kPlan };
 const char* span_kind_name(SpanKind kind);
 
@@ -49,7 +49,7 @@ enum class AttrKind : std::uint8_t {
   kStreamCap,     ///< the single-stream protocol cap bound it
   kDegraded,      ///< binding resource's owner node was running slow
   kCompute,       ///< task compute phase
-  kBarrier,       ///< parked at a BSP barrier
+  kBarrier,       ///< idle between two tasks of one process (a wait span)
   kOther,         ///< unattributed (retry windows, prefetch overlap, idle)
 };
 inline constexpr std::size_t kAttrKindCount = 12;
@@ -126,13 +126,14 @@ class SpanLog {
 
 /// Build the exec-layer spans of one finished execution into `log`: per
 /// process in rank order, interleaved in time order — a wait span for every
-/// inter-task gap, a task span per executed task (breakdown: the reads'
-/// slices, retry gaps as kOther, the trailing compute slice), and a child
-/// read span per completed read (breakdown: admission wait, positioning,
-/// classified binding-resource intervals). Requires the execution to have
-/// run with ExecutorConfig::record_read_breakdown on `cluster` (read spans
-/// degrade to no breakdown otherwise). The cluster provides the resource
-/// role map and the degradation event log for slow-node classification.
+/// inter-task gap, a task span per executed task on its process's node
+/// (ExecutionResult::process_node; breakdown: the reads' slices, retry gaps
+/// as kOther, the trailing compute slice), and a child read span per
+/// completed read (breakdown: admission wait, positioning, classified
+/// binding-resource intervals). Requires the execution to have run with
+/// ExecutorConfig::record_read_breakdown on `cluster`, and throws
+/// std::invalid_argument otherwise. The cluster provides the resource role
+/// map and the degradation event log for slow-node classification.
 void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
                             const std::vector<runtime::Task>& tasks,
                             const sim::Cluster& cluster);

@@ -15,7 +15,6 @@ void AdmissionQueue::push(PendingJob job) {
           return a.request.arrival < b.request.arrival;
         return a.id < b.id;
       });
-  pending_tasks_ += job.request.tasks.size();
   queue_.insert(pos, std::move(job));
 }
 
@@ -23,7 +22,6 @@ bool AdmissionQueue::cancel(JobId id) {
   const auto it = std::find_if(queue_.begin(), queue_.end(),
                                [id](const PendingJob& j) { return j.id == id; });
   if (it == queue_.end()) return false;
-  pending_tasks_ -= it->request.tasks.size();
   queue_.erase(it);
   return true;
 }
@@ -42,15 +40,12 @@ std::vector<PendingJob> AdmissionQueue::pop_batch(Seconds now, Seconds window) {
   const Seconds cutoff = std::min(now, queue_.front().request.arrival + window);
 
   std::size_t take = 0;
-  std::uint64_t tasks = 0;
-  for (; take < queue_.size() && queue_[take].request.arrival <= cutoff; ++take)
-    tasks += queue_[take].request.tasks.size();
+  while (take < queue_.size() && queue_[take].request.arrival <= cutoff) ++take;
 
   const auto cut = queue_.begin() + static_cast<std::ptrdiff_t>(take);
   std::vector<PendingJob> batch(std::make_move_iterator(queue_.begin()),
                                 std::make_move_iterator(cut));
   queue_.erase(queue_.begin(), cut);
-  pending_tasks_ -= tasks;
   return batch;
 }
 

@@ -61,14 +61,10 @@ class AdmissionQueue {
   /// Arrival time of the queue head; requires !empty().
   Seconds next_arrival() const;
 
-  /// Total tasks across all queued jobs.
-  std::uint64_t pending_tasks() const { return pending_tasks_; }
-
  private:
   // Sorted by (arrival, id); head at front. Batch pops consume a prefix, so
   // a vector with ordered insertion keeps pops O(batch) amortized.
   std::vector<PendingJob> queue_;
-  std::uint64_t pending_tasks_ = 0;
 };
 
 /// Weighted per-tenant usage ledger (see file comment). Tenants register on

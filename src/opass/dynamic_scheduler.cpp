@@ -114,7 +114,6 @@ void OpassDynamicSource::on_node_dead(dfs::NodeId node) {
         }
       }
       push(best, t);
-      ++failure_reassignments_;
     }
   }
 }

@@ -91,9 +91,6 @@ class OpassDynamicSource final : public runtime::TaskSource {
   /// total number of tasks dispensed.
   std::uint32_t guideline_hits() const { return guideline_hits_; }
 
-  /// Pending tasks re-homed by on_node_dead() so far.
-  std::uint32_t failure_reassignments() const { return failure_reassignments_; }
-
  private:
   Bytes co_located_bytes(runtime::ProcessId process, runtime::TaskId task) const;
   bool on_dead_node(runtime::ProcessId process) const;
@@ -113,7 +110,6 @@ class OpassDynamicSource final : public runtime::TaskSource {
   std::uint32_t steals_ = 0;
   std::uint32_t steal_local_hits_ = 0;
   std::uint32_t guideline_hits_ = 0;
-  std::uint32_t failure_reassignments_ = 0;
 };
 
 }  // namespace opass::core

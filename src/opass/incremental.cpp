@@ -22,7 +22,6 @@ BatchPlan IncrementalPlanner::match_batch(const std::vector<runtime::Task>& batc
 
   BatchPlan plan;
   plan.assignment.assign(m, {});
-  ++batches_;
   if (b == 0) return plan;
 
   // Batch quotas: repeatedly grant one slot to the least cumulatively loaded

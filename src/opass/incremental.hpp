@@ -50,15 +50,12 @@ class IncrementalPlanner {
   /// Cumulative tasks assigned to each process so far.
   const std::vector<std::uint32_t>& load() const { return load_; }
 
-  std::uint32_t batches_matched() const { return batches_; }
-
  private:
   const dfs::NameNode& nn_;
   ProcessPlacement placement_;
   Adjacency procs_on_node_;  ///< processes_by_node(), built once
   graph::FlowWorkspace workspace_;  ///< reused across batches: no steady-state allocation
   std::vector<std::uint32_t> load_;
-  std::uint32_t batches_ = 0;
 };
 
 }  // namespace opass::core

@@ -7,7 +7,6 @@
 namespace opass::runtime {
 
 struct Execution::ProcState {
-  dfs::NodeId node = 0;
   TaskId task = kInvalidTask;        ///< task whose inputs are being read
   std::size_t next_input = 0;
   Seconds task_start = 0;            ///< pull time of `task`
@@ -28,14 +27,14 @@ Execution::Execution(sim::Cluster& cluster, const dfs::NameNode& nn,
     : cluster_(cluster), nn_(nn), tasks_(tasks), source_(source), rng_(rng), config_(config) {
   const std::uint32_t m = config.process_count ? config.process_count : cluster.node_count();
   OPASS_REQUIRE(m > 0, "need at least one process");
-  OPASS_REQUIRE(!(config.prefetch && config.barrier_per_task),
-                "prefetch and barrier_per_task are exclusive");
   if (config.record_read_breakdown && !cluster.read_breakdown_recording()) {
     cluster.record_read_breakdown(true);
     stop_recording_ = true;
   }
   result_.process_finish_time.assign(m, 0);
-  result_.barrier_stall.assign(m, 0);
+  result_.process_node.resize(m);
+  for (ProcessId p = 0; p < m; ++p)
+    result_.process_node[p] = static_cast<dfs::NodeId>(p % cluster.node_count());
   // Each task runs once and reads each of its inputs once: size the trace
   // and the spans for the whole table.
   std::size_t reads = 0;
@@ -44,12 +43,7 @@ Execution::Execution(sim::Cluster& cluster, const dfs::NameNode& nn,
   result_.task_spans.reserve(tasks.size());
   if (config.record_read_breakdown) result_.read_breakdowns.reserve(reads);
   retired_.assign(m, 0);
-  wave_arrival_.assign(m, -1.0);
-  wave_active_ = m;
   states_.resize(m);
-  for (ProcessId p = 0; p < m; ++p) {
-    states_[p].node = static_cast<dfs::NodeId>(p % cluster.node_count());
-  }
 }
 
 Execution::~Execution() {
@@ -106,57 +100,19 @@ void Execution::pull_next_task(ProcessId p) {
 }
 
 /// Source drained for this process: record its finish (the last process to
-/// drain ends the job) and, under BSP, shrink the wave (releasing it if
-/// everyone left is already parked).
+/// drain ends the job).
 void Execution::retire_process(ProcessId p) {
   OPASS_CHECK(!retired_[p], "process retired twice");
   retired_[p] = 1;
   result_.process_finish_time[p] = cluster_.simulator().now();
   done_ = ++drained_ == states_.size();
-  if (!config_.barrier_per_task) return;
-  OPASS_CHECK(wave_active_ > 0, "wave accounting underflow");
-  --wave_active_;
-  // If everyone else is already waiting, the shrunken wave releases.
-  if (wave_active_ > 0 && wave_arrived_ == wave_active_) release_wave();
 }
 
-/// One task fully processed: either pull the next immediately (async) or
-/// wait at the per-task barrier (BSP).
+/// One task fully processed: record its span and pull the next.
 void Execution::task_complete(ProcessId p) {
-  const Seconds now = cluster_.simulator().now();
-  result_.task_spans.push_back({p, states_[p].task, states_[p].task_start, now});
-  if (!config_.barrier_per_task) {
-    pull_next_task(p);
-    return;
-  }
-  wave_arrival_[p] = now;
-  ++wave_arrived_;
-  if (wave_arrived_ < wave_active_) return;
-  release_wave();
-}
-
-/// Every active process finished its task: everyone pulls the next one.
-/// Retirements (source drained) shrink the wave. Time spent parked at the
-/// barrier is charged to each waiter's barrier_stall (the last arriver's
-/// share is zero by construction).
-void Execution::release_wave() {
-  const Seconds now = cluster_.simulator().now();
-  wave_arrived_ = 0;
-  // Reuse the hoisted buffer's capacity, but own it locally for the
-  // duration: pull_next_task can reenter release_wave (a zero-input task
-  // completes synchronously), and the inner call must not clobber ours.
-  std::vector<ProcessId> wave = std::move(wave_buf_);
-  wave.clear();
-  for (ProcessId p = 0; p < states_.size(); ++p)
-    if (!retired_[p]) wave.push_back(p);
-  for (ProcessId p : wave) {
-    if (wave_arrival_[p] >= 0) {
-      result_.barrier_stall[p] += now - wave_arrival_[p];
-      wave_arrival_[p] = -1.0;
-    }
-  }
-  for (ProcessId p : wave) pull_next_task(p);
-  wave_buf_ = std::move(wave);
+  result_.task_spans.push_back(
+      {p, states_[p].task, states_[p].task_start, cluster_.simulator().now()});
+  pull_next_task(p);
 }
 
 void Execution::read_next_input(ProcessId p) {
@@ -228,7 +184,7 @@ void Execution::cycle_event(ProcessId p) {
   if (--st.events_pending > 0) return;
   st.computing = kInvalidTask;
   if (st.task == kInvalidTask) {
-    retire_process(p);  // prefetch excludes BSP: no wave to shrink
+    retire_process(p);
     return;
   }
   // The prefetched task's inputs are in memory: it becomes the computing
@@ -240,25 +196,26 @@ void Execution::issue_read(ProcessId p, dfs::ChunkId cid) {
   // Serve from live replicas only; a node that failed mid-run is skipped
   // (metadata-level re-replication is the NameNode's job, not ours).
   ProcState& st = states_[p];
+  const dfs::NodeId reader = result_.process_node[p];
   const dfs::NodeId server =
-      dfs::choose_serving_node(nn_.chunk(cid), st.node, cluster_.inflight_per_node(),
+      dfs::choose_serving_node(nn_.chunk(cid), reader, cluster_.inflight_per_node(),
                                config_.replica_choice, rng_, cluster_.failed_nodes());
   const Bytes bytes = nn_.chunk(cid).size;
 
   sim::ReadRecord& rec = st.read;
   rec = {};
   rec.process = p;
-  rec.reader_node = st.node;
+  rec.reader_node = reader;
   rec.serving_node = server;
   rec.chunk = cid;
   rec.task = st.task;
   rec.bytes = bytes;
   rec.issue_time = cluster_.simulator().now();
-  rec.local = server == st.node;
+  rec.local = server == reader;
 
   emit(ProbeKind::kOpBegin, p);
   cluster_.read(
-      st.node, server, bytes,
+      reader, server, bytes,
       [this, p](Seconds end) {
         emit(ProbeKind::kOpEnd, p);
         sim::ReadRecord& done = states_[p].read;

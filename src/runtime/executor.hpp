@@ -7,7 +7,9 @@
 // simulated cluster (local replica preferred, remote replica chosen by the
 // configured policy), spend the task's compute time, repeat. The job ends at
 // the implicit barrier when every process has drained — the paper's "overall
-// execution time will be decided by the longest running process".
+// execution time will be decided by the longest running process". That is
+// the executor's only barrier; a synchronization step between jobs (a
+// ParaView rendering step, an iterative epoch) is a phase of exp's Run.
 //
 // The executor stays metric-blind (DESIGN.md §8): it emits op events to
 // ExecutorConfig::probe and keeps no depth of its own.
@@ -28,9 +30,8 @@
 namespace opass::runtime {
 
 /// One task's lifetime on a process: from the successful pull to the end of
-/// its compute phase (input reads + compute; any barrier wait afterwards is
-/// accounted separately in ExecutionResult::barrier_stall). Feeds the
-/// per-process task timeline of the Chrome trace exporter.
+/// its compute phase (input reads + compute). Feeds the per-process task
+/// timeline of the Chrome trace exporter.
 struct TaskSpan {
   ProcessId process = 0;
   TaskId task = kInvalidTask;
@@ -42,6 +43,10 @@ struct TaskSpan {
 struct ExecutionResult {
   sim::TraceRecorder trace;
   std::vector<Seconds> process_finish_time;  ///< per-process drain time
+  /// Node each process ran on (process p on p % node_count when the
+  /// Execution was built); a node that joins later changes the count but
+  /// not the processes already placed.
+  std::vector<dfs::NodeId> process_node;
   /// Per-task (pull → compute-done) intervals, in compute-completion order.
   std::vector<TaskSpan> task_spans;
   /// Causal breakdown of each completed read, index-aligned with
@@ -49,10 +54,6 @@ struct ExecutionResult {
   /// Kept out of ReadRecord so the breakdown's per-interval storage is only
   /// paid when causal tracing is on.
   std::vector<sim::ReadBreakdown> read_breakdowns;
-  /// Per-process seconds spent waiting at BSP per-task barriers (all zero
-  /// unless ExecutorConfig::barrier_per_task). The implicit final barrier is
-  /// not included — it is `makespan - process_finish_time[p]`.
-  std::vector<Seconds> barrier_stall;
   Seconds makespan = 0;                      ///< max finish time (the barrier)
   std::uint32_t tasks_executed = 0;
   std::uint32_t read_failures = 0;  ///< aborted reads retried on another replica
@@ -68,12 +69,6 @@ struct ExecutorConfig {
   /// hide their I/O entirely. Off by default — the paper's applications
   /// read synchronously.
   bool prefetch = false;
-  /// BSP execution: a barrier after every task — no process starts its
-  /// (k+1)-th task until every process finished its k-th. This is the
-  /// "synchronization requirement" the paper cites for why one slow read
-  /// prolongs the whole execution; it makes the imbalance penalty visible
-  /// in its purest form. Mutually exclusive with prefetch.
-  bool barrier_per_task = false;
   /// Record each read's causal breakdown (admission wait, positioning,
   /// binding-resource transfer intervals) into
   /// ExecutionResult::read_breakdowns for the obs span log. Enables the
@@ -129,7 +124,6 @@ class Execution {
   void pull_next_task(ProcessId p);
   void retire_process(ProcessId p);
   void task_complete(ProcessId p);
-  void release_wave();
   void read_next_input(ProcessId p);
   void reads_finished_prefetch(ProcessId p);
   void cycle_event(ProcessId p);
@@ -143,11 +137,7 @@ class Execution {
   Rng& rng_;
   const ExecutorConfig config_;
   bool stop_recording_ = false;  ///< turned the cluster's recording on
-  std::vector<char> retired_;          ///< per process: drained
-  std::vector<Seconds> wave_arrival_;  ///< barrier-park time per process; -1 = not parked
-  std::vector<ProcessId> wave_buf_;    ///< reusable wave scratch for release_wave
-  std::uint32_t wave_active_ = 0;
-  std::uint32_t wave_arrived_ = 0;
+  std::vector<char> retired_;  ///< per process: drained
   std::uint32_t drained_ = 0;
   bool done_ = false;
   std::vector<ProcState> states_;

@@ -31,14 +31,4 @@ bool is_partition(const Assignment& a, std::uint32_t task_count) {
   return std::all_of(seen.begin(), seen.end(), [](std::uint32_t c) { return c == 1; });
 }
 
-std::pair<std::uint32_t, std::uint32_t> load_spread(const Assignment& a) {
-  OPASS_REQUIRE(!a.empty(), "assignment has no processes");
-  std::uint32_t hi = 0, lo = UINT32_MAX;
-  for (const auto& list : a) {
-    hi = std::max(hi, static_cast<std::uint32_t>(list.size()));
-    lo = std::min(lo, static_cast<std::uint32_t>(list.size()));
-  }
-  return {hi, lo};
-}
-
 }  // namespace opass::runtime

@@ -25,7 +25,4 @@ Assignment rank_interval_assignment(std::uint32_t task_count, std::uint32_t proc
 /// once across all processes.
 bool is_partition(const Assignment& a, std::uint32_t task_count);
 
-/// Largest and smallest per-process task counts.
-std::pair<std::uint32_t, std::uint32_t> load_spread(const Assignment& a);
-
 }  // namespace opass::runtime

@@ -68,25 +68,19 @@ Pull DelaySchedulingSource::pull(ProcessId process, Seconds now) {
 
   if (const auto local = take_local(process)) {
     wait_start_[process] = -1.0;
-    ++local_grants_;
     return Pull::run(*local);
   }
   // No local task: wait up to max_delay before settling for remote work.
   if (wait_start_[process] < 0) wait_start_[process] = now;
   if (now - wait_start_[process] < max_delay_) return Pull::wait(kRetryInterval);
   wait_start_[process] = -1.0;
-  ++remote_grants_;
   return Pull::run(take_head());
 }
 
 std::optional<TaskId> DelaySchedulingSource::next_task(ProcessId process, Seconds /*now*/) {
   OPASS_REQUIRE(process < placement_.size(), "process out of range");
   if (queue_.empty()) return std::nullopt;
-  if (const auto local = take_local(process)) {
-    ++local_grants_;
-    return local;
-  }
-  ++remote_grants_;
+  if (const auto local = take_local(process)) return local;
   return take_head();
 }
 

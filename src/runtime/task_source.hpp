@@ -95,10 +95,6 @@ class DelaySchedulingSource final : public TaskSource {
   /// the queue head immediately.
   std::optional<TaskId> next_task(ProcessId process, Seconds now) override;
 
-  /// Observability: how many tasks were handed out locally.
-  std::uint32_t local_grants() const { return local_grants_; }
-  std::uint32_t remote_grants() const { return remote_grants_; }
-
  private:
   std::optional<TaskId> take_local(ProcessId process);
   TaskId take_head();
@@ -109,8 +105,6 @@ class DelaySchedulingSource final : public TaskSource {
   Seconds max_delay_;
   std::vector<TaskId> queue_;  // remaining tasks, FIFO order
   std::vector<Seconds> wait_start_;  // per process; <0 = not waiting
-  std::uint32_t local_grants_ = 0;
-  std::uint32_t remote_grants_ = 0;
 };
 
 }  // namespace opass::runtime

@@ -9,8 +9,8 @@ Cluster::Cluster(std::uint32_t node_count, ClusterParams params)
 
 Cluster::Cluster(const dfs::Topology& topology, ClusterParams params)
     : node_count_(topology.node_count()), params_(params), inflight_(node_count_, 0),
-      served_(node_count_, 0), failed_(node_count_, 0), speed_(node_count_, 1.0),
-      serving_(node_count_, 0), queues_(node_count_) {
+      served_(node_count_, 0), failed_(node_count_, 0), serving_(node_count_, 0),
+      queues_(node_count_) {
   OPASS_REQUIRE(node_count_ > 0, "cluster needs at least one node");
   disk_.reserve(node_count_);
   nic_in_.reserve(node_count_);
@@ -48,7 +48,6 @@ void Cluster::record_read_breakdown(bool on) {
 void Cluster::degrade_node(dfs::NodeId node, double factor) {
   OPASS_REQUIRE(node < node_count_, "node out of range");
   OPASS_REQUIRE(factor > 0 && factor <= 1.0, "speed factor must be in (0, 1]");
-  speed_[node] = factor;
   speed_changes_.push_back({to_ticks(sim_.now()), node, factor});
   sim_.set_resource_capacity(disk_[node], params_.disk_bandwidth * factor);
   sim_.set_resource_capacity(nic_in_[node], params_.nic_bandwidth * factor);
@@ -56,11 +55,6 @@ void Cluster::degrade_node(dfs::NodeId node, double factor) {
 }
 
 void Cluster::restore_node(dfs::NodeId node) { degrade_node(node, 1.0); }
-
-double Cluster::speed_factor(dfs::NodeId node) const {
-  OPASS_REQUIRE(node < node_count_, "node out of range");
-  return speed_[node];
-}
 
 dfs::NodeId Cluster::add_node(dfs::RackId rack) {
   if (!rack_up_.empty())
@@ -76,7 +70,6 @@ dfs::NodeId Cluster::add_node(dfs::RackId rack) {
   inflight_.push_back(0);
   served_.push_back(0);
   failed_.push_back(0);
-  speed_.push_back(1.0);
   serving_.push_back(0);
   queues_.emplace_back();
   return id;
@@ -85,16 +78,6 @@ dfs::NodeId Cluster::add_node(dfs::RackId rack) {
 dfs::RackId Cluster::rack_of(dfs::NodeId node) const {
   OPASS_REQUIRE(node < node_count_, "node out of range");
   return rack_of_node_[node];
-}
-
-double Cluster::disk_utilization(dfs::NodeId node) const {
-  OPASS_REQUIRE(node < node_count_, "node out of range");
-  return sim_.resource_utilization(disk_[node]);
-}
-
-double Cluster::nic_out_utilization(dfs::NodeId node) const {
-  OPASS_REQUIRE(node < node_count_, "node out of range");
-  return sim_.resource_utilization(nic_out_[node]);
 }
 
 Seconds Cluster::disk_busy_time(dfs::NodeId node) const {

@@ -144,9 +144,6 @@ class Cluster {
   /// Undo degrade_node: the node's disk and NICs return to full speed.
   void restore_node(dfs::NodeId node);
 
-  /// Current speed factor of a node (1.0 = full speed).
-  double speed_factor(dfs::NodeId node) const;
-
   /// Grow the cluster by one node on `rack` at the current virtual time;
   /// returns the new node's id (== old node_count()). The new node starts
   /// idle, healthy and empty. When rack uplinks are modeled, `rack` must be
@@ -193,13 +190,6 @@ class Cluster {
 
   /// Total bytes each node has served so far (completed reads).
   const std::vector<Bytes>& served_bytes() const { return served_; }
-
-  /// Busy fraction of a node's disk over the run so far (paper's "lower
-  /// parallelism utilization of cluster nodes/disks" observation).
-  double disk_utilization(dfs::NodeId node) const;
-
-  /// Busy fraction of a node's egress NIC.
-  double nic_out_utilization(dfs::NodeId node) const;
 
   /// Cumulative seconds the node's disk had at least one active transfer.
   Seconds disk_busy_time(dfs::NodeId node) const;
@@ -327,7 +317,6 @@ class Cluster {
   std::vector<std::uint32_t> inflight_;
   std::vector<Bytes> served_;
   std::vector<char> failed_;
-  std::vector<double> speed_;  // per-node capacity factor, 1.0 = full speed
   std::vector<ReadOp> read_pool_;               // slot pool, free-list reused
   std::vector<std::uint32_t> free_read_slots_;
   std::uint64_t read_seq_ = 0;

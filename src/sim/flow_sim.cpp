@@ -37,11 +37,6 @@ void FlowSimulator::set_resource_capacity(ResourceId r, BytesPerSec capacity) {
   mark_dirty(r);
 }
 
-BytesPerSec FlowSimulator::resource_capacity(ResourceId r) const {
-  OPASS_REQUIRE(r < resources_.size(), "resource out of range");
-  return resources_[r].capacity;
-}
-
 void FlowSimulator::mark_dirty(ResourceId r) {
   Resource& res = resources_[r];
   if (!res.dirty) {
@@ -301,13 +296,6 @@ void FlowSimulator::cancel_flow(FlowId id) {
   if (!f.active || static_cast<std::uint32_t>(f.seq) != tag_of(id)) return;
   commit_progress(f);  // progress to date stays in bytes_served
   retire_slot(slot);
-}
-
-bool FlowSimulator::flow_active(FlowId id) const {
-  const std::uint32_t slot = slot_of(id);
-  OPASS_REQUIRE(slot < flows_.size(), "flow id out of range");
-  const Flow& f = flows_[slot];
-  return f.active && static_cast<std::uint32_t>(f.seq) == tag_of(id);
 }
 
 void FlowSimulator::recompute_rates() {

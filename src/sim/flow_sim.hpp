@@ -88,9 +88,6 @@ class FlowSimulator {
   /// virtual time; progress up to now is committed at the old rate.
   void set_resource_capacity(ResourceId r, BytesPerSec capacity);
 
-  /// Current base capacity of a resource (before concurrency degradation).
-  BytesPerSec resource_capacity(ResourceId r) const;
-
   /// Start a flow of `bytes` across `resources` now; `on_complete(end_time)`
   /// fires when the last byte arrives. Zero-byte flows complete immediately
   /// on the next event-loop step. `rate_cap` bounds the flow's own rate
@@ -113,9 +110,6 @@ class FlowSimulator {
   /// completion callback never fires. No-op if already complete/cancelled.
   void cancel_flow(FlowId id);
 
-  /// True while the flow is still transferring.
-  bool flow_active(FlowId id) const;
-
   /// Opt in to binding-resource attribution: every re-level appends to each
   /// touched flow's interval list which constraint pinned its rate (the
   /// bottleneck resource, or kCapBinding when its own rate cap bound). Off by
@@ -123,7 +117,6 @@ class FlowSimulator {
   /// the simulation (it only observes the pin sequence, which is already
   /// byte-deterministic).
   void record_attribution(bool on) { record_attr_ = on; }
-  bool attribution_recording() const { return record_attr_; }
 
   /// Binding intervals of a flow that completed at the current event step;
   /// valid only inside its completion callback (the stash is dropped before

@@ -55,20 +55,6 @@ TEST(Rng, Uniform01MeanNearHalf) {
   EXPECT_NEAR(sum / n, 0.5, 0.01);
 }
 
-TEST(Rng, UniformRangeInclusive) {
-  Rng rng(11);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const auto v = rng.uniform_range(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, ExponentialMeanMatches) {
   Rng rng(13);
   double sum = 0;
@@ -178,15 +164,6 @@ TEST(Rng, SplitProducesIndependentStream) {
   for (int i = 0; i < 100; ++i)
     if (a() == b()) ++same;
   EXPECT_LT(same, 2);
-}
-
-TEST(Rng, BernoulliProbability) {
-  Rng rng(43);
-  int hits = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i)
-    if (rng.bernoulli(0.3)) ++hits;
-  EXPECT_NEAR(hits / double(n), 0.3, 0.01);
 }
 
 }  // namespace

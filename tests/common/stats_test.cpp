@@ -75,15 +75,6 @@ TEST(QuantileSorted, EmptyReturnsZero) {
   EXPECT_EQ(quantile_sorted({}, 0.5), 0.0);
 }
 
-TEST(CoefficientOfVariation, UniformSampleIsZero) {
-  EXPECT_DOUBLE_EQ(coefficient_of_variation({3.0, 3.0, 3.0}), 0.0);
-}
-
-TEST(CoefficientOfVariation, Known) {
-  // mean 5, stddev 2 => cv 0.4
-  EXPECT_DOUBLE_EQ(coefficient_of_variation({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}), 0.4);
-}
-
 TEST(JainFairness, PerfectBalance) {
   EXPECT_DOUBLE_EQ(jain_fairness({5.0, 5.0, 5.0, 5.0}), 1.0);
 }

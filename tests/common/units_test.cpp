@@ -12,11 +12,6 @@ TEST(Units, Constants) {
   EXPECT_EQ(kDefaultChunkSize, 64u * kMiB);
 }
 
-TEST(Units, Constructors) {
-  EXPECT_EQ(mib(30), 30u * 1024 * 1024);
-  EXPECT_EQ(gib(2), 2ull * 1024 * 1024 * 1024);
-}
-
 TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(to_mib(64 * kMiB), 64.0);
   EXPECT_DOUBLE_EQ(to_gib(kGiB / 2), 0.5);

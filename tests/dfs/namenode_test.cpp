@@ -68,15 +68,6 @@ TEST(NameNode, NodeInventoriesAreConsistent) {
   EXPECT_EQ(total, 2 * 20 * kDefaultChunkSize);
 }
 
-TEST(NameNode, TotalFileBytes) {
-  auto nn = make_nn();
-  RandomPlacement policy;
-  Rng rng(9);
-  nn.create_file("a", 5 * kMiB, policy, rng);
-  nn.create_file("b", 7 * kMiB, policy, rng);
-  EXPECT_EQ(nn.total_file_bytes(), 12 * kMiB);
-}
-
 TEST(NameNode, OutOfRangeAccessorsThrow) {
   auto nn = make_nn();
   EXPECT_THROW(nn.file(0), std::invalid_argument);

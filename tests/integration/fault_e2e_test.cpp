@@ -1,8 +1,9 @@
 // Fault-injection end to end through the exp harness (DESIGN.md §11):
 // exactly-once completion across crash + reassignment, re-replication byte
 // accounting against the planned layout, straggler-threshold detection, the
-// dynamic scheduler's membership-driven re-plan, and one plan spanning every
-// ParaView step and iterative epoch.
+// dynamic scheduler's membership-driven re-plan, one plan spanning every
+// ParaView step and iterative epoch, and task spans placed on their
+// process's node after a join.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 
 #include "exp/experiment.hpp"
 #include "obs/analytics.hpp"
+#include "obs/spans.hpp"
 #include "opass/plan_audit.hpp"
 #include "workload/paraview.hpp"
 
@@ -189,6 +191,34 @@ TEST(FaultE2E, OnePlanSpansEveryIterativeEpoch) {
   expect_chained_phases(raw, 48, out.epoch_times, 3.0);
   EXPECT_EQ(stats.crashes, 1u);
   EXPECT_EQ(stats.recoveries, 1u);
+}
+
+// Processes are placed when the run starts; a node joining at 0 s raises the
+// node count to 17 but moves no process. Each task span names the node its
+// process ran on, the node its reads name as their reader.
+TEST(FaultE2E, TaskSpansNameTheirProcessNodeAfterAJoin) {
+  auto cfg = small_cfg();
+  cfg.processes_per_node = 2;
+  sim::FaultPlan plan;
+  plan.events.push_back(make_event(0.0, sim::FaultKind::kJoin, dfs::kInvalidNode));
+  obs::SpanLog spans;
+  cfg.faults = &plan;
+  cfg.spans = &spans;
+  run_single_data(cfg, 64, Method::kOpass);
+
+  std::size_t task_spans = 0;
+  std::size_t read_spans = 0;
+  for (const obs::Span& s : spans.spans()) {
+    if (s.kind == obs::SpanKind::kTask) {
+      ++task_spans;
+      EXPECT_EQ(s.node, s.process % 16) << "process " << s.process;
+    } else if (s.kind == obs::SpanKind::kRead) {
+      ++read_spans;
+      EXPECT_EQ(spans.spans()[s.parent].node, s.node) << "process " << s.process;
+    }
+  }
+  EXPECT_EQ(task_spans, 64u);
+  EXPECT_EQ(read_spans, 64u);
 }
 
 TEST(FaultE2E, ChurnRunStaysDeterministic) {

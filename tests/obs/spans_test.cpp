@@ -121,10 +121,10 @@ struct SpanFixture : ::testing::Test {
     return runtime::single_input_tasks(nn, {fid});
   }
 
-  runtime::ExecutionResult run(const std::vector<runtime::Task>& tasks,
-                               sim::Cluster& cluster, runtime::ExecutorConfig config) {
+  runtime::ExecutionResult run(const std::vector<runtime::Task>& tasks, sim::Cluster& cluster) {
     runtime::StaticAssignmentSource source(
         runtime::rank_interval_assignment(static_cast<std::uint32_t>(tasks.size()), 4));
+    runtime::ExecutorConfig config;
     config.record_read_breakdown = true;
     return runtime::execute(cluster, nn, tasks, source, rng, config);
   }
@@ -139,7 +139,7 @@ TEST_F(SpanFixture, ExecutionSpansReconcileExactly) {
   auto tasks = make_tasks(8);
   for (auto& t : tasks) t.compute_time = 0.25;
   sim::Cluster cluster(4, params);
-  const auto exec = run(tasks, cluster, {});
+  const auto exec = run(tasks, cluster);
 
   SpanLog log;
   append_execution_spans(log, exec, tasks, cluster);
@@ -181,13 +181,18 @@ TEST_F(SpanFixture, ExecutionSpansReconcileExactly) {
   }
 }
 
-TEST_F(SpanFixture, BarrierRunsEmitWaitSpans) {
-  auto tasks = make_tasks(8);
-  tasks[0].compute_time = 2.0;  // one straggler stalls every wave
+TEST_F(SpanFixture, RetryGapsEmitWaitSpans) {
+  // Every chunk sits on node 0 alone, so processes 1-3 wait out the delay
+  // window before each remote task: gaps between their tasks.
+  dfs::NameNode hot(dfs::Topology::single_rack(4), 1, kDefaultChunkSize);
+  dfs::HdfsDefaultPlacement writer_local;
+  const auto fid = hot.create_file("d", 8 * kDefaultChunkSize, writer_local, rng, /*writer=*/0);
+  const auto tasks = runtime::single_input_tasks(hot, {fid});
   sim::Cluster cluster(4, params);
+  runtime::DelaySchedulingSource source(hot, tasks, {0, 1, 2, 3}, rng, /*max_delay=*/0.2);
   runtime::ExecutorConfig config;
-  config.barrier_per_task = true;
-  const auto exec = run(tasks, cluster, config);
+  config.record_read_breakdown = true;
+  const auto exec = runtime::execute(cluster, hot, tasks, source, rng, config);
 
   SpanLog log;
   append_execution_spans(log, exec, tasks, cluster);
@@ -195,16 +200,29 @@ TEST_F(SpanFixture, BarrierRunsEmitWaitSpans) {
   for (const Span& s : log.spans()) {
     if (s.kind != SpanKind::kWait) continue;
     EXPECT_EQ(s.name, "exec.wave.wait");
+    EXPECT_NE(s.process, 0u);  // node 0's process always finds a local task
     for (const AttrSlice& sl : s.breakdown)
       if (sl.kind == AttrKind::kBarrier) barrier_ticks += sl.duration_ticks();
   }
   EXPECT_GT(barrier_ticks, 0);
 }
 
+TEST_F(SpanFixture, ExecutionWithoutReadBreakdownsIsRejected) {
+  const auto tasks = make_tasks(8);
+  sim::Cluster cluster(4, params);
+  runtime::StaticAssignmentSource source(runtime::rank_interval_assignment(8, 4));
+  const auto exec = runtime::execute(cluster, nn, tasks, source, rng);
+  ASSERT_GT(exec.trace.size(), 0u);
+
+  SpanLog log;
+  EXPECT_THROW(append_execution_spans(log, exec, tasks, cluster), std::invalid_argument);
+  EXPECT_TRUE(log.empty());
+}
+
 TEST_F(SpanFixture, AttributionSumsTopLevelSpansOnly) {
   const auto tasks = make_tasks(8);
   sim::Cluster cluster(4, params);
-  const auto exec = run(tasks, cluster, {});
+  const auto exec = run(tasks, cluster);
 
   SpanLog log;
   append_execution_spans(log, exec, tasks, cluster);
@@ -228,17 +246,45 @@ TEST_F(SpanFixture, AttributionSumsTopLevelSpansOnly) {
 }
 
 TEST_F(SpanFixture, CriticalPathChainsExactlyAndExplainsTheMakespan) {
-  auto tasks = make_tasks(8);
-  for (auto& t : tasks) t.compute_time = 0.5;
+  // Two phases chained the way exp's Run chains them: the second Execution
+  // launches when the first one's last task ends. Process 0 finishes the
+  // first phase last and process 3 the second, so the path hops from
+  // process 3 to process 0 at the phase boundary.
+  auto first = make_tasks(8);
+  for (auto& t : first) t.compute_time = 0.5;
+  auto second = first;
+  first[1].compute_time = 4.0;   // process 0's last task in phase 1
+  second[7].compute_time = 4.0;  // process 3's last task in phase 2
   sim::Cluster cluster(4, params);
-  runtime::ExecutorConfig config;
-  config.barrier_per_task = true;
-  const auto exec = run(tasks, cluster, config);
-
   SpanLog log;
-  append_execution_spans(log, exec, tasks, cluster);
+  std::int64_t boundary = 0;
+  for (const auto* tasks : {&first, &second}) {
+    runtime::StaticAssignmentSource source(runtime::rank_interval_assignment(8, 4));
+    runtime::ExecutorConfig config;
+    config.record_read_breakdown = true;
+    runtime::Execution execution(cluster, nn, *tasks, source, rng, config);
+    execution.launch(cluster.simulator().now());
+    execution.run_until_done();
+    const auto exec = execution.take_result();
+    append_execution_spans(log, exec, *tasks, cluster);
+    if (tasks == &first) boundary = sim::to_ticks(exec.makespan);
+  }
   const CriticalPath cp = critical_path(log, /*node_count=*/4);
   ASSERT_FALSE(cp.steps.empty());
+
+  // Rule 2 at the boundary: the step starting there follows a task of
+  // another process that ended exactly there.
+  std::size_t hop = 0;
+  for (std::size_t i = 1; i < cp.steps.size(); ++i)
+    if (cp.steps[i].start_ticks == boundary) hop = i;
+  ASSERT_GT(hop, 0u);
+  const std::uint32_t before = cp.steps[hop - 1].span;
+  const std::uint32_t after = cp.steps[hop].span;
+  ASSERT_NE(before, kNoSpan);
+  ASSERT_NE(after, kNoSpan);
+  EXPECT_EQ(log.spans()[before].process, 0u);
+  EXPECT_EQ(log.spans()[after].process, 3u);
+  EXPECT_EQ(log.spans()[before].end_ticks, boundary);
 
   // Steps chain gap-free and the last ends at the makespan.
   for (std::size_t i = 1; i < cp.steps.size(); ++i)

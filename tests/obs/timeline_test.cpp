@@ -387,35 +387,29 @@ std::string digest_series(const TimelineRecorder& recorder) {
 }
 
 // The executor's depth events also move in prefetch mode (compute overlaps
-// the next task's reads) and in BSP mode (processes park at every task
-// barrier). Pin every series of a RunTimeline attached to one run of each:
-// the constants were recorded on an earlier commit, so a change that moves
-// one depth stamp fails here even when it replays consistently.
-TEST(TimelineProbes, PrefetchAndBspRunsRecordPinnedSeries) {
-  const auto run = [](bool prefetch, bool bsp) {
-    constexpr std::uint32_t kNodes = 8;
-    constexpr std::uint32_t kTasks = 48;
-    dfs::NameNode nn(dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize);
-    dfs::RandomPlacement policy;
-    Rng rng(5);
-    const auto tasks =
-        workload::make_single_data_workload(nn, kTasks, policy, rng, /*compute_time=*/0.3);
-    sim::Cluster cluster(kNodes);
-    TimelineRecorder recorder(0.25);
-    RunTimeline timeline(&recorder, cluster, kNodes);
-    runtime::ExecutorConfig ec;
-    ec.prefetch = prefetch;
-    ec.barrier_per_task = bsp;
-    ec.probe = timeline.executor_probe();
-    timeline.add_expected_bytes(runtime::total_task_bytes(nn, tasks));
-    runtime::StaticAssignmentSource source(runtime::rank_interval_assignment(kTasks, kNodes));
-    const auto result = runtime::execute(cluster, nn, tasks, source, rng, ec);
-    EXPECT_EQ(result.tasks_executed, kTasks);
-    timeline.finish();
-    return digest_series(recorder);
-  };
-  EXPECT_EQ(run(/*prefetch=*/true, /*bsp=*/false), "feb98c20b048d718");
-  EXPECT_EQ(run(/*prefetch=*/false, /*bsp=*/true), "3ba46046e9283bf8");
+// the next task's reads). Pin every series of a RunTimeline attached to one
+// prefetch run: the constant was recorded on an earlier commit, so a change
+// that moves one depth stamp fails here even when it replays consistently.
+TEST(TimelineProbes, PrefetchRunRecordsPinnedSeries) {
+  constexpr std::uint32_t kNodes = 8;
+  constexpr std::uint32_t kTasks = 48;
+  dfs::NameNode nn(dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize);
+  dfs::RandomPlacement policy;
+  Rng rng(5);
+  const auto tasks =
+      workload::make_single_data_workload(nn, kTasks, policy, rng, /*compute_time=*/0.3);
+  sim::Cluster cluster(kNodes);
+  TimelineRecorder recorder(0.25);
+  RunTimeline timeline(&recorder, cluster, kNodes);
+  runtime::ExecutorConfig ec;
+  ec.prefetch = true;
+  ec.probe = timeline.executor_probe();
+  timeline.add_expected_bytes(runtime::total_task_bytes(nn, tasks));
+  runtime::StaticAssignmentSource source(runtime::rank_interval_assignment(kTasks, kNodes));
+  const auto result = runtime::execute(cluster, nn, tasks, source, rng, ec);
+  EXPECT_EQ(result.tasks_executed, kTasks);
+  timeline.finish();
+  EXPECT_EQ(digest_series(recorder), "feb98c20b048d718");
 }
 
 }  // namespace

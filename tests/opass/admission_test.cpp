@@ -65,13 +65,11 @@ TEST(AdmissionQueue, CancelRemovesMidQueue) {
   q.push(pending(1, 0.0, 4));
   q.push(pending(2, 1.0, 8));
   q.push(pending(3, 2.0, 2));
-  EXPECT_EQ(q.pending_tasks(), 14u);
 
   EXPECT_TRUE(q.cancel(2));
   EXPECT_FALSE(q.cancel(2));  // already gone
   EXPECT_FALSE(q.cancel(99));
   EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.pending_tasks(), 6u);
   EXPECT_EQ(q.pop_batch(0.0, {}).front().id, 1u);
   EXPECT_EQ(q.pop_batch(2.0, {}).front().id, 3u);
 }

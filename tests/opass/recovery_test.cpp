@@ -30,19 +30,25 @@ TEST_F(RecoveryFixture, DeadNodeListIsRehomedToAliveProcesses) {
                          placement);
   // one_process_per_node: process 1 lives on node 1.
   src.on_node_dead(1);
-  EXPECT_EQ(src.failure_reassignments(), 3u);
   EXPECT_EQ(src.remaining_tasks(), 12u);  // nothing lost, everything re-homed
   const auto ids = src.remaining_task_ids();
   EXPECT_EQ(ids.size(), 12u);
   EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
 
-  // The full job still drains exactly once through the alive processes.
+  // Process 1's own list is empty now: its pull has to steal.
   std::set<runtime::TaskId> seen;
+  const auto stolen = src.next_task(1, 0.0);
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_EQ(src.steal_count(), 1u);
+  EXPECT_EQ(src.guideline_hits(), 0u);
+  seen.insert(*stolen);
+
+  // The rest of the job drains exactly once through the alive processes.
   bool progress = true;
   while (progress) {
     progress = false;
     for (runtime::ProcessId p = 0; p < 4; ++p) {
-      if (p == 1) continue;  // dead node's process pulls nothing
+      if (p == 1) continue;  // the dead node's process pulls no more
       if (const auto t = src.next_task(p, 0.0)) {
         EXPECT_TRUE(seen.insert(*t).second) << "task dispensed twice";
         progress = true;
@@ -54,12 +60,18 @@ TEST_F(RecoveryFixture, DeadNodeListIsRehomedToAliveProcesses) {
 }
 
 TEST_F(RecoveryFixture, OnNodeDeadIsIdempotent) {
-  OpassDynamicSource src({{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10, 11}}, nn, tasks,
-                         placement);
-  src.on_node_dead(2);
-  const auto once = src.failure_reassignments();
-  src.on_node_dead(2);
-  EXPECT_EQ(src.failure_reassignments(), once);
+  const runtime::Assignment guideline{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10, 11}};
+  OpassDynamicSource once(guideline, nn, tasks, placement);
+  OpassDynamicSource twice(guideline, nn, tasks, placement);
+  once.on_node_dead(2);
+  twice.on_node_dead(2);
+  twice.on_node_dead(2);
+  // Both hand out the same tasks in the same order.
+  for (std::uint32_t pull = 0; pull < 12; ++pull) {
+    const auto p = static_cast<runtime::ProcessId>(pull % 4);
+    EXPECT_EQ(once.next_task(p, 0.0), twice.next_task(p, 0.0)) << "pull " << pull;
+  }
+  EXPECT_EQ(once.steal_count(), twice.steal_count());
 }
 
 TEST_F(RecoveryFixture, DispensedTasksAreNotReassigned) {
@@ -68,8 +80,9 @@ TEST_F(RecoveryFixture, DispensedTasksAreNotReassigned) {
   // Process 1 already pulled task 3 when its node dies.
   ASSERT_EQ(src.next_task(1, 0.0), std::optional<runtime::TaskId>(3));
   src.on_node_dead(1);
-  EXPECT_EQ(src.failure_reassignments(), 2u);  // only 4 and 5 re-homed
-  EXPECT_EQ(src.remaining_tasks(), 11u);
+  EXPECT_EQ(src.remaining_tasks(), 11u);  // only 4 and 5 re-homed
+  ASSERT_TRUE(src.next_task(1, 0.0).has_value());
+  EXPECT_EQ(src.steal_count(), 1u);  // and process 1 kept none of them
   const auto ids = src.remaining_task_ids();
   EXPECT_TRUE(std::find(ids.begin(), ids.end(), 3u) == ids.end());
 }

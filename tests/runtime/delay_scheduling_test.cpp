@@ -30,7 +30,6 @@ TEST_F(DelayFixture, PullGrantsLocalTasksImmediately) {
   const auto r = src.pull(0, 0.0);
   if (r.kind == Pull::Kind::kTask) {
     EXPECT_TRUE(nn.chunk(tasks[r.task].inputs[0]).has_replica_on(0));
-    EXPECT_EQ(src.local_grants(), 1u);
   } else {
     EXPECT_EQ(r.kind, Pull::Kind::kWait);  // no local task existed for p0
   }
@@ -60,8 +59,8 @@ TEST_F(DelayFixture, WaitsThenSettlesForRemote) {
   EXPECT_EQ(src.pull(0, 0.5).kind, Pull::Kind::kWait);
   // Delay expired: remote grant.
   r = src.pull(0, 1.0);
-  EXPECT_EQ(r.kind, Pull::Kind::kTask);
-  EXPECT_EQ(src.remote_grants(), 1u);
+  ASSERT_EQ(r.kind, Pull::Kind::kTask);
+  EXPECT_FALSE(empty_nn.chunk(pinned_tasks[r.task].inputs[0]).has_replica_on(1));
 }
 
 TEST_F(DelayFixture, ZeroDelayDegeneratesToImmediateGrants) {

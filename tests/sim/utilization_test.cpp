@@ -58,10 +58,19 @@ TEST(Utilization, ClusterDiskAndNicProbes) {
   // Remote read: server 1's disk and NIC-out both busy for the transfer.
   c.read(0, 1, 100, nullptr);
   c.run();
-  EXPECT_GT(c.disk_utilization(1), 0.9);
-  EXPECT_GT(c.nic_out_utilization(1), 0.9);
-  EXPECT_DOUBLE_EQ(c.disk_utilization(0), 0.0);
-  EXPECT_DOUBLE_EQ(c.nic_out_utilization(0), 0.0);
+  const auto busy = [&](ResourceRole role, dfs::NodeId node) {
+    for (ResourceId r = 0; r < c.simulator().resource_count(); ++r) {
+      const ResourceInfo info = c.resource_info(r);
+      if (info.role == role && info.owner == node)
+        return c.simulator().resource_utilization(r);
+    }
+    ADD_FAILURE() << "no resource for node " << node;
+    return -1.0;
+  };
+  EXPECT_GT(busy(ResourceRole::kDisk, 1), 0.9);
+  EXPECT_GT(busy(ResourceRole::kNicOut, 1), 0.9);
+  EXPECT_DOUBLE_EQ(busy(ResourceRole::kDisk, 0), 0.0);
+  EXPECT_DOUBLE_EQ(busy(ResourceRole::kNicOut, 0), 0.0);
 }
 
 TEST(Utilization, OutOfRangeThrows) {
@@ -70,8 +79,7 @@ TEST(Utilization, OutOfRangeThrows) {
   EXPECT_THROW(sim.resource_utilization(0), std::invalid_argument);
   EXPECT_THROW(sim.resource_bytes_served(0), std::invalid_argument);
   Cluster c(1);
-  EXPECT_THROW(c.disk_utilization(5), std::invalid_argument);
-  EXPECT_THROW(c.nic_out_utilization(5), std::invalid_argument);
+  EXPECT_THROW(c.disk_busy_time(5), std::invalid_argument);
 }
 
 }  // namespace

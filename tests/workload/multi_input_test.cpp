@@ -21,7 +21,9 @@ TEST(MultiInput, PaperShapeThreeInputs) {
   }
   // 3 datasets x 10 files each.
   EXPECT_EQ(nn.file_count(), 30u);
-  EXPECT_EQ(nn.total_file_bytes(), 10u * 60 * kMiB);
+  Bytes file_bytes = 0;
+  for (dfs::FileId f = 0; f < nn.file_count(); ++f) file_bytes += nn.file(f).size;
+  EXPECT_EQ(file_bytes, 10u * 60 * kMiB);
 }
 
 TEST(MultiInput, InputsAreDistinctChunks) {

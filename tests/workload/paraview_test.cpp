@@ -17,7 +17,9 @@ TEST(ParaView, PaperDefaults) {
   EXPECT_EQ(w.steps.size(), 10u);  // 640 / 64
   for (const auto& step : w.steps) EXPECT_EQ(step.size(), 64u);
   // ~26 GB total, 3.8 GB per step at 56 MiB per dataset (within rounding).
-  EXPECT_NEAR(to_gib(nn.total_file_bytes()), 35.0, 10.0);
+  Bytes file_bytes = 0;
+  for (dfs::FileId f = 0; f < nn.file_count(); ++f) file_bytes += nn.file(f).size;
+  EXPECT_NEAR(to_gib(file_bytes), 35.0, 10.0);
   for (const auto& t : w.tasks) {
     EXPECT_EQ(t.inputs.size(), 1u);
     EXPECT_EQ(nn.chunk(t.inputs[0]).size, 56 * kMiB);

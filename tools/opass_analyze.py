@@ -330,12 +330,6 @@ _NS_SKIP = re.compile(
 
 _IDENT = re.compile(r"[A-Za-z_]\w*")
 
-# A declaration carrying an OPASS_GUARDED_BY / OPASS_PT_GUARDED_BY attribute
-# has declared its lock discipline: clang's -Wthread-safety now enforces every
-# access, which is a *stronger* guarantee than this textual audit can give —
-# flagging it anyway would push people toward blanket suppressions.
-_GUARDED = re.compile(r"\bOPASS(?:_PT)?_GUARDED_BY\s*\(")
-
 
 def _decl_slice(text: str, start: int) -> tuple:
     """The declaration text from `start` to the first `;` or `{` at paren
@@ -374,8 +368,6 @@ def check_mutable_statics(path: pathlib.Path, text: str, findings: list):
             continue  # static member function / static free function
         if "thread_local" in decl:
             continue  # per-thread by construction, not shared
-        if _GUARDED.search(decl):
-            continue  # lock discipline declared; -Wthread-safety enforces it
         line = line_of(scrubbed, m.start())
         if scope == "other":
             findings.append(Finding(
@@ -421,8 +413,6 @@ def check_namespace_globals(path: pathlib.Path, text: str, findings: list):
             continue
         if _is_function_decl(stmt):
             continue
-        if _GUARDED.search(stmt):
-            continue  # lock discipline declared; -Wthread-safety enforces it
         # Require a plausible `type name` declarator: at least two identifier
         # tokens, the last one a variable name, and an initializer or plain
         # `;` termination (the regex segmentation guarantees the terminator).
@@ -675,15 +665,6 @@ _NEGATIVES = (
     ("runtime/ok_static_member.hpp",
      "#pragma once\nstruct Ok {\n  static constexpr int kN = 2;\n"
      "  static int make();\n};\n"),
-    # OPASS_GUARDED_BY-annotated state: the lock discipline is declared and
-    # clang's -Wthread-safety enforces it — the audit must not flag it.
-    ("runtime/ok_guarded_member.hpp",
-     "#pragma once\nstruct Guarded {\n"
-     "  static int live_count_ OPASS_GUARDED_BY(mu_);\n"
-     "  int* slots_ OPASS_PT_GUARDED_BY(mu_) = nullptr;\n"
-     "};\n"),
-    ("runtime/ok_guarded_global.cpp",
-     "namespace opass {\nint g_pool_users OPASS_GUARDED_BY(g_pool_mu) = 0;\n}\n"),
     # Unordered loop that only *collects*, then sorts before emission.
     ("obs/ok_collect_then_sort.cpp",
      "#include <algorithm>\n#include <string>\n#include <unordered_map>\n"

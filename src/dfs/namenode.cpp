@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/require.hpp"
+#include "common/reserve.hpp"
 
 namespace opass::dfs {
 
@@ -17,14 +18,6 @@ void check_placement(const ReplicaList& replicas, std::uint32_t replication,
     OPASS_CHECK(std::find(replicas.begin(), it, *it) == it,
                 "policy returned duplicate replicas");
   for (NodeId n : replicas) OPASS_CHECK(n < node_count, "policy returned node out of range");
-}
-
-/// Make room for `n` elements in one allocation, at least doubling the
-/// capacity as push_back would: a table sized once for a large file, and
-/// still amortized O(1) per element over many small ones.
-template <typename T>
-void reserve_total(std::vector<T>& v, std::size_t n) {
-  if (n > v.capacity()) v.reserve(std::max(n, 2 * v.capacity()));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "common/require.hpp"
 #include "obs/metrics_io.hpp"
+#include "opass/process_index.hpp"
 
 namespace opass::obs {
 
@@ -47,13 +48,13 @@ void AttributionTotals::add_slice(const AttrSlice& slice) {
     node_ticks[slice.node] += slice.duration_ticks();
 }
 
-void AttributionTotals::add_span(const Span& span) {
+void AttributionTotals::add_span(const Span& span, std::span<const AttrSlice> slices) {
   total_ticks += span.duration_ticks();
-  if (span.breakdown.empty()) {
+  if (slices.empty()) {
     kind_ticks[static_cast<std::size_t>(AttrKind::kOther)] += span.duration_ticks();
     return;
   }
-  for (const AttrSlice& s : span.breakdown) add_slice(s);
+  for (const AttrSlice& s : slices) add_slice(s);
 }
 
 AttributionTotals attribute_spans(const SpanLog& log, std::uint32_t node_count) {
@@ -62,7 +63,7 @@ AttributionTotals attribute_spans(const SpanLog& log, std::uint32_t node_count) 
   // Top-level spans only: a read span's slices already appear inside its
   // parent task's tiling, so counting children would double-charge.
   for (const Span& s : log.spans())
-    if (s.parent == kNoSpan) totals.add_span(s);
+    if (s.parent == kNoSpan) totals.add_span(s, log.breakdown(s));
   return totals;
 }
 
@@ -71,28 +72,29 @@ CriticalPath critical_path(const SpanLog& log, std::uint32_t node_count) {
   cp.blame.node_ticks.assign(node_count, 0);
   const std::vector<Span>& spans = log.spans();
 
-  // Per-process task-span chains in time order, plus each task span's
-  // position in its chain.
+  // Per-process task-span chains in time order, in one CSR table, plus each
+  // task span's position in its chain.
   std::uint32_t max_process = 0;
+  bool any = false;
   for (const Span& s : spans)
-    if (s.kind == SpanKind::kTask) max_process = std::max(max_process, s.process);
-  std::vector<std::vector<std::uint32_t>> chains(
-      spans.empty() ? 0 : static_cast<std::size_t>(max_process) + 1);
-  for (const Span& s : spans)
-    if (s.kind == SpanKind::kTask) chains[s.process].push_back(s.id);
-  for (auto& chain : chains)
+    if (s.kind == SpanKind::kTask) {
+      max_process = std::max(max_process, s.process);
+      any = true;
+    }
+  if (!any) return cp;
+  core::Adjacency chains = core::group_by_column(max_process + 1, [&](const auto& emit) {
+    for (const Span& s : spans)
+      if (s.kind == SpanKind::kTask) emit(s.id, s.process);
+  });
+  std::vector<std::uint32_t> pos(spans.size(), 0);
+  for (std::uint32_t p = 0; p <= max_process; ++p) {
+    const auto chain = std::span(chains.items).subspan(chains.offset[p], chains.row(p).size());
     std::sort(chain.begin(), chain.end(), [&](std::uint32_t a, std::uint32_t b) {
       return std::tie(spans[a].start_ticks, spans[a].end_ticks, a) <
              std::tie(spans[b].start_ticks, spans[b].end_ticks, b);
     });
-  std::vector<std::uint32_t> pos(spans.size(), 0);
-  bool any = false;
-  for (const auto& chain : chains)
-    for (std::uint32_t i = 0; i < chain.size(); ++i) {
-      pos[chain[i]] = i;
-      any = true;
-    }
-  if (!any) return cp;
+    for (std::uint32_t i = 0; i < chain.size(); ++i) pos[chain[i]] = i;
+  }
 
   // Task spans sorted by (end, process, id): the phase-boundary lookup — "who
   // finished exactly when this span started" — and its deterministic
@@ -103,8 +105,9 @@ CriticalPath critical_path(const SpanLog& log, std::uint32_t node_count) {
     std::uint32_t id;
   };
   std::vector<ByEnd> by_end;
-  for (const auto& chain : chains)
-    for (std::uint32_t id : chain) by_end.push_back({spans[id].end_ticks, spans[id].process, id});
+  by_end.reserve(chains.items.size());
+  for (std::uint32_t id : chains.items)
+    by_end.push_back({spans[id].end_ticks, spans[id].process, id});
   std::sort(by_end.begin(), by_end.end(), [](const ByEnd& a, const ByEnd& b) {
     return std::tie(a.end, a.process, a.id) < std::tie(b.end, b.process, b.id);
   });
@@ -128,7 +131,7 @@ CriticalPath critical_path(const SpanLog& log, std::uint32_t node_count) {
     rev.push_back({cur, spans[cur].start_ticks, spans[cur].end_ticks});
     const Span& c = spans[cur];
     const std::int64_t start = c.start_ticks;
-    const auto& chain = chains[c.process];
+    const std::span<const std::uint32_t> chain = chains.row(c.process);
     const std::uint32_t prev =
         pos[cur] > 0 ? chain[pos[cur] - 1] : kNoSpan;
     // 1. Same process, chained exactly: the previous task released this one.
@@ -165,7 +168,7 @@ CriticalPath critical_path(const SpanLog& log, std::uint32_t node_count) {
 
   for (const CriticalPath::Step& step : cp.steps) {
     if (step.span != kNoSpan) {
-      cp.blame.add_span(spans[step.span]);
+      cp.blame.add_span(spans[step.span], log.breakdown(spans[step.span]));
     } else {
       cp.blame.total_ticks += step.end_ticks - step.start_ticks;
       cp.blame.kind_ticks[static_cast<std::size_t>(AttrKind::kOther)] +=
@@ -221,8 +224,9 @@ std::string SpanDocBuilder::spans_json() const {
         << ", \"server\": " << signed_id(s.server) << ", \"chunk\": " << signed_id(s.chunk)
         << ", \"bytes\": " << s.bytes << ", \"start_ticks\": " << s.start_ticks
         << ", \"end_ticks\": " << s.end_ticks << ", \"breakdown\": [";
-      for (std::size_t bi = 0; bi < s.breakdown.size(); ++bi) {
-        const AttrSlice& b = s.breakdown[bi];
+      const std::span<const AttrSlice> breakdown = m.log->breakdown(s);
+      for (std::size_t bi = 0; bi < breakdown.size(); ++bi) {
+        const AttrSlice& b = breakdown[bi];
         if (bi) w << ", ";
         w << "{\"kind\": \"" << attr_kind_name(b.kind) << "\", \"node\": " << signed_id(b.node)
           << ", \"start_ticks\": " << b.start_ticks << ", \"end_ticks\": " << b.end_ticks
@@ -233,6 +237,7 @@ std::string SpanDocBuilder::spans_json() const {
     w << "\n]}";
   }
   w << "\n]}\n";
+  w.flush();
   return out;
 }
 
@@ -263,6 +268,7 @@ std::string SpanDocBuilder::critical_path_json() const {
     w << "\n]}";
   }
   w << "\n]}\n";
+  w.flush();
   return out;
 }
 
@@ -303,6 +309,7 @@ std::string SpanDocBuilder::critical_path_text() const {
         w << "  node " << n << ' ' << SpanLog::seconds(m.path.blame.node_ticks[n]) << " s\n";
     }
   }
+  w.flush();
   return out;
 }
 

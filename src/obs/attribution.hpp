@@ -26,6 +26,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,8 @@ struct AttributionTotals {
   std::int64_t total_ticks = 0;          ///< sum of attributed span durations
 
   void add_slice(const AttrSlice& slice);
-  void add_span(const Span& span);  ///< slices, or kOther when untiled
+  /// `slices` (the span's breakdown), or kOther when untiled.
+  void add_span(const Span& span, std::span<const AttrSlice> slices);
 };
 
 /// Sum the breakdowns of every *top-level* span (parent == kNoSpan) in `log`.

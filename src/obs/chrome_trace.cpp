@@ -4,6 +4,7 @@
 #include <charconv>
 
 #include "common/require.hpp"
+#include "common/reserve.hpp"
 #include "obs/metrics_io.hpp"
 
 namespace opass::obs {
@@ -39,6 +40,8 @@ void ChromeTraceBuilder::set_process_name(std::uint32_t pid, const std::string& 
 
 void ChromeTraceBuilder::add_execution(const runtime::ExecutionResult& result,
                                        std::uint32_t pid) {
+  reserve_total(events_,
+                events_.size() + result.trace.records().size() + result.task_spans.size());
   for (const sim::ReadRecord& r : result.trace.records()) {
     OPASS_REQUIRE(r.end_time >= r.issue_time, "read record with negative duration");
     Event e;
@@ -178,6 +181,7 @@ std::string ChromeTraceBuilder::json() const {
     w << '}';
   }
   w << (first ? "], " : "\n], ") << "\"displayTimeUnit\": \"ms\"}\n";
+  w.flush();
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/require.hpp"
+#include "common/reserve.hpp"
 
 namespace opass::obs {
 
@@ -16,23 +17,47 @@ const char* metric_kind_name(MetricKind kind) {
   OPASS_CHECK(false, "unhandled MetricKind");
 }
 
+void HistogramData::observe(double sample) {
+  std::size_t bucket = upper_bounds.size();  // overflow unless a bound fits
+  for (std::size_t i = 0; i < upper_bounds.size(); ++i) {
+    if (sample <= upper_bounds[i]) {
+      bucket = i;
+      break;
+    }
+  }
+  ++buckets[bucket];
+  if (count == 0) {
+    min = sample;
+    max = sample;
+  } else {
+    min = std::min(min, sample);
+    max = std::max(max, sample);
+  }
+  ++count;
+  sum += sample;
+}
+
 Metric& MetricsRegistry::get_or_create(const std::string& name, MetricKind kind,
                                        Determinism determinism) {
-  const auto it = index_.find(name);
-  if (it != index_.end()) {
-    Metric& m = metrics_[it->second];
+  const std::uint32_t i = find(name);
+  if (i != NameIndex::kNone) {
+    Metric& m = metrics_[i];
     OPASS_REQUIRE(m.kind == kind, "metric re-touched with a different kind");
     OPASS_REQUIRE(m.determinism == determinism,
                   "metric re-touched with a different determinism tag");
     return m;
   }
-  index_.emplace(name, metrics_.size());
-  Metric m;
+  Metric& m = metrics_.emplace_back();
   m.name = name;
   m.kind = kind;
   m.determinism = determinism;
-  metrics_.push_back(std::move(m));
-  return metrics_.back();
+  index_.insert(static_cast<std::uint32_t>(metrics_.size() - 1), m.name, stored_name());
+  return m;
+}
+
+void MetricsRegistry::reserve(std::size_t count) {
+  reserve_total(metrics_, metrics_.size() + count);
+  index_.reserve(metrics_.size() + count, stored_name());
 }
 
 void MetricsRegistry::counter_add(const std::string& name, std::uint64_t delta) {
@@ -44,56 +69,31 @@ void MetricsRegistry::gauge_set(const std::string& name, double value,
   get_or_create(name, MetricKind::kGauge, determinism).gauge = value;
 }
 
-void MetricsRegistry::define_histogram(const std::string& name,
-                                       std::vector<double> upper_bounds) {
+HistogramData& MetricsRegistry::define_histogram(const std::string& name,
+                                                 std::vector<double> upper_bounds) {
   OPASS_REQUIRE(!upper_bounds.empty(), "histogram needs at least one bucket bound");
   for (std::size_t i = 1; i < upper_bounds.size(); ++i)
     OPASS_REQUIRE(upper_bounds[i - 1] < upper_bounds[i],
                   "histogram bounds must be strictly ascending");
-  Metric& m =
-      get_or_create(name, MetricKind::kHistogram, Determinism::kDeterministic);
-  if (!m.histogram.buckets.empty()) {
-    OPASS_REQUIRE(m.histogram.upper_bounds == upper_bounds,
-                  "histogram re-defined with different bounds");
-    return;
+  HistogramData& h =
+      get_or_create(name, MetricKind::kHistogram, Determinism::kDeterministic).histogram;
+  if (!h.buckets.empty()) {
+    OPASS_REQUIRE(h.upper_bounds == upper_bounds, "histogram re-defined with different bounds");
+    return h;
   }
-  m.histogram.upper_bounds = std::move(upper_bounds);
-  m.histogram.buckets.assign(m.histogram.upper_bounds.size() + 1, 0);
-}
-
-void MetricsRegistry::observe(const std::string& name, double sample) {
-  const auto it = index_.find(name);
-  OPASS_REQUIRE(it != index_.end(), "observe() on an undefined histogram");
-  Metric& m = metrics_[it->second];
-  OPASS_REQUIRE(m.kind == MetricKind::kHistogram, "observe() on a non-histogram metric");
-  HistogramData& h = m.histogram;
-  std::size_t bucket = h.upper_bounds.size();  // overflow unless a bound fits
-  for (std::size_t i = 0; i < h.upper_bounds.size(); ++i) {
-    if (sample <= h.upper_bounds[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  ++h.buckets[bucket];
-  if (h.count == 0) {
-    h.min = sample;
-    h.max = sample;
-  } else {
-    h.min = std::min(h.min, sample);
-    h.max = std::max(h.max, sample);
-  }
-  ++h.count;
-  h.sum += sample;
+  h.upper_bounds = std::move(upper_bounds);
+  h.buckets.assign(h.upper_bounds.size() + 1, 0);
+  return h;
 }
 
 bool MetricsRegistry::contains(const std::string& name) const {
-  return index_.find(name) != index_.end();
+  return find(name) != NameIndex::kNone;
 }
 
 const Metric& MetricsRegistry::at(const std::string& name) const {
-  const auto it = index_.find(name);
-  OPASS_REQUIRE(it != index_.end(), "unknown metric name");
-  return metrics_[it->second];
+  const std::uint32_t i = find(name);
+  OPASS_REQUIRE(i != NameIndex::kNone, "unknown metric name");
+  return metrics_[i];
 }
 
 void MetricsRegistry::clear() {

@@ -21,10 +21,11 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/units.hpp"
+#include "obs/names.hpp"
 
 namespace opass::obs {
 
@@ -61,6 +62,9 @@ struct HistogramData {
 
   /// Mean of the observed samples; 0 when empty.
   double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
+
+  /// Record one sample.
+  void observe(double sample);
 };
 
 /// One named measurement. Exactly one of `counter` / `gauge` / `histogram`
@@ -76,7 +80,8 @@ struct Metric {
 
 /// Collection point for counters, gauges and histograms. Metrics are created
 /// on first touch and kept in registration order; re-touching a name with a
-/// different kind is a programming error (OPASS_REQUIRE).
+/// different kind is a programming error (OPASS_REQUIRE). Each name is
+/// stored once, in its Metric; the lookup index holds only positions.
 class MetricsRegistry {
  public:
   /// Add `delta` to a counter, creating it at zero on first touch.
@@ -91,10 +96,13 @@ class MetricsRegistry {
   /// Create a histogram with the given strictly ascending bucket bounds
   /// (plus the implicit overflow bucket). Re-defining an existing histogram
   /// with identical bounds is a no-op; with different bounds it is an error.
-  void define_histogram(const std::string& name, std::vector<double> upper_bounds);
+  /// Returns the histogram, which samples are recorded through (no lookup
+  /// per sample); the reference holds until the next metric is created.
+  HistogramData& define_histogram(const std::string& name, std::vector<double> upper_bounds);
 
-  /// Record one sample into a previously defined histogram.
-  void observe(const std::string& name, double sample);
+  /// Make room for `count` more metrics, so a collector that is about to
+  /// create them grows the table and its index once.
+  void reserve(std::size_t count);
 
   /// True when a metric of any kind with this name exists.
   bool contains(const std::string& name) const;
@@ -112,9 +120,17 @@ class MetricsRegistry {
 
  private:
   Metric& get_or_create(const std::string& name, MetricKind kind, Determinism determinism);
+  /// The index's view of the names the metrics store.
+  auto stored_name() const {
+    return [this](std::uint32_t i) -> std::string_view { return metrics_[i].name; };
+  }
+  /// Position of metric `name` in metrics_, or NameIndex::kNone.
+  std::uint32_t find(std::string_view name) const {
+    return index_.find(name, stored_name());
+  }
 
   std::vector<Metric> metrics_;
-  std::unordered_map<std::string, std::size_t> index_;
+  NameIndex index_;  ///< over metrics_[i].name
 };
 
 /// RAII wall-clock phase timer: on destruction writes the elapsed host

@@ -15,39 +15,42 @@ bool included(const Metric& m, const ExportOptions& options) {
 }  // namespace
 
 SinkWriter& SinkWriter::operator<<(double v) {
+  constexpr std::size_t kMaxChars = 32;  // "%.9g" needs at most 16
   if (v == 0) v = 0;  // "-0" renders as "0"
-  char buf[32];
-  out_.append(buf,
-              std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 9).ptr);
+  if (kBufferBytes - len_ < kMaxChars) flush();
+  len_ = static_cast<std::size_t>(
+      std::to_chars(buf_ + len_, buf_ + kBufferBytes, v, std::chars_format::general, 9).ptr -
+      buf_);
   return *this;
 }
 
 /// Minimal JSON string escaping; metric names are ASCII identifiers, but the
-/// writer must not silently corrupt output if one ever is not.
+/// writer must not silently corrupt output if one ever is not. Each run of
+/// characters that needs no escaping is appended at once.
 SinkWriter& SinkWriter::escaped(std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) continue;
+    *this << s.substr(run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out_ += "\\\""; break;
-      case '\\': out_ += "\\\\"; break;
-      case '\n': out_ += "\\n"; break;
-      case '\t': out_ += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out_ += "\\u00";
-          out_ += kHex[c >> 4];
-          out_ += kHex[c & 0xf];
-        } else {
-          out_ += c;
-        }
+      case '"': *this << "\\\""; break;
+      case '\\': *this << "\\\\"; break;
+      case '\n': *this << "\\n"; break;
+      case '\t': *this << "\\t"; break;
+      default: *this << "\\u00" << kHex[c >> 4] << kHex[c & 0xf];
     }
   }
-  return *this;
+  return *this << s.substr(run);
 }
 
 std::string format_double(double value) {
   std::string s;
-  SinkWriter(s) << value;
+  SinkWriter w(s);
+  w << value;
+  w.flush();
   return s;
 }
 
@@ -85,6 +88,7 @@ std::string to_json(const MetricsRegistry& registry, ExportOptions options) {
     w << '}';
   }
   w << (first ? "]\n}\n" : "\n  ]\n}\n");
+  w.flush();
   return out;
 }
 
@@ -133,6 +137,7 @@ std::string to_csv(const MetricsRegistry& registry, ExportOptions options) {
       }
     }
   }
+  w.flush();
   return out;
 }
 

@@ -21,22 +21,43 @@ namespace opass::obs {
 
 /// The one number-and-string appender behind every deterministic sink (the
 /// metrics, Chrome-trace, span, critical-path, timeline and HTML
-/// renderers): each `<<` writes straight into the caller's std::string with
-/// std::to_chars, so no field builds a temporary string. Integers render in
-/// decimal; doubles as "%.9g" would (chars_format::general, precision 9),
-/// with "-0" normalized to "0". tests/obs/metrics_test.cpp checks that
-/// format against snprintf, so a standard library whose to_chars differs
-/// fails there instead of in a golden digest.
+/// renderers): each `<<` writes into a fixed local buffer with
+/// std::to_chars, so no field builds a temporary string, and the buffer
+/// moves to the caller's std::string in blocks of up to kBufferBytes. The
+/// flush rule: the string holds everything written only after flush() (or
+/// the writer's destruction), so every renderer flushes before it returns
+/// its string. Integers render in decimal; doubles as "%.9g" would
+/// (chars_format::general, precision 9), with "-0" normalized to "0".
+/// tests/obs/metrics_test.cpp checks that format against snprintf, so a
+/// standard library whose to_chars differs fails there instead of in a
+/// golden digest.
 class SinkWriter {
  public:
+  static constexpr std::size_t kBufferBytes = 4096;
+
   explicit SinkWriter(std::string& out) : out_(out) {}
+  /// Flushes what is still buffered, so no byte is lost; renderers flush()
+  /// first, because a string returned by value may be moved out before the
+  /// writer is destroyed.
+  ~SinkWriter() { flush(); }
+  SinkWriter(const SinkWriter&) = delete;
+  SinkWriter& operator=(const SinkWriter&) = delete;
 
   SinkWriter& operator<<(std::string_view s) {
-    out_.append(s);
+    if (s.size() > kBufferBytes - len_) {
+      flush();
+      if (s.size() > kBufferBytes) {
+        out_.append(s);
+        return *this;
+      }
+    }
+    s.copy(buf_ + len_, s.size());
+    len_ += s.size();
     return *this;
   }
   SinkWriter& operator<<(char c) {
-    out_.push_back(c);
+    if (len_ == kBufferBytes) flush();
+    buf_[len_++] = c;
     return *this;
   }
   SinkWriter& operator<<(double v);
@@ -44,16 +65,26 @@ class SinkWriter {
   template <std::integral T>
     requires(!std::same_as<T, char> && !std::same_as<T, bool>)
   SinkWriter& operator<<(T v) {
-    char buf[std::numeric_limits<T>::digits10 + 3];  // digits, sign, and one spare
-    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    // digits, sign, and one spare
+    if (kBufferBytes - len_ < std::size_t{std::numeric_limits<T>::digits10 + 3}) flush();
+    len_ = static_cast<std::size_t>(std::to_chars(buf_ + len_, buf_ + kBufferBytes, v).ptr -
+                                    buf_);
     return *this;
   }
 
   /// Append `s` with JSON string escaping (no surrounding quotes).
   SinkWriter& escaped(std::string_view s);
 
+  /// Move the buffered bytes to the string.
+  void flush() {
+    out_.append(buf_, len_);
+    len_ = 0;
+  }
+
  private:
   std::string& out_;
+  std::size_t len_ = 0;  ///< bytes buffered in buf_
+  char buf_[kBufferBytes];
 };
 
 /// Outcome of a file write. Returned (not thrown) because a missing

@@ -204,6 +204,7 @@ std::string ReportBuilder::html() const {
     w << "</section>\n";
   }
   w << "</body>\n</html>\n";
+  w.flush();
   return out;
 }
 
@@ -243,6 +244,7 @@ std::string ReportBuilder::timeline_json() const {
     w << "]}";
   }
   w << "\n]}\n";
+  w.flush();
   return out;
 }
 

@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "common/require.hpp"
+#include "common/reserve.hpp"
+#include "opass/process_index.hpp"
 
 namespace opass::obs {
 
@@ -55,18 +57,18 @@ bool valid_span_name(const std::string& name) {
   return segments == 2;  // exactly three segments: layer.noun.verb
 }
 
-std::uint32_t SpanLog::add(Span span) {
+std::uint32_t SpanLog::add(Span span, std::span<const AttrSlice> slices) {
   OPASS_REQUIRE(valid_span_name(span.name),
                 "span name must be layer.noun.verb ([a-z0-9_], 3 segments)");
   OPASS_REQUIRE(span.end_ticks >= span.start_ticks, "span must not end before it starts");
   OPASS_REQUIRE(span.parent == kNoSpan || span.parent < spans_.size(),
                 "span parent must be a previously added span");
-  if (!span.breakdown.empty()) {
+  if (!slices.empty()) {
     // The reconciliation invariant: slices chain gap-free from the span's
     // start to its end, so their integer durations telescope exactly to the
     // span duration. This is what makes attribution sums trustworthy.
     std::int64_t cursor = span.start_ticks;
-    for (const AttrSlice& s : span.breakdown) {
+    for (const AttrSlice& s : slices) {
       OPASS_REQUIRE(s.start_ticks == cursor, "breakdown slices must chain gap-free");
       OPASS_REQUIRE(s.end_ticks >= s.start_ticks, "breakdown slice must not be negative");
       cursor = s.end_ticks;
@@ -75,19 +77,28 @@ std::uint32_t SpanLog::add(Span span) {
                   "breakdown must close exactly at the span end");
   }
   span.id = static_cast<std::uint32_t>(spans_.size());
+  span.first_slice = static_cast<std::uint32_t>(slices_.size());
+  span.slice_count = static_cast<std::uint32_t>(slices.size());
+  slices_.insert(slices_.end(), slices.begin(), slices.end());
   max_end_ticks_ = std::max(max_end_ticks_, span.end_ticks);
   spans_.push_back(std::move(span));
   return spans_.back().id;
+}
+
+void SpanLog::reserve(std::size_t spans, std::size_t slices) {
+  reserve_total(spans_, spans_.size() + spans);
+  reserve_total(slices_, slices_.size() + slices);
 }
 
 namespace {
 
 /// Append a slice, merging into the previous one when kind and blamed node
 /// match (water-filling can re-pin the same constraint across re-levels).
+/// Slices below `floor` belong to an earlier read and are never merged into.
 void push_slice(std::vector<AttrSlice>& slices, AttrKind kind, dfs::NodeId node,
-                std::int64_t start, std::int64_t end) {
+                std::int64_t start, std::int64_t end, std::size_t floor = 0) {
   if (end <= start) return;
-  if (!slices.empty() && slices.back().kind == kind && slices.back().node == node &&
+  if (slices.size() > floor && slices.back().kind == kind && slices.back().node == node &&
       slices.back().end_ticks == start) {
     slices.back().end_ticks = end;
     return;
@@ -146,26 +157,25 @@ AttrSlice classify_interval(const sim::BindingInterval& bi, const sim::Cluster& 
   return s;
 }
 
-/// Exact tiling of one read span [issue, end]: admission wait, positioning,
-/// then the transfer's classified binding intervals. Defensive kOther gap
-/// fill keeps the tiling invariant even for degenerate inputs (zero-byte
-/// transfers have no intervals at all).
-std::vector<AttrSlice> read_slices(const sim::ReadBreakdown& rb, const sim::Cluster& cluster,
-                                   dfs::NodeId server) {
-  std::vector<AttrSlice> slices;
-  push_slice(slices, AttrKind::kQueueWait, server, rb.issue_ticks, rb.admit_ticks);
-  push_slice(slices, AttrKind::kSeek, server, rb.admit_ticks, rb.transfer_start_ticks);
+/// Append the exact tiling of one read span [issue, end] to `out`: admission
+/// wait, positioning, then the transfer's classified binding intervals.
+/// Defensive kOther gap fill keeps the tiling invariant even for degenerate
+/// inputs (zero-byte transfers have no intervals at all).
+void append_read_slices(std::vector<AttrSlice>& out, const sim::ReadBreakdown& rb,
+                        const sim::Cluster& cluster, dfs::NodeId server) {
+  const std::size_t floor = out.size();
+  push_slice(out, AttrKind::kQueueWait, server, rb.issue_ticks, rb.admit_ticks, floor);
+  push_slice(out, AttrKind::kSeek, server, rb.admit_ticks, rb.transfer_start_ticks, floor);
   std::int64_t cursor = rb.transfer_start_ticks;
   for (const sim::BindingInterval& bi : rb.transfer) {
     if (bi.start_ticks > cursor)
-      push_slice(slices, AttrKind::kOther, dfs::kInvalidNode, cursor, bi.start_ticks);
+      push_slice(out, AttrKind::kOther, dfs::kInvalidNode, cursor, bi.start_ticks, floor);
     const AttrSlice c = classify_interval(bi, cluster, server);
-    push_slice(slices, c.kind, c.node, c.start_ticks, c.end_ticks);
+    push_slice(out, c.kind, c.node, c.start_ticks, c.end_ticks, floor);
     cursor = std::max(cursor, bi.end_ticks);
   }
   if (rb.end_ticks > cursor)
-    push_slice(slices, AttrKind::kOther, dfs::kInvalidNode, cursor, rb.end_ticks);
-  return slices;
+    push_slice(out, AttrKind::kOther, dfs::kInvalidNode, cursor, rb.end_ticks, floor);
 }
 
 std::int64_t compute_ticks_of(const runtime::Task& task) {
@@ -182,16 +192,22 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
                 "execution spans need each read's breakdown: run the execution with "
                 "ExecutorConfig::record_read_breakdown");
 
-  // Group read records under their task (ReadRecord::task), each task's
-  // reads ordered by issue time (completion order equals issue order for the
-  // sequential per-task reads; the sort makes it explicit).
-  std::vector<std::vector<std::uint32_t>> task_reads(tasks.size());
-  for (std::uint32_t i = 0; i < records.size(); ++i)
-    if (records[i].task < task_reads.size()) task_reads[records[i].task].push_back(i);
-  for (auto& reads : task_reads)
-    std::stable_sort(reads.begin(), reads.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return records[a].issue_time < records[b].issue_time;
-    });
+  // Group read records under their task (ReadRecord::task) in one CSR
+  // table, each task's reads ordered by issue time (completion order equals
+  // issue order for the sequential per-task reads; the insertion sort,
+  // stable on record order, makes it explicit).
+  const auto task_count = static_cast<std::uint32_t>(tasks.size());
+  core::Adjacency by_task = core::group_by_column(task_count, [&](const auto& emit) {
+    for (std::uint32_t i = 0; i < records.size(); ++i)
+      if (records[i].task < task_count) emit(i, records[i].task);
+  });
+  for (std::uint32_t t = 0; t < task_count; ++t) {
+    std::uint32_t* reads = by_task.items.data() + by_task.offset[t];
+    for (std::uint32_t i = 1; i < by_task.row(t).size(); ++i)
+      for (std::uint32_t j = i;
+           j > 0 && records[reads[j]].issue_time < records[reads[j - 1]].issue_time; --j)
+        std::swap(reads[j], reads[j - 1]);
+  }
 
   // Task spans per process, in start order (completion order interleaves
   // processes; spans of one process are disjoint except under prefetch).
@@ -203,6 +219,26 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
                      return a.end < b.end;
                    });
 
+  // Reserve the log once: one wait span per gap, a span per task and per
+  // read; slices at most one per wait, and per read its admission, seek, a
+  // gap before and after each binding interval and the interval itself —
+  // once in the read's span, once more (plus a gap) in its task's tiling —
+  // plus a task's two trailing slices.
+  std::size_t waits = 0;
+  for (std::size_t i = 1; i < ordered.size(); ++i)
+    if (ordered[i - 1].process == ordered[i].process &&
+        sim::to_ticks(ordered[i - 1].end) < sim::to_ticks(ordered[i].start))
+      ++waits;
+  std::size_t slice_bound = waits + 2 * ordered.size();
+  for (const sim::ReadBreakdown& rb : exec.read_breakdowns)
+    slice_bound += 2 * (3 + 2 * rb.transfer.size()) + 1;
+  log.reserve(waits + ordered.size() + records.size(), slice_bound);
+
+  // Reused per task: its reads' slices, classified once (read j's are
+  // read_slices[read_first[j], read_first[j + 1])), and its own tiling.
+  std::vector<AttrSlice> read_slices;
+  std::vector<std::uint32_t> read_first;
+  std::vector<AttrSlice> task_slices;
   for (std::size_t i = 0; i < ordered.size(); ++i) {
     const runtime::TaskSpan& ts = ordered[i];
     OPASS_REQUIRE(ts.process < exec.process_node.size(), "task span of an unknown process");
@@ -222,49 +258,60 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
         wait.node = node;
         wait.start_ticks = prev_end;
         wait.end_ticks = start;
-        wait.breakdown.push_back({AttrKind::kBarrier, dfs::kInvalidNode, prev_end, start});
-        log.add(std::move(wait));
+        const AttrSlice barrier{AttrKind::kBarrier, dfs::kInvalidNode, prev_end, start};
+        log.add(std::move(wait), {&barrier, 1});
       }
     }
+
+    const std::span<const std::uint32_t> reads =
+        ts.task < task_count ? by_task.row(ts.task) : std::span<const std::uint32_t>();
+    read_slices.clear();
+    read_first.clear();
+    for (std::uint32_t rec_idx : reads) {
+      read_first.push_back(static_cast<std::uint32_t>(read_slices.size()));
+      append_read_slices(read_slices, exec.read_breakdowns[rec_idx], cluster,
+                         records[rec_idx].serving_node);
+    }
+    read_first.push_back(static_cast<std::uint32_t>(read_slices.size()));
 
     // Assemble the task's exact tiling from its reads' slices; abandoned
     // (single kOther slice) when reads overlap the span non-sequentially,
     // which is exactly the prefetch case.
-    static const std::vector<std::uint32_t> kNoReads;
-    const auto& reads = ts.task < task_reads.size() ? task_reads[ts.task] : kNoReads;
-    std::vector<AttrSlice> slices;
+    task_slices.clear();
     std::int64_t cursor = start;
     bool exact = true;
-    for (std::uint32_t rec_idx : reads) {
-      const sim::ReadBreakdown& rb = exec.read_breakdowns[rec_idx];
+    for (std::size_t j = 0; j < reads.size(); ++j) {
+      const sim::ReadBreakdown& rb = exec.read_breakdowns[reads[j]];
       if (rb.issue_ticks < cursor || rb.end_ticks > end) {
         exact = false;
         break;
       }
       if (rb.issue_ticks > cursor)
-        push_slice(slices, AttrKind::kOther, dfs::kInvalidNode, cursor, rb.issue_ticks);
-      for (const AttrSlice& s : read_slices(rb, cluster, records[rec_idx].serving_node))
-        push_slice(slices, s.kind, s.node, s.start_ticks, s.end_ticks);
+        push_slice(task_slices, AttrKind::kOther, dfs::kInvalidNode, cursor, rb.issue_ticks);
+      for (std::uint32_t k = read_first[j]; k < read_first[j + 1]; ++k) {
+        const AttrSlice& s = read_slices[k];
+        push_slice(task_slices, s.kind, s.node, s.start_ticks, s.end_ticks);
+      }
       cursor = rb.end_ticks;
     }
     if (exact && cursor <= end) {
       const std::int64_t residual = end - cursor;
       const std::int64_t compute =
-          ts.task < tasks.size() ? compute_ticks_of(tasks[ts.task]) : 0;
+          ts.task < task_count ? compute_ticks_of(tasks[ts.task]) : 0;
       if (residual > 0) {
         // The residual after the last read is the compute phase; anything
         // beyond the declared compute time (± a rounding tick) is a
         // scheduling wait (the prefetch cycle join).
         if (residual <= compute + 1) {
-          push_slice(slices, AttrKind::kCompute, dfs::kInvalidNode, cursor, end);
+          push_slice(task_slices, AttrKind::kCompute, dfs::kInvalidNode, cursor, end);
         } else {
-          push_slice(slices, AttrKind::kOther, dfs::kInvalidNode, cursor, end - compute);
-          push_slice(slices, AttrKind::kCompute, dfs::kInvalidNode, end - compute, end);
+          push_slice(task_slices, AttrKind::kOther, dfs::kInvalidNode, cursor, end - compute);
+          push_slice(task_slices, AttrKind::kCompute, dfs::kInvalidNode, end - compute, end);
         }
       }
     } else {
-      slices.clear();
-      if (end > start) slices.push_back({AttrKind::kOther, dfs::kInvalidNode, start, end});
+      task_slices.clear();
+      if (end > start) task_slices.push_back({AttrKind::kOther, dfs::kInvalidNode, start, end});
     }
 
     Span task_span;
@@ -275,11 +322,11 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
     task_span.node = node;
     task_span.start_ticks = start;
     task_span.end_ticks = end;
-    task_span.breakdown = std::move(slices);
-    const std::uint32_t task_id = log.add(std::move(task_span));
+    const std::uint32_t task_id = log.add(std::move(task_span), task_slices);
 
-    for (std::uint32_t rec_idx : reads) {
-      const sim::ReadRecord& rec = records[rec_idx];
+    for (std::size_t j = 0; j < reads.size(); ++j) {
+      const sim::ReadRecord& rec = records[reads[j]];
+      const sim::ReadBreakdown& rb = exec.read_breakdowns[reads[j]];
       Span read;
       read.parent = task_id;
       read.kind = SpanKind::kRead;
@@ -290,11 +337,10 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
       read.server = rec.serving_node;
       read.chunk = rec.chunk;
       read.bytes = rec.bytes;
-      const sim::ReadBreakdown& rb = exec.read_breakdowns[rec_idx];
       read.start_ticks = rb.issue_ticks;
       read.end_ticks = rb.end_ticks;
-      read.breakdown = read_slices(rb, cluster, rec.serving_node);
-      log.add(std::move(read));
+      log.add(std::move(read), std::span<const AttrSlice>(read_slices)
+                                   .subspan(read_first[j], read_first[j + 1] - read_first[j]));
     }
   }
 }
@@ -312,9 +358,9 @@ void append_service_spans(SpanLog& log, const std::vector<core::JobStatus>& stat
     queue.task = static_cast<std::uint32_t>(s.id);
     queue.start_ticks = arrival;
     queue.end_ticks = planned;
-    if (planned > arrival)
-      queue.breakdown.push_back({AttrKind::kQueueWait, dfs::kInvalidNode, arrival, planned});
-    log.add(std::move(queue));
+    const AttrSlice wait{AttrKind::kQueueWait, dfs::kInvalidNode, arrival, planned};
+    log.add(std::move(queue), planned > arrival ? std::span(&wait, 1)
+                                                : std::span<const AttrSlice>());
 
     Span plan;
     plan.kind = SpanKind::kPlan;

@@ -16,10 +16,14 @@
 // are byte-identical across replays (the program is single-threaded, DESIGN.md
 // §12), the span log and everything derived from it (obs/attribution.hpp)
 // exports byte-identically too.
+//
+// Storage: the log keeps every span's slices in one arena, in add order; a
+// Span names its run of it (first slice, count) and SpanLog::breakdown()
+// reads it back, so a span costs no allocation of its own.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,9 +91,11 @@ struct Span {
   Bytes bytes = 0;                         ///< read spans: payload
   std::int64_t start_ticks = 0;
   std::int64_t end_ticks = 0;
-  /// When non-empty: an exact tiling of [start_ticks, end_ticks] — chained,
-  /// gap-free, verified on add().
-  std::vector<AttrSlice> breakdown;
+  /// The span's run of its log's slice arena, set by SpanLog::add: when
+  /// non-empty, an exact tiling of [start_ticks, end_ticks] — chained,
+  /// gap-free, verified on add(). Read it through SpanLog::breakdown().
+  std::uint32_t first_slice = 0;
+  std::uint32_t slice_count = 0;
 
   std::int64_t duration_ticks() const { return end_ticks - start_ticks; }
 };
@@ -103,8 +109,18 @@ bool valid_span_name(const std::string& name);
 /// SpanLog can never hold a slice set that fails to sum to its span.
 class SpanLog {
  public:
-  /// Validate and append; returns the span's id.
-  std::uint32_t add(Span span);
+  /// Validate `span` and its breakdown `slices` (empty = untiled), copy the
+  /// slices into the arena and append; returns the span's id.
+  std::uint32_t add(Span span, std::span<const AttrSlice> slices = {});
+
+  /// The breakdown slices of a span of this log (empty when untiled).
+  std::span<const AttrSlice> breakdown(const Span& span) const {
+    return {slices_.data() + span.first_slice, span.slice_count};
+  }
+
+  /// Make room for `spans` more spans and `slices` more slices, growing at
+  /// least geometrically so repeated calls stay amortized.
+  void reserve(std::size_t spans, std::size_t slices);
 
   const std::vector<Span>& spans() const { return spans_; }
   std::size_t size() const { return spans_.size(); }
@@ -121,6 +137,7 @@ class SpanLog {
 
  private:
   std::vector<Span> spans_;
+  std::vector<AttrSlice> slices_;  ///< every span's breakdown, in add order
   std::int64_t max_end_ticks_ = 0;
 };
 
@@ -130,7 +147,9 @@ class SpanLog {
 /// (ExecutionResult::process_node; breakdown: the reads' slices, retry gaps
 /// as kOther, the trailing compute slice), and a child read span per
 /// completed read (breakdown: admission wait, positioning, classified
-/// binding-resource intervals). Requires the execution to have run with
+/// binding-resource intervals). Each read is classified once and its slices
+/// serve both its own span and its task's tiling; the log is reserved once
+/// per call. Requires the execution to have run with
 /// ExecutorConfig::record_read_breakdown on `cluster`, and throws
 /// std::invalid_argument otherwise. The cluster provides the resource role
 /// map and the degradation event log for slow-node classification.

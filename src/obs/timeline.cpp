@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/require.hpp"
+#include "common/reserve.hpp"
 
 namespace opass::obs {
 
@@ -58,22 +59,28 @@ TimelineRecorder::SeriesId TimelineRecorder::add_level_series(const std::string&
                                                               double initial) {
   OPASS_REQUIRE(valid_timeline_series_name(name),
                 "series name must follow the timeline.<subsystem>.<metric> taxonomy: " + name);
-  for (const Series& s : series_)
-    OPASS_REQUIRE(s.name != name, "duplicate timeline series: " + name);
+  OPASS_REQUIRE(index_.find(name, stored_name()) == NameIndex::kNone,
+                "duplicate timeline series: " + name);
   OPASS_REQUIRE(next_tick_ == 0 && !finished_,
                 "register every series before the first sample");
-  Series s;
+  Series& s = series_.emplace_back();
   s.name = name;
   s.kind = SeriesKind::kLevel;
   s.level = initial;
-  series_.push_back(std::move(s));
-  return static_cast<SeriesId>(series_.size() - 1);
+  const auto id = static_cast<SeriesId>(series_.size() - 1);
+  index_.insert(id, s.name, stored_name());
+  return id;
 }
 
 TimelineRecorder::SeriesId TimelineRecorder::add_rate_series(const std::string& name) {
   const SeriesId id = add_level_series(name, 0);
   series_[id].kind = SeriesKind::kRate;
   return id;
+}
+
+void TimelineRecorder::reserve(std::size_t count) {
+  reserve_total(series_, series_.size() + count);
+  index_.reserve(series_.size() + count, stored_name());
 }
 
 TimelineRecorder::Series& TimelineRecorder::checked(SeriesId id) {
@@ -96,19 +103,27 @@ void TimelineRecorder::record_rate(SeriesId id, Seconds now, double amount) {
   s.accum += amount;
 }
 
-void TimelineRecorder::emit_tick(Seconds /*tick_start*/, Seconds duration) {
-  const std::size_t slot = static_cast<std::size_t>(next_tick_ % kRingCapacity);
+double* TimelineRecorder::row(std::uint64_t tick) const {
+  const auto slot = static_cast<std::size_t>(tick % kRingCapacity);
+  return blocks_[slot / kBlockTicks].get() + slot % kBlockTicks * series_.size();
+}
+
+void TimelineRecorder::emit_tick(Seconds duration) {
+  const auto slot = static_cast<std::size_t>(next_tick_ % kRingCapacity);
+  if (slot / kBlockTicks == blocks_.size()) {
+    // Warm-up: the ring's next block, left uninitialized (every row is
+    // written before it is read); allocation-free once the ring is whole.
+    if (blocks_.empty()) blocks_.reserve(kRingCapacity / kBlockTicks);
+    blocks_.push_back(std::make_unique_for_overwrite<double[]>(kBlockTicks * series_.size()));
+  }
+  double* samples = row(next_tick_);
   for (Series& s : series_) {
     double sample = s.level;
     if (s.kind == SeriesKind::kRate) {
       sample = s.accum / duration;
       s.accum = 0;
     }
-    if (s.ring.size() < kRingCapacity) {
-      s.ring.push_back(sample);  // warm-up growth; allocation-free once full
-    } else {
-      s.ring[slot] = sample;
-    }
+    *samples++ = sample;
   }
   ++next_tick_;
 }
@@ -116,8 +131,7 @@ void TimelineRecorder::emit_tick(Seconds /*tick_start*/, Seconds duration) {
 void TimelineRecorder::advance_to(Seconds now) {
   OPASS_REQUIRE(!finished_, "cannot advance a finished timeline");
   const std::uint64_t last = tick_floor(now, interval_);
-  while (next_tick_ <= last)
-    emit_tick(static_cast<double>(next_tick_) * interval_, interval_);
+  while (next_tick_ <= last) emit_tick(interval_);
 }
 
 void TimelineRecorder::finish(Seconds end) {
@@ -141,14 +155,15 @@ void TimelineRecorder::finish(Seconds end) {
     // charged to the next interval — which will never come — so restamp the
     // final boundary with the end state: rates fold the trailing
     // accumulation in, levels take their final value.
-    const std::size_t slot = static_cast<std::size_t>((next_tick_ - 1) % kRingCapacity);
+    double* samples = row(next_tick_ - 1);
     for (Series& s : series_) {
       if (s.kind == SeriesKind::kRate) {
-        if (s.accum != 0) s.ring[slot] += s.accum / interval_;
+        if (s.accum != 0) *samples += s.accum / interval_;
         s.accum = 0;
       } else {
-        s.ring[slot] = s.level;
+        *samples = s.level;
       }
+      ++samples;
     }
   }
 }
@@ -175,8 +190,7 @@ std::vector<double> TimelineRecorder::series_values(SeriesId id) const {
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(next_tick_ - first_retained_tick()) +
               (partial_duration_ > 0 ? 1 : 0));
-  for (std::uint64_t t = first_retained_tick(); t < next_tick_; ++t)
-    out.push_back(s.ring[static_cast<std::size_t>(t % kRingCapacity)]);
+  for (std::uint64_t t = first_retained_tick(); t < next_tick_; ++t) out.push_back(row(t)[id]);
   if (partial_duration_ > 0) out.push_back(s.partial);
   return out;
 }
@@ -193,22 +207,25 @@ RunTimeline::RunTimeline(TimelineRecorder* recorder, sim::Cluster& cluster,
   // and trip the duplicate check. Cluster series register first, then the
   // executor's.
   const std::uint32_t m = cluster.node_count();
+  // Two series per node, four cluster-wide, one per process, the queue depth.
+  recorder_->reserve(2 * std::size_t{m} + 4 + process_count + 1);
+  NameBuffer name("timeline.");
   node_rate_.reserve(m);
   node_inflight_.reserve(m);
   for (std::uint32_t n = 0; n < m; ++n) {
-    const std::string node = "timeline.cluster.node." + std::to_string(n);
-    node_rate_.push_back(recorder_->add_rate_series(node + ".serve_bytes_per_s"));
-    node_inflight_.push_back(recorder_->add_level_series(node + ".inflight"));
+    node_rate_.push_back(
+        recorder_->add_rate_series(name("cluster.node.", n, ".serve_bytes_per_s")));
+    node_inflight_.push_back(recorder_->add_level_series(name("cluster.node.", n, ".inflight")));
   }
-  total_rate_ = recorder_->add_rate_series("timeline.cluster.serve_bytes_per_s");
-  total_inflight_ = recorder_->add_level_series("timeline.cluster.inflight");
-  read_slots_ = recorder_->add_level_series("timeline.cluster.read_slots");
-  bytes_remaining_ = recorder_->add_level_series("timeline.cluster.bytes_remaining");
+  total_rate_ = recorder_->add_rate_series(name("cluster.serve_bytes_per_s"));
+  total_inflight_ = recorder_->add_level_series(name("cluster.inflight"));
+  read_slots_ = recorder_->add_level_series(name("cluster.read_slots"));
+  bytes_remaining_ = recorder_->add_level_series(name("cluster.bytes_remaining"));
   process_depth_.reserve(process_count);
   for (std::uint32_t p = 0; p < process_count; ++p)
-    process_depth_.push_back(recorder_->add_level_series(
-        "timeline.executor.process." + std::to_string(p) + ".depth"));
-  queue_depth_ = recorder_->add_level_series("timeline.executor.queue_depth");
+    process_depth_.push_back(
+        recorder_->add_level_series(name("executor.process.", p, ".depth")));
+  queue_depth_ = recorder_->add_level_series(name("executor.queue_depth"));
   depth_.assign(process_count, 0);
   cluster_.set_probe(this);
 }
@@ -290,9 +307,9 @@ ServiceTimelineProbe::ServiceTimelineProbe(TimelineRecorder& recorder,
   planned_rate_ = recorder_.add_rate_series("timeline.service.planned_tasks_per_s");
   local_rate_ = recorder_.add_rate_series("timeline.service.local_tasks_per_s");
   tenant_bytes_.reserve(tenant_count);
+  NameBuffer name("timeline.service.tenant.");
   for (std::uint32_t i = 0; i < tenant_count; ++i)
-    tenant_bytes_.push_back(recorder_.add_level_series(
-        "timeline.service.tenant." + std::to_string(i) + ".local_bytes"));
+    tenant_bytes_.push_back(recorder_.add_level_series(name(i, ".local_bytes")));
 }
 
 void ServiceTimelineProbe::on_event(const ProbeEvent& event) {

@@ -25,10 +25,14 @@
 //
 // Determinism & cost. Samples are pure functions of the (deterministic)
 // event sequence — no wall clock anywhere — so a seeded run reproduces every
-// series byte-identically. Each series stores its samples in a bounded
-// ring buffer: the buffer grows geometrically up to kRingCapacity and then
-// wraps, overwriting the oldest ticks (counted by dropped_ticks()); once
-// warm, recording is allocation-free, which keeps the sim hot path clean.
+// series byte-identically. Samples are stored tick by tick: one row of
+// series_count() doubles per tick, in blocks of kBlockTicks rows that are
+// allocated as ticks arrive and never copied. The blocks form a ring of
+// kRingCapacity ticks; past it, each tick overwrites the oldest (counted by
+// dropped_ticks()), so once warm, recording is allocation-free, which keeps
+// the sim hot path clean. Registration checks each name against a hash index
+// over the names the series already store (obs/names.hpp), so registering a
+// run's series costs time linear in their number.
 //
 // Naming. Every series name must follow the `timeline.<subsystem>.<metric>`
 // taxonomy (lowercase [a-z0-9_] segments, at least three); registration
@@ -40,11 +44,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/probe.hpp"
 #include "common/units.hpp"
+#include "obs/names.hpp"
 #include "opass/service.hpp"
 #include "sim/cluster.hpp"
 
@@ -70,6 +76,9 @@ class TimelineRecorder {
 
   /// Max retained ticks per series (ring).
   static constexpr std::size_t kRingCapacity = 8192;
+  /// Ticks per sample block (a block holds this many rows of every series).
+  static constexpr std::size_t kBlockTicks = 64;
+  static_assert(kRingCapacity % kBlockTicks == 0, "the ring is whole blocks");
 
   /// Samples every `interval` virtual seconds.
   explicit TimelineRecorder(Seconds interval = 0.5);
@@ -80,6 +89,10 @@ class TimelineRecorder {
 
   /// Register a per-interval accumulation series (emitted as amount/second).
   SeriesId add_rate_series(const std::string& name);
+
+  /// Make room for `count` more series, so registering them grows the
+  /// table and its name index once.
+  void reserve(std::size_t count);
 
   /// Set a level series to `value` as of virtual time `now` (>= last event).
   void record_level(SeriesId id, Seconds now, double value);
@@ -109,7 +122,7 @@ class TimelineRecorder {
 
   /// Samples of one series in tick order, oldest retained tick first,
   /// including the trailing partial sample (if any). Materializes out of the
-  /// ring — export-path only.
+  /// blocks — export-path only.
   std::vector<double> series_values(SeriesId id) const;
 
   /// Boundary samples emitted so far (identical across series; the partial
@@ -130,14 +143,23 @@ class TimelineRecorder {
     double accum = 0;              // current interval's accumulation (kRate)
     double partial = 0;            // trailing partial sample, valid when
                                    // partial_duration_ > 0
-    std::vector<double> ring;      // tick t lives at ring[t % kRingCapacity]
   };
 
-  void emit_tick(Seconds tick_start, Seconds duration);
+  void emit_tick(Seconds duration);
   Series& checked(SeriesId id);
+  /// The row of tick `tick` (one sample per series), in its ring block.
+  double* row(std::uint64_t tick) const;
+  auto stored_name() const {
+    return [this](std::uint32_t i) -> std::string_view { return series_[i].name; };
+  }
 
   Seconds interval_ = 0.5;
   std::vector<Series> series_;
+  NameIndex index_;  // over series_[i].name
+  /// Ring of kRingCapacity / kBlockTicks blocks, allocated as ticks reach
+  /// them: tick t's row is row t % kBlockTicks of block
+  /// (t % kRingCapacity) / kBlockTicks.
+  std::vector<std::unique_ptr<double[]>> blocks_;
   std::uint64_t next_tick_ = 0;    // next boundary index to emit
   bool finished_ = false;
   Seconds end_time_ = 0;

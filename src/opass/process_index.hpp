@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "common/require.hpp"
 #include "dfs/namenode.hpp"
 
 namespace opass::core {
@@ -39,6 +40,26 @@ struct Adjacency {
   /// Close the row whose items were appended since the previous call.
   void end_row() { offset.push_back(static_cast<std::uint32_t>(items.size())); }
 };
+
+/// Counting sort of (row, column) entries into per-column lists of rows.
+/// `entries(emit)` calls emit(row, column) for every entry with rows
+/// ascending, so each output list comes out sorted; it runs twice (count,
+/// then fill) and must emit the same sequence both times. Sizing every
+/// array exactly up front also keeps the heap from fragmenting.
+template <class Entries>
+Adjacency group_by_column(std::uint32_t columns, const Entries& entries) {
+  Adjacency out;
+  out.offset.assign(columns + 1, 0);
+  entries([&](std::uint32_t, std::uint32_t c) {
+    OPASS_CHECK(c < columns, "adjacency entry out of range");
+    ++out.offset[c + 1];
+  });
+  for (std::uint32_t c = 0; c < columns; ++c) out.offset[c + 1] += out.offset[c];
+  out.items.resize(out.offset[columns]);
+  std::vector<std::uint32_t> next(out.offset.begin(), out.offset.end() - 1);
+  entries([&](std::uint32_t r, std::uint32_t c) { out.items[next[c]++] = r; });
+  return out;
+}
 
 /// Transpose `adj` onto `columns` rows: row c lists, ascending, every row of
 /// `adj` that contains c (once per occurrence).

@@ -27,14 +27,21 @@ Execution::Execution(sim::Cluster& cluster, const dfs::NameNode& nn,
     : cluster_(cluster), nn_(nn), tasks_(tasks), source_(source), rng_(rng), config_(config) {
   const std::uint32_t m = config.process_count ? config.process_count : cluster.node_count();
   OPASS_REQUIRE(m > 0, "need at least one process");
+  OPASS_REQUIRE(config.placement.empty() || config.placement.size() == m,
+                "placement must place every process");
   if (config.record_read_breakdown && !cluster.read_breakdown_recording()) {
     cluster.record_read_breakdown(true);
     stop_recording_ = true;
   }
   result_.process_finish_time.assign(m, 0);
   result_.process_node.resize(m);
-  for (ProcessId p = 0; p < m; ++p)
-    result_.process_node[p] = static_cast<dfs::NodeId>(p % cluster.node_count());
+  for (ProcessId p = 0; p < m; ++p) {
+    result_.process_node[p] = config.placement.empty()
+                                  ? static_cast<dfs::NodeId>(p % cluster.node_count())
+                                  : config.placement[p];
+    OPASS_REQUIRE(result_.process_node[p] < cluster.node_count(),
+                  "process placed on an unknown node");
+  }
   // Each task runs once and reads each of its inputs once: size the trace
   // and the spans for the whole table.
   std::size_t reads = 0;

@@ -1,21 +1,23 @@
 // Parallel execution driver.
 //
-// Models an MPI job: `process_count` processes launched simultaneously, one
-// pinned per cluster node (process i on node i % node_count, matching the
-// paper's one-process-per-node deployments). Each process loops: pull a task
-// from the TaskSource, read the task's input chunks sequentially through the
-// simulated cluster (local replica preferred, remote replica chosen by the
-// configured policy), spend the task's compute time, repeat. The job ends at
-// the implicit barrier when every process has drained — the paper's "overall
-// execution time will be decided by the longest running process". That is
-// the executor's only barrier; a synchronization step between jobs (a
-// ParaView rendering step, an iterative epoch) is a phase of exp's Run.
+// Models an MPI job: `process_count` processes launched simultaneously, each
+// pinned to a node (the caller's placement, or process i on node
+// i % node_count, matching the paper's one-process-per-node deployments).
+// Each process loops: pull a task from the TaskSource, read the task's input
+// chunks sequentially through the simulated cluster (local replica
+// preferred, remote replica chosen by the configured policy), spend the
+// task's compute time, repeat. The job ends at the implicit barrier when
+// every process has drained — the paper's "overall execution time will be
+// decided by the longest running process". That is the executor's only
+// barrier; a synchronization step between jobs (a ParaView rendering step,
+// an iterative epoch) is a phase of exp's Run.
 //
 // The executor stays metric-blind (DESIGN.md §8): it emits op events to
 // ExecutorConfig::probe and keeps no depth of its own.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/probe.hpp"
@@ -43,9 +45,9 @@ struct TaskSpan {
 struct ExecutionResult {
   sim::TraceRecorder trace;
   std::vector<Seconds> process_finish_time;  ///< per-process drain time
-  /// Node each process ran on (process p on p % node_count when the
-  /// Execution was built); a node that joins later changes the count but
-  /// not the processes already placed.
+  /// Node each process ran on (ExecutorConfig::placement, else process p
+  /// on p % node_count when the Execution was built); a node that joins
+  /// later changes the count but not the processes already placed.
   std::vector<dfs::NodeId> process_node;
   /// Per-task (pull → compute-done) intervals, in compute-completion order.
   std::vector<TaskSpan> task_spans;
@@ -62,6 +64,11 @@ struct ExecutionResult {
 /// Configuration of one parallel execution.
 struct ExecutorConfig {
   std::uint32_t process_count = 0;  ///< 0 = one process per cluster node
+  /// Node of each process (index = ProcessId; borrowed, must outlive the
+  /// Execution), its size the process count. Empty = process p on
+  /// p % node_count, which a node that joins between two Executions on one
+  /// cluster would move.
+  std::span<const dfs::NodeId> placement;
   dfs::ReplicaChoice replica_choice = dfs::ReplicaChoice::kRandom;
   /// Overlap each task's compute with the next task's reads (depth-1
   /// read-ahead / double buffering). With prefetch on, a process pulls its

@@ -483,11 +483,6 @@ double FlowSimulator::resource_bytes_served(ResourceId r) const {
   return total;
 }
 
-double FlowSimulator::resource_utilization(ResourceId r) const {
-  OPASS_REQUIRE(r < resources_.size(), "resource out of range");
-  return now_ > 0 ? resource_busy_time(r) / now_ : 0.0;
-}
-
 /// Earliest still-valid queued ETA; discards stale entries on the way.
 double FlowSimulator::next_completion_time() {
   while (!etas_.empty()) {

@@ -159,9 +159,6 @@ class FlowSimulator {
   /// Cumulative bytes pushed through the resource by all flows crossing it.
   double resource_bytes_served(ResourceId r) const;
 
-  /// Busy fraction over [0, now]; 0 when no time has elapsed.
-  double resource_utilization(ResourceId r) const;
-
   // --- scalability observability -------------------------------------------
 
   /// Flow slots ever allocated. Slots are reused from a free list before the

@@ -23,6 +23,12 @@
 // cold Fig. 5 solve's arcs from one counting run over its edges. A layout of
 // many one-chunk files must still grow geometrically, and the cluster builds
 // no per-node admission queue.
+//
+// The sinks cost a fixed number of allocations per run, not one or more per
+// item (DESIGN.md §8, §13): on the repository benchmark's sinks-on shape, the
+// span log reserves once and keeps every slice in one arena, the collectors
+// compose names in one buffer into a registry that stores each name once,
+// and the timeline stores its samples in blocks of ticks.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -36,6 +42,9 @@
 #include "dfs/namenode.hpp"
 #include "dfs/placement.hpp"
 #include "graph/max_flow.hpp"
+#include "obs/collect.hpp"
+#include "obs/spans.hpp"
+#include "obs/timeline.hpp"
 #include "opass/fig5.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/static_partitioner.hpp"
@@ -354,6 +363,86 @@ TEST(AllocationFootprint, ColdFig5SolveStaysBelow48BytesPerEdge) {
   EXPECT_EQ(owner.size(), n);
   EXPECT_LE(f.bytes / edges, 48.0) << f.bytes << " bytes for " << edges << " edges";
   EXPECT_LE(f.allocations, 20.0);
+}
+
+/// The repository benchmark's sinks-on shape: 4,096 one-chunk tasks on 512
+/// nodes at r = 3 (seed 9), read by the rank-interval baseline, one process
+/// per node, with every read's breakdown recorded.
+struct SinksRun {
+  static constexpr std::uint32_t kNodes = 512;
+  static constexpr std::uint32_t kTasks = 4096;
+
+  dfs::NameNode nn{dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize};
+  std::vector<runtime::Task> tasks;
+  runtime::Assignment assignment;
+
+  SinksRun() {
+    Rng rng(9);
+    dfs::RandomPlacement policy;
+    const dfs::FileId file =
+        nn.create_file("dataset", Bytes{kTasks} * nn.chunk_size(), policy, rng);
+    tasks = runtime::single_input_tasks(nn, {file});
+    assignment = runtime::rank_interval_assignment(kTasks, kNodes);
+  }
+
+  runtime::ExecutionResult execute(sim::Cluster& cluster, Probe* probe) const {
+    runtime::StaticAssignmentSource source(assignment);
+    Rng exec_rng(3);
+    runtime::ExecutorConfig config;
+    config.record_read_breakdown = true;
+    config.probe = probe;
+    return runtime::execute(cluster, nn, tasks, source, exec_rng, config);
+  }
+};
+
+TEST(AllocationCount, ExecutionSpansStayBelowATenthOfAnAllocationPerSpan) {
+  const SinksRun run;
+  sim::Cluster cluster(SinksRun::kNodes);
+  const runtime::ExecutionResult exec = run.execute(cluster, nullptr);
+  obs::SpanLog log;
+  const Footprint f = measure([&] { obs::append_execution_spans(log, exec, run.tasks, cluster); });
+  ASSERT_EQ(log.size(), 2u * SinksRun::kTasks);  // a task span and a read span per task
+  const double per_span = f.allocations / static_cast<double>(log.size());
+  RecordProperty("allocations_per_span", std::to_string(per_span));
+  EXPECT_LT(per_span, 0.1) << f.allocations << " allocations for " << log.size() << " spans";
+}
+
+TEST(AllocationCount, CollectorsStayBelow2_5AllocationsPerMetric) {
+  const SinksRun run;
+  sim::Cluster cluster(SinksRun::kNodes);
+  const runtime::ExecutionResult exec = run.execute(cluster, nullptr);
+  obs::MetricsRegistry registry;
+  const Footprint f = measure([&] {
+    obs::collect_execution(registry, exec, SinksRun::kNodes, "baseline.executor");
+    obs::collect_cluster(registry, cluster, "baseline.cluster");
+  });
+  const double per_metric = f.allocations / static_cast<double>(registry.size());
+  RecordProperty("allocations_per_metric", std::to_string(per_metric));
+  EXPECT_LT(per_metric, 2.5) << f.allocations << " allocations for " << registry.size()
+                             << " metrics";
+}
+
+TEST(AllocationCount, RunTimelineStaysBelow2_5AllocationsPerSeries) {
+  // Registration, plus what recording adds to the same execution run
+  // without a timeline.
+  const SinksRun run;
+  sim::Cluster plain_cluster(SinksRun::kNodes);
+  const Footprint plain = measure([&] { run.execute(plain_cluster, nullptr); });
+  sim::Cluster cluster(SinksRun::kNodes);
+  obs::TimelineRecorder recorder;
+  const Footprint timed = measure([&] {
+    obs::RunTimeline timeline(&recorder, cluster, SinksRun::kNodes);
+    timeline.add_expected_bytes(runtime::total_task_bytes(run.nn, run.tasks));
+    run.execute(cluster, timeline.executor_probe());
+    timeline.finish();
+  });
+  ASSERT_EQ(recorder.series_count(), 3u * SinksRun::kNodes + 5);
+  ASSERT_GT(recorder.tick_count(), 64u);  // the samples span more than one block
+  const double per_series =
+      (timed.allocations - plain.allocations) / static_cast<double>(recorder.series_count());
+  RecordProperty("allocations_per_series", std::to_string(per_series));
+  EXPECT_LT(per_series, 2.5) << timed.allocations - plain.allocations << " allocations for "
+                             << recorder.series_count() << " series";
 }
 
 }  // namespace

@@ -221,6 +221,30 @@ TEST(FaultE2E, TaskSpansNameTheirProcessNodeAfterAJoin) {
   EXPECT_EQ(read_spans, 64u);
 }
 
+// The plan's placement fixes each process's node for the whole run: after a
+// node joins at 0 s, the second epoch of an iterative run still reads from
+// p % 16 (the placement of 32 processes on 16 nodes), not from p % 17.
+TEST(FaultE2E, ProcessesKeepTheirPlannedNodeInEveryPhase) {
+  auto cfg = small_cfg();
+  cfg.processes_per_node = 2;
+  sim::FaultPlan plan;
+  plan.events.push_back(make_event(0.0, sim::FaultKind::kJoin, dfs::kInvalidNode));
+  runtime::ExecutionResult raw;
+  cfg.faults = &plan;
+  cfg.raw = &raw;
+  const IterativeOutput out = run_iterative(cfg, 64, 2, Method::kOpass);
+  ASSERT_EQ(out.epoch_times.size(), 2u);
+
+  std::uint32_t reads[2] = {0, 0};
+  for (const sim::ReadRecord& r : raw.trace.records()) {
+    const std::size_t epoch = r.issue_time < out.epoch_times[0] ? 0 : 1;
+    ++reads[epoch];
+    EXPECT_EQ(r.reader_node, r.process % 16) << "epoch " << epoch << ", process " << r.process;
+  }
+  EXPECT_EQ(reads[0], 64u);
+  EXPECT_EQ(reads[1], 64u);
+}
+
 TEST(FaultE2E, ChurnRunStaysDeterministic) {
   auto cfg = small_cfg();
   cfg.replication = 2;

@@ -26,6 +26,19 @@ TEST(MetricsRegistry, CounterAccumulatesAndDefaultsToOne) {
   EXPECT_FALSE(reg.contains("writes"));
 }
 
+TEST(MetricsRegistry, LookupsSurviveIndexGrowth) {
+  // Names registered one at a time, with no reserve: the index rehashes
+  // several times and every name still resolves to its own metric.
+  MetricsRegistry reg;
+  for (std::uint64_t i = 0; i < 1000; ++i) reg.counter_add("node." + std::to_string(i), i);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    reg.counter_add("node." + std::to_string(i));  // re-touch, no new metric
+    EXPECT_EQ(reg.at("node." + std::to_string(i)).counter, i + 1);
+  }
+  EXPECT_EQ(reg.size(), 1000u);
+  EXPECT_FALSE(reg.contains("node.1000"));
+}
+
 TEST(MetricsRegistry, GaugeKeepsLastValue) {
   MetricsRegistry reg;
   reg.gauge_set("makespan_s", 1.5);
@@ -66,8 +79,8 @@ TEST(Histogram, EmptyHistogramIsAllZero) {
 
 TEST(Histogram, SingleSampleLandsInFirstMatchingBucket) {
   MetricsRegistry reg;
-  reg.define_histogram("h", {1.0, 2.0, 4.0});
-  reg.observe("h", 1.5);  // first bucket with 1.5 <= bound is "le 2.0"
+  // The first bucket with 1.5 <= bound is "le 2.0".
+  reg.define_histogram("h", {1.0, 2.0, 4.0}).observe(1.5);
   const HistogramData& h = reg.at("h").histogram;
   EXPECT_EQ(h.count, 1u);
   EXPECT_DOUBLE_EQ(h.sum, 1.5);
@@ -82,16 +95,15 @@ TEST(Histogram, SingleSampleLandsInFirstMatchingBucket) {
 
 TEST(Histogram, BoundaryValueIsInclusive) {
   MetricsRegistry reg;
-  reg.define_histogram("h", {1.0, 2.0});
-  reg.observe("h", 1.0);  // s <= upper_bounds[0]
+  reg.define_histogram("h", {1.0, 2.0}).observe(1.0);  // s <= upper_bounds[0]
   EXPECT_EQ(reg.at("h").histogram.buckets[0], 1u);
 }
 
 TEST(Histogram, SamplesAboveEveryBoundOverflow) {
   MetricsRegistry reg;
-  reg.define_histogram("h", {1.0, 2.0});
-  reg.observe("h", 100.0);
-  reg.observe("h", 3.0);
+  HistogramData& hist = reg.define_histogram("h", {1.0, 2.0});
+  hist.observe(100.0);
+  hist.observe(3.0);
   const HistogramData& h = reg.at("h").histogram;
   EXPECT_EQ(h.count, 2u);
   EXPECT_EQ(h.overflow(), 2u);
@@ -101,8 +113,7 @@ TEST(Histogram, SamplesAboveEveryBoundOverflow) {
 
 TEST(Histogram, RedefineWithIdenticalBoundsIsIdempotent) {
   MetricsRegistry reg;
-  reg.define_histogram("h", {1.0, 2.0});
-  reg.observe("h", 0.5);
+  reg.define_histogram("h", {1.0, 2.0}).observe(0.5);
   reg.define_histogram("h", {1.0, 2.0});  // no-op, samples survive
   EXPECT_EQ(reg.at("h").histogram.count, 1u);
   EXPECT_THROW(reg.define_histogram("h", {3.0}), std::invalid_argument);
@@ -119,9 +130,9 @@ TEST(Histogram, NonAscendingBoundsRejected) {
 void populate(MetricsRegistry& reg) {
   reg.counter_add("reads", 7);
   reg.gauge_set("makespan_s", 12.25);
-  reg.define_histogram("io_s", {0.5, 1.0});
-  reg.observe("io_s", 0.25);
-  reg.observe("io_s", 2.0);
+  HistogramData& io = reg.define_histogram("io_s", {0.5, 1.0});
+  io.observe(0.25);
+  io.observe(2.0);
   reg.gauge_set("plan_wall_ms", 3.14, Determinism::kWallClock);
 }
 
@@ -171,16 +182,22 @@ std::string printf_double(double v) {
   return s == "-0" ? "0" : s;
 }
 
+// Each helper flushes its writer before it reads the string (the flush
+// rule every renderer follows).
 std::string written(double v) {
   std::string s;
-  SinkWriter(s) << v;
+  SinkWriter w(s);
+  w << v;
+  w.flush();
   return s;
 }
 
 template <typename T>
 std::string written_int(T v) {
   std::string s;
-  SinkWriter(s) << v;
+  SinkWriter w(s);
+  w << v;
+  w.flush();
   return s;
 }
 
@@ -253,8 +270,45 @@ TEST(SinkWriter, IntegersMatchToString) {
 
 TEST(SinkWriter, EscapesJsonStrings) {
   std::string s;
-  SinkWriter(s).escaped("a\"b\\c\nd\te\x01\x1f");
+  SinkWriter w(s);
+  w.escaped("a\"b\\c\nd\te\x01\x1f");
+  EXPECT_TRUE(s.empty());  // still buffered
+  w.flush();
   EXPECT_EQ(s, "a\\\"b\\\\c\\nd\\te\\u0001\\u001f");
+}
+
+TEST(SinkWriter, CrossesItsBufferByteExactly) {
+  // A document several buffers long: integers, doubles, an escaped string
+  // longer than the buffer (so it straddles a flush) and an unescaped run
+  // longer than the buffer. The writer's bytes equal the same text built
+  // with plain std::string appends.
+  std::string piece_raw;
+  std::string piece_escaped;
+  for (int i = 0; i < 500; ++i) {
+    piece_raw += "ab\"c\\d\n\te\x01";
+    piece_escaped += "ab\\\"c\\\\d\\n\\te\\u0001";
+  }
+  ASSERT_GT(piece_raw.size(), SinkWriter::kBufferBytes);
+  const std::string long_run(SinkWriter::kBufferBytes + 100, 'x');
+
+  std::string got;
+  std::string want;
+  SinkWriter w(got);
+  for (std::uint64_t i = 0; want.size() < 4 * SinkWriter::kBufferBytes; ++i) {
+    const auto k = -static_cast<std::int64_t>(i * 1'000'003);
+    const double d = static_cast<double>(i) / 7.0;
+    w << "{\"i\": " << i << ", \"k\": " << k << ", \"d\": " << d << '}';
+    want += "{\"i\": " + std::to_string(i) + ", \"k\": " + std::to_string(k) +
+            ", \"d\": " + printf_double(d) + '}';
+    if (i == 40) {
+      w << " \"";
+      w.escaped(piece_raw) << "\" " << long_run;
+      want += " \"" + piece_escaped + "\" " + long_run;
+    }
+  }
+  w.flush();
+  EXPECT_GT(want.size(), 4 * SinkWriter::kBufferBytes);
+  EXPECT_EQ(got, want);
 }
 
 TEST(MetricsIo, CsvQuotesAdversarialLabels) {

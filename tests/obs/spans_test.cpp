@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -78,28 +79,36 @@ TEST(SpanLog, AddEnforcesTheReconciliationInvariant) {
   SpanLog log;
 
   // Gap between slices.
-  Span gapped = make_span(0, 10);
-  gapped.breakdown = {slice(AttrKind::kSeek, 0, 4), slice(AttrKind::kSrcDisk, 5, 10)};
-  EXPECT_THROW(log.add(gapped), std::invalid_argument);
+  const std::vector<AttrSlice> gapped = {slice(AttrKind::kSeek, 0, 4),
+                                         slice(AttrKind::kSrcDisk, 5, 10)};
+  EXPECT_THROW(log.add(make_span(0, 10), gapped), std::invalid_argument);
 
   // First slice opens after the span start.
-  Span late = make_span(0, 10);
-  late.breakdown = {slice(AttrKind::kSrcDisk, 1, 10)};
-  EXPECT_THROW(log.add(late), std::invalid_argument);
+  const std::vector<AttrSlice> late = {slice(AttrKind::kSrcDisk, 1, 10)};
+  EXPECT_THROW(log.add(make_span(0, 10), late), std::invalid_argument);
 
   // Last slice closes before the span end.
-  Span short_tail = make_span(0, 10);
-  short_tail.breakdown = {slice(AttrKind::kSrcDisk, 0, 9)};
-  EXPECT_THROW(log.add(short_tail), std::invalid_argument);
+  const std::vector<AttrSlice> short_tail = {slice(AttrKind::kSrcDisk, 0, 9)};
+  EXPECT_THROW(log.add(make_span(0, 10), short_tail), std::invalid_argument);
+  EXPECT_TRUE(log.empty());  // a rejected span leaves nothing behind
 
   // An exact tiling is accepted; zero-width slices are legal joints.
-  Span exact = make_span(0, 10);
-  exact.breakdown = {slice(AttrKind::kQueueWait, 0, 2), slice(AttrKind::kSeek, 2, 2),
-                     slice(AttrKind::kSrcDisk, 2, 10, /*node=*/3)};
-  const auto id = log.add(exact);
+  const std::vector<AttrSlice> exact = {slice(AttrKind::kQueueWait, 0, 2),
+                                        slice(AttrKind::kSeek, 2, 2),
+                                        slice(AttrKind::kSrcDisk, 2, 10, /*node=*/3)};
+  log.add(make_span(0, 3));  // an untiled span first: the arena keeps each run apart
+  const auto id = log.add(make_span(0, 10), exact);
   const Span& stored = log.spans()[id];
+  EXPECT_TRUE(log.breakdown(log.spans()[0]).empty());
+  const std::span<const AttrSlice> read_back = log.breakdown(stored);
+  ASSERT_EQ(read_back.size(), exact.size());
   std::int64_t sum = 0;
-  for (const AttrSlice& s : stored.breakdown) sum += s.duration_ticks();
+  for (std::size_t i = 0; i < exact.size(); ++i) {
+    EXPECT_EQ(read_back[i].kind, exact[i].kind);
+    EXPECT_EQ(read_back[i].node, exact[i].node);
+    EXPECT_EQ(read_back[i].start_ticks, exact[i].start_ticks);
+    sum += read_back[i].duration_ticks();
+  }
   EXPECT_EQ(sum, stored.duration_ticks());
 }
 
@@ -151,14 +160,14 @@ TEST_F(SpanFixture, ExecutionSpansReconcileExactly) {
     // Every breakdown telescopes to its span (SpanLog::add guarantees it;
     // assert anyway so a future bypass of add() cannot rot silently).
     std::int64_t sum = 0;
-    for (const AttrSlice& sl : s.breakdown) sum += sl.duration_ticks();
-    if (!s.breakdown.empty()) {
+    for (const AttrSlice& sl : log.breakdown(s)) sum += sl.duration_ticks();
+    if (!log.breakdown(s).empty()) {
       EXPECT_EQ(sum, s.duration_ticks());
     }
     if (s.kind == SpanKind::kTask) {
       ++task_spans;
       EXPECT_EQ(s.parent, kNoSpan);
-      EXPECT_FALSE(s.breakdown.empty());
+      EXPECT_FALSE(log.breakdown(s).empty());
     }
     if (s.kind == SpanKind::kRead) {
       ++read_spans;
@@ -175,7 +184,7 @@ TEST_F(SpanFixture, ExecutionSpansReconcileExactly) {
   for (const Span& s : log.spans()) {
     if (s.kind != SpanKind::kTask) continue;
     std::int64_t compute = 0;
-    for (const AttrSlice& sl : s.breakdown)
+    for (const AttrSlice& sl : log.breakdown(s))
       if (sl.kind == AttrKind::kCompute) compute += sl.duration_ticks();
     EXPECT_EQ(compute, sim::to_ticks(0.25));
   }
@@ -201,7 +210,7 @@ TEST_F(SpanFixture, RetryGapsEmitWaitSpans) {
     if (s.kind != SpanKind::kWait) continue;
     EXPECT_EQ(s.name, "exec.wave.wait");
     EXPECT_NE(s.process, 0u);  // node 0's process always finds a local task
-    for (const AttrSlice& sl : s.breakdown)
+    for (const AttrSlice& sl : log.breakdown(s))
       if (sl.kind == AttrKind::kBarrier) barrier_ticks += sl.duration_ticks();
   }
   EXPECT_GT(barrier_ticks, 0);
@@ -335,8 +344,8 @@ TEST(ServiceSpans, PlannedJobsGetQueueAndPlanSpans) {
     if (s.kind == SpanKind::kQueue) {
       ++queue;
       EXPECT_EQ(s.name, "svc.job.queue");
-      ASSERT_EQ(s.breakdown.size(), 1u);
-      EXPECT_EQ(s.breakdown[0].kind, AttrKind::kQueueWait);
+      ASSERT_EQ(log.breakdown(s).size(), 1u);
+      EXPECT_EQ(log.breakdown(s)[0].kind, AttrKind::kQueueWait);
     }
     if (s.kind == SpanKind::kPlan) {
       ++plan;

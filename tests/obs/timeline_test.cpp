@@ -34,6 +34,11 @@ TEST(TimelineRecorder, RejectsBadNamesAndDuplicates) {
   EXPECT_THROW(t.add_rate_series("timeline.serve"), std::invalid_argument);
   t.add_level_series("timeline.test.depth");
   EXPECT_THROW(t.add_level_series("timeline.test.depth"), std::invalid_argument);
+  // Still caught after the name index has grown past its first tables.
+  for (int i = 0; i < 1000; ++i) t.add_rate_series("timeline.test.s" + std::to_string(i));
+  EXPECT_THROW(t.add_level_series("timeline.test.depth"), std::invalid_argument);
+  EXPECT_THROW(t.add_level_series("timeline.test.s517"), std::invalid_argument);
+  EXPECT_EQ(t.series_count(), 1001u);
 }
 
 TEST(TimelineRecorder, LevelsRepeatAcrossEmptyIntervals) {
@@ -112,24 +117,33 @@ TEST(TimelineRecorder, FinishIsFinal) {
 }
 
 TEST(TimelineRecorder, RingWrapKeepsTheNewestTicks) {
+  // One series, then three: with three, every tick row holds three samples,
+  // and the wrap crosses the ring's block boundaries row by row.
   constexpr std::size_t kCap = TimelineRecorder::kRingCapacity;
-  TimelineRecorder t(1.0);
-  const auto id = t.add_level_series("timeline.test.depth");
-  const int last = static_cast<int>(kCap) + 6;
-  for (int k = 1; k <= last; ++k)
-    t.record_level(id, static_cast<double>(k), k);  // boundary k samples k-1
-  t.finish(static_cast<double>(last));
-  EXPECT_EQ(t.tick_count(), kCap + 7);
-  EXPECT_EQ(t.dropped_ticks(), 7u);
-  EXPECT_EQ(t.first_retained_tick(), 7u);
-  // Ticks 7..last survive (tick k holds k - 1); the end-on-boundary restamp
-  // lifts the last tick to the final level.
-  const auto values = t.series_values(id);
-  ASSERT_EQ(values.size(), kCap);
-  EXPECT_EQ(values.front(), 6);
-  EXPECT_EQ(values[1], 7);
-  EXPECT_EQ(values[kCap - 2], last - 2);
-  EXPECT_EQ(values.back(), last);
+  for (const int series : {1, 3}) {
+    TimelineRecorder t(1.0);
+    std::vector<TimelineRecorder::SeriesId> ids;
+    for (int s = 0; s < series; ++s)
+      ids.push_back(t.add_level_series("timeline.test.depth_" + std::to_string(s)));
+    const int last = static_cast<int>(kCap) + 6;
+    for (int k = 1; k <= last; ++k)
+      for (int s = 0; s < series; ++s)  // boundary k samples (k - 1) * (s + 1)
+        t.record_level(ids[s], static_cast<double>(k), k * (s + 1));
+    t.finish(static_cast<double>(last));
+    EXPECT_EQ(t.tick_count(), kCap + 7);
+    EXPECT_EQ(t.dropped_ticks(), 7u);
+    EXPECT_EQ(t.first_retained_tick(), 7u);
+    // Ticks 7..last survive (tick k holds (k - 1) * (s + 1)); the
+    // end-on-boundary restamp lifts the last tick to the final level.
+    for (int s = 0; s < series; ++s) {
+      const auto values = t.series_values(ids[s]);
+      ASSERT_EQ(values.size(), kCap);
+      EXPECT_EQ(values.front(), 6 * (s + 1)) << series << " series";
+      EXPECT_EQ(values[1], 7 * (s + 1));
+      EXPECT_EQ(values[kCap - 2], (last - 2) * (s + 1));
+      EXPECT_EQ(values.back(), last * (s + 1));
+    }
+  }
 }
 
 TEST(TimelineRecorder, ZeroLengthRunRestampsTickZero) {

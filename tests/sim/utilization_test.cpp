@@ -16,7 +16,8 @@ TEST(Utilization, BusyTimeCoversActivePeriodsOnly) {
   sim.at(10.0, [](Seconds) {});
   sim.run();
   EXPECT_DOUBLE_EQ(sim.resource_busy_time(r), 2.0);
-  EXPECT_DOUBLE_EQ(sim.resource_utilization(r), 0.2);
+  EXPECT_DOUBLE_EQ(sim.now(), 10.0);  // busy a fifth of the run
+  EXPECT_DOUBLE_EQ(sim.resource_busy_time(r), 0.2 * sim.now());
 }
 
 TEST(Utilization, OverlappingFlowsCountOnce) {
@@ -26,7 +27,7 @@ TEST(Utilization, OverlappingFlowsCountOnce) {
   sim.start_flow({r}, 100, nullptr);
   sim.run();  // both at 50 B/s, done at t = 2
   EXPECT_DOUBLE_EQ(sim.resource_busy_time(r), 2.0);
-  EXPECT_DOUBLE_EQ(sim.resource_utilization(r), 1.0);
+  EXPECT_DOUBLE_EQ(sim.resource_busy_time(r), sim.now());  // busy the whole run
 }
 
 TEST(Utilization, BytesServedAccumulate) {
@@ -41,8 +42,8 @@ TEST(Utilization, BytesServedAccumulate) {
 TEST(Utilization, ZeroWhenIdle) {
   FlowSimulator sim;
   const auto r = sim.add_resource(100.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
   EXPECT_DOUBLE_EQ(sim.resource_busy_time(r), 0.0);
-  EXPECT_DOUBLE_EQ(sim.resource_utilization(r), 0.0);
   EXPECT_DOUBLE_EQ(sim.resource_bytes_served(r), 0.0);
 }
 
@@ -58,11 +59,12 @@ TEST(Utilization, ClusterDiskAndNicProbes) {
   // Remote read: server 1's disk and NIC-out both busy for the transfer.
   c.read(0, 1, 100, nullptr);
   c.run();
+  // Busy time as a fraction of the run.
   const auto busy = [&](ResourceRole role, dfs::NodeId node) {
     for (ResourceId r = 0; r < c.simulator().resource_count(); ++r) {
       const ResourceInfo info = c.resource_info(r);
       if (info.role == role && info.owner == node)
-        return c.simulator().resource_utilization(r);
+        return c.simulator().resource_busy_time(r) / c.simulator().now();
     }
     ADD_FAILURE() << "no resource for node " << node;
     return -1.0;
@@ -76,7 +78,6 @@ TEST(Utilization, ClusterDiskAndNicProbes) {
 TEST(Utilization, OutOfRangeThrows) {
   FlowSimulator sim;
   EXPECT_THROW(sim.resource_busy_time(0), std::invalid_argument);
-  EXPECT_THROW(sim.resource_utilization(0), std::invalid_argument);
   EXPECT_THROW(sim.resource_bytes_served(0), std::invalid_argument);
   Cluster c(1);
   EXPECT_THROW(c.disk_busy_time(5), std::invalid_argument);

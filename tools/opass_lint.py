@@ -91,11 +91,14 @@ Rules (all scoped to src/ unless noted):
   sink-writer       The four sink renderers (src/obs/metrics_io.cpp,
                     chrome_trace.cpp, attribution.cpp and report.cpp) write
                     every number through obs::SinkWriter (std::to_chars into
-                    the caller's string). `std::to_string(`, `snprintf(` and
+                    a buffer flushed to the caller's string), and the three
+                    collectors (collect.cpp, spans.cpp, timeline.cpp) compose
+                    per-node and per-process names with obs::NameBuffer
+                    (obs/names.hpp). `std::to_string(`, `snprintf(` and
                     `+ format_double(` there build a temporary string per
-                    field, which is what made the sinks slow. fault_log.cpp
-                    is out of scope: its instant labels keep the pinned
-                    std::to_string(double) format.
+                    field or name, which is what made the sinks slow.
+                    fault_log.cpp is out of scope: its instant labels keep
+                    the pinned std::to_string(double) format.
   linear-detach     src/sim/ only: no `std::find` or `std::remove` (and
                     their `_if` forms, plain or std::ranges::) inside the
                     body of `retire_slot` or `detach`, whatever list it
@@ -209,12 +212,15 @@ ONE_PROBE_HOME = "src/common/probe.hpp"
 SINK_FORMAT = re.compile(
     r"\bstd\s*::\s*to_string\s*\(|(?<![\w])(?:std\s*::\s*)?snprintf\s*\("
     r"|\+\s*(?:obs\s*::\s*)?format_double\s*\(")
-# The renderers sink-writer covers.
+# The renderers and collectors sink-writer covers.
 SINK_RENDERERS = (
     "src/obs/metrics_io.cpp",
     "src/obs/chrome_trace.cpp",
     "src/obs/attribution.cpp",
     "src/obs/report.cpp",
+    "src/obs/collect.cpp",
+    "src/obs/spans.cpp",
+    "src/obs/timeline.cpp",
 )
 # The functions that take a retiring flow off its resources' lists, and a
 # linear search or removal anywhere in their bodies.
@@ -488,7 +494,8 @@ def check_sink_writer(path: pathlib.Path, root: pathlib.Path, text: str, finding
             Finding(path, _line_of(text, m.start()), "sink-writer",
                     f"'{' '.join(m.group(0).split())}' formats a field into a temporary "
                     "string; write it through obs::SinkWriter "
-                    "(obs/metrics_io.hpp), which appends with std::to_chars"))
+                    "(obs/metrics_io.hpp), or compose a name with obs::NameBuffer "
+                    "(obs/names.hpp), which append with std::to_chars"))
 
 
 def check_arc_partner(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
@@ -880,7 +887,7 @@ _CLEANS = (
         "}\n",
     ),
     (
-        # Outside the four renderers the rule does not apply: the fault log's
+        # Outside the renderers and collectors the rule does not apply: the fault log's
         # instant labels keep their pinned std::to_string(double) format.
         "obs/fault_log.cpp",
         "#include <string>\n"
@@ -930,6 +937,15 @@ _SUPPORT_VIOLATION = (
     "void undo(FlowNetwork& net, ArcIdx h) { net.push(h ^ 1, 1); }\n",
 )
 
+# sink-writer reaches the collectors that compose per-node names.
+_COLLECTOR_VIOLATION = (
+    "src/obs/collect.cpp",
+    '#include "obs/collect.hpp"\n'
+    "void per_node(MetricsRegistry& reg, std::uint32_t n) {\n"
+    "  reg.counter_add(\"executor.node.\" + std::to_string(n) + \".ops_served\", 1);\n"
+    "}\n",
+)
+
 
 def self_test() -> int:
     failures = 0
@@ -952,6 +968,9 @@ def self_test() -> int:
         support_bad = root / _SUPPORT_VIOLATION[0]
         support_bad.parent.mkdir(parents=True)
         support_bad.write_text(_SUPPORT_VIOLATION[1], encoding="utf-8")
+        collector_bad = root / _COLLECTOR_VIOLATION[0]
+        collector_bad.parent.mkdir(parents=True, exist_ok=True)
+        collector_bad.write_text(_COLLECTOR_VIOLATION[1], encoding="utf-8")
 
         findings = lint_tree(root)
         suppressed_hits = sorted(
@@ -976,6 +995,13 @@ def self_test() -> int:
         else:
             print("self-test: FAIL — rule 'arc-partner' missed its seeded "
                   "violation under tests/support/")
+            failures += 1
+        if any(f.rule == "sink-writer" and f.path == collector_bad for f in findings):
+            print("self-test: rule 'sink-writer' caught its seeded violation "
+                  "in a collector")
+        else:
+            print("self-test: FAIL — rule 'sink-writer' missed its seeded "
+                  "violation in a collector")
             failures += 1
         fired = {f.rule for f in findings}
         for rule in _VIOLATIONS:

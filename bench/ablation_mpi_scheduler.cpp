@@ -4,111 +4,114 @@
 // data-analysis applications" and "the scheduling scalability issue is less
 // important compared to the actual data movement".
 //
-// We run the dynamic workload twice: once with the oracle dispatcher (the
-// TaskSource is consulted at zero cost, as runtime::execute models it) and
-// once with the full MPI master–worker where every task costs a REQUEST and
-// a GRANT message on the simulated network — then report how much the
-// explicit scheduling changed the outcome, and how much wire traffic it was.
+// We run the dynamic workload on 64 workers (nodes 1..64; node 0 hosts the
+// dedicated master) twice: once with the oracle dispatcher (the TaskSource is
+// consulted at zero cost) and once through runtime::MessageMasterSource,
+// where every task costs a REQUEST and a GRANT message on the simulated
+// network — then report how much the explicit scheduling changed the
+// outcome, and how much wire traffic it was. Both rows run the one
+// runtime::Execution loop.
 #include <cstdio>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "mpi/master_worker.hpp"
 #include "opass/opass.hpp"
+#include "runtime/message_master.hpp"
 #include "workload/dataset.hpp"
 
 namespace {
 
 using namespace opass;
 
-/// Oracle-mode equivalent of the dedicated master: process 0 (the master's
-/// node) never receives work; everyone else pulls from the wrapped source.
-class WorkersOnlySource final : public runtime::TaskSource {
- public:
-  explicit WorkersOnlySource(runtime::TaskSource& inner) : inner_(inner) {}
-  std::optional<runtime::TaskId> next_task(runtime::ProcessId p, Seconds now) override {
-    if (p == 0) return std::nullopt;
-    return inner_.next_task(p - 1, now);
-  }
+constexpr std::uint32_t kNodes = 65;  // node 0 = dedicated master + 64 workers
 
- private:
-  runtime::TaskSource& inner_;
+struct Outcome {
+  runtime::ExecutionResult exec;
+  std::uint64_t messages = 0;
+  Bytes bytes = 0;
 };
+
+/// One run of the workers on a fresh cluster; with `messages`, every pull
+/// goes through a message master on node 0 that wraps `source`.
+Outcome run(const dfs::NameNode& nn, const std::vector<runtime::Task>& tasks,
+            const core::ProcessPlacement& workers, runtime::TaskSource& source,
+            bool messages) {
+  sim::Cluster cluster(kNodes);
+  Rng e(7);
+  runtime::MessageMasterSource master(cluster, source, /*master=*/0);
+  runtime::ExecutorConfig cfg;
+  cfg.process_count = static_cast<std::uint32_t>(workers.size());
+  cfg.placement = workers;
+  runtime::Execution execution(cluster, nn, tasks, messages ? master : source, e, cfg);
+  if (messages) master.attach(execution);
+  execution.launch(0);
+  cluster.run();
+  return {execution.take_result(), master.messages(), master.bytes()};
+}
 
 }  // namespace
 
 int main() {
-  const std::uint32_t nodes = 65;  // node 0 = dedicated master + 64 workers
   const std::uint32_t chunks = 640;
 
-  dfs::NameNode nn(dfs::Topology::single_rack(nodes), 3, kDefaultChunkSize);
+  dfs::NameNode nn(dfs::Topology::single_rack(kNodes), 3, kDefaultChunkSize);
   dfs::RandomPlacement policy;
   Rng rng(2025);
   const auto tasks = workload::make_single_data_workload(nn, chunks, policy, rng);
 
   core::ProcessPlacement workers;
-  for (dfs::NodeId n = 1; n < nodes; ++n) workers.push_back(n);
+  for (dfs::NodeId n = 1; n < kNodes; ++n) workers.push_back(n);
 
   std::printf("MPI scheduler overhead: %u workers + dedicated master, %u chunks\n\n",
-              nodes - 1, chunks);
+              kNodes - 1, chunks);
 
   Table t({"dispatcher", "policy", "avg I/O (s)", "local %", "makespan (s)",
            "sched msgs", "sched bytes"});
+  const auto add_row = [&t](const char* dispatcher, bool use_opass, const Outcome& o) {
+    const auto& trace = o.exec.trace;
+    Bytes data = 0;
+    for (const auto& rec : trace.records()) data += rec.bytes;
+    const bool messages = o.messages > 0;
+    t.add_row({dispatcher, use_opass ? "opass" : "default",
+               Table::num(summarize(trace.io_times()).mean, 2),
+               Table::num(100 * trace.local_fraction(), 1), Table::num(o.exec.makespan, 1),
+               Table::integer(static_cast<long long>(o.messages)),
+               messages ? format_bytes(o.bytes) + " (" +
+                              Table::num(100.0 * static_cast<double>(o.bytes) /
+                                             static_cast<double>(data),
+                                         4) +
+                              "% of data)"
+                        : "0"});
+  };
 
   for (const bool use_opass : {false, true}) {
     Rng assign_rng(3);
     const auto plan = core::plan({&nn, &tasks, &workers, &assign_rng});
 
-    // Oracle dispatcher (zero-cost master).
+    // Oracle dispatcher (zero-cost master): the plan replayed, or one
+    // shuffled queue.
     {
-      sim::Cluster cluster(nodes);
-      Rng e(7), q(9);
-      runtime::ExecutorConfig cfg;
-      cfg.process_count = nodes;  // process i on node i; rank-0 idles
-      runtime::Assignment wide(nodes);
+      Rng q(9);
       if (use_opass) {
-        for (std::size_t i = 0; i < workers.size(); ++i) wide[workers[i]] = plan.assignment[i];
-        runtime::StaticAssignmentSource src(wide);
-        const auto r = runtime::execute(cluster, nn, tasks, src, e, cfg);
-        t.add_row({"oracle", "opass", Table::num(summarize(r.trace.io_times()).mean, 2),
-                   Table::num(100 * r.trace.local_fraction(), 1), Table::num(r.makespan, 1),
-                   "0", "0"});
+        runtime::StaticAssignmentSource src(plan.assignment);
+        add_row("oracle", true, run(nn, tasks, workers, src, false));
       } else {
-        // Oracle master hands out a shuffled queue to workers 1..64 only.
-        runtime::MasterWorkerSource inner(chunks, q);
-        WorkersOnlySource src(inner);
-        const auto r = runtime::execute(cluster, nn, tasks, src, e, cfg);
-        t.add_row({"oracle", "default", Table::num(summarize(r.trace.io_times()).mean, 2),
-                   Table::num(100 * r.trace.local_fraction(), 1), Table::num(r.makespan, 1),
-                   "0", "0"});
+        runtime::MasterWorkerSource src(chunks, q);
+        add_row("oracle", false, run(nn, tasks, workers, src, false));
       }
     }
 
-    // Message-based master–worker.
+    // Message-based master–worker: guideline tasks first, then steals (paper
+    // Section IV-D), or the shuffled queue.
     {
-      sim::Cluster cluster(nodes);
-      mpi::Comm comm(cluster);
-      Rng e(7), q(9);
-      mpi::MasterWorkerResult r;
+      Rng q(9);
       if (use_opass) {
         core::OpassDynamicSource src(plan.assignment, nn, tasks, workers);
-        r = mpi::run_master_worker(cluster, nn, tasks, src, comm, e);
+        add_row("mpi messages", true, run(nn, tasks, workers, src, true));
       } else {
         runtime::MasterWorkerSource src(chunks, q);
-        r = mpi::run_master_worker(cluster, nn, tasks, src, comm, e);
+        add_row("mpi messages", false, run(nn, tasks, workers, src, true));
       }
-      Bytes data = 0;
-      for (const auto& rec : r.exec.trace.records()) data += rec.bytes;
-      t.add_row({"mpi messages", use_opass ? "opass" : "default",
-                 Table::num(summarize(r.exec.trace.io_times()).mean, 2),
-                 Table::num(100 * r.exec.trace.local_fraction(), 1),
-                 Table::num(r.exec.makespan, 1),
-                 Table::integer(static_cast<long long>(r.scheduler_messages)),
-                 format_bytes(r.scheduler_bytes) + " (" +
-                     Table::num(100.0 * static_cast<double>(r.scheduler_bytes) /
-                                    static_cast<double>(data),
-                                4) +
-                     "% of data)"});
     }
   }
   std::fputs(t.render().c_str(), stdout);

@@ -218,7 +218,7 @@ std::string SpanDocBuilder::spans_json() const {
       const Span& s = spans[si];
       w << (si ? ",\n  " : "\n  ") << "{\"id\": " << s.id
         << ", \"parent\": " << signed_id(s.parent) << ", \"kind\": \""
-        << span_kind_name(s.kind) << "\", \"name\": \"" << s.name
+        << span_kind_name(s.kind) << "\", \"name\": \"" << span_name(s.kind)
         << "\", \"process\": " << s.process
         << ", \"task\": " << signed_id(s.task) << ", \"node\": " << signed_id(s.node)
         << ", \"server\": " << signed_id(s.server) << ", \"chunk\": " << signed_id(s.chunk)
@@ -259,7 +259,7 @@ std::string SpanDocBuilder::critical_path_json() const {
         w << "{\"span\": -1, \"name\": \"idle\", \"process\": -1, \"task\": -1";
       } else {
         const Span& s = spans[step.span];
-        w << "{\"span\": " << step.span << ", \"name\": \"" << s.name
+        w << "{\"span\": " << step.span << ", \"name\": \"" << span_name(s.kind)
           << "\", \"process\": " << s.process << ", \"task\": " << signed_id(s.task);
       }
       w << ", \"start_ticks\": " << step.start_ticks << ", \"end_ticks\": " << step.end_ticks

@@ -38,28 +38,18 @@ const char* attr_kind_name(AttrKind kind) {
   return "?";
 }
 
-bool valid_span_name(const std::string& name) {
-  std::size_t segments = 0;
-  std::size_t seg_len = 0;
-  for (char c : name) {
-    if (c == '.') {
-      if (seg_len == 0) return false;
-      ++segments;
-      seg_len = 0;
-      continue;
-    }
-    const bool letter = c >= 'a' && c <= 'z';
-    const bool tail = letter || (c >= '0' && c <= '9') || c == '_';
-    if (seg_len == 0 ? !letter : !tail) return false;
-    ++seg_len;
+const char* span_name(SpanKind kind) {
+  switch (kind) {
+    case SpanKind::kTask: return "exec.task.run";
+    case SpanKind::kRead: return "exec.read.serve";
+    case SpanKind::kWait: return "exec.wave.wait";
+    case SpanKind::kQueue: return "svc.job.queue";
+    case SpanKind::kPlan: return "svc.job.plan";
   }
-  if (seg_len == 0) return false;
-  return segments == 2;  // exactly three segments: layer.noun.verb
+  return "?";
 }
 
 std::uint32_t SpanLog::add(Span span, std::span<const AttrSlice> slices) {
-  OPASS_REQUIRE(valid_span_name(span.name),
-                "span name must be layer.noun.verb ([a-z0-9_], 3 segments)");
   OPASS_REQUIRE(span.end_ticks >= span.start_ticks, "span must not end before it starts");
   OPASS_REQUIRE(span.parent == kNoSpan || span.parent < spans_.size(),
                 "span parent must be a previously added span");
@@ -81,7 +71,7 @@ std::uint32_t SpanLog::add(Span span, std::span<const AttrSlice> slices) {
   span.slice_count = static_cast<std::uint32_t>(slices.size());
   slices_.insert(slices_.end(), slices.begin(), slices.end());
   max_end_ticks_ = std::max(max_end_ticks_, span.end_ticks);
-  spans_.push_back(std::move(span));
+  spans_.push_back(span);
   return spans_.back().id;
 }
 
@@ -253,13 +243,12 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
       if (prev_end < start) {
         Span wait;
         wait.kind = SpanKind::kWait;
-        wait.name = "exec.wave.wait";
         wait.process = ts.process;
         wait.node = node;
         wait.start_ticks = prev_end;
         wait.end_ticks = start;
         const AttrSlice barrier{AttrKind::kBarrier, dfs::kInvalidNode, prev_end, start};
-        log.add(std::move(wait), {&barrier, 1});
+        log.add(wait, {&barrier, 1});
       }
     }
 
@@ -316,13 +305,12 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
 
     Span task_span;
     task_span.kind = SpanKind::kTask;
-    task_span.name = "exec.task.run";
     task_span.process = ts.process;
     task_span.task = ts.task;
     task_span.node = node;
     task_span.start_ticks = start;
     task_span.end_ticks = end;
-    const std::uint32_t task_id = log.add(std::move(task_span), task_slices);
+    const std::uint32_t task_id = log.add(task_span, task_slices);
 
     for (std::size_t j = 0; j < reads.size(); ++j) {
       const sim::ReadRecord& rec = records[reads[j]];
@@ -330,7 +318,6 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
       Span read;
       read.parent = task_id;
       read.kind = SpanKind::kRead;
-      read.name = "exec.read.serve";
       read.process = rec.process;
       read.task = rec.task;
       read.node = rec.reader_node;
@@ -339,8 +326,8 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
       read.bytes = rec.bytes;
       read.start_ticks = rb.issue_ticks;
       read.end_ticks = rb.end_ticks;
-      log.add(std::move(read), std::span<const AttrSlice>(read_slices)
-                                   .subspan(read_first[j], read_first[j + 1] - read_first[j]));
+      log.add(read, std::span<const AttrSlice>(read_slices)
+                        .subspan(read_first[j], read_first[j + 1] - read_first[j]));
     }
   }
 }
@@ -353,23 +340,20 @@ void append_service_spans(SpanLog& log, const std::vector<core::JobStatus>& stat
     const std::int64_t planned = sim::to_ticks(s.planned_at);
     Span queue;
     queue.kind = SpanKind::kQueue;
-    queue.name = "svc.job.queue";
     queue.process = static_cast<std::uint32_t>(s.tenant);
     queue.task = static_cast<std::uint32_t>(s.id);
     queue.start_ticks = arrival;
     queue.end_ticks = planned;
     const AttrSlice wait{AttrKind::kQueueWait, dfs::kInvalidNode, arrival, planned};
-    log.add(std::move(queue), planned > arrival ? std::span(&wait, 1)
-                                                : std::span<const AttrSlice>());
+    log.add(queue, planned > arrival ? std::span(&wait, 1) : std::span<const AttrSlice>());
 
     Span plan;
     plan.kind = SpanKind::kPlan;
-    plan.name = "svc.job.plan";
     plan.process = static_cast<std::uint32_t>(s.tenant);
     plan.task = static_cast<std::uint32_t>(s.id);
     plan.start_ticks = planned;
     plan.end_ticks = planned;
-    log.add(std::move(plan));
+    log.add(plan);
   }
 }
 

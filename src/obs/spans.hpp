@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "opass/planner.hpp"
@@ -38,6 +37,10 @@ namespace opass::obs {
 /// (dynamic-source retry waits).
 enum class SpanKind : std::uint8_t { kTask, kRead, kWait, kQueue, kPlan };
 const char* span_kind_name(SpanKind kind);
+/// The span name each kind always takes, in the layer.noun.verb taxonomy
+/// (the span-name lint rule checks the literals): exec.task.run,
+/// exec.read.serve, exec.wave.wait, svc.job.queue, svc.job.plan.
+const char* span_name(SpanKind kind);
 
 /// Causal buckets a span's time decomposes into. The transfer buckets mirror
 /// the paper's contention taxonomy (Fig. 3/4: hot disks and NICs), plus the
@@ -75,13 +78,11 @@ struct AttrSlice {
   std::int64_t duration_ticks() const { return end_ticks - start_ticks; }
 };
 
-/// One span. Names follow the repo's layer.noun.verb taxonomy (exactly three
-/// [a-z0-9_] segments, e.g. exec.task.run — the span-name lint rule).
+/// One span; its name is span_name(kind).
 struct Span {
   std::uint32_t id = kNoSpan;      ///< assigned by SpanLog::add
   std::uint32_t parent = kNoSpan;  ///< enclosing span (reads nest in tasks)
   SpanKind kind = SpanKind::kTask;
-  std::string name;
   /// Executor process rank for exec spans; tenant id for service spans.
   std::uint32_t process = 0;
   std::uint32_t task = kNoTask;  ///< runtime::TaskId / core::JobId
@@ -100,13 +101,9 @@ struct Span {
   std::int64_t duration_ticks() const { return end_ticks - start_ticks; }
 };
 
-/// True for exactly three dot-separated segments of [a-z0-9_]+, each
-/// starting with a letter (the layer.noun.verb taxonomy).
-bool valid_span_name(const std::string& name);
-
 /// Append-only log of spans, in deterministic build order. add() enforces
-/// the naming taxonomy and the breakdown reconciliation invariant, so a
-/// SpanLog can never hold a slice set that fails to sum to its span.
+/// the breakdown reconciliation invariant, so a SpanLog can never hold a
+/// slice set that fails to sum to its span.
 class SpanLog {
  public:
   /// Validate `span` and its breakdown `slices` (empty = untiled), copy the

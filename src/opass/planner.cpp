@@ -17,15 +17,6 @@ const char* planner_kind_name(PlannerKind kind) {
   OPASS_CHECK(false, "unhandled PlannerKind");
 }
 
-PlannerKind parse_planner_kind(const std::string& name) {
-  if (name == "single-data") return PlannerKind::kSingleData;
-  if (name == "weighted") return PlannerKind::kWeighted;
-  if (name == "rack-aware") return PlannerKind::kRackAware;
-  if (name == "multi-data") return PlannerKind::kMultiData;
-  OPASS_REQUIRE(false, "unknown planner name \"" + name +
-                           "\" (single-data | weighted | rack-aware | multi-data)");
-}
-
 const char* job_state_name(JobState state) {
   switch (state) {
     case JobState::kQueued: return "queued";

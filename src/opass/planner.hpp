@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/rng.hpp"
 #include "dfs/namenode.hpp"
@@ -32,9 +31,6 @@ enum class PlannerKind {
 
 /// Canonical name ("single-data", "weighted", "rack-aware", "multi-data").
 const char* planner_kind_name(PlannerKind kind);
-
-/// Inverse of planner_kind_name(); throws std::invalid_argument otherwise.
-PlannerKind parse_planner_kind(const std::string& name);
 
 /// Everything a planner needs to run. The referenced objects must outlive
 /// the plan() call; nothing is copied.

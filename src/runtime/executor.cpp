@@ -15,6 +15,7 @@ struct Execution::ProcState {
   TaskId computing = kInvalidTask;   ///< task whose compute is in flight, if any
   Seconds computing_start = 0;       ///< pull time of `computing`
   std::uint32_t events_pending = 0;
+  bool pending = false;              ///< last pull answered kPending
   /// The process's one in-flight read (reads are sequential). Kept here so
   /// the cluster callbacks capture only {this, p} and stay within
   /// std::function's small buffer: no heap allocation per read.
@@ -76,10 +77,18 @@ ExecutionResult Execution::take_result() {
   return std::move(result_);
 }
 
-/// Pull a task and start reading its inputs; a kWait retries later. Under
-/// prefetch, a pull made while a task computes is that cycle's reads event,
-/// so a kDone there completes the event instead of retiring the process
-/// (the cycle does once the compute ends).
+void Execution::resume(ProcessId p) {
+  OPASS_REQUIRE(p < states_.size() && states_[p].pending,
+                "resume needs a process whose last pull answered kPending");
+  states_[p].pending = false;
+  pull_next_task(p);
+}
+
+/// Pull a task and start reading its inputs; a kWait retries later and a
+/// kPending waits for the source's resume(p). Under prefetch, a pull made
+/// while a task computes is that cycle's reads event, so a kDone there
+/// completes the event instead of retiring the process (the cycle does once
+/// the compute ends).
 void Execution::pull_next_task(ProcessId p) {
   const Pull r = source_.pull(p, cluster_.simulator().now());
   switch (r.kind) {
@@ -94,6 +103,9 @@ void Execution::pull_next_task(ProcessId p) {
     case Pull::Kind::kWait:
       OPASS_REQUIRE(r.retry_after > 0, "wait must carry a positive retry delay");
       cluster_.simulator().after(r.retry_after, [this, p](Seconds) { pull_next_task(p); });
+      return;
+    case Pull::Kind::kPending:
+      states_[p].pending = true;
       return;
     case Pull::Kind::kTask:
       break;

@@ -6,11 +6,14 @@
 // Each process loops: pull a task from the TaskSource, read the task's input
 // chunks sequentially through the simulated cluster (local replica
 // preferred, remote replica chosen by the configured policy), spend the
-// task's compute time, repeat. The job ends at the implicit barrier when
-// every process has drained — the paper's "overall execution time will be
-// decided by the longest running process". That is the executor's only
-// barrier; a synchronization step between jobs (a ParaView rendering step,
-// an iterative epoch) is a phase of exp's Run.
+// task's compute time, repeat. A source may answer a pull later
+// (Pull::kPending) and resume the process when its answer arrives, which is
+// how the message-passing master (runtime/message_master.hpp) runs on this
+// same loop: it is the one loop that issues reads. The job ends at the
+// implicit barrier when every process has drained — the paper's "overall
+// execution time will be decided by the longest running process". That is
+// the executor's only barrier; a synchronization step between jobs (a
+// ParaView rendering step, an iterative epoch) is a phase of exp's Run.
 //
 // The executor stays metric-blind (DESIGN.md §8): it emits op events to
 // ExecutorConfig::probe and keeps no depth of its own.
@@ -118,6 +121,14 @@ class Execution {
   /// virtual time it stopped at. Other work on the cluster (other jobs, fault
   /// timers, recovery traffic) may still be pending then.
   Seconds run_until_done();
+
+  /// Pull again for process `p`, whose last pull answered Pull::kPending:
+  /// the source's answer has arrived. Any other process is rejected.
+  void resume(ProcessId p);
+
+  /// Node of each process (index = ProcessId), fixed when the Execution was
+  /// built; empty once take_result() moved it out.
+  std::span<const dfs::NodeId> process_nodes() const { return result_.process_node; }
 
   /// True once every process drained (the job's implicit final barrier).
   bool done() const { return done_; }

@@ -4,7 +4,9 @@
 // matching); the master–worker source models the mpiBLAST-style scheduler of
 // Section IV-D, handing out tasks dynamically. Opass's dynamic scheduler
 // (opass/dynamic_scheduler.hpp) implements the same interface, so the
-// executor is policy-agnostic.
+// executor is policy-agnostic. A source that answers only after simulated
+// time passes (the message-passing master of runtime/message_master.hpp)
+// returns Pull::kPending and resumes the process through its Execution.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +24,11 @@ namespace opass::runtime {
 /// Outcome of asking a source for work.
 struct Pull {
   enum class Kind {
-    kTask,  ///< run `task`
-    kWait,  ///< nothing suitable *yet* — ask again after `retry_after`
-    kDone,  ///< source drained for this process: retire
+    kTask,     ///< run `task`
+    kWait,     ///< nothing suitable *yet* — ask again after `retry_after`
+    kPending,  ///< the answer comes later: the source calls
+               ///< Execution::resume(process), which pulls again
+    kDone,     ///< source drained for this process: retire
   };
   Kind kind = Kind::kDone;
   TaskId task = kInvalidTask;
@@ -32,14 +36,18 @@ struct Pull {
 
   static Pull run(TaskId t) { return {Kind::kTask, t, 0}; }
   static Pull wait(Seconds retry) { return {Kind::kWait, kInvalidTask, retry}; }
+  static Pull pending() { return {Kind::kPending, kInvalidTask, 0}; }
   static Pull done() { return {}; }
 };
 
 /// Pull-based task dispenser. The executor calls pull() whenever a process
 /// becomes idle; kWait lets locality-aware schedulers (e.g. delay
 /// scheduling) hold a worker briefly instead of handing it remote work.
-/// Simple sources only implement next_task(); the default pull() maps
-/// nullopt to kDone.
+/// kPending leaves the process idle until the source calls
+/// Execution::resume(process) at a time of its choosing (a grant message
+/// arriving); the pull that resume() makes must then answer. Simple
+/// sources only implement next_task(); the default pull() maps nullopt to
+/// kDone.
 class TaskSource {
  public:
   virtual ~TaskSource() = default;
@@ -81,7 +89,8 @@ class MasterWorkerSource final : public TaskSource {
 /// is on its own node; if none exists it *waits* up to `max_delay` before
 /// accepting remote work, on the theory that a local slot frees up soon.
 /// Simplified single-job form with a per-worker wait clock, re-polled every
-/// kRetryInterval. max_delay = 0 degenerates to the FIFO master–worker.
+/// kRetryInterval. With max_delay = 0 it never waits: a local task first,
+/// else the queue head at once.
 class DelaySchedulingSource final : public TaskSource {
  public:
   static constexpr Seconds kRetryInterval = 0.05;

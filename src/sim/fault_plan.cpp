@@ -43,17 +43,6 @@ bool kind_from_name(const std::string& name, FaultKind& out) {
   return false;
 }
 
-}  // namespace
-
-FaultKind parse_fault_kind(const std::string& name) {
-  FaultKind kind;
-  OPASS_REQUIRE(kind_from_name(name, kind),
-                "unknown fault kind \"" + name + "\" " + kKindSet);
-  return kind;
-}
-
-namespace {
-
 /// Minimal JSON-subset reader for the fault-plan schema: objects, arrays,
 /// strings, numbers. Schema-driven (no generic value tree) so every error
 /// can name the offending field — the contract the CLI relies on.

@@ -66,10 +66,6 @@ enum class FaultKind {
 /// "crash" | "slow" | ... — stable names used by the JSON format.
 const char* fault_kind_name(FaultKind kind);
 
-/// Parse a kind name; unknown names throw with the offending string and the
-/// accepted set (same contract as core::parse_planner_kind).
-FaultKind parse_fault_kind(const std::string& name);
-
 /// One scripted event. Which fields are meaningful depends on `kind`:
 /// node (crash/slow/restore/decommission), factor (slow), rack (join),
 /// tolerance (rebalance).

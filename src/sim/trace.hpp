@@ -61,9 +61,6 @@ class TraceRecorder {
   /// Number of recorded reads.
   std::size_t size() const { return records_.size(); }
 
-  /// Drop all records (e.g. between epochs of an iterative run).
-  void clear() { records_.clear(); }
-
   /// Per-op I/O times in completion order (Fig. 7(c) / 9 / 11 / 12 series).
   std::vector<double> io_times() const;
 

@@ -1,11 +1,9 @@
 // The core::plan() facade: the matched count is the oracle's max-flow,
 // Algorithm 1 needs no rng, a warm lent workspace plans like a fresh one,
-// requests are validated strictly, and planner names round-trip. Each
-// planner's plans are pinned across commits by GoldenScenarios.Plan*
+// and requests are validated strictly. Each planner's plans are pinned
+// across commits by GoldenScenarios.Plan*
 // (tests/integration/golden_scenarios_test.cpp).
 #include <gtest/gtest.h>
-
-#include <string>
 
 #include "opass/opass.hpp"
 #include "support/edmonds_karp.hpp"
@@ -98,22 +96,6 @@ TEST(PlannerFacade, RejectsIncompleteRequests) {
   // Flow planners need the rng for their fill phase.
   EXPECT_THROW(plan({&layout.nn, &layout.tasks, &layout.placement, nullptr}),
                std::invalid_argument);
-}
-
-TEST(PlannerFacade, KindNamesRoundTrip) {
-  for (const auto kind : {PlannerKind::kSingleData, PlannerKind::kWeighted,
-                          PlannerKind::kRackAware, PlannerKind::kMultiData}) {
-    EXPECT_EQ(parse_planner_kind(planner_kind_name(kind)), kind);
-  }
-  try {
-    parse_planner_kind("gale-shapley");
-    FAIL() << "parse_planner_kind accepted an unknown name";
-  } catch (const std::invalid_argument& e) {
-    // The message must name the offender (so a typo in a config or CLI flag
-    // is diagnosable from the error alone) and list the accepted spellings.
-    EXPECT_NE(std::string(e.what()).find("gale-shapley"), std::string::npos) << e.what();
-    EXPECT_NE(std::string(e.what()).find("single-data"), std::string::npos) << e.what();
-  }
 }
 
 }  // namespace

@@ -123,12 +123,5 @@ TEST(TraceRecorder, Makespan) {
   EXPECT_DOUBLE_EQ(t.makespan(), 4.5);
 }
 
-TEST(TraceRecorder, ClearEmpties) {
-  TraceRecorder t;
-  t.add(rec(0, 0, 1, 0, 1, true));
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-}
-
 }  // namespace
 }  // namespace opass::sim

@@ -78,7 +78,7 @@ from opass_cpp import (  # noqa: E402
 #   3  sim                             flow-level cluster simulator
 #   4  runtime                         process/executor model over sim
 #   5  workload, opass                 task generators; the planner
-#   6  obs, mpi                        observability; MPI-style messaging
+#   6  obs                             observability
 #   7  exp                             experiment harness (top of the world)
 #
 # This is the enforced truth of the codebase; DESIGN.md documents the same
@@ -94,7 +94,6 @@ LAYERS = {
     "workload": 5,
     "opass": 5,
     "obs": 6,
-    "mpi": 6,
     "exp": 7,
 }
 

@@ -35,6 +35,11 @@ Rules (all scoped to src/ unless noted):
                     form ending in "." (used to splice in a node/process id).
                     A malformed literal would pass compilation but throw at
                     recorder registration or silently miss exporter filters.
+  span-name         String literals starting with "exec." or "svc." must
+                    follow the layer.noun.verb span taxonomy: exactly three
+                    dot-separated [a-z][a-z0-9_]* segments. The five span
+                    names are the literals of obs::span_name
+                    (src/obs/spans.cpp); nothing checks them at run time.
   facade-only       (scoped to src/ outside src/opass/, plus bench/,
                     examples/ and tests/) Planning goes through the
                     core::plan() facade; the matchers behind it
@@ -88,6 +93,14 @@ Rules (all scoped to src/ unless noted):
                     the Probe they are given, and a consumer that needs more
                     reads the emitter's accessors, so a new emitter or sink
                     adds an event kind, not an interface.
+  one-read-loop     runtime::Execution (src/runtime/executor.cpp) is the
+                    one loop in src/ that issues reads, so it is the only
+                    caller of dfs::choose_serving_node (defined in
+                    src/dfs/replica_choice.*). A second caller is a second
+                    read loop: a dispatcher re-implementing pull, read,
+                    compute and failover. Make it a TaskSource instead; a
+                    source may answer later with Pull::kPending, as the
+                    message-passing master (runtime/message_master.hpp) does.
   sink-writer       The four sink renderers (src/obs/metrics_io.cpp,
                     chrome_trace.cpp, attribution.cpp and report.cpp) write
                     every number through obs::SinkWriter (std::to_chars into
@@ -165,8 +178,9 @@ TIMELINE_PREFIX = re.compile(r"timeline\.(?:[a-z0-9_]+\.)*")
 # Any string literal whose content starts with a span-layer prefix ("exec."
 # or "svc.") — candidates for the span-name taxonomy check. The compliant
 # shape is checked against the literal's content afterwards: exactly three
-# dot-separated segments (layer.noun.verb), each [a-z][a-z0-9_]* — mirroring
-# obs::valid_span_name, which SpanLog::add enforces at runtime.
+# dot-separated segments (layer.noun.verb), each [a-z][a-z0-9_]*. The five
+# span names are literals in obs::span_name (src/obs/spans.cpp), so this
+# check is the only one they get.
 SPAN_LITERAL = re.compile(r'"((?:exec|svc)\.[^"\n]*)"')
 SPAN_FULL_NAME = re.compile(r"(?:exec|svc)\.[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*")
 # A direct call of a matcher declared in src/opass/matchers.hpp:
@@ -207,6 +221,14 @@ PURE_VIRTUAL_ON = re.compile(
     r"\bvirtual\b[^;{}]*?\b(on_\w+)\s*\([^;{}]*\)[^;{}=]*=\s*0\s*;")
 # The one file allowed to declare an observer interface.
 ONE_PROBE_HOME = "src/common/probe.hpp"
+# A replica choice for a read, qualified or not (comments are scrubbed).
+SERVING_CHOICE = re.compile(r"\bchoose_serving_node\s*\(")
+# The one read loop, and the files that declare and define the choice.
+ONE_READ_LOOP_HOMES = (
+    "src/runtime/executor.cpp",
+    "src/dfs/replica_choice.hpp",
+    "src/dfs/replica_choice.cpp",
+)
 # Per-field string formatting in a sink renderer: each builds a temporary
 # std::string instead of writing through obs::SinkWriter.
 SINK_FORMAT = re.compile(
@@ -345,8 +367,7 @@ def check_span_name(path: pathlib.Path, text: str, findings: list):
         findings.append(
             Finding(path, _line_of(text, m.start()), "span-name",
                     f'"{name}" breaks the layer.noun.verb span taxonomy '
-                    "(exactly 3 dot-separated [a-z][a-z0-9_]* segments; "
-                    "SpanLog::add rejects it at runtime too)"))
+                    "(exactly 3 dot-separated [a-z][a-z0-9_]* segments)"))
 
 
 def _close_paren(code: str, open_at: int) -> int:
@@ -486,6 +507,18 @@ def check_one_probe(path: pathlib.Path, root: pathlib.Path, text: str, findings:
                     f"of {ONE_PROBE_HOME} and add an event kind instead"))
 
 
+def check_one_read_loop(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
+    if path.relative_to(root).as_posix() in ONE_READ_LOOP_HOMES:
+        return
+    for m in SERVING_CHOICE.finditer(scrub(text)):
+        findings.append(
+            Finding(path, _line_of(text, m.start()), "one-read-loop",
+                    "choose_serving_node() outside src/runtime/executor.cpp: a "
+                    "second caller is a second read loop; make the dispatcher a "
+                    "task source of runtime::Execution instead (Pull::kPending "
+                    "lets it answer later)"))
+
+
 def check_sink_writer(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
     if path.relative_to(root).as_posix() not in SINK_RENDERERS:
         return
@@ -563,6 +596,7 @@ def lint_tree(root: pathlib.Path) -> list:
         check_no_raw_thread(path, root, text, findings)
         check_facade_only(path, root, text, findings)
         check_one_probe(path, root, text, findings)
+        check_one_read_loop(path, root, text, findings)
         check_sink_writer(path, root, text, findings)
         check_arc_partner(path, root, text, findings)
         check_linear_detach(path, root, text, findings)
@@ -662,6 +696,15 @@ _VIOLATIONS = {
         "  virtual void on_read_issued(double now, unsigned server) const = 0;\n"
         "};\n",
     ),
+    "one-read-loop": (
+        "mpi/bad_second_read_loop.cpp",
+        '#include "dfs/replica_choice.hpp"\n'
+        "void issue(const ChunkInfo& chunk, NodeId reader, Cluster& c, Rng& rng) {\n"
+        "  const NodeId server = dfs::choose_serving_node(chunk, reader, c.inflight_per_node(),\n"
+        "                                                 ReplicaChoice::kRandom, rng);\n"
+        "  c.read(reader, server, chunk.size, done, failed);\n"
+        "}\n",
+    ),
     "sink-writer": (
         "obs/chrome_trace.cpp",
         "#include <string>\n"
@@ -748,9 +791,10 @@ _CLEANS = (
     ),
     (
         # Compliant span-name spellings span-name must NOT flag: the five
-        # taxonomy names SpanLog::add accepts (exactly three [a-z][a-z0-9_]*
-        # segments). A literal like "executive.summary" has no exec./svc.
-        # prefix, so it is out of the rule's scope by construction.
+        # taxonomy names obs::span_name returns (exactly three
+        # [a-z][a-z0-9_]* segments). A literal like "executive.summary" has
+        # no exec./svc. prefix, so it is out of the rule's scope by
+        # construction.
         "obs/clean_span_name.cpp",
         "#include <string>\n"
         "const std::string kTask = \"exec.task.run\";\n"
@@ -848,6 +892,27 @@ _CLEANS = (
         '#include "runtime/executor.hpp"\n'
         "void a(Cluster& c, Source& s) { runtime::Execution e(c, nn, tasks, s, rng, ec); }\n"
         "void b(Cluster& c, Source& s) { runtime::execute(c, nn, tasks, s, rng, ec); }\n",
+    ),
+    (
+        # What one-read-loop must NOT flag: the executor's call, the
+        # definition's home, and a mention inside a comment elsewhere.
+        "runtime/executor.cpp",
+        '#include "runtime/executor.hpp"\n'
+        "void Execution::issue_read(ProcessId p, ChunkId cid) {\n"
+        "  const NodeId server = dfs::choose_serving_node(nn_.chunk(cid), reader, load,\n"
+        "                                                 config_.replica_choice, rng_);\n"
+        "}\n",
+    ),
+    (
+        "dfs/replica_choice.cpp",
+        '#include "dfs/replica_choice.hpp"\n'
+        "NodeId choose_serving_node(const ChunkInfo& chunk, NodeId reader) { return reader; }\n",
+    ),
+    (
+        "runtime/clean_read_loop_mention.cpp",
+        '#include "runtime/message_master.hpp"\n'
+        "// The executor, not this source, calls dfs::choose_serving_node(chunk, ...).\n"
+        "int grants(int tasks) { return tasks + 1; }\n",
     ),
     (
         # The one observer interface one-probe allows.

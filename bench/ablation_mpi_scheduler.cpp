@@ -40,7 +40,6 @@ Outcome run(const dfs::NameNode& nn, const std::vector<runtime::Task>& tasks,
   Rng e(7);
   runtime::MessageMasterSource master(cluster, source, /*master=*/0);
   runtime::ExecutorConfig cfg;
-  cfg.process_count = static_cast<std::uint32_t>(workers.size());
   cfg.placement = workers;
   runtime::Execution execution(cluster, nn, tasks, messages ? master : source, e, cfg);
   if (messages) master.attach(execution);

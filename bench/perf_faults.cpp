@@ -13,19 +13,12 @@
 //   hotset-spread-64n-256t   skewed (Zipf) hot-file popularity on spread
 //                            placement, hottest node crashing mid-job
 //
-// Every recovery decision is deterministic (no RNG), so the embedded
-// metrics are exact simulation outputs: any drift means behaviour changed.
-// stdout carries each scenario's metrics object exactly as the JSON does,
-// and nothing host-dependent, so the perf_faults_pinned ctest pins its
-// SHA-256. The JSON adds the host wall times, which CI compares with
-// tools/bench_compare.py.
-//
-//   perf_faults                      # all five scenarios -> BENCH_faults.json
-//   perf_faults --out=path.json
-#include <chrono>
+// Every recovery decision is deterministic (no RNG), so the printed metrics
+// are exact simulation outputs: any drift means behaviour changed. stdout
+// holds nothing host-dependent, so the perf_faults_pinned ctest pins its
+// SHA-256; host wall time is measured only by the repository benchmark
+// (bench/e2e).
 #include <cstdio>
-#include <cstring>
-#include <string>
 
 #include "dfs/placement.hpp"
 #include "exp/experiment.hpp"
@@ -199,55 +192,22 @@ Outcome run_hotset() {
 
 struct Scenario {
   const char* name;
-  std::uint32_t nodes;
-  std::uint32_t tasks;
-  std::uint32_t replication;
-  std::uint64_t seed;
-  std::uint32_t repeats;
   Outcome (*run)();
 };
 
 constexpr Scenario kScenarios[] = {
-    {"crash-64n-640t-r3", 64, 640, 3, 42, 3, run_crash},
-    {"straggler-64n-512t-dyn", 64, 512, 3, 11, 3, run_straggler},
-    {"churn-64n-640t-r2", 64, 640, 2, 7, 3, run_churn},
-    {"drain-64n-320t-r1", 64, 320, 1, 5, 3, run_drain_r1},
-    {"hotset-spread-64n-256t", 64, 256, 3, 21, 3, run_hotset},
+    {"crash-64n-640t-r3", run_crash},
+    {"straggler-64n-512t-dyn", run_straggler},
+    {"churn-64n-640t-r2", run_churn},
+    {"drain-64n-320t-r1", run_drain_r1},
+    {"hotset-spread-64n-256t", run_hotset},
 };
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string out_path = "BENCH_faults.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr, "usage: perf_faults [--out=path.json]\n");
-      return 2;
-    }
-  }
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 2;
-  }
-
-  std::fprintf(f, "{\n  \"bench\": \"faults\",\n  \"schema\": 1,\n  \"scenarios\": [\n");
-  bool first = true;
+int main() {
   for (const Scenario& sc : kScenarios) {
-    double wall_ms_min = 0, total_ms = 0;
-    Outcome o;
-    for (std::uint32_t rep = 0; rep < sc.repeats; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      o = sc.run();  // deterministic: every repeat observes the same outcome
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-      total_ms += ms;
-      if (rep == 0 || ms < wall_ms_min) wall_ms_min = ms;
-    }
-
+    const Outcome o = sc.run();
     char metrics[512];
     std::snprintf(metrics, sizeof metrics,
                   "{\"makespan_s\": %.4f, \"degree_of_imbalance\": %.4f, "
@@ -258,21 +218,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(o.read_failures),
                   to_mib(o.faults.rereplicated_bytes), o.faults.replicas_copied,
                   o.faults.recoveries, o.faults.lost_chunks, o.faults.aborted_copies);
-
-    std::fprintf(f, "%s", first ? "" : ",\n");
-    first = false;
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"nodes\": %u, \"tasks\": %u, "
-                 "\"replication\": %u, \"seed\": %llu, \"repeats\": %u,\n"
-                 "     \"wall_ms_min\": %.4f, \"wall_ms_mean\": %.4f,\n"
-                 "     \"metrics\": %s}",
-                 sc.name, sc.nodes, sc.tasks, sc.replication,
-                 static_cast<unsigned long long>(sc.seed), sc.repeats, wall_ms_min,
-                 total_ms / sc.repeats, metrics);
     std::printf("%-24s %s\n", sc.name, metrics);
   }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   return 0;
 }

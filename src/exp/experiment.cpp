@@ -97,8 +97,7 @@ class Run {
         cluster_(cfg.nodes, cfg.cluster),
         timeline_(cfg.timeline, cluster_, static_cast<std::uint32_t>(placement.size())) {
     ec_.replica_choice = cfg.replica_choice;
-    ec_.process_count = static_cast<std::uint32_t>(placement.size());
-    ec_.placement = placement;  // every phase keeps the plan's nodes
+    ec_.placement = placement;  // every phase keeps the plan's nodes (and count)
     ec_.record_read_breakdown = cfg.spans != nullptr;
     ec_.probe = timeline_.executor_probe();
     // The scripted events and heartbeat checks are simulator timers, so they

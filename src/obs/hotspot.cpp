@@ -8,8 +8,7 @@
 
 namespace opass::obs {
 
-HotspotReport hotspot_report(const sim::TraceRecorder& trace, std::uint32_t node_count,
-                             const sim::Cluster* cluster) {
+HotspotReport hotspot_report(const sim::TraceRecorder& trace, std::uint32_t node_count) {
   OPASS_REQUIRE(node_count > 0, "report needs at least one node");
   HotspotReport report;
   report.rows.resize(node_count);
@@ -22,14 +21,6 @@ HotspotReport hotspot_report(const sim::TraceRecorder& trace, std::uint32_t node
     ++row.ops_served;
     if (r.local) ++row.local_ops;
     report.total_bytes += r.bytes;
-  }
-  if (cluster != nullptr) {
-    OPASS_REQUIRE(cluster->node_count() >= node_count,
-                  "cluster smaller than the report's node count");
-    for (std::uint32_t n = 0; n < node_count; ++n) {
-      report.rows[n].disk_busy = cluster->disk_busy_time(n);
-      report.rows[n].disk_peak_load = cluster->disk_peak_load(n);
-    }
   }
 
   std::vector<double> served;
@@ -51,12 +42,11 @@ HotspotReport hotspot_report(const sim::TraceRecorder& trace, std::uint32_t node
 }
 
 std::string HotspotReport::render() const {
-  Table table({"node", "served MiB", "ops", "local %", "disk busy s", "peak load"});
+  Table table({"node", "served MiB", "ops", "local %"});
   for (const NodeHotspot& row : rows) {
     table.add_row({Table::integer(row.node), Table::num(to_mib(row.bytes_served)),
                    Table::integer(row.ops_served),
-                   Table::num(row.local_fraction() * 100.0, 1),
-                   Table::num(row.disk_busy), Table::integer(row.disk_peak_load)});
+                   Table::num(row.local_fraction() * 100.0, 1)});
   }
   std::string out = table.render("per-node serving hotspots (hottest first)");
   out += "total " + Table::num(to_mib(total_bytes)) + " MiB | jain " +

@@ -1,5 +1,5 @@
-// Per-node hotspot report: which storage nodes served how much, how skewed
-// the load is, and (when a cluster is supplied) how busy each disk was.
+// Per-node hotspot report: which storage nodes served how much and how
+// skewed the load is.
 //
 // This is the paper's serve-imbalance analysis (Figs. 1, 8, 10) packaged as
 // a reusable report: nodes ranked by bytes served, with Jain's fairness
@@ -15,7 +15,6 @@
 
 #include "common/units.hpp"
 #include "dfs/types.hpp"
-#include "sim/cluster.hpp"
 #include "sim/trace.hpp"
 
 namespace opass::obs {
@@ -26,8 +25,6 @@ struct NodeHotspot {
   Bytes bytes_served = 0;          ///< payload bytes this node's disk served
   std::uint32_t ops_served = 0;    ///< chunk reads this node served
   std::uint32_t local_ops = 0;     ///< of those, reads by a co-located process
-  Seconds disk_busy = 0;           ///< disk busy seconds (0 without a cluster)
-  std::uint32_t disk_peak_load = 0;  ///< peak concurrent transfers (ditto)
 
   /// Fraction of this node's served ops that were local; 0 when idle.
   double local_fraction() const {
@@ -49,10 +46,7 @@ struct HotspotReport {
   std::string render() const;
 };
 
-/// Reduce a trace to the report. `node_count` sizes the per-node rows; pass
-/// `cluster` to also fill the disk columns (busy time, peak load) from the
-/// simulator's resource accounting.
-HotspotReport hotspot_report(const sim::TraceRecorder& trace, std::uint32_t node_count,
-                             const sim::Cluster* cluster = nullptr);
+/// Reduce a trace to the report. `node_count` sizes the per-node rows.
+HotspotReport hotspot_report(const sim::TraceRecorder& trace, std::uint32_t node_count);
 
 }  // namespace opass::obs

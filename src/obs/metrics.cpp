@@ -96,26 +96,4 @@ const Metric& MetricsRegistry::at(const std::string& name) const {
   return metrics_[i];
 }
 
-void MetricsRegistry::clear() {
-  metrics_.clear();
-  index_.clear();
-}
-
-ScopedWallTimer::ScopedWallTimer(MetricsRegistry& registry, std::string name)
-    : registry_(registry), name_(std::move(name)),
-      start_(std::chrono::steady_clock::now()) {}
-
-ScopedWallTimer::~ScopedWallTimer() {
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-  registry_.gauge_set(name_, ms, Determinism::kWallClock);
-}
-
-void record_phase(MetricsRegistry& registry, const std::string& name, Seconds start,
-                  Seconds end) {
-  OPASS_REQUIRE(end >= start, "phase end precedes its start");
-  registry.gauge_set(name, end - start, Determinism::kDeterministic);
-}
-
 }  // namespace opass::obs

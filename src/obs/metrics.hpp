@@ -1,5 +1,5 @@
 // Deterministic metrics registry: named counters, gauges and fixed-bucket
-// histograms, plus scoped phase timers keyed by virtual or wall time.
+// histograms.
 //
 // The registry is the single collection point for everything the simulator,
 // the executor and the planners measure. Two invariants make it useful for a
@@ -18,13 +18,11 @@
 // obs/collect.hpp; serialization in obs/metrics_io.hpp.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/units.hpp"
 #include "obs/names.hpp"
 
 namespace opass::obs {
@@ -115,9 +113,6 @@ class MetricsRegistry {
 
   std::size_t size() const { return metrics_.size(); }
 
-  /// Drop every metric (e.g. between scenarios sharing one registry).
-  void clear();
-
  private:
   Metric& get_or_create(const std::string& name, MetricKind kind, Determinism determinism);
   /// The index's view of the names the metrics store.
@@ -132,27 +127,5 @@ class MetricsRegistry {
   std::vector<Metric> metrics_;
   NameIndex index_;  ///< over metrics_[i].name
 };
-
-/// RAII wall-clock phase timer: on destruction writes the elapsed host
-/// milliseconds to gauge `name` tagged Determinism::kWallClock (so default
-/// exports stay byte-stable). For virtual-time phases use record_phase().
-class ScopedWallTimer {
- public:
-  ScopedWallTimer(MetricsRegistry& registry, std::string name);
-  ~ScopedWallTimer();
-
-  ScopedWallTimer(const ScopedWallTimer&) = delete;
-  ScopedWallTimer& operator=(const ScopedWallTimer&) = delete;
-
- private:
-  MetricsRegistry& registry_;
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Record a virtual-time phase `[start, end]` as a deterministic gauge of
-/// its duration in (simulated) seconds. `end` must not precede `start`.
-void record_phase(MetricsRegistry& registry, const std::string& name, Seconds start,
-                  Seconds end);
 
 }  // namespace opass::obs

@@ -56,11 +56,6 @@ class NameIndex {
       if (id != kNone) place(id, name_of(id));
   }
 
-  void clear() {
-    slots_.clear();
-    size_ = 0;
-  }
-
  private:
   static std::size_t hash(std::string_view name) {
     return std::hash<std::string_view>{}(name);

@@ -26,10 +26,12 @@ Execution::Execution(sim::Cluster& cluster, const dfs::NameNode& nn,
                      const std::vector<Task>& tasks, TaskSource& source, Rng& rng,
                      const ExecutorConfig& config)
     : cluster_(cluster), nn_(nn), tasks_(tasks), source_(source), rng_(rng), config_(config) {
-  const std::uint32_t m = config.process_count ? config.process_count : cluster.node_count();
+  const auto placed = static_cast<std::uint32_t>(config.placement.size());
+  OPASS_REQUIRE(placed == 0 || config.process_count == 0 || config.process_count == placed,
+                "ExecutorConfig.process_count must be 0 or the placement's size");
+  std::uint32_t m = placed ? placed : config.process_count;
+  if (m == 0) m = cluster.node_count();
   OPASS_REQUIRE(m > 0, "need at least one process");
-  OPASS_REQUIRE(config.placement.empty() || config.placement.size() == m,
-                "placement must place every process");
   if (config.record_read_breakdown && !cluster.read_breakdown_recording()) {
     cluster.record_read_breakdown(true);
     stop_recording_ = true;

@@ -66,7 +66,9 @@ struct ExecutionResult {
 
 /// Configuration of one parallel execution.
 struct ExecutorConfig {
-  std::uint32_t process_count = 0;  ///< 0 = one process per cluster node
+  /// Processes to launch; 0 = the placement's size, or one per cluster node
+  /// without a placement. With a placement it must be 0 or its size.
+  std::uint32_t process_count = 0;
   /// Node of each process (index = ProcessId; borrowed, must outlive the
   /// Execution), its size the process count. Empty = process p on
   /// p % node_count, which a node that joins between two Executions on one

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 
 #include "common/require.hpp"
@@ -205,23 +206,36 @@ FaultInjector::FaultInjector(Cluster& cluster, dfs::NameNode& nn, HeartbeatMonit
 
 void FaultInjector::arm() {
   OPASS_REQUIRE(!armed_, "fault plan already armed");
+  // Check the events in firing order, (max(at, now), index) like the
+  // simulator's timers: each sees the nodes that exist by then (a join adds
+  // one), less those an earlier event crashed or decommissioned.
+  const Seconds start = cluster_.simulator().now();
+  std::vector<std::size_t> order(plan_.events.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::max(plan_.events[a].at, start) < std::max(plan_.events[b].at, start);
+  });
+  constexpr std::size_t kPresent = SIZE_MAX;
+  std::vector<std::size_t> removed_by(cluster_.node_count(), kPresent);  // event index
+  for (const std::size_t i : order) {
+    const FaultEvent& ev = plan_.events[i];
+    if (ev.kind == FaultKind::kJoin) removed_by.push_back(kPresent);
+    if (ev.kind == FaultKind::kJoin || ev.kind == FaultKind::kRebalance) continue;
+    const std::string what = "fault plan event " + std::to_string(i) + " (" +
+                             fault_kind_name(ev.kind) + " of node " + std::to_string(ev.node);
+    const std::size_t known = removed_by.size();
+    OPASS_REQUIRE(ev.node < known,
+                  what + ") fires when " + std::to_string(known) + " nodes exist");
+    if (ev.kind != FaultKind::kCrash && ev.kind != FaultKind::kDecommission) continue;
+    const std::size_t j = removed_by[ev.node];
+    OPASS_REQUIRE(j == kPresent, what + ") fires after event " + std::to_string(j) + " (" +
+                                     fault_kind_name(plan_.events[j].kind) + ") took it out");
+    removed_by[ev.node] = i;
+  }
+
   armed_ = true;
   monitor_.set_recovery_handler(
       [this](dfs::NodeId node, Seconds now) { on_declared(node, now); });
-
-  // Range-check node references against the membership at each event's
-  // position in the plan (joins extend the valid range in plan order).
-  std::uint32_t known = cluster_.node_count();
-  for (const FaultEvent& ev : plan_.events) {
-    if (ev.kind == FaultKind::kJoin) {
-      ++known;
-    } else if (ev.kind != FaultKind::kRebalance) {
-      OPASS_REQUIRE(ev.node < known, "fault plan event references node " +
-                                         std::to_string(ev.node) +
-                                         " outside the cluster");
-    }
-  }
-
   for (std::size_t i = 0; i < plan_.events.size(); ++i)
     cluster_.simulator().at(plan_.events[i].at, [this, i](Seconds now) { apply(now, i); });
 }
@@ -250,6 +264,7 @@ void FaultInjector::apply(Seconds now, std::size_t index) {
       const dfs::NodeId id = nn_.add_node(event.rack);
       const dfs::NodeId cid = cluster_.add_node(event.rack);
       OPASS_CHECK(id == cid, "NameNode and cluster disagree on the joined node's id");
+      if (!inbound_.empty()) inbound_.resize(cluster_.node_count());
       monitor_.watch_node(id, plan_.horizon);
       if (membership_) membership_(now, MembershipEvent::kNodeJoined, id);
       break;
@@ -283,9 +298,7 @@ dfs::NodeId FaultInjector::pick_target(dfs::ChunkId chunk) const {
   for (dfs::NodeId n = 0; n < cluster_.node_count(); ++n) {
     if (!node_usable(n)) continue;
     if (nn_.chunk(chunk).has_replica_on(n)) continue;
-    std::size_t load = nn_.chunks_on_node(n).size();
-    for (std::size_t i = 0; i < pending_targets_.size(); ++i)
-      if (pending_targets_[i] == n) ++load;
+    const std::size_t load = nn_.chunks_on_node(n).size() + inbound_[n];
     if (best == dfs::kInvalidNode || load < best_load) {
       best = n;
       best_load = load;
@@ -302,8 +315,7 @@ void FaultInjector::on_declared(dfs::NodeId node, Seconds now) {
   // re-create each one with a real copy. Ascending chunk order, bounded
   // concurrency — deterministic regardless of detection interleaving.
   const std::vector<dfs::ChunkId> affected = nn_.detach_node(node);
-  const std::uint32_t drive = static_cast<std::uint32_t>(drives_.size());
-  drives_.push_back({node, MembershipEvent::kRecoveryComplete, 0});
+  const auto drive = open_drive(node, MembershipEvent::kRecoveryComplete);
   for (dfs::ChunkId c : affected) {
     const dfs::NodeId src = pick_source(c);
     if (src == dfs::kInvalidNode) {
@@ -315,14 +327,9 @@ void FaultInjector::on_declared(dfs::NodeId node, Seconds now) {
       ++stats_.lost_chunks;  // nowhere to put it (tiny or dying cluster)
       continue;
     }
-    ++drives_.back().pending;
-    enqueue({c, src, dst, dfs::kInvalidNode, nn_.chunk(c).size, drive});
+    enqueue({c, src, dst, dfs::kInvalidNode, drive});
   }
-  if (drives_.back().pending == 0) {
-    ++stats_.recoveries;
-    emit(now, ProbeKind::kRecovered, node);
-    if (membership_) membership_(now, MembershipEvent::kRecoveryComplete, node);
-  }
+  settle(now, drive);
   pump(now);
 }
 
@@ -331,20 +338,15 @@ void FaultInjector::start_drain(Seconds now, dfs::NodeId node) {
   nn_.mark_decommissioned(node);
   std::vector<dfs::ChunkId> chunks = nn_.chunks_on_node(node);
   std::sort(chunks.begin(), chunks.end());
-  const std::uint32_t drive = static_cast<std::uint32_t>(drives_.size());
-  drives_.push_back({node, MembershipEvent::kDrainComplete, 0});
+  const auto drive = open_drive(node, MembershipEvent::kDrainComplete);
   for (dfs::ChunkId c : chunks) {
     const dfs::NodeId dst = pick_target(c);
     if (dst == dfs::kInvalidNode) continue;  // nowhere to move it; keep serving
-    ++drives_.back().pending;
     // The draining node itself sources the copy and gives the replica up
     // only once the copy landed — safe at replication 1.
-    enqueue({c, node, dst, node, nn_.chunk(c).size, drive});
+    enqueue({c, node, dst, node, drive});
   }
-  if (drives_.back().pending == 0) {
-    emit(now, ProbeKind::kRecovered, node);
-    if (membership_) membership_(now, MembershipEvent::kDrainComplete, node);
-  }
+  settle(now, drive);
   pump(now);
 }
 
@@ -353,9 +355,6 @@ void FaultInjector::start_rebalance(Seconds now, std::uint32_t tolerance) {
   // HDFS balancer's most- to least-loaded rule with deterministic ties),
   // then execute it as traffic. Metadata commits as each copy lands.
   std::vector<std::vector<dfs::ChunkId>> inv(cluster_.node_count());
-  std::vector<dfs::ReplicaList> replicas;
-  replicas.reserve(nn_.chunk_count());
-  for (dfs::ChunkId c = 0; c < nn_.chunk_count(); ++c) replicas.push_back(nn_.locations(c));
   for (dfs::NodeId n = 0; n < cluster_.node_count(); ++n) {
     inv[n] = nn_.chunks_on_node(n);
     std::sort(inv[n].begin(), inv[n].end());
@@ -364,8 +363,7 @@ void FaultInjector::start_rebalance(Seconds now, std::uint32_t tolerance) {
   // As in NameNode::balance, a tolerance of 0 means 1: a spread of exactly
   // 1 cannot shrink, and every further pass would enqueue another copy.
   const std::size_t spread = std::max<std::uint32_t>(tolerance, 1);
-  const std::uint32_t drive = static_cast<std::uint32_t>(drives_.size());
-  drives_.push_back({dfs::kInvalidNode, MembershipEvent::kRebalanceComplete, 0});
+  const auto drive = open_drive(dfs::kInvalidNode, MembershipEvent::kRebalanceComplete);
   for (;;) {
     dfs::NodeId hi = dfs::kInvalidNode, lo = dfs::kInvalidNode;
     for (dfs::NodeId n = 0; n < cluster_.node_count(); ++n) {
@@ -377,36 +375,32 @@ void FaultInjector::start_rebalance(Seconds now, std::uint32_t tolerance) {
     if (inv[hi].size() <= inv[lo].size() + spread) break;
 
     // Smallest movable chunk id on hi that lo lacks.
-    dfs::ChunkId moved = dfs::kInvalidNode;
-    for (dfs::ChunkId c : inv[hi]) {
-      const auto& reps = replicas[c];
-      if (std::find(reps.begin(), reps.end(), lo) == reps.end()) {
-        moved = c;
-        break;
-      }
-    }
-    if (moved == dfs::kInvalidNode) break;
-
     auto& hi_inv = inv[hi];
-    hi_inv.erase(std::find(hi_inv.begin(), hi_inv.end(), moved));
     auto& lo_inv = inv[lo];
+    const auto it = std::find_if(hi_inv.begin(), hi_inv.end(), [&](dfs::ChunkId c) {
+      return !std::binary_search(lo_inv.begin(), lo_inv.end(), c);
+    });
+    if (it == hi_inv.end()) break;
+    const dfs::ChunkId moved = *it;
+    hi_inv.erase(it);
     lo_inv.insert(std::lower_bound(lo_inv.begin(), lo_inv.end(), moved), moved);
-    auto& reps = replicas[moved];
-    *std::find(reps.begin(), reps.end(), hi) = lo;
-
-    ++drives_.back().pending;
-    enqueue({moved, hi, lo, hi, nn_.chunk(moved).size, drive});
+    enqueue({moved, hi, lo, hi, drive});
   }
-  if (drives_.back().pending == 0) {
-    emit(now, ProbeKind::kRecovered, dfs::kInvalidNode);
-    if (membership_) membership_(now, MembershipEvent::kRebalanceComplete, dfs::kInvalidNode);
-  }
+  settle(now, drive);
   pump(now);
 }
 
+std::uint32_t FaultInjector::open_drive(dfs::NodeId node, MembershipEvent done_event) {
+  // Sized by the first drive, not by arm(): a plan that never copies
+  // allocates no counts.
+  if (inbound_.empty()) inbound_.resize(cluster_.node_count());
+  drives_.push_back({node, done_event, 1});
+  return static_cast<std::uint32_t>(drives_.size() - 1);
+}
+
 void FaultInjector::enqueue(Copy copy) {
-  pending_chunks_.push_back(copy.chunk);
-  pending_targets_.push_back(copy.dst);
+  ++drives_[copy.drive].pending;
+  ++inbound_[copy.dst];
   queue_.push_back(copy);
 }
 
@@ -417,11 +411,20 @@ void FaultInjector::pump(Seconds now) {
 
     // Re-validate at start time: metadata (or membership) may have moved
     // since the copy was planned.
-    if (!node_usable(copy.dst) || nn_.chunk(copy.chunk).has_replica_on(copy.dst)) {
+    Verdict verdict = check(copy);
+    if (verdict == Verdict::kRetarget) {
+      if (const dfs::NodeId dst = pick_target(copy.chunk); dst != dfs::kInvalidNode) {
+        --inbound_[copy.dst];
+        ++inbound_[dst];
+        copy.dst = dst;
+        verdict = Verdict::kGo;
+      }
+    }
+    if (verdict != Verdict::kGo) {
       finish_copy(now, copy, /*landed=*/false);
       continue;
     }
-    if (cluster_.is_failed(copy.src)) {
+    if (cluster_.is_failed(copy.src) || !nn_.chunk(copy.chunk).has_replica_on(copy.src)) {
       const dfs::NodeId src = pick_source(copy.chunk);
       if (src == dfs::kInvalidNode) {
         ++stats_.lost_chunks;
@@ -430,15 +433,18 @@ void FaultInjector::pump(Seconds now) {
       }
       ++stats_.aborted_copies;
       copy.src = src;
-      if (copy.remove_from == copy.src) copy.remove_from = dfs::kInvalidNode;
     }
 
     ++active_copies_;
     cluster_.replicate(
-        copy.src, copy.dst, copy.bytes,
+        copy.src, copy.dst, nn_.chunk(copy.chunk).size,
         [this, copy](Seconds end) {
           --active_copies_;
-          finish_copy(end, copy, /*landed=*/true);
+          const Verdict landing = check(copy);
+          if (landing == Verdict::kRetarget)
+            queue_.push_front(copy);
+          else
+            finish_copy(end, copy, /*landed=*/landing == Verdict::kGo);
           pump(end);
         },
         [this, copy](Seconds end) {
@@ -451,35 +457,43 @@ void FaultInjector::pump(Seconds now) {
   }
 }
 
-void FaultInjector::finish_copy(Seconds now, const Copy& copy, bool landed) {
-  // Drop the pending-target marker (first matching entry).
-  for (std::size_t i = 0; i < pending_chunks_.size(); ++i) {
-    if (pending_chunks_[i] == copy.chunk && pending_targets_[i] == copy.dst) {
-      pending_chunks_.erase(pending_chunks_.begin() + static_cast<std::ptrdiff_t>(i));
-      pending_targets_.erase(pending_targets_.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-  }
+FaultInjector::Verdict FaultInjector::check(const Copy& copy) const {
+  // A recovery copy is needed while its chunk is short of r replicas, a move
+  // while its source still holds the chunk.
+  const dfs::ChunkInfo& info = nn_.chunk(copy.chunk);
+  const bool needed = copy.remove_from == dfs::kInvalidNode
+                          ? info.replicas.size() < nn_.replication()
+                          : info.has_replica_on(copy.remove_from);
+  if (!needed) return Verdict::kDrop;
+  if (node_usable(copy.dst) && !info.has_replica_on(copy.dst)) return Verdict::kGo;
+  // A rebalance move is best effort: dropped, not re-targeted.
+  const MembershipEvent drive = drives_[copy.drive].done_event;
+  return drive == MembershipEvent::kRebalanceComplete ? Verdict::kDrop : Verdict::kRetarget;
+}
 
+void FaultInjector::finish_copy(Seconds now, const Copy& copy, bool landed) {
+  --inbound_[copy.dst];
   if (landed) {
+    const Bytes bytes = nn_.chunk(copy.chunk).size;
     nn_.register_replica(copy.chunk, copy.dst);
-    if (copy.remove_from != dfs::kInvalidNode &&
-        nn_.chunk(copy.chunk).has_replica_on(copy.remove_from))
+    if (copy.remove_from != dfs::kInvalidNode)
       nn_.unregister_replica(copy.chunk, copy.remove_from);
     ++stats_.replicas_copied;
-    stats_.rereplicated_bytes += copy.bytes;
-    emit(now, ProbeKind::kCopy, copy.chunk, copy.dst, copy.bytes);
+    stats_.rereplicated_bytes += bytes;
+    emit(now, ProbeKind::kCopy, copy.chunk, copy.dst, bytes);
   } else {
     ++stats_.aborted_copies;
   }
+  settle(now, copy.drive);
+}
 
-  Drive& drive = drives_[copy.drive];
+void FaultInjector::settle(Seconds now, std::uint32_t index) {
+  Drive& drive = drives_[index];
   OPASS_CHECK(drive.pending > 0, "recovery drive copy count underflow");
-  if (--drive.pending == 0) {
-    if (drive.done_event == MembershipEvent::kRecoveryComplete) ++stats_.recoveries;
-    emit(now, ProbeKind::kRecovered, drive.node);
-    if (membership_) membership_(now, drive.done_event, drive.node);
-  }
+  if (--drive.pending > 0) return;
+  if (drive.done_event == MembershipEvent::kRecoveryComplete) ++stats_.recoveries;
+  emit(now, ProbeKind::kRecovered, drive.node);
+  if (membership_) membership_(now, drive.done_event, drive.node);
 }
 
 }  // namespace opass::sim

@@ -143,13 +143,15 @@ class FaultInjector {
   using MembershipCallback =
       std::function<void(Seconds, MembershipEvent, dfs::NodeId)>;
 
-  /// Preconditions: `monitor` not started yet or started with the same
-  /// horizon; every event node id < cluster.node_count() at its event time
-  /// (join events extend the valid range in plan order).
+  /// Precondition: `monitor` not started yet or started with the same
+  /// horizon.
   FaultInjector(Cluster& cluster, dfs::NameNode& nn, HeartbeatMonitor& monitor,
                 FaultPlan plan);
 
   /// Schedule every event and install the recovery handler. Call once.
+  /// Throws std::invalid_argument, naming the events, if an event in firing
+  /// order names a node that does not exist yet (joins add nodes) or crashes
+  /// or decommissions one an earlier event already crashed or decommissioned.
   void arm();
 
   /// Attach (or with nullptr, detach) the probe for kFault, kDetection,
@@ -164,15 +166,14 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
 
  private:
-  /// One queued copy: move `bytes` of `chunk` from `src` to `dst`. When
-  /// `remove_from` != kInvalidNode the copy is a *move* (drain/rebalance):
-  /// the source replica is unregistered after the copy lands.
+  /// One queued copy of `chunk` from `src` to `dst`. When `remove_from` !=
+  /// kInvalidNode the copy is a *move* (drain/rebalance): the source replica
+  /// is unregistered after the copy lands.
   struct Copy {
     dfs::ChunkId chunk = 0;
     dfs::NodeId src = dfs::kInvalidNode;
     dfs::NodeId dst = dfs::kInvalidNode;
     dfs::NodeId remove_from = dfs::kInvalidNode;
-    Bytes bytes = 0;
     std::uint32_t drive = 0;  ///< index into drives_
   };
 
@@ -192,9 +193,19 @@ class FaultInjector {
   void on_declared(dfs::NodeId node, Seconds now);
   void start_drain(Seconds now, dfs::NodeId node);
   void start_rebalance(Seconds now, std::uint32_t tolerance);
+  /// The copy rule (DESIGN.md §11 rule 4), checked as a copy starts and as
+  /// it lands: go ahead, get a new target (a needed recovery copy or drain
+  /// move whose target no longer fits) or drop.
+  enum class Verdict { kGo, kRetarget, kDrop };
+  Verdict check(const Copy& copy) const;
+  /// Open a drive holding one reference, released once its copies are queued.
+  std::uint32_t open_drive(dfs::NodeId node, MembershipEvent done_event);
   void enqueue(Copy copy);
   void pump(Seconds now);
   void finish_copy(Seconds now, const Copy& copy, bool landed);
+  /// Release one of drive `index`'s references (open_drive's or a copy's);
+  /// the last one announces the drive's completion.
+  void settle(Seconds now, std::uint32_t index);
   dfs::NodeId pick_target(dfs::ChunkId chunk) const;
   dfs::NodeId pick_source(dfs::ChunkId chunk) const;
   bool node_usable(dfs::NodeId node) const;
@@ -209,10 +220,9 @@ class FaultInjector {
   std::deque<Copy> queue_;
   std::vector<Drive> drives_;
   std::uint32_t active_copies_ = 0;
-  /// Chunk -> pending copy target, so two drives never race one chunk to
-  /// the same destination. Parallel arrays sorted by chunk id.
-  std::vector<dfs::ChunkId> pending_chunks_;
-  std::vector<dfs::NodeId> pending_targets_;
+  /// Copies queued or in flight to each node (index = NodeId; empty until a
+  /// drive opens): the load pick_target adds to the node's replica count.
+  std::vector<std::uint32_t> inbound_;
   bool armed_ = false;
 };
 

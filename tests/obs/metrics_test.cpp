@@ -329,23 +329,5 @@ TEST(MetricsIo, CsvQuotesAdversarialLabels) {
   EXPECT_EQ(csv.find("\nsay \"hi\","), std::string::npos);
 }
 
-// --- phase timers -----------------------------------------------------------
-
-TEST(PhaseTimers, RecordPhaseWritesDeterministicGauge) {
-  MetricsRegistry reg;
-  record_phase(reg, "solve_s", 1.5, 4.0);
-  EXPECT_DOUBLE_EQ(reg.at("solve_s").gauge, 2.5);
-  EXPECT_EQ(reg.at("solve_s").determinism, Determinism::kDeterministic);
-  EXPECT_THROW(record_phase(reg, "bad", 2.0, 1.0), std::invalid_argument);
-}
-
-TEST(PhaseTimers, ScopedWallTimerWritesWallClockGauge) {
-  MetricsRegistry reg;
-  { ScopedWallTimer timer(reg, "phase_ms"); }
-  ASSERT_TRUE(reg.contains("phase_ms"));
-  EXPECT_EQ(reg.at("phase_ms").determinism, Determinism::kWallClock);
-  EXPECT_GE(reg.at("phase_ms").gauge, 0.0);
-}
-
 }  // namespace
 }  // namespace opass::obs

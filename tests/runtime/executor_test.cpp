@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "runtime/task_source.hpp"
 
 namespace opass::runtime {
@@ -164,6 +167,33 @@ TEST_F(ExecutorFixture, MoreProcessesThanNodesWrapAround) {
   const auto result = execute(cluster, nn, tasks, source, rng, cfg);
   for (const auto& r : result.trace.records())
     EXPECT_EQ(r.reader_node, r.process % 4);
+}
+
+TEST_F(ExecutorFixture, PlacementGivesTheProcessCount) {
+  // 64 processes on nodes 1..64 of a 65-node cluster with process_count
+  // left at 0: the placement's size is the count, not the node count.
+  dfs::NameNode big(dfs::Topology::single_rack(65), 2, kDefaultChunkSize);
+  const auto fid = big.create_file("d", 64 * kDefaultChunkSize, policy, rng);
+  const auto tasks = single_input_tasks(big, {fid});
+  std::vector<dfs::NodeId> placement;
+  for (dfs::NodeId n = 1; n <= 64; ++n) placement.push_back(n);
+  sim::Cluster cluster(65, params);
+  StaticAssignmentSource source(rank_interval_assignment(64, 64));
+  ExecutorConfig cfg;
+  cfg.placement = placement;
+  const auto result = execute(cluster, big, tasks, source, rng, cfg);
+  EXPECT_EQ(result.process_finish_time.size(), 64u);
+  EXPECT_EQ(result.tasks_executed, 64u);
+  for (const auto& r : result.trace.records()) EXPECT_EQ(r.reader_node, r.process + 1);
+
+  cfg.process_count = 65;  // disagrees with the placement
+  try {
+    Execution execution(cluster, big, tasks, source, rng, cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ExecutorConfig.process_count"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(ExecutorFixture, EmptyAssignmentFinishesImmediately) {

@@ -37,7 +37,6 @@ struct MwFixture : ::testing::Test {
   /// message master on node 0 that wraps `inner`.
   MasterRun run_master(sim::Cluster& cluster, const std::vector<Task>& job, TaskSource& inner,
                        Rng& exec_rng, ExecutorConfig config = {}) {
-    config.process_count = static_cast<std::uint32_t>(worker_placement.size());
     config.placement = worker_placement;
     MessageMasterSource master(cluster, inner, /*master=*/0);
     Execution execution(cluster, nn, job, master, exec_rng, config);
@@ -235,7 +234,6 @@ TEST_F(MwFixture, ResumeRejectsAProcessThatIsNotPending) {
   Rng mw_rng(1);
   MasterWorkerSource source(static_cast<std::uint32_t>(tasks.size()), mw_rng);
   ExecutorConfig config;
-  config.process_count = static_cast<std::uint32_t>(worker_placement.size());
   config.placement = worker_placement;
   Execution execution(cluster, nn, tasks, source, rng, config);
   EXPECT_THROW(execution.resume(0), std::invalid_argument);  // never pulled

@@ -182,6 +182,19 @@ struct InjectorFixture : ::testing::Test {
     return injector.stats();
   }
 
+  /// arm()'s error for `plan` on a fresh 8-node cluster, or "" if it arms.
+  std::string arm_error(const FaultPlan& plan) {
+    build(3, 40);
+    HeartbeatMonitor monitor(*cluster, *nn, /*namenode_host=*/0, *rng);
+    FaultInjector injector(*cluster, *nn, monitor, plan);
+    try {
+      injector.arm();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return {};
+  }
+
   std::unique_ptr<dfs::NameNode> nn;
   std::unique_ptr<Cluster> cluster;
   std::unique_ptr<Rng> rng;
@@ -322,6 +335,131 @@ TEST_F(InjectorFixture, CrashRecoveryReplaysIdentically) {
       std::count_if(first.lines.begin(), first.lines.end(),
                     [](const std::string& line) { return line.rfind("copy ", 0) == 0; });
   EXPECT_EQ(static_cast<std::uint32_t>(copies), stats1.replicas_copied);
+}
+
+// ------------------------------------------- arm(): checks in firing order
+
+FaultPlan plan_of(FaultEvent first, FaultEvent second) {
+  FaultPlan plan;
+  plan.events = {first, second};
+  return plan;
+}
+
+TEST_F(InjectorFixture, ArmRejectsANodeThatOnlyALaterJoinAdds) {
+  // Node 8 joins at 10 s, but the crash listed after the join fires at 5 s.
+  const FaultEvent join = make_event(10.0, FaultKind::kJoin, dfs::kInvalidNode);
+  const std::string msg = arm_error(plan_of(join, make_event(5.0, FaultKind::kCrash, kNodes)));
+  EXPECT_TRUE(mentions(msg, "event 1 (crash of node 8) fires when 8 nodes exist")) << msg;
+}
+
+TEST_F(InjectorFixture, ArmAcceptsANodeThatAnEarlierFiringJoinAdds) {
+  // Listed first but firing second: the crash sees the node the join added.
+  const FaultEvent join = make_event(1.0, FaultKind::kJoin, dfs::kInvalidNode);
+  const FaultPlan plan = plan_of(make_event(5.0, FaultKind::kCrash, kNodes), join);
+  ASSERT_EQ(arm_error(plan), "");
+  build(3, 40);
+  const auto stats = run_plan(plan);
+  EXPECT_EQ(stats.joins, 1u);
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.recoveries, 1u);  // the joiner held nothing to re-replicate
+  nn->check_invariants();
+}
+
+TEST_F(InjectorFixture, ArmRejectsCrashingADecommissionedNode) {
+  const std::string msg = arm_error(plan_of(make_event(2.0, FaultKind::kDecommission, 5),
+                                            make_event(4.0, FaultKind::kCrash, 5)));
+  EXPECT_TRUE(mentions(msg, "event 1 (crash of node 5) fires after event 0")) << msg;
+}
+
+TEST_F(InjectorFixture, ArmRejectsDecommissioningACrashedNode) {
+  const std::string msg = arm_error(plan_of(make_event(4.0, FaultKind::kDecommission, 5),
+                                            make_event(2.0, FaultKind::kCrash, 5)));
+  EXPECT_TRUE(mentions(msg, "event 0 (decommission of node 5) fires after event 1")) << msg;
+}
+
+TEST_F(InjectorFixture, ArmRejectsDecommissioningANodeTwice) {
+  const std::string msg = arm_error(plan_of(make_event(2.0, FaultKind::kDecommission, 5),
+                                            make_event(3.0, FaultKind::kDecommission, 5)));
+  EXPECT_TRUE(mentions(msg, "event 1 (decommission of node 5) fires after event 0")) << msg;
+}
+
+TEST_F(InjectorFixture, ArmRejectsCrashingANodeTwice) {
+  // Same time: the simulator fires them in plan order, so event 1 is second.
+  const std::string msg = arm_error(plan_of(make_event(2.0, FaultKind::kCrash, 5),
+                                            make_event(2.0, FaultKind::kCrash, 5)));
+  EXPECT_TRUE(mentions(msg, "event 1 (crash of node 5) fires after event 0 (crash)")) << msg;
+}
+
+// --------------------------------------------- overlapping drives (property)
+
+/// A random plan in which recovery, rebalance and drain drives overlap: 8-12
+/// nodes; one crash in [0, 20) s; each with probability 1/2 a second crash
+/// in [0, 30), a join in [0, 20) and a rebalance in [0, 30); with
+/// probability 2/5 a decommission in [0, 30); up to 8 copies at once. Node
+/// 0 hosts the NameNode and is never faulted.
+FaultPlan overlapping_plan(Rng& rng, std::uint32_t nodes) {
+  std::vector<dfs::NodeId> victims;
+  for (dfs::NodeId n = 1; n < nodes; ++n) victims.push_back(n);
+  rng.shuffle(victims);
+  const auto at = [&](Seconds limit) { return limit * rng.uniform01(); };
+  FaultPlan plan;
+  plan.max_concurrent_copies = 1u << rng.uniform(4);
+  plan.events.push_back(make_event(at(20), FaultKind::kCrash, victims[0]));
+  if (rng.uniform01() < 0.5)
+    plan.events.push_back(make_event(at(30), FaultKind::kCrash, victims[1]));
+  if (rng.uniform01() < 0.5)
+    plan.events.push_back(make_event(at(20), FaultKind::kJoin, dfs::kInvalidNode));
+  if (rng.uniform01() < 0.5)
+    plan.events.push_back(make_event(at(30), FaultKind::kRebalance, dfs::kInvalidNode));
+  if (rng.uniform01() < 0.4)
+    plan.events.push_back(make_event(at(30), FaultKind::kDecommission, victims[2]));
+  return plan;
+}
+
+// DESIGN.md §11 rule 4: whatever overlaps, recovery ends with every chunk at
+// exactly r replicas, all on nodes that are neither failed nor
+// decommissioned, and every crash's drive completes.
+TEST(FaultPlanProperty, OverlappingDrivesEndAtFullReplication) {
+  constexpr std::uint32_t kPlans = 500, kReplication = 3;
+  Rng gen(32);
+  std::vector<std::string> failures;
+  for (std::uint32_t i = 0; i < kPlans; ++i) {
+    const auto nodes = static_cast<std::uint32_t>(8 + gen.uniform(5));
+    const FaultPlan plan = overlapping_plan(gen, nodes);
+    dfs::NameNode nn(dfs::Topology::single_rack(nodes), kReplication, kDefaultChunkSize);
+    Cluster cluster(nodes);
+    Rng rng(i);
+    dfs::RandomPlacement policy;
+    for (int f = 0; f < 40; ++f) nn.create_file("f", kDefaultChunkSize, policy, rng);
+    HeartbeatMonitor monitor(cluster, nn, /*namenode_host=*/0, rng);
+    FaultInjector injector(cluster, nn, monitor, plan);
+    const std::string where = "plan " + std::to_string(i) + ": ";
+    try {
+      injector.arm();
+      monitor.start(plan.horizon);
+      cluster.run();
+    } catch (const std::exception& e) {
+      failures.push_back(where + "threw " + e.what());
+      continue;
+    }
+    if (injector.stats().recoveries != injector.stats().crashes)
+      failures.push_back(where + "a crash never finished recovering");
+    for (dfs::ChunkId c = 0; c < nn.chunk_count(); ++c) {
+      const auto& replicas = nn.locations(c);
+      const bool placed = std::all_of(replicas.begin(), replicas.end(), [&](dfs::NodeId n) {
+        return !cluster.is_failed(n) && !nn.is_decommissioned(n);
+      });
+      if (replicas.size() != kReplication || !placed) {
+        failures.push_back(where + "chunk " + std::to_string(c) + " ends with " +
+                           std::to_string(replicas.size()) + " replicas" +
+                           (placed ? "" : ", some on a failed or decommissioned node"));
+        break;
+      }
+    }
+  }
+  EXPECT_TRUE(failures.empty()) << failures.size() << " of " << kPlans
+                                << " plans failed; first: "
+                                << (failures.empty() ? "" : failures.front());
 }
 
 // ------------------------------------------------- heartbeat edge timing

@@ -64,9 +64,10 @@ class NameNode {
 
   // --- cluster membership / maintenance ---
 
-  /// Add an empty DataNode to the cluster (on `rack`); returns its id. Newly
-  /// added nodes hold no data until writes or balancing move chunks there —
-  /// the paper's example of how layouts become unbalanced.
+  /// Add an empty DataNode to the cluster on `rack`, one the topology already
+  /// has; returns its id. Newly added nodes hold no data until writes or
+  /// balancing move chunks there — the paper's example of how layouts become
+  /// unbalanced.
   NodeId add_node(RackId rack = 0);
 
   /// Decommission a node: every replica it held is re-created on a random

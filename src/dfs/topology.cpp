@@ -22,8 +22,8 @@ RackId Topology::rack_of(NodeId node) const {
 }
 
 NodeId Topology::add_node(RackId rack) {
+  OPASS_REQUIRE(rack < rack_count_, "new node's rack is not in the topology");
   rack_of_.push_back(rack);
-  if (rack >= rack_count_) rack_count_ = rack + 1;
   return static_cast<NodeId>(rack_of_.size() - 1);
 }
 

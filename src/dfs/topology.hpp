@@ -31,7 +31,7 @@ class Topology {
   /// All nodes on a given rack.
   std::vector<NodeId> nodes_on_rack(RackId rack) const;
 
-  /// Append a node on `rack` (rack may be new); returns the new node's id.
+  /// Append a node on `rack`, an existing rack; returns the new node's id.
   NodeId add_node(RackId rack);
 
  private:

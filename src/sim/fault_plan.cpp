@@ -208,8 +208,10 @@ void FaultInjector::arm() {
   OPASS_REQUIRE(!armed_, "fault plan already armed");
   // Check the events in firing order, (max(at, now), index) like the
   // simulator's timers: each sees the nodes that exist by then (a join adds
-  // one), less those an earlier event crashed or decommissioned.
+  // one), less those an earlier event crashed or decommissioned. A join
+  // names one of the racks the cluster has; joins add nodes, never racks.
   const Seconds start = cluster_.simulator().now();
+  const std::uint32_t racks = nn_.topology().rack_count();
   std::vector<std::size_t> order(plan_.events.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -219,18 +221,27 @@ void FaultInjector::arm() {
   std::vector<std::size_t> removed_by(cluster_.node_count(), kPresent);  // event index
   for (const std::size_t i : order) {
     const FaultEvent& ev = plan_.events[i];
-    if (ev.kind == FaultKind::kJoin) removed_by.push_back(kPresent);
+    if (ev.kind == FaultKind::kJoin) {
+      OPASS_REQUIRE(ev.rack < racks, "fault plan event " + std::to_string(i) + " (join on rack " +
+                                         std::to_string(ev.rack) + ") names a rack the " +
+                                         std::to_string(racks) + "-rack cluster does not have");
+      removed_by.push_back(kPresent);
+    }
     if (ev.kind == FaultKind::kJoin || ev.kind == FaultKind::kRebalance) continue;
     const std::string what = "fault plan event " + std::to_string(i) + " (" +
                              fault_kind_name(ev.kind) + " of node " + std::to_string(ev.node);
     const std::size_t known = removed_by.size();
     OPASS_REQUIRE(ev.node < known,
                   what + ") fires when " + std::to_string(known) + " nodes exist");
-    if (ev.kind != FaultKind::kCrash && ev.kind != FaultKind::kDecommission) continue;
+    // A crash or decommission takes the node out. A slow or restore may
+    // still reach a draining node, which sources its own copies
+    // (start_drain), but not a crashed one.
+    const bool takes_out = ev.kind == FaultKind::kCrash || ev.kind == FaultKind::kDecommission;
     const std::size_t j = removed_by[ev.node];
-    OPASS_REQUIRE(j == kPresent, what + ") fires after event " + std::to_string(j) + " (" +
-                                     fault_kind_name(plan_.events[j].kind) + ") took it out");
-    removed_by[ev.node] = i;
+    const bool clash = j != kPresent && (takes_out || plan_.events[j].kind == FaultKind::kCrash);
+    OPASS_REQUIRE(!clash, what + ") fires after event " + std::to_string(j) + " (" +
+                              fault_kind_name(plan_.events[j].kind) + ") took it out");
+    if (takes_out) removed_by[ev.node] = i;
   }
 
   armed_ = true;

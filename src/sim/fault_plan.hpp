@@ -150,8 +150,10 @@ class FaultInjector {
 
   /// Schedule every event and install the recovery handler. Call once.
   /// Throws std::invalid_argument, naming the events, if an event in firing
-  /// order names a node that does not exist yet (joins add nodes) or crashes
-  /// or decommissions one an earlier event already crashed or decommissioned.
+  /// order names a node that does not exist yet (joins add nodes), crashes
+  /// or decommissions one an earlier event already crashed or decommissioned,
+  /// or slows or restores one an earlier event crashed; or if a join names a
+  /// rack the NameNode's topology does not have.
   void arm();
 
   /// Attach (or with nullptr, detach) the probe for kFault, kDetection,

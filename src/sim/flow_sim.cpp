@@ -45,18 +45,96 @@ void FlowSimulator::mark_dirty(ResourceId r) {
   }
 }
 
-void FlowSimulator::push_eta(std::uint32_t slot) {
+void FlowSimulator::place_eta(std::uint32_t pos, const Eta& e) {
+  etas_[pos] = e;
+  eta_pos_[e.slot] = pos;
+}
+
+void FlowSimulator::sift_eta_up(std::uint32_t pos) {
+  const Eta e = etas_[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!(e < etas_[parent])) break;
+    place_eta(pos, etas_[parent]);
+    pos = parent;
+  }
+  place_eta(pos, e);
+}
+
+void FlowSimulator::sift_eta_down(std::uint32_t pos) {
+  const Eta e = etas_[pos];
+  const auto n = static_cast<std::uint32_t>(etas_.size());
+  for (;;) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && etas_[child + 1] < etas_[child]) ++child;
+    if (!(etas_[child] < e)) break;
+    place_eta(pos, etas_[child]);
+    pos = child;
+  }
+  place_eta(pos, e);
+}
+
+/// Queue the estimate of a flow that has none queued.
+void FlowSimulator::queue_eta(const Eta& e) {
+  const auto pos = static_cast<std::uint32_t>(etas_.size());
+  etas_.push_back(e);
+  sift_eta_up(pos);
+}
+
+/// Remove the estimate at heap index `pos`. The hole sinks to a leaf along
+/// the earlier child, one comparison a level, and the last entry rises into
+/// it from there (std::pop_heap's order of work).
+void FlowSimulator::drop_eta(std::uint32_t pos) {
+  eta_pos_[etas_[pos].slot] = kNotQueued;
+  const Eta last = etas_.back();
+  etas_.pop_back();
+  const auto n = static_cast<std::uint32_t>(etas_.size());
+  if (pos == n) return;
+  for (std::uint32_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n && etas_[child + 1] < etas_[child]) ++child;
+    place_eta(pos, etas_[child]);
+    pos = child;
+  }
+  etas_[pos] = last;
+  sift_eta_up(pos);
+}
+
+/// Drop the flow's queued estimate, if it has one, counting it stale
+/// (eta_stale_pops()).
+void FlowSimulator::discard_eta(std::uint32_t slot) {
+  if (eta_pos_[slot] == kNotQueued) return;
+  ++eta_stale_pops_;
+  drop_eta(eta_pos_[slot]);
+}
+
+/// Bring the flow's one estimate in line with its rate and anchor: queue it,
+/// re-key it in place, or discard it when the flow stalls. A queued estimate
+/// that is re-keyed or discarded counts as stale (eta_stale_pops()).
+void FlowSimulator::update_eta(std::uint32_t slot) {
   const Flow& f = flows_[slot];
+  const std::uint32_t pos = eta_pos_[slot];
   double eta;
   if (f.bytes_anchor <= kByteEps) {
     eta = now_;  // completes on the next event-loop step
   } else if (f.rate > 0) {
     eta = f.anchor_time + f.bytes_anchor / f.rate;
   } else {
-    return;  // stalled: cannot complete until a rate change re-queues it
+    discard_eta(slot);  // stalled: cannot complete until a rate change queues it
+    return;
   }
-  etas_.push_back({eta, f.seq, slot, f.epoch});
-  std::push_heap(etas_.begin(), etas_.end(), std::greater<>{});
+  if (pos == kNotQueued) {
+    queue_eta({eta, f.seq, slot});
+    return;
+  }
+  ++eta_stale_pops_;
+  const bool earlier = eta < etas_[pos].when;
+  etas_[pos].when = eta;
+  if (earlier) {
+    sift_eta_up(pos);
+  } else {
+    sift_eta_down(pos);
+  }
 }
 
 /// Fold the open progress interval [anchor_time, now] into the flow's byte
@@ -121,8 +199,7 @@ void FlowSimulator::set_rate(std::uint32_t slot, double rate, ResourceId binding
   commit_progress(f);
   f.anchor_time = now_;
   f.rate = rate;
-  ++f.epoch;  // invalidate any queued ETA computed under the old rate
-  push_eta(slot);
+  update_eta(slot);
 }
 
 FlowId FlowSimulator::start_flow(FlowPath resources, Bytes bytes,
@@ -142,10 +219,12 @@ FlowId FlowSimulator::start_flow(FlowPath resources, Bytes bytes,
     slot = static_cast<std::uint32_t>(flows_.size());
     flows_.emplace_back();
     positions_.emplace_back();
+    eta_pos_.push_back(kNotQueued);
   }
   Flow& f = flows_[slot];
   FlowPositions& at = positions_[slot];
-  OPASS_CHECK(!f.active && f.resources.empty() && at.empty() && !f.on_complete,
+  OPASS_CHECK(!f.active && f.resources.empty() && at.empty() && !f.on_complete &&
+                  eta_pos_[slot] == kNotQueued,
               "flow slot reused before being fully retired");
   f.resources = std::move(resources);
   f.bytes_anchor = static_cast<double>(bytes);
@@ -168,7 +247,7 @@ FlowId FlowSimulator::start_flow(FlowPath resources, Bytes bytes,
   ++flows_active_;
   peak_active_flows_ =
       std::max(peak_active_flows_, static_cast<std::uint32_t>(flows_active_));
-  if (f.bytes_anchor <= kByteEps) push_eta(slot);  // zero-byte: due immediately
+  if (f.bytes_anchor <= kByteEps) update_eta(slot);  // zero-byte: due immediately
   return (static_cast<FlowId>(static_cast<std::uint32_t>(f.seq)) << 32) | slot;
 }
 
@@ -227,8 +306,9 @@ void FlowSimulator::detach(std::uint32_t slot, std::size_t i) {
 }
 
 /// Detach the flow from every resource it crosses (closing busy intervals and
-/// marking them for re-leveling), release its storage, and return the slot to
-/// the free list. The epoch bump turns any queued ETA entries stale.
+/// marking them for re-leveling), drop its queued estimate (a cancelled flow
+/// has one; a completing flow's was taken off the heap when it fell due),
+/// release its storage, and return the slot to the free list.
 void FlowSimulator::retire_slot(std::uint32_t slot) {
   Flow& f = flows_[slot];
   for (std::size_t i = 0; i < f.resources.size(); ++i) {
@@ -240,11 +320,11 @@ void FlowSimulator::retire_slot(std::uint32_t slot) {
     detach(slot, i);
     mark_dirty(r);
   }
+  discard_eta(slot);
   f.active = false;
   f.rate = 0;
   f.bytes_anchor = 0;
   f.on_complete = nullptr;
-  ++f.epoch;
   f.resources = FlowPath{};  // release any heap block on retirement
   positions_[slot] = FlowPositions{};
   std::vector<BindingInterval>().swap(f.attr);
@@ -256,10 +336,11 @@ void FlowSimulator::retire_slot(std::uint32_t slot) {
 }
 
 /// Exhaustive slot-reuse invariants, run on every retirement under the
-/// sanitizer presets: the slot must be detached from every resource index and
-/// hold no positions, its per-flow storage released, the free list
-/// duplicate-free, and every remaining list entry must match the position its
-/// flow records for it. O(cluster) per retirement — far too slow for
+/// sanitizer presets: the slot must be detached from every resource index,
+/// hold no positions and no queued estimate, its per-flow storage released,
+/// the free list duplicate-free, every remaining list entry must match the
+/// position its flow records for it, and every queued estimate must be the
+/// one its flow records. O(cluster) per retirement — far too slow for
 /// benchmarking, invaluable under ASan.
 void FlowSimulator::audit_retired_slot(std::uint32_t slot) const {
   const Flow& f = flows_[slot];
@@ -267,8 +348,11 @@ void FlowSimulator::audit_retired_slot(std::uint32_t slot) const {
   OPASS_CHECK(!f.active && f.resources.empty() &&
                   f.resources.capacity() == FlowPath::kInlineCapacity && at.empty() &&
                   at.capacity() == FlowPath::kInlineCapacity && !f.on_complete &&
-                  f.attr.capacity() == 0,
+                  f.attr.capacity() == 0 && eta_pos_[slot] == kNotQueued,
               "retired flow slot still holds state");
+  for (std::uint32_t k = 0; k < etas_.size(); ++k)
+    OPASS_CHECK(eta_pos_[etas_[k].slot] == k,
+                "queued estimate disagrees with its flow's heap position");
   for (ResourceId r = 0; r < resources_.size(); ++r) {
     const std::vector<std::uint32_t>& list = resources_[r].flows;
     for (std::uint32_t k = 0; k < list.size(); ++k) {
@@ -336,7 +420,37 @@ void FlowSimulator::recompute_rates() {
   max_relevel_component_ =
       std::max(max_relevel_component_, static_cast<std::uint32_t>(comp_flows_.size()));
   if (comp_flows_.empty()) return;  // e.g. the last flow on a disk retired
-  water_fill();
+  if (comp_flows_.size() == 1) {
+    level_one_flow(comp_flows_.front());
+  } else {
+    water_fill();
+  }
+}
+
+/// water_fill() on a component of one flow, without its heaps. The flow is
+/// the only user of every resource on its path, so a resource crossed k
+/// times has k active entries and k unfixed ones: its fair share is the
+/// degraded capacity over k. The flow runs at the lowest share (ties to the
+/// lowest resource id), unless its cap is strictly lower.
+void FlowSimulator::level_one_flow(std::uint32_t slot) {
+  const Flow& f = flows_[slot];
+  double share = kInf;
+  ResourceId binding = 0;
+  for (ResourceId r : f.resources) {
+    const Resource& res = resources_[r];
+    const double k = static_cast<double>(res.active);
+    const double s = res.capacity / (1.0 + res.beta * (k - 1.0)) / k;
+    if (s < share || (s == share && r < binding)) {
+      share = s;
+      binding = r;
+    }
+  }
+  if (f.rate_cap > 0 && f.rate_cap < share) {
+    share = f.rate_cap;
+    binding = kCapBinding;
+  }
+  OPASS_CHECK(share < kInf, "max-min allocation found no bottleneck");
+  set_rate(slot, share, binding);
 }
 
 /// Water-filling with per-flow caps over the dirty components gathered in
@@ -483,19 +597,6 @@ double FlowSimulator::resource_bytes_served(ResourceId r) const {
   return total;
 }
 
-/// Earliest still-valid queued ETA; discards stale entries on the way.
-double FlowSimulator::next_completion_time() {
-  while (!etas_.empty()) {
-    const Eta& top = etas_.front();
-    const Flow& f = flows_[top.slot];
-    if (f.active && f.epoch == top.epoch) return top.when;
-    std::pop_heap(etas_.begin(), etas_.end(), std::greater<>{});
-    etas_.pop_back();
-    ++eta_stale_pops_;
-  }
-  return kInf;
-}
-
 Seconds FlowSimulator::run_until(const bool& done) {
   for (;;) {
     // Last step's completion attributions expire: completed_attribution() is
@@ -505,7 +606,7 @@ Seconds FlowSimulator::run_until(const bool& done) {
     if (!dirty_resources_.empty()) recompute_rates();
     if (done) break;
 
-    const double next_completion = next_completion_time();
+    const double next_completion = etas_.empty() ? kInf : etas_.front().when;
     const double next_timer = timers_.empty() ? kInf : timers_.front().when;
     const double t = std::min(next_completion, next_timer);
     if (t == kInf) break;  // idle: no runnable flows, no timers
@@ -526,30 +627,19 @@ Seconds FlowSimulator::run_until(const bool& done) {
     // are staged so each entry is examined at most once per event.
     completed_.clear();
     requeued_.clear();
-    while (!etas_.empty()) {
-      const Eta top = etas_.front();
-      const Flow& f = flows_[top.slot];
-      if (!f.active || f.epoch != top.epoch) {
-        std::pop_heap(etas_.begin(), etas_.end(), std::greater<>{});
-        etas_.pop_back();
-        ++eta_stale_pops_;
-        continue;
-      }
-      if (top.when > now_ + kEps) break;
-      std::pop_heap(etas_.begin(), etas_.end(), std::greater<>{});
-      etas_.pop_back();
+    while (!etas_.empty() && etas_.front().when <= now_ + kEps) {
+      const std::uint32_t slot = etas_.front().slot;
+      drop_eta(0);
+      const Flow& f = flows_[slot];
       const double left = bytes_left_at(f, now_);
       if (left <= kByteEps) {
-        completed_.push_back(top.slot);
+        completed_.push_back(slot);
       } else {
         OPASS_CHECK(f.rate > 0, "completion queued for a stalled flow");
-        requeued_.push_back({now_ + left / f.rate, f.seq, top.slot, top.epoch});
+        requeued_.push_back({now_ + left / f.rate, f.seq, slot});
       }
     }
-    for (const Eta& e : requeued_) {
-      etas_.push_back(e);
-      std::push_heap(etas_.begin(), etas_.end(), std::greater<>{});
-    }
+    for (const Eta& e : requeued_) queue_eta(e);
 
     // Retire completions in creation order (matching the reference engine's
     // flow-index scan), then fire callbacks — they commonly start the

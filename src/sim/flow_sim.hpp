@@ -17,14 +17,15 @@
 // started. Retired flows return their slot to a free list (FlowIds carry a
 // generation tag so stale handles stay inert) and leave each resource's flow
 // list in O(path), because every flow's position in those lists is kept;
-// completions come from a lazily invalidated earliest-ETA heap (entries are
-// epoch-stamped and re-validated against exact remaining bytes when
-// popped); and rate recomputation re-levels only the connected component of
-// resources a joining/leaving flow touches, using reusable workspace
-// buffers. Byte and busy-time accounting is anchor-based: progress is
-// committed when a flow's rate changes or the flow ends, and read-side
-// accessors materialize the open interval, so advancing time is O(1) instead
-// of O(active flows).
+// completions come from an indexed earliest-ETA heap that holds exactly one
+// estimate per moving flow (a rate change re-keys it in place, a stall or a
+// cancel removes it, and a due entry is re-validated against exact remaining
+// bytes); and rate recomputation re-levels only the connected component of
+// resources a joining/leaving flow touches, using reusable workspace buffers
+// (a one-flow component is leveled directly, without the water-fill's heaps).
+// Byte and busy-time accounting is anchor-based: progress is committed when a
+// flow's rate changes or the flow ends, and read-side accessors materialize
+// the open interval, so advancing time is O(1) instead of O(active flows).
 #pragma once
 
 #include <cmath>
@@ -179,12 +180,16 @@ class FlowSimulator {
   /// Largest connected component (in flows) any single recomputation touched.
   std::uint32_t max_relevel_component() const { return max_relevel_component_; }
 
-  /// ETA-heap entries discarded because their flow's rate changed (or the
-  /// flow retired) after they were queued — the cost of lazy invalidation.
+  /// Completion estimates superseded by a rate change or dropped by a stall
+  /// or a cancel, counted when that happens. A lazily invalidated heap would
+  /// pop each of them once as a stale entry, so after the simulator drains
+  /// this is that heap's stale-pop count; a not-quite-done requeue counts
+  /// nothing.
   std::uint64_t eta_stale_pops() const { return eta_stale_pops_; }
 
  private:
   static constexpr bool kNever = false;  ///< run()'s stop flag
+  static constexpr std::uint32_t kNotQueued = 0xffffffffu;  ///< in eta_pos_
 
   struct Resource {
     BytesPerSec capacity = 0;
@@ -214,7 +219,6 @@ class FlowSimulator {
     double rate_cap = 0;       // 0 = uncapped
     std::function<void(Seconds)> on_complete;
     std::uint64_t seq = 0;     // creation sequence; low 32 bits tag the FlowId
-    std::uint32_t epoch = 0;   // bumped on rate change/retire; stamps ETA entries
     bool active = false;
     std::uint64_t visit = 0;   // component-BFS stamp
     std::uint64_t fixed = 0;   // == visit stamp once pinned in this re-level
@@ -238,15 +242,15 @@ class FlowSimulator {
     }
   };
 
-  /// Queued completion estimate. Stale once the flow's epoch moves past the
-  /// stamped one; re-validated against exact remaining bytes when popped.
+  /// A flow's one queued completion estimate, ordered by (when, seq); its
+  /// index in etas_ is eta_pos_[slot]. Re-validated against exact remaining
+  /// bytes once it is due.
   struct Eta {
     Seconds when;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t epoch;
-    bool operator>(const Eta& o) const {
-      return when != o.when ? when > o.when : seq > o.seq;
+    bool operator<(const Eta& o) const {
+      return when != o.when ? when < o.when : seq < o.seq;
     }
   };
 
@@ -276,15 +280,21 @@ class FlowSimulator {
 
   double bytes_left_at(const Flow& f, Seconds t) const;
   void mark_dirty(ResourceId r);
-  void push_eta(std::uint32_t slot);
+  void queue_eta(const Eta& e);
+  void place_eta(std::uint32_t pos, const Eta& e);
+  void sift_eta_up(std::uint32_t pos);
+  void sift_eta_down(std::uint32_t pos);
+  void drop_eta(std::uint32_t pos);
+  void discard_eta(std::uint32_t slot);
+  void update_eta(std::uint32_t slot);
   void commit_progress(Flow& f);
   void note_binding(Flow& f, ResourceId binding);
   void stash_attribution(std::uint32_t slot);
   void set_rate(std::uint32_t slot, double rate, ResourceId binding);
+  void level_one_flow(std::uint32_t slot);
   void water_fill();
   void detach(std::uint32_t slot, std::size_t i);
   void retire_slot(std::uint32_t slot);
-  double next_completion_time();
   void recompute_rates();
   void advance_to(Seconds t);
   void audit_retired_slot(std::uint32_t slot) const;
@@ -292,11 +302,12 @@ class FlowSimulator {
   std::vector<Resource> resources_;
   std::vector<Flow> flows_;                  // slot pool; retired slots are reused
   std::vector<FlowPositions> positions_;     // per slot, parallel to flows_
+  std::vector<std::uint32_t> eta_pos_;       // per slot: index in etas_, or kNotQueued
   std::vector<std::uint32_t> free_slots_;
   std::size_t flows_active_ = 0;
   std::uint32_t peak_active_flows_ = 0;
   std::vector<Timer> timers_;                // min-heap via std::push_heap/pop_heap
-  std::vector<Eta> etas_;                    // min-heap, lazily invalidated
+  std::vector<Eta> etas_;                    // indexed min-heap, one entry per moving flow
   Seconds now_ = 0;
   std::uint64_t timer_seq_ = 0;
   std::uint64_t flow_seq_ = 0;

@@ -44,11 +44,12 @@ TEST(Topology, AddNodeExtends) {
   EXPECT_EQ(t.rack_of(2), 0u);
 }
 
-TEST(Topology, AddNodeOnNewRack) {
-  auto t = Topology::single_rack(2);
-  t.add_node(5);
-  EXPECT_EQ(t.rack_count(), 6u);
-  EXPECT_EQ(t.rack_of(2), 5u);
+TEST(Topology, AddNodeOnNewRackThrows) {
+  auto t = Topology::uniform_racks(4, 2);
+  EXPECT_THROW(t.add_node(2), std::invalid_argument);
+  EXPECT_EQ(t.node_count(), 4u);
+  EXPECT_EQ(t.rack_count(), 2u);
+  EXPECT_EQ(t.rack_of(t.add_node(1)), 1u);
 }
 
 }  // namespace

@@ -390,6 +390,43 @@ TEST_F(InjectorFixture, ArmRejectsCrashingANodeTwice) {
   EXPECT_TRUE(mentions(msg, "event 1 (crash of node 5) fires after event 0 (crash)")) << msg;
 }
 
+TEST_F(InjectorFixture, ArmRejectsAJoinOntoARackTheClusterDoesNotHave) {
+  // The 8-node cluster is one rack; a join may not add a second.
+  FaultEvent join = make_event(1.0, FaultKind::kJoin, dfs::kInvalidNode);
+  join.rack = 7;
+  const std::string msg = arm_error(plan_of(make_event(0.5, FaultKind::kCrash, 3), join));
+  EXPECT_TRUE(mentions(msg, "event 1 (join on rack 7) names a rack the 1-rack cluster")) << msg;
+}
+
+TEST_F(InjectorFixture, ArmRejectsSlowingOrRestoringACrashedNode) {
+  FaultEvent slow = make_event(2.0, FaultKind::kSlow, 5);
+  slow.factor = 0.5;
+  FaultPlan plan = plan_of(make_event(1.0, FaultKind::kCrash, 5), slow);
+  plan.events.push_back(make_event(3.0, FaultKind::kRestore, 5));
+  std::string msg = arm_error(plan);
+  EXPECT_TRUE(mentions(msg, "event 1 (slow of node 5) fires after event 0 (crash)")) << msg;
+  // Listed first, firing last: the restore still comes after the crash.
+  msg = arm_error(plan_of(make_event(3.0, FaultKind::kRestore, 5),
+                          make_event(1.0, FaultKind::kCrash, 5)));
+  EXPECT_TRUE(mentions(msg, "event 0 (restore of node 5) fires after event 1 (crash)")) << msg;
+}
+
+TEST_F(InjectorFixture, ArmAcceptsSlowingAndRestoringADrainingNode) {
+  // A draining node still sources its own copies, so its speed matters.
+  FaultEvent slow = make_event(1.5, FaultKind::kSlow, 5);
+  slow.factor = 0.5;
+  FaultPlan plan = plan_of(make_event(1.0, FaultKind::kDecommission, 5), slow);
+  plan.events.push_back(make_event(3.0, FaultKind::kRestore, 5));
+  ASSERT_EQ(arm_error(plan), "");
+  build(3, 40);
+  const auto stats = run_plan(plan);
+  EXPECT_EQ(stats.decommissions, 1u);
+  EXPECT_EQ(stats.slowdowns, 1u);
+  EXPECT_EQ(stats.restores, 1u);
+  EXPECT_TRUE(nn->chunks_on_node(5).empty());
+  nn->check_invariants();
+}
+
 // --------------------------------------------- overlapping drives (property)
 
 /// A random plan in which recovery, rebalance and drain drives overlap: 8-12

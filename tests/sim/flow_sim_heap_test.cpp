@@ -1,13 +1,20 @@
-// Edge cases for the lazily invalidated completion heap and the reusable
-// flow-slot pool (DESIGN.md "Simulator scalability"). Each heap test forces a
-// specific staleness pattern: a queued ETA whose flow sped up, slowed down,
-// was cancelled, or never had bytes to move — and checks that completion
-// times stay exact and callbacks fire exactly once.
+// Edge cases for the indexed completion heap, the one-flow re-level and the
+// reusable flow-slot pool (DESIGN.md "Simulator scalability"). Each heap test
+// forces one pattern on a flow's single queued estimate: its flow sped up,
+// slowed down, was cancelled, was requeued a hair early, or never had bytes
+// to move. Completion times stay exact, callbacks fire exactly once, and
+// eta_stale_pops() counts exactly the estimates a rate change superseded or a
+// cancel dropped. A run stopped by run_until() and resumed fires what one
+// run() fires. One-flow components read their bindings back through
+// attribution: a resource crossed twice, a cap equal to the share, tied
+// shares. The exact values were recorded on the lazily invalidated heap and
+// the water-fill this engine replaced.
 #include "sim/flow_sim.hpp"
 
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace opass::sim {
@@ -27,7 +34,9 @@ TEST(FlowSimEtaHeap, RateDropDefersCompletion) {
   // B: 50 B/s over [1,9] = 400 bytes, then 100 B/s with 100 left => 10.
   EXPECT_DOUBLE_EQ(da, 9.0);
   EXPECT_DOUBLE_EQ(db, 10.0);
-  EXPECT_GE(sim.eta_stale_pops(), 1u);
+  // Two superseded estimates: A's t=5 when B joins, and B's t=11 when A's
+  // completion doubles B's rate. B's first rate replaces none.
+  EXPECT_EQ(sim.eta_stale_pops(), 2u);
 }
 
 TEST(FlowSimEtaHeap, RateRiseCompletesEarlierThanQueuedEta) {
@@ -67,6 +76,8 @@ TEST(FlowSimEtaHeap, CancelWhileQueuedNeverFires) {
   // A: 100 bytes by t=2, then 100 B/s with 400 left => done at 6.
   EXPECT_DOUBLE_EQ(da, 6.0);
   EXPECT_EQ(sim.active_flows(), 0u);
+  // The cancel drops the doomed flow's estimate and supersedes A's t=10.
+  EXPECT_EQ(sim.eta_stale_pops(), 2u);
 }
 
 TEST(FlowSimEtaHeap, ZeroByteFlowCompletesImmediately) {
@@ -241,6 +252,200 @@ TEST(FlowSimCounters, CrossGroupFlowsMergeComponentsMidRun) {
   }
   sim.run();
   EXPECT_EQ(counters(sim), (Counters{21, 720, 88, 384}));
+}
+
+// ------------------------------------------- stale estimates, counted exactly
+
+TEST(FlowSimEtaHeap, CancelWhileQueuedCountsOneDroppedEstimate) {
+  // A and B sit on their own resources, so cancelling B at t=1 changes no
+  // other rate: B's queued estimate is the one estimate dropped.
+  FlowSimulator sim;
+  const auto r1 = sim.add_resource(100.0);
+  const auto r2 = sim.add_resource(100.0);
+  Seconds da = -1;
+  sim.start_flow({r1}, 500, [&](Seconds t) { da = t; });
+  const FlowId b = sim.start_flow({r2}, 500, [](Seconds) { FAIL() << "cancelled flow fired"; });
+  sim.after(1.0, [&](Seconds) { sim.cancel_flow(b); });
+  sim.run();
+  EXPECT_EQ(da, 5.0);
+  EXPECT_EQ(sim.eta_stale_pops(), 1u);
+}
+
+TEST(FlowSimEtaHeap, NotQuiteDoneRequeueCountsNothing) {
+  // A moves 1e9 B at 1e9 B/s, estimate t=1. A no-op timer 0.9 ns earlier
+  // brings the estimate inside the time slack while 0.9 B are still left, so
+  // A is taken off the heap and requeued at a fresh estimate, which
+  // supersedes nothing.
+  constexpr Seconds kTimer = 1.0 - 0.9e-9;
+  {
+    FlowSimulator sim;
+    const auto r = sim.add_resource(1e9);
+    Seconds da = -1;
+    sim.start_flow({r}, 1'000'000'000, [&](Seconds t) { da = t; });
+    sim.at(kTimer, [](Seconds) {});
+    sim.run();
+    EXPECT_EQ(da, 1.0);
+    EXPECT_EQ(sim.eta_stale_pops(), 0u);
+  }
+  // The same requeue, but the timer starts B on A's resource: the re-level
+  // right after it supersedes A's requeued estimate (1), and A's completion
+  // doubles B's rate (2).
+  {
+    FlowSimulator sim;
+    const auto r = sim.add_resource(1e9);
+    Seconds da = -1, db = -1;
+    sim.start_flow({r}, 1'000'000'000, [&](Seconds t) { da = t; });
+    sim.at(kTimer, [&](Seconds) {
+      sim.start_flow({r}, 1'000'000'000, [&](Seconds t) { db = t; });
+    });
+    sim.run();
+    EXPECT_EQ(da, 1.0000000009);
+    EXPECT_EQ(db, 2.0);
+    EXPECT_EQ(sim.eta_stale_pops(), 2u);
+  }
+}
+
+// ------------------------------------------------------- stop and resume
+
+/// Every completion and timer as (label, time), in firing order.
+using EventLog = std::vector<std::pair<int, Seconds>>;
+
+/// Staggered, partly capped flows on three resources with a cancel, a
+/// capacity change and chained restarts. The flow labelled `stop_at` sets
+/// `stop` when it completes (-1: never).
+void contended_scenario(FlowSimulator& sim, EventLog& log, bool& stop, int stop_at) {
+  const auto r0 = sim.add_resource(100.0, 0.1);
+  const auto r1 = sim.add_resource(80.0);
+  const auto r2 = sim.add_resource(60.0);
+  const FlowPath paths[] = {{r0}, {r0, r1}, {r1, r2}, {r2}, {r0, r2}};
+  for (int i = 0; i < 10; ++i) {
+    const FlowPath path = paths[i % 5];
+    const Bytes bytes = 100 + 23 * static_cast<Bytes>(i);
+    const BytesPerSec cap = i % 3 == 0 ? 30.0 : 0.0;
+    sim.at(0.2 * i, [&sim, &log, &stop, stop_at, path, bytes, cap, i](Seconds) {
+      log.emplace_back(100 + i, sim.now());
+      sim.start_flow(path, bytes, [&sim, &log, &stop, stop_at, path, i](Seconds t) {
+        log.emplace_back(i, t);
+        if (i == stop_at) stop = true;
+        if (i < 4) sim.start_flow(path, 50, [&log, i](Seconds u) { log.emplace_back(10 + i, u); });
+      }, cap);
+    });
+  }
+  const FlowId doomed = sim.start_flow({r1}, 400, [&log](Seconds t) { log.emplace_back(-1, t); });
+  sim.at(0.7, [&sim, &log, doomed](Seconds t) {
+    log.emplace_back(200, t);
+    sim.cancel_flow(doomed);
+  });
+  sim.at(1.1, [&sim, &log, r2](Seconds t) {
+    log.emplace_back(201, t);
+    sim.set_resource_capacity(r2, 30.0);
+  });
+}
+
+TEST(FlowSimRunUntil, StopThenRunMatchesOneRun) {
+  FlowSimulator once;
+  EventLog once_log;
+  bool never = false;
+  contended_scenario(once, once_log, never, -1);
+  once.run();
+
+  FlowSimulator split;
+  EventLog split_log;
+  bool stop = false;
+  contended_scenario(split, split_log, stop, 3);
+  const Seconds stopped = split.run_until(stop);
+  ASSERT_TRUE(stop);
+  EXPECT_GT(split.active_flows(), 0u);  // stopped mid-run, not drained
+  split.run();
+
+  EXPECT_LT(stopped, split.now());
+  EXPECT_EQ(split_log, once_log);
+  EXPECT_EQ(split.now(), once.now());
+  EXPECT_EQ(counters(split), counters(once));
+  EXPECT_EQ(counters(once), (Counters{27, 146, 10, 67}));
+}
+
+// --------------------------------------- one-flow components, bindings read back
+
+/// Runs the flows started by `start`, keeping each completed flow's binding
+/// intervals in the order the flows completed.
+struct BindingRun {
+  FlowSimulator sim;
+  std::vector<FlowId> ids;
+  std::vector<Seconds> done;
+  std::vector<std::vector<BindingInterval>> bindings;
+
+  BindingRun() { sim.record_attribution(true); }
+
+  void start(FlowPath path, Bytes bytes, BytesPerSec cap = 0) {
+    const std::size_t i = ids.size();
+    ids.push_back(sim.start_flow(std::move(path), bytes, [this, i](Seconds t) {
+      const std::vector<BindingInterval>* attr = sim.completed_attribution(ids[i]);
+      ASSERT_NE(attr, nullptr);
+      done.push_back(t);
+      bindings.push_back(*attr);
+    }, cap));
+  }
+};
+
+/// The (resource, start tick) of each binding interval.
+using Binders = std::vector<std::pair<ResourceId, std::int64_t>>;
+
+Binders binders(const std::vector<BindingInterval>& v) {
+  Binders out;
+  for (const BindingInterval& b : v) out.emplace_back(b.resource, b.start_ticks);
+  return out;
+}
+
+TEST(FlowSimOneFlow, PathCrossingOneResourceTwiceCountsItTwice) {
+  // r0 (100 B/s, beta 0.5) carries the flow twice: 100 / 1.5 shared by two
+  // path entries is 33.3 B/s, below r1's 40, so r0 binds. At t=1 r1 drops to
+  // 20 B/s and binds instead. Three re-levels: the start, the capacity
+  // change and the empty one the retirement leaves.
+  BindingRun run;
+  const auto r0 = run.sim.add_resource(100.0, 0.5);
+  const auto r1 = run.sim.add_resource(40.0);
+  run.start({r0, r1, r0}, 100);
+  run.sim.at(1.0, [&](Seconds) { run.sim.set_resource_capacity(r1, 20.0); });
+  run.sim.run();
+  ASSERT_EQ(run.done.size(), 1u);
+  EXPECT_EQ(run.done[0], 4.333333333333333);
+  EXPECT_EQ(binders(run.bindings[0]), (Binders{{r0, 0}, {r1, 1'000'000'000}}));
+  EXPECT_EQ(run.sim.rate_recomputes(), 3u);
+  EXPECT_EQ(run.sim.max_relevel_component(), 1u);
+}
+
+TEST(FlowSimOneFlow, CapEqualToTheShareLetsTheResourceBind) {
+  // The water-fill's cap test is a strict <: a cap equal to the resource's
+  // share leaves the resource binding. A cap below it binds (t=1, on r1).
+  BindingRun run;
+  const auto r0 = run.sim.add_resource(100.0);
+  const auto r1 = run.sim.add_resource(100.0);
+  run.start({r0}, 200, /*cap=*/100.0);
+  run.sim.at(1.0, [&](Seconds) { run.start({r1}, 200, /*cap=*/99.5); });
+  run.sim.run();
+  ASSERT_EQ(run.done.size(), 2u);
+  EXPECT_EQ(run.done[0], 2.0);
+  EXPECT_EQ(run.done[1], 3.0100502512562812);
+  EXPECT_EQ(binders(run.bindings[0]), (Binders{{r0, 0}}));
+  EXPECT_EQ(binders(run.bindings[1]), (Binders{{kCapBinding, 1'000'000'000}}));
+}
+
+TEST(FlowSimOneFlow, EqualSharesBindTheLowerResourceId) {
+  // Both resources offer 100 B/s: the lower id binds, not the first one on
+  // the path. r2 binds alone while it is slowed to 50 B/s over [1, 2), and
+  // r1 again once both offer 100 B/s.
+  BindingRun run;
+  const auto r1 = run.sim.add_resource(100.0);
+  const auto r2 = run.sim.add_resource(100.0);
+  run.start({r2, r1}, 300);
+  run.sim.at(1.0, [&](Seconds) { run.sim.set_resource_capacity(r2, 50.0); });
+  run.sim.at(2.0, [&](Seconds) { run.sim.set_resource_capacity(r2, 100.0); });
+  run.sim.run();
+  ASSERT_EQ(run.done.size(), 1u);
+  EXPECT_EQ(run.done[0], 3.5);
+  EXPECT_EQ(binders(run.bindings[0]),
+            (Binders{{r1, 0}, {r2, 1'000'000'000}, {r1, 2'000'000'000}}));
 }
 
 }  // namespace

@@ -53,7 +53,6 @@ int main() {
         for (std::uint32_t i = 0; i < per_batch; ++i)
           assignment[i % nodes].push_back(batch[i].id);
       }
-      const Seconds start = cluster.simulator().now();
       runtime::StaticAssignmentSource source(assignment);
       const auto r = runtime::execute(cluster, nn, tasks, source, exec_rng);
       total = r.makespan;
@@ -61,7 +60,6 @@ int main() {
       // Inter-batch gap (the next time step opens 2 s later).
       cluster.simulator().after(2.0, [](Seconds) {});
       cluster.run();
-      (void)start;
     }
     t.add_row({use_opass ? "incremental opass" : "round-robin",
                Table::num(100 * all.local_fraction(), 1),

@@ -350,18 +350,25 @@ int run(int argc, char** argv) {
   } else if (opts.boolean("audit")) {
     mode = "--audit";
     unread = {"compute", "fault-plan", "csv", "metrics-out", "trace-out", "timeline-out",
-              "report-html", "spans-out", "critical-path", "hotspots", "batch-window",
-              "fair-share", "service-out"};
+              "report-html", "sample-interval", "spans-out", "critical-path", "hotspots",
+              "batch-window", "fair-share", "service-out"};
   } else {
     mode = "--scenario=" + scenario;
     unread = {"batch-window", "fair-share", "service-out"};
     if (scenario != "dynamic" && scenario != "iterative") unread.push_back("compute");
   }
-  for (const char* flag : unread) {
-    if (opts.is_default(flag)) continue;
-    std::fprintf(stderr, "error: --%s has no effect with %s\n", flag, mode.c_str());
+  const auto reject = [](const char* flag, const std::string& why) {
+    std::fprintf(stderr, "error: --%s has no effect %s\n", flag, why.c_str());
     return 2;
-  }
+  };
+  for (const char* flag : unread)
+    if (!opts.is_default(flag)) return reject(flag, "with " + mode);
+  // Two flags shape one output each: the hotspot report, which --csv's
+  // series-only stream leaves out, and the timeline sinks' sampling.
+  if (opts.boolean("csv") && !opts.is_default("hotspots")) return reject("hotspots", "with --csv");
+  if (!given(opts, "timeline-out") && !given(opts, "report-html") &&
+      !opts.is_default("sample-interval"))
+    return reject("sample-interval", "without --timeline-out or --report-html");
 
   exp::ExperimentConfig cfg;
   cfg.nodes = opts.unsigned_integer("nodes", 1);

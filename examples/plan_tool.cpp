@@ -35,6 +35,15 @@ int run(int argc, char** argv) {
     std::fputs(opts.usage("plan_tool").c_str(), stderr);
     return opts.boolean("help") ? 0 : 2;
   }
+  // --verify reads the layout flags and the plan file only: a planning flag
+  // set to a non-default value with it is a usage error.
+  if (!opts.str("verify").empty()) {
+    for (const char* flag : {"matcher", "out"}) {
+      if (opts.is_default(flag)) continue;
+      std::fprintf(stderr, "error: --%s has no effect with --verify\n", flag);
+      return 2;
+    }
+  }
 
   const auto nodes = opts.unsigned_integer("nodes", 1);
   const auto chunks = opts.unsigned_integer("chunks", 1);

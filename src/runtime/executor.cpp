@@ -7,15 +7,14 @@
 namespace opass::runtime {
 
 struct Execution::ProcState {
-  TaskId task = kInvalidTask;        ///< task whose inputs are being read
+  TaskId task = kInvalidTask;       ///< pulled task whose inputs are being read
   std::size_t next_input = 0;
-  Seconds task_start = 0;            ///< pull time of `task`
-  // Prefetch mode: the cycle's join counter. A cycle = compute(T) overlapped
-  // with reads(T+1); the cycle advances when both events have fired.
-  TaskId computing = kInvalidTask;   ///< task whose compute is in flight, if any
-  Seconds computing_start = 0;       ///< pull time of `computing`
-  std::uint32_t events_pending = 0;
-  bool pending = false;              ///< last pull answered kPending
+  Seconds task_start = 0;           ///< pull time of `task`
+  TaskId computing = kInvalidTask;  ///< the compute slot's task, if any
+  Seconds computing_start = 0;      ///< pull time of `computing`
+  bool inputs_ready = false;        ///< `task`'s inputs are in; it waits for the slot
+  bool pending = false;             ///< last pull answered kPending
+  bool drained = false;             ///< a pull answered kDone
   /// The process's one in-flight read (reads are sequential). Kept here so
   /// the cluster callbacks capture only {this, p} and stay within
   /// std::function's small buffer: no heap allocation per read.
@@ -32,11 +31,6 @@ Execution::Execution(sim::Cluster& cluster, const dfs::NameNode& nn,
   std::uint32_t m = placed ? placed : config.process_count;
   if (m == 0) m = cluster.node_count();
   OPASS_REQUIRE(m > 0, "need at least one process");
-  if (config.record_read_breakdown && !cluster.read_breakdown_recording()) {
-    cluster.record_read_breakdown(true);
-    stop_recording_ = true;
-  }
-  result_.process_finish_time.assign(m, 0);
   result_.process_node.resize(m);
   for (ProcessId p = 0; p < m; ++p) {
     result_.process_node[p] = config.placement.empty()
@@ -45,6 +39,7 @@ Execution::Execution(sim::Cluster& cluster, const dfs::NameNode& nn,
     OPASS_REQUIRE(result_.process_node[p] < cluster.node_count(),
                   "process placed on an unknown node");
   }
+  result_.process_finish_time.assign(m, 0);
   // Each task runs once and reads each of its inputs once: size the trace
   // and the spans for the whole table.
   std::size_t reads = 0;
@@ -52,8 +47,11 @@ Execution::Execution(sim::Cluster& cluster, const dfs::NameNode& nn,
   result_.trace.reserve(reads);
   result_.task_spans.reserve(tasks.size());
   if (config.record_read_breakdown) result_.read_breakdowns.reserve(reads);
-  retired_.assign(m, 0);
   states_.resize(m);
+  if (config.record_read_breakdown && !cluster.read_breakdown_recording()) {
+    cluster.record_read_breakdown(true);
+    stop_recording_ = true;
+  }
 }
 
 Execution::~Execution() {
@@ -86,131 +84,100 @@ void Execution::resume(ProcessId p) {
   pull_next_task(p);
 }
 
-/// Pull a task and start reading its inputs; a kWait retries later and a
-/// kPending waits for the source's resume(p). Under prefetch, a pull made
-/// while a task computes is that cycle's reads event, so a kDone there
-/// completes the event instead of retiring the process (the cycle does once
-/// the compute ends).
+/// Pull a task and start reading its inputs; a kWait retries later, a
+/// kPending waits for the source's resume(p), and a kDone retires the
+/// process once its compute slot is empty.
 void Execution::pull_next_task(ProcessId p) {
+  ProcState& st = states_[p];
   const Pull r = source_.pull(p, cluster_.simulator().now());
   switch (r.kind) {
     case Pull::Kind::kDone:
-      if (config_.prefetch && states_[p].computing != kInvalidTask) {
-        states_[p].task = kInvalidTask;
-        cycle_event(p);
-      } else {
-        retire_process(p);
-      }
+      OPASS_CHECK(!st.drained, "process drained twice");
+      st.drained = true;
+      if (st.computing == kInvalidTask) retire_process(p);
       return;
     case Pull::Kind::kWait:
       OPASS_REQUIRE(r.retry_after > 0, "wait must carry a positive retry delay");
       cluster_.simulator().after(r.retry_after, [this, p](Seconds) { pull_next_task(p); });
       return;
     case Pull::Kind::kPending:
-      states_[p].pending = true;
+      st.pending = true;
       return;
     case Pull::Kind::kTask:
       break;
   }
   OPASS_REQUIRE(r.task < tasks_.size(), "task source returned unknown task");
-  states_[p].task = r.task;
-  states_[p].next_input = 0;
-  states_[p].task_start = cluster_.simulator().now();
+  st.task = r.task;
+  st.next_input = 0;
+  st.task_start = cluster_.simulator().now();
   ++result_.tasks_executed;
   read_next_input(p);
 }
 
-/// Source drained for this process: record its finish (the last process to
-/// drain ends the job).
+/// Source drained for this process and its compute slot empty: record its
+/// finish (the last process to retire ends the job).
 void Execution::retire_process(ProcessId p) {
-  OPASS_CHECK(!retired_[p], "process retired twice");
-  retired_[p] = 1;
+#if defined(OPASS_SANITIZE_BUILD)
+  // Sanitizer builds audit each retirement: the process holds no task being
+  // read, none computing or waiting for the slot, and no pull is out.
+  const ProcState& st = states_[p];
+  OPASS_CHECK(st.drained && st.task == kInvalidTask && st.computing == kInvalidTask &&
+                  !st.inputs_ready && !st.pending,
+              "retiring process still holds a task or a pull");
+#endif
   result_.process_finish_time[p] = cluster_.simulator().now();
-  done_ = ++drained_ == states_.size();
+  done_ = ++finished_ == states_.size();
 }
 
-/// One task fully processed: record its span and pull the next.
-void Execution::task_complete(ProcessId p) {
-  result_.task_spans.push_back(
-      {p, states_[p].task, states_[p].task_start, cluster_.simulator().now()});
-  pull_next_task(p);
-}
-
+/// Read the pulled task's next input; once all are in, the task takes the
+/// compute slot, or waits for it while a prefetching process still computes.
 void Execution::read_next_input(ProcessId p) {
   ProcState& st = states_[p];
   const Task& task = tasks_[st.task];
-  if (st.next_input >= task.inputs.size()) {
-    if (config_.prefetch) {
-      // Bootstrap (nothing computing yet) starts the first cycle; reads
-      // finishing inside a cycle are the cycle's second join event.
-      if (st.computing == kInvalidTask) {
-        reads_finished_prefetch(p);
-      } else {
-        cycle_event(p);
-      }
-      return;
-    }
-    // All inputs in memory: spend the compute time, then continue.
-    if (task.compute_time > 0) {
-      emit(ProbeKind::kOpBegin, p);
-      cluster_.simulator().after(task.compute_time, [this, p](Seconds) {
-        emit(ProbeKind::kOpEnd, p);
-        task_complete(p);
-      });
-    } else {
-      task_complete(p);
-    }
-    return;
+  if (st.next_input < task.inputs.size()) {
+    issue_read(p, task.inputs[st.next_input++]);
+  } else if (st.computing == kInvalidTask) {
+    start_compute(p);
+  } else {
+    st.inputs_ready = true;
   }
-
-  const dfs::ChunkId cid = task.inputs[st.next_input++];
-  issue_read(p, cid);
 }
 
-// --- prefetch (depth-1 read-ahead) mode ---
-
-/// Inputs of st.task are in memory: start its compute and overlap the next
-/// task's reads; the cycle advances when both join events fire.
-void Execution::reads_finished_prefetch(ProcessId p) {
+/// Move the task whose inputs are in into the compute slot and spend its
+/// compute time. With prefetch on, pull the next task now, so its reads
+/// overlap the compute.
+void Execution::start_compute(ProcessId p) {
   ProcState& st = states_[p];
   st.computing = st.task;
   st.computing_start = st.task_start;
-  const Task& task = tasks_[st.computing];
-  st.events_pending = 2;  // event A: compute; event B: next task's reads
-
-  if (task.compute_time > 0) {
+  st.task = kInvalidTask;
+  st.inputs_ready = false;
+  const Seconds compute_time = tasks_[st.computing].compute_time;
+  if (compute_time > 0) {
     emit(ProbeKind::kOpBegin, p);
-    cluster_.simulator().after(
-        task.compute_time, [this, p, t = st.computing, s = st.computing_start](Seconds end) {
-          emit(ProbeKind::kOpEnd, p);
-          result_.task_spans.push_back({p, t, s, end});
-          cycle_event(p);
-        });
+    cluster_.simulator().after(compute_time, [this, p](Seconds) {
+      emit(ProbeKind::kOpEnd, p);
+      compute_done(p);
+    });
   }
-
-  // Event B: fetch the next task's inputs while computing (fires
-  // cycle_event itself, directly for kDone or after the reads land).
-  pull_next_task(p);
-
-  if (task.compute_time <= 0) {  // A is trivial
-    result_.task_spans.push_back(
-        {p, st.computing, st.computing_start, cluster_.simulator().now()});
-    cycle_event(p);
-  }
+  if (config_.prefetch) pull_next_task(p);
+  if (compute_time <= 0) compute_done(p);
 }
 
-void Execution::cycle_event(ProcessId p) {
+/// The compute slot's task is done: record its span, then pull (without
+/// prefetch), start the task whose inputs came in meanwhile, or retire the
+/// process whose pull already answered kDone.
+void Execution::compute_done(ProcessId p) {
   ProcState& st = states_[p];
-  OPASS_CHECK(st.events_pending > 0, "cycle barrier underflow");
-  if (--st.events_pending > 0) return;
+  result_.task_spans.push_back({p, st.computing, st.computing_start, cluster_.simulator().now()});
   st.computing = kInvalidTask;
-  if (st.task == kInvalidTask) {
+  if (!config_.prefetch) {
+    pull_next_task(p);
+  } else if (st.inputs_ready) {
+    start_compute(p);
+  } else if (st.drained) {
     retire_process(p);
-    return;
   }
-  // The prefetched task's inputs are in memory: it becomes the computing
-  // task of the next cycle.
-  reads_finished_prefetch(p);
 }
 
 void Execution::issue_read(ProcessId p, dfs::ChunkId cid) {

@@ -75,11 +75,12 @@ struct ExecutorConfig {
   /// cluster would move.
   std::span<const dfs::NodeId> placement;
   dfs::ReplicaChoice replica_choice = dfs::ReplicaChoice::kRandom;
-  /// Overlap each task's compute with the next task's reads (depth-1
-  /// read-ahead / double buffering). With prefetch on, a process pulls its
-  /// next task as soon as it starts computing, so compute-heavy workloads
-  /// hide their I/O entirely. Off by default — the paper's applications
-  /// read synchronously.
+  /// When a process pulls its next task. Off (the default; the paper's
+  /// applications read synchronously): when its compute ends. On (depth-1
+  /// read-ahead / double buffering): when its compute starts, so the next
+  /// task's reads overlap the compute and compute-heavy workloads hide their
+  /// I/O entirely; a task whose inputs land first waits for the compute
+  /// slot, and a drained pull retires the process when the compute ends.
   bool prefetch = false;
   /// Record each read's causal breakdown (admission wait, positioning,
   /// binding-resource transfer intervals) into
@@ -139,14 +140,18 @@ class Execution {
   ExecutionResult take_result();
 
  private:
-  struct ProcState;  ///< one process's progress (executor.cpp)
+  /// One process's state (executor.cpp): the pulled task whose inputs are
+  /// being read, the compute slot (at most one task computing) and the
+  /// status of its last pull. Each process runs one pull → read → compute
+  /// loop; ExecutorConfig::prefetch only moves the pull from the end of a
+  /// compute to its start.
+  struct ProcState;
 
   void pull_next_task(ProcessId p);
   void retire_process(ProcessId p);
-  void task_complete(ProcessId p);
   void read_next_input(ProcessId p);
-  void reads_finished_prefetch(ProcessId p);
-  void cycle_event(ProcessId p);
+  void start_compute(ProcessId p);
+  void compute_done(ProcessId p);
   void issue_read(ProcessId p, dfs::ChunkId cid);
   void emit(ProbeKind kind, ProcessId p) const;
 
@@ -157,8 +162,7 @@ class Execution {
   Rng& rng_;
   const ExecutorConfig config_;
   bool stop_recording_ = false;  ///< turned the cluster's recording on
-  std::vector<char> retired_;  ///< per process: drained
-  std::uint32_t drained_ = 0;
+  std::uint32_t finished_ = 0;   ///< processes retired
   bool done_ = false;
   std::vector<ProcState> states_;
   ExecutionResult result_;

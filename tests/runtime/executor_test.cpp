@@ -79,6 +79,16 @@ TEST_F(ExecutorFixture, ReadBreakdownRecordingLastsOneRun) {
   EXPECT_THROW((void)execute(cluster, nn, tasks, unknown_source, rng, config),
                std::invalid_argument);
   EXPECT_FALSE(cluster.read_breakdown_recording());
+
+  // A placement the constructor rejects leaves the flag off too: every check
+  // runs before the cluster is touched.
+  const std::vector<dfs::NodeId> unknown_node{0, 9};
+  ExecutorConfig misplaced = config;
+  misplaced.placement = unknown_node;
+  StaticAssignmentSource misplaced_source(rank_interval_assignment(8, 2));
+  EXPECT_THROW((void)execute(cluster, nn, tasks, misplaced_source, rng, misplaced),
+               std::invalid_argument);
+  EXPECT_FALSE(cluster.read_breakdown_recording());
 }
 
 TEST_F(ExecutorFixture, ReadsAreSequentialPerProcess) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "common/stats.hpp"
 #include "obs/spans.hpp"
@@ -225,6 +227,68 @@ TEST_F(MwFixture, PrefetchStillRunsEveryTaskOnce) {
   for (const TaskSpan& s : result.exec.task_spans) ++seen[s.task];
   for (int s : seen) EXPECT_EQ(s, 1);
   EXPECT_EQ(result.messages, 2 * (timed.size() + 8));
+
+  // A worker sends its next REQUEST when a compute starts, so the pending
+  // pull overlaps the compute. Every span (process, task, start, end), finish
+  // time and the makespan are pinned at full precision, as recorded before
+  // the prefetch cycle folded into the executor's one loop.
+  std::string spans;
+  char line[96];
+  for (const TaskSpan& s : result.exec.task_spans) {
+    std::snprintf(line, sizeof line, "%u %u %.17g %.17g\n", s.process, s.task, s.start, s.end);
+    spans += line;
+  }
+  EXPECT_EQ(spans,
+            "7 35 0.0040130789620535711 1.4073464122953869\n"
+            "7 17 0.91134844591448683 2.3146817792478203\n"
+            "0 8 0.0040130789620535711 2.6893464122953867\n"
+            "1 28 0.0040130789620535711 2.6893464122953867\n"
+            "2 18 0.0040130789620535711 2.6893464122953867\n"
+            "3 30 0.0040130789620535711 2.6893464122953867\n"
+            "4 13 0.0040130789620535711 2.6893464122953867\n"
+            "5 2 0.0040130789620535711 2.6893464122953867\n"
+            "6 4 0.0040130789620535711 2.6893464122953867\n"
+            "7 22 1.81868381286692 4.504017146200253\n"
+            "5 10 2.1933578563871832 4.6530867636083579\n"
+            "0 12 2.1933578563871832 4.8786911897205165\n"
+            "1 29 2.1933578563871832 4.8786911897205165\n"
+            "2 20 2.1933578563871832 4.8786911897205165\n"
+            "5 33 4.1570896560711201 5.5604229894044535\n"
+            "2 14 4.3826971842447913 5.7860305175781246\n"
+            "5 32 5.0644250230235528 6.4677583563568861\n"
+            "4 0 2.1933578563871832 6.5763578563871814\n"
+            "3 7 2.1933578563871832 6.5813578563871822\n"
+            "6 19 2.1933578563871832 6.5813578563871822\n"
+            "7 3 4.0080191798193523 6.6933528037962864\n"
+            "2 23 5.2900325511972239 6.6933658845305573\n"
+            "0 25 4.3826971842447913 7.0680305175781246\n"
+            "1 36 4.3826971842447913 7.0680305175781246\n"
+            "4 38 6.0803605188025331 7.4836938521358665\n"
+            "3 39 6.0853619236253813 7.7482964133303609\n"
+            "5 24 5.9717603899759855 8.6570937233093179\n"
+            "6 5 6.0853619236253813 8.7706952569587138\n"
+            "7 15 6.1973546380409639 8.8826879713742972\n"
+            "2 31 6.1973675194008138 8.8827008527341462\n"
+            "1 1 6.5720337873186372 8.8964030822463798\n"
+            "0 21 6.5720337873186372 9.2573671206519705\n"
+            "5 27 8.1610959563028409 9.6001888700296973\n"
+            "3 6 7.2522980482006174 9.9376313815339508\n"
+            "0 37 8.7613691542710708 10.164702487604405\n"
+            "4 9 6.987695487006123 10.249527783918637\n"
+            "6 11 8.2746979193740664 10.960031252707399\n"
+            "7 16 8.3866902043678202 11.072023537701153\n"
+            "2 26 8.3867035151494989 11.648535812062013\n"
+            "1 34 8.40040511586548 11.662237412777994\n");
+  std::string finish;
+  for (Seconds t : result.exec.process_finish_time) {
+    std::snprintf(line, sizeof line, "%.17g ", t);
+    finish += line;
+  }
+  EXPECT_EQ(finish,
+            "10.164702487604405 11.662237412777994 11.648535812062013 9.9376313815339508 "
+            "10.249527783918637 9.6001888700296973 10.960031252707399 11.072023537701153 ");
+  std::snprintf(line, sizeof line, "%.17g", result.exec.makespan);
+  EXPECT_EQ(std::string(line), "11.662237412777994");
 }
 
 // --- misuse ---------------------------------------------------------------

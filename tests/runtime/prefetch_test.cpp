@@ -45,6 +45,28 @@ struct PrefetchFixture : ::testing::Test {
   sim::ClusterParams params;
 };
 
+std::string exact(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// One "process task start end" line per task span, times at full precision.
+std::string span_lines(const ExecutionResult& result) {
+  std::string lines;
+  for (const TaskSpan& s : result.task_spans)
+    lines += std::to_string(s.process) + " " + std::to_string(s.task) + " " + exact(s.start) +
+             " " + exact(s.end) + "\n";
+  return lines;
+}
+
+/// Each process's finish time at full precision, space-terminated.
+std::string finish_times(const ExecutionResult& result) {
+  std::string times;
+  for (Seconds t : result.process_finish_time) times += exact(t) + " ";
+  return times;
+}
+
 TEST_F(PrefetchFixture, AllTasksStillRunExactlyOnce) {
   const auto tasks = make_tasks(12, 0.5);
   const auto result = run(tasks, rank_interval_assignment(12, 4), true);
@@ -72,13 +94,31 @@ TEST_F(PrefetchFixture, OverlapHidesIoUnderCompute) {
 
 TEST_F(PrefetchFixture, NoComputeMeansNoBenefit) {
   // Pure I/O: reads cannot overlap with anything; both modes serialize the
-  // process's reads and end at the same time.
-  const auto tasks = make_tasks(8, 0.0);
-  const auto a = rank_interval_assignment(8, 4);
+  // process's reads and end at the same time. Task 8 reads nothing: under
+  // prefetch, the pull made when task 0's compute starts returns it with its
+  // inputs already in memory, so it takes the compute slot within the same
+  // event. The prefetch run's spans and finish times are pinned at full
+  // precision, as recorded before the prefetch cycle folded into the
+  // executor's one loop.
+  auto tasks = make_tasks(8, 0.0);
+  tasks.emplace_back().id = 8;
+  auto a = rank_interval_assignment(8, 4);
+  a[0].insert(a[0].begin() + 1, 8);
   const auto seq = run(tasks, a, false);
   const auto pre = run(tasks, a, true);
   EXPECT_NEAR(seq.makespan, pre.makespan, 1e-6);
-  EXPECT_EQ(pre.tasks_executed, 8u);
+  EXPECT_EQ(pre.tasks_executed, 9u);
+  EXPECT_EQ(span_lines(pre),
+            "1 2 0 1\n"
+            "3 6 0 1\n"
+            "0 0 0 2\n"
+            "0 8 2 2\n"
+            "2 4 0 2\n"
+            "1 3 1 3\n"
+            "3 7 1 3\n"
+            "0 1 2 3\n"
+            "2 5 2 3\n");
+  EXPECT_EQ(finish_times(pre), "3 3 3 3 ");
 }
 
 TEST_F(PrefetchFixture, SingleTaskPerProcess) {
@@ -135,12 +175,6 @@ class WaitingSource final : public TaskSource {
   StaticAssignmentSource inner_;
 };
 
-std::string exact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 TEST_F(PrefetchFixture, WaitingSourceOnFirstAndMidCyclePulls) {
   // Four local tasks per process: 1 s read, 1 s compute. Process 3's 1.2 s
   // waits outlast a compute; the others' do not. Every span (process, task,
@@ -158,13 +192,7 @@ TEST_F(PrefetchFixture, WaitingSourceOnFirstAndMidCyclePulls) {
   const auto result = execute(cluster, nn, tasks, source, exec_rng, cfg);
   EXPECT_EQ(result.tasks_executed, 16u);
 
-  std::string spans;
-  for (const TaskSpan& s : result.task_spans)
-    spans += std::to_string(s.process) + " " + std::to_string(s.task) + " " + exact(s.start) +
-             " " + exact(s.end) + "\n";
-  std::string finish;
-  for (Seconds t : result.process_finish_time) finish += exact(t) + " ";
-  EXPECT_EQ(spans,
+  EXPECT_EQ(span_lines(result),
             "0 0 0.29999999999999999 2.2999999999999998\n"
             "1 1 0.59999999999999998 2.5999999999999996\n"
             "2 2 0.89999999999999991 2.8999999999999999\n"
@@ -183,7 +211,7 @@ TEST_F(PrefetchFixture, WaitingSourceOnFirstAndMidCyclePulls) {
             "3 15 5.3999999999999995 7.3999999999999995\n");
   // Process 3 drains at 7.6 s, after its last compute (7.4 s): the pull that
   // finds it drained waited 1.2 s.
-  EXPECT_EQ(finish,
+  EXPECT_EQ(finish_times(result),
             "5.5999999999999996 6.1999999999999993 6.7999999999999989 7.5999999999999996 ");
   EXPECT_EQ(exact(result.makespan), "7.5999999999999996");
 }
